@@ -2,10 +2,9 @@ type t = MD5 | SHA1 | SHA256
 
 let size = function MD5 -> 16 | SHA1 -> 20 | SHA256 -> 32
 
-let digest = function
-  | MD5 -> Md5.digest
-  | SHA1 -> Sha1.digest
-  | SHA256 -> Sha256.digest
+let md = function MD5 -> Md5.md | SHA1 -> Sha1.md | SHA256 -> Sha256.md
+
+let digest t msg = Merkle_damgard.digest (md t) msg
 
 let name = function MD5 -> "md5" | SHA1 -> "sha1" | SHA256 -> "sha256"
 
@@ -14,8 +13,6 @@ let of_name = function
   | "sha1" -> SHA1
   | "sha256" -> SHA256
   | s -> invalid_arg ("Digest_alg.of_name: unknown algorithm " ^ s)
-
-let block_size = function MD5 | SHA1 | SHA256 -> 64
 
 let equal a b =
   match (a, b) with

@@ -10,14 +10,14 @@ val size : t -> int
 
 val digest : t -> string -> string
 
+val md : t -> Merkle_damgard.t
+(** The algorithm's block function, for streaming and keyed use. *)
+
 val name : t -> string
 (** ["md5"], ["sha1"] or ["sha256"]. *)
 
 val of_name : string -> t
 (** Inverse of {!name}.  @raise Invalid_argument on unknown names. *)
-
-val block_size : t -> int
-(** Internal block size in bytes (64 for all three), needed by HMAC. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,22 +1,43 @@
-let xor_pad key pad_byte block =
-  let out = Bytes.make block (Char.chr pad_byte) in
-  String.iteri
-    (fun i c -> Bytes.set out i (Char.chr (Char.code c lxor pad_byte)))
-    key;
-  Bytes.unsafe_to_string out
+module Md = Merkle_damgard
 
-let mac ~alg ~key msg =
-  let block = Digest_alg.block_size alg in
-  let key = if String.length key > block then Digest_alg.digest alg key else key in
-  let inner = Digest_alg.digest alg (xor_pad key 0x36 block ^ msg) in
-  Digest_alg.digest alg (xor_pad key 0x5c block ^ inner)
+type keyed = { alg : Digest_alg.t; inner : Md.chain; outer : Md.chain }
 
-let constant_time_equal a b =
-  Int.equal (String.length a) (String.length b)
+(* The chaining words after one block of [key xor pad]. *)
+let pad_chain alg key pad =
+  let block = Bytes.make Md.block_size (Char.chr pad) in
+  String.iteri (fun i c -> Bytes.set block i (Char.chr (Char.code c lxor pad))) key;
+  let ctx = Md.init (Digest_alg.md alg) in
+  Md.feed ctx (Bytes.unsafe_to_string block);
+  Md.chain ctx
+
+let keyed ~alg key =
+  let key = if String.length key > Md.block_size then Digest_alg.digest alg key else key in
+  { alg; inner = pad_chain alg key 0x36; outer = pad_chain alg key 0x5c }
+
+let tag k msg =
+  let ctx = Md.init (Digest_alg.md k.alg) in
+  Md.resume ctx k.inner;
+  Md.feed ctx msg;
+  let inner = Md.finalize ctx in
+  Md.resume ctx k.outer;
+  Md.feed ctx inner;
+  Md.finalize ctx
+
+let check k ~msg ~tag:t ~pos =
+  let expect = tag k msg in
+  let n = String.length expect in
+  pos >= 0
+  && pos + n <= String.length t
   && begin
        let acc = ref 0 in
-       String.iteri (fun i c -> acc := !acc lor (Char.code c lxor Char.code b.[i])) a;
+       for i = 0 to n - 1 do
+         acc := !acc lor (Char.code expect.[i] lxor Char.code t.[pos + i])
+       done;
        !acc = 0
      end
 
-let verify ~alg ~key ~msg ~tag = constant_time_equal (mac ~alg ~key msg) tag
+let mac ~alg ~key msg = tag (keyed ~alg key) msg
+
+let verify ~alg ~key ~msg ~tag =
+  Int.equal (String.length tag) (Digest_alg.size alg)
+  && check (keyed ~alg key) ~msg ~tag ~pos:0

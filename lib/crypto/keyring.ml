@@ -15,6 +15,11 @@ type t = {
   mac_keys : string array array;
       (* Pairwise symmetric keys: [mac_keys.(i).(j) = mac_keys.(j).(i)] is
          the key nodes i and j share.  Empty unless MACs are provisioned. *)
+  node_states : Hmac.keyed option array;
+  mac_states : Hmac.keyed option array array;
+      (* Keyed states of [keys] and [mac_keys], filled on first use so setup
+         pays for none.  Slots hold immutable values, so threads sharing
+         the ring at worst compute one twice. *)
   rng : Sof_util.Rng.t; (* for DSA per-signature nonces *)
   signature_size : int;
 }
@@ -71,7 +76,15 @@ let create ?key_bits ?(auth = Sign) ~scheme ~rng ~node_count () =
       | Hmac_key _ -> assert false
     end
   in
-  { scheme; keys; mac_keys; rng; signature_size }
+  {
+    scheme;
+    keys;
+    mac_keys;
+    node_states = Array.make node_count None;
+    mac_states = Array.map (fun row -> Array.make (Array.length row) None) mac_keys;
+    rng;
+    signature_size;
+  }
 
 let scheme t = t.scheme
 
@@ -87,9 +100,28 @@ let check_range t signer =
   if signer < 0 || signer >= Array.length t.keys then
     invalid_arg "Keyring.sign: signer out of range"
 
+let keyed_state slots i key =
+  match slots.(i) with
+  | Some k -> k
+  | None ->
+    let k = Hmac.keyed ~alg:Digest_alg.SHA256 key in
+    slots.(i) <- Some k;
+    k
+
+let mac_state t ~signer ~receiver =
+  keyed_state t.mac_states.(signer) receiver t.mac_keys.(signer).(receiver)
+
 let pad_mock t tag =
   let pad = t.signature_size - String.length tag in
   if pad <= 0 then tag else tag ^ String.make pad '\000'
+
+(* Any other padding would make md5-rsa1024's last 96 bytes malleable. *)
+let zero_padded signature =
+  let ok = ref true in
+  for i = tag_size to String.length signature - 1 do
+    ok := !ok && Char.equal signature.[i] '\000'
+  done;
+  !ok
 
 (* ---------------------------------------------------- authenticator vectors *)
 
@@ -97,17 +129,12 @@ let sign_vector t ~signer msg =
   check_range t signer;
   if not (mac_provisioned t) then
     invalid_arg "Keyring.sign_vector: MAC keys not provisioned";
-  let n = node_count t in
-  let buf = Buffer.create (n * tag_size) in
-  for j = 0 to n - 1 do
-    Buffer.add_string buf
-      (Hmac.mac ~alg:Digest_alg.SHA256 ~key:t.mac_keys.(signer).(j) msg)
-  done;
-  Buffer.contents buf
+  String.concat ""
+    (List.init (node_count t) (fun j -> Hmac.tag (mac_state t ~signer ~receiver:j) msg))
 
 let vector_entry_ok t ~verifier ~signer ~msg ~signature =
-  Hmac.verify ~alg:Digest_alg.SHA256 ~key:t.mac_keys.(signer).(verifier) ~msg
-    ~tag:(String.sub signature (verifier * tag_size) tag_size)
+  Hmac.check (mac_state t ~signer ~receiver:verifier) ~msg ~tag:signature
+    ~pos:(verifier * tag_size)
 
 let verify_vector t ~verifier ~signer ~msg ~signature =
   mac_provisioned t
@@ -126,7 +153,7 @@ let sign t ~signer msg =
   | Hmac_key "" when t.scheme.Scheme.mechanism = Scheme.Mac_vector ->
     sign_vector t ~signer msg
   | Hmac_key "" -> ""
-  | Hmac_key key -> pad_mock t (Hmac.mac ~alg:Digest_alg.SHA256 ~key msg)
+  | Hmac_key key -> pad_mock t (Hmac.tag (keyed_state t.node_states signer key) msg)
   | Rsa_key key -> Rsa.sign key ~alg:t.scheme.Scheme.digest msg
   | Dsa_key key -> Dsa.sign t.rng key ~alg:t.scheme.Scheme.digest msg
 
@@ -154,8 +181,8 @@ let verify ?verifier t ~signer ~msg ~signature =
        | Hmac_key "" -> String.length signature = 0
        | Hmac_key key ->
          Int.equal (String.length signature) t.signature_size
-         && Hmac.verify ~alg:Digest_alg.SHA256 ~key ~msg
-              ~tag:(String.sub signature 0 tag_size)
+         && zero_padded signature
+         && Hmac.check (keyed_state t.node_states signer key) ~msg ~tag:signature ~pos:0
        | Rsa_key key ->
          Rsa.verify (Rsa.public_of_secret key) ~alg:t.scheme.Scheme.digest ~msg
            ~signature

@@ -9,7 +9,9 @@
     way to produce node [signer]'s signature, and the simulator only lets a
     node call it with its own identity.  A Byzantine node can therefore emit
     wrong {e contents} but cannot fake another node's endorsement — exactly
-    the cryptography-constrained Byzantine model. *)
+    the cryptography-constrained Byzantine model.  HMAC keys become
+    immutable {!Hmac.keyed} states on first use, not at {!create}, so
+    threads may share one keyring, as the TCP runtime's do. *)
 
 type t
 
@@ -62,7 +64,8 @@ val sign : t -> signer:int -> string -> string
 
 val verify : ?verifier:int -> t -> signer:int -> msg:string -> signature:string -> bool
 (** Total: returns [false] on malformed signatures or out-of-range ids.
-    [verifier] matters only for [Mac_vector] schemes: given, the check
+    A mock signature padded to a larger scheme's size must have all-zero
+    padding.  [verifier] matters only for [Mac_vector] schemes: given, the check
     covers that receiver's entry alone (what a real node can do); omitted,
     every entry must verify (the dealer's omniscient view, for tests). *)
 

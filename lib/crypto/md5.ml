@@ -1,11 +1,7 @@
-(* RFC 1321.  32-bit words are kept in native ints masked to 32 bits, which
-   is safe on 64-bit OCaml (ints are 63-bit). *)
-
-let digest_size = 16
+(* RFC 1321.  Little-endian, 64-round compression; 32-bit words in masked
+   native ints, rotated and summed as in sha256.ml. *)
 
 let mask = 0xffffffff
-
-let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
 
 (* K.(i) = floor(|sin(i+1)| * 2^32), per the RFC. *)
 let k_table =
@@ -21,106 +17,50 @@ let s_table =
     6; 10; 15; 21; 6; 10; 15; 21; 6; 10; 15; 21; 6; 10; 15; 21;
   |]
 
-type ctx = {
-  mutable a : int;
-  mutable b : int;
-  mutable c : int;
-  mutable d : int;
-  mutable len : int; (* total bytes fed *)
-  block : Bytes.t; (* 64-byte staging buffer *)
-  mutable fill : int; (* bytes currently staged *)
-  words : int array; (* scratch: 16 little-endian words of the block *)
-}
+(* The message word each round reads. *)
+let g_table =
+  Array.init 64 (fun i ->
+      if i < 16 then i
+      else if i < 32 then ((5 * i) + 1) mod 16
+      else if i < 48 then ((3 * i) + 5) mod 16
+      else 7 * i mod 16)
 
-let init () =
-  {
-    a = 0x67452301;
-    b = 0xefcdab89;
-    c = 0x98badcfe;
-    d = 0x10325476;
-    len = 0;
-    block = Bytes.create 64;
-    fill = 0;
-    words = Array.make 16 0;
-  }
-
-let load_words ctx =
+let compress h m src off =
   for i = 0 to 15 do
-    let o = 4 * i in
-    ctx.words.(i) <-
-      Char.code (Bytes.get ctx.block o)
-      lor (Char.code (Bytes.get ctx.block (o + 1)) lsl 8)
-      lor (Char.code (Bytes.get ctx.block (o + 2)) lsl 16)
-      lor (Char.code (Bytes.get ctx.block (o + 3)) lsl 24)
-  done
-
-let compress ctx =
-  load_words ctx;
-  let m = ctx.words in
-  let a = ref ctx.a and b = ref ctx.b and c = ref ctx.c and d = ref ctx.d in
+    Array.unsafe_set m i
+      (Int32.to_int (Bytes.get_int32_le src (off + (4 * i))) land mask)
+  done;
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   for i = 0 to 63 do
-    let f, g =
-      if i < 16 then (!b land !c) lor (lnot !b land !d land mask), i
-      else if i < 32 then (!d land !b) lor (lnot !d land !c land mask), ((5 * i) + 1) mod 16
-      else if i < 48 then !b lxor !c lxor !d, ((3 * i) + 5) mod 16
-      else !c lxor (!b lor (lnot !d land mask)), (7 * i) mod 16
+    let f =
+      if i < 16 then (!b land !c) lor (lnot !b land !d)
+      else if i < 32 then (!d land !b) lor (lnot !d land !c)
+      else if i < 48 then !b lxor !c lxor !d
+      else !c lxor (!b lor lnot !d)
     in
-    let f = (f + !a + k_table.(i) + m.(g)) land mask in
+    let x =
+      (f + !a + Array.unsafe_get k_table i
+      + Array.unsafe_get m (Array.unsafe_get g_table i))
+      land mask
+    in
+    let x2 = x lor (x lsl 32) in
     a := !d;
     d := !c;
     c := !b;
-    b := (!b + rotl f s_table.(i)) land mask
+    b := (!b + (x2 lsr (32 - Array.unsafe_get s_table i))) land mask
   done;
-  ctx.a <- (ctx.a + !a) land mask;
-  ctx.b <- (ctx.b + !b) land mask;
-  ctx.c <- (ctx.c + !c) land mask;
-  ctx.d <- (ctx.d + !d) land mask
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask
 
-let feed ctx s =
-  ctx.len <- ctx.len + String.length s;
-  let pos = ref 0 in
-  let n = String.length s in
-  while !pos < n do
-    let take = min (64 - ctx.fill) (n - !pos) in
-    Bytes.blit_string s !pos ctx.block ctx.fill take;
-    ctx.fill <- ctx.fill + take;
-    pos := !pos + take;
-    if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
-    end
-  done
+let md =
+  {
+    Merkle_damgard.iv = [| 0x67452301; 0xefcdab89; 0x98badcfe; 0x10325476 |];
+    scratch_words = 16;
+    big_endian = false;
+    compress;
+  }
 
-let finalize ctx =
-  let bit_len = 8 * ctx.len in
-  (* Padding: 0x80, zeros to 56 mod 64, then the 64-bit little-endian bit
-     length. *)
-  let pad_len =
-    let r = ctx.len mod 64 in
-    if r < 56 then 56 - r else 120 - r
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail (pad_len + i) (Char.chr ((bit_len lsr (8 * i)) land 0xff))
-  done;
-  feed ctx (Bytes.unsafe_to_string tail);
-  assert (ctx.fill = 0);
-  let out = Bytes.create 16 in
-  let store off v =
-    for i = 0 to 3 do
-      Bytes.set out (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-    done
-  in
-  store 0 ctx.a;
-  store 4 ctx.b;
-  store 8 ctx.c;
-  store 12 ctx.d;
-  Bytes.unsafe_to_string out
-
-let digest msg =
-  let ctx = init () in
-  feed ctx msg;
-  finalize ctx
-
+let digest msg = Merkle_damgard.digest md msg
 let hex msg = Sof_util.Hex.encode (digest msg)

@@ -5,19 +5,11 @@
     is implemented here to reproduce the paper's 2006-era configurations, not
     as a recommendation. *)
 
-val digest_size : int
-(** 16 bytes. *)
-
 val digest : string -> string
 (** [digest msg] is the 16-byte MD5 digest of [msg]. *)
 
 val hex : string -> string
 (** [hex msg] is the digest as 32 lower-case hex characters. *)
 
-type ctx
-(** Streaming context for incremental hashing. *)
-
-val init : unit -> ctx
-val feed : ctx -> string -> unit
-val finalize : ctx -> string
-(** [finalize ctx] returns the digest; the context must not be reused. *)
+val md : Merkle_damgard.t
+(** The block function, for streaming with {!Merkle_damgard}. *)

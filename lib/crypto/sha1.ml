@@ -1,120 +1,60 @@
 (* FIPS 180-1.  Big-endian, 80-round compression; 32-bit words in masked
-   native ints. *)
-
-let digest_size = 20
+   native ints, rotated and summed as in sha256.ml. *)
 
 let mask = 0xffffffff
 
-let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+let k_table = [| 0x5a827999; 0x6ed9eba1; 0x8f1bbcdc; 0xca62c1d6 |]
 
-type ctx = {
-  mutable h0 : int;
-  mutable h1 : int;
-  mutable h2 : int;
-  mutable h3 : int;
-  mutable h4 : int;
-  mutable len : int;
-  block : Bytes.t;
-  mutable fill : int;
-  w : int array; (* 80-word message schedule *)
-}
-
-let init () =
-  {
-    h0 = 0x67452301;
-    h1 = 0xefcdab89;
-    h2 = 0x98badcfe;
-    h3 = 0x10325476;
-    h4 = 0xc3d2e1f0;
-    len = 0;
-    block = Bytes.create 64;
-    fill = 0;
-    w = Array.make 80 0;
-  }
-
-let compress ctx =
-  let w = ctx.w in
+let compress h w src off =
   for i = 0 to 15 do
-    let o = 4 * i in
-    w.(i) <-
-      (Char.code (Bytes.get ctx.block o) lsl 24)
-      lor (Char.code (Bytes.get ctx.block (o + 1)) lsl 16)
-      lor (Char.code (Bytes.get ctx.block (o + 2)) lsl 8)
-      lor Char.code (Bytes.get ctx.block (o + 3))
+    Array.unsafe_set w i
+      (Int32.to_int (Bytes.get_int32_be src (off + (4 * i))) land mask)
   done;
   for i = 16 to 79 do
-    w.(i) <- rotl (w.(i - 3) lxor w.(i - 8) lxor w.(i - 14) lxor w.(i - 16)) 1
-  done;
-  let a = ref ctx.h0
-  and b = ref ctx.h1
-  and c = ref ctx.h2
-  and d = ref ctx.h3
-  and e = ref ctx.h4 in
-  for i = 0 to 79 do
-    let f, k =
-      if i < 20 then (!b land !c) lor (lnot !b land !d land mask), 0x5a827999
-      else if i < 40 then !b lxor !c lxor !d, 0x6ed9eba1
-      else if i < 60 then (!b land !c) lor (!b land !d) lor (!c land !d), 0x8f1bbcdc
-      else !b lxor !c lxor !d, 0xca62c1d6
+    let x =
+      Array.unsafe_get w (i - 3)
+      lxor Array.unsafe_get w (i - 8)
+      lxor Array.unsafe_get w (i - 14)
+      lxor Array.unsafe_get w (i - 16)
     in
-    let tmp = (rotl !a 5 + f + !e + k + w.(i)) land mask in
+    Array.unsafe_set w i (((x lsl 1) lor (x lsr 31)) land mask)
+  done;
+  let a = ref h.(0)
+  and b = ref h.(1)
+  and c = ref h.(2)
+  and d = ref h.(3)
+  and e = ref h.(4) in
+  for i = 0 to 79 do
+    let f =
+      if i < 20 then (!b land !c) lor (lnot !b land !d)
+      else if i < 40 || i >= 60 then !b lxor !c lxor !d
+      else (!b land !c) lor (!d land (!b lor !c))
+    in
+    let a2 = !a lor (!a lsl 32) and b2 = !b lor (!b lsl 32) in
+    let tmp =
+      ((a2 lsr 27) + f + !e + Array.unsafe_get k_table (i / 20)
+     + Array.unsafe_get w i)
+      land mask
+    in
     e := !d;
     d := !c;
-    c := rotl !b 30;
+    c := (b2 lsr 2) land mask;
     b := !a;
     a := tmp
   done;
-  ctx.h0 <- (ctx.h0 + !a) land mask;
-  ctx.h1 <- (ctx.h1 + !b) land mask;
-  ctx.h2 <- (ctx.h2 + !c) land mask;
-  ctx.h3 <- (ctx.h3 + !d) land mask;
-  ctx.h4 <- (ctx.h4 + !e) land mask
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask
 
-let feed ctx s =
-  ctx.len <- ctx.len + String.length s;
-  let pos = ref 0 in
-  let n = String.length s in
-  while !pos < n do
-    let take = min (64 - ctx.fill) (n - !pos) in
-    Bytes.blit_string s !pos ctx.block ctx.fill take;
-    ctx.fill <- ctx.fill + take;
-    pos := !pos + take;
-    if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
-    end
-  done
+let md =
+  {
+    Merkle_damgard.iv = [| 0x67452301; 0xefcdab89; 0x98badcfe; 0x10325476; 0xc3d2e1f0 |];
+    scratch_words = 80;
+    big_endian = true;
+    compress;
+  }
 
-let finalize ctx =
-  let bit_len = 8 * ctx.len in
-  let pad_len =
-    let r = ctx.len mod 64 in
-    if r < 56 then 56 - r else 120 - r
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    (* Big-endian 64-bit bit length. *)
-    Bytes.set tail (pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed ctx (Bytes.unsafe_to_string tail);
-  assert (ctx.fill = 0);
-  let out = Bytes.create 20 in
-  let store off v =
-    for i = 0 to 3 do
-      Bytes.set out (off + i) (Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-    done
-  in
-  store 0 ctx.h0;
-  store 4 ctx.h1;
-  store 8 ctx.h2;
-  store 12 ctx.h3;
-  store 16 ctx.h4;
-  Bytes.unsafe_to_string out
-
-let digest msg =
-  let ctx = init () in
-  feed ctx msg;
-  finalize ctx
-
+let digest msg = Merkle_damgard.digest md msg
 let hex msg = Sof_util.Hex.encode (digest msg)

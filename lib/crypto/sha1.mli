@@ -4,18 +4,11 @@
     as the digest inside our DSA implementation.  SHA-1 is deprecated for new
     designs; it is implemented to reproduce the paper's configuration. *)
 
-val digest_size : int
-(** 20 bytes. *)
-
 val digest : string -> string
 (** [digest msg] is the 20-byte SHA-1 digest of [msg]. *)
 
 val hex : string -> string
 (** [hex msg] is the digest as 40 lower-case hex characters. *)
 
-type ctx
-
-val init : unit -> ctx
-val feed : ctx -> string -> unit
-val finalize : ctx -> string
-(** [finalize ctx] returns the digest; the context must not be reused. *)
+val md : Merkle_damgard.t
+(** The block function, for streaming with {!Merkle_damgard}. *)

@@ -1,11 +1,9 @@
 (* FIPS 180-2.  Big-endian, 64-round compression; 32-bit words in masked
-   native ints. *)
-
-let digest_size = 32
+   native ints.  Rotations read [x lor (x lsl 32)], whose bits n..n+31 are
+   [x] rotated right by n.  Sums are masked once at the end: bits above 31
+   never carry down. *)
 
 let mask = 0xffffffff
-
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 (* First 32 bits of the fractional parts of the cube roots of the first 64
    primes. *)
@@ -24,115 +22,64 @@ let k_table =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
-type ctx = {
-  h : int array; (* 8 chaining words *)
-  mutable len : int;
-  block : Bytes.t;
-  mutable fill : int;
-  w : int array; (* 64-word message schedule *)
-}
-
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-      |];
-    len = 0;
-    block = Bytes.create 64;
-    fill = 0;
-    w = Array.make 64 0;
-  }
-
-let compress ctx =
-  let w = ctx.w in
+let compress h w src off =
   for i = 0 to 15 do
-    let o = 4 * i in
-    w.(i) <-
-      (Char.code (Bytes.get ctx.block o) lsl 24)
-      lor (Char.code (Bytes.get ctx.block (o + 1)) lsl 16)
-      lor (Char.code (Bytes.get ctx.block (o + 2)) lsl 8)
-      lor Char.code (Bytes.get ctx.block (o + 3))
+    Array.unsafe_set w i
+      (Int32.to_int (Bytes.get_int32_be src (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let x2 = x lor (x lsl 32) and y2 = y lor (y lsl 32) in
+    let s0 = (x2 lsr 7) lxor (x2 lsr 18) lxor (x lsr 3) in
+    let s1 = (y2 lsr 17) lxor (y2 lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      land mask)
   done;
-  let a = ref ctx.h.(0)
-  and b = ref ctx.h.(1)
-  and c = ref ctx.h.(2)
-  and d = ref ctx.h.(3)
-  and e = ref ctx.h.(4)
-  and f = ref ctx.h.(5)
-  and g = ref ctx.h.(6)
-  and h = ref ctx.h.(7) in
+  let a = ref h.(0)
+  and b = ref h.(1)
+  and c = ref h.(2)
+  and d = ref h.(3)
+  and e = ref h.(4)
+  and f = ref h.(5)
+  and g = ref h.(6)
+  and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g land mask) in
-    let t1 = (!h + s1 + ch + k_table.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    h := !g;
+    let e2 = !e lor (!e lsl 32) and a2 = !a lor (!a lsl 32) in
+    let s1 = (e2 lsr 6) lxor (e2 lsr 11) lxor (e2 lsr 25) in
+    let ch = (!e land !f) lxor (lnot !e land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k_table i + Array.unsafe_get w i in
+    let s0 = (a2 lsr 2) lxor (a2 lsr 13) lxor (a2 lsr 22) in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
+    hh := !g;
     g := !f;
     f := !e;
     e := (!d + t1) land mask;
     d := !c;
     c := !b;
     b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
-  ctx.h.(1) <- (ctx.h.(1) + !b) land mask;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
-  ctx.h.(7) <- (ctx.h.(7) + !h) land mask
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
-let feed ctx s =
-  ctx.len <- ctx.len + String.length s;
-  let pos = ref 0 in
-  let n = String.length s in
-  while !pos < n do
-    let take = min (64 - ctx.fill) (n - !pos) in
-    Bytes.blit_string s !pos ctx.block ctx.fill take;
-    ctx.fill <- ctx.fill + take;
-    pos := !pos + take;
-    if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
-    end
-  done
+let md =
+  {
+    Merkle_damgard.iv =
+      [|
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
+      |];
+    scratch_words = 64;
+    big_endian = true;
+    compress;
+  }
 
-let finalize ctx =
-  let bit_len = 8 * ctx.len in
-  let pad_len =
-    let r = ctx.len mod 64 in
-    if r < 56 then 56 - r else 120 - r
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail (pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed ctx (Bytes.unsafe_to_string tail);
-  assert (ctx.fill = 0);
-  let out = Bytes.create 32 in
-  for j = 0 to 7 do
-    let v = ctx.h.(j) in
-    for i = 0 to 3 do
-      Bytes.set out ((4 * j) + i) (Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-    done
-  done;
-  Bytes.unsafe_to_string out
-
-let digest msg =
-  let ctx = init () in
-  feed ctx msg;
-  finalize ctx
-
+let digest msg = Merkle_damgard.digest md msg
 let hex msg = Sof_util.Hex.encode (digest msg)

@@ -90,15 +90,15 @@ let apply store op_bytes =
   end
 
 let digest store =
-  let ctx = Sof_crypto.Sha256.init () in
+  let ctx = Sof_crypto.(Merkle_damgard.init Sha256.md) in
   Store.iter
     (fun k v ->
-      Sof_crypto.Sha256.feed ctx k;
-      Sof_crypto.Sha256.feed ctx "\x00";
-      Sof_crypto.Sha256.feed ctx v;
-      Sof_crypto.Sha256.feed ctx "\x01")
+      Sof_crypto.Merkle_damgard.feed ctx k;
+      Sof_crypto.Merkle_damgard.feed ctx "\x00";
+      Sof_crypto.Merkle_damgard.feed ctx v;
+      Sof_crypto.Merkle_damgard.feed ctx "\x01")
     store;
-  Sof_crypto.Sha256.finalize ctx
+  Sof_crypto.Merkle_damgard.finalize ctx
 
 let snapshot store =
   let w = Codec.Writer.create () in

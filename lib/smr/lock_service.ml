@@ -113,20 +113,20 @@ let apply state op_bytes =
     (state, encode_reply (Holder holder))
 
 let digest state =
-  let ctx = Sof_crypto.Sha256.init () in
+  let ctx = Sof_crypto.(Merkle_damgard.init Sha256.md) in
   Locks.iter
     (fun lock ls ->
-      Sof_crypto.Sha256.feed ctx lock;
-      Sof_crypto.Sha256.feed ctx "\x00";
-      Sof_crypto.Sha256.feed ctx ls.holder;
+      Sof_crypto.Merkle_damgard.feed ctx lock;
+      Sof_crypto.Merkle_damgard.feed ctx "\x00";
+      Sof_crypto.Merkle_damgard.feed ctx ls.holder;
       List.iter
         (fun w ->
-          Sof_crypto.Sha256.feed ctx "\x01";
-          Sof_crypto.Sha256.feed ctx w)
+          Sof_crypto.Merkle_damgard.feed ctx "\x01";
+          Sof_crypto.Merkle_damgard.feed ctx w)
         ls.waiters;
-      Sof_crypto.Sha256.feed ctx "\x02")
+      Sof_crypto.Merkle_damgard.feed ctx "\x02")
     state;
-  Sof_crypto.Sha256.finalize ctx
+  Sof_crypto.Merkle_damgard.finalize ctx
 
 let snapshot state =
   let w = Codec.Writer.create () in

@@ -25,9 +25,9 @@ let test_md5_streaming () =
   (* Feeding byte-by-byte must equal one-shot hashing, across block
      boundaries. *)
   let msg = String.init 200 (fun i -> Char.chr (i land 0xff)) in
-  let ctx = Md5.init () in
-  String.iter (fun c -> Md5.feed ctx (String.make 1 c)) msg;
-  check_s "streaming" (Md5.digest msg) (Md5.finalize ctx)
+  let ctx = Merkle_damgard.init Md5.md in
+  String.iter (fun c -> Merkle_damgard.feed ctx (String.make 1 c)) msg;
+  check_s "streaming" (Md5.digest msg) (Merkle_damgard.finalize ctx)
 
 (* ----------------------------------------------------------------- SHA1 *)
 (* Vectors from FIPS 180-1 / RFC 3174. *)
@@ -45,11 +45,11 @@ let test_sha1_million_a () =
 
 let test_sha1_streaming () =
   let msg = String.init 300 (fun i -> Char.chr ((i * 7) land 0xff)) in
-  let ctx = Sha1.init () in
-  Sha1.feed ctx (String.sub msg 0 63);
-  Sha1.feed ctx (String.sub msg 63 65);
-  Sha1.feed ctx (String.sub msg 128 172);
-  check_s "streaming" (Sha1.digest msg) (Sha1.finalize ctx)
+  let ctx = Merkle_damgard.init Sha1.md in
+  Merkle_damgard.feed ctx (String.sub msg 0 63);
+  Merkle_damgard.feed ctx (String.sub msg 63 65);
+  Merkle_damgard.feed ctx (String.sub msg 128 172);
+  check_s "streaming" (Sha1.digest msg) (Merkle_damgard.finalize ctx)
 
 (* --------------------------------------------------------------- SHA256 *)
 (* Vectors from FIPS 180-2. *)
@@ -67,10 +67,99 @@ let test_sha256_vectors () =
 
 let test_sha256_streaming () =
   let msg = String.init 1000 (fun i -> Char.chr ((i * 31) land 0xff)) in
-  let ctx = Sha256.init () in
-  Sha256.feed ctx (String.sub msg 0 1);
-  Sha256.feed ctx (String.sub msg 1 999);
-  check_s "streaming" (Sha256.digest msg) (Sha256.finalize ctx)
+  let ctx = Merkle_damgard.init Sha256.md in
+  Merkle_damgard.feed ctx (String.sub msg 0 1);
+  Merkle_damgard.feed ctx (String.sub msg 1 999);
+  check_s "streaming" (Sha256.digest msg) (Merkle_damgard.finalize ctx)
+
+(* --------------------------------------------------- shared block feeder *)
+
+let algs = [ ("md5", Digest_alg.MD5); ("sha1", Digest_alg.SHA1); ("sha256", Digest_alg.SHA256) ]
+
+let feeder_msg n = String.init n (fun i -> Char.chr (((i * 7) + 3) land 0xff))
+
+let test_streaming_every_split () =
+  (* Two feeds split at every point, across the buffered, the whole-block
+     and the two-block padding paths. *)
+  List.iter
+    (fun (name, alg) ->
+      let md = Digest_alg.md alg in
+      for len = 0 to 200 do
+        let msg = feeder_msg len in
+        let whole = Merkle_damgard.digest md msg in
+        for cut = 0 to len do
+          let ctx = Merkle_damgard.init md in
+          Merkle_damgard.feed ctx (String.sub msg 0 cut);
+          Merkle_damgard.feed ctx (String.sub msg cut (len - cut));
+          if not (String.equal whole (Merkle_damgard.finalize ctx)) then
+            Alcotest.failf "%s: length %d split at %d differs" name len cut
+        done
+      done)
+    algs
+
+(* Pinned with python3's hashlib over [feeder_msg n]: lengths on each side
+   of the one- and two-block padding boundaries. *)
+let boundary_digests =
+  [
+    ( 0,
+      [ "d41d8cd98f00b204e9800998ecf8427e";
+        "da39a3ee5e6b4b0d3255bfef95601890afd80709";
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" ] );
+    ( 1,
+      [ "8666683506aacd900bbd5a74ac4edf68";
+        "9842926af7ca0a8cca12604f945414f07b01e13d";
+        "084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5" ] );
+    ( 55,
+      [ "52c0e574e1198de5fe3f8f11440dcb1b";
+        "ddf57317ef34bfee3b6df83d359098930eb278bc";
+        "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b" ] );
+    ( 56,
+      [ "46c9907fc908ee68b1e7b8e71286a518";
+        "a0d492bb0fc889d0eca3bc137066ab6f4f74f369";
+        "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27" ] );
+    ( 63,
+      [ "a62f6d59e837867693f042f5b8f5a236";
+        "c55856749bef509bdfe6bfebfc7bf4e793e82132";
+        "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055" ] );
+    ( 64,
+      [ "7160b8fb5e9e4023d549c3971fbaeead";
+        "bede92be29c3874e1b54ddc77988d606fc857a8e";
+        "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241" ] );
+    ( 65,
+      [ "70bd662e7aefbda85a0f7244167b7897";
+        "b05a80522b053d6dc7e0a517d0e70212c7dad11f";
+        "aacca6ff74fdbb296d165a45cecfa04e5127bc008770fbbdd48006f2d2fae95e" ] );
+    ( 119,
+      [ "e84905d4214f4d1ca56c2cdcc152b143";
+        "504e27376a6e0f0dba8295b85cb25dc4dfa17d23";
+        "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e" ] );
+    ( 120,
+      [ "e3eb5a6c8669ea01a8c185b8abc8a5dc";
+        "82134b02fb3f702491be9bed581eeab59334acb2";
+        "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5" ] );
+    ( 127,
+      [ "acce2474d6cc8302120d09c818d17ef7";
+        "34d5e582029e9b9b85b2febe31da3db7cdabaaea";
+        "a8d23e75d936f303d248888d9b165ee543f4cbafcad3c9dd2a79bd84faa11d07" ] );
+    ( 128,
+      [ "10b2da1a82f16d99a81a7203fe9f02cb";
+        "a09133e6730ffe899efb70204cb5646cd5dc24ee";
+        "d2742f1f4ac6bb7ca2b239ee18402ba8b3f9f8e652d2a72973c2b9ba11c08cf6" ] );
+    ( 1000,
+      [ "10046f077f2082ac19676b8079f1cb1a";
+        "4231a8a50a10fa9758db8ec71fdef855b751048a";
+        "1e9bc38cbf860b9ec31918b065f9b52476c549a782e0e7990bed8ce3868d2371" ] );
+  ]
+
+let test_boundary_digests () =
+  List.iter
+    (fun (len, expect) ->
+      List.iter2
+        (fun (name, alg) hex ->
+          check_s (Printf.sprintf "%s length %d" name len) hex
+            (Sof_util.Hex.encode (Digest_alg.digest alg (feeder_msg len))))
+        algs expect)
+    boundary_digests
 
 (* ----------------------------------------------------------- Digest_alg *)
 
@@ -104,10 +193,40 @@ let test_hmac_md5_rfc2104 () =
        (Hmac.mac ~alg:Digest_alg.MD5 ~key:"Jefe" "what do ya want for nothing?"))
 
 let test_hmac_sha256_rfc4231 () =
-  check_s "case 1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Sof_util.Hex.encode
-       (Hmac.mac ~alg:Digest_alg.SHA256 ~key:(String.make 20 '\x0b') "Hi There"))
+  let long_key = String.make 131 '\xaa' in
+  List.iteri
+    (fun i (key, data, expect) ->
+      let tag = Sof_util.Hex.encode (Hmac.mac ~alg:Digest_alg.SHA256 ~key data) in
+      (* Case 5 publishes the tag truncated to 128 bits. *)
+      check_s
+        (Printf.sprintf "case %d" (i + 1))
+        expect
+        (String.sub tag 0 (String.length expect)))
+    [
+      ( String.make 20 '\x0b',
+        "Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+      ( "Jefe",
+        "what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+      ( String.make 20 '\xaa',
+        String.make 50 '\xdd',
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+      ( String.init 25 (fun i -> Char.chr (i + 1)),
+        String.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( String.make 20 '\x0c',
+        "Test With Truncation",
+        "a3b6167473100ee06e0c796c2955552b" );
+      ( long_key,
+        "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( long_key,
+        "This is a test using a larger than block-size key and a larger than \
+         block-size data. The key needs to be hashed before being used by the \
+         HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+    ]
 
 let test_hmac_long_key () =
   (* Keys longer than the block size are hashed first; just check
@@ -143,6 +262,32 @@ let prop_hmac_roundtrip =
       let tag = Hmac.mac ~alg:Digest_alg.SHA256 ~key msg in
       Hmac.verify ~alg:Digest_alg.SHA256 ~key ~msg ~tag)
 
+(* The plain RFC 2104 construction, H((K ^ opad) || H((K ^ ipad) || m)),
+   as the reference the precomputed-key path must match. *)
+let reference_hmac alg ~key msg =
+  let key = if String.length key > 64 then Digest_alg.digest alg key else key in
+  let pad byte =
+    String.init 64 (fun i ->
+        let k = if i < String.length key then Char.code key.[i] else 0 in
+        Char.chr (k lxor byte))
+  in
+  let h = Digest_alg.digest alg in
+  h (pad 0x5c ^ h (pad 0x36 ^ msg))
+
+let prop_keyed_matches_reference =
+  QCheck.Test.make ~name:"keyed hmac equals the rfc 2104 construction" ~count:300
+    QCheck.(
+      triple
+        (oneofl (List.map snd algs))
+        (string_of_size (Gen.oneofl [ 0; 1; 32; 63; 64; 65; 131; 200 ]))
+        string)
+    (fun (alg, key, msg) ->
+      let k = Hmac.keyed ~alg key in
+      let expect = reference_hmac alg ~key msg in
+      String.equal (Hmac.tag k msg) expect
+      && Hmac.check k ~msg ~tag:("xx" ^ expect) ~pos:2
+      && not (Hmac.check k ~msg ~tag:expect ~pos:1))
+
 let suite =
   [
     ( "crypto.md5",
@@ -161,6 +306,11 @@ let suite =
         Alcotest.test_case "fips vectors" `Quick test_sha256_vectors;
         Alcotest.test_case "streaming" `Quick test_sha256_streaming;
       ] );
+    ( "crypto.feeder",
+      [
+        Alcotest.test_case "every split point" `Quick test_streaming_every_split;
+        Alcotest.test_case "padding boundaries" `Quick test_boundary_digests;
+      ] );
     ( "crypto.digest_alg",
       [
         Alcotest.test_case "dispatch" `Quick test_digest_alg_dispatch;
@@ -174,5 +324,6 @@ let suite =
         Alcotest.test_case "tag tamper" `Quick test_hmac_tag_tamper;
         QCheck_alcotest.to_alcotest prop_digest_deterministic;
         QCheck_alcotest.to_alcotest prop_hmac_roundtrip;
+        QCheck_alcotest.to_alcotest prop_keyed_matches_reference;
       ] );
   ]

@@ -242,6 +242,12 @@ let flip_bit s i =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
   Bytes.to_string b
 
+(* What every simulated paper-scheme run signs with: md5-rsa1024 timing and
+   wire size, HMAC bytes zero-padded to 128.  The bit-flip sweep below
+   covers the 96 padding bytes too. *)
+let padded_mock =
+  { Scheme.md5_rsa1024 with Scheme.name = "md5-rsa1024/mock"; mechanism = Scheme.Mock_hmac }
+
 let conformance_rings =
   lazy
     (List.map
@@ -254,7 +260,7 @@ let conformance_rings =
          ( scheme,
            Keyring.create ?key_bits ~scheme ~rng:(Sof_util.Rng.create 11L)
              ~node_count:4 () ))
-       Scheme.all)
+       (padded_mock :: Scheme.all))
 
 let test_conformance_roundtrip () =
   List.iter
@@ -339,6 +345,76 @@ let test_mac_mode_vectors () =
   Alcotest.(check bool) "sign mode has no matrix" false
     (Keyring.mac_provisioned plain)
 
+(* ------------------------------------------------------- pinned bytes
+   Signature bytes for a fixed seed and message, pinned so a change to the
+   hash kernels or the HMAC construction fails here rather than in a
+   downstream seeded trajectory. *)
+
+let test_golden_signatures () =
+  let kr = Lazy.force mock_ring in
+  Alcotest.(check string) "mock signature"
+    "aee3b93cf1719201fd3cb0e6e910c184329c35b3589518eea8f62d496cac46d4"
+    (Sof_util.Hex.encode (Keyring.sign kr ~signer:2 "payload"));
+  let kr =
+    Keyring.create ~auth:Keyring.Mac ~scheme:Scheme.mock
+      ~rng:(Sof_util.Rng.create 12L) ~node_count:4 ()
+  in
+  Alcotest.(check string) "mac vector"
+    ("5606344a97a098a220ae42f532089fa3104d492bb665afd73e9a51b7089d1b86"
+   ^ "31485b5843f3bc06868428445451d0029baa91493fd23102c5610a70bf1a015a"
+   ^ "852f448c76b4ea48fdb1272d239a1abaca3ed4972279bbd8da8d2d50f0fced51"
+   ^ "7257a7e1683d7841821c1ea01294ade654b927bfb26d1f3be7a92f8aa59c3e5d")
+    (Sof_util.Hex.encode (Keyring.sign_vector kr ~signer:1 "m"))
+
+(* ------------------------------------------------------- shared keyring
+   The TCP runtime's threads share one keyring, whose keyed states fill
+   on first use.  Threads racing through a fresh ring must get exactly the
+   single-threaded results. *)
+
+let test_threads_share_keyring () =
+  let fresh () =
+    Keyring.create ~auth:Keyring.Mac ~scheme:padded_mock
+      ~rng:(Sof_util.Rng.create 13L) ~node_count:4 ()
+  in
+  let msgs = List.init 16 (fun i -> Printf.sprintf "request %d" i) in
+  let results kr =
+    List.concat_map
+      (fun msg ->
+        List.concat_map
+          (fun signer ->
+            Thread.yield ();
+            let s = Keyring.sign kr ~signer msg in
+            let v = Keyring.sign_vector kr ~signer msg in
+            [
+              s;
+              v;
+              string_of_bool (Keyring.verify kr ~signer ~msg ~signature:s);
+              string_of_bool
+                (Keyring.verify_vector kr ~verifier:((signer + 1) mod 4) ~signer ~msg
+                   ~signature:v);
+            ])
+          [ 0; 1; 2; 3 ])
+      msgs
+  in
+  let expect = results (fresh ()) in
+  let shared = fresh () in
+  (* Enough rounds to span several preemption ticks, so a switch lands
+     inside a MAC. *)
+  let mismatches = Array.make 4 0 in
+  let threads =
+    List.init 4 (fun i ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to 60 do
+              if not (List.equal String.equal expect (results shared)) then
+                mismatches.(i) <- mismatches.(i) + 1
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check (array int)) "rounds differing from one thread" [| 0; 0; 0; 0 |]
+    mismatches
+
 let suite =
   [
     ( "crypto.rsa",
@@ -375,6 +451,8 @@ let suite =
         Alcotest.test_case "unsigned scheme" `Quick test_keyring_unsigned;
         Alcotest.test_case "real rsa keyring" `Quick test_keyring_real_rsa;
         Alcotest.test_case "real dsa keyring" `Quick test_keyring_real_dsa;
+        Alcotest.test_case "pinned signature bytes" `Quick test_golden_signatures;
+        Alcotest.test_case "threads share one keyring" `Quick test_threads_share_keyring;
       ] );
     ( "crypto.conformance",
       [
