@@ -61,32 +61,15 @@ type t = {
   fault : Fault.t;
   all_ids : int list;
   mutable view : int;
-  mutable pending : Request.t Key_map.t;
-  mutable arrival : Simtime.t Key_map.t;
-  mutable ordered_keys : Key_set.t;
-  mutable delivered_keys : Key_set.t;
-  orders : (int, order_state) Hashtbl.t;
-  mutable max_committed : int;
-  mutable delivered : int;
-  mutable next_seq : int;
+  log : order_state Recovery.log;
+  timing : Timing.t;
+  hooks : order_state Recovery.hooks;
   mutable batch_timer : Context.timer option;
   mutable vc_timer : Context.timer option;
   mutable last_progress : Simtime.t;
   mutable view_changes : (int, Int_set.t ref * Message.order_info list ref) Hashtbl.t;
   mutable changing_view : bool;
   mutable vc_span : int option;  (* open view-change trace span *)
-  rcv : Recovery.state;
-  mutable recent_delivered : (int * Request.t list) list;
-      (* Delivered batches retained to serve state transfer (newest first);
-         pruned one interval behind the stable checkpoint.  Only maintained
-         when checkpointing is on. *)
-  mutable fetch_timer : Context.timer option;
-  (* adaptive timing (Config.Adaptive only; untouched in Static mode so
-     seeded static runs keep the exact stream layout) *)
-  ests : Sof_net.Delay_estimator.t option array;  (* per-peer RTT, lazy *)
-  probe_accepted : int array;  (* highest reply nonce accepted per peer *)
-  mutable probe_nonce : int;
-  mutable fetch_backoff : int;  (* doublings applied to fetch retries *)
   mutable vc_backoff : int;  (* doublings applied to consecutive suspicions *)
 }
 
@@ -95,8 +78,8 @@ let view t = t.view
 let n t = process_count t.config
 let primary t = t.view mod n t
 let i_am_primary t = Int.equal (id t) (primary t)
-let max_committed t = t.max_committed
-let delivered_seq t = t.delivered
+let max_committed t = t.log.max_committed
+let delivered_seq t = t.log.delivered
 
 let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
 
@@ -131,22 +114,9 @@ let can_transmit t = not (Fault.is_mute t.fault ~now:(t.ctx.Context.now ()))
 
 let multicast t ~dsts env = if can_transmit t then t.ctx.Context.multicast ~dsts env
 
-(* ------------------------------------------------------ adaptive timing *)
+(* ------------------------------------------------------ Timing.adaptive t.timingiming *)
 
 module Estimator = Sof_net.Delay_estimator
-
-let adaptive t =
-  match t.config.timing with Config.Adaptive -> true | Config.Static -> false
-
-let est_for t peer =
-  match t.ests.(peer) with
-  | Some e -> e
-  | None ->
-    let e = Estimator.create ~initial:t.config.view_change_timeout () in
-    t.ests.(peer) <- Some e;
-    e
-
-let timer_cap t = Simtime.ns (64 * Simtime.to_ns t.config.view_change_timeout)
 
 (* The stall budget a replica grants the current primary before suspecting
    it: static mode keeps the configured view-change timeout; adaptive mode
@@ -156,24 +126,17 @@ let suspicion_delay t =
   match t.config.timing with
   | Config.Static -> t.config.view_change_timeout
   | Config.Adaptive ->
-    Estimator.backed_off
-      (Estimator.timeout (est_for t (primary t)))
-      ~level:t.vc_backoff ~cap:(timer_cap t)
+    Timing.backed_off t.timing
+      (Estimator.timeout (Timing.est_for t.timing (primary t)))
+      ~level:t.vc_backoff
 
 let send_probe t dst =
-  t.probe_nonce <- t.probe_nonce + 1;
   let at = Simtime.to_ns (t.ctx.Context.now ()) in
-  multicast t ~dsts:[ dst ] (make_signed t (Message.Probe { nonce = t.probe_nonce; at }))
-
-let note_probe_reply t ~src ~nonce ~at =
-  if adaptive t && nonce > t.probe_accepted.(src) then begin
-    t.probe_accepted.(src) <- nonce;
-    Estimator.observe (est_for t src)
-      (Simtime.diff (t.ctx.Context.now ()) (Simtime.ns at))
-  end
+  multicast t ~dsts:[ dst ]
+    (make_signed t (Message.Probe { nonce = Timing.next_probe t.timing; at }))
 
 let get_order t o =
-  match Hashtbl.find_opt t.orders o with
+  match Hashtbl.find_opt t.log.orders o with
   | Some st -> st
   | None ->
     let st =
@@ -194,7 +157,7 @@ let get_order t o =
         sp_commit = false;
       }
     in
-    Hashtbl.replace t.orders o st;
+    Hashtbl.replace t.log.orders o st;
     st
 
 (* First vote per sender wins: a later conflicting vote from the same signer
@@ -224,122 +187,25 @@ let span_close t phase seq = t.ctx.Context.emit (Context.Span_close { phase; seq
 
 let send_one t ~dst env = if can_transmit t then t.ctx.Context.send ~dst env
 
-let log_length t = Hashtbl.length t.orders
+let log_length t = Hashtbl.length t.log.orders
 
-let stable_checkpoint_seq t = Recovery.stable_seq t.rcv
-let latest_stable t = Recovery.latest_stable t.rcv
-let client_marks t = Recovery.marks t.rcv
+let stable_checkpoint_seq t = Recovery.stable_seq t.log.rcv
+let latest_stable t = Recovery.latest_stable t.log.rcv
+let client_marks t = Recovery.marks t.log.rcv
 
-let ckpt_quorum t = (2 * t.config.f) + 1
+let ckpt_quorum config = (2 * config.f) + 1
 
-let ckpt_scheme t =
+let ckpt_scheme config =
   Recovery.Quorum_signed
-    { quorum = ckpt_quorum t; member_ok = (fun p -> p >= 0 && p < n t) }
-
-let truncate t upto =
-  let stale = Hashtbl.fold (fun o _ acc -> if o <= upto then o :: acc else acc) t.orders [] in
-  List.iter (Hashtbl.remove t.orders) stale;
-  (* Keep one extra interval of delivered keys so a primary elected late that
-     re-orders a just-delivered request is still deduplicated. *)
-  let keep_above = upto - t.config.checkpoint_interval in
-  let dropped, kept = List.partition (fun (o, _) -> o <= keep_above) t.recent_delivered in
-  List.iter
-    (fun (_, requests) ->
-      List.iter
-        (fun (req : Request.t) ->
-          t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
-          t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys)
-        requests)
-    dropped;
-  t.recent_delivered <- kept;
-  t.ctx.Context.emit (Context.Log_truncated { upto; retained = Hashtbl.length t.orders })
-
-let maybe_stabilize t ~seq ~digest =
-  if
-    seq > Recovery.stable_seq t.rcv
-    && Recovery.Tally.count (Recovery.tally t.rcv) ~seq ~digest >= ckpt_quorum t
-  then
-    match Recovery.image_at t.rcv ~seq with
-    | Some image when String.equal (Checkpoint.image_digest t.config.digest image) digest ->
-      let cert =
-        {
-          Checkpoint.cp_seq = seq;
-          cp_digest = digest;
-          cp_proof = Recovery.Tally.proof (Recovery.tally t.rcv) ~seq ~digest;
-          cp_endorsement = None;
-        }
-      in
-      if Recovery.note_stable t.rcv ~cert ~image then begin
-        t.ctx.Context.emit (Context.Checkpoint_stable { seq; digest });
-        span_close t Context.Checkpoint_phase seq;
-        truncate t seq
-      end
-    | Some _ | None -> ()
+    { quorum = ckpt_quorum config; member_ok = (fun p -> p >= 0 && p < process_count config) }
 
 let checkpoint_boundary t o =
-  let image =
-    Checkpoint.wrap_image ~state:(t.ctx.Context.snapshot ()) ~marks:(Recovery.marks t.rcv)
-  in
-  t.ctx.Context.digest_charge (String.length image);
-  let digest = Checkpoint.image_digest t.config.digest image in
-  Recovery.note_image t.rcv ~seq:o ~image;
-  span_open t Context.Checkpoint_phase o;
+  let digest = Recovery.boundary_image t.log o in
   let env = make_signed t (Message.Checkpoint { seq = o; digest }) in
-  Recovery.Tally.add (Recovery.tally t.rcv) ~seq:o ~digest ~signer:(id t)
+  Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq:o ~digest ~signer:(id t)
     ~signature:env.Message.signature;
   multicast t ~dsts:(others t) env;
-  maybe_stabilize t ~seq:o ~digest
-
-let rec advance_delivery t =
-  match Hashtbl.find_opt t.orders (t.delivered + 1) with
-  | None -> ()
-  | Some st when not st.committed -> ()
-  | Some st ->
-    if st.keys = [] then begin
-      t.delivered <- st.o;
-      let batch = Batch.make [] in
-      t.ctx.Context.deliver ~seq:st.o batch;
-      t.ctx.Context.emit (Context.Delivered { seq = st.o; batch });
-      if t.config.checkpoint_interval > 0 then begin
-        t.recent_delivered <- (st.o, []) :: t.recent_delivered;
-        if Checkpoint.is_boundary ~interval:t.config.checkpoint_interval st.o then
-          checkpoint_boundary t st.o
-      end;
-      advance_delivery t
-    end
-    else begin
-      (* At-most-once: a primary elected after a view change may re-order
-         requests an earlier view already committed.  Honest processes agree
-         on the committed prefix, so they prune the same already-delivered
-         keys and execute identical sub-batches. *)
-      let fresh =
-        List.filter
-          (fun k ->
-            (not (Key_set.mem k t.delivered_keys))
-            && (t.config.checkpoint_interval = 0 || Recovery.fresh_key t.rcv k))
-          st.keys
-      in
-      let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) fresh in
-      if Int.equal (List.length requests) (List.length fresh) then begin
-        t.delivered <- st.o;
-        List.iter
-          (fun k ->
-            t.delivered_keys <- Key_set.add k t.delivered_keys;
-            if t.config.checkpoint_interval > 0 then Recovery.mark_delivered t.rcv k;
-            t.pending <- Key_map.remove k t.pending;
-            t.arrival <- Key_map.remove k t.arrival)
-          st.keys;
-        let batch = Batch.make requests in
-        t.ctx.Context.deliver ~seq:st.o batch;
-        t.ctx.Context.emit (Context.Delivered { seq = st.o; batch });
-        if t.config.checkpoint_interval > 0 then begin
-          t.recent_delivered <- (st.o, requests) :: t.recent_delivered;
-          if Checkpoint.is_boundary ~interval:t.config.checkpoint_interval st.o then
-            checkpoint_boundary t st.o
-        end;
-        advance_delivery t
-      end
-    end
+  Recovery.stabilize t.log ~quorum:(ckpt_quorum t.config) ~seq:o ~digest
 
 let try_commit_point t st =
   if
@@ -366,10 +232,10 @@ let try_commit_point t st =
     end;
     st.committed <- true;
     t.last_progress <- t.ctx.Context.now ();
-    if st.o > t.max_committed then t.max_committed <- st.o;
+    if st.o > t.log.max_committed then t.log.max_committed <- st.o;
     t.ctx.Context.emit
       (Context.Committed { seq = st.o; digest = st.digest; keys = st.keys });
-    advance_delivery t
+    Recovery.advance t.hooks
   end
 
 let try_prepared_point t st =
@@ -425,292 +291,10 @@ let accept_pre_prepare t ~(info : Message.order_info) ~v =
     st.view_of <- v;
     st.digest <- info.Message.digest;
     st.keys <- info.Message.keys;
-    List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys;
+    List.iter (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys) info.Message.keys;
     send_prepare t st;
     try_prepared_point t st;
     try_commit_point t st
-  end
-
-(* --------------------------------------------- state transfer (BFT) *)
-
-(* Serve the stable checkpoint image (when the requester is behind it), the
-   retained delivered batches, and the committed-but-undelivered tail.  Every
-   entry digest is recomputed over exactly the requests served — correct
-   processes deliver identical filtered batches, so their recomputed digests
-   agree and f+1 matching claims pin each entry down at the requester.  A
-   Byzantine responder can serve a corrupt image ([Corrupt_checkpoint_image])
-   or a lazily stale checkpoint ([Stale_checkpoint]); the first is rejected
-   against the certified digest, the second simply loses to fresher offers. *)
-let serve_state_request t ~src ~have =
-  let stable =
-    match t.fault with
-    | Fault.Stale_checkpoint -> Recovery.previous_stable t.rcv
-    | _ -> Recovery.latest_stable t.rcv
-  in
-  let cert, image =
-    match stable with
-    | Some (c, img) when c.Checkpoint.cp_seq > have -> (Some c, img)
-    | Some _ | None -> (None, "")
-  in
-  let image =
-    match t.fault with
-    | Fault.Corrupt_checkpoint_image when String.length image > 0 ->
-      let b = Bytes.of_string image in
-      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-      Bytes.to_string b
-    | _ -> image
-  in
-  let base = match cert with Some c -> max have c.Checkpoint.cp_seq | None -> have in
-  let entries =
-    match t.fault with
-    | Fault.Stale_checkpoint -> []
-    | _ ->
-      let delivered_entries =
-        List.filter_map
-          (fun (o, requests) ->
-            if o > base then begin
-              let batch = Batch.make requests in
-              t.ctx.Context.digest_charge (Batch.encoded_size batch);
-              Some
-                {
-                  Checkpoint.e_o = o;
-                  e_digest = Batch.digest t.config.digest batch;
-                  e_requests = requests;
-                }
-            end
-            else None)
-          t.recent_delivered
-      in
-      let tail =
-        Hashtbl.fold
-          (fun o st acc ->
-            if o <= t.delivered || o <= base || not st.committed then acc
-            else begin
-              let requests =
-                List.filter_map (fun k -> Key_map.find_opt k t.pending) st.keys
-              in
-              if Int.equal (List.length requests) (List.length st.keys) then begin
-                let batch = Batch.make requests in
-                t.ctx.Context.digest_charge (Batch.encoded_size batch);
-                {
-                  Checkpoint.e_o = o;
-                  e_digest = Batch.digest t.config.digest batch;
-                  e_requests = requests;
-                }
-                :: acc
-              end
-              else acc
-            end)
-          t.orders []
-      in
-      List.sort
-        (fun (a : Checkpoint.entry) b -> Int.compare a.Checkpoint.e_o b.Checkpoint.e_o)
-        (delivered_entries @ tail)
-  in
-  (* A Byzantine responder serving from a tampered local log: the checkpoint
-     is genuine but every entry digest is flipped, so no entry matches its
-     recomputed batch digest and the requester's entry checks exclude the
-     whole suffix. *)
-  let entries =
-    match t.fault with
-    | Fault.Corrupt_wal_suffix ->
-      List.map
-        (fun (e : Checkpoint.entry) ->
-          match e.Checkpoint.e_digest with
-          | "" -> e
-          | d ->
-            let b = Bytes.of_string d in
-            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-            { e with Checkpoint.e_digest = Bytes.to_string b })
-        entries
-    | _ -> entries
-  in
-  send_one t ~dst:src (make_signed t (Message.State_response { cert; image; entries }))
-
-let entry_ok t (e : Checkpoint.entry) =
-  let batch = Batch.make e.Checkpoint.e_requests in
-  t.ctx.Context.digest_charge (Batch.encoded_size batch);
-  String.equal (Batch.digest t.config.digest batch) e.Checkpoint.e_digest
-
-(* Install the best certified image above our delivery point, then the
-   contiguous entry suffix with f+1 matching claims per entry (at least one
-   claimant is correct).  Transferred entries enter the log as committed and
-   are delivered by the normal in-sequence walk; no Committed event is
-   re-emitted for them. *)
-let install_from_offers ?(announce = true) t ~entry_quorum =
-  let image_installed =
-    match Recovery.best_image t.rcv ~above:t.delivered with
-    | Some (cert, image, _) -> begin
-      match Checkpoint.unwrap_image image with
-      | None -> false (* digest-verified yet malformed: refuse quietly *)
-      | Some (snap, marks) ->
-        t.ctx.Context.restore snap;
-        Recovery.merge_marks t.rcv marks;
-        t.delivered <- cert.Checkpoint.cp_seq;
-        if t.max_committed < cert.Checkpoint.cp_seq then
-          t.max_committed <- cert.Checkpoint.cp_seq;
-        Recovery.note_image t.rcv ~seq:cert.Checkpoint.cp_seq ~image;
-        if Recovery.note_stable t.rcv ~cert ~image then
-          t.ctx.Context.emit
-            (Context.Checkpoint_stable
-               { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
-        truncate t cert.Checkpoint.cp_seq;
-        true
-    end
-    | None -> false
-  in
-  let installed_at = t.delivered in
-  let entries =
-    Recovery.select_entries ~quorum:entry_quorum ~base:t.delivered
-      ~entry_ok:(entry_ok t) t.rcv
-  in
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      let st = get_order t e.Checkpoint.e_o in
-      if not st.committed then begin
-        st.digest <- e.Checkpoint.e_digest;
-        st.keys <- List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests;
-        st.pre_prepared <- true;
-        st.committed <- true;
-        List.iter
-          (fun (r : Request.t) ->
-            t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
-            if
-              (not (Key_map.mem r.Request.key t.pending))
-              && not (Key_set.mem r.Request.key t.delivered_keys)
-            then t.pending <- Key_map.add r.Request.key r t.pending)
-          e.Checkpoint.e_requests;
-        if st.o > t.max_committed then t.max_committed <- st.o
-      end)
-    entries;
-  if announce && (image_installed || entries <> []) then
-    t.ctx.Context.emit
-      (Context.State_transfer_installed
-         { seq = installed_at; entries = List.length entries });
-  advance_delivery t
-
-let attempt_install t = install_from_offers t ~entry_quorum:(t.config.f + 1)
-
-(* Local-first recovery: the locally persisted checkpoint image and WAL
-   entry suffix enter as a synthetic self-offer, verified exactly like a
-   peer's State_response — 2f+1-signed certificate, image bytes against
-   the certified digest, each entry against its recomputed batch digest.
-   Entry quorum 1: the replica vouches only for its own log, and the
-   digest checks exclude any torn or tampered suffix entry-by-entry.
-   Returns whether delivery advanced; the caller escalates to peer repair
-   when it did not or the log was damaged. *)
-let recover_local t ~cert ~image ~entries =
-  let before = t.delivered in
-  let cert_ok =
-    match cert with
-    | None -> true
-    | Some c ->
-      t.ctx.Context.digest_charge (String.length image);
-      Recovery.verify_cert
-        ~verify:(fun ~signer ~msg ~signature ->
-          t.ctx.Context.verify_acc ~signer ~msg ~signature)
-        ~scheme:(ckpt_scheme t) c
-      && String.equal (Checkpoint.image_digest t.config.digest image) c.Checkpoint.cp_digest
-  in
-  if not cert_ok then begin
-    t.ctx.Context.emit (Context.State_transfer_rejected { from = id t });
-    false
-  end
-  else begin
-    Recovery.clear_offers t.rcv;
-    Recovery.add_offer t.rcv
-      { Recovery.st_from = id t; st_cert = cert; st_image = image; st_entries = entries };
-    (* The synthetic self-offer is a local replay, not a peer transfer:
-       the harness announces it as [Wal_replayed], so the install stays
-       silent to keep transfer accounting honest. *)
-    install_from_offers ~announce:false t ~entry_quorum:1;
-    Recovery.clear_offers t.rcv;
-    (* A recovered process must never mint at or below what it just
-       restored: a fresh order under a committed sequence number could
-       strand below the delivery low-water mark or conflict with an
-       absorbed entry. *)
-    if t.next_seq <= t.max_committed then t.next_seq <- t.max_committed + 1;
-    t.delivered > before
-  end
-
-let fetch_target t =
-  List.fold_left
-    (fun acc (off : Recovery.offer) ->
-      let acc =
-        match off.Recovery.st_cert with
-        | Some c -> max acc c.Checkpoint.cp_seq
-        | None -> acc
-      in
-      List.fold_left
-        (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o)
-        acc off.Recovery.st_entries)
-    0 (Recovery.offers t.rcv)
-
-(* End the fetch only after offers from f+1 distinct responders (so at
-   least one is honest) all fall at or below what we have delivered: a
-   single early "nothing above your watermark" reply must not terminate
-   the fetch before a helpful offer arrives. *)
-let maybe_end_fetch t =
-  if
-    Recovery.fetching t.rcv
-    && List.length (Recovery.offers t.rcv) > t.config.f
-    && t.delivered >= fetch_target t
-  then begin
-    span_close t Context.Recovery_phase (Recovery.fetch_anchor t.rcv);
-    Recovery.end_fetch t.rcv;
-    (match t.fetch_timer with Some h -> h.Context.cancel () | None -> ());
-    t.fetch_timer <- None;
-    t.fetch_backoff <- 0;
-    Recovery.clear_offers t.rcv
-  end
-
-let rec fetch_tick t =
-  if Recovery.fetching t.rcv then begin
-    Recovery.clear_offers t.rcv;
-    multicast t ~dsts:(others t)
-      (make_signed t (Message.State_request { have = t.delivered }));
-    let delay =
-      if adaptive t then begin
-        let d =
-          Estimator.backed_off t.config.view_change_timeout ~level:t.fetch_backoff
-            ~cap:(timer_cap t)
-        in
-        t.fetch_backoff <- t.fetch_backoff + 1;
-        d
-      end
-      else t.config.view_change_timeout
-    in
-    t.fetch_timer <- Some (t.ctx.Context.set_timer ~delay (fun () -> fetch_tick t))
-  end
-
-let request_recovery t =
-  if not (Recovery.fetching t.rcv) then begin
-    Recovery.begin_fetch t.rcv ~have:t.delivered;
-    t.ctx.Context.emit (Context.State_transfer_started { have = t.delivered });
-    span_open t Context.Recovery_phase t.delivered;
-    fetch_tick t
-  end
-
-let handle_state_response t ~src ~cert ~image ~entries =
-  if Recovery.fetching t.rcv then begin
-    let cert_ok =
-      match cert with
-      | None -> true
-      | Some c ->
-        t.ctx.Context.digest_charge (String.length image);
-        Recovery.verify_cert
-          ~verify:(fun ~signer ~msg ~signature ->
-            t.ctx.Context.verify_acc ~signer ~msg ~signature)
-          ~scheme:(ckpt_scheme t) c
-        && String.equal (Checkpoint.image_digest t.config.digest image) c.Checkpoint.cp_digest
-    in
-    if not cert_ok then t.ctx.Context.emit (Context.State_transfer_rejected { from = src })
-    else begin
-      Recovery.add_offer t.rcv
-        { Recovery.st_from = src; st_cert = cert; st_image = image; st_entries = entries };
-      attempt_install t;
-      maybe_end_fetch t
-    end
   end
 
 (* ----------------------------------------------------------- batching *)
@@ -746,12 +330,12 @@ let rec arm_batch_timer t =
 
 and batch_tick t =
   if i_am_primary t && not t.changing_view then begin
-    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.ordered_keys)) t.pending in
+    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.log.ordered_keys)) t.log.pending in
     if not (Key_map.is_empty pool) then begin
       let requests = Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool in
       let batch = Batch.make requests in
-      let o = t.next_seq in
-      t.next_seq <- o + 1;
+      let o = t.log.next_seq in
+      t.log.next_seq <- o + 1;
       t.ctx.Context.digest_charge (Batch.encoded_size batch);
       let digest = Batch.digest t.config.digest batch in
       let digest =
@@ -766,7 +350,7 @@ and batch_tick t =
       t.ctx.Context.emit
         (Context.Batched
            { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-      List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys;
+      List.iter (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys) info.Message.keys;
       issue_pre_prepare t info
     end;
     arm_batch_timer t
@@ -778,13 +362,13 @@ let prepared_set t =
   Hashtbl.fold
     (fun o st acc ->
       if
-        st.pre_prepared && (not st.committed) && o > t.max_committed
+        st.pre_prepared && (not st.committed) && o > t.log.max_committed
         && votes_for ~blind:t.config.unsafe_digest_blind_votes st.prepares
              ~digest:st.digest
            >= 2 * t.config.f
       then { Message.o; digest = st.digest; keys = st.keys } :: acc
       else acc)
-    t.orders []
+    t.log.orders []
   |> List.sort (fun a b -> Int.compare a.Message.o b.Message.o)
 
 let rec arm_vc_timer t =
@@ -795,16 +379,16 @@ let rec arm_vc_timer t =
   t.vc_timer <- Some h
 
 and vc_tick t =
-  if adaptive t && not (i_am_primary t) then send_probe t (primary t);
+  if Timing.adaptive t.timing && not (i_am_primary t) then send_probe t (primary t);
   let budget = Simtime.add t.config.batching_interval (suspicion_delay t) in
   let now = t.ctx.Context.now () in
   let stalled =
     Simtime.compare (Simtime.add t.last_progress budget) now <= 0
     && Key_map.exists
          (fun k since ->
-           (not (Key_set.mem k t.ordered_keys))
+           (not (Key_set.mem k t.log.ordered_keys))
            && Simtime.compare (Simtime.add since budget) now <= 0)
-         t.arrival
+         t.log.arrival
   in
   if stalled && not t.changing_view then start_view_change t (t.view + 1);
   arm_vc_timer t
@@ -849,7 +433,7 @@ let rec handle_view_change t ~src:_ ~v ~prepared (env : Message.envelope) =
         let by_o = Hashtbl.create 16 in
         List.iter
           (fun (info : Message.order_info) ->
-            if info.Message.o > t.max_committed then
+            if info.Message.o > t.log.max_committed then
               Hashtbl.replace by_o info.Message.o info)
           !infos;
         let pre_prepares =
@@ -877,17 +461,17 @@ and enter_view t v pre_prepares =
   let top =
     List.fold_left
       (fun acc (i : Message.order_info) -> max acc i.Message.o)
-      t.max_committed pre_prepares
+      t.log.max_committed pre_prepares
   in
-  let top = Hashtbl.fold (fun o _ acc -> max o acc) t.orders top in
+  let top = Hashtbl.fold (fun o _ acc -> max o acc) t.log.orders top in
   List.iter (fun (info : Message.order_info) -> accept_pre_prepare t ~info ~v) pre_prepares;
   if i_am_primary t then begin
-    t.next_seq <- top + 1;
+    t.log.next_seq <- top + 1;
     arm_batch_timer t
   end;
   (* Give fresh grace to everything still pending. *)
   let now = t.ctx.Context.now () in
-  t.arrival <- Key_map.map (fun _ -> now) t.arrival
+  t.log.arrival <- Key_map.map (fun _ -> now) t.log.arrival
 
 let handle_new_view t ~v ~pre_prepares (env : Message.envelope) =
   if v >= t.view && Int.equal env.Message.sender (v mod n t) then enter_view t v pre_prepares
@@ -896,11 +480,11 @@ let handle_new_view t ~v ~pre_prepares (env : Message.envelope) =
 
 let on_request t (req : Request.t) =
   let key = req.Request.key in
-  if not (Key_map.mem key t.pending) then begin
-    t.pending <- Key_map.add key req t.pending;
-    if not (Key_set.mem key t.ordered_keys) then
-      t.arrival <- Key_map.add key (t.ctx.Context.now ()) t.arrival;
-    advance_delivery t
+  if not (Key_map.mem key t.log.pending) then begin
+    t.log.pending <- Key_map.add key req t.log.pending;
+    if not (Key_set.mem key t.log.ordered_keys) then
+      t.log.arrival <- Key_map.add key (t.ctx.Context.now ()) t.log.arrival;
+    Recovery.advance t.hooks
   end
 
 let on_message t ~src (env : Message.envelope) =
@@ -908,20 +492,20 @@ let on_message t ~src (env : Message.envelope) =
   match env.Message.body with
   | Message.Pre_prepare { v; info } ->
     if Int.equal v t.view && (not t.changing_view) && Int.equal env.Message.sender (primary t)
-       && info.Message.o > Recovery.stable_seq t.rcv
+       && info.Message.o > Recovery.stable_seq t.log.rcv
        && authentic t env
     then accept_pre_prepare t ~info ~v
   | Message.Prepare { v; o; digest } ->
     (* Sequence numbers at or below the stable checkpoint are settled and
        truncated — stragglers must not resurrect them in the log. *)
-    if v <= t.view && o > Recovery.stable_seq t.rcv && authentic t env then begin
+    if v <= t.view && o > Recovery.stable_seq t.log.rcv && authentic t env then begin
       let st = get_order t o in
       st.prepares <- add_vote st.prepares ~sender:env.Message.sender ~digest;
       try_prepared_point t st;
       try_commit_point t st
     end
   | Message.Commit { v; o; digest } ->
-    if v <= t.view && o > Recovery.stable_seq t.rcv && authentic t env then begin
+    if v <= t.view && o > Recovery.stable_seq t.log.rcv && authentic t env then begin
       let st = get_order t o in
       st.commits <- add_vote st.commits ~sender:env.Message.sender ~digest;
       try_commit_point t st
@@ -933,26 +517,27 @@ let on_message t ~src (env : Message.envelope) =
   | Message.Checkpoint { seq; digest } ->
     if
       t.config.checkpoint_interval > 0
-      && seq > Recovery.stable_seq t.rcv
+      && seq > Recovery.stable_seq t.log.rcv
       && authentic t env
     then begin
-      Recovery.Tally.add (Recovery.tally t.rcv) ~seq ~digest ~signer:env.Message.sender
+      Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq ~digest ~signer:env.Message.sender
         ~signature:env.Message.signature;
-      maybe_stabilize t ~seq ~digest;
+      Recovery.stabilize t.log ~quorum:(ckpt_quorum t.config) ~seq ~digest;
       (* A checkpoint a full interval ahead of our delivery point means we
          are lagging badly — likely freshly restarted; catch up by state
          transfer rather than waiting for retransmissions. *)
-      if seq > t.delivered + t.config.checkpoint_interval then request_recovery t
+      if seq > t.log.delivered + t.config.checkpoint_interval then Recovery.request_recovery t.hooks
     end
-  | Message.State_request { have } -> if authentic t env then serve_state_request t ~src ~have
+  | Message.State_request { have } -> if authentic t env then Recovery.serve_state_request t.hooks ~src ~have
   | Message.State_response { cert; image; entries } ->
-    if authentic t env then handle_state_response t ~src ~cert ~image ~entries
+    if authentic t env then Recovery.handle_state_response t.hooks ~src ~cert ~image ~entries
   | Message.Probe { nonce; at } ->
     (* Echo the sender's timestamp back; replies are liveness-only input so
        they need no verification beyond the estimator's nonce filter. *)
-    if adaptive t then
+    if Timing.adaptive t.timing then
       multicast t ~dsts:[ src ] (make_signed t (Message.Probe_reply { nonce; at }))
-  | Message.Probe_reply { nonce; at } -> note_probe_reply t ~src ~nonce ~at
+  | Message.Probe_reply { nonce; at } ->
+    Timing.note_probe_reply t.timing ~now:(t.ctx.Context.now ()) ~src ~nonce ~at
   | Message.Order _ | Message.Ack _ | Message.Fail_signal _ | Message.Back_log _
   | Message.Start _ | Message.Start_ack _ | Message.Start_tuples _
   | Message.View_change _ | Message.New_view _ | Message.Unwilling _
@@ -963,33 +548,66 @@ let start t =
   if i_am_primary t then arm_batch_timer t;
   arm_vc_timer t
 
-let create ~ctx ~config ?(fault = Fault.Honest) () =
-  {
-    ctx;
-    config;
-    fault;
-    all_ids = List.init (process_count config) Fun.id;
-    view = 0;
-    pending = Key_map.empty;
-    arrival = Key_map.empty;
-    ordered_keys = Key_set.empty;
-    delivered_keys = Key_set.empty;
-    orders = Hashtbl.create 64;
-    max_committed = 0;
-    delivered = 0;
-    next_seq = 1;
-    batch_timer = None;
-    vc_timer = None;
-    last_progress = Simtime.zero;
-    view_changes = Hashtbl.create 4;
-    changing_view = false;
-    vc_span = None;
-    rcv = Recovery.create ();
-    recent_delivered = [];
-    fetch_timer = None;
-    ests = Array.make (process_count config) None;
-    probe_accepted = Array.make (process_count config) 0;
-    probe_nonce = 0;
-    fetch_backoff = 0;
-    vc_backoff = 0;
-  }
+(* State transfer under PBFT's trust model: 2f+1-signed checkpoint
+   certificates, f+1 matching claims per transferred entry. *)
+let request_recovery t = Recovery.request_recovery t.hooks
+let recover_local t = Recovery.recover_local t.hooks
+
+let create ~ctx ~(config : config) ?(fault = Fault.Honest) () =
+  let timing =
+    Timing.create ~mode:config.timing ~initial:config.view_change_timeout
+      ~peers:(process_count config)
+  in
+  let log =
+    Recovery.create_log ~ctx ~f:config.f ~digest:config.digest
+      ~interval:config.checkpoint_interval
+  in
+  let rec t =
+    {
+      ctx;
+      config;
+      fault;
+      all_ids = List.init (process_count config) Fun.id;
+      view = 0;
+      log;
+      timing;
+      hooks =
+        {
+          Recovery.log;
+          timing;
+          scheme = ckpt_scheme config;
+          entry_quorum = config.f + 1;
+          fault;
+          retry_base = (fun () -> config.view_change_timeout);
+          committed_keys = (fun st -> if st.committed then Some st.keys else None);
+          keep_executed = false;
+          settle_fresh_only = false;
+          boundary = (fun o -> checkpoint_boundary t o);
+          tail_entry =
+            (fun o st -> if st.committed then Recovery.batch_entry log ~o st.keys else None);
+          admit =
+            (fun e ->
+              let st = get_order t e.Checkpoint.e_o in
+              (not st.committed)
+              && begin
+                   st.digest <- e.Checkpoint.e_digest;
+                   st.keys <-
+                     List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests;
+                   st.pre_prepared <- true;
+                   st.committed <- true;
+                   true
+                 end);
+          sign = (fun body -> make_signed t body);
+          send = (fun ~dst env -> send_one t ~dst env);
+          multicast = (fun env -> multicast t ~dsts:(others t) env);
+        };
+      batch_timer = None;
+      vc_timer = None;
+      last_progress = Simtime.zero;
+      view_changes = Hashtbl.create 4;
+      changing_view = false;
+      vc_span = None;
+      vc_backoff = 0;
+    }
+  in
+  t

@@ -56,14 +56,9 @@ type t = {
   config : config;
   all_ids : int list;
   mutable epoch : int;  (* coordinator = epoch mod n *)
-  mutable pending : Request.t Key_map.t;
-  mutable arrival : Simtime.t Key_map.t;
-  mutable ordered_keys : Key_set.t;
-  mutable delivered_keys : Key_set.t;
-  orders : (int, order_state) Hashtbl.t;
-  mutable max_committed : int;
-  mutable delivered : int;
-  mutable next_seq : int;
+  log : order_state Recovery.log;
+  timing : Timing.t;
+  hooks : order_state Recovery.hooks;
   mutable batch_timer : Context.timer option;
   mutable suspect_timer : Context.timer option;
   mutable last_progress : Simtime.t;  (* last local commit *)
@@ -75,45 +70,24 @@ type t = {
          it has not yet seen. *)
   mutable sync_replies : Int_set.t;
   mutable last_probe : Simtime.t;
-  rcv : Recovery.state;
-  mutable recent_delivered : (int * Request.t list) list;
-      (* Delivered batches retained to serve state transfer (newest first);
-         pruned one interval behind the stable checkpoint.  Only maintained
-         when checkpointing is on. *)
-  mutable fetch_timer : Context.timer option;
-  (* adaptive timing (Config.Adaptive only; untouched in Static mode so
-     seeded static runs keep the exact stream layout) *)
-  ests : Sof_net.Delay_estimator.t option array;  (* per-peer RTT, lazy *)
-  probe_accepted : int array;  (* highest reply nonce accepted per peer *)
-  mutable probe_nonce : int;
-  mutable fetch_backoff : int;  (* doublings applied to fetch retries *)
   mutable suspect_backoff : int;  (* doublings per consecutive rotation *)
 }
 
 let id t = t.ctx.Context.id
 let coordinator t = t.epoch mod process_count t.config
 let epoch t = t.epoch
-let max_committed t = t.max_committed
-let delivered_seq t = t.delivered
+let max_committed t = t.log.max_committed
+let delivered_seq t = t.log.delivered
 let quorum t = t.config.f + 1
 let i_am_coordinator t = Int.equal (id t) (coordinator t)
 
-(* ------------------------------------------------------ adaptive timing *)
+(* ------------------------------------------------------ Timing.adaptive t.timingiming *)
 
 module Estimator = Sof_net.Delay_estimator
 
-let adaptive t =
-  match t.config.timing with Config.Adaptive -> true | Config.Static -> false
-
-let est_for t peer =
-  match t.ests.(peer) with
-  | Some e -> e
-  | None ->
-    let e = Estimator.create ~initial:t.config.suspect_timeout () in
-    t.ests.(peer) <- Some e;
-    e
-
-let timer_cap t = Simtime.ns (64 * Simtime.to_ns t.config.suspect_timeout)
+(* CT runs under the crash-only model with no cryptography: every envelope
+   goes out unsigned. *)
+let unsigned t body = { Message.sender = id t; body; signature = ""; endorsement = None }
 
 (* The measured stand-in for the static suspicion timeout: the Jacobson
    deadline of the round-trip to the current coordinator.  Widening guards
@@ -123,32 +97,17 @@ let timer_cap t = Simtime.ns (64 * Simtime.to_ns t.config.suspect_timeout)
 let suspect_estimate t =
   match t.config.timing with
   | Config.Static -> t.config.suspect_timeout
-  | Config.Adaptive -> Estimator.timeout (est_for t (coordinator t))
+  | Config.Adaptive -> Estimator.timeout (Timing.est_for t.timing (coordinator t))
 
 let suspicion_delay t =
   match t.config.timing with
   | Config.Static -> t.config.suspect_timeout
-  | Config.Adaptive ->
-    Estimator.backed_off (suspect_estimate t) ~level:t.suspect_backoff
-      ~cap:(timer_cap t)
+  | Config.Adaptive -> Timing.backed_off t.timing (suspect_estimate t) ~level:t.suspect_backoff
 
 let send_rtt_probe t dst =
-  t.probe_nonce <- t.probe_nonce + 1;
   let at = Simtime.to_ns (t.ctx.Context.now ()) in
   t.ctx.Context.multicast ~dsts:[ dst ]
-    {
-      Message.sender = id t;
-      body = Message.Probe { nonce = t.probe_nonce; at };
-      signature = "";
-      endorsement = None;
-    }
-
-let note_probe_reply t ~src ~nonce ~at =
-  if adaptive t && nonce > t.probe_accepted.(src) then begin
-    t.probe_accepted.(src) <- nonce;
-    Estimator.observe (est_for t src)
-      (Simtime.diff (t.ctx.Context.now ()) (Simtime.ns at))
-  end
+    (unsigned t (Message.Probe { nonce = Timing.next_probe t.timing; at }))
 
 (* A coordinator may mint new sequence numbers only while it has recent
    evidence that a quorum is reachable: an isolated coordinator that mints
@@ -175,7 +134,7 @@ let quorum_contact t =
   !heard >= quorum t
 
 let get_order t o =
-  match Hashtbl.find_opt t.orders o with
+  match Hashtbl.find_opt t.log.orders o with
   | Some st -> st
   | None ->
     let st =
@@ -189,7 +148,7 @@ let get_order t o =
         sp_ack = false;
       }
     in
-    Hashtbl.replace t.orders o st;
+    Hashtbl.replace t.log.orders o st;
     st
 
 (* Trace spans: [Context.emit] costs no simulated CPU, each sp_* flag means
@@ -214,124 +173,21 @@ let get_candidate st digest =
 
 let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
 
-let log_length t = Hashtbl.length t.orders
+let log_length t = Hashtbl.length t.log.orders
 
-let stable_checkpoint_seq t = Recovery.stable_seq t.rcv
-let latest_stable t = Recovery.latest_stable t.rcv
-let client_marks t = Recovery.marks t.rcv
+let stable_checkpoint_seq t = Recovery.stable_seq t.log.rcv
+let latest_stable t = Recovery.latest_stable t.log.rcv
+let client_marks t = Recovery.marks t.log.rcv
 
-let ckpt_scheme t =
+let ckpt_scheme config =
   Recovery.Quorum_counted
-    { quorum = quorum t; member_ok = (fun p -> p >= 0 && p < process_count t.config) }
-
-let truncate t upto =
-  let stale = Hashtbl.fold (fun o _ acc -> if o <= upto then o :: acc else acc) t.orders [] in
-  List.iter (Hashtbl.remove t.orders) stale;
-  (* Keep one extra interval of delivered keys so a straggling Order that
-     rebatches a just-delivered request is still deduplicated. *)
-  let keep_above = upto - t.config.checkpoint_interval in
-  let dropped, kept = List.partition (fun (o, _) -> o <= keep_above) t.recent_delivered in
-  List.iter
-    (fun (_, requests) ->
-      List.iter
-        (fun (req : Request.t) ->
-          t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
-          t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys)
-        requests)
-    dropped;
-  t.recent_delivered <- kept;
-  t.ctx.Context.emit (Context.Log_truncated { upto; retained = Hashtbl.length t.orders })
-
-let maybe_stabilize t ~seq ~digest =
-  if
-    seq > Recovery.stable_seq t.rcv
-    && Recovery.Tally.count (Recovery.tally t.rcv) ~seq ~digest >= quorum t
-  then
-    match Recovery.image_at t.rcv ~seq with
-    | Some image when String.equal (Checkpoint.image_digest t.config.digest image) digest ->
-      let cert =
-        {
-          Checkpoint.cp_seq = seq;
-          cp_digest = digest;
-          cp_proof = Recovery.Tally.proof (Recovery.tally t.rcv) ~seq ~digest;
-          cp_endorsement = None;
-        }
-      in
-      if Recovery.note_stable t.rcv ~cert ~image then begin
-        t.ctx.Context.emit (Context.Checkpoint_stable { seq; digest });
-        span_close t Context.Checkpoint_phase seq;
-        truncate t seq
-      end
-    | Some _ | None -> ()
+    { quorum = config.f + 1; member_ok = (fun p -> p >= 0 && p < process_count config) }
 
 let checkpoint_boundary t o =
-  let image =
-    Checkpoint.wrap_image ~state:(t.ctx.Context.snapshot ())
-      ~marks:(Recovery.marks t.rcv)
-  in
-  t.ctx.Context.digest_charge (String.length image);
-  let digest = Checkpoint.image_digest t.config.digest image in
-  Recovery.note_image t.rcv ~seq:o ~image;
-  span_open t Context.Checkpoint_phase o;
-  Recovery.Tally.add (Recovery.tally t.rcv) ~seq:o ~digest ~signer:(id t) ~signature:"";
-  t.ctx.Context.multicast ~dsts:(others t)
-    {
-      Message.sender = id t;
-      body = Message.Checkpoint { seq = o; digest };
-      signature = "";
-      endorsement = None;
-    };
-  maybe_stabilize t ~seq:o ~digest
-
-let rec advance_delivery t =
-  match Hashtbl.find_opt t.orders (t.delivered + 1) with
-  | None -> ()
-  | Some st -> (
-    match st.winner with
-    | None -> ()
-    | Some digest -> (
-      (* The winner digest always has a recorded candidate (votes are only
-         tallied against existing candidates); should that invariant ever
-         break, stall delivery instead of crashing. *)
-      match Hashtbl.find_opt st.candidates digest with
-      | None -> ()
-      | Some cand ->
-        let keys = Option.value cand.c_keys ~default:[] in
-        (* A coordinator elected across a partition may rebatch requests that
-           an earlier batch already committed; deliver each request at most
-           once.  Correct processes commit the same digest sequence, so they
-           filter identically. *)
-        (* With checkpointing on, the per-client marks also filter: the key
-           sets are pruned by truncation, and only the marks survive a
-           state transfer (they ride inside the image). *)
-        let fresh =
-          List.filter
-            (fun k ->
-              (not (Key_set.mem k t.delivered_keys))
-              && (t.config.checkpoint_interval = 0 || Recovery.fresh_key t.rcv k))
-            keys
-        in
-        let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) fresh in
-        if Int.equal (List.length requests) (List.length fresh) then begin
-          t.delivered <- st.o;
-          List.iter
-            (fun k ->
-              t.delivered_keys <- Key_set.add k t.delivered_keys;
-              if t.config.checkpoint_interval > 0 then
-                Recovery.mark_delivered t.rcv k;
-              t.pending <- Key_map.remove k t.pending;
-              t.arrival <- Key_map.remove k t.arrival)
-            fresh;
-          let batch = Batch.make requests in
-          t.ctx.Context.deliver ~seq:st.o batch;
-          t.ctx.Context.emit (Context.Delivered { seq = st.o; batch });
-          if t.config.checkpoint_interval > 0 then begin
-            t.recent_delivered <- (st.o, requests) :: t.recent_delivered;
-            if Checkpoint.is_boundary ~interval:t.config.checkpoint_interval st.o then
-              checkpoint_boundary t st.o
-          end;
-          advance_delivery t
-        end))
+  let digest = Recovery.boundary_image t.log o in
+  Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq:o ~digest ~signer:(id t) ~signature:"";
+  t.ctx.Context.multicast ~dsts:(others t) (unsigned t (Message.Checkpoint { seq = o; digest }));
+  Recovery.stabilize t.log ~quorum:(quorum t) ~seq:o ~digest
 
 let try_commit t st =
   if st.winner = None then begin
@@ -357,13 +213,13 @@ let try_commit t st =
           end;
           t.last_progress <- t.ctx.Context.now ();
           t.suspect_backoff <- 0;
-          if st.o > t.max_committed then t.max_committed <- st.o;
+          if st.o > t.log.max_committed then t.log.max_committed <- st.o;
           let keys = Option.value cand.c_keys ~default:[] in
-          List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) keys;
+          List.iter (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys) keys;
           t.ctx.Context.emit (Context.Committed { seq = st.o; digest; keys })
         end)
       st.candidates;
-    if st.winner <> None then advance_delivery t
+    if st.winner <> None then Recovery.advance t.hooks
   end
 
 let vote t st digest cand =
@@ -379,8 +235,7 @@ let vote t st digest cand =
     end;
     cand.c_votes <- Int_set.add (id t) cand.c_votes;
     let body = Message.Ack { c = t.epoch; o = st.o; digest } in
-    t.ctx.Context.multicast ~dsts:t.all_ids
-      { Message.sender = id t; body; signature = ""; endorsement = None }
+    t.ctx.Context.multicast ~dsts:t.all_ids (unsigned t body)
   end
 
 (* Record a candidate batch and cast this process's one vote per sequence
@@ -402,7 +257,7 @@ let learn_candidate t (info : Message.order_info) =
   if cand.c_keys = None then cand.c_keys <- Some info.Message.keys;
   if not st.voted then
     List.iter
-      (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys)
+      (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys)
       info.Message.keys;
   vote t st info.Message.digest cand;
   (st, cand)
@@ -412,261 +267,6 @@ let accept_order t ~sender ~(info : Message.order_info) =
   cand.c_votes <- Int_set.add sender cand.c_votes;
   try_commit t st
 
-(* --------------------------------------------- state transfer (CT) *)
-
-(* Serve everything above the requester's low-water mark: the stable
-   checkpoint image when the requester is behind it, delivered batches from
-   the retained window, and the committed-but-undelivered tail whose request
-   bodies are still pooled.  Delivered entries are served as the batch that
-   was actually handed to the service (duplicate requests already filtered)
-   with the digest recomputed over exactly those bytes — correct processes
-   filter identically, so honest responders agree on these digests. *)
-let serve_state_request t ~src ~have =
-  let cert, image =
-    match Recovery.latest_stable t.rcv with
-    | Some (c, img) when c.Checkpoint.cp_seq > have -> (Some c, img)
-    | Some _ | None -> (None, "")
-  in
-  let base = match cert with Some c -> max have c.Checkpoint.cp_seq | None -> have in
-  let delivered_entries =
-    List.filter_map
-      (fun (o, requests) ->
-        if o > base then begin
-          let batch = Batch.make requests in
-          t.ctx.Context.digest_charge (Batch.encoded_size batch);
-          Some
-            {
-              Checkpoint.e_o = o;
-              e_digest = Batch.digest t.config.digest batch;
-              e_requests = requests;
-            }
-        end
-        else None)
-      t.recent_delivered
-  in
-  let tail =
-    Hashtbl.fold
-      (fun o st acc ->
-        if o <= t.delivered || o <= base then acc
-        else
-          match st.winner with
-          | None -> acc
-          | Some digest -> (
-            match Hashtbl.find_opt st.candidates digest with
-            | Some { c_keys = Some keys; _ } ->
-              let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) keys in
-              if Int.equal (List.length requests) (List.length keys) then
-                { Checkpoint.e_o = o; e_digest = digest; e_requests = requests } :: acc
-              else acc
-            | Some { c_keys = None; _ } | None -> acc))
-      t.orders []
-  in
-  let entries =
-    List.sort
-      (fun (a : Checkpoint.entry) b -> Int.compare a.Checkpoint.e_o b.Checkpoint.e_o)
-      (delivered_entries @ tail)
-  in
-  t.ctx.Context.send ~dst:src
-    {
-      Message.sender = id t;
-      body = Message.State_response { cert; image; entries };
-      signature = "";
-      endorsement = None;
-    }
-
-let entry_ok t (e : Checkpoint.entry) =
-  let batch = Batch.make e.Checkpoint.e_requests in
-  t.ctx.Context.digest_charge (Batch.encoded_size batch);
-  String.equal (Batch.digest t.config.digest batch) e.Checkpoint.e_digest
-
-(* Install whatever the collected offers certify: first the best certified
-   image strictly above our delivery point, then the contiguous entry suffix
-   (quorum 1 here — any single responder is correct under crash faults).
-   Transferred entries enter the order log as committed winners and are then
-   delivered by the normal in-sequence walk; no Committed event is re-emitted
-   for them (they were counted at their original commit). *)
-let install_from_offers ?(announce = true) t ~entry_quorum =
-  let image_installed =
-    match Recovery.best_image t.rcv ~above:t.delivered with
-    | Some (cert, image, _) -> begin
-      match Checkpoint.unwrap_image image with
-      | None -> false (* digest-verified yet malformed: refuse quietly *)
-      | Some (snap, marks) ->
-        t.ctx.Context.restore snap;
-        Recovery.merge_marks t.rcv marks;
-        t.delivered <- cert.Checkpoint.cp_seq;
-      if t.max_committed < cert.Checkpoint.cp_seq then
-        t.max_committed <- cert.Checkpoint.cp_seq;
-        Recovery.note_image t.rcv ~seq:cert.Checkpoint.cp_seq ~image;
-        if Recovery.note_stable t.rcv ~cert ~image then
-          t.ctx.Context.emit
-            (Context.Checkpoint_stable
-               { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
-        truncate t cert.Checkpoint.cp_seq;
-        true
-    end
-    | None -> false
-  in
-  let installed_at = t.delivered in
-  let entries =
-    Recovery.select_entries ~quorum:entry_quorum ~base:t.delivered
-      ~entry_ok:(entry_ok t) t.rcv
-  in
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      let st = get_order t e.Checkpoint.e_o in
-      match st.winner with
-      | Some _ -> ()
-      | None ->
-        let cand = get_candidate st e.Checkpoint.e_digest in
-        let keys = List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests in
-        if cand.c_keys = None then cand.c_keys <- Some keys;
-        List.iter
-          (fun (r : Request.t) ->
-            t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
-            if
-              (not (Key_map.mem r.Request.key t.pending))
-              && not (Key_set.mem r.Request.key t.delivered_keys)
-            then t.pending <- Key_map.add r.Request.key r t.pending)
-          e.Checkpoint.e_requests;
-        st.winner <- Some e.Checkpoint.e_digest;
-        if st.o > t.max_committed then t.max_committed <- st.o)
-    entries;
-  if announce && (image_installed || entries <> []) then
-    t.ctx.Context.emit
-      (Context.State_transfer_installed
-         { seq = installed_at; entries = List.length entries });
-  advance_delivery t
-
-let attempt_install t = install_from_offers t ~entry_quorum:1
-
-(* Local-first recovery: the locally persisted checkpoint image and WAL
-   entry suffix enter as a synthetic self-offer, verified exactly like a
-   peer's State_response — certificate under the checkpoint scheme, image
-   bytes against the certified digest, each entry against its recomputed
-   batch digest.  The entry quorum is 1 (the replica vouches only for its
-   own log), so a torn or tampered suffix is excluded entry-by-entry
-   rather than installed.  Returns whether delivery advanced; the caller
-   escalates to peer repair when it did not or the log was damaged. *)
-let recover_local t ~cert ~image ~entries =
-  let before = t.delivered in
-  let cert_ok =
-    match cert with
-    | None -> true
-    | Some c ->
-      t.ctx.Context.digest_charge (String.length image);
-      Recovery.verify_cert
-        ~verify:(fun ~signer ~msg ~signature ->
-          t.ctx.Context.verify_acc ~signer ~msg ~signature)
-        ~scheme:(ckpt_scheme t) c
-      && String.equal (Checkpoint.image_digest t.config.digest image) c.Checkpoint.cp_digest
-  in
-  if not cert_ok then begin
-    t.ctx.Context.emit (Context.State_transfer_rejected { from = id t });
-    false
-  end
-  else begin
-    Recovery.clear_offers t.rcv;
-    Recovery.add_offer t.rcv
-      { Recovery.st_from = id t; st_cert = cert; st_image = image; st_entries = entries };
-    (* The synthetic self-offer is a local replay, not a peer transfer:
-       the harness announces it as [Wal_replayed], so the install stays
-       silent to keep transfer accounting honest. *)
-    install_from_offers ~announce:false t ~entry_quorum:1;
-    Recovery.clear_offers t.rcv;
-    (* A recovered process must never mint at or below what it just
-       restored: a fresh order under a committed sequence number could
-       strand below the delivery low-water mark or conflict with an
-       absorbed entry. *)
-    if t.next_seq <= t.max_committed then t.next_seq <- t.max_committed + 1;
-    t.delivered > before
-  end
-
-(* The highest sequence number any collected offer can take us to. *)
-let fetch_target t =
-  List.fold_left
-    (fun acc (off : Recovery.offer) ->
-      let acc =
-        match off.Recovery.st_cert with
-        | Some c -> max acc c.Checkpoint.cp_seq
-        | None -> acc
-      in
-      List.fold_left
-        (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o)
-        acc off.Recovery.st_entries)
-    0 (Recovery.offers t.rcv)
-
-(* End the fetch only after offers from f+1 distinct responders (so at
-   least one is honest) all fall at or below what we have delivered: a
-   single early "nothing above your watermark" reply must not terminate
-   the fetch before a helpful offer arrives. *)
-let maybe_end_fetch t =
-  if
-    Recovery.fetching t.rcv
-    && List.length (Recovery.offers t.rcv) > t.config.f
-    && t.delivered >= fetch_target t
-  then begin
-    span_close t Context.Recovery_phase (Recovery.fetch_anchor t.rcv);
-    Recovery.end_fetch t.rcv;
-    (match t.fetch_timer with Some h -> h.Context.cancel () | None -> ());
-    t.fetch_timer <- None;
-    t.fetch_backoff <- 0;
-    Recovery.clear_offers t.rcv
-  end
-
-let rec fetch_tick t =
-  if Recovery.fetching t.rcv then begin
-    Recovery.clear_offers t.rcv;
-    t.ctx.Context.multicast ~dsts:(others t)
-      {
-        Message.sender = id t;
-        body = Message.State_request { have = t.delivered };
-        signature = "";
-        endorsement = None;
-      };
-    let delay =
-      if adaptive t then begin
-        let d =
-          Estimator.backed_off t.config.suspect_timeout ~level:t.fetch_backoff
-            ~cap:(timer_cap t)
-        in
-        t.fetch_backoff <- t.fetch_backoff + 1;
-        d
-      end
-      else t.config.suspect_timeout
-    in
-    t.fetch_timer <- Some (t.ctx.Context.set_timer ~delay (fun () -> fetch_tick t))
-  end
-
-let request_recovery t =
-  if not (Recovery.fetching t.rcv) then begin
-    Recovery.begin_fetch t.rcv ~have:t.delivered;
-    t.ctx.Context.emit (Context.State_transfer_started { have = t.delivered });
-    span_open t Context.Recovery_phase t.delivered;
-    fetch_tick t
-  end
-
-let handle_state_response t ~src ~cert ~image ~entries =
-  if Recovery.fetching t.rcv then begin
-    let cert_ok =
-      match cert with
-      | None -> true
-      | Some c ->
-        t.ctx.Context.digest_charge (String.length image);
-        Recovery.verify_cert
-          ~verify:(fun ~signer ~msg ~signature -> t.ctx.Context.verify_acc ~signer ~msg ~signature)
-          ~scheme:(ckpt_scheme t) c
-        && String.equal (Checkpoint.image_digest t.config.digest image) c.Checkpoint.cp_digest
-    in
-    if not cert_ok then t.ctx.Context.emit (Context.State_transfer_rejected { from = src })
-    else begin
-      Recovery.add_offer t.rcv
-        { Recovery.st_from = src; st_cert = cert; st_image = image; st_entries = entries };
-      attempt_install t;
-      maybe_end_fetch t
-    end
-  end
-
 (* Coordinator sync (crash fail-over under partitions): a probe announces the
    prober's epoch and delivery low-water mark; peers answer with every
    candidate order they know of at or above that mark (see the Heartbeat and
@@ -675,14 +275,8 @@ let handle_state_response t ~src ~cert ~image ~entries =
    minted on the other side of a partition it just left. *)
 let probe t =
   t.last_probe <- t.ctx.Context.now ();
-  t.ctx.Context.multicast
-    ~dsts:(List.filter (fun p -> not (Int.equal p (id t))) t.all_ids)
-    {
-      Message.sender = id t;
-      body = Message.Heartbeat { pair = t.epoch; beat = t.delivered + 1 };
-      signature = "";
-      endorsement = None;
-    }
+  t.ctx.Context.multicast ~dsts:(others t)
+    (unsigned t (Message.Heartbeat { pair = t.epoch; beat = t.log.delivered + 1 }))
 
 let rec arm_batch_timer t =
   let h =
@@ -692,7 +286,7 @@ let rec arm_batch_timer t =
 
 and batch_tick t =
   if i_am_coordinator t then begin
-    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.ordered_keys)) t.pending in
+    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.log.ordered_keys)) t.log.pending in
     if not (Key_map.is_empty pool) then
       if t.sync_pending || not (quorum_contact t) then begin
         (* Probe instead of minting; peers answer with their candidate
@@ -715,13 +309,13 @@ and batch_tick t =
            reach the f+1 quorum (seed-5 agreement break).  Skipped holes are
            harmless: the existing candidate either commits or its requests
            are rebatched under a fresh number. *)
-        while Hashtbl.mem t.orders t.next_seq do
-          t.next_seq <- t.next_seq + 1
+        while Hashtbl.mem t.log.orders t.log.next_seq do
+          t.log.next_seq <- t.log.next_seq + 1
         done;
         let requests = Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool in
         let batch = Batch.make requests in
-        let o = t.next_seq in
-        t.next_seq <- o + 1;
+        let o = t.log.next_seq in
+        t.log.next_seq <- o + 1;
         t.ctx.Context.digest_charge (Batch.encoded_size batch);
         let info =
           { Message.o; digest = Batch.digest t.config.digest batch; keys = Batch.keys batch }
@@ -729,12 +323,9 @@ and batch_tick t =
         t.ctx.Context.emit
           (Context.Batched
              { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-        List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys;
+        List.iter (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys) info.Message.keys;
         let body = Message.Order { c = t.epoch; info } in
-        let env = { Message.sender = id t; body; signature = ""; endorsement = None } in
-        t.ctx.Context.multicast
-          ~dsts:(List.filter (fun p -> not (Int.equal p (id t))) t.all_ids)
-          env;
+        t.ctx.Context.multicast ~dsts:(others t) (unsigned t body);
         accept_order t ~sender:(id t) ~info
       end;
     arm_batch_timer t
@@ -748,7 +339,7 @@ let rec arm_suspect_timer t =
   t.suspect_timer <- Some h
 
 and suspect_tick t =
-  if adaptive t && not (i_am_coordinator t) then send_rtt_probe t (coordinator t);
+  if Timing.adaptive t.timing && not (i_am_coordinator t) then send_rtt_probe t (coordinator t);
   (* Crash fail-over: rotate the coordinator when a request has been waiting
      longer than the batching interval plus the suspicion timeout. *)
   let budget = Simtime.add t.config.batching_interval (suspicion_delay t) in
@@ -757,16 +348,16 @@ and suspect_tick t =
     Simtime.compare (Simtime.add t.last_progress budget) now <= 0
     && Key_map.exists
          (fun k since ->
-           (not (Key_set.mem k t.ordered_keys))
+           (not (Key_set.mem k t.log.ordered_keys))
            && Simtime.compare (Simtime.add since budget) now <= 0)
-         t.arrival
+         t.log.arrival
   in
   if stalled then begin
     t.last_progress <- now;
     t.suspect_backoff <- t.suspect_backoff + 1;
     t.epoch <- t.epoch + 1;
     (* Refresh arrivals so the next coordinator gets a full grace period. *)
-    t.arrival <- Key_map.map (fun _ -> now) t.arrival;
+    t.log.arrival <- Key_map.map (fun _ -> now) t.log.arrival;
     if i_am_coordinator t then begin
       (* Sync with a quorum before minting anything; [next_seq] is
          recomputed when the sync completes. *)
@@ -780,11 +371,11 @@ and suspect_tick t =
 
 let on_request t (req : Request.t) =
   let key = req.Request.key in
-  if not (Key_map.mem key t.pending) then begin
-    t.pending <- Key_map.add key req t.pending;
-    if not (Key_set.mem key t.ordered_keys) then
-      t.arrival <- Key_map.add key (t.ctx.Context.now ()) t.arrival;
-    advance_delivery t
+  if not (Key_map.mem key t.log.pending) then begin
+    t.log.pending <- Key_map.add key req t.log.pending;
+    if not (Key_set.mem key t.log.ordered_keys) then
+      t.log.arrival <- Key_map.add key (t.ctx.Context.now ()) t.log.arrival;
+    Recovery.advance t.hooks
   end
 
 let on_message t ~src (env : Message.envelope) =
@@ -801,7 +392,7 @@ let on_message t ~src (env : Message.envelope) =
        batches. *)
     if
       Int.equal env.Message.sender (c mod process_count t.config)
-      && info.Message.o > Recovery.stable_seq t.rcv
+      && info.Message.o > Recovery.stable_seq t.log.rcv
     then begin
       if c > t.epoch then t.epoch <- c;
       accept_order t ~sender:env.Message.sender ~info
@@ -811,7 +402,7 @@ let on_message t ~src (env : Message.envelope) =
        (the commit waits until some quorum'd digest also has its keys).
        Sequence numbers at or below the stable checkpoint are settled and
        truncated — a straggler must not resurrect them in the log. *)
-    if o > Recovery.stable_seq t.rcv then begin
+    if o > Recovery.stable_seq t.log.rcv then begin
       let st = get_order t o in
       let cand = get_candidate st digest in
       cand.c_votes <- Int_set.add env.Message.sender cand.c_votes;
@@ -839,29 +430,19 @@ let on_message t ~src (env : Message.envelope) =
                   | Some keys -> { Message.o; digest; keys } :: acc
                   | None -> acc)
                 st.candidates acc)
-          t.orders []
+          t.log.orders []
       in
       t.ctx.Context.send ~dst:src
-        {
-          Message.sender = id t;
-          body =
-            Message.View_change
-              {
-                v = e;
-                max_committed = t.max_committed;
-                committed_digest = "";
-                uncommitted;
-              };
-          signature = "";
-          endorsement = None;
-        }
+        (unsigned t
+           (Message.View_change
+              { v = e; max_committed = t.log.max_committed; committed_digest = ""; uncommitted }))
     end
   | Message.View_change { v; uncommitted; _ } ->
     (* Reply to a probe this process sent: learn (and vote for) the relayed
        candidates, and once a quorum has answered the current epoch, start
        minting above everything now known. *)
     let uncommitted =
-      List.filter (fun info -> info.Message.o > Recovery.stable_seq t.rcv) uncommitted
+      List.filter (fun info -> info.Message.o > Recovery.stable_seq t.log.rcv) uncommitted
     in
     List.iter (fun info -> ignore (learn_candidate t info)) uncommitted;
     List.iter (fun info -> try_commit t (get_order t info.Message.o)) uncommitted;
@@ -869,8 +450,8 @@ let on_message t ~src (env : Message.envelope) =
       t.sync_replies <- Int_set.add env.Message.sender t.sync_replies;
       if Int_set.cardinal t.sync_replies >= quorum t then begin
         t.sync_pending <- false;
-        t.next_seq <-
-          1 + Hashtbl.fold (fun o _ acc -> max o acc) t.orders t.max_committed
+        t.log.next_seq <-
+          1 + Hashtbl.fold (fun o _ acc -> max o acc) t.log.orders t.log.max_committed
       end
     end
   | Message.Checkpoint { seq; digest } ->
@@ -878,31 +459,26 @@ let on_message t ~src (env : Message.envelope) =
       t.config.checkpoint_interval > 0
       && env.Message.sender >= 0
       && env.Message.sender < process_count t.config
-      && seq > Recovery.stable_seq t.rcv
+      && seq > Recovery.stable_seq t.log.rcv
     then begin
-      Recovery.Tally.add (Recovery.tally t.rcv) ~seq ~digest ~signer:env.Message.sender
+      Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq ~digest ~signer:env.Message.sender
         ~signature:"";
-      maybe_stabilize t ~seq ~digest;
+      Recovery.stabilize t.log ~quorum:(quorum t) ~seq ~digest;
       (* A checkpoint a full interval ahead of our delivery point means we
          are lagging badly — likely freshly restarted; catch up by state
          transfer rather than waiting for retransmissions. *)
-      if seq > t.delivered + t.config.checkpoint_interval then request_recovery t
+      if seq > t.log.delivered + t.config.checkpoint_interval then Recovery.request_recovery t.hooks
     end
-  | Message.State_request { have } -> serve_state_request t ~src ~have
+  | Message.State_request { have } -> Recovery.serve_state_request t.hooks ~src ~have
   | Message.State_response { cert; image; entries } ->
-    handle_state_response t ~src ~cert ~image ~entries
+    Recovery.handle_state_response t.hooks ~src ~cert ~image ~entries
   | Message.Probe { nonce; at } ->
     (* Echo the sender's timestamp back (unsigned, like all CT traffic);
        replies are liveness-only input. *)
-    if adaptive t then
-      t.ctx.Context.multicast ~dsts:[ src ]
-        {
-          Message.sender = id t;
-          body = Message.Probe_reply { nonce; at };
-          signature = "";
-          endorsement = None;
-        }
-  | Message.Probe_reply { nonce; at } -> note_probe_reply t ~src ~nonce ~at
+    if Timing.adaptive t.timing then
+      t.ctx.Context.multicast ~dsts:[ src ] (unsigned t (Message.Probe_reply { nonce; at }))
+  | Message.Probe_reply { nonce; at } ->
+    Timing.note_probe_reply t.timing ~now:(t.ctx.Context.now ()) ~src ~nonce ~at
   | Message.Fail_signal _ | Message.Back_log _
   | Message.Start _ | Message.Start_ack _ | Message.Start_tuples _
   | Message.New_view _ | Message.Unwilling _
@@ -914,33 +490,86 @@ let start t =
   if i_am_coordinator t then arm_batch_timer t;
   arm_suspect_timer t
 
-let create ~ctx ~config =
-  {
-    ctx;
-    config;
-    all_ids = List.init (process_count config) Fun.id;
-    epoch = 0;
-    pending = Key_map.empty;
-    arrival = Key_map.empty;
-    ordered_keys = Key_set.empty;
-    delivered_keys = Key_set.empty;
-    orders = Hashtbl.create 64;
-    max_committed = 0;
-    delivered = 0;
-    next_seq = 1;
-    batch_timer = None;
-    suspect_timer = None;
-    last_progress = Simtime.zero;
-    last_heard = Array.make (process_count config) Simtime.zero;
-    sync_pending = false;
-    sync_replies = Int_set.empty;
-    last_probe = Simtime.zero;
-    rcv = Recovery.create ();
-    recent_delivered = [];
-    fetch_timer = None;
-    ests = Array.make (process_count config) None;
-    probe_accepted = Array.make (process_count config) 0;
-    probe_nonce = 0;
-    fetch_backoff = 0;
-    suspect_backoff = 0;
-  }
+(* State transfer under the crash-only model: unsigned f+1-claim
+   checkpoint certificates, and any single responder's entries. *)
+let request_recovery t = Recovery.request_recovery t.hooks
+let recover_local t = Recovery.recover_local t.hooks
+
+let create ~ctx ~(config : config) =
+  let n = process_count config in
+  let timing = Timing.create ~mode:config.timing ~initial:config.suspect_timeout ~peers:n in
+  let log =
+    Recovery.create_log ~ctx ~f:config.f ~digest:config.digest
+      ~interval:config.checkpoint_interval
+  in
+  let rec t =
+    {
+      ctx;
+      config;
+      all_ids = List.init n Fun.id;
+      epoch = 0;
+      log;
+      timing;
+      hooks =
+        {
+          Recovery.log;
+          timing;
+          scheme = ckpt_scheme config;
+          entry_quorum = 1;
+          fault = Fault.Honest;
+          retry_base = (fun () -> config.suspect_timeout);
+          committed_keys =
+            (fun st ->
+              (* The winner digest always has a recorded candidate (votes are
+                 only tallied against existing candidates); should that
+                 invariant ever break, stall delivery instead of crashing. *)
+              match st.winner with
+              | Some digest ->
+                Option.map
+                  (fun cand -> Option.value cand.c_keys ~default:[])
+                  (Hashtbl.find_opt st.candidates digest)
+              | None -> None);
+          keep_executed = false;
+          settle_fresh_only = true;
+          boundary = (fun o -> checkpoint_boundary t o);
+          tail_entry =
+            (fun o st ->
+              (* Served with the committed digest as is: under crash faults
+                 any single responder's entry is genuine. *)
+              match st.winner with
+              | None -> None
+              | Some digest -> (
+                match Hashtbl.find_opt st.candidates digest with
+                | Some { c_keys = Some keys; _ } ->
+                  let requests = List.filter_map (fun k -> Key_map.find_opt k log.pending) keys in
+                  if Int.equal (List.length requests) (List.length keys) then
+                    Some { Checkpoint.e_o = o; e_digest = digest; e_requests = requests }
+                  else None
+                | Some { c_keys = None; _ } | None -> None));
+          admit =
+            (fun e ->
+              let st = get_order t e.Checkpoint.e_o in
+              match st.winner with
+              | Some _ -> false
+              | None ->
+                let cand = get_candidate st e.Checkpoint.e_digest in
+                if cand.c_keys = None then
+                  cand.c_keys <-
+                    Some (List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests);
+                st.winner <- Some e.Checkpoint.e_digest;
+                true);
+          sign = (fun body -> unsigned t body);
+          send = (fun ~dst env -> ctx.Context.send ~dst env);
+          multicast = (fun env -> ctx.Context.multicast ~dsts:(others t) env);
+        };
+      batch_timer = None;
+      suspect_timer = None;
+      last_progress = Simtime.zero;
+      last_heard = Array.make n Simtime.zero;
+      sync_pending = false;
+      sync_replies = Int_set.empty;
+      last_probe = Simtime.zero;
+      suspect_backoff = 0;
+    }
+  in
+  t

@@ -1,3 +1,8 @@
+module Simtime = Sof_sim.Simtime
+module Request = Sof_smr.Request
+module Key_map = Request.Key_map
+module Key_set = Request.Key_set
+
 type scheme =
   | Quorum_signed of { quorum : int; member_ok : int -> bool }
   | Quorum_counted of { quorum : int; member_ok : int -> bool }
@@ -230,3 +235,414 @@ let begin_fetch state ~have =
   state.st_fetch_anchor <- have
 
 let end_fetch state = state.st_fetching <- false
+
+(* ------------------------------------------------------ delivery log *)
+
+type 'slot log = {
+  ctx : Context.t;
+  rcv : state;
+  f : int;
+  digest : Sof_crypto.Digest_alg.t;
+  interval : int;
+  orders : (int, 'slot) Hashtbl.t;
+  mutable delivered : int;
+  mutable max_committed : int;
+  mutable next_seq : int;
+  mutable pending : Request.t Key_map.t;
+  mutable arrival : Simtime.t Key_map.t;
+  mutable ordered_keys : Key_set.t;
+  mutable delivered_keys : Key_set.t;
+  mutable executed : Request.t Key_map.t;
+  mutable recent_delivered : (int * Request.t list) list;
+  mutable fetch_timer : Context.timer option;
+  mutable fetch_backoff : int;
+}
+
+let create_log ~ctx ~f ~digest ~interval =
+  {
+    ctx;
+    rcv = create ();
+    f;
+    digest;
+    interval;
+    orders = Hashtbl.create 64;
+    delivered = 0;
+    max_committed = 0;
+    next_seq = 1;
+    pending = Key_map.empty;
+    arrival = Key_map.empty;
+    ordered_keys = Key_set.empty;
+    delivered_keys = Key_set.empty;
+    executed = Key_map.empty;
+    recent_delivered = [];
+    fetch_timer = None;
+    fetch_backoff = 0;
+  }
+
+type 'slot hooks = {
+  log : 'slot log;
+  timing : Timing.t;
+  scheme : scheme;
+  entry_quorum : int;
+  fault : Fault.t;
+  retry_base : unit -> Simtime.t;
+  committed_keys : 'slot -> Request.key list option;
+  keep_executed : bool;
+  settle_fresh_only : bool;
+  boundary : int -> unit;
+  tail_entry : int -> 'slot -> Checkpoint.entry option;
+  admit : Checkpoint.entry -> bool;
+  sign : Message.body -> Message.envelope;
+  send : dst:int -> Message.envelope -> unit;
+  multicast : Message.envelope -> unit;
+}
+
+let span_open log phase seq = log.ctx.Context.emit (Context.Span_open { phase; seq })
+let span_close log phase seq = log.ctx.Context.emit (Context.Span_close { phase; seq })
+
+let truncate log upto =
+  let stale =
+    Hashtbl.fold (fun o _ acc -> if o <= upto then o :: acc else acc) log.orders []
+  in
+  List.iter (Hashtbl.remove log.orders) stale;
+  (* Keep one extra interval of delivered keys so a coordinator installed
+     late that re-orders a just-delivered request is still deduplicated. *)
+  let keep_above = upto - log.interval in
+  let dropped, kept = List.partition (fun (o, _) -> o <= keep_above) log.recent_delivered in
+  List.iter
+    (fun (_, requests) ->
+      List.iter
+        (fun (req : Request.t) ->
+          log.delivered_keys <- Key_set.remove req.Request.key log.delivered_keys;
+          log.ordered_keys <- Key_set.remove req.Request.key log.ordered_keys;
+          log.executed <- Key_map.remove req.Request.key log.executed)
+        requests)
+    dropped;
+  log.recent_delivered <- kept;
+  log.ctx.Context.emit
+    (Context.Log_truncated { upto; retained = Hashtbl.length log.orders })
+
+let boundary_image log o =
+  let image =
+    Checkpoint.wrap_image ~state:(log.ctx.Context.snapshot ()) ~marks:(marks log.rcv)
+  in
+  log.ctx.Context.digest_charge (String.length image);
+  let digest = Checkpoint.image_digest log.digest image in
+  note_image log.rcv ~seq:o ~image;
+  span_open log Context.Checkpoint_phase o;
+  digest
+
+let adopt log (cert : Checkpoint.cert) ~image =
+  if note_stable log.rcv ~cert ~image then begin
+    log.ctx.Context.emit
+      (Context.Checkpoint_stable { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
+    span_close log Context.Checkpoint_phase cert.Checkpoint.cp_seq;
+    truncate log cert.Checkpoint.cp_seq
+  end
+
+let stabilize log ~quorum ~seq ~digest =
+  if seq > stable_seq log.rcv && Tally.count log.rcv.st_tally ~seq ~digest >= quorum then
+    match image_at log.rcv ~seq with
+    | Some image when String.equal (Checkpoint.image_digest log.digest image) digest ->
+      adopt log
+        {
+          Checkpoint.cp_seq = seq;
+          cp_digest = digest;
+          cp_proof = Tally.proof log.rcv.st_tally ~seq ~digest;
+          cp_endorsement = None;
+        }
+        ~image
+    | Some _ | None -> ()
+
+let rec advance h =
+  let log = h.log in
+  match Option.bind (Hashtbl.find_opt log.orders (log.delivered + 1)) h.committed_keys with
+  | None -> ()
+  | Some keys ->
+    (* At-most-once: a coordinator installed after a fail-over or view
+       change may re-order requests an earlier one already committed.
+       Honest processes agree on the committed prefix, so they prune the
+       same already-delivered keys and execute identical sub-batches.  With
+       checkpointing on, the per-client marks filter too: the key sets are
+       pruned by truncation, and only the marks survive a state transfer
+       (they ride inside the image). *)
+    let fresh =
+      List.filter
+        (fun k ->
+          (not (Key_set.mem k log.delivered_keys))
+          && (log.interval = 0 || fresh_key log.rcv k))
+        keys
+    in
+    let requests = List.filter_map (fun k -> Key_map.find_opt k log.pending) fresh in
+    (* Otherwise some requests are not here yet; clients broadcast to all
+       over a reliable network, so they will arrive and retrigger
+       delivery. *)
+    if Int.equal (List.length requests) (List.length fresh) then begin
+      let o = log.delivered + 1 in
+      log.delivered <- o;
+      List.iter
+        (fun k ->
+          log.delivered_keys <- Key_set.add k log.delivered_keys;
+          if log.interval > 0 then mark_delivered log.rcv k;
+          (if h.keep_executed then
+             match Key_map.find_opt k log.pending with
+             | Some r -> log.executed <- Key_map.add k r log.executed
+             | None -> ());
+          log.pending <- Key_map.remove k log.pending;
+          log.arrival <- Key_map.remove k log.arrival)
+        (if h.settle_fresh_only then fresh else keys);
+      let batch = Batch.make requests in
+      log.ctx.Context.deliver ~seq:o batch;
+      log.ctx.Context.emit (Context.Delivered { seq = o; batch });
+      if log.interval > 0 then begin
+        log.recent_delivered <- (o, requests) :: log.recent_delivered;
+        if Checkpoint.is_boundary ~interval:log.interval o then h.boundary o
+      end;
+      advance h
+    end
+
+(* ------------------------------------------------------ state transfer *)
+
+let flip_first_byte s =
+  let b = Bytes.of_string s in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+  Bytes.to_string b
+
+let batch_entry log ~o keys =
+  let requests = List.filter_map (fun k -> Key_map.find_opt k log.pending) keys in
+  if Int.equal (List.length requests) (List.length keys) then begin
+    let batch = Batch.make requests in
+    log.ctx.Context.digest_charge (Batch.encoded_size batch);
+    Some
+      {
+        Checkpoint.e_o = o;
+        e_digest = Batch.digest log.digest batch;
+        e_requests = requests;
+      }
+  end
+  else None
+
+(* Serve the stable checkpoint image (when the requester is behind it), the
+   retained delivered batches, and the committed-but-undelivered tail.
+   Delivered entries are served as the batch actually handed to the
+   service, with the digest recomputed over exactly those requests —
+   correct processes deliver identical filtered batches, so their digests
+   agree and f+1 matching claims pin each entry down at the requester.  A
+   Byzantine responder can serve a corrupt image ([Corrupt_checkpoint_image])
+   or a lazily stale checkpoint ([Stale_checkpoint]); the first is rejected
+   against the certified digest, the second simply loses to fresher offers.
+   One serving from a tampered local log ([Corrupt_wal_suffix]) keeps the
+   checkpoint genuine but flips every entry digest, so the requester's
+   entry checks exclude the whole suffix. *)
+let serve_state_request h ~src ~have =
+  let log = h.log in
+  let stable =
+    match h.fault with
+    | Fault.Stale_checkpoint -> previous_stable log.rcv
+    | _ -> latest_stable log.rcv
+  in
+  let cert, image =
+    match stable with
+    | Some (c, img) when c.Checkpoint.cp_seq > have -> (Some c, img)
+    | Some _ | None -> (None, "")
+  in
+  let image =
+    match h.fault with
+    | Fault.Corrupt_checkpoint_image when String.length image > 0 -> flip_first_byte image
+    | _ -> image
+  in
+  let base = match cert with Some c -> max have c.Checkpoint.cp_seq | None -> have in
+  let entries =
+    match h.fault with
+    | Fault.Stale_checkpoint -> []
+    | _ ->
+      let delivered_entries =
+        List.filter_map
+          (fun (o, requests) ->
+            if o > base then begin
+              let batch = Batch.make requests in
+              log.ctx.Context.digest_charge (Batch.encoded_size batch);
+              Some
+                {
+                  Checkpoint.e_o = o;
+                  e_digest = Batch.digest log.digest batch;
+                  e_requests = requests;
+                }
+            end
+            else None)
+          log.recent_delivered
+      in
+      let tail =
+        Hashtbl.fold
+          (fun o st acc ->
+            if o <= log.delivered || o <= base then acc
+            else match h.tail_entry o st with Some e -> e :: acc | None -> acc)
+          log.orders []
+      in
+      List.sort
+        (fun (a : Checkpoint.entry) b -> Int.compare a.Checkpoint.e_o b.Checkpoint.e_o)
+        (delivered_entries @ tail)
+  in
+  let entries =
+    match h.fault with
+    | Fault.Corrupt_wal_suffix ->
+      List.map
+        (fun (e : Checkpoint.entry) ->
+          match e.Checkpoint.e_digest with
+          | "" -> e
+          | d -> { e with Checkpoint.e_digest = flip_first_byte d })
+        entries
+    | _ -> entries
+  in
+  h.send ~dst:src (h.sign (Message.State_response { cert; image; entries }))
+
+let entry_ok log (e : Checkpoint.entry) =
+  let batch = Batch.make e.Checkpoint.e_requests in
+  log.ctx.Context.digest_charge (Batch.encoded_size batch);
+  String.equal (Batch.digest log.digest batch) e.Checkpoint.e_digest
+
+(* Install the best certified image above our delivery point, then the
+   contiguous entry suffix with [entry_quorum] matching claims per entry.
+   Transferred entries enter the log as committed and are delivered by the
+   normal in-sequence walk; no Committed event is re-emitted for them. *)
+let install_from_offers ?(announce = true) h ~entry_quorum =
+  let log = h.log in
+  let image_installed =
+    match best_image log.rcv ~above:log.delivered with
+    | Some (cert, image, _) -> begin
+      match Checkpoint.unwrap_image image with
+      | None -> false (* digest-verified yet malformed: refuse quietly *)
+      | Some (snap, marks) ->
+        log.ctx.Context.restore snap;
+        merge_marks log.rcv marks;
+        log.delivered <- cert.Checkpoint.cp_seq;
+        if log.max_committed < cert.Checkpoint.cp_seq then
+          log.max_committed <- cert.Checkpoint.cp_seq;
+        note_image log.rcv ~seq:cert.Checkpoint.cp_seq ~image;
+        if note_stable log.rcv ~cert ~image then
+          log.ctx.Context.emit
+            (Context.Checkpoint_stable
+               { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
+        truncate log cert.Checkpoint.cp_seq;
+        true
+    end
+    | None -> false
+  in
+  let installed_at = log.delivered in
+  let entries =
+    select_entries ~quorum:entry_quorum ~base:log.delivered ~entry_ok:(entry_ok log) log.rcv
+  in
+  List.iter
+    (fun (e : Checkpoint.entry) ->
+      if h.admit e then begin
+        List.iter
+          (fun (r : Request.t) ->
+            log.ordered_keys <- Key_set.add r.Request.key log.ordered_keys;
+            if
+              (not (Key_map.mem r.Request.key log.pending))
+              && not (Key_set.mem r.Request.key log.delivered_keys)
+            then log.pending <- Key_map.add r.Request.key r log.pending)
+          e.Checkpoint.e_requests;
+        if e.Checkpoint.e_o > log.max_committed then log.max_committed <- e.Checkpoint.e_o
+      end)
+    entries;
+  if announce && (image_installed || entries <> []) then
+    log.ctx.Context.emit
+      (Context.State_transfer_installed { seq = installed_at; entries = List.length entries });
+  advance h
+
+(* The certificate under the protocol's trust model, and the image bytes
+   against the certified digest.  An offer without a certificate carries
+   only log entries, each checked against its recomputed batch digest at
+   install time. *)
+let offer_ok h ~cert ~image =
+  match cert with
+  | None -> true
+  | Some c ->
+    let log = h.log in
+    log.ctx.Context.digest_charge (String.length image);
+    verify_cert
+      ~verify:(fun ~signer ~msg ~signature -> log.ctx.Context.verify_acc ~signer ~msg ~signature)
+      ~scheme:h.scheme c
+    && String.equal (Checkpoint.image_digest log.digest image) c.Checkpoint.cp_digest
+
+let recover_local h ~cert ~image ~entries =
+  let log = h.log in
+  let before = log.delivered in
+  if not (offer_ok h ~cert ~image) then begin
+    log.ctx.Context.emit (Context.State_transfer_rejected { from = log.ctx.Context.id });
+    false
+  end
+  else begin
+    clear_offers log.rcv;
+    add_offer log.rcv
+      { st_from = log.ctx.Context.id; st_cert = cert; st_image = image; st_entries = entries };
+    (* The synthetic self-offer is a local replay, not a peer transfer: the
+       harness announces it as [Wal_replayed], so the install stays silent
+       to keep transfer accounting honest. *)
+    install_from_offers ~announce:false h ~entry_quorum:1;
+    clear_offers log.rcv;
+    (* A recovered process must never mint at or below what it just
+       restored: a fresh order under a committed sequence number could
+       strand below the delivery low-water mark or conflict with an
+       absorbed entry. *)
+    if log.next_seq <= log.max_committed then log.next_seq <- log.max_committed + 1;
+    log.delivered > before
+  end
+
+(* The highest sequence number any collected offer can take us to. *)
+let fetch_target log =
+  List.fold_left
+    (fun acc (off : offer) ->
+      let acc =
+        match off.st_cert with Some c -> max acc c.Checkpoint.cp_seq | None -> acc
+      in
+      List.fold_left (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o) acc off.st_entries)
+    0 (offers log.rcv)
+
+(* The fetch ends once we have caught up to everything offered — but only
+   after offers from f+1 distinct responders, so at least one is honest.  A
+   single early "nothing above your watermark" reply (a peer that is itself
+   recovering, or one whose stable checkpoint the requester already holds)
+   must not terminate the fetch before a helpful offer arrives. *)
+let maybe_end_fetch log =
+  if fetching log.rcv && List.length (offers log.rcv) > log.f && log.delivered >= fetch_target log
+  then begin
+    span_close log Context.Recovery_phase (fetch_anchor log.rcv);
+    end_fetch log.rcv;
+    (match log.fetch_timer with Some h -> h.Context.cancel () | None -> ());
+    log.fetch_timer <- None;
+    log.fetch_backoff <- 0;
+    clear_offers log.rcv
+  end
+
+let rec fetch_tick h =
+  let log = h.log in
+  if fetching log.rcv then begin
+    clear_offers log.rcv;
+    h.multicast (h.sign (Message.State_request { have = log.delivered }));
+    let delay = Timing.retry_delay h.timing (h.retry_base ()) ~level:log.fetch_backoff in
+    log.fetch_backoff <- log.fetch_backoff + 1;
+    log.fetch_timer <- Some (log.ctx.Context.set_timer ~delay (fun () -> fetch_tick h))
+  end
+
+let request_recovery h =
+  let log = h.log in
+  if not (fetching log.rcv) then begin
+    begin_fetch log.rcv ~have:log.delivered;
+    log.ctx.Context.emit (Context.State_transfer_started { have = log.delivered });
+    span_open log Context.Recovery_phase log.delivered;
+    fetch_tick h
+  end
+
+let handle_state_response h ~src ~cert ~image ~entries =
+  let log = h.log in
+  if fetching log.rcv then begin
+    if not (offer_ok h ~cert ~image) then
+      log.ctx.Context.emit (Context.State_transfer_rejected { from = src })
+    else begin
+      add_offer log.rcv { st_from = src; st_cert = cert; st_image = image; st_entries = entries };
+      install_from_offers h ~entry_quorum:h.entry_quorum;
+      maybe_end_fetch log
+    end
+  end

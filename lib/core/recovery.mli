@@ -145,3 +145,121 @@ val fetching : state -> bool
 val fetch_anchor : state -> int
 val begin_fetch : state -> have:int -> unit
 val end_fetch : state -> unit
+
+(** {1 The shared delivery log and state-transfer driver}
+
+    Every protocol core embeds one {!log}: its order slots, request pool,
+    delivery point and fetch timer.  What the four trust models disagree on
+    comes from a {!hooks} record each core builds once in its [create];
+    everything else — delivery in sequence, truncation, serving and
+    installing state transfer, local WAL replay, the fetch retry loop — is
+    written once here. *)
+
+type 'slot log = {
+  ctx : Context.t;
+  rcv : state;
+  f : int;
+  digest : Sof_crypto.Digest_alg.t;
+  interval : int;  (** Checkpoint interval; 0 disables checkpointing. *)
+  orders : (int, 'slot) Hashtbl.t;  (** The protocol's order slots by sequence. *)
+  mutable delivered : int;  (** Highest sequence number handed to the service. *)
+  mutable max_committed : int;
+  mutable next_seq : int;  (** Next sequence number this process would mint. *)
+  mutable pending : Sof_smr.Request.t Sof_smr.Request.Key_map.t;
+      (** Request bodies known but not yet delivered. *)
+  mutable arrival : Sof_sim.Simtime.t Sof_smr.Request.Key_map.t;
+  mutable ordered_keys : Sof_smr.Request.Key_set.t;
+  mutable delivered_keys : Sof_smr.Request.Key_set.t;
+  mutable executed : Sof_smr.Request.t Sof_smr.Request.Key_map.t;
+      (** Delivered request bodies, kept (SC/SCR only) so a pair's shadow can
+          still verify a digest over re-proposed requests. *)
+  mutable recent_delivered : (int * Sof_smr.Request.t list) list;
+      (** Delivered batches retained for serving state transfer, newest
+          first; pruned one interval behind the stable checkpoint.  Only
+          maintained when checkpointing is on. *)
+  mutable fetch_timer : Context.timer option;
+  mutable fetch_backoff : int;  (** Doublings applied to fetch retries. *)
+}
+
+val create_log :
+  ctx:Context.t -> f:int -> digest:Sof_crypto.Digest_alg.t -> interval:int -> 'slot log
+
+type 'slot hooks = {
+  log : 'slot log;
+  timing : Timing.t;
+  scheme : scheme;  (** How this protocol certifies checkpoints. *)
+  entry_quorum : int;
+      (** Matching claims a transferred entry needs: f+1 under Byzantine
+          faults, 1 under CT's crash faults. *)
+  fault : Fault.t;  (** This process as a state-transfer responder. *)
+  retry_base : unit -> Sof_sim.Simtime.t;  (** Fetch retry delay before backoff. *)
+  committed_keys : 'slot -> Sof_smr.Request.key list option;
+      (** The request keys a committed slot orders ([Some []] for a null
+          order); [None] while it is uncommitted. *)
+  keep_executed : bool;  (** Fill [log.executed] on delivery. *)
+  settle_fresh_only : bool;
+      (** On delivery, retire only the fresh keys from the pool (CT), rather
+          than every key the order names. *)
+  boundary : int -> unit;  (** Checkpoint work at a delivered boundary. *)
+  tail_entry : int -> 'slot -> Checkpoint.entry option;
+      (** Export a committed-but-undelivered slot for state transfer. *)
+  admit : Checkpoint.entry -> bool;
+      (** Enter a transferred entry into its slot as committed; [false] when
+          the slot had already committed. *)
+  sign : Message.body -> Message.envelope;
+      (** Wrap an outgoing body: signed, or unsigned under CT. *)
+  send : dst:int -> Message.envelope -> unit;
+  multicast : Message.envelope -> unit;  (** To every other process. *)
+}
+
+val truncate : 'slot log -> int -> unit
+(** Drop order slots at or below the given sequence number and the
+    delivered-key bookkeeping one interval behind it; emits
+    [Log_truncated]. *)
+
+val boundary_image : 'slot log -> int -> string
+(** At a delivered checkpoint boundary: snapshot the service with the
+    client marks, charge and digest the image, remember it, open the
+    checkpoint span.  Returns the image digest. *)
+
+val adopt : 'slot log -> Checkpoint.cert -> image:string -> unit
+(** Make a verified certificate over our own matching image stable: emit
+    [Checkpoint_stable], close the checkpoint span, truncate.  No-op unless
+    it is newer than the current stable checkpoint. *)
+
+val stabilize : 'slot log -> quorum:int -> seq:int -> digest:string -> unit
+(** Quorum-tallied schemes (BFT, CT): once [quorum] votes match our own
+    boundary image, adopt the tally as the certificate. *)
+
+val advance : 'slot hooks -> unit
+(** Deliver committed slots in strict sequence order, at most once per
+    request, while their request bodies are all pooled. *)
+
+val batch_entry : 'slot log -> o:int -> Sof_smr.Request.key list -> Checkpoint.entry option
+(** The transfer entry for sequence [o] ordering these keys, digest
+    recomputed (and charged) over the pooled bodies; [None] while a body is
+    missing. *)
+
+val serve_state_request : 'slot hooks -> src:int -> have:int -> unit
+(** Answer a [State_request]: the stable checkpoint when [src] is behind
+    it, then every retained or committed entry above that — as corrupted by
+    [hooks.fault] when the responder is Byzantine. *)
+
+val recover_local :
+  'slot hooks -> cert:Checkpoint.cert option -> image:string -> entries:Checkpoint.entry list ->
+  bool
+(** Local-first recovery: install the persisted checkpoint and WAL suffix
+    as a synthetic self-offer, verified exactly like a peer's (entry quorum
+    1: the replica vouches only for its own log).  Returns whether delivery
+    advanced. *)
+
+val request_recovery : 'slot hooks -> unit
+(** Begin a fetch (idempotent while one is in flight): multicast a
+    [State_request] and retry on the backed-off retry delay until offers
+    from f+1 responders have been caught up to. *)
+
+val handle_state_response :
+  'slot hooks -> src:int -> cert:Checkpoint.cert option -> image:string ->
+  entries:Checkpoint.entry list -> unit
+(** Verify an offer during a fetch, install what the collected offers
+    certify, and end the fetch once caught up. *)
