@@ -235,6 +235,10 @@ val advance : 'slot hooks -> unit
 (** Deliver committed slots in strict sequence order, at most once per
     request, while their request bodies are all pooled. *)
 
+val flip_first_byte : string -> string
+(** The tampering every Byzantine fault injector applies to a digest or
+    image: the first byte inverted. *)
+
 val batch_entry : 'slot log -> o:int -> Sof_smr.Request.key list -> Checkpoint.entry option
 (** The transfer entry for sequence [o] ordering these keys, digest
     recomputed (and charged) over the pooled bodies; [None] while a body is
