@@ -46,7 +46,7 @@ type 'x hooks = {
   settled : 'x t -> bool;  (** No install or view change in progress. *)
   up : 'x t -> bool;
       (** This process's pair is collaborating (SC [pair_active], SCR
-          [status = Up]); always false for an unpaired process. *)
+          [status = Up]).  Consulted only for a paired process. *)
   am_primary : 'x t -> bool;  (** Acting coordinator primary. *)
   am_shadow : 'x t -> bool;  (** Acting coordinator shadow. *)
   transmit : 'x t -> bool;  (** May send at all (SC's dumbed pairs may not). *)

@@ -1,11 +1,13 @@
-(** Checkpoint certification and state-transfer bookkeeping.
+(** Checkpoint certification, the delivery log and the state-transfer
+    driver shared by all four protocol cores.
 
-    The protocol-independent half of checkpoint/recovery: how certificates
-    are verified under each protocol's trust model, how checkpoint votes are
-    tallied into proofs, and how a recovering replica picks what to install
-    from the (possibly partly Byzantine) state-transfer offers it collected.
-    The protocol modules own the other half — when to snapshot, who proposes
-    or endorses a checkpoint, how transferred entries enter the order log.
+    The protocol-independent part of ordering and recovery: how
+    certificates are verified under each protocol's trust model, how
+    checkpoint votes are tallied into proofs, how committed slots are
+    delivered in sequence, and how a recovering replica fetches, checks and
+    installs what the (possibly partly Byzantine) responders offer.  The
+    protocol modules keep the rest — who proposes or endorses a checkpoint,
+    what an order slot holds — and pass it in as {!hooks}.
 
     Trust models:
     - BFT certifies with 2f+1 signatures ({!Quorum_signed}) — at least f+1

@@ -1,7 +1,5 @@
-module Simtime = Sof_sim.Simtime
 module Request = Sof_smr.Request
 module Key_map = Request.Key_map
-module Key_set = Request.Key_set
 
 type status = Up | Down | Permanently_down
 
