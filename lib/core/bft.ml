@@ -114,7 +114,7 @@ let can_transmit t = not (Fault.is_mute t.fault ~now:(t.ctx.Context.now ()))
 
 let multicast t ~dsts env = if can_transmit t then t.ctx.Context.multicast ~dsts env
 
-(* ------------------------------------------------------ Timing.adaptive t.timingiming *)
+(* ------------------------------------------------------ adaptive timing *)
 
 module Estimator = Sof_net.Delay_estimator
 
@@ -528,7 +528,8 @@ let on_message t ~src (env : Message.envelope) =
          transfer rather than waiting for retransmissions. *)
       if seq > t.log.delivered + t.config.checkpoint_interval then Recovery.request_recovery t.hooks
     end
-  | Message.State_request { have } -> if authentic t env then Recovery.serve_state_request t.hooks ~src ~have
+  | Message.State_request { have } ->
+    if authentic t env then Recovery.serve_state_request t.hooks ~src ~have
   | Message.State_response { cert; image; entries } ->
     if authentic t env then Recovery.handle_state_response t.hooks ~src ~cert ~image ~entries
   | Message.Probe { nonce; at } ->

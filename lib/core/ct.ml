@@ -80,14 +80,15 @@ let max_committed t = t.log.max_committed
 let delivered_seq t = t.log.delivered
 let quorum t = t.config.f + 1
 let i_am_coordinator t = Int.equal (id t) (coordinator t)
-
-(* ------------------------------------------------------ Timing.adaptive t.timingiming *)
-
-module Estimator = Sof_net.Delay_estimator
+let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
 
 (* CT runs under the crash-only model with no cryptography: every envelope
    goes out unsigned. *)
 let unsigned t body = { Message.sender = id t; body; signature = ""; endorsement = None }
+
+(* ------------------------------------------------------ adaptive timing *)
+
+module Estimator = Sof_net.Delay_estimator
 
 (* The measured stand-in for the static suspicion timeout: the Jacobson
    deadline of the round-trip to the current coordinator.  Widening guards
@@ -170,8 +171,6 @@ let get_candidate st digest =
 (* Crash-only trust model: a checkpoint claim needs no signature, and f+1
    distinct claimants for the same (seq, digest) always include a correct
    process — the Quorum_counted scheme. *)
-
-let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
 
 let log_length t = Hashtbl.length t.log.orders
 
@@ -323,7 +322,9 @@ and batch_tick t =
         t.ctx.Context.emit
           (Context.Batched
              { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-        List.iter (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys) info.Message.keys;
+        List.iter
+          (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys)
+          info.Message.keys;
         let body = Message.Order { c = t.epoch; info } in
         t.ctx.Context.multicast ~dsts:(others t) (unsigned t body);
         accept_order t ~sender:(id t) ~info

@@ -335,7 +335,8 @@ let boundary_image log o =
 let adopt log (cert : Checkpoint.cert) ~image =
   if note_stable log.rcv ~cert ~image then begin
     log.ctx.Context.emit
-      (Context.Checkpoint_stable { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
+      (Context.Checkpoint_stable
+         { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
     span_close log Context.Checkpoint_phase cert.Checkpoint.cp_seq;
     truncate log cert.Checkpoint.cp_seq
   end
@@ -597,7 +598,9 @@ let fetch_target log =
       let acc =
         match off.st_cert with Some c -> max acc c.Checkpoint.cp_seq | None -> acc
       in
-      List.fold_left (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o) acc off.st_entries)
+      List.fold_left
+        (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o)
+        acc off.st_entries)
     0 (offers log.rcv)
 
 (* The fetch ends once we have caught up to everything offered — but only

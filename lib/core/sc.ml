@@ -185,11 +185,6 @@ and store_backlog (t : t) ~src rec_ =
     maybe_send_start t
   end
 
-and backlog_reports (t : t) =
-  match Hashtbl.find_opt t.x.backlogs_by_c t.x.coord with
-  | Some cell -> List.map snd !cell
-  | None -> []
-
 (* IN2 at the new coordinator primary: compute NewBackLog and Start. *)
 and maybe_send_start (t : t) =
   let am_new_primary =
@@ -220,7 +215,11 @@ and maybe_send_start (t : t) =
    backlogs received directly (the paper's p'c verification), endorse and
    multicast. *)
 and handle_start_proposal (t : t) (env : Message.envelope) ~start_o ~anchor ~new_back_log =
-  let reports = List.map (fun b -> b.bl_uncommitted) (backlog_reports t) in
+  let reports =
+    match Hashtbl.find_opt t.x.backlogs_by_c t.x.coord with
+    | Some cell -> List.map (fun (_, b) -> b.bl_uncommitted) !cell
+    | None -> []
+  in
   if Pair.plausible t ~start_o ~anchor ~new_back_log ~reports then begin
     let endorsed = Pair.endorse t env in
     Pair.multicast t ~dsts:(Pair.others t) endorsed;
