@@ -144,7 +144,6 @@ val pair_estimate : 'x t -> Sof_sim.Simtime.t
 
 (** {1 The order log} *)
 
-val get_order : 'x t -> int -> slot
 val span_open : 'x t -> Context.phase -> int -> unit
 val span_close : 'x t -> Context.phase -> int -> unit
 val send_ack : 'x t -> slot -> unit
@@ -156,8 +155,6 @@ val emit_fail_signal : 'x t -> value_domain:bool -> unit
 (** Double-sign and broadcast the counterpart's pre-signed fail-signal, at
     most once while the pair is up, then call [hooks.pair_failed].  A
     [Withhold_fail_signal] saboteur never does. *)
-
-val arm_batch_timer : 'x t -> unit
 
 val arm_heartbeat : 'x t -> (int -> int -> unit) -> unit
 (** Arm the next heartbeat round, [tick rank counterpart], for a paired

@@ -214,11 +214,6 @@ type 'slot hooks = {
   multicast : Message.envelope -> unit;  (** To every other process. *)
 }
 
-val truncate : 'slot log -> int -> unit
-(** Drop order slots at or below the given sequence number and the
-    delivered-key bookkeeping one interval behind it; emits
-    [Log_truncated]. *)
-
 val boundary_image : 'slot log -> int -> string
 (** At a delivered checkpoint boundary: snapshot the service with the
     client marks, charge and digest the image, remember it, open the
