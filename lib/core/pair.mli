@@ -124,6 +124,9 @@ val create :
 
 (** {1 Signing and sending} *)
 
+val cancel : Context.timer option -> unit
+(** Cancel a timer slot's timer, if armed. *)
+
 val id : 'x t -> int
 val others : 'x t -> int list
 val send : 'x t -> dst:int -> Message.envelope -> unit

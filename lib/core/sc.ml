@@ -117,9 +117,9 @@ and begin_install (t : t) =
   t.x.have_tuples <- false;
   t.x.sent_tuples <- false;
   t.x.start_sent <- false;
-  (match t.watch_timer with Some h -> h.Context.cancel () | None -> ());
+  Pair.cancel t.watch_timer;
   t.watch_timer <- None;
-  (match t.batch_timer with Some h -> h.Context.cancel () | None -> ());
+  Pair.cancel t.batch_timer;
   t.batch_timer <- None;
   (* Messages stashed for this epoch (e.g. backlogs that raced ahead of the
      fail-signal) become processable now. *)
@@ -496,7 +496,7 @@ let hooks =
     down =
       (fun t ~value_domain:_ ->
         t.x.pair_active <- false;
-        (match t.heartbeat_timer with Some h -> h.Context.cancel () | None -> ());
+        Pair.cancel t.heartbeat_timer;
         t.heartbeat_timer <- None);
     pair_failed = note_pair_failed;
   }

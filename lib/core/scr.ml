@@ -89,11 +89,11 @@ and propose_view_change (t : t) v =
     t.x.changing_view <- true;
     t.x.target_view <- v;
     t.x.new_view_sent <- false;
-    (match t.batch_timer with Some h -> h.Context.cancel () | None -> ());
+    Pair.cancel t.batch_timer;
     t.batch_timer <- None;
-    (match t.watch_timer with Some h -> h.Context.cancel () | None -> ());
+    Pair.cancel t.watch_timer;
     t.watch_timer <- None;
-    (match t.x.nv_watch with Some h -> h.Context.cancel () | None -> ());
+    Pair.cancel t.x.nv_watch;
     t.x.nv_watch <- None;
     let uncommitted =
       Hashtbl.fold
@@ -213,7 +213,7 @@ and install_view (t : t) (env : Message.envelope) ~v ~start_o ~anchor ~new_back_
     t.x.view <- v;
     t.x.changing_view <- false;
     t.x.target_view <- v;
-    (match t.x.nv_watch with Some h -> h.Context.cancel () | None -> ());
+    Pair.cancel t.x.nv_watch;
     t.x.nv_watch <- None;
     let rank = candidate_of_view t v in
     let st =
