@@ -786,7 +786,8 @@ let check_cmd =
         | None -> Ok ()
         | Some n ->
           let expected =
-            C.Model.process_count spec.C.Model.protocol ~f:spec.C.Model.f
+            Sof_protocol.Replica.process_count
+              (C.Model.cluster_kind spec.C.Model.protocol) ~f:spec.C.Model.f
           in
           if n = expected then Ok ()
           else

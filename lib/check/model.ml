@@ -25,19 +25,6 @@ let cluster_kind = function
   | Bft -> Sof_harness.Cluster.Bft_protocol
   | Ct -> Sof_harness.Cluster.Ct_protocol
 
-let process_count protocol ~f =
-  match protocol with
-  | Sc -> (3 * f) + 1
-  | Scr -> (3 * f) + 2
-  | Bft -> (3 * f) + 1
-  | Ct -> (2 * f) + 1
-
-let replica_count protocol ~f =
-  match protocol with
-  | Sc | Scr -> (2 * f) + 1
-  | Bft -> (3 * f) + 1
-  | Ct -> (2 * f) + 1
-
 type spec = {
   protocol : protocol;
   f : int;
@@ -94,7 +81,7 @@ let validate spec =
   else Ok ()
 
 let describe spec =
-  let n = process_count spec.protocol ~f:spec.f in
+  let n = P.Replica.process_count (cluster_kind spec.protocol) ~f:spec.f in
   Printf.sprintf "%s n=%d f=%d batches=%d crashes<=%d%s%s%s%s"
     (protocol_name spec.protocol)
     n spec.f spec.batches spec.crash_budget

@@ -17,13 +17,6 @@ val cluster_kind : protocol -> Sof_harness.Cluster.kind
     {!Sof_harness.Invariants.fail_signal_soundness_of} keys its pair
     arithmetic on. *)
 
-val process_count : protocol -> f:int -> int
-(** Total processes: SC [3f+1] (2f+1 replicas + f shadows), SCR [3f+2],
-    BFT [3f+1], CT [2f+1]. *)
-
-val replica_count : protocol -> f:int -> int
-(** Processes that deliver (SC/SCR shadows excluded until installed). *)
-
 type spec = {
   protocol : protocol;
   f : int;  (** Fault-tolerance parameter; keep at 1 for exhaustion. *)

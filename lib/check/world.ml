@@ -7,8 +7,7 @@ module Kv_store = Sof_smr.Kv_store
 module Rng = Sof_util.Rng
 module P = Sof_protocol
 module Invariants = Sof_harness.Invariants
-
-type proc = Sc of P.Sc.t | Scr of P.Scr.t | Bft of P.Bft.t | Ct of P.Ct.t
+module Replica = P.Replica
 
 type message = { msg_id : int; src : int; dst : int; payload : string }
 
@@ -26,7 +25,7 @@ type t = {
   n : int;
   keyring : Keyring.t;
   machines : State_machine.t array;
-  mutable procs : proc array;
+  mutable procs : Replica.t array;
   mutable clock : Simtime.t;
   mutable pending : message list;  (* newest first; ids allocate in order *)
   mutable timers : timer_rec list;  (* newest first; fired records removed *)
@@ -60,17 +59,10 @@ let crashed_list w =
    a byte-identical Order while acks are outstanding, which would otherwise
    grow the pending pool without bound.  Duplicate-delivery robustness under
    a genuinely duplicating network belongs to the Nemesis wire adversary. *)
-let dispatch w i ~src env =
-  match w.procs.(i) with
-  | Sc p -> P.Sc.on_message p ~src env
-  | Scr p -> P.Scr.on_message p ~src env
-  | Bft p -> P.Bft.on_message p ~src env
-  | Ct p -> P.Ct.on_message p ~src env
-
 let hand_over w ~src ~dst payload =
   w.delivered_log.(dst) <- (src, payload) :: w.delivered_log.(dst);
   match P.Message.decode payload with
-  | env -> dispatch w dst ~src env
+  | env -> Replica.on_message w.procs.(dst) ~src env
   | exception Sof_util.Codec.Reader.Truncated -> ()
 
 (* A process's message to itself is not network nondeterminism: no real
@@ -146,20 +138,6 @@ let make_context w i =
     restore = (fun image -> State_machine.restore w.machines.(i) image);
   }
 
-(* The trusted dealer's presigned fail-signal, exactly as Cluster builds
-   it: each pair member holds a Fail_signal body signed by its counterpart
-   (paper Section 3.2). *)
-let counterpart_presig keyring ~config ~for_process =
-  match
-    ( P.Config.pair_rank_of config for_process,
-      P.Config.counterpart config for_process )
-  with
-  | Some rank, Some counterpart ->
-    Some
-      (Keyring.sign keyring ~signer:counterpart
-         (P.Message.encode_body (P.Message.Fail_signal { pair = rank })))
-  | _ -> None
-
 let fault_for spec i =
   match Model.faulty_process spec with
   | Some (j, fault) when Int.equal i j -> fault
@@ -172,10 +150,9 @@ let request_for_batch b =
          (Kv_store.Put ("k" ^ string_of_int b, "v" ^ string_of_int b)))
 
 let build spec =
-  let n = Model.process_count spec.Model.protocol ~f:spec.Model.f in
-  let scheme =
-    match spec.Model.protocol with Model.Ct -> Scheme.null | _ -> Scheme.mock
-  in
+  let kind = Model.cluster_kind spec.Model.protocol in
+  let n = Replica.process_count kind ~f:spec.Model.f in
+  let scheme = Replica.scheme kind Scheme.mock in
   let key_rng = Rng.substream (Rng.create spec.Model.seed) "check-keys" in
   let keyring = Keyring.create ~scheme ~rng:key_rng ~node_count:n () in
   let requests = List.init spec.Model.batches (fun b -> request_for_batch (b + 1)) in
@@ -205,62 +182,18 @@ let build spec =
   in
   (* Batches are sized to exactly one request, so [spec.Model.batches] requests
      become [spec.Model.batches] orders — the unit the model counts in. *)
-  let make_proc =
-    match spec.Model.protocol with
-    | Model.Sc | Model.Scr ->
-      let variant =
-        if spec.Model.protocol = Model.Sc then P.Config.SC else P.Config.SCR
-      in
-      let config =
-        P.Config.make ~variant ~batch_size_limit:1
-          ~checkpoint_interval:spec.Model.checkpoint_interval ~f:spec.Model.f ()
-      in
-      fun i ->
-        let ctx = make_context w i in
-        let fault = fault_for spec i in
-        let counterpart_fail_signal =
-          counterpart_presig keyring ~config ~for_process:i
-        in
-        if spec.Model.protocol = Model.Sc then
-          Sc (P.Sc.create ~ctx ~config ~fault ?counterpart_fail_signal ())
-        else Scr (P.Scr.create ~ctx ~config ~fault ?counterpart_fail_signal ())
-    | Model.Bft ->
-      let config =
-        P.Bft.make_config ~batch_size_limit:1
-          ~checkpoint_interval:spec.Model.checkpoint_interval
-          ~unsafe_digest_blind_votes:spec.Model.digest_blind ~f:spec.Model.f ()
-      in
-      fun i ->
-        let ctx = make_context w i in
-        Bft (P.Bft.create ~ctx ~config ~fault:(fault_for spec i) ())
-    | Model.Ct ->
-      let config =
-        P.Ct.make_config ~batch_size_limit:1
-          ~checkpoint_interval:spec.Model.checkpoint_interval ~f:spec.Model.f ()
-      in
-      fun i ->
-        let ctx = make_context w i in
-        Ct (P.Ct.create ~ctx ~config)
+  let config =
+    Replica.make_config ~kind ~batch_size_limit:1
+      ~checkpoint_interval:spec.Model.checkpoint_interval
+      ~unsafe_digest_blind_votes:spec.Model.digest_blind ~f:spec.Model.f ()
   in
-  w.procs <- Array.init n make_proc;
-  Array.iter
-    (function
-      | Sc p -> P.Sc.start p
-      | Scr p -> P.Scr.start p
-      | Bft p -> P.Bft.start p
-      | Ct p -> P.Ct.start p)
-    w.procs;
+  w.procs <-
+    Array.init n (fun i ->
+        let ctx = make_context w i in
+        Replica.create ~ctx ~config ~keyring ~fault:(fault_for spec i) ());
+  Array.iter Replica.start w.procs;
   (* Clients broadcast: every process sees every request at time zero. *)
-  List.iter
-    (fun r ->
-      Array.iter
-        (function
-          | Sc p -> P.Sc.on_request p r
-          | Scr p -> P.Scr.on_request p r
-          | Bft p -> P.Bft.on_request p r
-          | Ct p -> P.Ct.on_request p r)
-        w.procs)
-    requests;
+  List.iter (fun r -> Array.iter (fun p -> Replica.on_request p r) w.procs) requests;
   w
 
 (* Timer scheduling: only the globally earliest-due eligible timer may
@@ -477,7 +410,7 @@ let fingerprint w =
     (fun i proc ->
       Fingerprint.add_bool acc w.crashed.(i);
       (match proc with
-      | Sc p ->
+      | Replica.Sc p ->
         Fingerprint.add_int acc 1;
         Fingerprint.add_int acc (P.Sc.coordinator_rank p);
         Fingerprint.add_int acc (P.Sc.max_committed p);
@@ -485,15 +418,8 @@ let fingerprint w =
         Fingerprint.add_bool acc (P.Sc.is_installing p);
         Fingerprint.add_bool acc (P.Sc.has_fail_signalled p);
         Fingerprint.add_bool acc (P.Sc.is_dumb p);
-        Fingerprint.add_int acc (P.Sc.pending_requests p);
-        Fingerprint.add_int acc (P.Sc.log_length p);
-        Fingerprint.add_int acc (P.Sc.stable_checkpoint_seq p);
-        List.iter
-          (fun (c, s) ->
-            Fingerprint.add_int acc c;
-            Fingerprint.add_int acc s)
-          (P.Sc.client_marks p)
-      | Scr p ->
+        Fingerprint.add_int acc (P.Sc.pending_requests p)
+      | Replica.Scr p ->
         Fingerprint.add_int acc 2;
         Fingerprint.add_int acc (P.Scr.view p);
         Fingerprint.add_int acc (P.Scr.coordinator_rank p);
@@ -504,38 +430,24 @@ let fingerprint w =
           | P.Scr.Permanently_down -> 2);
         Fingerprint.add_bool acc (P.Scr.changing_view p);
         Fingerprint.add_int acc (P.Scr.max_committed p);
-        Fingerprint.add_int acc (P.Scr.delivered_seq p);
-        Fingerprint.add_int acc (P.Scr.log_length p);
-        Fingerprint.add_int acc (P.Scr.stable_checkpoint_seq p);
-        List.iter
-          (fun (c, s) ->
-            Fingerprint.add_int acc c;
-            Fingerprint.add_int acc s)
-          (P.Scr.client_marks p)
-      | Bft p ->
+        Fingerprint.add_int acc (P.Scr.delivered_seq p)
+      | Replica.Bft p ->
         Fingerprint.add_int acc 3;
         Fingerprint.add_int acc (P.Bft.view p);
         Fingerprint.add_int acc (P.Bft.max_committed p);
-        Fingerprint.add_int acc (P.Bft.delivered_seq p);
-        Fingerprint.add_int acc (P.Bft.log_length p);
-        Fingerprint.add_int acc (P.Bft.stable_checkpoint_seq p);
-        List.iter
-          (fun (c, s) ->
-            Fingerprint.add_int acc c;
-            Fingerprint.add_int acc s)
-          (P.Bft.client_marks p)
-      | Ct p ->
+        Fingerprint.add_int acc (P.Bft.delivered_seq p)
+      | Replica.Ct p ->
         Fingerprint.add_int acc 4;
         Fingerprint.add_int acc (P.Ct.coordinator p);
         Fingerprint.add_int acc (P.Ct.max_committed p);
-        Fingerprint.add_int acc (P.Ct.delivered_seq p);
-        Fingerprint.add_int acc (P.Ct.log_length p);
-        Fingerprint.add_int acc (P.Ct.stable_checkpoint_seq p);
-        List.iter
-          (fun (c, s) ->
-            Fingerprint.add_int acc c;
-            Fingerprint.add_int acc s)
-          (P.Ct.client_marks p));
+        Fingerprint.add_int acc (P.Ct.delivered_seq p));
+      Fingerprint.add_int acc (Replica.log_length proc);
+      Fingerprint.add_int acc (Replica.stable_checkpoint_seq proc);
+      List.iter
+        (fun (c, s) ->
+          Fingerprint.add_int acc c;
+          Fingerprint.add_int acc s)
+        (Replica.client_marks proc);
       Fingerprint.add_string acc (State_machine.state_digest w.machines.(i));
       (* The process's full input multiset, sorted: together with the
          introspection fields this pins the hidden protocol state —

@@ -11,9 +11,9 @@ module P = Sof_protocol
 module Sim_disk = Sof_storage.Sim_disk
 module Wal = Sof_storage.Wal
 module Fault_atlas = Sof_storage.Fault_atlas
-module Codec = Sof_util.Codec
+module Replica = Sof_protocol.Replica
 
-type kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
+type kind = Replica.kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
 
 type spec = {
   kind : kind;
@@ -91,7 +91,7 @@ let default_spec ~kind ~f =
 let disk_sector_size = 256
 let disk_sector_count = 8192
 
-type proc = Sc of P.Sc.t | Scr of P.Scr.t | Bft of P.Bft.t | Ct of P.Ct.t
+type proc = Replica.t = Sc of P.Sc.t | Scr of P.Scr.t | Bft of P.Bft.t | Ct of P.Ct.t
 
 (* Per-node accounting for the tracing layer: crypto operations charged
    through the context, and sends grouped by wire tag.  Mutated from the
@@ -137,26 +137,16 @@ type t = {
   chan : Channel.t option;
   adversary : Adversary.t option;
   keyring : Keyring.t;
+  config : Replica.config;
+      (* shared by every process; [restart] rebuilds a crashed node's
+         process from it with empty volatile state *)
   nodes : node array;
   mutable event_log : (Simtime.t * int * P.Context.event) list;
   replies : (Request.key, (int * string) list ref) Hashtbl.t;
-  mutable rebuild : (int -> proc) option;
-      (* per-node protocol-process factory, filled in by [build]; used by
-         [restart] to bring a crashed node back with empty volatile state *)
-  mutable wal_digest : Sof_crypto.Digest_alg.t;
-      (* digest algorithm for write-ahead-log entry digests; must match the
-         protocol config's so replayed entries pass [entry_ok] *)
   mutable wal_prior : Wal.stats;
       (* stats absorbed from write-ahead logs superseded by restarts *)
   mutable wal_replayed : int;  (* entries recovered by local replay *)
 }
-
-let process_count_of_spec spec =
-  match spec.kind with
-  | Sc_protocol -> (3 * spec.f) + 1
-  | Scr_protocol -> (3 * spec.f) + 2
-  | Bft_protocol -> (3 * spec.f) + 1
-  | Ct_protocol -> (2 * spec.f) + 1
 
 let process_count t = Array.length t.nodes
 let engine t = t.engine
@@ -238,99 +228,14 @@ let crash t i =
     | Some sd -> Sim_disk.crash sd
     | None -> ()
 
-let start_proc = function
-  | Sc p -> P.Sc.start p
-  | Scr p -> P.Scr.start p
-  | Bft p -> P.Bft.start p
-  | Ct p -> P.Ct.start p
+let with_proc t i ~none f =
+  match t.nodes.(i).node_proc with Some p -> f p | None -> none
 
-let request_recovery t i =
-  match t.nodes.(i).node_proc with
-  | Some (Sc p) -> P.Sc.request_recovery p
-  | Some (Scr p) -> P.Scr.request_recovery p
-  | Some (Bft p) -> P.Bft.request_recovery p
-  | Some (Ct p) -> P.Ct.request_recovery p
-  | None -> ()
-
-let log_length t i =
-  match t.nodes.(i).node_proc with
-  | Some (Sc p) -> P.Sc.log_length p
-  | Some (Scr p) -> P.Scr.log_length p
-  | Some (Bft p) -> P.Bft.log_length p
-  | Some (Ct p) -> P.Ct.log_length p
-  | None -> 0
-
-let stable_checkpoint_seq t i =
-  match t.nodes.(i).node_proc with
-  | Some (Sc p) -> P.Sc.stable_checkpoint_seq p
-  | Some (Scr p) -> P.Scr.stable_checkpoint_seq p
-  | Some (Bft p) -> P.Bft.stable_checkpoint_seq p
-  | Some (Ct p) -> P.Ct.stable_checkpoint_seq p
-  | None -> 0
-
-let delivered_seq t i =
-  match t.nodes.(i).node_proc with
-  | Some (Sc p) -> P.Sc.delivered_seq p
-  | Some (Scr p) -> P.Scr.delivered_seq p
-  | Some (Bft p) -> P.Bft.delivered_seq p
-  | Some (Ct p) -> P.Ct.delivered_seq p
-  | None -> 0
-
-let client_marks t i =
-  match t.nodes.(i).node_proc with
-  | Some (Sc p) -> P.Sc.client_marks p
-  | Some (Scr p) -> P.Scr.client_marks p
-  | Some (Bft p) -> P.Bft.client_marks p
-  | Some (Ct p) -> P.Ct.client_marks p
-  | None -> []
-
-let latest_stable_of = function
-  | Sc p -> P.Sc.latest_stable p
-  | Scr p -> P.Scr.latest_stable p
-  | Bft p -> P.Bft.latest_stable p
-  | Ct p -> P.Ct.latest_stable p
-
-let recover_local_proc p ~cert ~image ~entries =
-  match p with
-  | Sc q -> P.Sc.recover_local q ~cert ~image ~entries
-  | Scr q -> P.Scr.recover_local q ~cert ~image ~entries
-  | Bft q -> P.Bft.recover_local q ~cert ~image ~entries
-  | Ct q -> P.Ct.recover_local q ~cert ~image ~entries
-
-(* Write-ahead-log frame payloads.  Decoders treat the bytes as hostile —
-   a torn or corrupt frame that slipped past the crc must come back as
-   [None], never as an exception. *)
-let encode_checkpoint_payload cert image =
-  let w = Codec.Writer.create () in
-  P.Checkpoint.write_cert w cert;
-  Codec.Writer.string w image;
-  Codec.Writer.contents w
-
-let decode_checkpoint_payload s =
-  match
-    let r = Codec.Reader.of_string s in
-    let cert = P.Checkpoint.read_cert r in
-    let image = Codec.Reader.string r in
-    Codec.Reader.expect_end r;
-    (cert, image)
-  with
-  | v -> Some v
-  | exception Codec.Reader.Truncated -> None
-
-let encode_entry_payload e =
-  let w = Codec.Writer.create () in
-  P.Checkpoint.write_entry w e;
-  Codec.Writer.contents w
-
-let decode_entry_payload s =
-  match
-    let r = Codec.Reader.of_string s in
-    let e = P.Checkpoint.read_entry r in
-    Codec.Reader.expect_end r;
-    e
-  with
-  | e -> Some e
-  | exception Codec.Reader.Truncated -> None
+let request_recovery t i = with_proc t i ~none:() Replica.request_recovery
+let log_length t i = with_proc t i ~none:0 Replica.log_length
+let stable_checkpoint_seq t i = with_proc t i ~none:0 Replica.stable_checkpoint_seq
+let delivered_seq t i = with_proc t i ~none:0 Replica.delivered_seq
+let client_marks t i = with_proc t i ~none:[] Replica.client_marks
 
 (* Gray storage failure: every slow-sector operation the disk noted since
    the last interaction becomes a CPU stall — the write completed, the
@@ -358,16 +263,13 @@ let charge_disk_write t i ~size =
    certificate and image as the head of a fresh write-ahead-log epoch. *)
 let persist_checkpoint t i =
   let node = t.nodes.(i) in
-  match node.node_wal with
-  | None -> ()
-  | Some wal -> begin
-    match Option.bind node.node_proc latest_stable_of with
+  match (node.node_wal, node.node_proc) with
+  | Some wal, Some p -> begin
+    match Replica.persist_checkpoint p wal with
+    | Some size -> charge_disk_write t i ~size
     | None -> ()
-    | Some (cert, image) ->
-      let payload = encode_checkpoint_payload cert image in
-      Wal.write_checkpoint wal payload;
-      charge_disk_write t i ~size:(String.length payload)
   end
+  | _ -> ()
 
 let absorb_wal_stats t wal =
   let s = Wal.stats wal and p = t.wal_prior in
@@ -378,75 +280,6 @@ let absorb_wal_stats t wal =
       w_checkpoints = p.Wal.w_checkpoints + s.Wal.w_checkpoints;
       w_dropped = p.Wal.w_dropped + s.Wal.w_dropped;
     }
-
-(* Crash-restart: the node comes back with a fresh protocol process and a
-   fresh (empty) state machine — everything volatile is lost — and
-   immediately asks its peers for a state transfer.  The generation bump
-   silences the superseded process's pending timers; the transport handler
-   and request injection read [node_proc] at event time, so all new traffic
-   reaches the replacement. *)
-let restart t i =
-  if Network.is_crashed t.net i then begin
-    let node = t.nodes.(i) in
-    (match t.rebuild with
-    | Some make_proc ->
-      node.node_gen <- node.node_gen + 1;
-      node.node_machine <-
-        (if t.spec.attach_machines then Some (t.spec.machine_factory ()) else None);
-      Network.restart t.net i;
-      let p = make_proc i in
-      node.node_proc <- Some p;
-      t.event_log <- (Engine.now t.engine, i, P.Context.Node_restarted) :: t.event_log;
-      start_proc p;
-      (match (node.node_disk, node.node_wal) with
-      | Some sd, Some old_wal ->
-        (* Local-first recovery: re-attach the log, replay what the disk
-           preserved, and only escalate to peer state transfer when the
-           suffix was damaged or replay left delivery where it started. *)
-        absorb_wal_stats t old_wal;
-        let wal = Wal.attach (Sim_disk.disk sd) in
-        node.node_wal <- Some wal;
-        let rp = Wal.replay wal in
-        let cert_image = Option.bind rp.Wal.rp_checkpoint decode_checkpoint_payload in
-        let entries = List.filter_map decode_entry_payload rp.Wal.rp_entries in
-        let decode_damaged =
-          (match (rp.Wal.rp_checkpoint, cert_image) with
-          | Some _, None -> true
-          | _ -> false)
-          || List.compare_length_with entries (List.length rp.Wal.rp_entries) < 0
-        in
-        (* Re-deliveries during replay go back through the deliver hook; the
-           log must turn over first so they land in a fresh epoch rather than
-           re-appending behind the very frames being replayed. *)
-        (match (rp.Wal.rp_checkpoint, cert_image) with
-        | Some payload, Some _ -> Wal.write_checkpoint wal payload
-        | _ -> Wal.reset wal);
-        let replay_bytes =
-          String.length (Option.value rp.Wal.rp_checkpoint ~default:"")
-          + List.fold_left (fun a s -> a + String.length s) 0 rp.Wal.rp_entries
-        in
-        charge_disk_write t i ~size:replay_bytes;
-        let cert, image =
-          match cert_image with
-          | Some (c, img) -> (Some c, img)
-          | None -> (None, "")
-        in
-        let recovered = recover_local_proc p ~cert ~image ~entries in
-        let damaged = rp.Wal.rp_damaged || decode_damaged in
-        t.wal_replayed <- t.wal_replayed + List.length entries;
-        let cp_seq =
-          match cert with Some c -> c.P.Checkpoint.cp_seq | None -> 0
-        in
-        t.event_log <-
-          ( Engine.now t.engine,
-            i,
-            P.Context.Wal_replayed
-              { seq = cp_seq; entries = List.length entries; damaged } )
-          :: t.event_log;
-        if damaged || not recovered then request_recovery t i
-      | _ -> request_recovery t i)
-    | None -> invalid_arg "Cluster.restart: cluster not built")
-  end
 
 (* Context with all CPU charging for node [i]. *)
 let make_context t i =
@@ -575,19 +408,11 @@ let make_context t i =
     (match node.node_wal with
     | None -> ()
     | Some wal ->
-      let entry =
-        {
-          P.Checkpoint.e_o = seq;
-          e_digest =
-            P.Batch.digest t.wal_digest (P.Batch.make batch.P.Batch.requests);
-          e_requests = batch.P.Batch.requests;
-        }
-      in
-      let payload = encode_entry_payload entry in
-      digest_charge (String.length payload);
-      Wal.append wal payload;
-      Wal.sync wal;
-      charge_disk_write t i ~size:(String.length payload));
+      (* Charged after the append: CPU extensions at one instant add up in
+         any order. *)
+      let size = Replica.log_delivery t.config wal ~seq batch in
+      digest_charge size;
+      charge_disk_write t i ~size);
     match node.node_machine with
     | None -> ()
     | Some m ->
@@ -641,20 +466,58 @@ let make_context t i =
     restore;
   }
 
-(* The trusted dealer supplies each pair member with a fail-signal signed
-   by its counterpart (Section 3.2). *)
-let fail_signal_presig t ~config ~for_process =
-  match (P.Config.pair_rank_of config for_process, P.Config.counterpart config for_process) with
-  | Some rank, Some counterpart ->
-    let payload = P.Message.encode_body (P.Message.Fail_signal { pair = rank }) in
-    Keyring.sign t.keyring ~signer:counterpart payload
-  | _ -> invalid_arg "fail_signal_presig: unpaired process"
-
 let fault_for spec i =
   match List.assoc_opt i spec.faults with Some f -> f | None -> P.Fault.Honest
 
+let make_proc t i =
+  let ctx = make_context t i in
+  Replica.create ~ctx ~config:t.config ~keyring:t.keyring ~fault:(fault_for t.spec i) ()
+
+(* Crash-restart: the node comes back with a fresh protocol process and a
+   fresh (empty) state machine — everything volatile is lost.  The
+   generation bump silences the superseded process's pending timers; the
+   transport handler and request injection read [node_proc] at event time,
+   so all new traffic reaches the replacement. *)
+let restart t i =
+  if Network.is_crashed t.net i then begin
+    let node = t.nodes.(i) in
+    node.node_gen <- node.node_gen + 1;
+    node.node_machine <-
+      (if t.spec.attach_machines then Some (t.spec.machine_factory ()) else None);
+    Network.restart t.net i;
+    let p = make_proc t i in
+    node.node_proc <- Some p;
+    t.event_log <- (Engine.now t.engine, i, P.Context.Node_restarted) :: t.event_log;
+    Replica.start p;
+    (* Local-first recovery: re-attach the log, replay what the disk
+       preserved, and only escalate to peer state transfer when the suffix
+       was damaged or replay left delivery where it started.  Reading the
+       log back is charged before the replay installs anything. *)
+    let recovered =
+      match (node.node_disk, node.node_wal) with
+      | Some sd, Some old_wal ->
+        absorb_wal_stats t old_wal;
+        let wal = Wal.attach (Sim_disk.disk sd) in
+        node.node_wal <- Some wal;
+        let log = Replica.read_log wal in
+        charge_disk_write t i ~size:log.Replica.bytes;
+        let recovered = Replica.recover_from_log p log in
+        let entries = List.length log.Replica.entries in
+        t.wal_replayed <- t.wal_replayed + entries;
+        let seq = match log.Replica.cert with Some c -> c.P.Checkpoint.cp_seq | None -> 0 in
+        t.event_log <-
+          ( Engine.now t.engine,
+            i,
+            P.Context.Wal_replayed { seq; entries; damaged = log.Replica.damaged } )
+          :: t.event_log;
+        recovered
+      | _ -> false
+    in
+    if not recovered then Replica.request_recovery p
+  end
+
 let build spec =
-  let n = process_count_of_spec spec in
+  let n = Replica.process_count spec.kind ~f:spec.f in
   let engine = Engine.create ~seed:spec.seed () in
   let net_rng = Engine.fork_rng engine in
   let key_rng = Engine.fork_rng engine in
@@ -673,9 +536,7 @@ let build spec =
     else None
   in
   (match adversary with Some adv -> Adversary.install adv net | None -> ());
-  let scheme =
-    match spec.kind with Ct_protocol -> Scheme.null | _ -> spec.scheme
-  in
+  let scheme = Replica.scheme spec.kind spec.scheme in
   (* Timing comes from the scheme's cost model; the signature bytes come
      from the real mechanism only when [real_crypto] is set — otherwise
      HMAC stands in so a 20-second simulated run doesn't pay thousands of
@@ -734,6 +595,14 @@ let build spec =
           node_slow_prior = 0;
         })
   in
+  let config =
+    Replica.make_config ~kind:spec.kind ~batching_interval:spec.batching_interval
+      ~batch_size_limit:spec.batch_size_limit ~digest:scheme.Scheme.digest
+      ~pair_delay_estimate:spec.pair_delay_estimate
+      ~heartbeat_interval:spec.heartbeat_interval
+      ~dumb_optimization:spec.dumb_optimization
+      ~checkpoint_interval:spec.checkpoint_interval ~timing:spec.timing ~f:spec.f ()
+  in
   let t =
     {
       spec = { spec with scheme };
@@ -742,77 +611,22 @@ let build spec =
       chan;
       adversary;
       keyring;
+      config;
       nodes;
       event_log = [];
       replies = Hashtbl.create 256;
-      rebuild = None;
-      wal_digest = scheme.Scheme.digest;
       wal_prior = { Wal.w_appends = 0; w_syncs = 0; w_checkpoints = 0; w_dropped = 0 };
       wal_replayed = 0;
     }
   in
-  (* Protocol processes, via a factory kept on [t] so [restart] can rebuild
-     a node's process with the same configuration but empty volatile state. *)
-  let make_proc =
-    match spec.kind with
-    | Sc_protocol | Scr_protocol ->
-      let variant = if spec.kind = Sc_protocol then P.Config.SC else P.Config.SCR in
-      let config =
-        P.Config.make ~variant ~batching_interval:spec.batching_interval
-          ~batch_size_limit:spec.batch_size_limit
-          ~digest:scheme.Scheme.digest
-          ~pair_delay_estimate:spec.pair_delay_estimate
-          ~heartbeat_interval:spec.heartbeat_interval
-          ~dumb_optimization:spec.dumb_optimization
-          ~checkpoint_interval:spec.checkpoint_interval ~timing:spec.timing
-          ~f:spec.f ()
-      in
-      (* Fast links inside each pair, both directions. *)
-      for rank = 1 to P.Config.pair_count config do
-        let p = P.Config.primary_of_pair config rank in
-        let s = P.Config.shadow_of_pair config rank in
-        Network.set_link net ~src:p ~dst:s spec.pair_link;
-        Network.set_link net ~src:s ~dst:p spec.pair_link
-      done;
-      fun i ->
-        let ctx = make_context t i in
-        let counterpart_fail_signal =
-          match P.Config.pair_rank_of config i with
-          | Some _ -> Some (fail_signal_presig t ~config ~for_process:i)
-          | None -> None
-        in
-        let fault = fault_for spec i in
-        if spec.kind = Sc_protocol then
-          Sc (P.Sc.create ~ctx ~config ~fault ?counterpart_fail_signal ())
-        else Scr (P.Scr.create ~ctx ~config ~fault ?counterpart_fail_signal ())
-    | Bft_protocol ->
-      let config =
-        P.Bft.make_config ~batching_interval:spec.batching_interval
-          ~batch_size_limit:spec.batch_size_limit ~digest:scheme.Scheme.digest
-          ~checkpoint_interval:spec.checkpoint_interval ~timing:spec.timing
-          ~f:spec.f ()
-      in
-      fun i ->
-        let ctx = make_context t i in
-        let fault = fault_for spec i in
-        Bft (P.Bft.create ~ctx ~config ~fault ())
-    | Ct_protocol ->
-      let config =
-        P.Ct.make_config ~batching_interval:spec.batching_interval
-          ~batch_size_limit:spec.batch_size_limit
-          ~checkpoint_interval:spec.checkpoint_interval ~timing:spec.timing
-          ~f:spec.f ()
-      in
-      (* CT's config carries its own digest default (the crypto scheme is
-         null); log-entry digests must agree with it or replay is rejected. *)
-      t.wal_digest <- config.P.Ct.digest;
-      fun i ->
-        let ctx = make_context t i in
-        Ct (P.Ct.create ~ctx ~config)
-  in
-  t.rebuild <- Some make_proc;
+  (* Fast links inside each pair, both directions. *)
+  List.iter
+    (fun (p, s) ->
+      Network.set_link net ~src:p ~dst:s spec.pair_link;
+      Network.set_link net ~src:s ~dst:p spec.pair_link)
+    (Replica.pairs config);
   for i = 0 to n - 1 do
-    t.nodes.(i).node_proc <- Some (make_proc i)
+    t.nodes.(i).node_proc <- Some (make_proc t i)
   done;
   (* Inbound path: network -> CPU (receive cost) -> decode -> protocol. *)
   for i = 0 to n - 1 do
@@ -827,24 +641,13 @@ let build spec =
             match P.Message.decode payload with
             | env -> begin
               match node.node_proc with
-              | Some (Sc p) -> P.Sc.on_message p ~src env
-              | Some (Scr p) -> P.Scr.on_message p ~src env
-              | Some (Bft p) -> P.Bft.on_message p ~src env
-              | Some (Ct p) -> P.Ct.on_message p ~src env
+              | Some p -> Replica.on_message p ~src env
               | None -> ()
             end
             | exception Sof_util.Codec.Reader.Truncated -> ()))
   done;
   (* Start timers. *)
-  Array.iter
-    (fun node ->
-      match node.node_proc with
-      | Some (Sc p) -> P.Sc.start p
-      | Some (Scr p) -> P.Scr.start p
-      | Some (Bft p) -> P.Bft.start p
-      | Some (Ct p) -> P.Ct.start p
-      | None -> ())
-    t.nodes;
+  Array.iter (fun node -> Option.iter Replica.start node.node_proc) t.nodes;
   t
 
 let inject_request t req =
@@ -858,10 +661,7 @@ let inject_request t req =
       in
       Cpu.submit node.node_cpu ~cost (fun () ->
           match t.nodes.(i).node_proc with
-          | Some (Sc p) -> P.Sc.on_request p req
-          | Some (Scr p) -> P.Scr.on_request p req
-          | Some (Bft p) -> P.Bft.on_request p req
-          | Some (Ct p) -> P.Ct.on_request p req
+          | Some p -> Replica.on_request p req
           | None -> ()))
     t.nodes
 

@@ -6,7 +6,7 @@
     receipt, sends, signatures, verifications and digests, per the cost
     model and the scheme's cost table. *)
 
-type kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
+type kind = Sof_protocol.Replica.kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
 
 type spec = {
   kind : kind;
@@ -79,7 +79,7 @@ val default_spec : kind:kind -> f:int -> spec
 (** Mock scheme, 100 ms batching, 1 KB batches, 100 ms pair delay estimate,
     LAN defaults, no faults, machines attached. *)
 
-type proc =
+type proc = Sof_protocol.Replica.t =
   | Sc of Sof_protocol.Sc.t
   | Scr of Sof_protocol.Scr.t
   | Bft of Sof_protocol.Bft.t

@@ -15,11 +15,10 @@ type point = {
 (* The highest-numbered replica: in SC/SCR layouts the last unpaired
    replica, in BFT a backup, in CT a non-coordinator. *)
 let reference_process cluster =
-  let n = Cluster.process_count cluster in
-  match Cluster.proc cluster 0 with
-  | Cluster.Sc _ -> 2 * ((n - 1) / 3) (* id 2f, the last of 2f+1 replicas *)
-  | Cluster.Scr _ -> 2 * ((n - 2) / 3)
-  | Cluster.Bft _ | Cluster.Ct _ -> n - 1
+  let spec = Cluster.spec cluster in
+  match spec.Cluster.kind with
+  | Cluster.Sc_protocol | Cluster.Scr_protocol -> 2 * spec.Cluster.f (* id 2f *)
+  | Cluster.Bft_protocol | Cluster.Ct_protocol -> Cluster.process_count cluster - 1
 
 let analyze cluster ~warmup ~window =
   let events = Cluster.events cluster in

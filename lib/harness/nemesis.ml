@@ -52,19 +52,12 @@ type report = {
 
 (* ------------------------------------------------------ process layout *)
 
-let process_count ~kind ~f =
-  match kind with
-  | Cluster.Sc_protocol -> (3 * f) + 1
-  | Cluster.Scr_protocol -> (3 * f) + 2
-  | Cluster.Bft_protocol -> (3 * f) + 1
-  | Cluster.Ct_protocol -> (2 * f) + 1
-
 (* Partition units: pair members must stay on the same side, otherwise a
    partition reads as a pair failure — permanent under SC's assumptions and
    outside what the campaign means to test.  Ids follow Config's layout:
    replicas 0..2f, shadows from 2f+1, pair r = {r-1, 2f+r}. *)
 let partition_units ~kind ~f =
-  let n = process_count ~kind ~f in
+  let n = P.Replica.process_count kind ~f in
   match kind with
   | Cluster.Sc_protocol | Cluster.Scr_protocol ->
     let pairs = match kind with Cluster.Sc_protocol -> f | _ -> f + 1 in
@@ -82,7 +75,7 @@ let partition_units ~kind ~f =
 let crash_target ~rng ~kind ~f =
   match kind with
   | Cluster.Sc_protocol | Cluster.Scr_protocol -> f + 1 + Rng.int rng f
-  | Cluster.Bft_protocol | Cluster.Ct_protocol -> process_count ~kind ~f - 1
+  | Cluster.Bft_protocol | Cluster.Ct_protocol -> P.Replica.process_count kind ~f - 1
 
 (* One Byzantine fault, aimed at pair 1 — the initial coordinator, so the
    fault's decision point is actually reached early in the run.  The whole

@@ -3,8 +3,8 @@ module P = Sof_protocol
 module Request = Sof_smr.Request
 module Keyring = Sof_crypto.Keyring
 module Scheme = Sof_crypto.Scheme
-module Codec = Sof_util.Codec
 module Wal = Sof_storage.Wal
+module Replica = P.Replica
 
 let client_id = 250
 
@@ -25,7 +25,7 @@ type node = {
   queue : job Queue.t;
   queue_mutex : Mutex.t;
   queue_cond : Condition.t;
-  mutable proc : [ `Sc of P.Sc.t | `Scr of P.Scr.t ] option;
+  mutable proc : Replica.t option;
   mutable machine : Sof_smr.State_machine.t;  (* replaced fresh on restart *)
   mutable delivered_batches : int;
   (* Bumped on kill: timer thunks capture the generation they were armed in
@@ -35,7 +35,6 @@ type node = {
   (* timers *)
   timers : timer_entry list ref;
   timer_mutex : Mutex.t;
-  timer_cond : Condition.t;
   (* outbound sockets, one per peer, guarded per-socket *)
   out : (Unix.file_descr * Mutex.t) option array;
   (* durable storage: the file is the platter — it survives kill/restart *)
@@ -47,10 +46,8 @@ type t = {
   n : int;
   base_port : int;
   nodes : node array;
-  config : P.Config.t;
-  kind : [ `Sc | `Scr ];
+  config : Replica.config;
   keyring : Keyring.t;
-  digest_alg : Sof_crypto.Digest_alg.t;
   start_time : float;
   mutable stopping : bool;
   mutable threads : Thread.t list;
@@ -141,6 +138,8 @@ let dequeue node =
 
 (* -------------------------------------------------------------- timers *)
 
+(* Condition.wait has no timeout in the stdlib, so the thread polls at 1 ms
+   and hands due timers to the worker's queue. *)
 let timer_thread t node =
   while not t.stopping do
     Mutex.lock node.timer_mutex;
@@ -148,69 +147,11 @@ let timer_thread t node =
     let live = List.filter (fun e -> not e.cancelled) !(node.timers) in
     let due, later = List.partition (fun e -> e.deadline <= now) live in
     node.timers := later;
-    (if due = [] then begin
-       let next =
-         List.fold_left (fun acc e -> Float.min acc e.deadline) (now +. 0.05) later
-       in
-       let wait = Float.max 0.001 (next -. now) in
-       ignore wait;
-       (* Condition.wait has no timeout in the stdlib; poll at 1 ms. *)
-       Mutex.unlock node.timer_mutex;
-       Thread.delay 0.001
-     end
-     else Mutex.unlock node.timer_mutex);
-    List.iter (fun e -> enqueue node (Job_timer e.thunk)) due
+    Mutex.unlock node.timer_mutex;
+    match due with
+    | [] -> Thread.delay 0.001
+    | _ -> List.iter (fun e -> enqueue node (Job_timer e.thunk)) due
   done
-
-(* ------------------------------------------------------------- durable *)
-
-(* The same write-ahead-log payloads the simulated cluster persists, so a
-   file written here and a Sim_disk written there hold the same format. *)
-let encode_checkpoint_payload cert image =
-  let w = Codec.Writer.create () in
-  P.Checkpoint.write_cert w cert;
-  Codec.Writer.string w image;
-  Codec.Writer.contents w
-
-let decode_checkpoint_payload payload =
-  match
-    let r = Codec.Reader.of_string payload in
-    let cert = P.Checkpoint.read_cert r in
-    let image = Codec.Reader.string r in
-    Codec.Reader.expect_end r;
-    (cert, image)
-  with
-  | pair -> Some pair
-  | exception Codec.Reader.Truncated -> None
-
-let encode_entry_payload entry =
-  let w = Codec.Writer.create () in
-  P.Checkpoint.write_entry w entry;
-  Codec.Writer.contents w
-
-let decode_entry_payload payload =
-  match
-    let r = Codec.Reader.of_string payload in
-    let e = P.Checkpoint.read_entry r in
-    Codec.Reader.expect_end r;
-    e
-  with
-  | e -> Some e
-  | exception Codec.Reader.Truncated -> None
-
-let persist_checkpoint node =
-  match (node.wal, node.proc) with
-  | Some wal, Some proc ->
-    let latest =
-      match proc with
-      | `Sc p -> P.Sc.latest_stable p
-      | `Scr p -> P.Scr.latest_stable p
-    in
-    (match latest with
-    | Some (cert, image) ->
-      Wal.write_checkpoint wal (encode_checkpoint_payload cert image)
-    | None -> ())
-  | _ -> ()
 
 (* ------------------------------------------------------------- context *)
 
@@ -251,7 +192,6 @@ let make_context t node =
     in
     Mutex.lock node.timer_mutex;
     node.timers := entry :: !(node.timers);
-    Condition.signal node.timer_cond;
     Mutex.unlock node.timer_mutex;
     { P.Context.cancel = (fun () -> entry.cancelled <- true) }
   in
@@ -259,17 +199,7 @@ let make_context t node =
     (* Commit implies sync before the service acts: the entry is durable
        on disk (fsync) before the state machine applies it. *)
     (match node.wal with
-    | Some wal ->
-      let entry =
-        {
-          P.Checkpoint.e_o = seq;
-          e_digest =
-            P.Batch.digest t.digest_alg (P.Batch.make batch.P.Batch.requests);
-          e_requests = batch.P.Batch.requests;
-        }
-      in
-      Wal.append wal (encode_entry_payload entry);
-      Wal.sync wal
+    | Some wal -> ignore (Replica.log_delivery t.config wal ~seq batch)
     | None -> ());
     node.delivered_batches <- node.delivered_batches + 1;
     let now = Unix.gettimeofday () in
@@ -298,8 +228,9 @@ let make_context t node =
     deliver;
     emit =
       (fun ev ->
-        match ev with
-        | P.Context.Checkpoint_stable _ -> persist_checkpoint node
+        match (ev, node.wal, node.proc) with
+        | P.Context.Checkpoint_stable _, Some wal, Some p ->
+          ignore (Replica.persist_checkpoint p wal)
         | _ -> ());
     (* [node.machine] is read at call time, so a restart's fresh machine is
        picked up without rebuilding the context. *)
@@ -307,25 +238,10 @@ let make_context t node =
     restore = (fun image -> Sof_smr.State_machine.restore node.machine image);
   }
 
-(* Protocol process construction, shared by [start] and [restart].  The
-   trusted dealer hands out the pre-signed fail-signals exactly as the
-   simulator harness does. *)
+(* Protocol process construction, shared by [start] and [restart]. *)
 let make_proc t node =
-  let config = t.config in
-  let presig =
-    match P.Config.counterpart config node.id with
-    | Some counterpart ->
-      Some
-        (Keyring.sign t.keyring ~signer:counterpart
-           (P.Message.encode_body
-              (P.Message.Fail_signal
-                 { pair = Option.get (P.Config.pair_rank_of config node.id) })))
-    | None -> None
-  in
   let ctx = make_context t node in
-  match t.kind with
-  | `Sc -> `Sc (P.Sc.create ~ctx ~config ?counterpart_fail_signal:presig ())
-  | `Scr -> `Scr (P.Scr.create ~ctx ~config ?counterpart_fail_signal:presig ())
+  Replica.create ~ctx ~config:t.config ~keyring:t.keyring ()
 
 (* -------------------------------------------------------------- worker *)
 
@@ -340,8 +256,7 @@ let worker_thread node =
          failure means a malformed or hostile frame, never a reason to kill
          the worker.  Log and drop. *)
       match (node.proc, Request.decode payload) with
-      | Some (`Sc p), req -> P.Sc.on_request p req
-      | Some (`Scr p), req -> P.Scr.on_request p req
+      | Some p, req -> Replica.on_request p req
       | None, _ -> ()
       | exception exn ->
         Printf.eprintf "[tcp_runtime] node %d: malformed request frame dropped (%s)\n%!"
@@ -349,8 +264,7 @@ let worker_thread node =
     end
     | Job_message (src, payload) -> begin
       match (node.proc, P.Message.decode payload) with
-      | Some (`Sc p), env -> P.Sc.on_message p ~src env
-      | Some (`Scr p), env -> P.Scr.on_message p ~src env
+      | Some p, env -> Replica.on_message p ~src env
       | None, _ -> ()
       | exception exn ->
         Printf.eprintf
@@ -429,16 +343,22 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception Invalid_argument _ -> ());
-  let variant = match kind with `Sc -> P.Config.SC | `Scr -> P.Config.SCR in
+  let kind =
+    match kind with
+    | `Sc -> Replica.Sc_protocol
+    | `Scr -> Replica.Scr_protocol
+    | `Bft -> Replica.Bft_protocol
+    | `Ct -> Replica.Ct_protocol
+  in
   let config =
-    P.Config.make ~variant
+    Replica.make_config ~kind
       ~batching_interval:(Simtime.ms batching_interval_ms)
       ~pair_delay_estimate:(Simtime.ms 500) ~heartbeat_interval:(Simtime.ms 100)
       ~checkpoint_interval ~timing ~f ()
   in
-  let n = P.Config.process_count config in
+  let n = Replica.process_count kind ~f in
   let rng = Sof_util.Rng.create 2006L in
-  let keyring = Keyring.create ~scheme ~rng ~node_count:n () in
+  let keyring = Keyring.create ~scheme:(Replica.scheme kind scheme) ~rng ~node_count:n () in
   (match data_dir with
   | Some dir -> (
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
@@ -475,7 +395,6 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
           gen = 0;
           timers = ref [];
           timer_mutex = Mutex.create ();
-          timer_cond = Condition.create ();
           out = Array.make n None;
           disk;
           wal;
@@ -487,9 +406,7 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
       base_port;
       nodes;
       config;
-      kind;
       keyring;
-      digest_alg = scheme.Scheme.digest;
       start_time = Unix.gettimeofday ();
       stopping = false;
       threads = [];
@@ -525,20 +442,15 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
         end
       done)
     nodes;
-  (* Protocol processes. *)
+  (* Protocol processes, started from this thread before any worker
+     exists: until its worker runs, a process's frames and timers only
+     queue, so its state is only ever touched by one thread at a time. *)
   Array.iter (fun node -> node.proc <- Some (make_proc t node)) nodes;
-  (* Workers and timers, then start the protocols. *)
+  Array.iter (fun node -> Option.iter Replica.start node.proc) nodes;
   Array.iter
     (fun node ->
       t.threads <- Thread.create (fun () -> worker_thread node) () :: t.threads;
       t.threads <- Thread.create (fun () -> timer_thread t node) () :: t.threads)
-    nodes;
-  Array.iter
-    (fun node ->
-      match node.proc with
-      | Some (`Sc p) -> P.Sc.start p
-      | Some (`Scr p) -> P.Scr.start p
-      | None -> ())
     nodes;
   (* Client connections. *)
   t.client_socks <-
@@ -592,8 +504,8 @@ let kill t who =
 
 (* Bring a killed process back with empty volatile state: a fresh protocol
    instance over a fresh state machine, the full mesh re-dialed both ways,
-   and an immediate state-transfer request so it rejoins from a certified
-   checkpoint rather than by replaying history. *)
+   recovery from its own log when it has one and from its peers otherwise,
+   and only then a worker thread. *)
 let restart t who =
   if List.mem who t.killed then begin
     let node = t.nodes.(who) in
@@ -638,47 +550,22 @@ let restart t who =
       t.nodes;
     let proc = make_proc t node in
     node.proc <- Some proc;
-    t.threads <- Thread.create (fun () -> worker_thread node) () :: t.threads;
-    (match proc with `Sc p -> P.Sc.start p | `Scr p -> P.Scr.start p);
+    Replica.start proc;
     (* Local-first recovery: re-mount the on-disk log the previous
        incarnation wrote and install what survives verification; only a
        damaged or insufficient log escalates to peer state transfer. *)
-    let locally_recovered =
+    let recovered =
       match node.disk with
       | None -> false
       | Some fd ->
         let wal = Wal.attach (File_disk.disk fd) in
         node.wal <- Some wal;
-        let rp = Wal.replay wal in
-        let cert_image =
-          Option.bind rp.Wal.rp_checkpoint decode_checkpoint_payload
-        in
-        let entries = List.filter_map decode_entry_payload rp.Wal.rp_entries in
-        let decode_damaged =
-          (Option.is_some rp.Wal.rp_checkpoint && Option.is_none cert_image)
-          || List.length entries < List.length rp.Wal.rp_entries
-        in
-        (* Turn the epoch over before re-delivery, so replayed entries are
-           re-logged into a fresh region rather than appended twice. *)
-        (match (rp.Wal.rp_checkpoint, cert_image) with
-        | Some payload, Some _ -> Wal.write_checkpoint wal payload
-        | _ -> Wal.reset wal);
-        let cert, image =
-          match cert_image with
-          | Some (c, i) -> (Some c, i)
-          | None -> (None, "")
-        in
-        let recovered =
-          match proc with
-          | `Sc p -> P.Sc.recover_local p ~cert ~image ~entries
-          | `Scr p -> P.Scr.recover_local p ~cert ~image ~entries
-        in
-        recovered && not (rp.Wal.rp_damaged || decode_damaged)
+        Replica.recover_from_log proc (Replica.read_log wal)
     in
-    if not locally_recovered then
-      match proc with
-      | `Sc p -> P.Sc.request_recovery p
-      | `Scr p -> P.Scr.request_recovery p
+    if not recovered then Replica.request_recovery proc;
+    (* The worker starts last: frames from the re-dialed peers and the
+       client, and the timers armed above, have only queued so far. *)
+    t.threads <- Thread.create (fun () -> worker_thread node) () :: t.threads
   end
 
 let peer_downs t =

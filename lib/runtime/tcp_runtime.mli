@@ -7,11 +7,18 @@
     {!Sof_crypto.Keyring} — turning the repository into the same kind of
     LAN deployment the paper measured (one host here, 15 hosts there).
 
+    All four protocols run here, built through {!Sof_protocol.Replica}
+    exactly as the simulator builds them: [`Sc] and [`Scr] (the paper's
+    signal-on-fail protocols, 3f+1 and 3f+2 processes), [`Bft] (PBFT, 3f+1)
+    and [`Ct] (crash-tolerant, 2f+1, unsigned whatever the [scheme]).
+
     Threading model: per node, every peer connection has a reader thread
     that enqueues frames; one worker thread drains the queue and runs the
     protocol handlers, so each process's state is touched by exactly one
     thread, like the simulator's single-server CPU.  Timers fire through the
-    same queue.
+    same queue.  {!start} and {!restart} make their direct calls into a
+    process (start, local recovery, the state-transfer request) before its
+    worker exists; until then its frames and timers only queue.
 
     Intended for demos and end-to-end tests; the measured reproduction of
     the paper's figures uses the calibrated simulator (see DESIGN.md). *)
@@ -33,12 +40,13 @@ val start :
   ?checkpoint_interval:int ->
   ?timing:Sof_protocol.Config.timing ->
   ?data_dir:string ->
-  kind:[ `Sc | `Scr ] ->
+  kind:[ `Sc | `Scr | `Bft | `Ct ] ->
   f:int ->
   unit ->
   t
-(** Spawn all order processes on 127.0.0.1 ports [base_port ..].  Signatures
-    are real (default scheme {!Sof_crypto.Scheme.mock} = HMAC).
+(** Spawn all processes of protocol [kind] on 127.0.0.1 ports
+    [base_port ..].  Signatures are real (default scheme
+    {!Sof_crypto.Scheme.mock} = HMAC).
     [checkpoint_interval] (default 0 = off) enables periodic checkpoints,
     log truncation, and state transfer — required for {!restart} to recover
     the rejoining process.

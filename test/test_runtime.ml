@@ -33,6 +33,10 @@ let test_tcp_sc () = check_stats (run_cluster ~kind:`Sc ~base_port:7711)
 
 let test_tcp_scr () = check_stats (run_cluster ~kind:`Scr ~base_port:7811)
 
+let test_tcp_bft () = check_stats (run_cluster ~kind:`Bft ~base_port:8311)
+
+let test_tcp_ct () = check_stats (run_cluster ~kind:`Ct ~base_port:8411)
+
 (* Abrupt crash mid-run: kill the unpaired (non-candidate) replica of an SCR
    cluster with a socket reset.  Every peer's reader must survive the broken
    connection (logged peer-down, not a crash), and the survivors must keep
@@ -78,11 +82,13 @@ let test_tcp_kill () =
    them, then bring the replica back with empty volatile state.  The comeback
    must re-dial the mesh, fetch the certified checkpoint image through state
    transfer (replaying history is impossible — it was truncated), deliver
-   again, and converge on the survivors' state digest. *)
-let test_tcp_restart () =
+   again, and converge on the survivors' state digest.  Process 2 is never
+   a coordinator candidate in SC, is SCR's unpaired replica, a PBFT backup
+   and a CT follower. *)
+let tcp_restart ~kind ~base_port () =
   let victim = 2 in
   let t =
-    Runtime.start ~base_port:8011 ~kind:`Scr ~f:1 ~batching_interval_ms:15
+    Runtime.start ~base_port ~kind ~f:1 ~batching_interval_ms:15
       ~checkpoint_interval:4 ()
   in
   for i = 1 to 6 do
@@ -132,8 +138,16 @@ let suite =
       [
         Alcotest.test_case "sc over loopback" `Slow test_tcp_sc;
         Alcotest.test_case "scr over loopback" `Slow test_tcp_scr;
+        Alcotest.test_case "bft over loopback" `Slow test_tcp_bft;
+        Alcotest.test_case "ct over loopback" `Slow test_tcp_ct;
         Alcotest.test_case "scr survives an abrupt peer kill" `Slow test_tcp_kill;
         Alcotest.test_case "scr crash-restart rejoins via state transfer" `Slow
-          test_tcp_restart;
+          (tcp_restart ~kind:`Scr ~base_port:8011);
+        Alcotest.test_case "sc crash-restart rejoins via state transfer" `Slow
+          (tcp_restart ~kind:`Sc ~base_port:8711);
+        Alcotest.test_case "bft crash-restart rejoins via state transfer" `Slow
+          (tcp_restart ~kind:`Bft ~base_port:8511);
+        Alcotest.test_case "ct crash-restart rejoins via state transfer" `Slow
+          (tcp_restart ~kind:`Ct ~base_port:8611);
       ] );
   ]

@@ -11,6 +11,8 @@ module H = Sof_harness
 module Cluster = H.Cluster
 module Checkpoint = P.Checkpoint
 module Recovery = P.Recovery
+module Replica = P.Replica
+module Keyring = Sof_crypto.Keyring
 module Disk = Sof_storage.Disk
 module Sim_disk = Sof_storage.Sim_disk
 module Wal = Sof_storage.Wal
@@ -278,6 +280,130 @@ let test_image_rejection () =
   Alcotest.(check bool) "garbage rejected" true
     (Option.is_none (Checkpoint.unwrap_image "not a checkpoint image"))
 
+(* ------------------------------------------------------ shared log path *)
+
+let put_request seq =
+  Sof_smr.Request.make ~client:1 ~client_seq:seq
+    ~op:(Kv.encode_op (Kv.Put (Printf.sprintf "k%d" seq, "v")))
+
+(* Process 1 of an f = 1 deployment, wired to nothing: sends and timers go
+   nowhere, events are recorded newest first. *)
+let bare_replica ~kind ~config =
+  let keyring =
+    Keyring.create
+      ~scheme:(Replica.scheme kind Sof_crypto.Scheme.mock)
+      ~rng:(Sof_util.Rng.create 7L)
+      ~node_count:(Replica.process_count kind ~f:1) ()
+  in
+  let machine = Kv.machine () in
+  let events = ref [] in
+  let ctx =
+    {
+      P.Context.id = 1;
+      now = (fun () -> Simtime.zero);
+      sign = (fun m -> Keyring.sign keyring ~signer:1 m);
+      verify = (fun ~signer ~msg ~signature -> Keyring.verify keyring ~signer ~msg ~signature);
+      sign_acc = (fun m -> Keyring.sign keyring ~signer:1 m);
+      verify_acc =
+        (fun ~signer ~msg ~signature -> Keyring.verify keyring ~signer ~msg ~signature);
+      digest_charge = ignore;
+      send = (fun ~dst:_ _ -> ());
+      multicast = (fun ~dsts:_ _ -> ());
+      set_timer = (fun ?kind:_ ~delay:_ _ -> { P.Context.cancel = ignore });
+      deliver =
+        (fun ~seq:_ batch ->
+          List.iter
+            (fun r -> ignore (Sof_smr.State_machine.apply machine r.Sof_smr.Request.op))
+            batch.P.Batch.requests);
+      emit = (fun ev -> events := ev :: !events);
+      snapshot = (fun () -> Sof_smr.State_machine.snapshot machine);
+      restore = Sof_smr.State_machine.restore machine;
+    }
+  in
+  (Replica.create ~ctx ~config ~keyring ~fault:P.Fault.Honest (), events)
+
+(* Log [n] deliveries under [written], re-attach the disk as a restart
+   would, and recover a fresh process under [config] the way both real
+   drivers do: escalate to state transfer when the log does not suffice. *)
+let replay_into ~kind ~config ~written n =
+  let sd = Sim_disk.create ~sector_size:256 ~sector_count:256 () in
+  let wal = Wal.attach (Sim_disk.disk sd) in
+  for seq = 1 to n do
+    ignore (Replica.log_delivery written wal ~seq (P.Batch.make [ put_request seq ]))
+  done;
+  Sim_disk.crash sd;
+  let log = Replica.read_log (Wal.attach (Sim_disk.disk sd)) in
+  let p, events = bare_replica ~kind ~config in
+  Replica.start p;
+  let recovered = Replica.recover_from_log p log in
+  if not recovered then Replica.request_recovery p;
+  let transfers =
+    List.length
+      (List.filter
+         (function P.Context.State_transfer_started _ -> true | _ -> false)
+         !events)
+  in
+  (recovered, Replica.delivered_seq p, transfers)
+
+let test_log_replay_every_kind () =
+  List.iter
+    (fun kind ->
+      let config = Replica.make_config ~kind ~f:1 () in
+      let recovered, delivered, transfers = replay_into ~kind ~config ~written:config 6 in
+      let name = kind_name kind in
+      Alcotest.(check bool) (name ^ ": log recovers locally") true recovered;
+      Alcotest.(check int) (name ^ ": every logged entry delivered") 6 delivered;
+      Alcotest.(check int) (name ^ ": no state transfer") 0 transfers)
+    [ Cluster.Sc_protocol; Cluster.Scr_protocol; Cluster.Bft_protocol; Cluster.Ct_protocol ]
+
+(* Entries digested under another algorithm than the protocol checks fail
+   verification: the process installs nothing and falls back to its peers. *)
+let test_log_replay_digest_mismatch () =
+  let kind = Cluster.Sc_protocol in
+  let written =
+    Replica.make_config ~kind ~digest:Sof_crypto.Digest_alg.SHA256 ~f:1 ()
+  in
+  let config = Replica.make_config ~kind ~f:1 () in
+  let recovered, delivered, transfers = replay_into ~kind ~config ~written 6 in
+  Alcotest.(check bool) "not recovered locally" false recovered;
+  Alcotest.(check int) "nothing delivered" 0 delivered;
+  Alcotest.(check int) "state transfer requested" 1 transfers
+
+let test_payload_decoders () =
+  let cert =
+    {
+      Checkpoint.cp_seq = 4;
+      cp_digest = "state-digest";
+      cp_proof = [ (0, "sig-0"); (1, "sig-1") ];
+      cp_endorsement = Some (3, "endorsement");
+    }
+  in
+  let entry =
+    { Checkpoint.e_o = 5; e_digest = "entry-digest"; e_requests = [ put_request 5 ] }
+  in
+  let hostile name decode payload =
+    for cut = 0 to String.length payload - 1 do
+      if Option.is_some (decode (String.sub payload 0 cut)) then
+        Alcotest.failf "%s payload cut to %d bytes decoded" name cut
+    done;
+    if Option.is_some (decode (payload ^ "\000")) then
+      Alcotest.failf "%s payload with a trailing byte decoded" name
+  in
+  let ckpt = Replica.encode_checkpoint_payload cert "image" in
+  (match Replica.decode_checkpoint_payload ckpt with
+  | Some (c, image) ->
+    Alcotest.(check bool) "checkpoint roundtrips" true
+      (Checkpoint.equal_cert c cert && String.equal image "image")
+  | None -> Alcotest.fail "checkpoint payload did not decode");
+  hostile "checkpoint" Replica.decode_checkpoint_payload ckpt;
+  let e = Replica.encode_entry_payload entry in
+  (match Replica.decode_entry_payload e with
+  | Some e' ->
+    Alcotest.(check int) "entry roundtrips" 5 e'.Checkpoint.e_o;
+    Alcotest.(check string) "entry digest roundtrips" "entry-digest" e'.Checkpoint.e_digest
+  | None -> Alcotest.fail "entry payload did not decode");
+  hostile "entry" Replica.decode_entry_payload e
+
 (* ----------------------------------------------------------- file disk *)
 
 let test_file_disk_persistence () =
@@ -430,6 +556,12 @@ let suite =
           `Quick test_tally_dedup_and_prune;
         Alcotest.test_case "truncated and garbage images are rejected" `Quick
           test_image_rejection;
+        Alcotest.test_case "logged deliveries replay locally for every kind" `Quick
+          test_log_replay_every_kind;
+        Alcotest.test_case "entries under a foreign digest fall back to transfer"
+          `Quick test_log_replay_digest_mismatch;
+        Alcotest.test_case "log payload decoders reject truncation and trailing bytes"
+          `Quick test_payload_decoders;
       ] );
     ( "storage.file_disk",
       [
