@@ -127,3 +127,175 @@ let suite =
             (H.Cluster.Bft_protocol, "bft");
           ] );
   ]
+
+(* ------------------------------------------------------- CI chaos pins *)
+
+(* Every `sof chaos` line of the CI workflow, with the digest its output
+   must reproduce.  A classic campaign pins the fingerprint of its whole
+   printed report; a gray campaign pins a projection of it (plan steps,
+   invariant lines, suspicion churn, deliveries, injected requests and
+   network traffic); the endurance run is held to its verdict only.  A
+   refactor of the campaign runner must leave every digest unchanged. *)
+
+type flags = {
+  kind : H.Cluster.kind;
+  f : int;
+  seed : int64;
+  byz : bool;
+  restart : bool;
+  durable : bool;
+  disk_faults : bool;
+  long : bool;
+  gray : bool;
+  static : bool;
+  mac : bool;
+}
+
+let parse_flags line =
+  let rec go acc = function
+    | [] -> acc
+    | "--protocol" :: p :: rest ->
+      let kind =
+        match p with
+        | "sc" -> H.Cluster.Sc_protocol
+        | "scr" -> H.Cluster.Scr_protocol
+        | "bft" -> H.Cluster.Bft_protocol
+        | "ct" -> H.Cluster.Ct_protocol
+        | _ -> Alcotest.failf "unknown protocol %s" p
+      in
+      go { acc with kind } rest
+    | "--seed" :: s :: rest -> go { acc with seed = Int64.of_string s } rest
+    | "--f" :: n :: rest -> go { acc with f = int_of_string n } rest
+    | "--byz" :: rest -> go { acc with byz = true } rest
+    | "--restart" :: rest -> go { acc with restart = true } rest
+    | "--durable" :: rest -> go { acc with durable = true } rest
+    | "--disk-faults" :: rest -> go { acc with disk_faults = true } rest
+    | "--long" :: rest -> go { acc with long = true } rest
+    | "--gray" :: rest -> go { acc with gray = true } rest
+    | "--timing" :: "static" :: rest -> go { acc with static = true } rest
+    | "--auth" :: "mac" :: rest -> go { acc with mac = true } rest
+    | arg :: _ -> Alcotest.failf "unexpected chaos argument %s" arg
+  in
+  go
+    {
+      kind = H.Cluster.Sc_protocol;
+      f = 1;
+      seed = 7L;
+      byz = false;
+      restart = false;
+      durable = false;
+      disk_faults = false;
+      long = false;
+      gray = false;
+      static = false;
+      mac = false;
+    }
+    (String.split_on_char ' ' line)
+
+let digest_of lines =
+  let acc = Sof_check.Fingerprint.create () in
+  List.iter (Sof_check.Fingerprint.add_string acc) lines;
+  Sof_check.Fingerprint.digest acc
+
+let duration = Simtime.sec 10
+
+(* The pinned projection of a gray campaign, and whether it passed. *)
+let gray_projection fl =
+  let timing =
+    if fl.static then Sof_protocol.Config.Static else Sof_protocol.Config.Adaptive
+  in
+  let r =
+    H.Nemesis.gray_run ~slow_disks:fl.durable ~timing ~kind:fl.kind ~f:fl.f
+      ~seed:fl.seed ~duration ()
+  in
+  let steps =
+    List.map
+      (fun { H.Nemesis.at; action } ->
+        Format.asprintf "%8.1fms  %a" (Simtime.to_ms at) H.Nemesis.pp_action action)
+      r.H.Nemesis.gr_plan.H.Nemesis.steps
+  in
+  let invariants =
+    List.map (Format.asprintf "%a" H.Invariants.pp_result) r.H.Nemesis.gr_invariants
+  in
+  let counts =
+    List.map string_of_int
+      [
+        r.H.Nemesis.gr_fail_signals;
+        r.H.Nemesis.gr_view_changes;
+        r.H.Nemesis.gr_rotations;
+        r.H.Nemesis.gr_min_deliveries;
+        r.H.Nemesis.gr_injected;
+        r.H.Nemesis.gr_net.Sof_net.Network.messages_sent;
+        r.H.Nemesis.gr_net.Sof_net.Network.messages_delivered;
+      ]
+  in
+  (digest_of (steps @ invariants @ counts), r.H.Nemesis.gr_passed)
+
+(* The pinned text of a classic campaign, and whether it passed. *)
+let classic_report fl =
+  let auth = if fl.mac then Sof_crypto.Keyring.Mac else Sof_crypto.Keyring.Sign in
+  let r =
+    H.Nemesis.run ~byz:fl.byz ~restart:fl.restart ~durable:fl.durable
+      ~disk_faults:fl.disk_faults ~auth ~kind:fl.kind ~f:fl.f ~seed:fl.seed
+      ~duration ()
+  in
+  (digest_of [ Format.asprintf "%a" H.Nemesis.pp_report r ], r.H.Nemesis.passed)
+
+let long_passes fl =
+  let r = H.Nemesis.long_run ~kind:fl.kind ~f:fl.f ~seed:fl.seed ~duration () in
+  r.H.Nemesis.lr_passed
+
+let ci_lines =
+  [
+    ("--protocol scr --seed 42", Some 0xfaa6fbc0c8afca34L);
+    ("--protocol ct --seed 42", Some 0x44b8d228a15d49e7L);
+    ("--protocol sc --seed 1 --byz", Some 0x309ae608757a8b9fL);
+    ("--protocol sc --seed 4 --byz", Some 0x49490d382432ce24L);
+    ("--protocol scr --seed 3 --byz", Some 0x90fe5989b74dfa8cL);
+    ("--protocol scr --seed 6 --byz", Some 0x83634e3bbfff5e36L);
+    ("--protocol ct --seed 5 --byz", Some 0xd5561cc20a33f8f5L);
+    ("--protocol sc --seed 2 --byz --auth mac", Some 0xea31af77e3f14aa0L);
+    ("--protocol scr --seed 1 --byz --auth mac", Some 0xda6edf2247de20b1L);
+    ("--protocol sc --seed 1 --restart --auth mac", Some 0xb316da8f2d4c860aL);
+    ("--protocol bft --seed 1 --restart --auth mac", Some 0x43e34c2ec9cd5939L);
+    ("--protocol ct --seed 1 --restart", Some 0xc622a472b04f3aaeL);
+    ("--protocol sc --seed 2 --restart", Some 0x4ef0e121a58aaaeL);
+    ("--protocol scr --seed 3 --restart", Some 0xe7c6682ff47638e9L);
+    ("--protocol bft --seed 1 --restart", Some 0x61f46ad88db1ae4fL);
+    ("--protocol bft --seed 1 --long", None);
+    ("--protocol ct --seed 3 --restart --disk-faults", Some 0xc85a1e9448aafc5dL);
+    ("--protocol sc --seed 3 --restart --disk-faults", Some 0xeba902f739375ee1L);
+    ("--protocol scr --seed 3 --restart --disk-faults", Some 0x9832cbd57ece7a3fL);
+    ("--protocol bft --seed 3 --restart --disk-faults", Some 0x64fa67edb381b8b3L);
+    ("--protocol bft --seed 1 --f 2 --restart --disk-faults", Some 0x99e30f8ccb6785d8L);
+    ("--protocol scr --seed 2 --byz --disk-faults", Some 0x31c97887958b9ca9L);
+    ("--protocol sc --seed 1 --gray", Some 0x1871760a287c1f63L);
+    ("--protocol scr --seed 2 --gray", Some 0xa0169cc51d91a420L);
+    ("--protocol bft --seed 1 --gray", Some 0x9d0600e068faf807L);
+    ("--protocol ct --seed 1 --gray", Some 0x65e2e20e425cea9aL);
+    ("--protocol sc --seed 7 --gray --durable", Some 0xa97d763a3307ab51L);
+    ("--protocol sc --seed 1 --gray --timing static", Some 0x87b5f5985928a416L);
+  ]
+
+let check_ci_line (line, pin) () =
+  let fl = parse_flags line in
+  match pin with
+  | None -> Alcotest.(check bool) "endurance run passes" true (long_passes fl)
+  | Some expected ->
+    let digest, passed =
+      if fl.gray then gray_projection fl else classic_report fl
+    in
+    Alcotest.(check string) "pinned digest" (Printf.sprintf "0x%LxL" expected)
+      (Printf.sprintf "0x%LxL" digest);
+    (* The static gray run is CI's expected failure. *)
+    Alcotest.(check bool) "verdict" (not fl.static) passed
+
+let suite =
+  suite
+  @ [
+      ( "regression.ci-chaos",
+        List.map
+          (fun ((line, _) as row) ->
+            Alcotest.test_case line `Slow (check_ci_line row))
+          ci_lines );
+    ]
