@@ -47,14 +47,7 @@ let seed =
 (* --------------------------------------------------------------- run *)
 
 let protocol_arg =
-  let all =
-    [
-      ("sc", H.Cluster.Sc_protocol);
-      ("scr", H.Cluster.Scr_protocol);
-      ("bft", H.Cluster.Bft_protocol);
-      ("ct", H.Cluster.Ct_protocol);
-    ]
-  in
+  let all = List.map (fun k -> (Sof_protocol.Replica.name k, k)) Sof_protocol.Replica.kinds in
   Arg.(
     value
     & opt (enum all) H.Cluster.Sc_protocol
@@ -407,85 +400,49 @@ let census_cmd =
 let chaos_cmd =
   let chaos protocol f seed duration_s byz restart durable disk_faults long gray
       timing auth =
-    (* Flag-matrix validation: campaigns that cannot honour a flag reject it
-       outright rather than silently ignoring it. *)
-    let conflict =
-      if long && (byz || restart || durable || disk_faults || gray) then
-        Some
-          "--long is a fail-free endurance run; drop --byz/--restart/--durable/\
-           --disk-faults/--gray"
-      else if gray && byz then
-        Some
-          "--gray campaigns have no faulty process (everything is slow, \
-           nothing is wrong); drop --byz"
-      else if gray && restart then
-        Some "--gray campaigns crash nothing, so there is no target to --restart"
-      else if gray && disk_faults then
-        Some
-          "--gray pairs with --durable (slow-sector disks), not --disk-faults \
-           (the corruption atlas)"
-      else if gray && auth = Sof_crypto.Keyring.Mac then
-        Some "--gray campaigns run signed; drop --auth mac"
-      else if byz && restart then
-        Some
-          "--byz trades the campaign's crash away, leaving no crash target to \
-           --restart; pick one"
+    (* Each flag selects one layer; the two rules below are about flags
+       that select none, the rest are the layers' own. *)
+    let layers =
+      if long && gray then
+        Error "--long is a fail-free endurance run; drop --gray"
       else if timing <> `Auto && not gray then
-        Some
+        Error
           "--timing selects the --gray estimator; classic campaigns run the \
            paper's static (Sync) estimates"
-      else None
+      else
+        let base =
+          if long then []
+          else if gray then
+            [
+              H.Nemesis.Gray
+                (match timing with
+                | `Static -> Sof_protocol.Config.Static
+                | `Adaptive | `Auto -> Sof_protocol.Config.Adaptive);
+            ]
+          else [ H.Nemesis.Lossy ]
+        in
+        let layers =
+          base
+          @ List.filter_map
+              (fun (on, layer) -> if on then Some layer else None)
+              H.Nemesis.
+                [
+                  (byz, Byzantine);
+                  (restart, Restart);
+                  (durable || disk_faults, Durable);
+                  (disk_faults, Disk_faults);
+                ]
+        in
+        match H.Nemesis.rejection ~auth layers with
+        | Some msg -> Error msg
+        | None -> Ok layers
     in
-    match conflict with
-    | Some msg -> `Error (false, msg)
-    | None ->
-    if gray then begin
-      let timing =
-        match timing with
-        | `Static -> Sof_protocol.Config.Static
-        | `Adaptive | `Auto -> Sof_protocol.Config.Adaptive
-      in
+    match layers with
+    | Error msg -> `Error (false, msg)
+    | Ok layers ->
       let report =
-        H.Nemesis.gray_run ~slow_disks:durable ~timing ~kind:protocol ~f ~seed
+        H.Nemesis.run ~auth ~layers ~kind:protocol ~f ~seed
           ~duration:(Simtime.sec duration_s) ()
-      in
-      Format.printf "%a" H.Nemesis.pp_gray_report report;
-      if report.H.Nemesis.gr_passed then `Ok ()
-      else begin
-        let failing =
-          List.filter_map
-            (fun r -> if r.H.Invariants.pass then None else Some r.H.Invariants.name)
-            report.H.Nemesis.gr_invariants
-        in
-        `Error
-          ( false,
-            Printf.sprintf "chaos FAIL seed=%Ld invariant=%s" seed
-              (String.concat "," failing) )
-      end
-    end
-    else if long then begin
-      let report =
-        H.Nemesis.long_run ~kind:protocol ~f ~seed
-          ~duration:(Simtime.sec duration_s) ()
-      in
-      Format.printf "%a" H.Nemesis.pp_long_report report;
-      if report.H.Nemesis.lr_passed then `Ok ()
-      else begin
-        let failing =
-          List.filter_map
-            (fun r -> if r.H.Invariants.pass then None else Some r.H.Invariants.name)
-            report.H.Nemesis.lr_invariants
-        in
-        `Error
-          ( false,
-            Printf.sprintf "chaos FAIL seed=%Ld invariant=%s" seed
-              (String.concat "," failing) )
-      end
-    end
-    else begin
-      let report =
-        H.Nemesis.run ~byz ~restart ~durable ~disk_faults ~auth ~kind:protocol
-          ~f ~seed ~duration:(Simtime.sec duration_s) ()
       in
       Format.printf "%a" H.Nemesis.pp_report report;
       if report.H.Nemesis.passed then `Ok ()
@@ -501,7 +458,6 @@ let chaos_cmd =
             Printf.sprintf "chaos FAIL seed=%Ld invariant=%s" seed
               (String.concat "," failing) )
       end
-    end
   in
   let f_param =
     Arg.(value & opt int 1 & info [ "f"; "faults" ] ~docv:"F" ~doc:"Fault tolerance parameter.")
@@ -516,7 +472,9 @@ let chaos_cmd =
           ~doc:
             "Trade the campaign's crash for one seeded Byzantine fault \
              (equivocation, fail-signal abuse, stale replay, wire corruption, \
-             …) aimed at the initial coordinator pair.")
+             …) aimed at the initial coordinator pair.  With $(b,--durable), \
+             the crash stays and the fault moves to the repair path: a \
+             replica serving state transfers from a tampered log.")
   in
   let restart =
     Arg.(
@@ -527,7 +485,7 @@ let chaos_cmd =
              volatile state; it must rejoin through a certified state \
              transfer.  Turns on checkpointing (interval 8) and the \
              checkpoint-agreement, bounded-log and recovery-liveness \
-             invariants.  Ignored with $(b,--byz).")
+             invariants.  With $(b,--byz) it needs $(b,--durable).")
   in
   let durable =
     Arg.(
@@ -548,8 +506,7 @@ let chaos_cmd =
           ~doc:
             "Implies $(b,--durable) and arms the storage-fault atlas on \
              replicas 1..f: torn writes at crash, stably corrupt sectors, \
-             lost and misdirected writes.  With $(b,--byz), the f-budget \
-             goes to a replica serving state transfers from a tampered log.")
+             lost and misdirected writes.")
   in
   let long =
     Arg.(
@@ -599,15 +556,18 @@ let chaos_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Valid flag combinations: the default campaign (crash + \
-              partitions + loss + surge) composes with $(b,--restart), \
-              $(b,--durable), $(b,--disk-faults) (implies durable) and \
-              $(b,--auth); $(b,--byz) trades the crash for a Byzantine fault \
-              and composes with $(b,--durable)/$(b,--disk-faults) and \
-              $(b,--auth) but not $(b,--restart); $(b,--gray) composes with \
-              $(b,--timing) and $(b,--durable) only; $(b,--long) composes \
-              with nothing.  Every other combination is rejected with an \
-              explanation rather than silently ignored.";
+             "Each flag selects one fault layer: the default lossy campaign \
+              (crash + partitions + loss + surge), or $(b,--gray) in its \
+              place, or neither under $(b,--long); then $(b,--byz), \
+              $(b,--restart), $(b,--durable) and $(b,--disk-faults) (which \
+              implies $(b,--durable)).  The layer rules: $(b,--long) takes \
+              no other layer; $(b,--gray) takes only $(b,--durable) (slow \
+              sectors) and $(b,--timing), and runs signed; $(b,--timing) \
+              needs $(b,--gray); $(b,--byz) with $(b,--restart) needs \
+              $(b,--durable), where the Byzantine fault moves to a replica \
+              serving state transfers from a tampered log.  Every other \
+              combination is rejected with an explanation rather than \
+              silently ignored.";
          ])
     Term.(
       ret

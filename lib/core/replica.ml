@@ -11,6 +11,34 @@ let process_count kind ~f =
   | Scr_protocol -> (3 * f) + 2
   | Ct_protocol -> (2 * f) + 1
 
+let kinds = [ Sc_protocol; Scr_protocol; Bft_protocol; Ct_protocol ]
+
+let name = function
+  | Sc_protocol -> "sc"
+  | Scr_protocol -> "scr"
+  | Bft_protocol -> "bft"
+  | Ct_protocol -> "ct"
+
+(* Config's layout, arithmetically: replicas 0..2f, shadows from 2f+1,
+   pair r (1-based) = (primary r-1, shadow 2f+r). *)
+let pair_count kind ~f =
+  match kind with
+  | Sc_protocol -> f
+  | Scr_protocol -> f + 1
+  | Bft_protocol | Ct_protocol -> 0
+
+let pair_rank kind ~f p =
+  let pairs = pair_count kind ~f in
+  if p < pairs then Some (p + 1)
+  else if p > 2 * f && p <= (2 * f) + pairs then Some (p - (2 * f))
+  else None
+
+let counterpart kind ~f p =
+  let pairs = pair_count kind ~f in
+  if p < pairs then Some ((2 * f) + p + 1)
+  else if p > 2 * f && p <= (2 * f) + pairs then Some (p - (2 * f) - 1)
+  else None
+
 let scheme kind s = match kind with Ct_protocol -> Scheme.null | _ -> s
 
 type config =

@@ -14,6 +14,27 @@ type kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
 val process_count : kind -> f:int -> int
 (** SC 3f+1, SCR 3f+2, BFT 3f+1, CT 2f+1. *)
 
+val kinds : kind list
+(** All four, in declaration order. *)
+
+val name : kind -> string
+(** ["sc"], ["scr"], ["bft"] or ["ct"]: the command line's spelling. *)
+
+(** {1 Process layout}
+
+    The same facts {!Config} answers for a built configuration, from the
+    kind and [f] alone, so event-log checks and fault campaigns need no
+    configuration. *)
+
+val pair_count : kind -> f:int -> int
+(** SC f, SCR f+1; BFT and CT have no pairs. *)
+
+val pair_rank : kind -> f:int -> int -> int option
+(** The 1-based rank of the pair process [p] belongs to, if any. *)
+
+val counterpart : kind -> f:int -> int -> int option
+(** The other member of [p]'s pair, if [p] is paired. *)
+
 val scheme : kind -> Sof_crypto.Scheme.t -> Sof_crypto.Scheme.t
 (** The scheme a deployment of [kind] signs with: CT uses no cryptography
     and gets {!Sof_crypto.Scheme.null}; the others keep the one given. *)

@@ -274,7 +274,9 @@ let message_counts ?(f = 2) ?(seed = 3L) () =
 let recovery_costs ?(f = 2) ?(seed = 1L) ?(duration = Simtime.sec 10) () =
   List.filter_map
     (fun (label, kind) ->
-      let report = Nemesis.run ~restart:true ~kind ~f ~seed ~duration () in
+      let report =
+        Nemesis.run ~layers:[ Lossy; Restart ] ~kind ~f ~seed ~duration ()
+      in
       Option.map (fun recovery -> (label, recovery)) report.Nemesis.recovery)
     [
       ("CT", Cluster.Ct_protocol);
@@ -292,7 +294,8 @@ let durable_recovery_costs ?(f = 2) ?(seed = 1L) ?(duration = Simtime.sec 10) ()
   List.filter_map
     (fun (label, kind) ->
       let report =
-        Nemesis.run ~restart:true ~disk_faults:true ~kind ~f ~seed ~duration ()
+        Nemesis.run ~layers:[ Lossy; Restart; Durable; Disk_faults ] ~kind ~f ~seed
+          ~duration ()
       in
       match (report.Nemesis.recovery, report.Nemesis.storage) with
       | Some recovery, Some storage -> Some (label, recovery, storage)
@@ -372,24 +375,24 @@ let timeout_sensitivity ?(f = 1) ?(seed = 1L) ?(duration = Simtime.sec 12)
   let base = Simtime.ms 400 in
   let row ~label ~multiplier ~timing ~estimate =
     let r =
-      Nemesis.gray_run ~timing ~pair_estimate:estimate
+      Nemesis.run ~pair_estimate:estimate ~layers:[ Gray timing ]
         ~kind:Cluster.Sc_protocol ~f ~seed ~duration ()
     in
     let degradation_live =
       List.exists
         (fun (res : Invariants.result) ->
           res.Invariants.name = "degradation-liveness" && res.Invariants.pass)
-        r.Nemesis.gr_invariants
+        r.Nemesis.invariants
     in
     {
       ts_label = label;
       ts_multiplier = multiplier;
       ts_estimate_ms = Simtime.to_ms estimate;
-      ts_fail_signals = r.Nemesis.gr_fail_signals;
-      ts_installs = r.Nemesis.gr_signals.Metrics.fa_installs;
-      ts_min_deliveries = r.Nemesis.gr_min_deliveries;
+      ts_fail_signals = r.Nemesis.signals.Metrics.fa_total;
+      ts_installs = r.Nemesis.signals.Metrics.fa_installs;
+      ts_min_deliveries = r.Nemesis.min_honest_deliveries;
       ts_degradation_live = degradation_live;
-      ts_passed = r.Nemesis.gr_passed;
+      ts_passed = r.Nemesis.passed;
     }
   in
   List.map

@@ -183,7 +183,7 @@ val timeout_sensitivity :
   unit ->
   timeout_point list
 (** Premature-suspicion cost of a mis-set delay estimate, measured on one
-    pinned {!Nemesis.gray_run} straggler campaign against SC.  Each
+    pinned {!Nemesis.Gray} straggler campaign against SC.  Each
     multiplier scales the 400 ms static estimate for one run of the same
     seeded schedule; the final row repeats it under the adaptive
     estimator.  Small multiples accuse the straggling (healthy) pair and

@@ -218,27 +218,6 @@ let validity cluster ~honest ~injected =
 
 (* --------------------------------------------- fail-signal accountability *)
 
-(* Pair layout, mirrored arithmetically from Config so an event-log check
-   does not need a full protocol configuration: pair r (1-based) is
-   (primary r-1, shadow 2f+r); SC fields f pairs, SCR f+1. *)
-let pair_count_of ~kind ~f =
-  match kind with
-  | Cluster.Sc_protocol -> f
-  | Cluster.Scr_protocol -> f + 1
-  | Cluster.Bft_protocol | Cluster.Ct_protocol -> 0
-
-let counterpart_of ~kind ~f p =
-  let pairs = pair_count_of ~kind ~f in
-  if p < pairs then Some ((2 * f) + p + 1)
-  else if p > 2 * f && p <= (2 * f) + pairs then Some (p - (2 * f) - 1)
-  else None
-
-let pair_rank_of ~kind ~f p =
-  let pairs = pair_count_of ~kind ~f in
-  if p < pairs then Some (p + 1)
-  else if p > 2 * f && p <= (2 * f) + pairs then Some (p - (2 * f))
-  else None
-
 (* Soundness half of fail-signal accountability, over a bare event list: an
    honest member's fail-signal must be attributable — a Byzantine or crashed
    counterpart, or the counterpart's own signal (the join rule). *)
@@ -257,7 +236,7 @@ let fs_soundness_violation ~events ~kind ~f ~byz ~crashed =
       match ev with
       | P.Context.Fail_signal_emitted { pair; value_domain }
         when not (List.mem who byz) -> begin
-        match (pair_rank_of ~kind ~f who, counterpart_of ~kind ~f who) with
+        match (P.Replica.pair_rank kind ~f who, P.Replica.counterpart kind ~f who) with
         | Some own, Some cp when own = pair ->
           if List.mem cp byz then None
           else if value_domain then
@@ -286,7 +265,7 @@ let fs_soundness_violation ~events ~kind ~f ~byz ~crashed =
 
 let fail_signal_soundness_of ~events ~kind ~f ~byz ~crashed =
   let name = "fs-soundness" in
-  if pair_count_of ~kind ~f = 0 then ok name
+  if P.Replica.pair_count kind ~f = 0 then ok name
   else
     match fs_soundness_violation ~events ~kind ~f ~byz ~crashed with
     | None -> ok name
@@ -301,7 +280,7 @@ let fail_signal_accountability cluster ~crashed ~by =
   let name = "fs-accountability" in
   let spec = Cluster.spec cluster in
   let kind = spec.Cluster.kind and f = spec.Cluster.f in
-  if pair_count_of ~kind ~f = 0 then ok name
+  if P.Replica.pair_count kind ~f = 0 then ok name
   else begin
     let events = Cluster.events cluster in
     let byz = byz_of_spec spec in
@@ -338,7 +317,7 @@ let fail_signal_accountability cluster ~crashed ~by =
     let detection =
       List.find_map
         (fun (who, fault) ->
-          match (pair_rank_of ~kind ~f who, counterpart_of ~kind ~f who) with
+          match (P.Replica.pair_rank kind ~f who, P.Replica.counterpart kind ~f who) with
           | Some rank, Some cp
             when fired_detectably who fault
                  && (not (List.mem cp byz))

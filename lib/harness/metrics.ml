@@ -312,12 +312,6 @@ let critical_path kind =
   | Cluster.Ct_protocol ->
     [ (P.Context.Order_phase, [ "order" ]); (P.Context.Ack_phase, [ "ack" ]) ]
 
-let protocol_name = function
-  | Cluster.Sc_protocol -> "SC"
-  | Cluster.Scr_protocol -> "SCR"
-  | Cluster.Bft_protocol -> "BFT"
-  | Cluster.Ct_protocol -> "CT"
-
 let phase_breakdown cluster =
   let n = Cluster.process_count cluster in
   let spec = Cluster.spec cluster in
@@ -395,7 +389,7 @@ let phase_breakdown cluster =
   in
   let crypto = Cluster.total_crypto_counts cluster in
   {
-    bd_protocol = protocol_name spec.Cluster.kind;
+    bd_protocol = String.uppercase_ascii (P.Replica.name spec.Cluster.kind);
     bd_auth = Sof_crypto.Keyring.auth_name spec.Cluster.auth;
     bd_n = n;
     bd_f = spec.Cluster.f;

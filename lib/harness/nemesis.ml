@@ -30,13 +30,22 @@ type plan = {
   link_fault : Link_fault.t;
 }
 
+type layer =
+  | Lossy
+  | Byzantine
+  | Restart
+  | Durable
+  | Disk_faults
+  | Gray of P.Config.timing
+
 type report = {
+  layers : layer list;
   kind : Cluster.kind;
   f : int;
   seed : int64;
   plan : plan;
   invariants : Invariants.result list;
-  channel : Channel.stats;
+  channel : Channel.stats option;
   net : Network.stats;
   honest : int list;
   crashed : int list;
@@ -45,30 +54,62 @@ type report = {
   replays_injected : int;
   corruptions_injected : int;
   restarted : int list;
+  churn : int * int * int;
+  signals : Metrics.signal_accounting;
   recovery : Metrics.recovery option;
   storage : Metrics.storage option;
   passed : bool;
 }
 
+let gray_timing layers = List.find_map (function Gray t -> Some t | _ -> None) layers
+
+(* Compatibility rules, worded for the [sof chaos] flags that select each
+   layer: a campaign that cannot honour a layer rejects it rather than
+   silently ignoring it. *)
+let rejection ?(auth = Sof_crypto.Keyring.Sign) layers =
+  let has l = List.mem l layers in
+  let gray = gray_timing layers <> None in
+  if not (gray || has Lossy) && layers <> [] then
+    Some
+      "--long is a fail-free endurance run; drop --byz/--restart/--durable/\
+       --disk-faults/--gray"
+  else if gray && has Lossy then
+    Some "--gray campaigns run on reliable links; drop the lossy campaign"
+  else if gray && has Byzantine then
+    Some
+      "--gray campaigns have no faulty process (everything is slow, nothing \
+       is wrong); drop --byz"
+  else if gray && has Restart then
+    Some "--gray campaigns crash nothing, so there is no target to --restart"
+  else if gray && has Disk_faults then
+    Some
+      "--gray pairs with --durable (slow-sector disks), not --disk-faults \
+       (the corruption atlas)"
+  else if gray && auth = Sof_crypto.Keyring.Mac then
+    Some "--gray campaigns run signed; drop --auth mac"
+  else if has Disk_faults && not (has Durable) then
+    Some "--disk-faults arms the atlas on durable disks; add --durable"
+  else if has Byzantine && has Restart && not (has Durable) then
+    Some
+      "--byz trades the campaign's crash away, leaving no crash target to \
+       --restart, unless the cluster is --durable (the fault then moves to \
+       the repair path); drop one or add --durable"
+  else None
+
 (* ------------------------------------------------------ process layout *)
 
 (* Partition units: pair members must stay on the same side, otherwise a
    partition reads as a pair failure — permanent under SC's assumptions and
-   outside what the campaign means to test.  Ids follow Config's layout:
-   replicas 0..2f, shadows from 2f+1, pair r = {r-1, 2f+r}. *)
+   outside what the campaign means to test. *)
 let partition_units ~kind ~f =
   let n = P.Replica.process_count kind ~f in
-  match kind with
-  | Cluster.Sc_protocol | Cluster.Scr_protocol ->
-    let pairs = match kind with Cluster.Sc_protocol -> f | _ -> f + 1 in
-    let paired = List.init pairs (fun r -> [ r; (2 * f) + 1 + r ]) in
-    let singles =
-      List.filter_map
-        (fun i -> if i >= pairs && i <= 2 * f then Some [ i ] else None)
-        (List.init n Fun.id)
-    in
-    paired @ singles
-  | Cluster.Bft_protocol | Cluster.Ct_protocol -> List.init n (fun i -> [ i ])
+  List.filter_map
+    (fun i ->
+      match P.Replica.counterpart kind ~f i with
+      | Some cp when cp > i -> Some [ i; cp ]
+      | Some _ -> None
+      | None -> Some [ i ])
+    (List.init n Fun.id)
 
 (* A process whose crash the protocol absorbs without exhausting the fault
    budget: a non-candidate replica for SC/SCR, the last process otherwise. *)
@@ -117,8 +158,11 @@ let byz_fault ~rng ~kind ~f ~duration =
          this campaign checks precisely that the spam alone does no harm. *)
       [ ((if Rng.bool rng then 1 else (2 * f) + 2), P.Fault.Unwilling_spam) ])
 
-let random_plan ?(byz = false) ?(restart = false) ?(disk = false) ~rng ~kind ~f
-    ~duration () =
+(* The {!Lossy} campaign.  The draws come in a fixed order — substrate,
+   then the restart time, then the blackout, then the Byzantine fault — and
+   each layer's draws happen only under it, so a plan without a layer
+   replays byte-for-byte the draws of the plan beneath it. *)
+let random_plan ~byz ~restart ~disk ~rng ~kind ~f ~duration =
   let frac x = Simtime.scale duration x in
   let link_fault =
     Link_fault.make
@@ -172,7 +216,7 @@ let random_plan ?(byz = false) ?(restart = false) ?(disk = false) ~rng ~kind ~f
      target is read back from the crash step and the extra time draw only
      happens when asked, so plans without [restart] replay byte-for-byte. *)
   let steps =
-    if restart && (not byz || disk) then
+    if restart then
       match
         List.find_opt
           (fun s -> match s.action with Crash _ -> true | _ -> false)
@@ -255,7 +299,10 @@ let gray_bystanders ~kind ~f =
   | Cluster.Bft_protocol -> (1, 2)
   | Cluster.Ct_protocol -> if f = 1 then (1, 0) else (1, 2)
 
-let gray_plan ~rng ~kind ~f ~duration () =
+(* The {!Gray} campaign: a 28-step geometric straggler ramp cleared at
+   80% of the run, an early jitter-surge ramp, a one-way slow link and a
+   link that degrades in stages. *)
+let gray_plan ~rng ~kind ~f ~duration =
   let frac x = Simtime.scale duration x in
   let target = gray_target ~kind ~f in
   let a, b = gray_bystanders ~kind ~f in
@@ -335,19 +382,12 @@ let gray_plan ~rng ~kind ~f ~duration () =
 (* --------------------------------------------------------------- apply *)
 
 (* The delay model [Cluster.build] installed on a directed link: the fast
-   pair link inside a pair ({r, 2f+1+r} under Config's layout), the LAN
-   model everywhere else.  Gray actions scale {e relative to} this
-   baseline, so clearing one is just re-installing it. *)
+   pair link inside a pair, the LAN model everywhere else.  Gray actions
+   scale {e relative to} this baseline, so clearing one is just
+   re-installing it. *)
 let baseline_delay spec ~src ~dst =
-  let f = spec.Cluster.f in
-  let pairs =
-    match spec.Cluster.kind with
-    | Cluster.Sc_protocol -> f
-    | Cluster.Scr_protocol -> f + 1
-    | Cluster.Bft_protocol | Cluster.Ct_protocol -> 0
-  in
-  let a = min src dst and b = max src dst in
-  if a < pairs && b = a + (2 * f) + 1 then spec.Cluster.pair_link
+  if P.Replica.counterpart spec.Cluster.kind ~f:spec.Cluster.f src = Some dst
+  then spec.Cluster.pair_link
   else spec.Cluster.lan
 
 let apply_action cluster action =
@@ -416,47 +456,56 @@ let install_recorded_workload cluster ~rate ~duration ~injected =
 
 (* ----------------------------------------------------------------- run *)
 
-let run ?plan ?(byz = false) ?(restart = false) ?(durable = false)
-    ?(disk_faults = false) ?(checkpoint_interval = 0) ?(rate = 150.0)
-    ?(auth = Sof_crypto.Keyring.Sign) ~kind ~f ~seed ~duration () =
-  (* A restart campaign without checkpointing would recover by replaying
-     the whole log; the point is recovery through a certified checkpoint,
-     so restart implies a default interval.  Durable campaigns force it
-     too: the write-ahead log replays from the last persisted checkpoint
-     image, and delivery marks — what the durability invariant audits —
-     only exist when checkpointing is on. *)
-  let durable = durable || disk_faults in
-  let checkpoint_interval =
-    if (restart || durable) && checkpoint_interval = 0 then 8
-    else checkpoint_interval
-  in
+let run ?(auth = Sof_crypto.Keyring.Sign) ?(pair_estimate = Simtime.ms 400)
+    ~layers ~kind ~f ~seed ~duration () =
+  Option.iter invalid_arg (rejection ~auth layers);
+  let has l = List.mem l layers in
+  let gray = gray_timing layers in
+  let lossy = has Lossy and durable = has Durable in
+  (* Labelled substreams keep the campaign stream distinct from the
+     engine's root without consuming from it, and gray draws apart from
+     classic ones for the same seed. *)
+  let plan_rng label = Rng.substream (Rng.create seed) label in
   let plan =
-    match plan with
-    | Some p -> p
-    | None ->
-      (* A labelled substream keeps the campaign stream distinct from the
-         engine's root without consuming from it: the plan drawn for a seed
-         no longer shifts when the engine's own draw order changes. *)
-      random_plan ~byz ~restart ~disk:durable
-        ~rng:(Rng.substream (Rng.create seed) "nemesis-plan")
-        ~kind ~f ~duration ()
+    if lossy then
+      random_plan ~byz:(has Byzantine) ~restart:(has Restart) ~disk:durable
+        ~rng:(plan_rng "nemesis-plan") ~kind ~f ~duration
+    else if gray <> None then
+      gray_plan ~rng:(plan_rng "nemesis-gray") ~kind ~f ~duration
+    else { steps = []; byz_faults = []; link_fault = Link_fault.none }
+  in
+  (* A restart recovers through a certified checkpoint, not by replaying
+     the whole log; the write-ahead log replays from the last persisted
+     checkpoint image, and delivery marks — what the durability invariant
+     audits — only exist when checkpointing is on; the endurance run
+     exists to show the log staying bounded. *)
+  let checkpoint_interval =
+    if has Restart || durable || not (lossy || gray <> None) then 8 else 0
   in
   let spec =
     {
       (Cluster.default_spec ~kind ~f) with
       Cluster.auth;
       batching_interval = Simtime.ms 50;
-      (* Generous: retransmission over a lossy pair link adds delay that
-         must not read as a time-domain pair failure. *)
-      pair_delay_estimate = Simtime.ms 400;
+      (* Generous by LAN standards — the paper's assumption 3(a) bound, so
+         retransmission over a lossy pair link does not read as a
+         time-domain pair failure — yet finite, which is all a gray
+         straggler needs. *)
+      pair_delay_estimate = pair_estimate;
       heartbeat_interval = Simtime.ms 50;
       seed;
       faults = plan.byz_faults;
-      use_channel = true;
+      timing = Option.value gray ~default:P.Config.Static;
+      (* In a gray campaign nothing fails, so nothing may hide behind
+         retransmission: the protocols run bare on reliable links. *)
+      use_channel = lossy;
       checkpoint_interval;
       durable;
       disk_profile =
-        (if disk_faults then Some Sof_storage.Fault_atlas.default else None);
+        (if has Disk_faults then Some Sof_storage.Fault_atlas.default
+         else if durable && gray <> None then
+           Some Sof_storage.Fault_atlas.slow_sectors
+         else None);
     }
   in
   let cluster = Cluster.build spec in
@@ -467,17 +516,19 @@ let run ?plan ?(byz = false) ?(restart = false) ?(durable = false)
     (fun { at; action } ->
       ignore (Engine.schedule_at engine ~at (fun () -> apply_action cluster action)))
     plan.steps;
-  (* Every campaign ends whole: whatever the last step left severed or
-     surged is repaired at its instant, and liveness is judged after it. *)
   let heal_time =
     List.fold_left (fun acc s -> Simtime.max acc s.at) Simtime.zero plan.steps
   in
-  ignore
-    (Engine.schedule_at engine ~at:heal_time (fun () ->
-         Network.heal net;
-         Network.clear_surge net));
+  (* Every lossy campaign ends whole: whatever the last step left severed
+     or surged is repaired at its instant, and liveness is judged after
+     it. *)
+  if lossy then
+    ignore
+      (Engine.schedule_at engine ~at:heal_time (fun () ->
+           Network.heal net;
+           Network.clear_surge net));
   let injected = ref Request.Key_set.empty in
-  install_recorded_workload cluster ~rate ~duration ~injected;
+  install_recorded_workload cluster ~rate:150.0 ~duration ~injected;
   Cluster.run cluster ~until:(Simtime.add duration (Simtime.sec 3));
   (* Judge. *)
   let n = Cluster.process_count cluster in
@@ -494,15 +545,43 @@ let run ?plan ?(byz = false) ?(restart = false) ?(durable = false)
            match ev with P.Context.Node_restarted -> Some who | _ -> None)
          (Cluster.events cluster))
   in
+  (* Degraded window: first straggler step to its clear — the interval
+     over which delivery must degrade rather than stop. *)
+  let degradation () =
+    let degraded_from =
+      List.fold_left
+        (fun acc s ->
+          match s.action with Straggler _ -> Simtime.min acc s.at | _ -> acc)
+        heal_time plan.steps
+    in
+    let degraded_until =
+      List.fold_left
+        (fun acc s ->
+          match s.action with Clear_straggler _ -> Simtime.max acc s.at | _ -> acc)
+        degraded_from plan.steps
+    in
+    Invariants.degradation_liveness cluster ~honest ~degraded_from ~degraded_until
+  in
   let invariants =
     [
       Invariants.agreement cluster ~honest;
       Invariants.prefix_consistency cluster ~honest;
       Invariants.validity cluster ~honest ~injected:!injected;
-      Invariants.liveness_after_heal cluster ~honest:live_honest ~heal_time;
-      Invariants.fail_signal_accountability cluster ~crashed ~by:heal_time;
-      Invariants.coordinator_succession cluster ~crashed ~by:heal_time;
     ]
+    @ (if gray <> None then [ degradation () ] else [])
+    @ [ Invariants.liveness_after_heal cluster ~honest:live_honest ~heal_time ]
+    @ (if gray = None then
+         [
+           Invariants.fail_signal_accountability cluster ~crashed ~by:heal_time;
+           Invariants.coordinator_succession cluster ~crashed ~by:heal_time;
+         ]
+       else [])
+    (* Adaptive timers are judged on zero churn; a static run under the
+       same straggler is expected to churn — the report carries its counts
+       instead of a verdict. *)
+    @ (if gray = Some P.Config.Adaptive then
+         [ Invariants.no_premature_suspicion cluster ]
+       else [])
     @ (if checkpoint_interval > 0 then
          [
            Invariants.checkpoint_agreement cluster ~honest;
@@ -530,11 +609,6 @@ let run ?plan ?(byz = false) ?(restart = false) ?(durable = false)
   let min_honest_deliveries =
     List.fold_left (fun acc i -> min acc deliveries.(i)) max_int live_honest
   in
-  let channel =
-    match Cluster.channel cluster with
-    | Some chan -> Channel.total_stats chan
-    | None -> assert false (* run always builds with use_channel *)
-  in
   let replays_injected, corruptions_injected =
     match Cluster.adversary cluster with
     | Some adv ->
@@ -542,12 +616,13 @@ let run ?plan ?(byz = false) ?(restart = false) ?(durable = false)
     | None -> (0, 0)
   in
   {
+    layers;
     kind;
     f;
     seed;
     plan;
     invariants;
-    channel;
+    channel = Option.map Channel.total_stats (Cluster.channel cluster);
     net = Network.stats net;
     honest;
     crashed;
@@ -556,6 +631,8 @@ let run ?plan ?(byz = false) ?(restart = false) ?(durable = false)
     replays_injected;
     corruptions_injected;
     restarted;
+    churn = Invariants.suspicion_churn cluster;
+    signals = Metrics.signal_accounting cluster;
     recovery =
       (if checkpoint_interval > 0 then Some (Metrics.recovery_stats cluster)
        else None);
@@ -563,149 +640,7 @@ let run ?plan ?(byz = false) ?(restart = false) ?(durable = false)
     passed = Invariants.all_pass invariants;
   }
 
-(* ------------------------------------------------------------- gray run *)
-
-type gray_report = {
-  gr_kind : Cluster.kind;
-  gr_f : int;
-  gr_seed : int64;
-  gr_timing : P.Config.timing;
-  gr_plan : plan;
-  gr_invariants : Invariants.result list;
-  gr_fail_signals : int;
-  gr_view_changes : int;
-  gr_rotations : int;
-  gr_signals : Metrics.signal_accounting;
-  gr_net : Network.stats;
-  gr_min_deliveries : int;
-  gr_injected : int;
-  gr_storage : Metrics.storage option;
-  gr_passed : bool;
-}
-
-let gray_run ?plan ?(rate = 150.0) ?(slow_disks = false)
-    ?(timing = P.Config.Static) ?(pair_estimate = Simtime.ms 400) ~kind ~f ~seed
-    ~duration () =
-  let plan =
-    match plan with
-    | Some p -> p
-    | None ->
-      (* Own labelled substream: gray draws never perturb the classic
-         campaign stream for the same seed, and vice versa. *)
-      gray_plan
-        ~rng:(Rng.substream (Rng.create seed) "nemesis-gray")
-        ~kind ~f ~duration ()
-  in
-  let spec =
-    {
-      (Cluster.default_spec ~kind ~f) with
-      Cluster.batching_interval = Simtime.ms 50;
-      (* The static estimate under test: generous by LAN standards — the
-         paper's assumption 3(a) bound — yet finite, which is all a gray
-         straggler needs.  [pair_estimate] overrides it for the
-         timeout-sensitivity sweep. *)
-      pair_delay_estimate = pair_estimate;
-      heartbeat_interval = Simtime.ms 50;
-      seed;
-      timing;
-      (* Links are reliable in a gray campaign (nothing fails, everything
-         is slow), so the protocols run bare — no reliable channel whose
-         retransmission storms would muddy the timing signal. *)
-      use_channel = false;
-      durable = slow_disks;
-      checkpoint_interval = (if slow_disks then 8 else 0);
-      disk_profile =
-        (if slow_disks then Some Sof_storage.Fault_atlas.slow_sectors else None);
-    }
-  in
-  let cluster = Cluster.build spec in
-  let net = Cluster.network cluster in
-  let engine = Cluster.engine cluster in
-  List.iter
-    (fun { at; action } ->
-      ignore (Engine.schedule_at engine ~at (fun () -> apply_action cluster action)))
-    plan.steps;
-  let heal_time =
-    List.fold_left (fun acc s -> Simtime.max acc s.at) Simtime.zero plan.steps
-  in
-  (* Degraded window: first straggler step to its clear — the interval
-     over which delivery must degrade rather than stop. *)
-  let degraded_from =
-    List.fold_left
-      (fun acc s ->
-        match s.action with Straggler _ -> Simtime.min acc s.at | _ -> acc)
-      heal_time plan.steps
-  in
-  let degraded_until =
-    List.fold_left
-      (fun acc s ->
-        match s.action with Clear_straggler _ -> Simtime.max acc s.at | _ -> acc)
-      degraded_from plan.steps
-  in
-  let injected = ref Request.Key_set.empty in
-  install_recorded_workload cluster ~rate ~duration ~injected;
-  Cluster.run cluster ~until:(Simtime.add duration (Simtime.sec 3));
-  let n = Cluster.process_count cluster in
-  let honest = List.init n Fun.id in
-  let fail_signals, view_changes, rotations = Invariants.suspicion_churn cluster in
-  let invariants =
-    [
-      Invariants.agreement cluster ~honest;
-      Invariants.prefix_consistency cluster ~honest;
-      Invariants.validity cluster ~honest ~injected:!injected;
-      Invariants.degradation_liveness cluster ~honest ~degraded_from
-        ~degraded_until;
-      Invariants.liveness_after_heal cluster ~honest ~heal_time;
-    ]
-    @ (match timing with
-      (* Adaptive timers are judged on zero churn; a static run under the
-         same straggler is expected to churn — the report carries its
-         counts instead of a verdict, and the differential test asserts
-         on them. *)
-      | P.Config.Adaptive -> [ Invariants.no_premature_suspicion cluster ]
-      | P.Config.Static -> [])
-    @
-    if slow_disks then
-      [
-        Invariants.checkpoint_agreement cluster ~honest;
-        Invariants.bounded_log cluster ~live:honest ~slack:64;
-        Invariants.durability cluster ~live:honest ~injected:!injected;
-      ]
-    else []
-  in
-  let deliveries = Array.make n 0 in
-  List.iter
-    (fun (_, who, event) ->
-      match event with
-      | P.Context.Delivered _ -> deliveries.(who) <- deliveries.(who) + 1
-      | _ -> ())
-    (Cluster.events cluster);
-  {
-    gr_kind = kind;
-    gr_f = f;
-    gr_seed = seed;
-    gr_timing = timing;
-    gr_plan = plan;
-    gr_invariants = invariants;
-    gr_fail_signals = fail_signals;
-    gr_view_changes = view_changes;
-    gr_rotations = rotations;
-    gr_signals = Metrics.signal_accounting cluster;
-    gr_net = Network.stats net;
-    gr_min_deliveries =
-      Array.fold_left min max_int deliveries;
-    gr_injected = Request.Key_set.cardinal !injected;
-    gr_storage = Metrics.storage_stats cluster;
-    gr_passed = Invariants.all_pass invariants;
-  }
-
 (* -------------------------------------------------------------- report *)
-
-let kind_name = function
-  | Cluster.Sc_protocol -> "sc"
-  | Cluster.Scr_protocol -> "scr"
-  | Cluster.Bft_protocol -> "bft"
-  | Cluster.Ct_protocol -> "ct"
 
 let pp_action fmt = function
   | Partition groups ->
@@ -729,8 +664,12 @@ let pp_action fmt = function
     Format.fprintf fmt "slow link p%d->p%d clear" src dst
 
 let pp_report fmt r =
-  Format.fprintf fmt "chaos: protocol=%s f=%d seed=%Ld@." (kind_name r.kind) r.f
-    r.seed;
+  let gray = gray_timing r.layers in
+  Format.fprintf fmt "chaos: protocol=%s f=%d seed=%Ld%s@."
+    (P.Replica.name r.kind) r.f r.seed
+    (match gray with
+    | Some t -> " timing=" ^ P.Config.timing_name t
+    | None -> "");
   Format.fprintf fmt "substrate: %a@." Link_fault.pp r.plan.link_fault;
   (match r.plan.byz_faults with
   | [] -> ()
@@ -745,13 +684,15 @@ let pp_report fmt r =
     r.plan.steps;
   Format.fprintf fmt "invariants:@.";
   List.iter (fun res -> Format.fprintf fmt "  %a@." Invariants.pp_result res) r.invariants;
-  Format.fprintf fmt
-    "channel: %d data, %d retransmits, %d dup-drops, %d stale-acks, %d \
-     corrupt-drops, max backoff %a@."
-    r.channel.Channel.data_sent r.channel.Channel.retransmits
-    r.channel.Channel.dup_drops r.channel.Channel.stale_acks
-    r.channel.Channel.corrupt_drops Simtime.pp
-    r.channel.Channel.max_backoff_reached;
+  Option.iter
+    (fun c ->
+      Format.fprintf fmt
+        "channel: %d data, %d retransmits, %d dup-drops, %d stale-acks, %d \
+         corrupt-drops, max backoff %a@."
+        c.Channel.data_sent c.Channel.retransmits c.Channel.dup_drops
+        c.Channel.stale_acks c.Channel.corrupt_drops Simtime.pp
+        c.Channel.max_backoff_reached)
+    r.channel;
   Format.fprintf fmt
     "network: %d sent, %d dropped, %d duplicated, %d reordered, %d severed@."
     r.net.Network.messages_sent r.net.Network.messages_dropped
@@ -760,6 +701,17 @@ let pp_report fmt r =
   if r.replays_injected > 0 || r.corruptions_injected > 0 then
     Format.fprintf fmt "adversary: %d stale replays, %d wire corruptions@."
       r.replays_injected r.corruptions_injected;
+  if gray <> None then begin
+    let fail_signals, view_changes, rotations = r.churn in
+    Format.fprintf fmt
+      "suspicion churn: %d fail-signals, %d view changes, %d coordinator \
+       rotations%s@."
+      fail_signals view_changes rotations
+      (if gray = Some P.Config.Static then
+         "  (every one premature: no process was faulty)"
+       else "");
+    Format.fprintf fmt "signals: %a@." Metrics.pp_signal_accounting r.signals
+  end;
   Format.fprintf fmt "deliveries: min over honest survivors = %d (of %d injected)@."
     r.min_honest_deliveries r.injected;
   (match r.crashed with
@@ -791,126 +743,14 @@ let pp_report fmt r =
     Format.fprintf fmt
       "storage: %d appends, %d syncs, %d checkpoint writes; %d replays (%d \
        entries, %d damaged); atlas hits: %d lost, %d misdirected, %d torn, %d \
-       corrupt reads@."
+       corrupt reads%s@."
       st.Metrics.st_appends st.Metrics.st_syncs st.Metrics.st_checkpoint_writes
       st.Metrics.st_replays st.Metrics.st_replayed_entries
       st.Metrics.st_damaged_replays st.Metrics.st_lost_writes
-      st.Metrics.st_misdirected st.Metrics.st_torn st.Metrics.st_corrupt_reads);
+      st.Metrics.st_misdirected st.Metrics.st_torn st.Metrics.st_corrupt_reads
+      (if st.Metrics.st_slow_ops > 0 then
+         Printf.sprintf ", %d slow-sector stalls" st.Metrics.st_slow_ops
+       else ""));
   Format.fprintf fmt "verdict: %s (seed %Ld replays this campaign)@."
     (if r.passed then "PASS" else "FAIL")
     r.seed
-
-let pp_gray_report fmt r =
-  Format.fprintf fmt "chaos --gray: protocol=%s f=%d seed=%Ld timing=%s@."
-    (kind_name r.gr_kind) r.gr_f r.gr_seed
-    (P.Config.timing_name r.gr_timing);
-  Format.fprintf fmt "campaign (nothing faulty, everything slow):@.";
-  List.iter
-    (fun { at; action } ->
-      Format.fprintf fmt "  %8.1fms  %a@." (Simtime.to_ms at) pp_action action)
-    r.gr_plan.steps;
-  Format.fprintf fmt "invariants:@.";
-  List.iter
-    (fun res -> Format.fprintf fmt "  %a@." Invariants.pp_result res)
-    r.gr_invariants;
-  Format.fprintf fmt
-    "suspicion churn: %d fail-signals, %d view changes, %d coordinator \
-     rotations%s@."
-    r.gr_fail_signals r.gr_view_changes r.gr_rotations
-    (match r.gr_timing with
-    | P.Config.Adaptive -> ""
-    | P.Config.Static -> "  (every one premature: no process was faulty)");
-  Format.fprintf fmt "signals: %a@." Metrics.pp_signal_accounting r.gr_signals;
-  Format.fprintf fmt "network: %d sent, %d delivered@."
-    r.gr_net.Network.messages_sent r.gr_net.Network.messages_delivered;
-  Format.fprintf fmt "deliveries: min over processes = %d (of %d injected)@."
-    r.gr_min_deliveries r.gr_injected;
-  (match r.gr_storage with
-  | None -> ()
-  | Some st ->
-    Format.fprintf fmt
-      "storage: %d appends, %d syncs; %d slow-sector stalls@."
-      st.Metrics.st_appends st.Metrics.st_syncs st.Metrics.st_slow_ops);
-  Format.fprintf fmt "verdict: %s@." (if r.gr_passed then "PASS" else "FAIL")
-
-(* ------------------------------------------------------------- long run *)
-
-type long_report = {
-  lr_kind : Cluster.kind;
-  lr_f : int;
-  lr_seed : int64;
-  lr_interval : int;
-  lr_delivered_seqs : int;
-  lr_checkpoints_stable : int;
-  lr_truncations : int;
-  lr_max_log : int;
-  lr_stable_floor : int;
-  lr_invariants : Invariants.result list;
-  lr_passed : bool;
-}
-
-let long_run ?(rate = 300.0) ?(interval = 8) ~kind ~f ~seed ~duration () =
-  let spec =
-    {
-      (Cluster.default_spec ~kind ~f) with
-      Cluster.batching_interval = Simtime.ms 20;
-      seed;
-      checkpoint_interval = interval;
-    }
-  in
-  let cluster = Cluster.build spec in
-  let injected = ref Request.Key_set.empty in
-  install_recorded_workload cluster ~rate ~duration ~injected;
-  Cluster.run cluster ~until:(Simtime.add duration (Simtime.sec 1));
-  let n = Cluster.process_count cluster in
-  let honest = List.init n Fun.id in
-  let invariants =
-    [
-      Invariants.agreement cluster ~honest;
-      Invariants.prefix_consistency cluster ~honest;
-      Invariants.validity cluster ~honest ~injected:!injected;
-      Invariants.checkpoint_agreement cluster ~honest;
-      Invariants.bounded_log cluster ~live:honest ~slack:64;
-    ]
-  in
-  let delivered_seqs =
-    List.fold_left
-      (fun acc (_, _, ev) ->
-        match ev with
-        | P.Context.Delivered { seq; _ } -> max acc seq
-        | _ -> acc)
-      0 (Cluster.events cluster)
-  in
-  let rc = Metrics.recovery_stats cluster in
-  let stable_floor =
-    List.fold_left
-      (fun acc i -> min acc (Cluster.stable_checkpoint_seq cluster i))
-      max_int honest
-  in
-  {
-    lr_kind = kind;
-    lr_f = f;
-    lr_seed = seed;
-    lr_interval = interval;
-    lr_delivered_seqs = delivered_seqs;
-    lr_checkpoints_stable = rc.Metrics.rc_checkpoints_stable;
-    lr_truncations = rc.Metrics.rc_truncations;
-    lr_max_log = rc.Metrics.rc_max_log_length;
-    lr_stable_floor = (if stable_floor = max_int then 0 else stable_floor);
-    lr_invariants = invariants;
-    lr_passed = Invariants.all_pass invariants;
-  }
-
-let pp_long_report fmt r =
-  Format.fprintf fmt "chaos --long: protocol=%s f=%d seed=%Ld interval=%d@."
-    (kind_name r.lr_kind) r.lr_f r.lr_seed r.lr_interval;
-  Format.fprintf fmt
-    "order grew to %d sequence numbers; retained log peaked at %d entries \
-     (stable floor %d; %d checkpoints, %d truncations)@."
-    r.lr_delivered_seqs r.lr_max_log r.lr_stable_floor r.lr_checkpoints_stable
-    r.lr_truncations;
-  Format.fprintf fmt "invariants:@.";
-  List.iter
-    (fun res -> Format.fprintf fmt "  %a@." Invariants.pp_result res)
-    r.lr_invariants;
-  Format.fprintf fmt "verdict: %s@." (if r.lr_passed then "PASS" else "FAIL")

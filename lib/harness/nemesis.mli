@@ -1,15 +1,11 @@
-(** Nemesis: adversarial fault campaigns against a protocol run.
+(** Nemesis: seeded fault campaigns against a protocol run.
 
-    A campaign is a timed script of substrate-level disturbances —
-    partitions, heals, crashes, delay surges — layered on a baseline lossy
-    link profile and optional build-time Byzantine faults
-    ({!Sof_protocol.Fault.t}).  {!run} executes the campaign against a
-    cluster whose protocol traffic rides the reliable {!Sof_net.Channel}
-    (the protocols keep their proved channel assumption; the substrate
-    misbehaves underneath), then judges the run with {!Invariants}.
-
-    Campaigns are either scripted by hand or generated from a seed with
-    {!random_plan}; the same seed always reproduces the same campaign and
+    A campaign is a list of fault {!layer}s.  {!run} builds one cluster
+    for it, schedules a timed script of substrate-level disturbances —
+    partitions, heals, crashes, delay surges, slow links — together with
+    build-time Byzantine faults ({!Sof_protocol.Fault.t}) and disk faults,
+    drives a recorded client workload, and judges the run with
+    {!Invariants}.  The same seed always reproduces the same campaign and
     the same simulation, so a failing report is a replayable bug. *)
 
 type action =
@@ -45,83 +41,77 @@ type plan = {
   steps : step list;
   byz_faults : (int * Sof_protocol.Fault.t) list;
       (** Installed at build time; such processes are exempt from invariant
-          checking.  Scripted plans may set these; {!random_plan} fills
-          them only when asked for a Byzantine campaign ([byz:true]), and
-          then drops the crash so the total stays within the f-budget. *)
+          checking.  Filled only under the {!Byzantine} layer. *)
   link_fault : Sof_net.Link_fault.t;
       (** Baseline misbehaviour on every link for the whole run. *)
 }
 
-val random_plan :
-  ?byz:bool ->
-  ?restart:bool ->
-  ?disk:bool ->
-  rng:Sof_util.Rng.t ->
-  kind:Cluster.kind ->
-  f:int ->
-  duration:Sof_sim.Simtime.t ->
-  unit ->
-  plan
-(** A deterministic campaign within the protocol's fault budget: lossy links
-    throughout, a delay surge, at least one partition+heal (pair members are
-    never separated, so SC's pair-synchrony assumption survives), and one
-    crash of a process whose loss the protocol tolerates.  All disturbances
-    end by ~70% of [duration], leaving a window to observe recovery.
+(** {1 Layers} *)
 
-    With [byz:true] (default false) the crash is traded for one seeded
-    Byzantine fault aimed at pair 1 — the initial coordinator — drawn from
-    the {!Sof_protocol.Fault.t} menu: equivocation, digest corruption,
-    dropped endorsements, muteness, spurious fail-signals, stale replay,
-    wire corruption, and (SCR) Unwilling spam.  BFT draws only backup
-    muteness and the wire faults; CT has no Byzantine model and keeps its
-    crash.  The substrate draws are identical either way, so [byz:false]
-    plans replay byte-for-byte as before.
+type layer =
+  | Lossy
+      (** The classic campaign, over the reliable {!Sof_net.Channel}: lossy,
+          duplicating and reordering links throughout, a delay surge, one
+          or two partitions that never separate a pair (SC's pair-synchrony
+          assumption survives), and one crash the protocol tolerates.  All
+          disturbances end by ~70% of the run; a terminal heal and
+          surge-clear at the last step's instant leaves the network whole,
+          and liveness is judged after it. *)
+  | Byzantine
+      (** Trade the crash for one seeded Byzantine fault aimed at pair 1,
+          the initial coordinator: equivocation, digest corruption, dropped
+          endorsements, muteness, spurious fail-signals, stale replay, wire
+          corruption, and (SCR) Unwilling spam.  BFT draws only backup
+          muteness and the wire faults; CT has no Byzantine model and keeps
+          its crash.  Under {!Durable} the fault moves to the repair path
+          instead: the crash stays, and the whole f-budget goes to one
+          {!Sof_protocol.Fault.Corrupt_wal_suffix} replica serving state
+          transfers from a tampered local log. *)
+  | Restart
+      (** Bring the crash target back at ~62% of the run with empty
+          volatile state, to rejoin through certified state transfer. *)
+  | Durable
+      (** Simulated disks: every commit is logged and synced before the
+          reply, checkpoints are persisted, and restarts recover from the
+          local write-ahead log first.  With {!Restart} the campaign also
+          ends in a whole-cluster blackout and mass restart.  With
+          {!Gray}, replicas 1..f get slow-sector disks
+          ({!Sof_storage.Fault_atlas.slow_sectors}). *)
+  | Disk_faults
+      (** Arm the default {!Sof_storage.Fault_atlas} on replicas 1..f: torn
+          writes at crash, corrupt sectors, lost and misdirected writes. *)
+  | Gray of Sof_protocol.Config.timing
+      (** Everything works, nothing is fast: no faulty process, reliable
+          links, no reliable channel, and a straggler ramp on the process
+          the detector watches most closely (SC/SCR: the pair-1 shadow;
+          BFT/CT: the last backup) compounded by a jitter surge, a one-way
+          slow link and a link that degrades in stages.  The question is
+          about the detector: the paper's [Static] estimate must eventually
+          accuse the straggler; [Adaptive] timers are judged on never
+          doing so. *)
 
-    With [restart:true] (default false, ignored under [byz] alone — the
-    crash it would revive is traded away) the crash target is brought back
-    at ~62% of [duration] with empty volatile state, to rejoin through
-    state transfer.  The extra time draw happens after all others, so
-    [restart:false] plans also replay byte-for-byte.
+(** The empty list is the fail-free endurance run: sustained load over
+    many checkpoint intervals, where the total order grows while the
+    retained log stays bounded by truncation. *)
 
-    With [disk:true] (default false) the plan targets a durable cluster.
-    [restart] additionally appends a whole-cluster blackout — {!Crash_all}
-    at ~68% of [duration], {!Restart_all} at ~74% — forcing recovery from
-    the disks with no live peer.  [byz] keeps the crash-restart (repair
-    must be triggered for the fault to matter) and spends the whole
-    f-budget on one {!Sof_protocol.Fault.Corrupt_wal_suffix} replica — a
-    repair server answering state transfers from a tampered local log —
-    chosen disjoint from the crash target (CT, with no Byzantine model,
-    gets none).  All [disk] draws happen after the others, so [disk:false]
-    plans replay byte-for-byte. *)
+val rejection : ?auth:Sof_crypto.Keyring.auth -> layer list -> string option
+(** Why a layer list (under [auth], default [Sign]) is not a campaign, in
+    terms of the [sof chaos] flags that select each layer; [None] when it
+    is one.  The rules: the endurance run takes no layer; {!Gray} takes
+    only {!Durable} and signed authentication; {!Disk_faults} needs
+    {!Durable}; {!Byzantine} with {!Restart} needs {!Durable}. *)
 
-val gray_plan :
-  rng:Sof_util.Rng.t ->
-  kind:Cluster.kind ->
-  f:int ->
-  duration:Sof_sim.Simtime.t ->
-  unit ->
-  plan
-(** A gray-failure campaign: no Byzantine faults, no crashes, no
-    partitions, reliable links — every process correct, some of them slow.
-    The centrepiece is a straggler ramp on the process the detector watches
-    most closely (SC/SCR: the pair-1 shadow; BFT/CT: the last backup, which
-    the quorum routes around): 28 geometric steps of x1.25, reaching a
-    ~x3300 slowdown, then cleared at 80% of [duration].  The gentle slope
-    is the point — an adaptive estimator fed by 50 ms probes tracks each
-    step inside its variance slack, while the cumulative drift walks pair
-    round-trips far past any static estimate.  Layered on top: an early
-    jitter-surge ramp, an asymmetric one-way slow link, and a link that
-    degrades in stages — both between bystander processes.  Deterministic
-    in [rng]; drawn from its own labelled substream by {!gray_run}, so gray
-    draws never perturb classic campaign plans for the same seed. *)
+(** {1 Running} *)
 
 type report = {
+  layers : layer list;
   kind : Cluster.kind;
   f : int;
   seed : int64;
   plan : plan;
   invariants : Invariants.result list;
-  channel : Sof_net.Channel.stats;  (** Aggregate over all directed links. *)
+  channel : Sof_net.Channel.stats option;
+      (** Aggregate over all directed links; [Some] iff {!Lossy}. *)
   net : Sof_net.Network.stats;
   honest : int list;  (** Processes held to the invariants. *)
   crashed : int list;
@@ -131,154 +121,46 @@ type report = {
   replays_injected : int;  (** Stale payloads the wire adversary re-sent. *)
   corruptions_injected : int;  (** Payloads the wire adversary bit-flipped. *)
   restarted : int list;  (** Processes that crash-restarted mid-campaign. *)
+  churn : int * int * int;
+      (** {!Invariants.suspicion_churn}: fail-signals, BFT view changes, CT
+          coordinator rotations.  Premature, every one, under {!Gray}. *)
+  signals : Metrics.signal_accounting;
+      (** Per-pair breakdown of who blamed whom, plus install churn. *)
   recovery : Metrics.recovery option;
       (** Checkpoint/state-transfer accounting; [Some] iff checkpointing
           was on for the run. *)
   storage : Metrics.storage option;
-      (** Durable write-path and fault-atlas accounting; [Some] iff the
-          cluster was built durable. *)
+      (** Durable write-path and fault-atlas accounting; [Some] iff
+          {!Durable}. *)
   passed : bool;
 }
 
 val run :
-  ?plan:plan ->
-  ?byz:bool ->
-  ?restart:bool ->
-  ?durable:bool ->
-  ?disk_faults:bool ->
-  ?checkpoint_interval:int ->
-  ?rate:float ->
   ?auth:Sof_crypto.Keyring.auth ->
+  ?pair_estimate:Sof_sim.Simtime.t ->
+  layers:layer list ->
   kind:Cluster.kind ->
   f:int ->
   seed:int64 ->
   duration:Sof_sim.Simtime.t ->
   unit ->
   report
-(** Build a cluster ([use_channel] set, generous pair delay estimate),
-    apply the plan (generated from [seed] when not given, Byzantine when
-    [byz] is set, crash-restart when [restart] is set), drive a client
-    workload of [rate] req/s (default 150) for [duration], then check
-    invariants — including fail-signal accountability and coordinator
-    succession.  A terminal heal + surge-clear is scheduled at the last
-    step's instant, so every campaign ends with the network whole; liveness
-    is judged after that instant.  Deterministic in [seed].
-
-    [checkpoint_interval] (default 0 = off; [restart] forces a default of
-    8) turns on checkpointing, which adds the checkpoint-agreement and
-    bounded-log invariants; a campaign that restarted anyone also judges
-    recovery liveness.
-
-    [durable] (default false) builds the cluster with simulated disks:
-    every commit is logged and synced before the reply, checkpoints are
-    persisted, and restarts recover locally first.  [disk_faults] implies
-    [durable] and arms the default {!Sof_storage.Fault_atlas} on replicas
-    1..f (torn writes, corrupt sectors, lost and misdirected writes).
-    Durable runs generate the plan with [disk:true] (blackout; storage-
-    Byzantine fault under [byz]) and additionally judge the durability
-    invariant — and, after any restart, repair correctness. *)
+(** Build a cluster (50 ms batching and heartbeats, a generous static pair
+    delay estimate of [pair_estimate], default 400 ms — the
+    timeout-sensitivity sweep's knob; under adaptive timing the estimators'
+    initial value, with the hard cap at 64x), schedule the campaign the
+    layers draw from [seed], drive a 150 req/s client workload for
+    [duration] and a 3 s drain, then judge, in this order: agreement,
+    prefix consistency, validity, degradation liveness over the straggler
+    window ({!Gray}), liveness after the last step, fail-signal
+    accountability and coordinator succession (unless {!Gray}), no
+    premature suspicion ([Gray Adaptive]; a static run is expected to
+    churn and reports its counts instead), checkpoint agreement and the
+    bounded log (when checkpointing: {!Restart}, {!Durable} or the
+    endurance run, interval 8), recovery liveness (after a restart),
+    durability ({!Durable}) and repair correctness (both).
+    Deterministic in [seed].
+    @raise Invalid_argument when {!rejection} rejects [layers]. *)
 
 val pp_action : Format.formatter -> action -> unit
 val pp_report : Format.formatter -> report -> unit
-
-(** {2 Gray-failure campaigns}
-
-    Everything works, nothing is fast: stragglers, asymmetric slow links,
-    degrading links, jitter ramps — and optionally slow-sector disks —
-    with no genuine fault anywhere.  The question a gray run answers is
-    about the {e detector}, not the protocol: does the timeliness check
-    give up on a correct-but-slow peer?  Under [timing = Static] the
-    paper's fixed delay estimate eventually must (the straggler walks past
-    any constant); under [timing = Adaptive] the per-link Jacobson
-    estimators are expected to keep every suspicion at zero. *)
-
-type gray_report = {
-  gr_kind : Cluster.kind;
-  gr_f : int;
-  gr_seed : int64;
-  gr_timing : Sof_protocol.Config.timing;
-  gr_plan : plan;
-  gr_invariants : Invariants.result list;
-  gr_fail_signals : int;  (** SC/SCR fail-signals — all premature here. *)
-  gr_view_changes : int;  (** BFT view installations. *)
-  gr_rotations : int;  (** CT coordinator rotations (max epoch). *)
-  gr_signals : Metrics.signal_accounting;
-      (** Per-pair breakdown of who blamed whom, plus install churn. *)
-  gr_net : Sof_net.Network.stats;
-  gr_min_deliveries : int;
-      (** Fewest batches delivered by any process — the straggler included;
-          gray failure must degrade delivery, never stop it. *)
-  gr_injected : int;
-  gr_storage : Metrics.storage option;
-      (** [Some] iff [slow_disks]; [st_slow_ops] counts the gray stalls. *)
-  gr_passed : bool;
-}
-
-val gray_run :
-  ?plan:plan ->
-  ?rate:float ->
-  ?slow_disks:bool ->
-  ?timing:Sof_protocol.Config.timing ->
-  ?pair_estimate:Sof_sim.Simtime.t ->
-  kind:Cluster.kind ->
-  f:int ->
-  seed:int64 ->
-  duration:Sof_sim.Simtime.t ->
-  unit ->
-  gray_report
-(** Build a cluster with the paper's generous 400 ms static estimate
-    ([pair_estimate] overrides it — the timeout-sensitivity sweep's knob; in
-    adaptive mode it is the estimators' initial value and sets the hard cap
-    at 64x), or adaptive timers per [timing] (default [Static]), run the gray campaign
-    ({!gray_plan} from [seed] when [plan] is not given) under a [rate]
-    req/s workload (default 150), and judge: safety invariants, degradation
-    liveness over the straggler window, liveness after the last clear —
-    and, for adaptive runs only, {!Invariants.no_premature_suspicion}.
-    Static runs are {e expected} to churn; their counts are reported
-    ([gr_fail_signals] / [gr_view_changes] / [gr_rotations]) rather than
-    judged, and the differential acceptance test asserts static > 0 while
-    adaptive = 0 on the same seeds.  [slow_disks] (default false) makes the
-    cluster durable with the {!Sof_storage.Fault_atlas.slow_sectors}
-    profile on replicas 1..f — correct disks that stall — adding the
-    checkpoint, bounded-log and durability invariants.  Links are reliable
-    and the protocols run without the reliable channel: in a gray campaign
-    nothing fails, so nothing may hide behind retransmission.
-    Deterministic in [seed]. *)
-
-val pp_gray_report : Format.formatter -> gray_report -> unit
-
-(** {2 Long runs}
-
-    A fail-free endurance run: no disturbances, just sustained load with a
-    small checkpoint interval over many intervals.  Its point is the memory
-    claim — the total order grows linearly with the run while the retained
-    log stays bounded by truncation. *)
-
-type long_report = {
-  lr_kind : Cluster.kind;
-  lr_f : int;
-  lr_seed : int64;
-  lr_interval : int;
-  lr_delivered_seqs : int;  (** Highest delivered sequence number. *)
-  lr_checkpoints_stable : int;
-  lr_truncations : int;
-  lr_max_log : int;  (** Largest retained order-log at run end. *)
-  lr_stable_floor : int;  (** Lowest stable checkpoint across processes. *)
-  lr_invariants : Invariants.result list;
-  lr_passed : bool;
-}
-
-val long_run :
-  ?rate:float ->
-  ?interval:int ->
-  kind:Cluster.kind ->
-  f:int ->
-  seed:int64 ->
-  duration:Sof_sim.Simtime.t ->
-  unit ->
-  long_report
-(** Default 300 req/s and checkpoint interval 8; judges agreement, prefix
-    consistency, validity, checkpoint agreement and the bounded-log
-    invariant.  Deterministic in [seed]. *)
-
-val pp_long_report : Format.formatter -> long_report -> unit

@@ -194,18 +194,13 @@ let test_delay_model_scale () =
 
 let duration = Simtime.sec 12
 
-let kind_name = function
-  | H.Cluster.Sc_protocol -> "sc"
-  | H.Cluster.Scr_protocol -> "scr"
-  | H.Cluster.Bft_protocol -> "bft"
-  | H.Cluster.Ct_protocol -> "ct"
+let gray ?(slow_disks = false) ~timing ~kind seed =
+  let layers = H.Nemesis.Gray timing :: (if slow_disks then [ H.Nemesis.Durable ] else []) in
+  H.Nemesis.run ~layers ~kind ~f:1 ~seed ~duration ()
 
-let gray ?slow_disks ~timing ~kind seed =
-  H.Nemesis.gray_run ?slow_disks ~timing ~kind ~f:1 ~seed ~duration ()
-
-let churn (r : H.Nemesis.gray_report) =
-  r.H.Nemesis.gr_fail_signals + r.H.Nemesis.gr_view_changes
-  + r.H.Nemesis.gr_rotations
+let churn (r : H.Nemesis.report) =
+  let fail_signals, view_changes, rotations = r.H.Nemesis.churn in
+  fail_signals + view_changes + rotations
 
 (* The acceptance assertion: on the same seeded straggler schedule the
    static estimate accuses the healthy-but-slow pair, and the adaptive
@@ -213,13 +208,13 @@ let churn (r : H.Nemesis.gray_report) =
 let test_static_vs_adaptive seed () =
   let static = gray ~timing:P.Config.Static ~kind:H.Cluster.Sc_protocol seed in
   Alcotest.(check bool) "static SC emits premature fail-signals" true
-    (static.H.Nemesis.gr_fail_signals > 0);
+    (static.H.Nemesis.signals.H.Metrics.fa_total > 0);
   let adaptive = gray ~timing:P.Config.Adaptive ~kind:H.Cluster.Sc_protocol seed in
   Alcotest.(check int) "adaptive SC: zero suspicion churn" 0 (churn adaptive);
   Alcotest.(check bool) "adaptive SC: all invariants hold" true
-    adaptive.H.Nemesis.gr_passed;
+    adaptive.H.Nemesis.passed;
   Alcotest.(check bool) "adaptive SC keeps delivering" true
-    (adaptive.H.Nemesis.gr_min_deliveries > 0)
+    (adaptive.H.Nemesis.min_honest_deliveries > 0)
 
 let test_adaptive_other_protocols () =
   List.iter
@@ -227,11 +222,11 @@ let test_adaptive_other_protocols () =
       let r = gray ~timing:P.Config.Adaptive ~kind seed in
       Alcotest.(check int)
         (Format.asprintf "%s: zero churn under gray delay"
-           (kind_name kind))
+           (P.Replica.name kind))
         0 (churn r);
       Alcotest.(check bool)
-        (Format.asprintf "%s: campaign passes" (kind_name kind))
-        true r.H.Nemesis.gr_passed)
+        (Format.asprintf "%s: campaign passes" (P.Replica.name kind))
+        true r.H.Nemesis.passed)
     [
       (H.Cluster.Scr_protocol, 1L);
       (H.Cluster.Scr_protocol, 2L);
@@ -252,11 +247,11 @@ let test_degradation_liveness_held () =
               (fun (res : H.Invariants.result) ->
                 res.H.Invariants.name <> "degradation-liveness"
                 || res.H.Invariants.pass)
-              r.H.Nemesis.gr_invariants
+              r.H.Nemesis.invariants
           in
           Alcotest.(check bool)
             (Format.asprintf "%s seed %Ld: degradation-liveness"
-               (kind_name kind) seed)
+               (P.Replica.name kind) seed)
             true live)
         [ 1L; 3L ])
     [
@@ -268,23 +263,23 @@ let test_slow_disks () =
   let r =
     gray ~slow_disks:true ~timing:P.Config.Adaptive ~kind:H.Cluster.Sc_protocol 7L
   in
-  (match r.H.Nemesis.gr_storage with
+  (match r.H.Nemesis.storage with
   | Some st ->
     Alcotest.(check bool) "slow-sector stalls actually happened" true
       (st.H.Metrics.st_slow_ops > 0)
   | None -> Alcotest.fail "durable gray run lost its storage accounting");
-  Alcotest.(check bool) "durable gray campaign passes" true r.H.Nemesis.gr_passed
+  Alcotest.(check bool) "durable gray campaign passes" true r.H.Nemesis.passed
 
 let test_gray_deterministic () =
   let run () = gray ~timing:P.Config.Adaptive ~kind:H.Cluster.Sc_protocol 1L in
   let a = run () and b = run () in
-  Alcotest.(check int) "same deliveries" a.H.Nemesis.gr_min_deliveries
-    b.H.Nemesis.gr_min_deliveries;
+  Alcotest.(check int) "same deliveries" a.H.Nemesis.min_honest_deliveries
+    b.H.Nemesis.min_honest_deliveries;
   Alcotest.(check int) "same network traffic"
-    a.H.Nemesis.gr_net.Sof_net.Network.messages_sent
-    b.H.Nemesis.gr_net.Sof_net.Network.messages_sent;
-  Alcotest.(check int) "same injected actions" a.H.Nemesis.gr_injected
-    b.H.Nemesis.gr_injected
+    a.H.Nemesis.net.Sof_net.Network.messages_sent
+    b.H.Nemesis.net.Sof_net.Network.messages_sent;
+  Alcotest.(check int) "same injected actions" a.H.Nemesis.injected
+    b.H.Nemesis.injected
 
 let suite =
   [

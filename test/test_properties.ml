@@ -203,17 +203,7 @@ let failfree_cluster kind ~config_f ~seed ~interval_ms =
   Cluster.run cluster ~until:(sec 4);
   cluster
 
-let kind_of_int = function
-  | 0 -> Cluster.Sc_protocol
-  | 1 -> Cluster.Scr_protocol
-  | 2 -> Cluster.Bft_protocol
-  | _ -> Cluster.Ct_protocol
-
-let kind_name = function
-  | 0 -> "sc"
-  | 1 -> "scr"
-  | 2 -> "bft"
-  | _ -> "ct"
+let kind_of_int = List.nth Sof_protocol.Replica.kinds
 
 let gen_trace_case =
   QCheck.Gen.(
@@ -223,7 +213,7 @@ let gen_trace_case =
       (tup4 (int_bound 3) (int_range 1 2) (int_bound 5_000) (int_range 40 150)))
 
 let print_trace_case (k, config_f, seed, interval) =
-  Printf.sprintf "{kind=%s; f=%d; seed=%Ld; interval=%dms}" (kind_name k) config_f
+  Printf.sprintf "{kind=%s; f=%d; seed=%Ld; interval=%dms}" (Sof_protocol.Replica.name (kind_of_int k)) config_f
     seed interval
 
 let prop_trace_spans_well_formed =

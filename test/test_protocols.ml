@@ -483,20 +483,25 @@ let test_relative_latency_ct_sc_bft () =
    drop and duplicate protocol traffic (visible in the stats). *)
 let soak kind seed () =
   let report =
-    H.Nemesis.run ~kind ~f:1 ~seed ~duration:(sec 8) ()
+    H.Nemesis.run ~layers:[ Lossy ] ~kind ~f:1 ~seed ~duration:(sec 8) ()
   in
   if not report.H.Nemesis.passed then
     Alcotest.failf "chaos campaign failed:@.%a" H.Nemesis.pp_report report;
   Alcotest.(check bool) "substrate dropped messages" true
     (report.H.Nemesis.net.Sof_net.Network.messages_dropped > 0);
   Alcotest.(check bool) "channel retransmitted" true
-    (report.H.Nemesis.channel.Sof_net.Channel.retransmits > 0);
+    (match report.H.Nemesis.channel with
+    | Some c -> c.Sof_net.Channel.retransmits > 0
+    | None -> false);
   Alcotest.(check bool) "honest survivors made progress" true
     (report.H.Nemesis.min_honest_deliveries > 0)
 
 let test_soak_determinism () =
   let fingerprint () =
-    let r = H.Nemesis.run ~kind:Cluster.Scr_protocol ~f:1 ~seed:42L ~duration:(sec 6) () in
+    let r =
+      H.Nemesis.run ~layers:[ Lossy ] ~kind:Cluster.Scr_protocol ~f:1 ~seed:42L
+        ~duration:(sec 6) ()
+    in
     Format.asprintf "%a" H.Nemesis.pp_report r
   in
   Alcotest.(check string) "same seed, same campaign, same outcome"

@@ -10,9 +10,10 @@
 module Simtime = Sof_sim.Simtime
 module H = Sof_harness
 
-let check_campaign ?(auth = Sof_crypto.Keyring.Sign) ~kind ~byz ~seed () =
+let check_campaign ?auth ~kind ~byz ~seed () =
+  let layers = H.Nemesis.(if byz then [ Lossy; Byzantine ] else [ Lossy ]) in
   let report =
-    H.Nemesis.run ~auth ~byz ~kind ~f:1 ~seed ~duration:(Simtime.sec 10) ()
+    H.Nemesis.run ?auth ~layers ~kind ~f:1 ~seed ~duration:(Simtime.sec 10) ()
   in
   (* A Byzantine campaign must actually have drawn a fault — otherwise
      fs-accountability passes vacuously.  CT has no Byzantine model and
@@ -46,9 +47,9 @@ let case ?auth ~kind ~byz ~proto seed =
 (* Crash-restart campaigns: the crash target comes back mid-run with empty
    volatile state and must rejoin through checkpointed state transfer.
    Replay with `sof chaos --protocol <p> --restart --seed <n>`. *)
-let check_restart_campaign ?(auth = Sof_crypto.Keyring.Sign) ~kind ~seed () =
+let check_restart_campaign ?auth ~kind ~seed () =
   let report =
-    H.Nemesis.run ~auth ~restart:true ~kind ~f:1 ~seed
+    H.Nemesis.run ?auth ~layers:[ Lossy; Restart ] ~kind ~f:1 ~seed
       ~duration:(Simtime.sec 10) ()
   in
   Alcotest.(check bool)
@@ -190,60 +191,77 @@ let parse_flags line =
       static = false;
       mac = false;
     }
-    (String.split_on_char ' ' line)
+    (List.filter (( <> ) "") (String.split_on_char ' ' line))
 
 let digest_of lines =
   let acc = Sof_check.Fingerprint.create () in
   List.iter (Sof_check.Fingerprint.add_string acc) lines;
   Sof_check.Fingerprint.digest acc
 
-let duration = Simtime.sec 10
+(* The layers `sof chaos` selects for these flags, or its rejection. *)
+let layers_of_flags fl =
+  if fl.long && fl.gray then Error "--long with --gray"
+  else if fl.static && not fl.gray then Error "--timing without --gray"
+  else
+    let base =
+      if fl.long then []
+      else if fl.gray then
+        [
+          H.Nemesis.Gray
+            (if fl.static then Sof_protocol.Config.Static
+             else Sof_protocol.Config.Adaptive);
+        ]
+      else [ H.Nemesis.Lossy ]
+    in
+    let layers =
+      base
+      @ List.filter_map
+          (fun (on, layer) -> if on then Some layer else None)
+          H.Nemesis.
+            [
+              (fl.byz, Byzantine);
+              (fl.restart, Restart);
+              (fl.durable || fl.disk_faults, Durable);
+              (fl.disk_faults, Disk_faults);
+            ]
+    in
+    let auth = if fl.mac then Sof_crypto.Keyring.Mac else Sof_crypto.Keyring.Sign in
+    match H.Nemesis.rejection ~auth layers with
+    | Some msg -> Error msg
+    | None -> Ok (layers, auth)
 
-(* The pinned projection of a gray campaign, and whether it passed. *)
-let gray_projection fl =
-  let timing =
-    if fl.static then Sof_protocol.Config.Static else Sof_protocol.Config.Adaptive
-  in
-  let r =
-    H.Nemesis.gray_run ~slow_disks:fl.durable ~timing ~kind:fl.kind ~f:fl.f
-      ~seed:fl.seed ~duration ()
-  in
+let run_flags fl =
+  match layers_of_flags fl with
+  | Error msg -> Alcotest.failf "rejected: %s" msg
+  | Ok (layers, auth) ->
+    H.Nemesis.run ~auth ~layers ~kind:fl.kind ~f:fl.f ~seed:fl.seed
+      ~duration:(Simtime.sec 10) ()
+
+(* A gray campaign's pinned projection. *)
+let gray_projection (r : H.Nemesis.report) =
   let steps =
     List.map
       (fun { H.Nemesis.at; action } ->
         Format.asprintf "%8.1fms  %a" (Simtime.to_ms at) H.Nemesis.pp_action action)
-      r.H.Nemesis.gr_plan.H.Nemesis.steps
+      r.H.Nemesis.plan.H.Nemesis.steps
   in
   let invariants =
-    List.map (Format.asprintf "%a" H.Invariants.pp_result) r.H.Nemesis.gr_invariants
+    List.map (Format.asprintf "%a" H.Invariants.pp_result) r.H.Nemesis.invariants
   in
+  let fail_signals, view_changes, rotations = r.H.Nemesis.churn in
   let counts =
     List.map string_of_int
       [
-        r.H.Nemesis.gr_fail_signals;
-        r.H.Nemesis.gr_view_changes;
-        r.H.Nemesis.gr_rotations;
-        r.H.Nemesis.gr_min_deliveries;
-        r.H.Nemesis.gr_injected;
-        r.H.Nemesis.gr_net.Sof_net.Network.messages_sent;
-        r.H.Nemesis.gr_net.Sof_net.Network.messages_delivered;
+        fail_signals;
+        view_changes;
+        rotations;
+        r.H.Nemesis.min_honest_deliveries;
+        r.H.Nemesis.injected;
+        r.H.Nemesis.net.Sof_net.Network.messages_sent;
+        r.H.Nemesis.net.Sof_net.Network.messages_delivered;
       ]
   in
-  (digest_of (steps @ invariants @ counts), r.H.Nemesis.gr_passed)
-
-(* The pinned text of a classic campaign, and whether it passed. *)
-let classic_report fl =
-  let auth = if fl.mac then Sof_crypto.Keyring.Mac else Sof_crypto.Keyring.Sign in
-  let r =
-    H.Nemesis.run ~byz:fl.byz ~restart:fl.restart ~durable:fl.durable
-      ~disk_faults:fl.disk_faults ~auth ~kind:fl.kind ~f:fl.f ~seed:fl.seed
-      ~duration ()
-  in
-  (digest_of [ Format.asprintf "%a" H.Nemesis.pp_report r ], r.H.Nemesis.passed)
-
-let long_passes fl =
-  let r = H.Nemesis.long_run ~kind:fl.kind ~f:fl.f ~seed:fl.seed ~duration () in
-  r.H.Nemesis.lr_passed
+  steps @ invariants @ counts
 
 let ci_lines =
   [
@@ -279,16 +297,84 @@ let ci_lines =
 
 let check_ci_line (line, pin) () =
   let fl = parse_flags line in
+  let r = run_flags fl in
   match pin with
-  | None -> Alcotest.(check bool) "endurance run passes" true (long_passes fl)
+  | None -> Alcotest.(check bool) "endurance run passes" true r.H.Nemesis.passed
   | Some expected ->
-    let digest, passed =
-      if fl.gray then gray_projection fl else classic_report fl
+    let pinned =
+      if fl.gray then gray_projection r
+      else [ Format.asprintf "%a" H.Nemesis.pp_report r ]
     in
     Alcotest.(check string) "pinned digest" (Printf.sprintf "0x%LxL" expected)
-      (Printf.sprintf "0x%LxL" digest);
+      (Printf.sprintf "0x%LxL" (digest_of pinned));
     (* The static gray run is CI's expected failure. *)
-    Alcotest.(check bool) "verdict" (not fl.static) passed
+    Alcotest.(check bool) "verdict" (not fl.static) r.H.Nemesis.passed
+
+(* The flag combinations `sof chaos` accepted before its flags became
+   layers, recorded by running all 256 combinations of the flags below. *)
+let accepted_before_layers =
+  [
+    "";
+    "--byz";
+    "--restart";
+    "--durable";
+    "--byz --durable";
+    "--restart --durable";
+    "--disk-faults";
+    "--byz --disk-faults";
+    "--restart --disk-faults";
+    "--durable --disk-faults";
+    "--byz --durable --disk-faults";
+    "--restart --durable --disk-faults";
+    "--long";
+    "--gray";
+    "--durable --gray";
+    "--gray --timing static";
+    "--durable --gray --timing static";
+    "--auth mac";
+    "--byz --auth mac";
+    "--restart --auth mac";
+    "--durable --auth mac";
+    "--byz --durable --auth mac";
+    "--restart --durable --auth mac";
+    "--disk-faults --auth mac";
+    "--byz --disk-faults --auth mac";
+    "--restart --disk-faults --auth mac";
+    "--durable --disk-faults --auth mac";
+    "--byz --durable --disk-faults --auth mac";
+    "--restart --durable --disk-faults --auth mac";
+    "--long --auth mac";
+  ]
+
+(* The one rule the layers added: a Byzantine restart campaign is legal on
+   a durable cluster, where the fault moves to the repair path. *)
+let accepted_since_layers =
+  [
+    "--byz --restart --durable";
+    "--byz --restart --disk-faults";
+    "--byz --restart --durable --disk-faults";
+    "--byz --restart --durable --auth mac";
+    "--byz --restart --disk-faults --auth mac";
+    "--byz --restart --durable --disk-faults --auth mac";
+  ]
+
+let test_layer_rules () =
+  let flags =
+    [
+      "--byz"; "--restart"; "--durable"; "--disk-faults"; "--long"; "--gray";
+      "--timing static"; "--auth mac";
+    ]
+  in
+  List.iter
+    (fun m ->
+      let line =
+        String.concat " " (List.filteri (fun b _ -> (m lsr b) land 1 = 1) flags)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "chaos %s accepted" line)
+        (List.mem line (accepted_before_layers @ accepted_since_layers))
+        (Result.is_ok (layers_of_flags (parse_flags line))))
+    (List.init 256 Fun.id)
 
 let suite =
   suite
@@ -298,4 +384,6 @@ let suite =
           (fun ((line, _) as row) ->
             Alcotest.test_case line `Slow (check_ci_line row))
           ci_lines );
+      ( "regression.chaos-layers",
+        [ Alcotest.test_case "accepted flag combinations" `Quick test_layer_rules ] );
     ]

@@ -22,12 +22,6 @@ module Kv = Sof_smr.Kv_store
 
 let sec = Simtime.sec
 
-let kind_name = function
-  | Cluster.Sc_protocol -> "sc"
-  | Cluster.Scr_protocol -> "scr"
-  | Cluster.Bft_protocol -> "bft"
-  | Cluster.Ct_protocol -> "ct"
-
 let fresh_disk ?atlas () =
   Sim_disk.create ?atlas ~sector_size:64 ~sector_count:64 ()
 
@@ -350,7 +344,7 @@ let test_log_replay_every_kind () =
     (fun kind ->
       let config = Replica.make_config ~kind ~f:1 () in
       let recovered, delivered, transfers = replay_into ~kind ~config ~written:config 6 in
-      let name = kind_name kind in
+      let name = Replica.name kind in
       Alcotest.(check bool) (name ^ ": log recovers locally") true recovered;
       Alcotest.(check int) (name ^ ": every logged entry delivered") 6 delivered;
       Alcotest.(check int) (name ^ ": no state transfer") 0 transfers)
@@ -446,11 +440,11 @@ let test_durability_campaigns () =
       List.iter
         (fun seed ->
           let report =
-            H.Nemesis.run ~restart:true ~disk_faults:true ~kind ~f:1 ~seed
+            H.Nemesis.run ~layers:[ Lossy; Restart; Durable; Disk_faults ] ~kind ~f:1 ~seed
               ~duration:(sec 10) ()
           in
           if not report.H.Nemesis.passed then
-            Alcotest.failf "%s seed %Ld: %a" (kind_name kind) seed
+            Alcotest.failf "%s seed %Ld: %a" (Replica.name kind) seed
               H.Nemesis.pp_report report;
           Alcotest.(check bool)
             "storage accounting present" true

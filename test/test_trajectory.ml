@@ -65,12 +65,6 @@ let trajectory ~kind variant =
     events;
   (Printf.sprintf "%016Lx" (Fp.digest acc), List.length events)
 
-let protocol_name = function
-  | Cluster.Sc_protocol -> "sc"
-  | Cluster.Scr_protocol -> "scr"
-  | Cluster.Bft_protocol -> "bft"
-  | Cluster.Ct_protocol -> "ct"
-
 let variant_name = function
   | Plain -> "plain"
   | Durable -> "durable adaptive"
@@ -103,7 +97,7 @@ let pins =
   ]
 
 let pin (kind, variant, digest, length) =
-  let name = protocol_name kind ^ " " ^ variant_name variant in
+  let name = Sof_protocol.Replica.name kind ^ " " ^ variant_name variant in
   Alcotest.test_case name `Slow (fun () ->
       let d, n = trajectory ~kind variant in
       Alcotest.(check int) (name ^ ": event count") length n;
