@@ -250,19 +250,15 @@ let random_plan ~byz ~restart ~disk ~rng ~kind ~f ~duration =
   else if disk then begin
     (* Storage-Byzantine campaign: the fault lives in the repair path — a
        replica serving state transfers from a tampered local log — so the
-       crash-restart that triggers repair stays in the plan and the whole
-       f-budget goes to the tamperer.  The victim is never the crash
-       target: a repair server must be alive to lie. *)
+       crash-restart that triggers repair stays in the plan.  The f-budget
+       is already spent on the disks of replicas 1..f (the atlas), so the
+       tamperer is one of them; the crash target never is, since a repair
+       server must be alive to lie. *)
     let byz_faults =
       match kind with
       | Cluster.Ct_protocol -> []
-      | Cluster.Bft_protocol ->
-        [ (1 + Rng.int rng (max 1 ((3 * f) - 2)), P.Fault.Corrupt_wal_suffix) ]
-      | Cluster.Sc_protocol | Cluster.Scr_protocol ->
-        [
-          ( (if Rng.bool rng then 0 else (2 * f) + 1),
-            P.Fault.Corrupt_wal_suffix );
-        ]
+      | Cluster.Sc_protocol | Cluster.Scr_protocol | Cluster.Bft_protocol ->
+        [ (1 + Rng.int rng f, P.Fault.Corrupt_wal_suffix) ]
     in
     { steps; byz_faults; link_fault }
   end

@@ -64,9 +64,10 @@ type layer =
           corruption, and (SCR) Unwilling spam.  BFT draws only backup
           muteness and the wire faults; CT has no Byzantine model and keeps
           its crash.  Under {!Durable} the fault moves to the repair path
-          instead: the crash stays, and the whole f-budget goes to one
-          {!Sof_protocol.Fault.Corrupt_wal_suffix} replica serving state
-          transfers from a tampered local log. *)
+          instead: the crash stays, and one of replicas 1..f — the ones
+          {!Disk_faults} spends the f-budget on — becomes a
+          {!Sof_protocol.Fault.Corrupt_wal_suffix} repair server answering
+          state transfers from a tampered local log. *)
   | Restart
       (** Bring the crash target back at ~62% of the run with empty
           volatile state, to rejoin through certified state transfer. *)

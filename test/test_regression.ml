@@ -286,7 +286,11 @@ let ci_lines =
     ("--protocol scr --seed 3 --restart --disk-faults", Some 0x9832cbd57ece7a3fL);
     ("--protocol bft --seed 3 --restart --disk-faults", Some 0x64fa67edb381b8b3L);
     ("--protocol bft --seed 1 --f 2 --restart --disk-faults", Some 0x99e30f8ccb6785d8L);
-    ("--protocol scr --seed 2 --byz --disk-faults", Some 0x31c97887958b9ca9L);
+    ("--protocol scr --seed 2 --byz --disk-faults", Some 0x6fafa3764569070eL);
+    ("--protocol sc --seed 3 --byz --restart --disk-faults", Some 0xa4a7e5f7529f613eL);
+    ("--protocol sc --seed 9 --byz --restart --disk-faults", Some 0x12c33004fb581ef3L);
+    ("--protocol scr --seed 1 --byz --restart --disk-faults", Some 0x6f000e431573a9e7L);
+    ("--protocol bft --seed 1 --byz --restart --disk-faults", Some 0x535511140333a62eL);
     ("--protocol sc --seed 1 --gray", Some 0x1871760a287c1f63L);
     ("--protocol scr --seed 2 --gray", Some 0xa0169cc51d91a420L);
     ("--protocol bft --seed 1 --gray", Some 0x9d0600e068faf807L);
