@@ -72,19 +72,13 @@ let rejection ?(auth = Sof_crypto.Keyring.Sign) layers =
   if not (gray || has Lossy) && layers <> [] then
     Some
       "--long is a fail-free endurance run; drop --byz/--restart/--durable/\
-       --disk-faults/--gray"
-  else if gray && has Lossy then
-    Some "--gray campaigns run on reliable links; drop the lossy campaign"
-  else if gray && has Byzantine then
+       --disk-faults"
+  else if
+    gray && List.exists (function Durable | Gray _ -> false | _ -> true) layers
+  then
     Some
-      "--gray campaigns have no faulty process (everything is slow, nothing \
-       is wrong); drop --byz"
-  else if gray && has Restart then
-    Some "--gray campaigns crash nothing, so there is no target to --restart"
-  else if gray && has Disk_faults then
-    Some
-      "--gray pairs with --durable (slow-sector disks), not --disk-faults \
-       (the corruption atlas)"
+      "--gray campaigns have no faulty process and crash nothing; they take \
+       only --durable (slow-sector disks) and --timing"
   else if gray && auth = Sof_crypto.Keyring.Mac then
     Some "--gray campaigns run signed; drop --auth mac"
   else if has Disk_faults && not (has Durable) then
