@@ -47,7 +47,9 @@ let seed =
 (* --------------------------------------------------------------- run *)
 
 let protocol_arg =
-  let all = List.map (fun k -> (Sof_protocol.Replica.name k, k)) Sof_protocol.Replica.kinds in
+  let all =
+    List.map (fun k -> (Sof_protocol.Replica.name k, k)) Sof_protocol.Replica.kinds
+  in
   Arg.(
     value
     & opt (enum all) H.Cluster.Sc_protocol

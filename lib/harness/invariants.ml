@@ -236,7 +236,9 @@ let fs_soundness_violation ~events ~kind ~f ~byz ~crashed =
       match ev with
       | P.Context.Fail_signal_emitted { pair; value_domain }
         when not (List.mem who byz) -> begin
-        match (P.Replica.pair_rank kind ~f who, P.Replica.counterpart kind ~f who) with
+        match
+          (P.Replica.pair_rank kind ~f who, P.Replica.counterpart kind ~f who)
+        with
         | Some own, Some cp when own = pair ->
           if List.mem cp byz then None
           else if value_domain then
@@ -317,7 +319,9 @@ let fail_signal_accountability cluster ~crashed ~by =
     let detection =
       List.find_map
         (fun (who, fault) ->
-          match (P.Replica.pair_rank kind ~f who, P.Replica.counterpart kind ~f who) with
+          match
+            (P.Replica.pair_rank kind ~f who, P.Replica.counterpart kind ~f who)
+          with
           | Some rank, Some cp
             when fired_detectably who fault
                  && (not (List.mem cp byz))

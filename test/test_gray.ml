@@ -195,7 +195,9 @@ let test_delay_model_scale () =
 let duration = Simtime.sec 12
 
 let gray ?(slow_disks = false) ~timing ~kind seed =
-  let layers = H.Nemesis.Gray timing :: (if slow_disks then [ H.Nemesis.Durable ] else []) in
+  let layers =
+    H.Nemesis.Gray timing :: (if slow_disks then [ H.Nemesis.Durable ] else [])
+  in
   H.Nemesis.run ~layers ~kind ~f:1 ~seed ~duration ()
 
 let churn (r : H.Nemesis.report) =

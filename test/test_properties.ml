@@ -213,8 +213,9 @@ let gen_trace_case =
       (tup4 (int_bound 3) (int_range 1 2) (int_bound 5_000) (int_range 40 150)))
 
 let print_trace_case (k, config_f, seed, interval) =
-  Printf.sprintf "{kind=%s; f=%d; seed=%Ld; interval=%dms}" (Sof_protocol.Replica.name (kind_of_int k)) config_f
-    seed interval
+  Printf.sprintf "{kind=%s; f=%d; seed=%Ld; interval=%dms}"
+    (Sof_protocol.Replica.name (kind_of_int k))
+    config_f seed interval
 
 let prop_trace_spans_well_formed =
   QCheck.Test.make

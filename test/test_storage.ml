@@ -440,7 +440,9 @@ let test_durability_campaigns () =
       List.iter
         (fun seed ->
           let report =
-            H.Nemesis.run ~layers:[ Lossy; Restart; Durable; Disk_faults ] ~kind ~f:1 ~seed
+            H.Nemesis.run
+              ~layers:[ Lossy; Restart; Durable; Disk_faults ]
+              ~kind ~f:1 ~seed
               ~duration:(sec 10) ()
           in
           if not report.H.Nemesis.passed then
