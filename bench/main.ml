@@ -42,14 +42,10 @@ let sample_order_envelope =
   let keys =
     List.init 10 (fun i -> { Sof_smr.Request.client = i mod 4; client_seq = i })
   in
-  {
-    Sof_protocol.Message.sender = 0;
-    body =
-      Sof_protocol.Message.Order
-        { c = 1; info = { Sof_protocol.Message.o = 42; digest = String.make 16 'x'; keys } };
-    signature = String.make 32 's';
-    endorsement = Some (5, String.make 32 'e');
-  }
+  Sof_protocol.Message.forge ~sender:0 ~signature:(String.make 32 's')
+    ~endorsement:(5, String.make 32 'e')
+    (Sof_protocol.Message.Order
+       { c = 1; info = { Sof_protocol.Message.o = 42; digest = String.make 16 'x'; keys } })
 
 let sample_order_bytes = Sof_protocol.Message.encode sample_order_envelope
 

@@ -588,9 +588,10 @@ let fuzz_cmd =
     else
       `Error
         ( false,
-          Printf.sprintf "fuzz FAIL seed=%Ld crashes=%d" seed
-            (List.length wire.H.Fuzz.crashes
-            + List.length storage.H.Fuzz.crashes) )
+          Printf.sprintf "fuzz FAIL seed=%Ld crashes=%d non-canonical=%d" seed
+            (List.length wire.H.Fuzz.crashes + List.length storage.H.Fuzz.crashes)
+            (List.length wire.H.Fuzz.non_canonical
+            + List.length storage.H.Fuzz.non_canonical) )
   in
   let count =
     Arg.(
@@ -604,7 +605,8 @@ let fuzz_cmd =
           wire-format decode entry point and to the durable-state decoders \
           (checkpoint certificates, state-transfer entries, checkpoint \
           images, write-ahead-log recovery over a scribbled disk); fail on \
-          any escape other than the recoverable rejection.")
+          any escape other than the recoverable rejection, and on any \
+          decoded value that does not re-encode to the bytes it came from.")
     Term.(ret (const fuzz $ seed $ count))
 
 (* ---------------------------------------------------------------- lint *)

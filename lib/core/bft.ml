@@ -1,7 +1,6 @@
 module Simtime = Sof_sim.Simtime
 module Request = Sof_smr.Request
 module Key_map = Request.Key_map
-module Key_set = Request.Key_set
 module Int_set = Set.Make (Int)
 module Int_map = Map.Make (Int)
 
@@ -83,32 +82,10 @@ let delivered_seq t = t.log.delivered
 
 let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
 
-(* Checkpoints form transferable certificates, so they keep scheme
-   signatures; the agreement phases use the wire mode (MAC vectors under
-   [--auth mac], where a 2f+1 quorum of direct checks replaces
-   transferability). *)
-let signer_for t body =
-  if Message.accountable_body body then t.ctx.Context.sign_acc
-  else t.ctx.Context.sign
-
-let verifier_for t body =
-  if Message.accountable_body body then t.ctx.Context.verify_acc
-  else t.ctx.Context.verify
-
-let make_signed t body =
-  let payload = Message.encode_body body in
-  {
-    Message.sender = id t;
-    body;
-    signature = signer_for t body payload;
-    endorsement = None;
-  }
-
+(* BFT never endorses: an envelope carrying an endorsement is not one of
+   ours. *)
 let authentic t (env : Message.envelope) =
-  env.Message.endorsement = None
-  && verifier_for t env.Message.body ~signer:env.Message.sender
-       ~msg:(Message.encode_body env.Message.body)
-       ~signature:env.Message.signature
+  env.Message.endorsement = None && Context.authentic t.ctx env
 
 let can_transmit t = not (Fault.is_mute t.fault ~now:(t.ctx.Context.now ()))
 
@@ -133,7 +110,7 @@ let suspicion_delay t =
 let send_probe t dst =
   let at = Simtime.to_ns (t.ctx.Context.now ()) in
   multicast t ~dsts:[ dst ]
-    (make_signed t (Message.Probe { nonce = Timing.next_probe t.timing; at }))
+    (Context.make_signed t.ctx (Message.Probe { nonce = Timing.next_probe t.timing; at }))
 
 let get_order t o =
   match Hashtbl.find_opt t.log.orders o with
@@ -201,7 +178,7 @@ let ckpt_scheme config =
 
 let checkpoint_boundary t o =
   let digest = Recovery.boundary_image t.log o in
-  let env = make_signed t (Message.Checkpoint { seq = o; digest }) in
+  let env = Context.make_signed t.ctx (Message.Checkpoint { seq = o; digest }) in
   Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq:o ~digest ~signer:(id t)
     ~signature:env.Message.signature;
   multicast t ~dsts:(others t) env;
@@ -255,7 +232,7 @@ let try_prepared_point t st =
       span_open t Context.Commit_phase st.o
     end;
     let body = Message.Commit { v = st.view_of; o = st.o; digest = st.digest } in
-    let env = make_signed t body in
+    let env = Context.make_signed t.ctx body in
     multicast t ~dsts:t.all_ids env
   end
 
@@ -271,7 +248,7 @@ let send_prepare t st =
       span_open t Context.Prepare_phase st.o
     end;
     let body = Message.Prepare { v = st.view_of; o = st.o; digest = st.digest } in
-    let env = make_signed t body in
+    let env = Context.make_signed t.ctx body in
     multicast t ~dsts:t.all_ids env
   end
 
@@ -291,7 +268,7 @@ let accept_pre_prepare t ~(info : Message.order_info) ~v =
     st.view_of <- v;
     st.digest <- info.Message.digest;
     st.keys <- info.Message.keys;
-    List.iter (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys) info.Message.keys;
+    List.iter (Recovery.note_ordered t.log) info.Message.keys;
     send_prepare t st;
     try_prepared_point t st;
     try_commit_point t st
@@ -313,12 +290,12 @@ let issue_pre_prepare t info =
       (fun i dst ->
         let chosen = if i mod 2 = 0 then info else alt in
         multicast t ~dsts:[ dst ]
-          (make_signed t (Message.Pre_prepare { v = t.view; info = chosen })))
+          (Context.make_signed t.ctx (Message.Pre_prepare { v = t.view; info = chosen })))
       (others t);
     accept_pre_prepare t ~info ~v:t.view
   | _ ->
     let body = Message.Pre_prepare { v = t.view; info } in
-    let env = make_signed t body in
+    let env = Context.make_signed t.ctx body in
     multicast t ~dsts:(others t) env;
     accept_pre_prepare t ~info ~v:t.view
 
@@ -330,7 +307,7 @@ let rec arm_batch_timer t =
 
 and batch_tick t =
   if i_am_primary t && not t.changing_view then begin
-    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.log.ordered_keys)) t.log.pending in
+    let pool = Key_map.filter (fun k _ -> not (Recovery.key_ordered t.log k)) t.log.pending in
     if not (Key_map.is_empty pool) then begin
       let requests = Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool in
       let batch = Batch.make requests in
@@ -350,7 +327,7 @@ and batch_tick t =
       t.ctx.Context.emit
         (Context.Batched
            { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-      List.iter (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys) info.Message.keys;
+      List.iter (Recovery.note_ordered t.log) info.Message.keys;
       issue_pre_prepare t info
     end;
     arm_batch_timer t
@@ -386,7 +363,7 @@ and vc_tick t =
     Simtime.compare (Simtime.add t.last_progress budget) now <= 0
     && Key_map.exists
          (fun k since ->
-           (not (Key_set.mem k t.log.ordered_keys))
+           (not (Recovery.key_ordered t.log k))
            && Simtime.compare (Simtime.add since budget) now <= 0)
          t.log.arrival
   in
@@ -407,7 +384,7 @@ and start_view_change t v =
     let body =
       Message.Bft_view_change { v; prepared = prepared_set t }
     in
-    let env = make_signed t body in
+    let env = Context.make_signed t.ctx body in
     multicast t ~dsts:t.all_ids env
   end
 
@@ -441,7 +418,7 @@ let rec handle_view_change t ~src:_ ~v ~prepared (env : Message.envelope) =
           |> List.sort (fun a b -> Int.compare a.Message.o b.Message.o)
         in
         let body = Message.Bft_new_view { v; pre_prepares } in
-        let env' = make_signed t body in
+        let env' = Context.make_signed t.ctx body in
         multicast t ~dsts:(others t) env';
         enter_view t v pre_prepares
       end
@@ -482,7 +459,7 @@ let on_request t (req : Request.t) =
   let key = req.Request.key in
   if not (Key_map.mem key t.log.pending) then begin
     t.log.pending <- Key_map.add key req t.log.pending;
-    if not (Key_set.mem key t.log.ordered_keys) then
+    if not (Recovery.key_ordered t.log key) then
       t.log.arrival <- Key_map.add key (t.ctx.Context.now ()) t.log.arrival;
     Recovery.advance t.hooks
   end
@@ -536,7 +513,7 @@ let on_message t ~src (env : Message.envelope) =
     (* Echo the sender's timestamp back; replies are liveness-only input so
        they need no verification beyond the estimator's nonce filter. *)
     if Timing.adaptive t.timing then
-      multicast t ~dsts:[ src ] (make_signed t (Message.Probe_reply { nonce; at }))
+      multicast t ~dsts:[ src ] (Context.make_signed t.ctx (Message.Probe_reply { nonce; at }))
   | Message.Probe_reply { nonce; at } ->
     Timing.note_probe_reply t.timing ~now:(t.ctx.Context.now ()) ~src ~nonce ~at
   | Message.Order _ | Message.Ack _ | Message.Fail_signal _ | Message.Back_log _
@@ -598,7 +575,7 @@ let create ~ctx ~(config : config) ?(fault = Fault.Honest) () =
                    st.committed <- true;
                    true
                  end);
-          sign = (fun body -> make_signed t body);
+          sign = Context.make_signed ctx;
           send = (fun ~dst env -> send_one t ~dst env);
           multicast = (fun env -> multicast t ~dsts:(others t) env);
         };

@@ -106,3 +106,20 @@ let pp_event fmt = function
   | Wal_replayed { seq; entries; damaged } ->
     Format.fprintf fmt "wal_replayed(seq=%d, +%d entries%s)" seq entries
       (if damaged then ", damaged" else "")
+
+(* ------------------------------------------------------------- signing *)
+
+(* Accountable bodies (orders, fail-signals, checkpoints) are signed with
+   the transferable mechanism; everything else uses the wire mode, which
+   may be a cheap MAC authenticator vector. *)
+let signer_for t body = if Message.accountable_body body then t.sign_acc else t.sign
+
+let verifier_for t body = if Message.accountable_body body then t.verify_acc else t.verify
+
+let make_signed t body = Message.sign ~sender:t.id ~sign:(signer_for t body) body
+
+let endorse t (env : Message.envelope) =
+  Message.endorse ~endorser:t.id ~sign:(signer_for t env.Message.body) env
+
+let authentic t (env : Message.envelope) =
+  Message.verify ~verify:(verifier_for t env.Message.body) env

@@ -140,3 +140,20 @@ type t = {
 val null_timer : timer
 
 val pp_event : Format.formatter -> event -> unit
+
+(** {2 Signing}
+
+    The one signing path of every protocol core.  Accountable bodies (see
+    {!Message.accountable_body}) go through [sign_acc]/[verify_acc], all
+    others through the wire mode [sign]/[verify]. *)
+
+val make_signed : t -> Message.body -> Message.envelope
+(** Encode the body once and sign it as this process. *)
+
+val endorse : t -> Message.envelope -> Message.envelope
+(** Add this process's endorsement over the envelope's body bytes and first
+    signature. *)
+
+val authentic : t -> Message.envelope -> bool
+(** Verify every signature the envelope carries over its received body
+    bytes ({!Message.verify}). *)

@@ -1,7 +1,6 @@
 module Simtime = Sof_sim.Simtime
 module Request = Sof_smr.Request
 module Key_map = Request.Key_map
-module Key_set = Request.Key_set
 module Int_set = Set.Make (Int)
 
 type config = {
@@ -84,7 +83,7 @@ let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
 
 (* CT runs under the crash-only model with no cryptography: every envelope
    goes out unsigned. *)
-let unsigned t body = { Message.sender = id t; body; signature = ""; endorsement = None }
+let unsigned t body = Message.sign ~sender:(id t) ~sign:(fun _ -> "") body
 
 (* ------------------------------------------------------ adaptive timing *)
 
@@ -214,7 +213,7 @@ let try_commit t st =
           t.suspect_backoff <- 0;
           if st.o > t.log.max_committed then t.log.max_committed <- st.o;
           let keys = Option.value cand.c_keys ~default:[] in
-          List.iter (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys) keys;
+          List.iter (Recovery.note_ordered t.log) keys;
           t.ctx.Context.emit (Context.Committed { seq = st.o; digest; keys })
         end)
       st.candidates;
@@ -255,9 +254,7 @@ let learn_candidate t (info : Message.order_info) =
   end;
   if cand.c_keys = None then cand.c_keys <- Some info.Message.keys;
   if not st.voted then
-    List.iter
-      (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys)
-      info.Message.keys;
+    List.iter (Recovery.note_ordered t.log) info.Message.keys;
   vote t st info.Message.digest cand;
   (st, cand)
 
@@ -285,7 +282,7 @@ let rec arm_batch_timer t =
 
 and batch_tick t =
   if i_am_coordinator t then begin
-    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.log.ordered_keys)) t.log.pending in
+    let pool = Key_map.filter (fun k _ -> not (Recovery.key_ordered t.log k)) t.log.pending in
     if not (Key_map.is_empty pool) then
       if t.sync_pending || not (quorum_contact t) then begin
         (* Probe instead of minting; peers answer with their candidate
@@ -322,9 +319,7 @@ and batch_tick t =
         t.ctx.Context.emit
           (Context.Batched
              { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-        List.iter
-          (fun k -> t.log.ordered_keys <- Key_set.add k t.log.ordered_keys)
-          info.Message.keys;
+        List.iter (Recovery.note_ordered t.log) info.Message.keys;
         let body = Message.Order { c = t.epoch; info } in
         t.ctx.Context.multicast ~dsts:(others t) (unsigned t body);
         accept_order t ~sender:(id t) ~info
@@ -349,7 +344,7 @@ and suspect_tick t =
     Simtime.compare (Simtime.add t.last_progress budget) now <= 0
     && Key_map.exists
          (fun k since ->
-           (not (Key_set.mem k t.log.ordered_keys))
+           (not (Recovery.key_ordered t.log k))
            && Simtime.compare (Simtime.add since budget) now <= 0)
          t.log.arrival
   in
@@ -374,7 +369,7 @@ let on_request t (req : Request.t) =
   let key = req.Request.key in
   if not (Key_map.mem key t.log.pending) then begin
     t.log.pending <- Key_map.add key req t.log.pending;
-    if not (Key_set.mem key t.log.ordered_keys) then
+    if not (Recovery.key_ordered t.log key) then
       t.log.arrival <- Key_map.add key (t.ctx.Context.now ()) t.log.arrival;
     Recovery.advance t.hooks
   end

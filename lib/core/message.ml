@@ -50,6 +50,7 @@ type body =
 type envelope = {
   sender : int;
   body : body;
+  body_bytes : string;
   signature : string;
   endorsement : (int * string) option;
 }
@@ -278,28 +279,69 @@ let decode_body s =
   Codec.Reader.expect_end r;
   body
 
+(* ----------------------------------------------------------- envelopes *)
+
+(* Every constructor sets [body_bytes] to [encode_body body], so signing,
+   verification, digests and [encode] all reuse one encoding. *)
+let sign ~sender ~sign body =
+  let body_bytes = encode_body body in
+  { sender; body; body_bytes; signature = sign body_bytes; endorsement = None }
+
+let endorsement_payload body first_sig = encode_body body ^ first_sig
+
+(* What an endorser signs: the body bytes and the first signature. *)
+let endorsed_bytes env = env.body_bytes ^ env.signature
+
+let endorse ~endorser ~sign env =
+  { env with endorsement = Some (endorser, sign (endorsed_bytes env)) }
+
+let forge ~sender ~signature ?endorsement body =
+  { sender; body; body_bytes = encode_body body; signature; endorsement }
+
+let verify ~verify env =
+  verify ~signer:env.sender ~msg:env.body_bytes ~signature:env.signature
+  && begin
+       match env.endorsement with
+       | None -> true
+       | Some (who, s) ->
+         (not (Int.equal who env.sender))
+         && verify ~signer:who ~msg:(endorsed_bytes env) ~signature:s
+     end
+
 let encode env =
-  let w = Codec.Writer.create () in
+  let n = String.length env.body_bytes in
+  let s = String.length env.signature in
+  let size =
+    Codec.varint_size env.sender + Codec.varint_size n + n + Codec.varint_size s + s
+    +
+    match env.endorsement with
+    | None -> 1
+    | Some (who, e) ->
+      let m = String.length e in
+      1 + Codec.varint_size who + Codec.varint_size m + m
+  in
+  let w = Codec.Writer.create ~size () in
   Codec.Writer.varint w env.sender;
-  Codec.Writer.string w (encode_body env.body);
+  Codec.Writer.string w env.body_bytes;
   Codec.Writer.string w env.signature;
   Codec.Writer.option w write_tuple env.endorsement;
   Codec.Writer.contents w
 
+(* The body is decoded from exactly the bytes it arrived as, and those bytes
+   stay in [body_bytes].  The strict codec guarantees they are what
+   [encode_body] gives for the decoded body, so signatures checked over
+   them mean the same as signatures over a re-encoding. *)
 let decode s =
   let r = Codec.Reader.of_string s in
   let sender = Codec.Reader.varint r in
-  let body = decode_body (Codec.Reader.string r) in
+  let body_bytes = Codec.Reader.string r in
+  let body = decode_body body_bytes in
   let signature = Codec.Reader.string r in
   let endorsement = Codec.Reader.option r read_tuple in
   Codec.Reader.expect_end r;
-  { sender; body; signature; endorsement }
-
-let encoded_size env = String.length (encode env)
+  { sender; body; body_bytes; signature; endorsement }
 
 let signature_count env = match env.endorsement with None -> 1 | Some _ -> 2
-
-let endorsement_payload body first_sig = encode_body body ^ first_sig
 
 (* ------------------------------------------------------------- equality *)
 
@@ -321,7 +363,7 @@ let equal a b =
   Int.equal a.sender b.sender
   && String.equal a.signature b.signature
   && Option.equal equal_endorsement a.endorsement b.endorsement
-  && equal_body a.body b.body
+  && String.equal a.body_bytes b.body_bytes
 
 let body_tag = function
   | Order _ -> "order"

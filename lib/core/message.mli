@@ -103,29 +103,53 @@ type body =
       (** Echo of a {!Probe}; the prober computes the round-trip sample as
           [now - at] and feeds its per-link delay estimator. *)
 
-type envelope = {
+type envelope = private {
   sender : int;  (** Creator (first signatory), not the transport source. *)
   body : body;
-  signature : string;  (** Creator's signature over [encode_body body]. *)
+  body_bytes : string;
+      (** [encode_body body], computed once by the constructor or kept from
+          the received frame by {!decode}; every signature covers it. *)
+  signature : string;  (** Creator's signature over [body_bytes]. *)
   endorsement : (int * string) option;
-      (** Second signatory and signature over [encode_body body ^ signature]. *)
+      (** Second signatory and signature over [body_bytes ^ signature]. *)
 }
+(** Built only by {!sign}, {!endorse}, {!forge} and {!decode}, so
+    [body_bytes] always equals [encode_body body]. *)
 
 val encode_body : body -> string
 val decode_body : string -> body
-(** @raise Sof_util.Codec.Reader.Truncated on malformed input. *)
+(** @raise Sof_util.Codec.Reader.Truncated on malformed input.  The decoder
+    is canonical: a string that decodes is exactly [encode_body] of the
+    result. *)
+
+val sign : sender:int -> sign:(string -> string) -> body -> envelope
+(** Encode [body] once and sign those bytes as [sender]. *)
+
+val endorse : endorser:int -> sign:(string -> string) -> envelope -> envelope
+(** Add [endorser]'s signature over [body_bytes ^ signature]. *)
+
+val forge :
+  sender:int -> signature:string -> ?endorsement:int * string -> body -> envelope
+(** An envelope with signatures made elsewhere: the dealer's pre-signed
+    fail-signal, test fixtures and fuzz corpora. *)
+
+val verify :
+  verify:(signer:int -> msg:string -> signature:string -> bool) -> envelope -> bool
+(** Check every signature the envelope carries over its received body bytes;
+    an endorsement must come from someone other than the sender. *)
 
 val encode : envelope -> string
 val decode : string -> envelope
-
-val encoded_size : envelope -> int
+(** @raise Sof_util.Codec.Reader.Truncated on malformed input.  Like
+    {!decode_body} it is canonical: [encode (decode s) = s]. *)
 
 val signature_count : envelope -> int
 (** 1 or 2 — how many verifications a receiver performs. *)
 
 val endorsement_payload : body -> string -> string
 (** [endorsement_payload body first_sig] is the byte string the second
-    signatory signs. *)
+    signatory signs, for signatures detached from their envelope
+    (checkpoint certificates). *)
 
 val equal_key : Sof_smr.Request.key -> Sof_smr.Request.key -> bool
 
@@ -138,8 +162,8 @@ val equal_body : body -> body -> bool
 val equal_endorsement : int * string -> int * string -> bool
 
 val equal : envelope -> envelope -> bool
-(** Envelope equality: sender, body, signature and endorsement all match.
-    The typed replacement for polymorphic [=] on messages (lint rule R1). *)
+(** Envelope equality: sender, body bytes, signature and endorsement all
+    match.  The typed replacement for polymorphic [=] on messages (lint rule R1). *)
 
 val body_tag : body -> string
 (** Short constructor name for tracing and per-type accounting. *)

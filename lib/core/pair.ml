@@ -98,38 +98,6 @@ let send t ~dst env = if can_transmit t then t.ctx.Context.send ~dst env
 
 let multicast t ~dsts env = if can_transmit t then t.ctx.Context.multicast ~dsts env
 
-(* Accountable bodies (orders, fail-signals, checkpoints) are signed with
-   the transferable mechanism; everything else uses the wire mode, which
-   may be a cheap MAC authenticator vector. *)
-let signer_for t body =
-  if Message.accountable_body body then t.ctx.Context.sign_acc else t.ctx.Context.sign
-
-let verifier_for t body =
-  if Message.accountable_body body then t.ctx.Context.verify_acc else t.ctx.Context.verify
-
-let make_signed t body =
-  let payload = Message.encode_body body in
-  { Message.sender = id t; body; signature = signer_for t body payload; endorsement = None }
-
-let endorse t (env : Message.envelope) =
-  let payload = Message.endorsement_payload env.Message.body env.Message.signature in
-  { env with Message.endorsement = Some (id t, signer_for t env.Message.body payload) }
-
-(* Verify every signature an envelope carries. *)
-let authentic t (env : Message.envelope) =
-  let payload = Message.encode_body env.Message.body in
-  let verify = verifier_for t env.Message.body in
-  verify ~signer:env.Message.sender ~msg:payload ~signature:env.Message.signature
-  && begin
-       match env.Message.endorsement with
-       | None -> true
-       | Some (who, s) ->
-         (not (Int.equal who env.Message.sender))
-         && verify ~signer:who
-              ~msg:(Message.endorsement_payload env.Message.body env.Message.signature)
-              ~signature:s
-     end
-
 (* Is this envelope doubly-signed by exactly the members of pair [rank]? *)
 let doubly_signed_by_pair t ~rank (env : Message.envelope) =
   Config.candidate_is_pair t.config rank
@@ -160,7 +128,7 @@ let fail_signal_authentic t ~pair (env : Message.envelope) =
        | Some (who, _) -> List.mem who members && not (Int.equal who env.Message.sender)
        | None -> false
      end
-  && authentic t env
+  && Context.authentic t.ctx env
 
 (* ------------------------------------------------------ adaptive timing *)
 
@@ -191,7 +159,7 @@ let can_back_off t ~level = Timing.can_back_off t.timing (pair_estimate t) ~leve
 
 let send_probe t dst =
   let at = Simtime.to_ns (t.ctx.Context.now ()) in
-  send t ~dst (make_signed t (Message.Probe { nonce = Timing.next_probe t.timing; at }))
+  send t ~dst (Context.make_signed t.ctx (Message.Probe { nonce = Timing.next_probe t.timing; at }))
 
 (* ----------------------------------------------------------- order log *)
 
@@ -363,7 +331,7 @@ let shadow_handle_checkpoint t (env : Message.envelope) ~seq ~digest =
   match Recovery.image_at t.log.Recovery.rcv ~seq with
   | Some image ->
     if String.equal (Checkpoint.image_digest t.config.Config.digest image) digest then begin
-      let endorsed = endorse t env in
+      let endorsed = Context.endorse t.ctx env in
       multicast t ~dsts:(others t) endorsed;
       ckpt_adopt_cert t (cert_of_ckpt_env endorsed ~seq ~digest)
     end
@@ -389,7 +357,7 @@ let retry_ckpt_stash t =
 let checkpoint_boundary t o =
   let digest = Recovery.boundary_image t.log o in
   if t.hooks.am_primary t then begin
-    let env = make_signed t (Message.Checkpoint { seq = o; digest }) in
+    let env = Context.make_signed t.ctx (Message.Checkpoint { seq = o; digest }) in
     if coordinator_is_pair t then
       (* Phase 1: 1-to-1 to the shadow for endorsement. *)
       send t ~dst:(Config.shadow_of_pair t.config (rank t)) env
@@ -449,7 +417,7 @@ let send_ack t st =
     st.acked <- true;
     ack_span_transition t st;
     let body = Message.Ack { c = st.era; o = st.o; digest = st.digest } in
-    multicast t ~dsts:t.all_ids (make_signed t body)
+    multicast t ~dsts:t.all_ids (Context.make_signed t.ctx body)
   end
 
 (* Process an authentic order from the coordinator of [era] (doubly-signed
@@ -475,9 +443,7 @@ let accept_order t (env : Message.envelope) ~era ~(info : Message.order_info) =
     close_endorse_span t st;
     open_order_span t st;
     if info.Message.keys = [] then st.null <- true;
-    List.iter
-      (fun k -> t.log.Recovery.ordered_keys <- Key_set.add k t.log.Recovery.ordered_keys)
-      info.Message.keys;
+    List.iter (Recovery.note_ordered t.log) info.Message.keys;
     add_signatories st ~digest:st.digest env;
     send_ack t st;
     try_commit t st
@@ -501,7 +467,7 @@ let rec emit_fail_signal t ~value_domain =
     cancel t.batch_timer;
     t.batch_timer <- None;
     let body = Message.Fail_signal { pair = rank } in
-    let env = endorse t { Message.sender = cp; body; signature = presig; endorsement = None } in
+    let env = Context.endorse t.ctx (Message.forge ~sender:cp ~signature:presig body) in
     t.ctx.Context.emit (Context.Fail_signal_emitted { pair = rank; value_domain });
     if value_domain then t.ctx.Context.emit (Context.Value_fault_detected { pair = rank });
     multicast t ~dsts:(others t) env;
@@ -522,7 +488,7 @@ and batch_tick t =
   if t.hooks.am_primary t && (Option.is_none t.pair_rank || t.hooks.up t) then begin
     let pool =
       Key_map.filter
-        (fun k _ -> not (Key_set.mem k t.log.Recovery.ordered_keys))
+        (fun k _ -> not (Recovery.key_ordered t.log k))
         t.log.Recovery.pending
     in
     if not (Key_map.is_empty pool) then issue_batch t pool;
@@ -547,14 +513,14 @@ and issue_batch t pool =
     | _ -> digest
   in
   let keys = Batch.keys batch in
-  List.iter (fun k -> log.Recovery.ordered_keys <- Key_set.add k log.Recovery.ordered_keys) keys;
+  List.iter (Recovery.note_ordered log) keys;
   let info = { Message.o; digest; keys } in
   t.ctx.Context.emit
     (Context.Batched
        { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
   open_batch_span t (get_order t o);
   let era = t.hooks.era t in
-  let env = make_signed t (Message.Order { c = era; info }) in
+  let env = Context.make_signed t.ctx (Message.Order { c = era; info }) in
   if coordinator_is_pair t then begin
     let shadow = Config.shadow_of_pair t.config (rank t) in
     match t.fault with
@@ -566,7 +532,7 @@ and issue_batch t pool =
          signature, which they reject as unendorsed.  Either way no honest
          receiver can assemble a doubly-signed order for this [o]. *)
       let conflicting = { info with Message.digest = Recovery.flip_first_byte digest } in
-      send t ~dst:shadow (make_signed t (Message.Order { c = era; info = conflicting }));
+      send t ~dst:shadow (Context.make_signed t.ctx (Message.Order { c = era; info = conflicting }));
       multicast t ~dsts:(List.filter (fun p -> not (Int.equal p shadow)) (others t)) env
     | _ ->
       (* Phase 1: 1-to-1 to the shadow for endorsement. *)
@@ -666,10 +632,10 @@ and shadow_endorse t (env : Message.envelope) ~(info : Message.order_info) =
   t.shadow_watch_level <- 0;
   List.iter
     (fun k ->
-      t.log.Recovery.ordered_keys <- Key_set.add k t.log.Recovery.ordered_keys;
+      Recovery.note_ordered t.log k;
       t.view_ordered_keys <- Key_set.add k t.view_ordered_keys)
     info.Message.keys;
-  let endorsed = endorse t env in
+  let endorsed = Context.endorse t.ctx env in
   (* Phase 2: 2-to-n — the shadow multicasts the endorsed order... *)
   multicast t ~dsts:(others t) endorsed;
   accept_order t endorsed ~era:(t.hooks.era t) ~info;
@@ -731,7 +697,7 @@ and rearm_shadow_watch t =
   if t.hooks.am_shadow t && t.hooks.up t then begin
     let unordered =
       Key_map.filter
-        (fun k _ -> not (Key_set.mem k t.log.Recovery.ordered_keys))
+        (fun k _ -> not (Recovery.key_ordered t.log k))
         t.log.Recovery.arrival
     in
     match Key_map.min_binding_opt unordered with
@@ -766,7 +732,7 @@ and shadow_watch_fired t =
       Simtime.compare (Simtime.add t.last_progress budget) now <= 0
       && Key_map.exists
            (fun k since ->
-             (not (Key_set.mem k t.log.Recovery.ordered_keys))
+             (not (Recovery.key_ordered t.log k))
              && Simtime.compare (Simtime.add since budget) now <= 0)
            t.log.Recovery.arrival
     in
@@ -791,7 +757,7 @@ let arm_heartbeat t tick =
 
 let beat t ~rank ~cp =
   t.beat <- t.beat + 1;
-  send t ~dst:cp (make_signed t (Message.Heartbeat { pair = rank; beat = t.beat }));
+  send t ~dst:cp (Context.make_signed t.ctx (Message.Heartbeat { pair = rank; beat = t.beat }));
   if Timing.adaptive t.timing then send_probe t cp;
   let silence = Simtime.diff (t.ctx.Context.now ()) t.last_heard in
   let hb = t.config.Config.heartbeat_interval in
@@ -917,15 +883,13 @@ let install t (env : Message.envelope) ~era ~start_o ~anchor ~new_back_log ~prim
           st.keys <- info.Message.keys;
           st.era <- era;
           if info.Message.keys = [] then st.null <- true;
-          List.iter
-            (fun k -> t.log.Recovery.ordered_keys <- Key_set.add k t.log.Recovery.ordered_keys)
-            info.Message.keys
+          List.iter (Recovery.note_ordered t.log) info.Message.keys
         end
       end)
     new_back_log;
   if anchor > t.anchor_seen then t.anchor_seen <- anchor;
   (* The installing message itself is an order at start_o (SC step IN5). *)
-  let payload = Message.encode_body env.Message.body in
+  let payload = env.Message.body_bytes in
   t.ctx.Context.digest_charge (String.length payload);
   let digest = Sof_crypto.Digest_alg.digest t.config.Config.digest payload in
   let st = get_order t start_o in
@@ -972,10 +936,10 @@ let on_order t ~src (env : Message.envelope) ~era ~(info : Message.order_info) =
         t.hooks.am_shadow t && t.hooks.up t
         && Int.equal src (Config.primary_of_pair t.config rank)
         && Int.equal env.Message.sender src
-        && authentic t env
+        && Context.authentic t.ctx env
       then shadow_handle_order t env ~info
     end
-    else if valid_coordinator_message t ~rank env && authentic t env then begin
+    else if valid_coordinator_message t ~rank env && Context.authentic t.ctx env then begin
       (* The primary forwards the endorsed order to everyone (phase 2). *)
       if
         t.hooks.am_primary t
@@ -1005,7 +969,7 @@ let on_order t ~src (env : Message.envelope) ~era ~(info : Message.order_info) =
        dropped. *)
     info.Message.o <= t.anchor_seen
     && valid_coordinator_message t ~rank:(t.hooks.rank_of t era) env
-    && authentic t env
+    && Context.authentic t.ctx env
   then accept_order t env ~era ~info
 
 let on_message t ~src (env : Message.envelope) =
@@ -1014,7 +978,7 @@ let on_message t ~src (env : Message.envelope) =
   | Message.Heartbeat _ -> () (* the receipt time is all they carry *)
   | Message.Order { c; info } -> on_order t ~src env ~era:c ~info
   | Message.Ack { o; digest; _ } ->
-    if o > Recovery.stable_seq log.Recovery.rcv && authentic t env then begin
+    if o > Recovery.stable_seq log.Recovery.rcv && Context.authentic t.ctx env then begin
       let st = get_order t o in
       add_vote st ~digest ~source:env.Message.sender ~signature:env.Message.signature;
       if st.have_order && String.equal st.digest digest then try_commit t st
@@ -1023,7 +987,7 @@ let on_message t ~src (env : Message.envelope) =
     if
       log.Recovery.interval > 0
       && seq > Recovery.stable_seq log.Recovery.rcv
-      && authentic t env
+      && Context.authentic t.ctx env
     then begin
       (match env.Message.endorsement with
       | None -> begin
@@ -1050,14 +1014,14 @@ let on_message t ~src (env : Message.envelope) =
         Recovery.request_recovery t.recovery
     end
   | Message.State_request { have } ->
-    if authentic t env then Recovery.serve_state_request t.recovery ~src ~have
+    if Context.authentic t.ctx env then Recovery.serve_state_request t.recovery ~src ~have
   | Message.State_response { cert; image; entries } ->
-    if authentic t env then Recovery.handle_state_response t.recovery ~src ~cert ~image ~entries
+    if Context.authentic t.ctx env then Recovery.handle_state_response t.recovery ~src ~cert ~image ~entries
   | Message.Probe { nonce; at } ->
     (* Echo the sender's timestamp back; replies are liveness-only input so
        they need no verification beyond the estimator's nonce filter. *)
     if Timing.adaptive t.timing then
-      send t ~dst:src (make_signed t (Message.Probe_reply { nonce; at }))
+      send t ~dst:src (Context.make_signed t.ctx (Message.Probe_reply { nonce; at }))
   | Message.Probe_reply { nonce; at } ->
     Timing.note_probe_reply t.timing ~now:(t.ctx.Context.now ()) ~src ~nonce ~at
   | Message.Fail_signal _ | Message.Back_log _ | Message.Start _ | Message.Start_ack _
@@ -1074,7 +1038,7 @@ let note_heard t ~src =
 let on_request t (req : Request.t) =
   let log = t.log in
   let key = req.Request.key in
-  (not (Key_set.mem key log.Recovery.ordered_keys))
+  (not (Recovery.key_ordered log key))
   && (not (Key_map.mem key log.Recovery.pending))
   && begin
        log.Recovery.pending <- Key_map.add key req log.Recovery.pending;
@@ -1155,7 +1119,7 @@ let create ~name ~ctx ~config ~fault ~counterpart_fail_signal ~hooks x =
                    st.committed <- true;
                    true
                  end);
-          sign = (fun body -> make_signed t body);
+          sign = Context.make_signed ctx;
           send = (fun ~dst env -> send t ~dst env);
           multicast = (fun env -> multicast t ~dsts:(others t) env);
         };

@@ -131,9 +131,6 @@ val id : 'x t -> int
 val others : 'x t -> int list
 val send : 'x t -> dst:int -> Message.envelope -> unit
 val multicast : 'x t -> dsts:int list -> Message.envelope -> unit
-val make_signed : 'x t -> Message.body -> Message.envelope
-val endorse : 'x t -> Message.envelope -> Message.envelope
-val authentic : 'x t -> Message.envelope -> bool
 val doubly_signed_by_pair : 'x t -> rank:int -> Message.envelope -> bool
 
 val valid_coordinator_message : 'x t -> rank:int -> Message.envelope -> bool

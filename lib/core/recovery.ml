@@ -1,7 +1,7 @@
 module Simtime = Sof_sim.Simtime
 module Request = Sof_smr.Request
 module Key_map = Request.Key_map
-module Key_set = Request.Key_set
+module Key_tbl = Request.Key_tbl
 
 type scheme =
   | Quorum_signed of { quorum : int; member_ok : int -> bool }
@@ -250,8 +250,7 @@ type 'slot log = {
   mutable next_seq : int;
   mutable pending : Request.t Key_map.t;
   mutable arrival : Simtime.t Key_map.t;
-  mutable ordered_keys : Key_set.t;
-  mutable delivered_keys : Key_set.t;
+  key_marks : int Key_tbl.t;
   mutable executed : Request.t Key_map.t;
   mutable recent_delivered : (int * Request.t list) list;
   mutable fetch_timer : Context.timer option;
@@ -271,13 +270,29 @@ let create_log ~ctx ~f ~digest ~interval =
     next_seq = 1;
     pending = Key_map.empty;
     arrival = Key_map.empty;
-    ordered_keys = Key_set.empty;
-    delivered_keys = Key_set.empty;
+    key_marks = Key_tbl.create 16;
     executed = Key_map.empty;
     recent_delivered = [];
     fetch_timer = None;
     fetch_backoff = 0;
   }
+
+(* A key's marks: ordered and delivered bits, set independently; a key with
+   neither has no entry. *)
+let ordered_bit = 1
+let delivered_bit = 2
+
+let marked log bit k =
+  match Key_tbl.find_opt log.key_marks k with Some m -> m land bit <> 0 | None -> false
+
+let mark log bit k =
+  match Key_tbl.find_opt log.key_marks k with
+  | Some m -> if m land bit = 0 then Key_tbl.replace log.key_marks k (m lor bit)
+  | None -> Key_tbl.add log.key_marks k bit
+
+let note_ordered log k = mark log ordered_bit k
+let key_ordered log k = marked log ordered_bit k
+let key_delivered log k = marked log delivered_bit k
 
 type 'slot hooks = {
   log : 'slot log;
@@ -313,8 +328,7 @@ let truncate log upto =
     (fun (_, requests) ->
       List.iter
         (fun (req : Request.t) ->
-          log.delivered_keys <- Key_set.remove req.Request.key log.delivered_keys;
-          log.ordered_keys <- Key_set.remove req.Request.key log.ordered_keys;
+          Key_tbl.remove log.key_marks req.Request.key;
           log.executed <- Key_map.remove req.Request.key log.executed)
         requests)
     dropped;
@@ -364,13 +378,13 @@ let rec advance h =
        change may re-order requests an earlier one already committed.
        Honest processes agree on the committed prefix, so they prune the
        same already-delivered keys and execute identical sub-batches.  With
-       checkpointing on, the per-client marks filter too: the key sets are
+       checkpointing on, the per-client marks filter too: the key marks are
        pruned by truncation, and only the marks survive a state transfer
        (they ride inside the image). *)
     let fresh =
       List.filter
         (fun k ->
-          (not (Key_set.mem k log.delivered_keys))
+          (not (key_delivered log k))
           && (log.interval = 0 || fresh_key log.rcv k))
         keys
     in
@@ -383,7 +397,7 @@ let rec advance h =
       log.delivered <- o;
       List.iter
         (fun k ->
-          log.delivered_keys <- Key_set.add k log.delivered_keys;
+          mark log delivered_bit k;
           if log.interval > 0 then mark_delivered log.rcv k;
           (if h.keep_executed then
              match Key_map.find_opt k log.pending with
@@ -538,10 +552,10 @@ let install_from_offers ?(announce = true) h ~entry_quorum =
       if h.admit e then begin
         List.iter
           (fun (r : Request.t) ->
-            log.ordered_keys <- Key_set.add r.Request.key log.ordered_keys;
+            note_ordered log r.Request.key;
             if
               (not (Key_map.mem r.Request.key log.pending))
-              && not (Key_set.mem r.Request.key log.delivered_keys)
+              && not (key_delivered log r.Request.key)
             then log.pending <- Key_map.add r.Request.key r log.pending)
           e.Checkpoint.e_requests;
         if e.Checkpoint.e_o > log.max_committed then log.max_committed <- e.Checkpoint.e_o

@@ -170,8 +170,11 @@ type 'slot log = {
   mutable pending : Sof_smr.Request.t Sof_smr.Request.Key_map.t;
       (** Request bodies known but not yet delivered. *)
   mutable arrival : Sof_sim.Simtime.t Sof_smr.Request.Key_map.t;
-  mutable ordered_keys : Sof_smr.Request.Key_set.t;
-  mutable delivered_keys : Sof_smr.Request.Key_set.t;
+  key_marks : int Sof_smr.Request.Key_tbl.t;
+      (** Which keys this process has seen ordered and which it has
+          delivered; read and written through {!note_ordered},
+          {!key_ordered} and {!key_delivered}.  Truncation drops both marks
+          of a key at once. *)
   mutable executed : Sof_smr.Request.t Sof_smr.Request.Key_map.t;
       (** Delivered request bodies, kept (SC/SCR only) so a pair's shadow can
           still verify a digest over re-proposed requests. *)
@@ -185,6 +188,20 @@ type 'slot log = {
 
 val create_log :
   ctx:Context.t -> f:int -> digest:Sof_crypto.Digest_alg.t -> interval:int -> 'slot log
+
+val note_ordered : 'slot log -> Sof_smr.Request.key -> unit
+(** Mark a key as named by an order this process accepted, so batch
+    formation skips it. *)
+
+val key_ordered : 'slot log -> Sof_smr.Request.key -> bool
+
+val key_delivered : 'slot log -> Sof_smr.Request.key -> bool
+(** Whether a delivered batch held the key: delivery skips it again. *)
+
+val truncate : 'slot log -> int -> unit
+(** Drop the order slots at or below [upto] and, one checkpoint interval
+    further behind, the delivered batches' key marks and executed bodies;
+    emits [Log_truncated]. *)
 
 type 'slot hooks = {
   log : 'slot log;

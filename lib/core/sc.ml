@@ -158,7 +158,7 @@ and begin_install (t : t) =
         uncommitted;
       }
   in
-  Pair.multicast t ~dsts:(Pair.others t) (Pair.make_signed t body);
+  Pair.multicast t ~dsts:(Pair.others t) (Context.make_signed t.ctx body);
   store_backlog t ~src:(id t)
     {
       bl_failed_pair = failed;
@@ -199,7 +199,7 @@ and maybe_send_start (t : t) =
           (List.map (fun (_, b) -> (b.bl_max_committed, b.bl_uncommitted)) !cell)
       in
       let body = Message.Start { c = t.x.coord; start_o; anchor; new_back_log } in
-      let env = Pair.make_signed t body in
+      let env = Context.make_signed t.ctx body in
       if Config.candidate_is_pair t.config t.x.coord then
         (* 1-signed to the shadow for endorsement. *)
         Pair.send t ~dst:(Config.shadow_of_pair t.config t.x.coord) env
@@ -221,7 +221,7 @@ and handle_start_proposal (t : t) (env : Message.envelope) ~start_o ~anchor ~new
     | None -> []
   in
   if Pair.plausible t ~start_o ~anchor ~new_back_log ~reports then begin
-    let endorsed = Pair.endorse t env in
+    let endorsed = Context.endorse t.ctx env in
     Pair.multicast t ~dsts:(Pair.others t) endorsed;
     (* Only reachable under the dispatch guard [c = t.x.coord]. *)
     handle_start t endorsed ~c:t.x.coord
@@ -236,14 +236,14 @@ and handle_start (t : t) (env : Message.envelope) ~c =
     let members = Config.candidate_members t.config c in
     if live_f t > 1 && not (List.mem (id t) members) then begin
       let start_digest = start_digest_of t env in
-      let ack = Pair.make_signed t (Message.Start_ack { c; start_digest }) in
+      let ack = Context.make_signed t.ctx (Message.Start_ack { c; start_digest }) in
       List.iter (fun m -> Pair.send t ~dst:m ack) members
     end;
     try_finish_install t
   end
 
 and start_digest_of (t : t) (env : Message.envelope) =
-  let payload = Message.encode_body env.Message.body in
+  let payload = env.Message.body_bytes in
   t.ctx.Context.digest_charge (String.length payload);
   Sof_crypto.Digest_alg.digest t.config.Config.digest payload
 
@@ -266,7 +266,7 @@ and handle_start_ack (t : t) (env : Message.envelope) ~c ~start_digest =
       if List.length t.x.start_acks >= live_f t - 1 && not t.x.sent_tuples then begin
         t.x.sent_tuples <- true;
         let body = Message.Start_tuples { c; tuples = t.x.start_acks } in
-        Pair.multicast t ~dsts:(Pair.others t) (Pair.make_signed t body);
+        Pair.multicast t ~dsts:(Pair.others t) (Context.make_signed t.ctx body);
         t.x.have_tuples <- true;
         try_finish_install t
       end
@@ -373,7 +373,7 @@ and on_message (t : t) ~src (env : Message.envelope) =
   | Message.Back_log
       { c; failed_pair; max_committed; committed_digest; proof_c; proof; stable; uncommitted }
     ->
-    if Pair.authentic t env then begin
+    if Context.authentic t.ctx env then begin
       if Int.equal c t.x.coord && t.x.installing then begin
         let rec_ =
           {
@@ -391,7 +391,7 @@ and on_message (t : t) ~src (env : Message.envelope) =
       else if c > t.x.coord then t.stash_future <- (src, env) :: t.stash_future
     end
   | Message.Start { c; start_o; anchor; new_back_log } ->
-    if Pair.authentic t env then begin
+    if Context.authentic t.ctx env then begin
       if Int.equal c t.x.coord && t.x.installing then begin
         if env.Message.endorsement = None && Config.candidate_is_pair t.config c then begin
           (* 1-signed proposal: only the shadow of the new pair endorses. *)
@@ -413,9 +413,9 @@ and on_message (t : t) ~src (env : Message.envelope) =
       else if c > t.x.coord then t.stash_future <- (src, env) :: t.stash_future
     end
   | Message.Start_ack { c; start_digest } ->
-    if Pair.authentic t env then handle_start_ack t env ~c ~start_digest
+    if Context.authentic t.ctx env then handle_start_ack t env ~c ~start_digest
   | Message.Start_tuples { c; tuples } ->
-    if Pair.authentic t env then begin
+    if Context.authentic t.ctx env then begin
       if Int.equal c t.x.coord && t.x.installing then handle_start_tuples t ~c ~tuples
       else if c > t.x.coord then t.stash_future <- (src, env) :: t.stash_future
     end

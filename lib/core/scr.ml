@@ -113,7 +113,7 @@ and propose_view_change (t : t) v =
           uncommitted;
         }
     in
-    Pair.multicast t ~dsts:(Pair.others t) (Pair.make_signed t body);
+    Pair.multicast t ~dsts:(Pair.others t) (Context.make_signed t.ctx body);
     store_view_change t ~src:(id t) ~v
       { vc_max_committed = t.log.max_committed; vc_uncommitted = uncommitted };
     (* The candidate pair for v declares unwillingness at once. *)
@@ -128,7 +128,7 @@ and maybe_unwilling (t : t) v =
     when Int.equal rank (candidate_of_view t v)
          && (t.x.status <> Up || t.fault = Fault.Unwilling_spam) ->
     let body = Message.Unwilling { v; pair = rank } in
-    Pair.multicast t ~dsts:(Pair.others t) (Pair.make_signed t body)
+    Pair.multicast t ~dsts:(Pair.others t) (Context.make_signed t.ctx body)
   | Some _ | None -> ()
 
 and store_view_change (t : t) ~src ~v rec_ =
@@ -162,7 +162,7 @@ and maybe_send_new_view (t : t) v =
         Pair.new_back_log t
           (List.map (fun (_, r) -> (r.vc_max_committed, r.vc_uncommitted)) !cell)
       in
-      let env = Pair.make_signed t (Message.New_view { v; start_o; anchor; new_back_log }) in
+      let env = Context.make_signed t.ctx (Message.New_view { v; start_o; anchor; new_back_log }) in
       Pair.send t ~dst:(Config.shadow_of_pair t.config rank) env
     | Some _ | None -> ()
   end
@@ -202,7 +202,7 @@ and handle_new_view_proposal (t : t) (env : Message.envelope) ~v ~start_o ~ancho
     | None -> []
   in
   if Pair.plausible t ~start_o ~anchor ~new_back_log ~reports then begin
-    let endorsed = Pair.endorse t env in
+    let endorsed = Context.endorse t.ctx env in
     Pair.multicast t ~dsts:(Pair.others t) endorsed;
     install_view t endorsed ~v ~start_o ~anchor ~new_back_log
   end
@@ -285,7 +285,7 @@ and on_message (t : t) ~src (env : Message.envelope) =
       note_pair_failed t pair
     end
   | Message.View_change { v; max_committed; uncommitted; _ } ->
-    if v > t.x.view && Pair.authentic t env then begin
+    if v > t.x.view && Context.authentic t.ctx env then begin
       store_view_change t ~src:env.Message.sender ~v
         { vc_max_committed = max_committed; vc_uncommitted = uncommitted };
       (* Seeing f+1 view changes means at least one correct process saw the
@@ -301,7 +301,7 @@ and on_message (t : t) ~src (env : Message.envelope) =
   | Message.New_view { v; start_o; anchor; new_back_log } ->
     if
       (v > t.x.view || (t.x.changing_view && Int.equal v t.x.target_view))
-      && Pair.authentic t env
+      && Context.authentic t.ctx env
     then begin
       let rank = candidate_of_view t v in
       if env.Message.endorsement = None then begin
@@ -325,7 +325,7 @@ and on_message (t : t) ~src (env : Message.envelope) =
       (v > t.x.view || (t.x.changing_view && v >= t.x.target_view))
       && Int.equal pair (candidate_of_view t v)
       && List.mem env.Message.sender (Config.candidate_members t.config pair)
-      && Pair.authentic t env
+      && Context.authentic t.ctx env
     then begin
       (* Echo back to both members, then move on to the next view. *)
       List.iter

@@ -12,9 +12,10 @@ type outcome = {
   decoded : int;
   rejected : int;
   crashes : (int * string) list;
+  non_canonical : (int * string) list;
 }
 
-let passed o = o.crashes = []
+let passed o = o.crashes = [] && o.non_canonical = []
 
 (* ------------------------------------------------- corpus construction *)
 
@@ -107,13 +108,12 @@ let random_body rng =
   | _ -> Message.Bft_new_view { v = Rng.int rng 16; pre_prepares = random_infos rng }
 
 let random_envelope rng =
-  {
-    Message.sender = Rng.int rng 8;
-    body = random_body rng;
-    signature = random_string rng (Rng.int rng 33);
-    endorsement =
-      (if Rng.bool rng then Some (Rng.int rng 8, random_string rng 16) else None);
-  }
+  let endorsement =
+    if Rng.bool rng then Some (Rng.int rng 8, random_string rng 16) else None
+  in
+  let signature = random_string rng (Rng.int rng 33) in
+  let body = random_body rng in
+  Message.forge ~sender:(Rng.int rng 8) ~signature ?endorsement body
 
 let flip_bit rng s =
   if String.length s = 0 then s
@@ -150,24 +150,59 @@ let hostile_buffer rng valid =
 
 (* ------------------------------------------------------------ running *)
 
-let poke crashes i f =
-  match f () with
-  | _ -> `Decoded
-  | exception Sof_util.Codec.Reader.Truncated -> `Rejected
-  | exception e ->
-    crashes := (i, Printexc.to_string e) :: !crashes;
-    `Crashed
+type tally = {
+  mutable t_decoded : int;
+  mutable t_rejected : int;
+  mutable t_crashes : (int * string) list;
+  mutable t_non_canonical : (int * string) list;
+}
+
+let tally () = { t_decoded = 0; t_rejected = 0; t_crashes = []; t_non_canonical = [] }
+
+let outcome t ~runs =
+  {
+    runs;
+    decoded = t.t_decoded;
+    rejected = t.t_rejected;
+    crashes = List.rev t.t_crashes;
+    non_canonical = List.rev t.t_non_canonical;
+  }
+
+let encode_with write x =
+  let w = Codec.Writer.create () in
+  write w x;
+  Codec.Writer.contents w
+
+(* Feed [buf] to the decoder [name].  Besides rejecting with [Truncated]
+   only, a decoder must be canonical: a value it returns re-encodes to
+   exactly the bytes it consumed, because receivers verify signatures over
+   the bytes they received rather than over a re-encoding.  A value the
+   writer refuses (out of range) is non-canonical too.  [read] gets a fresh
+   reader and may leave bytes unread; whole-buffer decoders end with
+   [expect_end]. *)
+let probe t i name ~read ~write buf =
+  let r = Codec.Reader.of_string buf in
+  match read r with
+  | v ->
+    t.t_decoded <- t.t_decoded + 1;
+    let used = String.sub buf 0 (String.length buf - Codec.Reader.remaining r) in
+    let canonical =
+      match encode_with write v with
+      | bytes -> String.equal bytes used
+      | exception Invalid_argument _ -> false
+    in
+    if not canonical then t.t_non_canonical <- (i, name) :: t.t_non_canonical
+  | exception Codec.Reader.Truncated -> t.t_rejected <- t.t_rejected + 1
+  | exception e -> t.t_crashes <- (i, Printexc.to_string e) :: t.t_crashes
+
+let whole decode r =
+  let v = decode (Codec.Reader.raw r (Codec.Reader.remaining r)) in
+  Codec.Reader.expect_end r;
+  v
 
 let run ~seed ~count =
   let rng = Rng.create seed in
-  let decoded = ref 0 in
-  let rejected = ref 0 in
-  let crashes = ref [] in
-  let note = function
-    | `Decoded -> incr decoded
-    | `Rejected -> incr rejected
-    | `Crashed -> ()
-  in
+  let t = tally () in
   for i = 0 to count - 1 do
     let buf =
       match Rng.int rng 3 with
@@ -180,11 +215,17 @@ let run ~seed ~count =
                 ~client_seq:(Rng.int rng 10_000)
                 ~op:(random_string rng (Rng.int rng 64))))
     in
-    note (poke crashes i (fun () -> ignore (Message.decode buf)));
-    note (poke crashes i (fun () -> ignore (Message.decode_body buf)));
-    note (poke crashes i (fun () -> ignore (Request.decode buf)))
+    probe t i "Message.decode" ~read:(whole Message.decode)
+      ~write:(fun w env -> Codec.Writer.raw w (Message.encode env))
+      buf;
+    probe t i "Message.decode_body" ~read:(whole Message.decode_body)
+      ~write:(fun w body -> Codec.Writer.raw w (Message.encode_body body))
+      buf;
+    probe t i "Request.decode" ~read:(whole Request.decode)
+      ~write:(fun w req -> Codec.Writer.raw w (Request.encode req))
+      buf
   done;
-  { runs = 3 * count; decoded = !decoded; rejected = !rejected; crashes = List.rev !crashes }
+  outcome t ~runs:(3 * count)
 
 (* ---------------------------------------------------- storage decoders *)
 
@@ -208,11 +249,6 @@ let random_entry rng =
     e_requests = List.init (Rng.int rng 3) (fun _ -> random_request rng);
   }
 
-let encode_with write x =
-  let w = Codec.Writer.create () in
-  write w x;
-  Codec.Writer.contents w
-
 (* A write-ahead log whose disk an adversary scribbled on: start from a
    genuinely used log (appends, sometimes a checkpoint epoch turn-over) so
    the garbage lands inside valid framing, then re-attach.  The recovery
@@ -234,50 +270,49 @@ let scribbled_wal rng =
 
 let run_storage ~seed ~count =
   let rng = Rng.create seed in
-  let decoded = ref 0 in
-  let rejected = ref 0 in
-  let crashes = ref [] in
-  let note = function
-    | `Decoded -> incr decoded
-    | `Rejected -> incr rejected
-    | `Crashed -> ()
-  in
+  let t = tally () in
   for i = 0 to count - 1 do
     let cert_buf = hostile_buffer rng (encode_with Checkpoint.write_cert (random_cert rng)) in
-    note
-      (poke crashes i (fun () ->
-           Checkpoint.read_cert (Codec.Reader.of_string cert_buf)));
+    probe t i "Checkpoint.read_cert" ~read:Checkpoint.read_cert ~write:Checkpoint.write_cert
+      cert_buf;
     let entry_buf =
       hostile_buffer rng (encode_with Checkpoint.write_entry (random_entry rng))
     in
-    note
-      (poke crashes i (fun () ->
-           Checkpoint.read_entry (Codec.Reader.of_string entry_buf)));
+    probe t i "Checkpoint.read_entry" ~read:Checkpoint.read_entry
+      ~write:Checkpoint.write_entry entry_buf;
     let image =
       Checkpoint.wrap_image
         ~state:(random_string rng (Rng.int rng 64))
         ~marks:(List.init (Rng.int rng 4) (fun c -> (c, Rng.int rng 100)))
     in
-    (match Checkpoint.unwrap_image (hostile_buffer rng image) with
-    | Some _ -> incr decoded
-    | None -> incr rejected
-    | exception e -> crashes := (i, Printexc.to_string e) :: !crashes);
-    note
-      (poke crashes i (fun () ->
-           let replay = Wal.replay (Wal.attach (scribbled_wal rng)) in
-           ignore replay.Wal.rp_damaged))
+    probe t i "Checkpoint.unwrap_image"
+      ~read:
+        (whole (fun image ->
+             match Checkpoint.unwrap_image image with
+             | Some v -> v
+             | None -> raise Codec.Reader.Truncated))
+      ~write:(fun w (state, marks) -> Codec.Writer.raw w (Checkpoint.wrap_image ~state ~marks))
+      (hostile_buffer rng image);
+    match Wal.replay (Wal.attach (scribbled_wal rng)) with
+    | replay ->
+      ignore replay.Wal.rp_damaged;
+      t.t_decoded <- t.t_decoded + 1
+    | exception Codec.Reader.Truncated -> t.t_rejected <- t.t_rejected + 1
+    | exception e -> t.t_crashes <- (i, Printexc.to_string e) :: t.t_crashes
   done;
-  {
-    runs = 4 * count;
-    decoded = !decoded;
-    rejected = !rejected;
-    crashes = List.rev !crashes;
-  }
+  outcome t ~runs:(4 * count)
 
 let pp_outcome fmt o =
-  Format.fprintf fmt "decode-fuzz: %d runs, %d decoded, %d rejected, %d crashes"
-    o.runs o.decoded o.rejected (List.length o.crashes);
+  Format.fprintf fmt
+    "decode-fuzz: %d runs, %d decoded, %d rejected, %d crashes, %d non-canonical"
+    o.runs o.decoded o.rejected (List.length o.crashes) (List.length o.non_canonical);
   List.iteri
     (fun k (i, e) ->
       if k < 5 then Format.fprintf fmt "@.  crash at iteration %d: %s" i e)
-    o.crashes
+    o.crashes;
+  List.iteri
+    (fun k (i, name) ->
+      if k < 5 then
+        Format.fprintf fmt "@.  %s decoded iteration %d to a value that re-encodes differently"
+          name i)
+    o.non_canonical

@@ -6,8 +6,14 @@ type t = { key : key; op : string }
 
 let make ~client ~client_seq ~op = { key = { client; client_seq }; op }
 
+(* The length [encode] would produce, computed without encoding. *)
+let encoded_size t =
+  let n = String.length t.op in
+  Codec.varint_size t.key.client + Codec.varint_size t.key.client_seq
+  + Codec.varint_size n + n
+
 let encode t =
-  let w = Codec.Writer.create () in
+  let w = Codec.Writer.create ~size:(encoded_size t) () in
   Codec.Writer.varint w t.key.client;
   Codec.Writer.varint w t.key.client_seq;
   Codec.Writer.string w t.op;
@@ -20,8 +26,6 @@ let decode s =
   let op = Codec.Reader.string r in
   Codec.Reader.expect_end r;
   { key = { client; client_seq }; op }
-
-let encoded_size t = String.length (encode t)
 
 let digest alg t = Sof_crypto.Digest_alg.digest alg (encode t)
 
@@ -41,3 +45,10 @@ end
 
 module Key_map = Map.Make (Key_ord)
 module Key_set = Set.Make (Key_ord)
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = Int.equal a.client b.client && Int.equal a.client_seq b.client_seq
+  let hash k = (k.client * 0x9e3779b1) lxor k.client_seq
+end)

@@ -19,6 +19,7 @@ val decode : string -> t
 (** @raise Sof_util.Codec.Reader.Truncated on malformed input. *)
 
 val encoded_size : t -> int
+(** [String.length (encode t)], computed without encoding. *)
 
 val digest : Sof_crypto.Digest_alg.t -> t -> string
 (** Digest of the encoded request. *)
@@ -29,3 +30,7 @@ val pp : Format.formatter -> t -> unit
 
 module Key_map : Map.S with type key = key
 module Key_set : Set.S with type elt = key
+
+module Key_tbl : Hashtbl.S with type key = key
+(** Mutable table over keys, for sets that only ever take [mem], [add] and
+    [remove]; nothing may depend on its iteration order. *)

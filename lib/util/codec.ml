@@ -1,7 +1,19 @@
+(* Bytes an unsigned LEB128 varint of [v] occupies. *)
+let rec varint_size v = if v < 0x80 then 1 else 1 + varint_size (v lsr 7)
+
+(* The varint loops are top-level and take the buffer as an argument, so a
+   call allocates no closure. *)
+let rec emit_varint b v =
+  if v < 0x80 then Buffer.add_char b (Char.chr v)
+  else begin
+    Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
+    emit_varint b (v lsr 7)
+  end
+
 module Writer = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 64
+  let create ?(size = 64) () = Buffer.create size
 
   let u8 t v =
     if v < 0 || v > 0xff then invalid_arg "Codec.Writer.u8: out of range";
@@ -21,14 +33,7 @@ module Writer = struct
 
   let varint t v =
     if v < 0 then invalid_arg "Codec.Writer.varint: negative";
-    let rec emit v =
-      if v < 0x80 then Buffer.add_char t (Char.chr v)
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (v land 0x7f)));
-        emit (v lsr 7)
-      end
-    in
-    emit v
+    emit_varint t v
 
   let bool t v = u8 t (if v then 1 else 0)
 
@@ -38,9 +43,15 @@ module Writer = struct
 
   let raw t s = Buffer.add_string t s
 
+  let rec elements t f = function
+    | [] -> ()
+    | x :: rest ->
+      f t x;
+      elements t f rest
+
   let list t f xs =
     varint t (List.length xs);
-    List.iter (f t) xs
+    elements t f xs
 
   let option t f = function
     | None -> bool t false
@@ -61,8 +72,8 @@ module Reader = struct
 
   (* [n] comes from attacker-controlled length prefixes: it may be huge
      (making [t.pos + n] wrap negative on 63-bit ints and slip past a naive
-     bound check) or negative (a varint whose top bits landed in the sign
-     bit).  Compare against the remaining byte count instead, which cannot
+     bound check).  [varint] never returns a negative, but [raw] takes any
+     int.  Compare against the remaining byte count instead, which cannot
      overflow. *)
   let need t n = if n < 0 || n > String.length t.buf - t.pos then raise Truncated
 
@@ -84,14 +95,20 @@ module Reader = struct
     let d = u8 t in
     a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
 
-  let varint t =
-    let rec take shift acc =
-      if shift > 56 then raise Truncated;
-      let b = u8 t in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 <> 0 then take (shift + 7) acc else acc
-    in
-    take 0 0
+  (* Canonical LEB128 only: a terminal zero byte after the first (an
+     overlong encoding such as [0x80 0x00] for 0) and a value reaching the
+     sign bit are rejected, so every varint that decodes re-encodes to the
+     same bytes.  Receivers verify signatures over the bytes they received,
+     which is sound only when no two encodings decode to the same value. *)
+  let rec take_varint t shift acc =
+    if shift > 56 then raise Truncated;
+    let b = u8 t in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 <> 0 then take_varint t (shift + 7) acc
+    else if (b = 0 && shift > 0) || acc < 0 then raise Truncated
+    else acc
+
+  let varint t = take_varint t 0 0
 
   let bool t =
     match u8 t with
@@ -109,14 +126,16 @@ module Reader = struct
     let n = varint t in
     raw t n
 
+  let rec take_elements t f i acc =
+    if i = 0 then List.rev acc else take_elements t f (i - 1) (f t :: acc)
+
   let list t f =
     let n = varint t in
     (* Every element occupies at least one byte, so a count beyond the
-       remaining length (or negative, from a sign-bit varint) is garbage;
-       reject it before allocating anything proportional to it. *)
-    if n < 0 || n > String.length t.buf - t.pos then raise Truncated;
-    let rec take i acc = if i = 0 then List.rev acc else take (i - 1) (f t :: acc) in
-    take n []
+       remaining length is garbage; reject it before allocating anything
+       proportional to it. *)
+    if n > String.length t.buf - t.pos then raise Truncated;
+    take_elements t f n []
 
   let option t f = if bool t then Some (f t) else None
 

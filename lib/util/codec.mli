@@ -10,10 +10,14 @@
     All integers are written in little-endian fixed-width or LEB128 varint
     form; strings are varint-length-prefixed. *)
 
+val varint_size : int -> int
+(** Bytes the unsigned LEB128 encoding of a non-negative int occupies. *)
+
 module Writer : sig
   type t
 
-  val create : unit -> t
+  val create : ?size:int -> unit -> t
+  (** [size] is the initial capacity (default 64); the buffer still grows. *)
 
   val u8 : t -> int -> unit
   (** @raise Invalid_argument when outside [0, 255]. *)
@@ -61,6 +65,10 @@ module Reader : sig
   val u16 : t -> int
   val u32 : t -> int
   val varint : t -> int
+  (** Canonical unsigned LEB128: overlong encodings (a zero final byte
+      after the first) and values that would reach the sign bit raise
+      [Truncated], so a varint that decodes re-encodes to its own bytes. *)
+
   val bool : t -> bool
   val string : t -> string
   val raw : t -> int -> string

@@ -89,7 +89,7 @@ let test_mutation_never_verifies () =
     let body = P.Message.Order { c = 1 + Rng.int rng 3; info } in
     let signature = Keyring.sign kr ~signer:sender (P.Message.encode_body body) in
     let wire =
-      P.Message.encode { P.Message.sender; body; signature; endorsement = None }
+      P.Message.encode (P.Message.forge ~sender ~signature body)
     in
     let mutated = H.Adversary.corrupt_payload rng wire in
     Alcotest.(check bool) "mutation changed the frame" false (mutated = wire);
@@ -97,7 +97,7 @@ let test_mutation_never_verifies () =
       match P.Message.decode mutated with
       | env ->
         Keyring.verify kr ~signer:env.P.Message.sender
-          ~msg:(P.Message.encode_body env.P.Message.body)
+          ~msg:env.P.Message.body_bytes
           ~signature:env.P.Message.signature
       | exception Sof_util.Codec.Reader.Truncated -> false
     in

@@ -364,6 +364,108 @@ let test_truncation_bounds_log () =
       (Cluster.stable_checkpoint_seq cluster who > 0)
   done
 
+(* ------------------------------------------------------------ key marks *)
+
+(* A log whose slots are just the key lists they order, delivered through
+   the shared [Recovery.advance]. *)
+let key_log ~interval =
+  let delivered = ref [] in
+  let ctx =
+    {
+      P.Context.id = 0;
+      now = (fun () -> Simtime.zero);
+      sign = (fun _ -> "");
+      verify = (fun ~signer:_ ~msg:_ ~signature:_ -> true);
+      sign_acc = (fun _ -> "");
+      verify_acc = (fun ~signer:_ ~msg:_ ~signature:_ -> true);
+      digest_charge = ignore;
+      send = (fun ~dst:_ _ -> ());
+      multicast = (fun ~dsts:_ _ -> ());
+      set_timer = (fun ?kind:_ ~delay:_ _ -> P.Context.null_timer);
+      deliver = (fun ~seq batch -> delivered := (seq, P.Batch.keys batch) :: !delivered);
+      emit = ignore;
+      snapshot = (fun () -> "");
+      restore = ignore;
+    }
+  in
+  let log = Recovery.create_log ~ctx ~f:1 ~digest:Sof_crypto.Digest_alg.MD5 ~interval in
+  let hooks =
+    {
+      Recovery.log;
+      timing = P.Timing.create ~mode:P.Config.Static ~initial:(ms 10) ~peers:1;
+      scheme = Recovery.Quorum_counted { quorum = 1; member_ok = (fun _ -> true) };
+      entry_quorum = 1;
+      fault = P.Fault.Honest;
+      retry_base = (fun () -> ms 10);
+      committed_keys = (fun keys -> Some keys);
+      keep_executed = false;
+      settle_fresh_only = false;
+      boundary = ignore;
+      tail_entry = (fun _ _ -> None);
+      admit = (fun _ -> false);
+      sign = P.Context.make_signed ctx;
+      send = (fun ~dst:_ _ -> ());
+      multicast = ignore;
+    }
+  in
+  (hooks, delivered)
+
+let key n = { Request.client = 0; client_seq = n }
+
+(* Order [keys] at sequence [o] with their bodies pooled, then deliver. *)
+let order_and_deliver (h : Request.key list Recovery.hooks) ~o keys =
+  let log = h.Recovery.log in
+  List.iter
+    (fun k ->
+      Recovery.note_ordered log k;
+      let r = Request.make ~client:k.Request.client ~client_seq:k.Request.client_seq ~op:"op" in
+      log.Recovery.pending <- Request.Key_map.add k r log.Recovery.pending)
+    keys;
+  Hashtbl.replace log.Recovery.orders o keys;
+  Recovery.advance h
+
+let test_key_marks_truncate () =
+  let h, delivered = key_log ~interval:2 in
+  let log = h.Recovery.log in
+  for o = 1 to 6 do
+    order_and_deliver h ~o [ key o ]
+  done;
+  (* Ordered in slot 7, whose body never arrives: not delivered. *)
+  Recovery.note_ordered log (key 9);
+  Hashtbl.replace log.Recovery.orders 7 [ key 9 ];
+  Alcotest.(check int) "delivered through 6" 6 log.Recovery.delivered;
+  (* Truncating at 4 keeps one more interval of delivered keys: batches 1
+     and 2 are dropped, 3 to 6 retained. *)
+  Recovery.truncate log 4;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "key %d no longer ordered" n) false
+        (Recovery.key_ordered log (key n));
+      Alcotest.(check bool) (Printf.sprintf "key %d no longer delivered" n) false
+        (Recovery.key_delivered log (key n)))
+    [ 1; 2 ];
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "key %d still ordered" n) true
+        (Recovery.key_ordered log (key n));
+      Alcotest.(check bool) (Printf.sprintf "key %d still delivered" n) true
+        (Recovery.key_delivered log (key n)))
+    [ 3; 4; 5; 6 ];
+  Alcotest.(check bool) "undelivered key keeps its order mark" true
+    (Recovery.key_ordered log (key 9));
+  Alcotest.(check bool) "undelivered key not delivered" false
+    (Recovery.key_delivered log (key 9));
+  (* A coordinator installed late re-orders a retained delivered key next to
+     a fresh one: only the fresh one is delivered again. *)
+  Hashtbl.remove log.Recovery.orders 7;
+  order_and_deliver h ~o:7 [ key 4; key 8 ];
+  match !delivered with
+  | (7, keys) :: _ ->
+    Alcotest.(check int) "deduplicated batch" 1 (List.length keys);
+    Alcotest.(check bool) "fresh key delivered" true
+      (List.exists (fun k -> Request.compare_key k (key 8) = 0) keys)
+  | _ -> Alcotest.fail "sequence 7 not delivered"
+
 let suite =
   [
     ( "checkpoint",
@@ -385,5 +487,6 @@ let suite =
         Alcotest.test_case "stale checkpoint tolerated" `Slow
           test_stale_checkpoint_tolerated;
         Alcotest.test_case "truncation bounds the log" `Slow test_truncation_bounds_log;
+        Alcotest.test_case "truncation drops both key marks" `Quick test_key_marks_truncate;
       ] );
   ]

@@ -188,17 +188,16 @@ let test_message_body_roundtrip_all_variants () =
 let test_message_envelope_roundtrip () =
   List.iter
     (fun endorsement ->
-      let env =
-        { Message.sender = 3; body = List.hd all_bodies; signature = "s1"; endorsement }
-      in
+      let env = Message.forge ~sender:3 ~signature:"s1" ?endorsement (List.hd all_bodies) in
       Alcotest.(check bool) "roundtrip" true (Message.decode (Message.encode env) = env))
     [ None; Some (5, "s2") ]
 
 let test_message_signature_count () =
-  let env = { Message.sender = 0; body = Message.Heartbeat { pair = 1; beat = 1 }; signature = "x"; endorsement = None } in
+  let body = Message.Heartbeat { pair = 1; beat = 1 } in
+  let env = Message.forge ~sender:0 ~signature:"x" body in
   Alcotest.(check int) "single" 1 (Message.signature_count env);
   Alcotest.(check int) "double" 2
-    (Message.signature_count { env with Message.endorsement = Some (1, "y") })
+    (Message.signature_count (Message.forge ~sender:0 ~signature:"x" ~endorsement:(1, "y") body))
 
 let test_message_tags_unique () =
   let tags = List.map Message.body_tag all_bodies in
@@ -216,6 +215,72 @@ let test_message_endorsement_payload_binds_signature () =
   Alcotest.(check bool) "payload differs with first signature" true
     (Message.endorsement_payload body "sigA" <> Message.endorsement_payload body "sigB")
 
+(* A toy signature scheme: a signature names its signer and repeats the
+   bytes it covers. *)
+let toy_sign id msg = string_of_int id ^ ":" ^ msg
+let toy_verify ~signer ~msg ~signature = String.equal signature (toy_sign signer msg)
+
+let test_message_sign_endorse_verify () =
+  let body = Message.Order { c = 1; info = sample_info } in
+  let env = Message.sign ~sender:0 ~sign:(toy_sign 0) body in
+  Alcotest.(check string) "body bytes" (Message.encode_body body) env.Message.body_bytes;
+  Alcotest.(check bool) "single verifies" true (Message.verify ~verify:toy_verify env);
+  let endorsed = Message.endorse ~endorser:5 ~sign:(toy_sign 5) env in
+  Alcotest.(check (option (pair int string))) "endorsement covers body and first signature"
+    (Some (5, toy_sign 5 (Message.endorsement_payload body env.Message.signature)))
+    endorsed.Message.endorsement;
+  Alcotest.(check bool) "double verifies" true (Message.verify ~verify:toy_verify endorsed);
+  let self = Message.endorse ~endorser:0 ~sign:(toy_sign 0) env in
+  Alcotest.(check bool) "self-endorsement refused" false (Message.verify ~verify:toy_verify self);
+  let received = Message.decode (Message.encode endorsed) in
+  Alcotest.(check bool) "received copy equal" true (Message.equal endorsed received);
+  Alcotest.(check bool) "received copy verifies" true (Message.verify ~verify:toy_verify received);
+  let forged = Message.forge ~sender:0 ~signature:env.Message.signature
+      (Message.Order { c = 2; info = sample_info }) in
+  Alcotest.(check bool) "signature does not transfer to another body" false
+    (Message.verify ~verify:toy_verify forged)
+
+let test_message_overlong_rejected () =
+  (* Heartbeat { pair = 1; beat = 42 } is 0a 01 2a; 81 00 is an overlong 1.
+     A lenient reader would decode both to the same body, so a signature
+     over one set of bytes would verify for the other. *)
+  let body = Message.Heartbeat { pair = 1; beat = 42 } in
+  Alcotest.(check string) "canonical bytes" "\x0a\x01\x2a" (Message.encode_body body);
+  Alcotest.check_raises "overlong body" Sof_util.Codec.Reader.Truncated (fun () ->
+      ignore (Message.decode_body "\x0a\x81\x00\x2a"));
+  (* Sender 0 is the frame's first byte, 00; 80 00 says the same overlong. *)
+  let frame = Message.encode (Message.forge ~sender:0 ~signature:"s" body) in
+  let overlong = "\x80\x00" ^ String.sub frame 1 (String.length frame - 1) in
+  Alcotest.(check int) "frame decodes" 0 (Message.decode frame).Message.sender;
+  Alcotest.check_raises "overlong sender" Sof_util.Codec.Reader.Truncated (fun () ->
+      ignore (Message.decode overlong))
+
+(* Mutations of valid body encodings: a byte replaced, a byte inserted, or a
+   terminal varint-sized byte stretched into an overlong two-byte form. *)
+let gen_mutated_body =
+  QCheck.Gen.(
+    map
+      (fun (k, pos, byte, mode) ->
+        let s = Message.encode_body (List.nth all_bodies (k mod List.length all_bodies)) in
+        let i = pos mod String.length s in
+        let pre = String.sub s 0 i and post = String.sub s (i + 1) (String.length s - i - 1) in
+        let c = s.[i] in
+        match mode with
+        | 0 -> pre ^ String.make 1 (Char.chr byte) ^ post
+        | 1 -> pre ^ String.make 1 (Char.chr byte) ^ String.make 1 c ^ post
+        | _ when Char.code c < 0x80 ->
+          pre ^ String.make 1 (Char.chr (Char.code c lor 0x80)) ^ "\x00" ^ post
+        | _ -> s)
+      (quad nat nat (int_bound 255) (int_bound 2)))
+
+let prop_decode_body_canonical =
+  QCheck.Test.make ~name:"decode_body accepts only canonical bytes" ~count:2000
+    (QCheck.make ~print:(fun s -> Sof_util.Hex.encode s) gen_mutated_body)
+    (fun s ->
+      match Message.decode_body s with
+      | body -> String.equal (Message.encode_body body) s
+      | exception Sof_util.Codec.Reader.Truncated -> true)
+
 let gen_info =
   QCheck.Gen.(
     map3
@@ -231,12 +296,8 @@ let prop_order_roundtrip =
     (QCheck.make gen_info)
     (fun info ->
       let env =
-        {
-          Message.sender = 1;
-          body = Message.Order { c = 3; info };
-          signature = "sig";
-          endorsement = Some (2, "end");
-        }
+        Message.forge ~sender:1 ~signature:"sig" ~endorsement:(2, "end")
+          (Message.Order { c = 3; info })
       in
       Message.decode (Message.encode env) = env)
 
@@ -277,6 +338,9 @@ let suite =
         Alcotest.test_case "endorsement payload" `Quick
           test_message_endorsement_payload_binds_signature;
         QCheck_alcotest.to_alcotest prop_order_roundtrip;
+        Alcotest.test_case "sign, endorse, verify" `Quick test_message_sign_endorse_verify;
+        Alcotest.test_case "overlong varints rejected" `Quick test_message_overlong_rejected;
+        QCheck_alcotest.to_alcotest prop_decode_body_canonical;
       ] );
     ( "protocol.fault",
       [ Alcotest.test_case "mute" `Quick test_fault_mute ] );

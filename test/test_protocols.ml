@@ -507,6 +507,51 @@ let test_soak_determinism () =
   Alcotest.(check string) "same seed, same campaign, same outcome"
     (fingerprint ()) (fingerprint ())
 
+(* ------------------------------------------------------------ wire *)
+
+(* Every frame a seeded cluster delivers must be canonical: decoding and
+   re-encoding gives back the same bytes, and the decoded envelope's body
+   bytes are exactly the frame's body field.  Receivers verify signatures
+   over those bytes, so this is what makes that sound on real traffic.
+   Returns the body tags seen. *)
+let check_delivered_frames cluster ~run =
+  let tags = Hashtbl.create 16 in
+  Sof_net.Network.on_deliver (Cluster.network cluster) (fun ~src ~dst ~payload ->
+      match P.Message.decode payload with
+      | env ->
+        Hashtbl.replace tags (P.Message.body_tag env.P.Message.body) ();
+        if not (String.equal (P.Message.encode env) payload) then
+          Alcotest.failf "frame %d->%d re-encodes differently" src dst;
+        let r = Sof_util.Codec.Reader.of_string payload in
+        ignore (Sof_util.Codec.Reader.varint r);
+        if not (String.equal (Sof_util.Codec.Reader.string r) env.P.Message.body_bytes) then
+          Alcotest.failf "frame %d->%d: body bytes are not the body field" src dst
+      | exception Sof_util.Codec.Reader.Truncated ->
+        Alcotest.failf "frame %d->%d does not decode" src dst);
+  run cluster;
+  ignore (check_total_order cluster);
+  List.sort String.compare (Hashtbl.fold (fun tag () acc -> tag :: acc) tags [])
+
+let test_wire_frames_sc () =
+  let faults = [ (0, P.Fault.Corrupt_digest_at 3) ] in
+  let tags =
+    check_delivered_frames (Cluster.build (sc_spec ~f:2 ~faults ())) ~run:(fun c ->
+        run_workload ~duration:(sec 1) c)
+  in
+  List.iter
+    (fun tag -> Alcotest.(check bool) (tag ^ " seen") true (List.mem tag tags))
+    [ "order"; "ack"; "fail_signal"; "back_log"; "start"; "heartbeat" ]
+
+let test_wire_frames_bft () =
+  let faults = [ (0, P.Fault.Mute_at (ms 500)) ] in
+  let tags =
+    check_delivered_frames (Cluster.build (bft_spec ~f:1 ~faults ())) ~run:(fun c ->
+        run_workload ~duration:(sec 3) c)
+  in
+  List.iter
+    (fun tag -> Alcotest.(check bool) (tag ^ " seen") true (List.mem tag tags))
+    [ "pre_prepare"; "prepare"; "commit"; "bft_view_change"; "bft_new_view" ]
+
 let suite =
   [
     ( "protocol.sc",
@@ -552,5 +597,10 @@ let suite =
         Alcotest.test_case "sc soak (seed 7)" `Slow (soak Cluster.Sc_protocol 7L);
         Alcotest.test_case "scr soak (seed 42)" `Slow (soak Cluster.Scr_protocol 42L);
         Alcotest.test_case "seeded campaign is deterministic" `Slow test_soak_determinism;
+      ] );
+    ( "protocol.wire",
+      [
+        Alcotest.test_case "sc frames canonical" `Quick test_wire_frames_sc;
+        Alcotest.test_case "bft frames canonical" `Quick test_wire_frames_bft;
       ] );
   ]

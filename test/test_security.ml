@@ -38,8 +38,8 @@ let test_forged_order_rejected () =
   let info = { P.Message.o = 1; digest = String.make 16 'e'; keys = [] } in
   let body = P.Message.Order { c = 1; info } in
   let env =
-    { P.Message.sender = 0; body; signature = String.make 128 'f';
-      endorsement = Some (3, String.make 128 'g') }
+    P.Message.forge ~sender:0 ~signature:(String.make 128 'f')
+      ~endorsement:(3, String.make 128 'g') body
   in
   P.Sc.on_message victim ~src:0 env;
   Cluster.run cluster ~until:(sec 1);
@@ -51,8 +51,8 @@ let test_forged_fail_signal_rejected () =
   let victim = sc_proc cluster 2 in
   let body = P.Message.Fail_signal { pair = 1 } in
   let env =
-    { P.Message.sender = 0; body; signature = String.make 128 'f';
-      endorsement = Some (3, String.make 128 'g') }
+    P.Message.forge ~sender:0 ~signature:(String.make 128 'f')
+      ~endorsement:(3, String.make 128 'g') body
   in
   P.Sc.on_message victim ~src:0 env;
   Cluster.run cluster ~until:(sec 1);
@@ -66,8 +66,8 @@ let test_single_signed_fail_signal_rejected () =
   Cluster.run cluster ~until:(ms 100);
   let victim = sc_proc cluster 2 in
   let env =
-    { P.Message.sender = 0; body = P.Message.Fail_signal { pair = 1 };
-      signature = String.make 128 'x'; endorsement = None }
+    P.Message.forge ~sender:0 ~signature:(String.make 128 'x')
+      (P.Message.Fail_signal { pair = 1 })
   in
   P.Sc.on_message victim ~src:0 env;
   Cluster.run cluster ~until:(sec 1);
@@ -81,8 +81,8 @@ let test_order_from_wrong_pair_rejected () =
   let victim = sc_proc cluster 1 in
   let info = { P.Message.o = 1; digest = String.make 16 'e'; keys = [] } in
   let env =
-    { P.Message.sender = 1; body = P.Message.Order { c = 1; info };
-      signature = String.make 128 'f'; endorsement = Some (2, String.make 128 'g') }
+    P.Message.forge ~sender:1 ~signature:(String.make 128 'f')
+      ~endorsement:(2, String.make 128 'g') (P.Message.Order { c = 1; info })
   in
   P.Sc.on_message victim ~src:1 env;
   Cluster.run cluster ~until:(sec 1);
@@ -96,10 +96,9 @@ let test_byzantine_acks_cannot_commit_alone () =
   let victim = sc_proc cluster 2 in
   for signer = 0 to 3 do
     let env =
-      { P.Message.sender = signer;
-        body = P.Message.Ack { c = 1; o = 1; digest = "bogus" };
-        signature = String.make 128 (Char.chr (Char.code 'a' + signer));
-        endorsement = None }
+      P.Message.forge ~sender:signer
+        ~signature:(String.make 128 (Char.chr (Char.code 'a' + signer)))
+        (P.Message.Ack { c = 1; o = 1; digest = "bogus" })
     in
     P.Sc.on_message victim ~src:signer env
   done;

@@ -33,6 +33,13 @@ let prop_request_roundtrip =
       let r = Request.make ~client ~client_seq ~op in
       Request.decode (Request.encode r) = r)
 
+let prop_request_encoded_size =
+  QCheck.Test.make ~name:"request encoded_size is the encoding's length" ~count:300
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000_000) string)
+    (fun (client, client_seq, op) ->
+      let r = Request.make ~client ~client_seq ~op in
+      Request.encoded_size r = String.length (Request.encode r))
+
 (* ------------------------------------------------------------- KV store *)
 
 let test_kv_put_get () =
@@ -243,6 +250,7 @@ let suite =
         Alcotest.test_case "digest content" `Quick test_request_digest_changes_with_content;
         Alcotest.test_case "key ordering" `Quick test_request_key_ordering;
         QCheck_alcotest.to_alcotest prop_request_roundtrip;
+        QCheck_alcotest.to_alcotest prop_request_encoded_size;
       ] );
     ( "smr.kv",
       [

@@ -223,6 +223,20 @@ let test_codec_range_checks () =
     (Invalid_argument "Codec.Writer.varint: negative") (fun () ->
       Codec.Writer.varint w (-1))
 
+let test_codec_varint_canonical () =
+  let reads s = Codec.Reader.varint (Codec.Reader.of_string s) in
+  check_int "one byte" 0x7f (reads "\x7f");
+  check_int "two bytes" 300 (reads "\xac\x02");
+  check_int "largest" max_int (reads "\xff\xff\xff\xff\xff\xff\xff\xff\x3f");
+  Alcotest.check_raises "overlong zero" Codec.Reader.Truncated (fun () ->
+      ignore (reads "\x80\x00"));
+  Alcotest.check_raises "overlong 1" Codec.Reader.Truncated (fun () ->
+      ignore (reads "\x81\x80\x00"));
+  Alcotest.check_raises "sign bit" Codec.Reader.Truncated (fun () ->
+      ignore (reads "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"));
+  Alcotest.check_raises "too long" Codec.Reader.Truncated (fun () ->
+      ignore (reads "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01"))
+
 let prop_codec_varint_roundtrip =
   QCheck.Test.make ~name:"varint roundtrip" ~count:500
     QCheck.(int_bound 1_000_000_000)
@@ -231,6 +245,14 @@ let prop_codec_varint_roundtrip =
       Codec.Writer.varint w n;
       let r = Codec.Reader.of_string (Codec.Writer.contents w) in
       Codec.Reader.varint r = n && Codec.Reader.at_end r)
+
+let prop_codec_varint_size =
+  QCheck.Test.make ~name:"varint_size is the encoded length" ~count:500
+    QCheck.(oneof [ int_bound 1_000; int_bound 1_000_000_000; int_bound max_int ])
+    (fun n ->
+      let w = Codec.Writer.create () in
+      Codec.Writer.varint w n;
+      Codec.varint_size n = Codec.Writer.length w)
 
 let prop_codec_string_roundtrip =
   QCheck.Test.make ~name:"string roundtrip" ~count:200 QCheck.string (fun s ->
@@ -457,6 +479,8 @@ let suite =
         Alcotest.test_case "range checks" `Quick test_codec_range_checks;
         QCheck_alcotest.to_alcotest prop_codec_varint_roundtrip;
         QCheck_alcotest.to_alcotest prop_codec_string_roundtrip;
+        Alcotest.test_case "varint canonical" `Quick test_codec_varint_canonical;
+        QCheck_alcotest.to_alcotest prop_codec_varint_size;
       ] );
     ( "util.statistics",
       [
