@@ -57,18 +57,11 @@ let protocol_arg =
 
 let run_cmd =
   let run protocol f scheme auth interval_ms rate duration_s seed =
-    let spec =
-      {
-        (H.Cluster.default_spec ~kind:protocol ~f) with
-        H.Cluster.scheme;
-        auth;
-        batching_interval = Simtime.ms interval_ms;
-        pair_delay_estimate = Simtime.sec 30;
-        heartbeat_interval = Simtime.sec 3600;
-        seed;
-      }
+    let cluster =
+      H.Cluster.build
+        (H.Experiments.failfree_spec ~auth ~kind:protocol ~f ~scheme
+           ~interval:(Simtime.ms interval_ms) ~seed ())
     in
-    let cluster = H.Cluster.build spec in
     let duration = Simtime.sec duration_s in
     H.Workload.install cluster (H.Workload.make ~rate_per_sec:rate ()) ~duration;
     H.Cluster.run cluster ~until:(Simtime.add duration (Simtime.sec 1));
@@ -94,71 +87,94 @@ let run_cmd =
 
 (* --------------------------------------------------------------- fig *)
 
-let sub_figures =
-  [
-    ("fig4a", `Fig45 (Scheme.md5_rsa1024, `Latency));
-    ("fig4b", `Fig45 (Scheme.md5_rsa1536, `Latency));
-    ("fig4c", `Fig45 (Scheme.sha1_dsa1024, `Latency));
-    ("fig5a", `Fig45 (Scheme.md5_rsa1024, `Throughput));
-    ("fig5b", `Fig45 (Scheme.md5_rsa1536, `Throughput));
-    ("fig5c", `Fig45 (Scheme.sha1_dsa1024, `Throughput));
-    ("fig6", `Fig6);
-    ("f3", `F3);
-    ("msgs", `Msgs);
-  ]
+(* Figures 4 and 5 are two views of the same sweep, so each names the run
+   and the tables printed from it; [all] prints both tables of one run. *)
+let sweeps =
+  [ ('a', Scheme.md5_rsa1024); ('b', Scheme.md5_rsa1536); ('c', Scheme.sha1_dsa1024) ]
 
-let run_figure ~f ~seed ~phases = function
-  | name, `Fig45 (scheme, which) ->
-    let series = H.Experiments.fig4_5 ~f ~seed ~scheme () in
-    let title =
-      Printf.sprintf "%s: %s vs batching interval, f=%d, %s" name
-        (match which with `Latency -> "order latency (ms)" | `Throughput -> "throughput (req/s)")
-        f scheme.Scheme.name
-    in
-    (match which with
-    | `Latency -> H.Report.print_fig4 ~title series
-    | `Throughput -> H.Report.print_fig5 ~title series);
+let sweep_tables x =
+  [ (Printf.sprintf "fig4%c" x, `Latency); (Printf.sprintf "fig5%c" x, `Throughput) ]
+
+let f3 = `Sweep (Some 3, Scheme.md5_rsa1024, [ ("f3", `Latency); ("f3", `Throughput) ])
+
+let sub_figures =
+  List.concat_map
+    (fun (x, scheme) ->
+      List.map (fun t -> (fst t, `Sweep (None, scheme, [ t ]))) (sweep_tables x))
+    sweeps
+  @ [ ("fig6", `Fig6); ("f3", f3); ("thresholds", `Thresholds); ("msgs", `Msgs) ]
+
+let all_figures =
+  List.map (fun (x, scheme) -> `Sweep (None, scheme, sweep_tables x)) sweeps
+  @ [ `Fig6; f3; `Thresholds; `Msgs ]
+
+let run_figure ~f ?seed ~phases ?targets = function
+  | `Sweep (f_override, scheme, tables) ->
+    let f = Option.value f_override ~default:f in
+    let series = H.Experiments.fig4_5 ~f ?seed ~scheme () in
+    List.iter
+      (fun (name, which) ->
+        let title what =
+          Printf.sprintf "%s: %s vs batching interval, f=%d, %s" name what f
+            scheme.Scheme.name
+        in
+        match which with
+        | `Latency -> H.Report.print_fig4 ~title:(title "order latency (ms)") series
+        | `Throughput -> H.Report.print_fig5 ~title:(title "throughput (req/s)") series)
+      tables;
     H.Report.print_shape_checks series;
     if phases then
       H.Report.print_phase_breakdowns
-        (H.Experiments.phase_breakdowns ~f ~seed ~scheme ())
-  | name, `Fig6 ->
-    let run scheme =
-      let series = H.Experiments.fig6 ~f ~seed ~scheme () in
-      H.Report.print_fig6
-        ~title:(Printf.sprintf "%s: fail-over latency, f=%d, %s" name f scheme.Scheme.name)
-        series
-    in
-    List.iter run Scheme.paper_schemes
-  | _, `F3 ->
-    let series = H.Experiments.fig4_5 ~f:3 ~seed ~scheme:Scheme.md5_rsa1024 () in
-    H.Report.print_fig4
-      ~title:"f3: order latency (ms) vs batching interval, f=3, md5-rsa1024" series;
-    H.Report.print_fig5
-      ~title:"f3: throughput (req/s) vs batching interval, f=3, md5-rsa1024" series;
-    H.Report.print_shape_checks series;
-    if phases then
-      H.Report.print_phase_breakdowns
-        (H.Experiments.phase_breakdowns ~f:3 ~seed ~scheme:Scheme.md5_rsa1024 ())
-  | _, `Msgs -> H.Report.print_message_counts (H.Experiments.message_counts ~f ())
+        (H.Experiments.phase_breakdowns ~f ?seed ~scheme ())
+  | `Fig6 ->
+    List.iter
+      (fun scheme ->
+        H.Report.print_fig6
+          ~title:(Printf.sprintf "fig6: fail-over latency, f=%d, %s" f scheme.Scheme.name)
+          (H.Experiments.fig6 ~f ?targets ?seed ~scheme ()))
+      Scheme.paper_schemes
+  | `Thresholds ->
+    let threshold scheme kind = H.Experiments.saturation_threshold ~f ?seed ~scheme kind in
+    H.Report.print_thresholds
+      (List.map
+         (fun scheme ->
+           ( scheme.Scheme.name,
+             threshold scheme H.Cluster.Sc_protocol,
+             threshold scheme H.Cluster.Bft_protocol ))
+         Scheme.paper_schemes)
+  | `Msgs -> H.Report.print_message_counts (H.Experiments.message_counts ~f ?seed ())
 
 let fig_cmd =
-  let fig name f seed phases =
-    match List.assoc_opt name sub_figures with
-    | Some what ->
-      run_figure ~f ~seed ~phases (name, what);
-      `Ok ()
-    | None ->
-      if name = "all" then begin
-        List.iter (fun (n, w) -> run_figure ~f ~seed ~phases (n, w)) sub_figures;
+  let fig name f seed phases targets =
+    let targets = match targets with [] -> None | ts -> Some ts in
+    let run = run_figure ~f ?seed ~phases ?targets in
+    if targets <> None && name <> "fig6" then
+      `Error (false, "--target applies to fig6 only")
+    else
+      match (name, List.assoc_opt name sub_figures) with
+      | "all", _ ->
+        List.iter run all_figures;
         `Ok ()
-      end
-      else
+      | _, Some figure ->
+        run figure;
+        `Ok ()
+      | _, None ->
         `Error
-          (false, "unknown figure; use fig4a..fig4c, fig5a..fig5c, fig6, f3, msgs or all")
+          ( false,
+            "unknown figure; use fig4a..fig4c, fig5a..fig5c, fig6, f3, \
+             thresholds, msgs or all" )
   in
   let fig_name =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc:"Figure id.")
+  in
+  let seed =
+    Arg.(
+      value
+      & opt (some int64) None
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:
+            "Simulation seed for every run of the figure (default: each \
+             experiment's own, 11 for fig6, 3 for msgs and 7 for the rest).")
   in
   let phases =
     Arg.(
@@ -169,13 +185,21 @@ let fig_cmd =
              messages per batch, wide/n-to-n classification, crypto ops) \
              next to the figure.")
   in
+  let targets =
+    Arg.(
+      value & opt_all int []
+      & info [ "target" ] ~docv:"N"
+          ~doc:
+            "fig6 only: uncommitted batches at fault time, one point each \
+             (repeatable; default 15, 30, 45, 60 and 75).")
+  in
   Cmd.v
     (Cmd.info "fig"
        ~doc:
          "Regenerate a figure of the paper (fig4a..c, fig5a..c, fig6, f3, \
-          msgs, all).  Schemes swept: md5-rsa1024, md5-rsa1536, sha1-dsa1024 \
-          (mac-vector, mock and null are available to $(b,sof run)).")
-    Term.(ret (const fig $ fig_name $ f_param $ seed $ phases))
+          thresholds, msgs, all).  Schemes swept: md5-rsa1024, md5-rsa1536, \
+          sha1-dsa1024 (mac-vector, mock and null are available to $(b,sof run)).")
+    Term.(ret (const fig $ fig_name $ f_param $ seed $ phases $ targets))
 
 (* --------------------------------------------------------------- bench *)
 
@@ -183,7 +207,7 @@ let bench_cmd =
   let bench f seed fast auth json_path =
     let scheme = Scheme.md5_rsa1024 in
     let intervals_ms =
-      if fast then [ 100; 300; 500 ] else H.Experiments.default_intervals_ms
+      if fast then [ 40; 100; 300; 500 ] else H.Experiments.default_intervals_ms
     in
     let rate = if fast then 200.0 else 400.0 in
     let fig4_5 = H.Experiments.fig4_5 ~auth ~f ~intervals_ms ~rate ~seed ~scheme () in
@@ -211,9 +235,13 @@ let bench_cmd =
       in
       H.Experiments.timeout_sensitivity ~multipliers ()
     in
+    (* The ablations, like the recovery section, run their own vetted
+       configurations rather than the bench seed. *)
+    let dumb_process = H.Experiments.dumb_process_ablation () in
+    let pair_link = H.Experiments.pair_link_ablation () in
     let doc =
       H.Bench_doc.make ~seed ~fast ~fig4_5 ?fig6 ~message_counts ~recovery
-        ~storage ~modexp ~timing ~breakdowns ()
+        ~storage ~modexp ~timing ~dumb_process ~pair_link ~breakdowns ()
     in
     H.Report.print_fig4
       ~title:(Printf.sprintf "bench: order latency (ms), f=%d, %s" f scheme.Scheme.name)
@@ -257,13 +285,16 @@ let bench_cmd =
           (if p.H.Experiments.ts_degradation_live then ""
            else " (delivery stalled)"))
       timing;
+    H.Report.print_dumb_ablation dumb_process;
+    H.Report.print_pair_link_ablation pair_link;
     List.iter
       (fun (name, pass) ->
         Format.printf "  [%s] %s@." (if pass then "PASS" else "FAIL") name)
       (H.Bench_doc.phase_verdicts breakdowns
       @ H.Bench_doc.mac_verdicts breakdowns
       @ H.Bench_doc.modexp_verdicts modexp
-      @ H.Bench_doc.timing_verdicts timing);
+      @ H.Bench_doc.timing_verdicts timing
+      @ H.Bench_doc.ablation_verdicts ~dumb_process ~pair_link);
     match json_path with
     | None -> `Ok ()
     | Some path ->
@@ -305,26 +336,10 @@ let bench_cmd =
        ~doc:
          "Run the figure sweep plus the phase breakdown (signed and MAC \
           wire-auth modes, schemes md5-rsa1024/md5-rsa1536/sha1-dsa1024/\
-          mac-vector/mock/null) and emit a machine-readable benchmark \
-          document.")
+          mac-vector/mock/null), the recovery, timing and modexp sections \
+          and the dumb-process and pair-link ablations, and emit a \
+          machine-readable benchmark document.")
     Term.(ret (const bench $ f_param $ seed $ fast $ auth $ json_path))
-
-(* ----------------------------------------------------------- failover *)
-
-let failover_cmd =
-  let failover f scheme target =
-    let series = H.Experiments.fig6 ~f ~targets:[ target ] ~scheme () in
-    H.Report.print_fig6
-      ~title:(Printf.sprintf "fail-over with %d uncommitted batches, %s" target
-                scheme.Scheme.name)
-      series
-  in
-  let target =
-    Arg.(value & opt int 6 & info [ "target" ] ~docv:"N" ~doc:"Uncommitted batches at fault time.")
-  in
-  Cmd.v
-    (Cmd.info "failover" ~doc:"Inject a value-domain coordinator fault and report fail-over latency.")
-    Term.(const failover $ f_param $ scheme $ target)
 
 (* --------------------------------------------------------------- trace *)
 
@@ -373,17 +388,11 @@ let trace_cmd =
 
 let census_cmd =
   let census protocol f scheme duration_s seed =
-    let spec =
-      {
-        (H.Cluster.default_spec ~kind:protocol ~f) with
-        H.Cluster.scheme;
-        batching_interval = Simtime.ms 100;
-        pair_delay_estimate = Simtime.sec 30;
-        heartbeat_interval = Simtime.sec 3600;
-        seed;
-      }
+    let cluster =
+      H.Cluster.build
+        (H.Experiments.failfree_spec ~kind:protocol ~f ~scheme
+           ~interval:(Simtime.ms 100) ~seed ())
     in
-    let cluster = H.Cluster.build spec in
     let census = H.Census.attach cluster in
     let duration = Simtime.sec duration_s in
     H.Workload.install cluster (H.Workload.make ~rate_per_sec:200.0 ()) ~duration;
@@ -956,7 +965,6 @@ let main =
       run_cmd;
       fig_cmd;
       bench_cmd;
-      failover_cmd;
       trace_cmd;
       census_cmd;
       chaos_cmd;

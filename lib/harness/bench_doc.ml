@@ -1,11 +1,11 @@
 (* The versioned benchmark document: one JSON object carrying every figure
    series, the per-protocol phase breakdowns, and the PASS/FAIL verdicts.
-   [sof bench --json], bench/main.ml and the golden-schema test all build
-   and read the same shape through this module. *)
+   [sof bench --json] and the golden-schema test both build and read the
+   same shape through this module. *)
 
 module Json = Sof_util.Json
 
-let schema_version = 5
+let schema_version = 6
 
 let json_of_point (p : Experiments.series_point) =
   Json.Obj
@@ -261,6 +261,57 @@ let json_of_timeout_point (p : Experiments.timeout_point) =
       ("passed", Json.Bool p.Experiments.ts_passed);
     ]
 
+(* The two ablations' claims: silencing the failed pair saves messages,
+   and SC's latency follows the pair link's delay up. *)
+let ablation_verdicts ~dumb_process ~pair_link =
+  let messages optimised =
+    List.find_map
+      (fun (p : Experiments.dumb_point) ->
+        if p.Experiments.dp_optimised = optimised then Some p.Experiments.dp_messages
+        else None)
+      dumb_process
+  in
+  (* Rows come in increasing-delay order. *)
+  let rec rising = function
+    | (a : Experiments.pair_link_point) :: (b :: _ as rest) -> (
+      match (a.Experiments.pl_latency_ms, b.Experiments.pl_latency_ms) with
+      | Some la, Some lb -> la < lb && rising rest
+      | _ -> false)
+    | _ -> true
+  in
+  (match dumb_process with
+  | [] -> []
+  | _ ->
+    [
+      ( "ablation: fewer messages with the dumb-process optimisation on",
+        match (messages true, messages false) with
+        | Some on, Some off -> on < off
+        | _ -> false );
+    ])
+  @
+  match pair_link with
+  | [] -> []
+  | _ ->
+    [ ("ablation: SC latency rises strictly with the pair-link delay", rising pair_link) ]
+
+let json_of_dumb_point (p : Experiments.dumb_point) =
+  Json.Obj
+    [
+      ("optimised", Json.Bool p.Experiments.dp_optimised);
+      ("messages", Json.num_of_int p.Experiments.dp_messages);
+      ("throughput_rps", Json.Num p.Experiments.dp_throughput_rps);
+    ]
+
+let json_of_pair_link_point (p : Experiments.pair_link_point) =
+  Json.Obj
+    [
+      ("delay_ms", Json.num_of_int p.Experiments.pl_delay_ms);
+      ( "latency_ms",
+        match p.Experiments.pl_latency_ms with
+        | Some v -> Json.Num v
+        | None -> Json.Null );
+    ]
+
 let json_of_modexp (points : Experiments.modexp_point list) =
   Json.List
     (List.map
@@ -281,11 +332,13 @@ let json_of_verdicts verdicts =
        verdicts)
 
 let make ~seed ~fast ~fig4_5 ?fig6 ?message_counts ?recovery ?storage
-    ?(modexp = []) ?(timing = []) ~breakdowns () =
+    ?(modexp = []) ?(timing = []) ?(dumb_process = []) ?(pair_link = [])
+    ~breakdowns () =
   let verdicts =
     Report.shape_check_results fig4_5
     @ phase_verdicts breakdowns @ mac_verdicts breakdowns
     @ modexp_verdicts modexp @ timing_verdicts timing
+    @ ablation_verdicts ~dumb_process ~pair_link
   in
   Json.Obj
     [
@@ -330,5 +383,14 @@ let make ~seed ~fast ~fig4_5 ?fig6 ?message_counts ?recovery ?storage
         match timing with
         | [] -> Json.Null
         | points -> Json.List (List.map json_of_timeout_point points) );
+      ( "ablations",
+        match (dumb_process, pair_link) with
+        | [], [] -> Json.Null
+        | _ ->
+          Json.Obj
+            [
+              ("dumb_process", Json.List (List.map json_of_dumb_point dumb_process));
+              ("pair_link", Json.List (List.map json_of_pair_link_point pair_link));
+            ] );
       ("verdicts", json_of_verdicts verdicts);
     ]

@@ -1,10 +1,10 @@
 (** The versioned, machine-readable benchmark document.
 
-    [sof bench --json PATH], the [bench/] runner and the golden-schema
-    test all build and read the same JSON shape through this module:
+    [sof bench --json PATH] and the golden-schema test both build and
+    read the same JSON shape through this module:
 
     {v
-    { "schema_version": 5,
+    { "schema_version": 6,
       "generator": "sof-bench",
       "seed": <int>, "fast": <bool>,
       "figures": {
@@ -19,6 +19,10 @@
       "timing": [ { "label", "multiplier" | null, "estimate_ms",
                     "fail_signals", "installs", "min_deliveries",
                     "degradation_live", "passed" } ] | null,
+      "ablations": { "dumb_process": [ { "optimised", "messages",
+                                         "throughput_rps" } ],
+                     "pair_link": [ { "delay_ms",
+                                      "latency_ms" | null } ] } | null,
       "verdicts": [ { "name", "pass" } ] }
     v}
 
@@ -32,7 +36,9 @@
     added the "timing" section (the {!Experiments.timeout_sensitivity}
     sweep: premature fail-signals and install churn versus the static
     delay-estimate multiplier, plus the adaptive-estimator row) and its
-    static-vs-adaptive verdicts. *)
+    static-vs-adaptive verdicts; v6 added the "ablations" section (the
+    {!Experiments.dumb_process_ablation} and
+    {!Experiments.pair_link_ablation} rows) and their verdicts. *)
 
 val schema_version : int
 
@@ -91,6 +97,14 @@ val timing_verdicts :
     degradation-liveness must hold on every row.  Empty when the sweep
     was not run. *)
 
+val ablation_verdicts :
+  dumb_process:Experiments.dumb_point list ->
+  pair_link:Experiments.pair_link_point list ->
+  (string * bool) list
+(** The ablations' claims: fewer messages with the dumb-process
+    optimisation on than off, and SC latency rising strictly with the
+    pair-link delay.  Each is absent when its ablation was not run. *)
+
 val json_of_timeout_point : Experiments.timeout_point -> Sof_util.Json.t
 (** One sweep row as a "timing" entry: the estimate label and multiplier
     ([null] on the adaptive row), premature fail-signal and install
@@ -107,9 +121,12 @@ val make :
   ?storage:(string * Metrics.recovery * Metrics.storage) list ->
   ?modexp:Experiments.modexp_point list ->
   ?timing:Experiments.timeout_point list ->
+  ?dumb_process:Experiments.dumb_point list ->
+  ?pair_link:Experiments.pair_link_point list ->
   breakdowns:Metrics.breakdown list ->
   unit ->
   Sof_util.Json.t
 (** The whole document.  Verdicts combine
     {!Report.shape_check_results} on [fig4_5] with {!phase_verdicts},
-    {!mac_verdicts}, {!modexp_verdicts} and {!timing_verdicts}. *)
+    {!mac_verdicts}, {!modexp_verdicts}, {!timing_verdicts} and
+    {!ablation_verdicts}. *)

@@ -241,6 +241,69 @@ let saturation_threshold ?(f = 2) ?(rate = 400.0) ?(seed = 7L) ~scheme kind =
   in
   if not (saturated 10) then 10 else search 10 500
 
+(* ------------------------------------------------------------ ablations *)
+
+(* Both ablations offer 8 s of load and measure seconds 2 to 8. *)
+let ablation_run spec ~rate =
+  let cluster = Cluster.build spec in
+  Workload.install cluster (Workload.make ~rate_per_sec:rate ()) ~duration:(Simtime.sec 8);
+  Cluster.run cluster ~until:(Simtime.sec 9);
+  (cluster, Metrics.analyze cluster ~warmup:(Simtime.sec 2) ~window:(Simtime.sec 6))
+
+type dumb_point = {
+  dp_optimised : bool;
+  dp_messages : int;
+  dp_throughput_rps : float;
+}
+
+(* Section 4.3's first optimisation: after a fail-over the failed pair is
+   silenced and quorums shrink.  One value-domain fault at the coordinator
+   primary, run with the optimisation on and then off. *)
+let dumb_process_ablation () =
+  List.map
+    (fun dumb_optimization ->
+      let spec =
+        {
+          (Cluster.default_spec ~kind:Cluster.Sc_protocol ~f:2) with
+          Cluster.batching_interval = Simtime.ms 50;
+          pair_delay_estimate = Simtime.ms 200;
+          heartbeat_interval = Simtime.sec 3600;
+          faults = [ (0, P.Fault.Corrupt_digest_at 3) ];
+          dumb_optimization;
+        }
+      in
+      let cluster, p = ablation_run spec ~rate:300.0 in
+      let s = Sof_net.Network.stats (Cluster.network cluster) in
+      {
+        dp_optimised = dumb_optimization;
+        dp_messages = s.Sof_net.Network.messages_sent;
+        dp_throughput_rps = p.Metrics.throughput_rps;
+      })
+    [ true; false ]
+
+type pair_link_point = { pl_delay_ms : int; pl_latency_ms : float option }
+
+(* SC's endorsement hop is 1-to-1 over the pair link, so slowing that link
+   should show up about 1:1 in order latency. *)
+let pair_link_ablation () =
+  List.map
+    (fun delay_ms ->
+      let spec =
+        {
+          (failfree_spec ~kind:Cluster.Sc_protocol ~f:2 ~scheme:Scheme.md5_rsa1024
+             ~interval:(Simtime.ms 200) ~seed:1L ())
+          with
+          Cluster.pair_link = Sof_net.Delay_model.Constant (Simtime.ms delay_ms);
+        }
+      in
+      let _, p = ablation_run spec ~rate:200.0 in
+      {
+        pl_delay_ms = delay_ms;
+        pl_latency_ms =
+          Option.map (fun s -> s.Sof_util.Statistics.mean) p.Metrics.latency;
+      })
+    [ 0; 2; 5; 10 ]
+
 (* ------------------------------------------------- message overhead *)
 
 let message_counts ?(f = 2) ?(seed = 3L) () =

@@ -24,6 +24,22 @@ type failover_series = { fo_label : string; fo_points : failover_point list }
 val default_intervals_ms : int list
 (** The paper's sweep: 40..500 ms. *)
 
+val failfree_spec :
+  ?auth:Sof_crypto.Keyring.auth ->
+  ?amortize:bool ->
+  kind:Cluster.kind ->
+  f:int ->
+  scheme:Sof_crypto.Scheme.t ->
+  interval:Sof_sim.Simtime.t ->
+  seed:int64 ->
+  unit ->
+  Cluster.spec
+(** The fail-free configuration every figure sweep runs: the given scheme,
+    wire auth (default [Sign]), verify amortisation (default off),
+    batching interval and seed, with the pair delay estimate (30 s) and
+    heartbeat (1 h) set so that no timer ever accuses a process
+    (assumption 3(a)(i)). *)
+
 val fig4_5 :
   ?auth:Sof_crypto.Keyring.auth ->
   ?f:int ->
@@ -110,6 +126,32 @@ val saturation_threshold :
     still runs in steady state — mean latency within 3x of its 500 ms value.
     Reproduces the paper's observation that BFT's threshold is larger than
     SC's (it "causes system saturation earlier"). *)
+
+(** {2 Ablations} *)
+
+type dumb_point = {
+  dp_optimised : bool;  (** The dumb-process optimisation was on. *)
+  dp_messages : int;  (** Messages sent over the whole run. *)
+  dp_throughput_rps : float;
+}
+
+val dumb_process_ablation : unit -> dumb_point list
+(** Section 4.3's dumb-process optimisation, on then off: SC at f=2 with
+    a value-domain fault at the coordinator primary (order 3), 50 ms
+    batching, 300 req/s for 8 s, seed 1.  With the optimisation on, the failed
+    pair falls silent and quorums shrink, so fewer messages carry the
+    same throughput. *)
+
+type pair_link_point = {
+  pl_delay_ms : int;  (** Constant one-way pair-link delay. *)
+  pl_latency_ms : float option;  (** Mean order latency; None: nothing committed. *)
+}
+
+val pair_link_ablation : unit -> pair_link_point list
+(** SC's order latency against the pair link's one-way delay (0, 2, 5 and
+    10 ms): fail-free, f=2, md5-rsa1024, 200 ms batching, 200 req/s for
+    8 s, seed 1.  The 1-to-1 endorsement hop sits on the critical path
+    once, so latency rises about 1:1 with the delay. *)
 
 val message_counts :
   ?f:int -> ?seed:int64 -> unit -> (string * int * int) list

@@ -83,6 +83,41 @@ let print_recovery_costs rows =
         r.Metrics.rc_max_log_length)
     rows
 
+let print_thresholds rows =
+  pf "\nSaturation thresholds (smallest steady-state batching interval)\n";
+  pf "--------------------------------------------------------------\n";
+  pf "%-14s %12s %12s   %s\n" "scheme" "SC (ms)" "BFT (ms)"
+    "paper: BFT threshold larger";
+  List.iter
+    (fun (scheme, sc, bft) ->
+      pf "%-14s %12d %12d   [%s]\n" scheme sc bft
+        (if bft >= sc then "PASS" else "FAIL"))
+    rows
+
+let print_dumb_ablation (rows : Experiments.dumb_point list) =
+  pf "\nAblation: SC dumb-process optimisation (post-fail-over messages)\n";
+  pf "----------------------------------------------------------------\n";
+  pf "%-28s %14s %14s\n" "" "messages" "throughput";
+  List.iter
+    (fun (p : Experiments.dumb_point) ->
+      pf "%-28s %14d %14.1f\n"
+        (if p.Experiments.dp_optimised then "optimisation on" else "optimisation off")
+        p.Experiments.dp_messages p.Experiments.dp_throughput_rps)
+    rows
+
+let print_pair_link_ablation (rows : Experiments.pair_link_point list) =
+  pf "\nAblation: SC sensitivity to the pair-link delay\n";
+  pf "-----------------------------------------------\n";
+  pf "%-28s %14s\n" "pair link delay" "SC latency(ms)";
+  List.iter
+    (fun (p : Experiments.pair_link_point) ->
+      pf "%-28s %14s\n"
+        (Printf.sprintf "%d ms" p.Experiments.pl_delay_ms)
+        (match p.Experiments.pl_latency_ms with
+        | Some v -> Printf.sprintf "%.2f" v
+        | None -> "sat"))
+    rows
+
 (* Qualitative shape assertions from the paper's Section 5, as data: the
    plain-text report and the JSON benchmark document render the same
    verdicts. *)
@@ -91,7 +126,8 @@ let shape_check_results (series : Experiments.series list) =
     List.find_opt (fun s -> s.Experiments.label = label) series
   in
   let steady_latency s =
-    (* Mean over the three largest intervals. *)
+    (* Mean over the three largest intervals; a saturated point is worse
+       than any latency, so it makes the mean infinite. *)
     let sorted =
       List.sort
         (fun (a : Experiments.series_point) b ->
@@ -99,7 +135,11 @@ let shape_check_results (series : Experiments.series list) =
         s.Experiments.points
     in
     let top = List.filteri (fun i _ -> i < 3) sorted in
-    let vals = List.filter_map (fun p -> p.Experiments.latency_ms) top in
+    let vals =
+      List.map
+        (fun p -> Option.value p.Experiments.latency_ms ~default:Float.infinity)
+        top
+    in
     if vals = [] then None
     else Some (List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals))
   in

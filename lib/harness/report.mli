@@ -23,10 +23,23 @@ val print_recovery_costs : (string * Metrics.recovery) list -> unit
 (** The {!Experiments.recovery_costs} table: restarts recovered, mean
     restart-to-rejoin latency, transfer outcomes, peak retained log. *)
 
+val print_thresholds : (string * int * int) list -> unit
+(** [(scheme, sc_ms, bft_ms)] rows of {!Experiments.saturation_threshold},
+    each with the paper's verdict that BFT's threshold is no smaller. *)
+
+val print_dumb_ablation : Experiments.dumb_point list -> unit
+(** Messages and throughput with the dumb-process optimisation on and
+    off. *)
+
+val print_pair_link_ablation : Experiments.pair_link_point list -> unit
+(** SC order latency per pair-link delay. *)
+
 val shape_check_results : Experiments.series list -> (string * bool) list
 (** The paper's qualitative claims evaluated against the series (CT lowest,
     SC below BFT, saturation ordering), as [(claim, pass)] rows; empty when
-    a protocol series or its latency data is missing.  The plain-text
+    a protocol series has no points.  Steady state is the mean over the
+    three largest intervals, where a saturated point counts as worse than
+    any latency.  The plain-text
     report and the JSON benchmark document both render these. *)
 
 val print_shape_checks : Experiments.series list -> unit

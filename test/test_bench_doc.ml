@@ -43,9 +43,11 @@ let tiny_doc =
         "timing" section and its verdicts their shape (the full sweep and
         the static/adaptive acceptance assertions live in test_gray). *)
      let timing = H.Experiments.timeout_sensitivity ~multipliers:[ 1.0 ] () in
+     let dumb_process = H.Experiments.dumb_process_ablation () in
+     let pair_link = H.Experiments.pair_link_ablation () in
      let doc =
        H.Bench_doc.make ~seed ~fast:true ~fig4_5 ~message_counts ~recovery
-         ~storage ~modexp ~timing ~breakdowns ()
+         ~storage ~modexp ~timing ~dumb_process ~pair_link ~breakdowns ()
      in
      (doc, breakdowns))
 

@@ -285,6 +285,85 @@ let test_experiments_message_overhead_ordering () =
   Alcotest.(check bool) "CT < SC" true (get "CT" < get "SC");
   Alcotest.(check bool) "SC < BFT" true (get "SC" < get "BFT")
 
+(* The two ablations, pinned to the rows they printed when the paper's
+   evaluation had its own runner. *)
+let test_experiments_ablation_rows () =
+  let dumb = H.Experiments.dumb_process_ablation () in
+  Alcotest.(check (list (triple bool int string)))
+    "dumb-process rows"
+    [ (true, 8703, "240.8"); (false, 11181, "240.8") ]
+    (List.map
+       (fun (p : H.Experiments.dumb_point) ->
+         ( p.H.Experiments.dp_optimised,
+           p.H.Experiments.dp_messages,
+           Printf.sprintf "%.1f" p.H.Experiments.dp_throughput_rps ))
+       dumb);
+  let pair_link = H.Experiments.pair_link_ablation () in
+  Alcotest.(check (list (pair int (option string))))
+    "pair-link rows"
+    [ (0, Some "37.41"); (2, Some "39.18"); (5, Some "41.68"); (10, Some "45.83") ]
+    (List.map
+       (fun (p : H.Experiments.pair_link_point) ->
+         ( p.H.Experiments.pl_delay_ms,
+           Option.map (Printf.sprintf "%.2f") p.H.Experiments.pl_latency_ms ))
+       pair_link);
+  List.iter
+    (fun (name, pass) -> Alcotest.(check bool) name true pass)
+    (H.Bench_doc.ablation_verdicts ~dumb_process:dumb ~pair_link)
+
+(* A reduced sha1-dsa1024 sweep where BFT saturates at one of the three
+   largest intervals (100 ms) and SC does not: the saturated point must
+   count as worse than any latency, not drop out of BFT's mean. *)
+let test_shape_checks_count_saturation () =
+  let series label points =
+    {
+      H.Experiments.label;
+      points =
+        List.map
+          (fun (interval, latency_ms, throughput_rps) ->
+            {
+              H.Experiments.batching_interval_ms = interval;
+              latency_ms;
+              throughput_rps;
+            })
+          points;
+    }
+  in
+  let rows =
+    [
+      series "CT"
+        [
+          (40.0, Some 6.7, 300.0);
+          (100.0, Some 6.5, 121.0);
+          (200.0, Some 6.4, 60.0);
+          (500.0, Some 5.9, 25.0);
+        ];
+      series "SC"
+        [
+          (40.0, None, 33.0);
+          (100.0, Some 5535.2, 39.0);
+          (200.0, Some 91.4, 63.0);
+          (500.0, Some 69.3, 26.0);
+        ];
+      series "BFT"
+        [
+          (40.0, None, 11.0);
+          (100.0, None, 18.0);
+          (200.0, Some 3520.1, 27.0);
+          (500.0, Some 135.2, 25.0);
+        ];
+    ]
+  in
+  Alcotest.(check (list (pair string bool)))
+    "shape checks"
+    [
+      ("steady-state latency: CT < SC", true);
+      ("steady-state latency: SC < BFT", true);
+      ("small intervals push SC/BFT toward saturation", true);
+      ("throughput grows as the interval shrinks (SC)", true);
+    ]
+    (H.Report.shape_check_results rows)
+
 let suite =
   [
     ( "harness.cost_model",
@@ -321,5 +400,11 @@ let suite =
         Alcotest.test_case "fig6 point" `Slow test_experiments_failover_point;
         Alcotest.test_case "message overhead ordering" `Slow
           test_experiments_message_overhead_ordering;
+        Alcotest.test_case "ablation rows" `Slow test_experiments_ablation_rows;
+      ] );
+    ( "harness.report",
+      [
+        Alcotest.test_case "shape checks count saturated points" `Quick
+          test_shape_checks_count_saturation;
       ] );
   ]
