@@ -9,6 +9,20 @@ open Cmdliner
 
 (* ------------------------------------------------------- shared args *)
 
+(* Counts, rates and durations must be positive: zero or less is a usage
+   error (exit 124) reported before anything runs, not an exception from
+   deep inside a run. *)
+let positive conv zero =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when compare v zero > 0 -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not positive" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = positive Arg.int 0
+
 let scheme_arg =
   let parse s =
     match Scheme.of_name s with
@@ -39,7 +53,7 @@ let auth =
            keep transferable scheme signatures.")
 
 let f_param =
-  Arg.(value & opt int 2 & info [ "f"; "faults" ] ~docv:"F" ~doc:"Fault tolerance parameter.")
+  Arg.(value & opt positive_int 2 & info [ "f"; "faults" ] ~docv:"F" ~doc:"Fault tolerance parameter.")
 
 let seed =
   Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
@@ -71,13 +85,16 @@ let run_cmd =
     Format.printf "%a@." H.Metrics.pp_point p
   in
   let interval =
-    Arg.(value & opt int 100 & info [ "interval" ] ~docv:"MS" ~doc:"Batching interval (ms).")
+    Arg.(value & opt positive_int 100 & info [ "interval" ] ~docv:"MS" ~doc:"Batching interval (ms).")
   in
   let rate =
-    Arg.(value & opt float 400.0 & info [ "rate" ] ~docv:"RPS" ~doc:"Client request rate.")
+    Arg.(
+      value
+      & opt (positive Arg.float 0.0) 400.0
+      & info [ "rate" ] ~docv:"RPS" ~doc:"Client request rate.")
   in
   let duration =
-    Arg.(value & opt int 10 & info [ "duration" ] ~docv:"S" ~doc:"Run length (seconds).")
+    Arg.(value & opt positive_int 10 & info [ "duration" ] ~docv:"S" ~doc:"Run length (seconds).")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one fail-free scenario and print its metrics.")
@@ -371,7 +388,7 @@ let trace_cmd =
       (H.Cluster.events cluster)
   in
   let duration =
-    Arg.(value & opt int 2 & info [ "duration" ] ~docv:"S" ~doc:"Run length (seconds).")
+    Arg.(value & opt positive_int 2 & info [ "duration" ] ~docv:"S" ~doc:"Run length (seconds).")
   in
   let corrupt_at =
     Arg.(
@@ -400,7 +417,7 @@ let census_cmd =
     Format.printf "%a" H.Census.pp census
   in
   let duration =
-    Arg.(value & opt int 5 & info [ "duration" ] ~docv:"S" ~doc:"Run length (seconds).")
+    Arg.(value & opt positive_int 5 & info [ "duration" ] ~docv:"S" ~doc:"Run length (seconds).")
   in
   Cmd.v
     (Cmd.info "census" ~doc:"Per-message-type traffic census of a fail-free run.")
@@ -471,10 +488,11 @@ let chaos_cmd =
       end
   in
   let f_param =
-    Arg.(value & opt int 1 & info [ "f"; "faults" ] ~docv:"F" ~doc:"Fault tolerance parameter.")
+    Arg.(value & opt positive_int 1 & info [ "f"; "faults" ] ~docv:"F" ~doc:"Fault tolerance parameter.")
   in
   let duration =
-    Arg.(value & opt int 10 & info [ "duration" ] ~docv:"S" ~doc:"Campaign length (seconds).")
+    Arg.(
+      value & opt positive_int 10 & info [ "duration" ] ~docv:"S" ~doc:"Campaign length (seconds).")
   in
   let byz =
     Arg.(
@@ -758,10 +776,7 @@ let check_cmd =
         match nodes with
         | None -> Ok ()
         | Some n ->
-          let expected =
-            Sof_protocol.Replica.process_count
-              (C.Model.cluster_kind spec.C.Model.protocol) ~f:spec.C.Model.f
-          in
+          let expected = Sof_protocol.Config.process_count (C.Model.config spec) in
           if n = expected then Ok ()
           else
             Error
@@ -852,8 +867,13 @@ let check_cmd =
       & info [ "protocol"; "p" ] ~docv:"NAME"
           ~doc:"Protocol core to check: sc, scr, bft or ct (default: all four).")
   in
+  (* A long name beside [-f], so [--f] is ambiguous rather than a prefix of
+     [--faults], the crash budget. *)
   let f =
-    Arg.(value & opt int 1 & info [ "f" ] ~docv:"F" ~doc:"Fault-tolerance parameter (keep at 1 for exhaustion).")
+    Arg.(
+      value & opt positive_int 1
+      & info [ "f"; "fault-tolerance" ] ~docv:"F"
+          ~doc:"Fault-tolerance parameter (keep at 1 for exhaustion).")
   in
   let nodes =
     Arg.(
@@ -861,7 +881,7 @@ let check_cmd =
       & opt (some int) None
       & info [ "nodes" ] ~docv:"N"
           ~doc:"Expected process count; checked against the protocol's layout \
-                for $(b,--f) (SC 3f+1, SCR 3f+2, BFT 3f+1, CT 2f+1).")
+                for $(b,-f) (SC 3f+1, SCR 3f+2, BFT 3f+1, CT 2f+1).")
   in
   let batches =
     Arg.(value & opt int 1 & info [ "batches" ] ~docv:"B" ~doc:"Client requests (one per batch).")
@@ -973,4 +993,15 @@ let main =
       check_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* A configuration the protocols reject is a usage error, like a bad flag;
+   anything else escaping a command is an internal error. *)
+let () =
+  exit
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception Sof_protocol.Config.Invalid_config msg ->
+      Format.eprintf "sof: %s@." msg;
+      Cmd.Exit.cli_error
+    | exception e ->
+      Format.eprintf "sof: internal error, uncaught exception:@.%s@." (Printexc.to_string e);
+      Cmd.Exit.internal_error)

@@ -78,13 +78,9 @@ let () =
 
   (* Check replica agreement. *)
   let digests =
-    List.filter_map
-      (fun i ->
-        Option.map
-          (fun m ->
-            (i, Sof_smr.State_machine.ops_applied m, Sof_smr.State_machine.state_digest m))
-          (H.Cluster.machine cluster i))
-      (List.init (H.Cluster.process_count cluster) Fun.id)
+    List.init (H.Cluster.process_count cluster) (fun i ->
+        let m = H.Cluster.machine cluster i in
+        (i, Sof_smr.State_machine.ops_applied m, Sof_smr.State_machine.state_digest m))
   in
   let max_ops = List.fold_left (fun acc (_, o, _) -> max acc o) 0 digests in
   let caught_up = List.filter (fun (_, o, _) -> o = max_ops) digests in

@@ -46,13 +46,9 @@ let () =
       | _ -> ())
     (H.Cluster.events cluster);
   let digests =
-    List.filter_map
-      (fun i ->
-        match H.Cluster.machine cluster i with
-        | Some m ->
-          Some (i, Sof_smr.State_machine.ops_applied m, Sof_smr.State_machine.state_digest m)
-        | None -> None)
-      (List.init (H.Cluster.process_count cluster) Fun.id)
+    List.init (H.Cluster.process_count cluster) (fun i ->
+        let m = H.Cluster.machine cluster i in
+        (i, Sof_smr.State_machine.ops_applied m, Sof_smr.State_machine.state_digest m))
   in
   Format.printf "@.replica states:@.";
   List.iter

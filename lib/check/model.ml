@@ -80,8 +80,15 @@ let validate spec =
   then Error "spurious fail-signals only apply to the paired protocols (sc, scr)"
   else Ok ()
 
+(* Batches are sized to exactly one request, so [spec.batches] requests
+   become [spec.batches] orders — the unit the model counts in. *)
+let config spec =
+  P.Config.make ~kind:(cluster_kind spec.protocol) ~batch_size_limit:1
+    ~checkpoint_interval:spec.checkpoint_interval
+    ~unsafe_digest_blind_votes:spec.digest_blind ~f:spec.f ()
+
 let describe spec =
-  let n = P.Replica.process_count (cluster_kind spec.protocol) ~f:spec.f in
+  let n = P.Config.process_count (config spec) in
   Printf.sprintf "%s n=%d f=%d batches=%d crashes<=%d%s%s%s%s"
     (protocol_name spec.protocol)
     n spec.f spec.batches spec.crash_budget

@@ -12,11 +12,6 @@ val all_protocols : protocol list
 val protocol_name : protocol -> string
 val protocol_of_string : string -> protocol option
 
-val cluster_kind : protocol -> Sof_harness.Cluster.kind
-(** The harness's name for the same protocol — what
-    {!Sof_harness.Invariants.fail_signal_soundness_of} keys its pair
-    arithmetic on. *)
-
 type spec = {
   protocol : protocol;
   f : int;  (** Fault-tolerance parameter; keep at 1 for exhaustion. *)
@@ -28,7 +23,7 @@ type spec = {
       (** Process 0 raises a baseless fail-signal at this instant (SC/SCR). *)
   digest_blind : bool;
       (** Enable the BFT test-only mutant
-          ({!Sof_protocol.Bft.config.unsafe_digest_blind_votes}). *)
+          ({!Sof_protocol.Config.t.unsafe_digest_blind_votes}). *)
   explore_watchdogs : bool;
       (** Schedule [Watchdog]-kind timers too.  Off by default: firing a
           watchdog while the watched message is still pending simulates a
@@ -49,6 +44,12 @@ val faulty_process : spec -> (int * Sof_protocol.Fault.t) option
 val byzantine : spec -> int list
 
 val validate : spec -> (unit, string) result
+
+val config : spec -> Sof_protocol.Config.t
+(** The protocol configuration the model's processes run: batches of
+    exactly one request, so [batches] requests become [batches] orders.
+    @raise Sof_protocol.Config.Invalid_config on a spec {!validate}
+    rejects. *)
 
 val describe : spec -> string
 (** One-line human description, e.g. ["bft n=4 f=1 batches=1 crashes<=0"]. *)

@@ -22,6 +22,7 @@ type timer_rec = {
 
 type t = {
   spec : Model.spec;
+  config : P.Config.t;
   n : int;
   keyring : Keyring.t;
   machines : State_machine.t array;
@@ -150,9 +151,9 @@ let request_for_batch b =
          (Kv_store.Put ("k" ^ string_of_int b, "v" ^ string_of_int b)))
 
 let build spec =
-  let kind = Model.cluster_kind spec.Model.protocol in
-  let n = Replica.process_count kind ~f:spec.Model.f in
-  let scheme = Replica.scheme kind Scheme.mock in
+  let config = Model.config spec in
+  let n = P.Config.process_count config in
+  let scheme = Replica.scheme config.P.Config.kind Scheme.mock in
   let key_rng = Rng.substream (Rng.create spec.Model.seed) "check-keys" in
   let keyring = Keyring.create ~scheme ~rng:key_rng ~node_count:n () in
   let requests = List.init spec.Model.batches (fun b -> request_for_batch (b + 1)) in
@@ -164,6 +165,7 @@ let build spec =
   let w =
     {
       spec;
+      config;
       n;
       keyring;
       machines = Array.init n (fun _ -> Kv_store.machine ());
@@ -179,13 +181,6 @@ let build spec =
       delivered_log = Array.make n [];
       injected;
     }
-  in
-  (* Batches are sized to exactly one request, so [spec.Model.batches] requests
-     become [spec.Model.batches] orders — the unit the model counts in. *)
-  let config =
-    Replica.make_config ~kind ~batch_size_limit:1
-      ~checkpoint_interval:spec.Model.checkpoint_interval
-      ~unsafe_digest_blind_votes:spec.Model.digest_blind ~f:spec.Model.f ()
   in
   w.procs <-
     Array.init n (fun i ->
@@ -413,8 +408,8 @@ let fingerprint w =
       | Replica.Sc p ->
         Fingerprint.add_int acc 1;
         Fingerprint.add_int acc (P.Sc.coordinator_rank p);
-        Fingerprint.add_int acc (P.Sc.max_committed p);
-        Fingerprint.add_int acc (P.Sc.delivered_seq p);
+        Fingerprint.add_int acc (Replica.max_committed proc);
+        Fingerprint.add_int acc (Replica.delivered_seq proc);
         Fingerprint.add_bool acc (P.Sc.is_installing p);
         Fingerprint.add_bool acc (P.Sc.has_fail_signalled p);
         Fingerprint.add_bool acc (P.Sc.is_dumb p);
@@ -429,18 +424,18 @@ let fingerprint w =
           | P.Scr.Down -> 1
           | P.Scr.Permanently_down -> 2);
         Fingerprint.add_bool acc (P.Scr.changing_view p);
-        Fingerprint.add_int acc (P.Scr.max_committed p);
-        Fingerprint.add_int acc (P.Scr.delivered_seq p)
+        Fingerprint.add_int acc (Replica.max_committed proc);
+        Fingerprint.add_int acc (Replica.delivered_seq proc)
       | Replica.Bft p ->
         Fingerprint.add_int acc 3;
         Fingerprint.add_int acc (P.Bft.view p);
-        Fingerprint.add_int acc (P.Bft.max_committed p);
-        Fingerprint.add_int acc (P.Bft.delivered_seq p)
+        Fingerprint.add_int acc (Replica.max_committed proc);
+        Fingerprint.add_int acc (Replica.delivered_seq proc)
       | Replica.Ct p ->
         Fingerprint.add_int acc 4;
         Fingerprint.add_int acc (P.Ct.coordinator p);
-        Fingerprint.add_int acc (P.Ct.max_committed p);
-        Fingerprint.add_int acc (P.Ct.delivered_seq p));
+        Fingerprint.add_int acc (Replica.max_committed proc);
+        Fingerprint.add_int acc (Replica.delivered_seq proc));
       Fingerprint.add_int acc (Replica.log_length proc);
       Fingerprint.add_int acc (Replica.stable_checkpoint_seq proc);
       List.iter
@@ -518,9 +513,8 @@ let violation w =
       Invariants.prefix_consistency_of ~events ~honest;
       Invariants.validity_of ~events ~honest ~injected:w.injected;
       Invariants.checkpoint_agreement_of ~events ~honest;
-      Invariants.fail_signal_soundness_of ~events
-        ~kind:(Model.cluster_kind w.spec.Model.protocol)
-        ~f:w.spec.Model.f ~byz ~crashed:(crashed_list w);
+      Invariants.fail_signal_soundness_of ~events ~config:w.config ~byz
+        ~crashed:(crashed_list w);
     ]
   in
   List.find_opt (fun (r : Invariants.result) -> not r.Invariants.pass) checks

@@ -4,30 +4,8 @@ module Key_map = Request.Key_map
 module Int_set = Set.Make (Int)
 module Int_map = Map.Make (Int)
 
-type config = {
-  f : int;
-  batching_interval : Simtime.t;
-  batch_size_limit : int;
-  digest : Sof_crypto.Digest_alg.t;
-  view_change_timeout : Simtime.t;
-  checkpoint_interval : int;
-  unsafe_digest_blind_votes : bool;
-  timing : Config.timing;
-}
-
-let make_config ?(batching_interval = Simtime.ms 100) ?(batch_size_limit = 1024)
-    ?(digest = Sof_crypto.Digest_alg.MD5) ?(view_change_timeout = Simtime.sec 2)
-    ?(checkpoint_interval = 0) ?(unsafe_digest_blind_votes = false)
-    ?(timing = Config.Static) ~f () =
-  if f < 1 then raise (Config.Invalid_config "Bft.make_config: f must be at least 1");
-  if checkpoint_interval < 0 then
-    raise (Config.Invalid_config "Bft.make_config: checkpoint_interval must be non-negative");
-  if Simtime.compare view_change_timeout Simtime.zero <= 0 then
-    raise (Config.Invalid_config "Bft.make_config: view_change_timeout must be positive");
-  { f; batching_interval; batch_size_limit; digest; view_change_timeout; checkpoint_interval;
-    unsafe_digest_blind_votes; timing }
-
-let process_count config = (3 * config.f) + 1
+(* How long a backup waits on a stalled primary before suspecting it. *)
+let view_change_timeout = Simtime.sec 2
 
 type order_state = {
   o : int;
@@ -56,7 +34,7 @@ type order_state = {
 
 type t = {
   ctx : Context.t;
-  config : config;
+  config : Config.t;
   fault : Fault.t;
   all_ids : int list;
   mutable view : int;
@@ -74,11 +52,9 @@ type t = {
 
 let id t = t.ctx.Context.id
 let view t = t.view
-let n t = process_count t.config
+let n t = Config.process_count t.config
 let primary t = t.view mod n t
 let i_am_primary t = Int.equal (id t) (primary t)
-let max_committed t = t.log.max_committed
-let delivered_seq t = t.log.delivered
 
 let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
 
@@ -96,12 +72,12 @@ let multicast t ~dsts env = if can_transmit t then t.ctx.Context.multicast ~dsts
 module Estimator = Sof_net.Delay_estimator
 
 (* The stall budget a replica grants the current primary before suspecting
-   it: static mode keeps the configured view-change timeout; adaptive mode
+   it: static mode keeps the fixed view-change timeout; adaptive mode
    tracks the measured round-trip to the primary and doubles per
    consecutive suspicion, capped. *)
 let suspicion_delay t =
   match t.config.timing with
-  | Config.Static -> t.config.view_change_timeout
+  | Config.Static -> view_change_timeout
   | Config.Adaptive ->
     Timing.backed_off t.timing
       (Estimator.timeout (Timing.est_for t.timing (primary t)))
@@ -164,17 +140,11 @@ let span_close t phase seq = t.ctx.Context.emit (Context.Span_close { phase; seq
 
 let send_one t ~dst env = if can_transmit t then t.ctx.Context.send ~dst env
 
-let log_length t = Hashtbl.length t.log.orders
-
-let stable_checkpoint_seq t = Recovery.stable_seq t.log.rcv
-let latest_stable t = Recovery.latest_stable t.log.rcv
-let client_marks t = Recovery.marks t.log.rcv
-
-let ckpt_quorum config = (2 * config.f) + 1
+let ckpt_quorum (config : Config.t) = (2 * config.f) + 1
 
 let ckpt_scheme config =
   Recovery.Quorum_signed
-    { quorum = ckpt_quorum config; member_ok = (fun p -> p >= 0 && p < process_count config) }
+    { quorum = ckpt_quorum config; member_ok = (fun p -> p >= 0 && p < Config.process_count config) }
 
 let checkpoint_boundary t o =
   let digest = Recovery.boundary_image t.log o in
@@ -350,7 +320,7 @@ let prepared_set t =
 
 let rec arm_vc_timer t =
   let h =
-    t.ctx.Context.set_timer ~kind:Context.Watchdog ~delay:t.config.view_change_timeout
+    t.ctx.Context.set_timer ~kind:Context.Watchdog ~delay:view_change_timeout
       (fun () -> vc_tick t)
   in
   t.vc_timer <- Some h
@@ -526,15 +496,12 @@ let start t =
   if i_am_primary t then arm_batch_timer t;
   arm_vc_timer t
 
-(* State transfer under PBFT's trust model: 2f+1-signed checkpoint
-   certificates, f+1 matching claims per transferred entry. *)
-let request_recovery t = Recovery.request_recovery t.hooks
-let recover_local t = Recovery.recover_local t.hooks
+let kernel t = Recovery.Kernel t.hooks
 
-let create ~ctx ~(config : config) ?(fault = Fault.Honest) () =
+let create ~ctx ~(config : Config.t) ?(fault = Fault.Honest) () =
   let timing =
-    Timing.create ~mode:config.timing ~initial:config.view_change_timeout
-      ~peers:(process_count config)
+    Timing.create ~mode:config.timing ~initial:view_change_timeout
+      ~peers:(Config.process_count config)
   in
   let log =
     Recovery.create_log ~ctx ~f:config.f ~digest:config.digest
@@ -545,7 +512,7 @@ let create ~ctx ~(config : config) ?(fault = Fault.Honest) () =
       ctx;
       config;
       fault;
-      all_ids = List.init (process_count config) Fun.id;
+      all_ids = Config.all_processes config;
       view = 0;
       log;
       timing;
@@ -556,7 +523,7 @@ let create ~ctx ~(config : config) ?(fault = Fault.Honest) () =
           scheme = ckpt_scheme config;
           entry_quorum = config.f + 1;
           fault;
-          retry_base = (fun () -> config.view_change_timeout);
+          retry_base = (fun () -> view_change_timeout);
           committed_keys = (fun st -> if st.committed then Some st.keys else None);
           keep_executed = false;
           settle_fresh_only = false;

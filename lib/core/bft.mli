@@ -15,50 +15,14 @@
     (off by default via [checkpoint_interval = 0]); neither feature is on
     the fail-free critical path the paper measures. *)
 
-type config = {
-  f : int;
-  batching_interval : Sof_sim.Simtime.t;
-  batch_size_limit : int;
-  digest : Sof_crypto.Digest_alg.t;
-  view_change_timeout : Sof_sim.Simtime.t;
-  checkpoint_interval : int;
-      (** Checkpoint every this-many delivered sequence numbers; 0 (default)
-          disables checkpointing and state transfer.  A checkpoint is stable
-          once 2f+1 replicas sign the same state digest (PBFT §4.3). *)
-  unsafe_digest_blind_votes : bool;
-      (** Test-only mutant: count prepare/commit votes without matching them
-          against the slot's pre-prepared digest, reintroducing the vote-
-          pooling safety bug the durable-storage PR fixed.  Exists so the
-          model checker's counterexample tests have a real, historically
-          observed violation to rediscover; never enable it otherwise. *)
-  timing : Config.timing;
-      (** [Static] (default) keeps the configured view-change timeout;
-          [Adaptive] probes the current primary, derives the suspicion
-          budget from the measured round-trip (Jacobson RTO), and doubles
-          it per consecutive view change, capped at 64 x the configured
-          timeout.  Liveness-only: no safety property depends on it. *)
-}
-
-val make_config :
-  ?batching_interval:Sof_sim.Simtime.t ->
-  ?batch_size_limit:int ->
-  ?digest:Sof_crypto.Digest_alg.t ->
-  ?view_change_timeout:Sof_sim.Simtime.t ->
-  ?checkpoint_interval:int ->
-  ?unsafe_digest_blind_votes:bool ->
-  ?timing:Config.timing ->
-  f:int ->
-  unit ->
-  config
-(** @raise Config.Invalid_config when [f < 1], [checkpoint_interval < 0],
-    or [view_change_timeout] is non-positive. *)
-
-val process_count : config -> int
-(** [3f+1]. *)
-
 type t
 
-val create : ctx:Context.t -> config:config -> ?fault:Fault.t -> unit -> t
+val create : ctx:Context.t -> config:Config.t -> ?fault:Fault.t -> unit -> t
+(** A backup suspects a primary that stalls a request for 2 s (static
+    timing), or for the backed-off round-trip estimate to it (adaptive,
+    capped at 64 x 2 s).  [config.unsafe_digest_blind_votes] turns on the
+    digest-blind vote-pooling mutant. *)
+
 val start : t -> unit
 val on_request : t -> Sof_smr.Request.t -> unit
 val on_message : t -> src:int -> Message.envelope -> unit
@@ -66,35 +30,9 @@ val on_message : t -> src:int -> Message.envelope -> unit
 val id : t -> int
 val view : t -> int
 val primary : t -> int
-val max_committed : t -> int
-val delivered_seq : t -> int
-
-val request_recovery : t -> unit
-(** Start state transfer: ask every replica for everything above this
-    process's delivery point and install what comes back (certificate
-    verified, image digest checked, each log entry backed by f+1 matching
-    claims).  Called by the harness right after a crash-restart; also
-    triggered internally when checkpoint traffic shows this process a full
-    interval behind.  Idempotent while a fetch is in flight. *)
-
-val log_length : t -> int
-(** Retained order-log length — what truncation keeps bounded. *)
-
-val stable_checkpoint_seq : t -> int
-(** Latest stable checkpoint sequence number (0 when none). *)
-
-val latest_stable : t -> (Checkpoint.cert * string) option
-(** Latest stable checkpoint certificate with its image bytes — what a
-    durable harness persists alongside the write-ahead log. *)
-
-val client_marks : t -> (int * int) list
-(** Per-client delivery high-water marks, sorted by client. *)
-
-val recover_local : t -> cert:Checkpoint.cert option -> image:string ->
-  entries:Checkpoint.entry list -> bool
-(** Install locally persisted state (WAL replay) as a synthetic self-offer,
-    verified exactly like a peer's state-transfer response: certificate,
-    image digest, and per-entry digest checks all apply, so damaged or
-    tampered suffixes are excluded rather than installed.  Returns whether
-    delivery advanced; callers escalate to {!request_recovery} when the
-    local log was damaged or insufficient. *)
+val kernel : t -> Recovery.kernel
+(** The shared delivery log and state transfer (PBFT's trust model:
+    2f+1-signed checkpoint certificates, f+1 matching claims per
+    transferred entry).  A restarted replica asks every replica for
+    everything above its delivery point, and checkpoint traffic that shows
+    it a full interval behind triggers the same fetch. *)

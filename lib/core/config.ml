@@ -5,15 +5,15 @@ module Simtime = Sof_sim.Simtime
    escaping a protocol decision path (lint rule R4). *)
 exception Invalid_config of string
 
-type variant = SC | SCR
+type kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
 
 type timing = Static | Adaptive
 
 let timing_name = function Static -> "static" | Adaptive -> "adaptive"
 
 type t = {
+  kind : kind;
   f : int;
-  variant : variant;
   batching_interval : Simtime.t;
   batch_size_limit : int;
   digest : Sof_crypto.Digest_alg.t;
@@ -22,12 +22,14 @@ type t = {
   dumb_optimization : bool;
   checkpoint_interval : int;
   timing : timing;
+  unsafe_digest_blind_votes : bool;
 }
 
-let make ?(variant = SC) ?(batching_interval = Simtime.ms 100)
-    ?(batch_size_limit = 1024) ?(digest = Sof_crypto.Digest_alg.MD5)
-    ?(pair_delay_estimate = Simtime.ms 10) ?(heartbeat_interval = Simtime.ms 20)
-    ?(dumb_optimization = true) ?(checkpoint_interval = 0) ?(timing = Static) ~f () =
+let make ~kind ?(batching_interval = Simtime.ms 100) ?(batch_size_limit = 1024)
+    ?(digest = Sof_crypto.Digest_alg.MD5) ?(pair_delay_estimate = Simtime.ms 10)
+    ?(heartbeat_interval = Simtime.ms 20) ?(dumb_optimization = true)
+    ?(checkpoint_interval = 0) ?(timing = Static) ?(unsafe_digest_blind_votes = false) ~f
+    () =
   if f < 1 then raise (Invalid_config "Config.make: f must be at least 1");
   if checkpoint_interval < 0 then
     raise (Invalid_config "Config.make: checkpoint_interval must be non-negative");
@@ -39,25 +41,37 @@ let make ?(variant = SC) ?(batching_interval = Simtime.ms 100)
   positive "pair_delay_estimate" pair_delay_estimate;
   positive "heartbeat_interval" heartbeat_interval;
   {
+    kind;
     f;
-    variant;
     batching_interval;
     batch_size_limit;
-    digest;
+    (* CT keeps MD5 whatever it is given: it signs nothing, and the scheme
+       it is handed ([Scheme.null]) digests with SHA-256. *)
+    digest = (match kind with Ct_protocol -> Sof_crypto.Digest_alg.MD5 | _ -> digest);
     pair_delay_estimate;
     heartbeat_interval;
     dumb_optimization;
     checkpoint_interval;
     timing;
+    unsafe_digest_blind_votes;
   }
 
-let replica_count t = (2 * t.f) + 1
+(* The one layout: replicas 0 .. r-1, then the shadows, pair k (1-based)
+   being (primary k-1, shadow r+k-1). *)
+let replica_count t =
+  match t.kind with
+  | Bft_protocol -> (3 * t.f) + 1
+  | Sc_protocol | Scr_protocol | Ct_protocol -> (2 * t.f) + 1
 
-let pair_count t = match t.variant with SC -> t.f | SCR -> t.f + 1
+let pair_count t =
+  match t.kind with
+  | Sc_protocol -> t.f
+  | Scr_protocol -> t.f + 1
+  | Bft_protocol | Ct_protocol -> 0
 
 let process_count t = replica_count t + pair_count t
 
-let candidate_count t = t.f + 1
+let candidate_count t = if pair_count t > 0 then t.f + 1 else process_count t
 
 let check_rank t r =
   if r < 1 || r > candidate_count t then
@@ -95,9 +109,7 @@ let candidate_members t r =
   if candidate_is_pair t r then [ primary_of_pair t r; shadow_of_pair t r ]
   else [ primary_of_pair t r ]
 
-let all_processes t = List.init (process_count t) Fun.id
+let pairs t =
+  List.init (pair_count t) (fun r -> (primary_of_pair t (r + 1), shadow_of_pair t (r + 1)))
 
-let pp fmt t =
-  Format.fprintf fmt "%s(f=%d, n=%d, interval=%a, batch<=%dB)"
-    (match t.variant with SC -> "SC" | SCR -> "SCR")
-    t.f (process_count t) Simtime.pp t.batching_interval t.batch_size_limit
+let all_processes t = List.init (process_count t) Fun.id

@@ -1,15 +1,20 @@
-(** Protocol deployment configuration and process layout.
+(** The protocol configuration and process layout of all four protocols.
+
+    The paper's four protocols are one system in four layouts: SC runs
+    3f+1 processes with f pairs, SCR 3f+2 with f+1 pairs, BFT 3f+1 and CT
+    2f+1, both unpaired.  One record configures any of them, and the layout
+    below is computed from its [kind] and [f] alone.
 
     Process identifiers are dense integers shared with the network layer.
-    For a configuration with [2f+1] replica nodes and [k] pairs (k = f for
-    SC, f+1 for SCR):
+    With [r] replicas ({!replica_count}) and [k] pairs ({!pair_count}):
 
-    - ids [0 .. 2f]  are the replica order processes p1 .. p(2f+1);
-    - ids [2f+1 .. 2f+k] are the shadows p'1 .. p'k.
+    - ids [0 .. r-1] are the replica order processes p1 .. pr;
+    - ids [r .. r+k-1] are the shadows p'1 .. p'k.
 
     Pair (coordinator-candidate) ranks are 1-based, matching the paper: pair
-    [r] is [{p_r, p'_r}].  In SC the (f+1)-th coordinator candidate is the
-    unpaired process p(f+1). *)
+    [i] is [{p_i, p'_i}].  In SC the (f+1)-th coordinator candidate is the
+    unpaired process p(f+1); in BFT and CT every process is an unpaired
+    candidate. *)
 
 exception Invalid_config of string
 (** Constructor-time validation failure.  Raised by [make] and the rank
@@ -17,14 +22,15 @@ exception Invalid_config of string
     functions on inconsistent set-ups; caught at the harness/runtime
     boundary. *)
 
-type variant =
-  | SC
+type kind =
+  | Sc_protocol
       (** Signal-on-crash set-up: assumptions 3(a) — synchronous pair links
-          with accurate delay estimates, sequential failure pattern.
-          n = 3f+1. *)
-  | SCR
+          with accurate delay estimates, sequential failure pattern. *)
+  | Scr_protocol
       (** Signal-on-crash-and-recovery set-up: assumptions 3(b) — eventually
-          accurate estimates, at most one fault per pair.  n = 3f+2. *)
+          accurate estimates, at most one fault per pair. *)
+  | Bft_protocol  (** PBFT, the paper's Byzantine baseline. *)
+  | Ct_protocol  (** The crash-tolerant baseline: no pairs, no cryptography. *)
 
 (** How the timeliness timers obtain their delay estimate.
 
@@ -44,8 +50,8 @@ val timing_name : timing -> string
 (** ["static"] or ["adaptive"]. *)
 
 type t = {
+  kind : kind;
   f : int;  (** Fault-tolerance parameter, f >= 1. *)
-  variant : variant;
   batching_interval : Sof_sim.Simtime.t;
       (** The coordinator forms at most one batch per interval (paper
           Section 4.3, second optimisation). *)
@@ -53,14 +59,14 @@ type t = {
   digest : Sof_crypto.Digest_alg.t;  (** For request/batch digests. *)
   pair_delay_estimate : Sof_sim.Simtime.t;
       (** The differential delay bound used for timeliness checking inside a
-          pair (Section 2.1.1). *)
+          pair (Section 2.1.1).  SC and SCR only. *)
   heartbeat_interval : Sof_sim.Simtime.t;
       (** Mutual-checking cadence inside a pair when there is no protocol
-          traffic to check. *)
+          traffic to check.  SC and SCR only. *)
   dumb_optimization : bool;
       (** The first optimisation of Section 4.3: installed-away pairs turn
           dumb, n shrinks by 2 and f by 1.  On by default; off for ablation
-          runs. *)
+          runs.  SC only. *)
   checkpoint_interval : int;
       (** Every this-many delivered sequence numbers, snapshot and certify a
           checkpoint, truncating the order log behind the latest stable one.
@@ -68,12 +74,18 @@ type t = {
           without bound, exactly the pre-checkpoint behaviour. *)
   timing : timing;
       (** [Static] (the default) keeps every timeliness deadline at the
-          configured estimate; [Adaptive] turns on probing and estimator-
-          driven deadlines. *)
+          configured estimate (BFT's and CT's: their suspicion constants);
+          [Adaptive] turns on probing and estimator-driven deadlines. *)
+  unsafe_digest_blind_votes : bool;
+      (** BFT test-only mutant: count prepare/commit votes without matching
+          them against the slot's pre-prepared digest, reintroducing the
+          vote-pooling safety bug that digest-bound votes fixed.  Exists so
+          the model checker's counterexample tests have a real, historically
+          observed violation to rediscover; never enable it otherwise. *)
 }
 
 val make :
-  ?variant:variant ->
+  kind:kind ->
   ?batching_interval:Sof_sim.Simtime.t ->
   ?batch_size_limit:int ->
   ?digest:Sof_crypto.Digest_alg.t ->
@@ -82,29 +94,34 @@ val make :
   ?dumb_optimization:bool ->
   ?checkpoint_interval:int ->
   ?timing:timing ->
+  ?unsafe_digest_blind_votes:bool ->
   f:int ->
   unit ->
   t
-(** Defaults: SC, 100 ms interval, 1024-byte batches, MD5 digests, 10 ms
-    delay estimate, 20 ms heartbeat, checkpointing off, static timing.
+(** Defaults: 100 ms interval, 1024-byte batches, MD5 digests, 10 ms
+    delay estimate, 20 ms heartbeat, checkpointing off, static timing.  CT
+    keeps MD5 whatever [digest] is given.
     @raise Invalid_config when [f < 1], [checkpoint_interval < 0], or any
     of [batching_interval], [pair_delay_estimate], [heartbeat_interval] is
     non-positive. *)
 
+(** {1 Layout} *)
+
 val replica_count : t -> int
-(** [2f+1]. *)
+(** The processes that are not shadows: [3f+1] for BFT, [2f+1] otherwise. *)
 
 val pair_count : t -> int
-(** [f] for SC, [f+1] for SCR. *)
+(** [f] for SC, [f+1] for SCR, none for BFT and CT. *)
 
 val process_count : t -> int
-(** [3f+1] for SC, [3f+2] for SCR. *)
+(** SC 3f+1, SCR 3f+2, BFT 3f+1, CT 2f+1. *)
 
 val candidate_count : t -> int
-(** Coordinator candidates: [f+1] in both variants. *)
+(** Coordinator candidates: [f+1] for SC and SCR, every process for BFT
+    and CT. *)
 
 val primary_of_pair : t -> int -> int
-(** Process id of [p_r] for pair rank [r] (1-based).
+(** Process id of [p_r] for candidate rank [r] (1-based).
     @raise Invalid_config on out-of-range ranks. *)
 
 val shadow_of_pair : t -> int -> int
@@ -120,9 +137,11 @@ val is_shadow : t -> int -> bool
 
 val candidate_members : t -> int -> int list
 (** Process ids making up coordinator candidate rank [r]: two for a pair,
-    one for SC's final unpaired candidate. *)
+    one for an unpaired candidate. *)
 
 val candidate_is_pair : t -> int -> bool
 
+val pairs : t -> (int * int) list
+(** [(primary, shadow)] of every pair, by rank. *)
+
 val all_processes : t -> int list
-val pp : Format.formatter -> t -> unit

@@ -3,28 +3,9 @@ module Request = Sof_smr.Request
 module Key_map = Request.Key_map
 module Int_set = Set.Make (Int)
 
-type config = {
-  f : int;
-  batching_interval : Simtime.t;
-  batch_size_limit : int;
-  digest : Sof_crypto.Digest_alg.t;
-  suspect_timeout : Simtime.t;
-  checkpoint_interval : int;
-  timing : Config.timing;
-}
-
-let make_config ?(batching_interval = Simtime.ms 100) ?(batch_size_limit = 1024)
-    ?(digest = Sof_crypto.Digest_alg.MD5) ?(suspect_timeout = Simtime.ms 500)
-    ?(checkpoint_interval = 0) ?(timing = Config.Static) ~f () =
-  if f < 1 then raise (Config.Invalid_config "Ct.make_config: f must be at least 1");
-  if checkpoint_interval < 0 then
-    raise (Config.Invalid_config "Ct.make_config: checkpoint_interval must be non-negative");
-  if Simtime.compare suspect_timeout Simtime.zero <= 0 then
-    raise (Config.Invalid_config "Ct.make_config: suspect_timeout must be positive");
-  { f; batching_interval; batch_size_limit; digest; suspect_timeout; checkpoint_interval;
-    timing }
-
-let process_count config = (2 * config.f) + 1
+(* How long a request may stay unordered before the coordinator is
+   suspected of having crashed. *)
+let suspect_timeout = Simtime.ms 500
 
 (* A candidate batch for one sequence number.  Under crash faults alone only
    one candidate per sequence number ever exists, but concurrent coordinators
@@ -52,7 +33,7 @@ type order_state = {
 
 type t = {
   ctx : Context.t;
-  config : config;
+  config : Config.t;
   all_ids : int list;
   mutable epoch : int;  (* coordinator = epoch mod n *)
   log : order_state Recovery.log;
@@ -73,10 +54,8 @@ type t = {
 }
 
 let id t = t.ctx.Context.id
-let coordinator t = t.epoch mod process_count t.config
+let coordinator t = t.epoch mod Config.process_count t.config
 let epoch t = t.epoch
-let max_committed t = t.log.max_committed
-let delivered_seq t = t.log.delivered
 let quorum t = t.config.f + 1
 let i_am_coordinator t = Int.equal (id t) (coordinator t)
 let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
@@ -91,17 +70,17 @@ module Estimator = Sof_net.Delay_estimator
 
 (* The measured stand-in for the static suspicion timeout: the Jacobson
    deadline of the round-trip to the current coordinator.  Widening guards
-   (the quorum-contact window) take the max with the configured value so
+   (the quorum-contact window) take the max with the fixed timeout so
    adaptive mode never shrinks a window whose shrinking could stop the
    coordinator from minting. *)
 let suspect_estimate t =
   match t.config.timing with
-  | Config.Static -> t.config.suspect_timeout
+  | Config.Static -> suspect_timeout
   | Config.Adaptive -> Estimator.timeout (Timing.est_for t.timing (coordinator t))
 
 let suspicion_delay t =
   match t.config.timing with
-  | Config.Static -> t.config.suspect_timeout
+  | Config.Static -> suspect_timeout
   | Config.Adaptive -> Timing.backed_off t.timing (suspect_estimate t) ~level:t.suspect_backoff
 
 let send_rtt_probe t dst =
@@ -120,7 +99,7 @@ let quorum_contact t =
   t.epoch = 0
   ||
   let now = t.ctx.Context.now () in
-  let window = Simtime.max t.config.suspect_timeout (suspect_estimate t) in
+  let window = Simtime.max suspect_timeout (suspect_estimate t) in
   let me = id t in
   let heard = ref 1 (* self *) in
   Array.iteri
@@ -171,15 +150,9 @@ let get_candidate st digest =
    distinct claimants for the same (seq, digest) always include a correct
    process — the Quorum_counted scheme. *)
 
-let log_length t = Hashtbl.length t.log.orders
-
-let stable_checkpoint_seq t = Recovery.stable_seq t.log.rcv
-let latest_stable t = Recovery.latest_stable t.log.rcv
-let client_marks t = Recovery.marks t.log.rcv
-
-let ckpt_scheme config =
+let ckpt_scheme (config : Config.t) =
   Recovery.Quorum_counted
-    { quorum = config.f + 1; member_ok = (fun p -> p >= 0 && p < process_count config) }
+    { quorum = config.f + 1; member_ok = (fun p -> p >= 0 && p < Config.process_count config) }
 
 let checkpoint_boundary t o =
   let digest = Recovery.boundary_image t.log o in
@@ -290,7 +263,7 @@ and batch_tick t =
            other traffic would refresh the contact evidence. *)
         let now = t.ctx.Context.now () in
         if
-          Simtime.compare (Simtime.add t.last_probe t.config.suspect_timeout) now
+          Simtime.compare (Simtime.add t.last_probe suspect_timeout) now
           <= 0
         then probe t
       end
@@ -329,7 +302,7 @@ and batch_tick t =
 
 let rec arm_suspect_timer t =
   let h =
-    t.ctx.Context.set_timer ~kind:Context.Watchdog ~delay:t.config.suspect_timeout
+    t.ctx.Context.set_timer ~kind:Context.Watchdog ~delay:suspect_timeout
       (fun () -> suspect_tick t)
   in
   t.suspect_timer <- Some h
@@ -387,7 +360,7 @@ let on_message t ~src (env : Message.envelope) =
        unique even when concurrent coordinators proposed conflicting
        batches. *)
     if
-      Int.equal env.Message.sender (c mod process_count t.config)
+      Int.equal env.Message.sender (c mod Config.process_count t.config)
       && info.Message.o > Recovery.stable_seq t.log.rcv
     then begin
       if c > t.epoch then t.epoch <- c;
@@ -412,7 +385,7 @@ let on_message t ~src (env : Message.envelope) =
        higher epoch makes a stale coordinator stand down before the prober
        ever mints; the View_change reply hands the prober every candidate it
        might otherwise collide with. *)
-    if Int.equal env.Message.sender (e mod process_count t.config) then begin
+    if Int.equal env.Message.sender (e mod Config.process_count t.config) then begin
       if e > t.epoch then t.epoch <- e;
       let low = beat in
       let uncommitted =
@@ -454,7 +427,7 @@ let on_message t ~src (env : Message.envelope) =
     if
       t.config.checkpoint_interval > 0
       && env.Message.sender >= 0
-      && env.Message.sender < process_count t.config
+      && env.Message.sender < Config.process_count t.config
       && seq > Recovery.stable_seq t.log.rcv
     then begin
       Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq ~digest ~signer:env.Message.sender
@@ -486,14 +459,11 @@ let start t =
   if i_am_coordinator t then arm_batch_timer t;
   arm_suspect_timer t
 
-(* State transfer under the crash-only model: unsigned f+1-claim
-   checkpoint certificates, and any single responder's entries. *)
-let request_recovery t = Recovery.request_recovery t.hooks
-let recover_local t = Recovery.recover_local t.hooks
+let kernel t = Recovery.Kernel t.hooks
 
-let create ~ctx ~(config : config) =
-  let n = process_count config in
-  let timing = Timing.create ~mode:config.timing ~initial:config.suspect_timeout ~peers:n in
+let create ~ctx ~(config : Config.t) =
+  let n = Config.process_count config in
+  let timing = Timing.create ~mode:config.timing ~initial:suspect_timeout ~peers:n in
   let log =
     Recovery.create_log ~ctx ~f:config.f ~digest:config.digest
       ~interval:config.checkpoint_interval
@@ -502,7 +472,7 @@ let create ~ctx ~(config : config) =
     {
       ctx;
       config;
-      all_ids = List.init n Fun.id;
+      all_ids = Config.all_processes config;
       epoch = 0;
       log;
       timing;
@@ -513,7 +483,7 @@ let create ~ctx ~(config : config) =
           scheme = ckpt_scheme config;
           entry_quorum = 1;
           fault = Fault.Honest;
-          retry_base = (fun () -> config.suspect_timeout);
+          retry_base = (fun () -> suspect_timeout);
           committed_keys =
             (fun st ->
               (* The winner digest always has a recorded candidate (votes are

@@ -11,46 +11,14 @@
     coordinator rotation is included so the protocol is live under crash
     faults, but it is not part of the measured scenarios. *)
 
-type config = {
-  f : int;
-  batching_interval : Sof_sim.Simtime.t;
-  batch_size_limit : int;
-  digest : Sof_crypto.Digest_alg.t;
-  suspect_timeout : Sof_sim.Simtime.t;
-      (** How long a request may stay unordered before the coordinator is
-          suspected of having crashed. *)
-  checkpoint_interval : int;
-      (** Checkpoint every this-many delivered sequence numbers; 0 (default)
-          disables checkpointing and state transfer.  Under the crash-only
-          model a checkpoint is stable once f+1 distinct processes claim the
-          same state digest — no signatures involved. *)
-  timing : Config.timing;
-      (** [Static] (default) keeps the configured suspicion timeout;
-          [Adaptive] probes the current coordinator, derives the suspicion
-          budget from the measured round-trip (Jacobson RTO), and doubles it
-          per consecutive rotation, capped at 64 x the configured timeout.
-          Liveness-only: no safety property depends on it. *)
-}
-
-val make_config :
-  ?batching_interval:Sof_sim.Simtime.t ->
-  ?batch_size_limit:int ->
-  ?digest:Sof_crypto.Digest_alg.t ->
-  ?suspect_timeout:Sof_sim.Simtime.t ->
-  ?checkpoint_interval:int ->
-  ?timing:Config.timing ->
-  f:int ->
-  unit ->
-  config
-(** @raise Config.Invalid_config when [f < 1], [checkpoint_interval < 0],
-    or [suspect_timeout] is non-positive. *)
-
-val process_count : config -> int
-(** [2f+1]. *)
-
 type t
 
-val create : ctx:Context.t -> config:config -> t
+val create : ctx:Context.t -> config:Config.t -> t
+(** A process suspects a coordinator that leaves a request unordered for
+    500 ms (static timing), or for the backed-off round-trip estimate to it
+    (adaptive, capped at 64 x 500 ms).  CT reads [f], the batching fields,
+    [digest] (always MD5), [checkpoint_interval] and [timing]. *)
+
 val start : t -> unit
 val on_request : t -> Sof_smr.Request.t -> unit
 val on_message : t -> src:int -> Message.envelope -> unit
@@ -64,34 +32,8 @@ val epoch : t -> int
     coordinator was never suspected) — the rotation-churn measure the
     gray-failure invariants audit. *)
 
-val max_committed : t -> int
-val delivered_seq : t -> int
-
-val request_recovery : t -> unit
-(** Start state transfer: ask every peer for everything above this process's
-    delivery point and install what comes back.  Called by the harness right
-    after a crash-restart; also triggered internally when checkpoint traffic
-    shows this process a full interval behind.  Idempotent while a fetch is
-    in flight. *)
-
-val log_length : t -> int
-(** Retained order-log length — what truncation keeps bounded. *)
-
-val stable_checkpoint_seq : t -> int
-(** Latest stable checkpoint sequence number (0 when none). *)
-
-val latest_stable : t -> (Checkpoint.cert * string) option
-(** Latest stable checkpoint certificate with its image bytes — what a
-    durable harness persists alongside the write-ahead log. *)
-
-val client_marks : t -> (int * int) list
-(** Per-client delivery high-water marks, sorted by client. *)
-
-val recover_local : t -> cert:Checkpoint.cert option -> image:string ->
-  entries:Checkpoint.entry list -> bool
-(** Install locally persisted state (WAL replay) as a synthetic self-offer,
-    verified exactly like a peer's state-transfer response: certificate,
-    image digest, and per-entry digest checks all apply, so damaged or
-    tampered suffixes are excluded rather than installed.  Returns whether
-    delivery advanced; callers escalate to {!request_recovery} when the
-    local log was damaged or insufficient. *)
+val kernel : t -> Recovery.kernel
+(** The shared delivery log and state transfer, under the crash-only model:
+    a checkpoint is stable once f+1 distinct processes claim the same state
+    digest (no signatures), and any single responder's entries are
+    genuine. *)

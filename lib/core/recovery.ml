@@ -312,6 +312,8 @@ type 'slot hooks = {
   multicast : Message.envelope -> unit;
 }
 
+type kernel = Kernel : 'slot hooks -> kernel [@@unboxed]
+
 let span_open log phase seq = log.ctx.Context.emit (Context.Span_open { phase; seq })
 let span_close log phase seq = log.ctx.Context.emit (Context.Span_close { phase; seq })
 

@@ -231,6 +231,11 @@ type 'slot hooks = {
   multicast : Message.envelope -> unit;  (** To every other process. *)
 }
 
+(** A core's hooks with the slot type hidden: what a driver reads every
+    core's log and recovery state through.  Unboxed, so wrapping a core's
+    hooks allocates nothing. *)
+type kernel = Kernel : 'slot hooks -> kernel [@@unboxed]
+
 val boundary_image : 'slot log -> int -> string
 (** At a delivered checkpoint boundary: snapshot the service with the
     client marks, charge and digest the image, remember it, open the

@@ -3,13 +3,7 @@ module Keyring = Sof_crypto.Keyring
 module Codec = Sof_util.Codec
 module Wal = Sof_storage.Wal
 
-type kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
-
-let process_count kind ~f =
-  match kind with
-  | Sc_protocol | Bft_protocol -> (3 * f) + 1
-  | Scr_protocol -> (3 * f) + 2
-  | Ct_protocol -> (2 * f) + 1
+type kind = Config.kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
 
 let kinds = [ Sc_protocol; Scr_protocol; Bft_protocol; Ct_protocol ]
 
@@ -19,64 +13,7 @@ let name = function
   | Bft_protocol -> "bft"
   | Ct_protocol -> "ct"
 
-(* Config's layout, arithmetically: replicas 0..2f, shadows from 2f+1,
-   pair r (1-based) = (primary r-1, shadow 2f+r). *)
-let pair_count kind ~f =
-  match kind with
-  | Sc_protocol -> f
-  | Scr_protocol -> f + 1
-  | Bft_protocol | Ct_protocol -> 0
-
-let pair_rank kind ~f p =
-  let pairs = pair_count kind ~f in
-  if p < pairs then Some (p + 1)
-  else if p > 2 * f && p <= (2 * f) + pairs then Some (p - (2 * f))
-  else None
-
-let counterpart kind ~f p =
-  let pairs = pair_count kind ~f in
-  if p < pairs then Some ((2 * f) + p + 1)
-  else if p > 2 * f && p <= (2 * f) + pairs then Some (p - (2 * f) - 1)
-  else None
-
 let scheme kind s = match kind with Ct_protocol -> Scheme.null | _ -> s
-
-type config =
-  | Pair_config of Config.t  (* SC or SCR, told apart by [variant] *)
-  | Bft_config of Bft.config
-  | Ct_config of Ct.config
-
-let make_config ~kind ?batching_interval ?batch_size_limit ?digest
-    ?pair_delay_estimate ?heartbeat_interval ?dumb_optimization
-    ?checkpoint_interval ?timing ?unsafe_digest_blind_votes ~f () =
-  match kind with
-  | Sc_protocol | Scr_protocol ->
-    let variant =
-      match kind with Scr_protocol -> Config.SCR | _ -> Config.SC
-    in
-    Pair_config
-      (Config.make ~variant ?batching_interval ?batch_size_limit ?digest
-         ?pair_delay_estimate ?heartbeat_interval ?dumb_optimization
-         ?checkpoint_interval ?timing ~f ())
-  | Bft_protocol ->
-    Bft_config
-      (Bft.make_config ?batching_interval ?batch_size_limit ?digest
-         ?checkpoint_interval ?unsafe_digest_blind_votes ?timing ~f ())
-  | Ct_protocol ->
-    Ct_config
-      (Ct.make_config ?batching_interval ?batch_size_limit ?checkpoint_interval
-         ?timing ~f ())
-
-let pairs = function
-  | Pair_config c ->
-    List.init (Config.pair_count c) (fun r ->
-        (Config.primary_of_pair c (r + 1), Config.shadow_of_pair c (r + 1)))
-  | Bft_config _ | Ct_config _ -> []
-
-let wal_digest = function
-  | Pair_config c -> c.Config.digest
-  | Bft_config c -> c.Bft.digest
-  | Ct_config c -> c.Ct.digest
 
 type t = Sc of Sc.t | Scr of Scr.t | Bft of Bft.t | Ct of Ct.t
 
@@ -89,18 +26,13 @@ let counterpart_fail_signal keyring config i =
     Some (Keyring.sign keyring ~signer:counterpart body)
   | _ -> None
 
-let create ~ctx ~config ~keyring ?fault () =
-  match config with
-  | Pair_config c -> begin
-    let counterpart_fail_signal =
-      counterpart_fail_signal keyring c ctx.Context.id
-    in
-    match c.Config.variant with
-    | Config.SC -> Sc (Sc.create ~ctx ~config:c ?fault ?counterpart_fail_signal ())
-    | Config.SCR -> Scr (Scr.create ~ctx ~config:c ?fault ?counterpart_fail_signal ())
-  end
-  | Bft_config c -> Bft (Bft.create ~ctx ~config:c ?fault ())
-  | Ct_config c -> Ct (Ct.create ~ctx ~config:c)
+let create ~ctx ~(config : Config.t) ~keyring ?fault () =
+  let counterpart_fail_signal = counterpart_fail_signal keyring config ctx.Context.id in
+  match config.kind with
+  | Sc_protocol -> Sc (Sc.create ~ctx ~config ?fault ?counterpart_fail_signal ())
+  | Scr_protocol -> Scr (Scr.create ~ctx ~config ?fault ?counterpart_fail_signal ())
+  | Bft_protocol -> Bft (Bft.create ~ctx ~config ?fault ())
+  | Ct_protocol -> Ct (Ct.create ~ctx ~config)
 
 let start = function
   | Sc p -> Sc.start p
@@ -122,48 +54,24 @@ let on_message t ~src env =
   | Bft p -> Bft.on_message p ~src env
   | Ct p -> Ct.on_message p ~src env
 
-let request_recovery = function
-  | Sc p -> Sc.request_recovery p
-  | Scr p -> Scr.request_recovery p
-  | Bft p -> Bft.request_recovery p
-  | Ct p -> Ct.request_recovery p
+(* ----------------------------------------------------------------- kernel *)
+
+let kernel = function
+  | Sc p -> Sc.kernel p
+  | Scr p -> Scr.kernel p
+  | Bft p -> Bft.kernel p
+  | Ct p -> Ct.kernel p
+
+let log_length t = match kernel t with Recovery.Kernel h -> Hashtbl.length h.log.orders
+let stable_checkpoint_seq t = match kernel t with Recovery.Kernel h -> Recovery.stable_seq h.log.rcv
+let latest_stable t = match kernel t with Recovery.Kernel h -> Recovery.latest_stable h.log.rcv
+let client_marks t = match kernel t with Recovery.Kernel h -> Recovery.marks h.log.rcv
+let delivered_seq t = match kernel t with Recovery.Kernel h -> h.log.delivered
+let max_committed t = match kernel t with Recovery.Kernel h -> h.log.max_committed
+let request_recovery t = match kernel t with Recovery.Kernel h -> Recovery.request_recovery h
 
 let recover_local t ~cert ~image ~entries =
-  match t with
-  | Sc p -> Sc.recover_local p ~cert ~image ~entries
-  | Scr p -> Scr.recover_local p ~cert ~image ~entries
-  | Bft p -> Bft.recover_local p ~cert ~image ~entries
-  | Ct p -> Ct.recover_local p ~cert ~image ~entries
-
-let latest_stable = function
-  | Sc p -> Sc.latest_stable p
-  | Scr p -> Scr.latest_stable p
-  | Bft p -> Bft.latest_stable p
-  | Ct p -> Ct.latest_stable p
-
-let log_length = function
-  | Sc p -> Sc.log_length p
-  | Scr p -> Scr.log_length p
-  | Bft p -> Bft.log_length p
-  | Ct p -> Ct.log_length p
-
-let stable_checkpoint_seq = function
-  | Sc p -> Sc.stable_checkpoint_seq p
-  | Scr p -> Scr.stable_checkpoint_seq p
-  | Bft p -> Bft.stable_checkpoint_seq p
-  | Ct p -> Ct.stable_checkpoint_seq p
-
-let delivered_seq = function
-  | Sc p -> Sc.delivered_seq p
-  | Scr p -> Scr.delivered_seq p
-  | Bft p -> Bft.delivered_seq p
-  | Ct p -> Ct.delivered_seq p
-
-let client_marks = function
-  | Sc p -> Sc.client_marks p
-  | Scr p -> Scr.client_marks p
-  | Bft p -> Bft.client_marks p
-  | Ct p -> Ct.client_marks p
+  match kernel t with Recovery.Kernel h -> Recovery.recover_local h ~cert ~image ~entries
 
 (* ------------------------------------------------------------ durable log *)
 
@@ -206,7 +114,7 @@ let log_delivery config wal ~seq (batch : Batch.t) =
   let entry =
     {
       Checkpoint.e_o = seq;
-      e_digest = Batch.digest (wal_digest config) (Batch.make requests);
+      e_digest = Batch.digest config.Config.digest (Batch.make requests);
       e_requests = requests;
     }
   in

@@ -36,8 +36,6 @@ type t = install Pair.t
 
 let id = Pair.id
 let coordinator_rank (t : t) = t.x.coord
-let max_committed (t : t) = t.log.max_committed
-let delivered_seq (t : t) = t.log.delivered
 let is_installing (t : t) = t.x.installing
 let has_fail_signalled (t : t) = t.fail_signalled
 let pending_requests (t : t) = Key_map.cardinal t.log.pending
@@ -67,12 +65,7 @@ let i_am_coordinator_shadow (t : t) =
 (* Pair-endorsed (see Pair); SC's unpaired last candidate certifies with
    its single signature. *)
 
-let log_length (t : t) = Hashtbl.length t.log.orders
-let stable_checkpoint_seq (t : t) = Recovery.stable_seq t.log.rcv
-let latest_stable (t : t) = Recovery.latest_stable t.log.rcv
-let client_marks (t : t) = Recovery.marks t.log.rcv
-let request_recovery (t : t) = Recovery.request_recovery t.recovery
-let recover_local (t : t) = Recovery.recover_local t.recovery
+let kernel (t : t) = Recovery.Kernel t.recovery
 
 (* ---------------------------------------------------- pair fail-signals *)
 
@@ -338,7 +331,7 @@ and finish_install (t : t) start_env ~c ~start_o ~anchor ~new_back_log =
      sequences we will never see retransmitted (the rememberers may have
      truncated them behind a stable checkpoint): catch up through state
      transfer rather than stalling delivery for the whole new era. *)
-  if t.log.delivered < anchor then request_recovery t;
+  if t.log.delivered < anchor then Recovery.request_recovery t.recovery;
   (* Ack the Start through the normal part. *)
   Pair.send_ack t st;
   Pair.try_commit t st;

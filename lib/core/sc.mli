@@ -56,10 +56,6 @@ val coordinator_rank : t -> int
 (** Rank (1-based) of the coordinator candidate this process currently
     follows. *)
 
-val max_committed : t -> int
-val delivered_seq : t -> int
-(** Highest sequence number delivered to the service. *)
-
 val is_installing : t -> bool
 val has_fail_signalled : t -> bool
 val is_dumb : t -> bool
@@ -75,32 +71,6 @@ val pending_requests : t -> int
     certifies with a single signature (by the sequential-failure assumption
     it is correct whenever it coordinates). *)
 
-val request_recovery : t -> unit
-(** Start state transfer: ask every process for everything above this
-    process's delivery point and install what comes back (certificate
-    verified, image digest checked, each log entry backed by f+1 matching
-    claims).  Called by the harness right after a crash-restart; also
-    triggered internally when checkpoint traffic shows this process a full
-    interval behind.  Idempotent while a fetch is in flight. *)
-
-val log_length : t -> int
-(** Retained order-log length — what truncation keeps bounded. *)
-
-val stable_checkpoint_seq : t -> int
-(** Latest stable checkpoint sequence number (0 when none). *)
-
-val latest_stable : t -> (Checkpoint.cert * string) option
-(** Latest stable checkpoint certificate with its image bytes — what a
-    durable harness persists alongside the write-ahead log. *)
-
-val client_marks : t -> (int * int) list
-(** Per-client delivery high-water marks, sorted by client. *)
-
-val recover_local : t -> cert:Checkpoint.cert option -> image:string ->
-  entries:Checkpoint.entry list -> bool
-(** Install locally persisted state (WAL replay) as a synthetic self-offer,
-    verified exactly like a peer's state-transfer response: certificate,
-    image digest, and per-entry digest checks all apply, so damaged or
-    tampered suffixes are excluded rather than installed.  Returns whether
-    delivery advanced; callers escalate to {!request_recovery} when the
-    local log was damaged or insufficient. *)
+val kernel : t -> Recovery.kernel
+(** The shared delivery log and state transfer; each transferred log entry
+    needs f+1 matching claims. *)

@@ -31,8 +31,6 @@ type t = views Pair.t
 let id = Pair.id
 let view (t : t) = t.x.view
 let pair_status (t : t) = t.x.status
-let max_committed (t : t) = t.log.max_committed
-let delivered_seq (t : t) = t.log.delivered
 let changing_view (t : t) = t.x.changing_view
 
 let candidate_of_view (t : t) v =
@@ -58,12 +56,7 @@ let i_am_coordinator_shadow (t : t) =
 (* Pair-endorsed (see Pair); every SCR candidate is a pair, so a
    certificate is always doubly signed. *)
 
-let log_length (t : t) = Hashtbl.length t.log.orders
-let stable_checkpoint_seq (t : t) = Recovery.stable_seq t.log.rcv
-let latest_stable (t : t) = Recovery.latest_stable t.log.rcv
-let client_marks (t : t) = Recovery.marks t.log.rcv
-let request_recovery (t : t) = Recovery.request_recovery t.recovery
-let recover_local (t : t) = Recovery.recover_local t.recovery
+let kernel (t : t) = Recovery.Kernel t.recovery
 
 (* ----------------------------------------------------------- view change *)
 
@@ -371,8 +364,8 @@ let hooks =
   }
 
 let create ~ctx ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
-  if config.Config.variant <> Config.SCR then
-    raise (Config.Invalid_config "Scr.create: config must use the SCR variant");
+  if config.Config.kind <> Config.Scr_protocol then
+    raise (Config.Invalid_config "Scr.create: config must be of kind Scr_protocol");
   Pair.create ~name:"Scr" ~ctx ~config ~fault ~counterpart_fail_signal ~hooks
     {
       view = 1;

@@ -31,8 +31,8 @@ val create :
   ?counterpart_fail_signal:string ->
   unit ->
   t
-(** [config.variant] must be {!Config.SCR}.
-    @raise Invalid_argument otherwise, or when a paired process lacks
+(** [config.kind] must be {!Config.Scr_protocol}.
+    @raise Config.Invalid_config otherwise, or when a paired process lacks
     [counterpart_fail_signal]. *)
 
 val start : t -> unit
@@ -52,8 +52,6 @@ val pair_status : t -> status
 (** Status of this process's own pair; [Up] for the degenerate case of an
     unpaired process (does not occur in well-formed SCR layouts). *)
 
-val max_committed : t -> int
-val delivered_seq : t -> int
 val changing_view : t -> bool
 
 (** {1 Checkpoints and state transfer}
@@ -65,32 +63,6 @@ val changing_view : t -> bool
     signed — at most one pair member is faulty, so the double signature
     carries at least one correct process's word for the digest. *)
 
-val request_recovery : t -> unit
-(** Start state transfer: ask every process for everything above this
-    process's delivery point and install what comes back (certificate
-    verified, image digest checked, each log entry backed by f+1 matching
-    claims).  Called by the harness right after a crash-restart; also
-    triggered internally when checkpoint traffic shows this process a full
-    interval behind.  Idempotent while a fetch is in flight. *)
-
-val log_length : t -> int
-(** Retained order-log length — what truncation keeps bounded. *)
-
-val stable_checkpoint_seq : t -> int
-(** Latest stable checkpoint sequence number (0 when none). *)
-
-val latest_stable : t -> (Checkpoint.cert * string) option
-(** Latest stable checkpoint certificate with its image bytes — what a
-    durable harness persists alongside the write-ahead log. *)
-
-val client_marks : t -> (int * int) list
-(** Per-client delivery high-water marks, sorted by client. *)
-
-val recover_local : t -> cert:Checkpoint.cert option -> image:string ->
-  entries:Checkpoint.entry list -> bool
-(** Install locally persisted state (WAL replay) as a synthetic self-offer,
-    verified exactly like a peer's state-transfer response: certificate,
-    image digest, and per-entry digest checks all apply, so damaged or
-    tampered suffixes are excluded rather than installed.  Returns whether
-    delivery advanced; callers escalate to {!request_recovery} when the
-    local log was damaged or insufficient. *)
+val kernel : t -> Recovery.kernel
+(** The shared delivery log and state transfer; each transferred log entry
+    needs f+1 matching claims. *)

@@ -31,17 +31,13 @@ type spec = {
   batch_size_limit : int;
   pair_delay_estimate : Simtime.t;
   heartbeat_interval : Simtime.t;
-  cost : Cost_model.t;
-  lan : Delay_model.t;
   pair_link : Delay_model.t;
   seed : int64;
   faults : (int * P.Fault.t) list;
-  attach_machines : bool;
   machine_factory : unit -> Sof_smr.State_machine.t;
   dumb_optimization : bool;
   real_crypto : bool;
   use_channel : bool;
-  channel_config : Channel.config;
   checkpoint_interval : int;
       (* checkpoint every this-many delivered sequence numbers; 0 disables
          checkpointing, truncation and state transfer *)
@@ -69,17 +65,13 @@ let default_spec ~kind ~f =
     batch_size_limit = 1024;
     pair_delay_estimate = Simtime.ms 100;
     heartbeat_interval = Simtime.ms 25;
-    cost = Cost_model.default;
-    lan = Delay_model.lan_default;
     pair_link = Delay_model.pair_link_default;
     seed = 1L;
     faults = [];
-    attach_machines = true;
     machine_factory = Sof_smr.Kv_store.machine;
     dumb_optimization = true;
     real_crypto = false;
     use_channel = false;
-    channel_config = Channel.default_config;
     checkpoint_interval = 0;
     durable = false;
     disk_profile = None;
@@ -112,7 +104,7 @@ type crypto_ctr = {
 type node = {
   node_cpu : Cpu.t;
   mutable node_proc : proc option;
-  mutable node_machine : Sof_smr.State_machine.t option;
+  mutable node_machine : Sof_smr.State_machine.t;
       (* replaced with a fresh machine on restart: a crash loses all volatile
          state, and the replacement catches up through state transfer *)
   mutable node_gen : int;
@@ -137,7 +129,7 @@ type t = {
   chan : Channel.t option;
   adversary : Adversary.t option;
   keyring : Keyring.t;
-  config : Replica.config;
+  config : P.Config.t;
       (* shared by every process; [restart] rebuilds a crashed node's
          process from it with empty volatile state *)
   nodes : node array;
@@ -148,6 +140,7 @@ type t = {
   mutable wal_replayed : int;  (* entries recovered by local replay *)
 }
 
+let config t = t.config
 let process_count t = Array.length t.nodes
 let engine t = t.engine
 let network t = t.net
@@ -183,7 +176,6 @@ let proc t i =
   | Some p -> p
   | None -> invalid_arg "Cluster.proc: node not initialised"
 
-let cpu t i = t.nodes.(i).node_cpu
 let machine t i = t.nodes.(i).node_machine
 
 let events t = List.rev t.event_log
@@ -231,7 +223,6 @@ let crash t i =
 let with_proc t i ~none f =
   match t.nodes.(i).node_proc with Some p -> f p | None -> none
 
-let request_recovery t i = with_proc t i ~none:() Replica.request_recovery
 let log_length t i = with_proc t i ~none:0 Replica.log_length
 let stable_checkpoint_seq t i = with_proc t i ~none:0 Replica.stable_checkpoint_seq
 let delivered_seq t i = with_proc t i ~none:0 Replica.delivered_seq
@@ -250,13 +241,13 @@ let charge_disk_slowness t i =
     if fresh > 0 then begin
       node.node_slow_prior <- slow;
       Cpu.extend node.node_cpu
-        (Cost_model.disk_slow_cost t.spec.cost ~slow_ops:fresh)
+        (Cost_model.disk_slow_cost Cost_model.default ~slow_ops:fresh)
     end
 
 let charge_disk_write t i ~size =
   let node = t.nodes.(i) in
-  Cpu.extend node.node_cpu (Cost_model.disk_append_cost t.spec.cost ~size);
-  Cpu.extend node.node_cpu (Cost_model.disk_sync_cost t.spec.cost);
+  Cpu.extend node.node_cpu (Cost_model.disk_append_cost Cost_model.default ~size);
+  Cpu.extend node.node_cpu (Cost_model.disk_sync_cost Cost_model.default);
   charge_disk_slowness t i
 
 (* Durable log truncation: when a checkpoint goes stable, persist its
@@ -377,13 +368,13 @@ let make_context t i =
   let send ~dst env =
     let payload = P.Message.encode env in
     count_send env ~copies:1 ~size:(String.length payload);
-    let cost = Cost_model.send_cost t.spec.cost ~size:(String.length payload) in
+    let cost = Cost_model.send_cost Cost_model.default ~size:(String.length payload) in
     Cpu.submit node.node_cpu ~cost (fun () -> transport_send t ~src:i ~dst payload)
   in
   let multicast ~dsts env =
     let payload = P.Message.encode env in
     count_send env ~copies:(List.length dsts) ~size:(String.length payload);
-    let cost = Cost_model.send_cost t.spec.cost ~size:(String.length payload) in
+    let cost = Cost_model.send_cost Cost_model.default ~size:(String.length payload) in
     List.iter
       (fun dst ->
         Cpu.submit node.node_cpu ~cost (fun () ->
@@ -413,22 +404,19 @@ let make_context t i =
       let size = Replica.log_delivery t.config wal ~seq batch in
       digest_charge size;
       charge_disk_write t i ~size);
-    match node.node_machine with
-    | None -> ()
-    | Some m ->
-      List.iter
-        (fun r ->
-          let reply = Sof_smr.State_machine.apply m r.Request.op in
-          let cell =
-            match Hashtbl.find_opt t.replies r.Request.key with
-            | Some cell -> cell
-            | None ->
-              let cell = ref [] in
-              Hashtbl.replace t.replies r.Request.key cell;
-              cell
-          in
-          cell := (i, reply) :: !cell)
-        batch.P.Batch.requests
+    List.iter
+      (fun r ->
+        let reply = Sof_smr.State_machine.apply node.node_machine r.Request.op in
+        let cell =
+          match Hashtbl.find_opt t.replies r.Request.key with
+          | Some cell -> cell
+          | None ->
+            let cell = ref [] in
+            Hashtbl.replace t.replies r.Request.key cell;
+            cell
+        in
+        cell := (i, reply) :: !cell)
+      batch.P.Batch.requests
   in
   let emit ev =
     t.event_log <- (Engine.now t.engine, i, ev) :: t.event_log;
@@ -436,19 +424,10 @@ let make_context t i =
     | P.Context.Checkpoint_stable _ -> persist_checkpoint t i
     | _ -> ()
   in
-  (* Checkpoint images come from the attached machine; a cluster without
-     machines checkpoints over the empty image (still exercising the
-     certificate and truncation machinery). *)
-  let snapshot () =
-    match node.node_machine with
-    | Some m -> Sof_smr.State_machine.snapshot m
-    | None -> ""
-  in
-  let restore image =
-    match node.node_machine with
-    | Some m -> Sof_smr.State_machine.restore m image
-    | None -> ()
-  in
+  (* [node.node_machine] is read at call time, so a restart's fresh
+     machine is picked up without rebuilding the context. *)
+  let snapshot () = Sof_smr.State_machine.snapshot node.node_machine in
+  let restore image = Sof_smr.State_machine.restore node.node_machine image in
   {
     P.Context.id = i;
     now = (fun () -> Engine.now t.engine);
@@ -482,8 +461,7 @@ let restart t i =
   if Network.is_crashed t.net i then begin
     let node = t.nodes.(i) in
     node.node_gen <- node.node_gen + 1;
-    node.node_machine <-
-      (if t.spec.attach_machines then Some (t.spec.machine_factory ()) else None);
+    node.node_machine <- t.spec.machine_factory ();
     Network.restart t.net i;
     let p = make_proc t i in
     node.node_proc <- Some p;
@@ -517,15 +495,24 @@ let restart t i =
   end
 
 let build spec =
-  let n = Replica.process_count spec.kind ~f:spec.f in
+  let scheme = Replica.scheme spec.kind spec.scheme in
+  let config =
+    P.Config.make ~kind:spec.kind ~batching_interval:spec.batching_interval
+      ~batch_size_limit:spec.batch_size_limit ~digest:scheme.Scheme.digest
+      ~pair_delay_estimate:spec.pair_delay_estimate
+      ~heartbeat_interval:spec.heartbeat_interval
+      ~dumb_optimization:spec.dumb_optimization
+      ~checkpoint_interval:spec.checkpoint_interval ~timing:spec.timing ~f:spec.f ()
+  in
+  let n = P.Config.process_count config in
   let engine = Engine.create ~seed:spec.seed () in
   let net_rng = Engine.fork_rng engine in
   let key_rng = Engine.fork_rng engine in
   let net =
-    Network.create ~engine ~rng:net_rng ~node_count:n ~default_delay:spec.lan
+    Network.create ~engine ~rng:net_rng ~node_count:n ~default_delay:Delay_model.lan_default
   in
   let chan =
-    if spec.use_channel then Some (Channel.attach ~config:spec.channel_config net)
+    if spec.use_channel then Some (Channel.attach ~config:Channel.default_config net)
     else None
   in
   (* The adversary's RNG is forked only when a wire fault asks for one, so
@@ -536,7 +523,6 @@ let build spec =
     else None
   in
   (match adversary with Some adv -> Adversary.install adv net | None -> ());
-  let scheme = Replica.scheme spec.kind spec.scheme in
   (* Timing comes from the scheme's cost model; the signature bytes come
      from the real mechanism only when [real_crypto] is set — otherwise
      HMAC stands in so a 20-second simulated run doesn't pay thousands of
@@ -574,8 +560,7 @@ let build spec =
         {
           node_cpu = Cpu.create engine;
           node_proc = None;
-          node_machine =
-            (if spec.attach_machines then Some (spec.machine_factory ()) else None);
+          node_machine = spec.machine_factory ();
           node_gen = 0;
           node_crypto =
             {
@@ -594,14 +579,6 @@ let build spec =
           node_wal = Option.map (fun sd -> Wal.attach (Sim_disk.disk sd)) node_disk;
           node_slow_prior = 0;
         })
-  in
-  let config =
-    Replica.make_config ~kind:spec.kind ~batching_interval:spec.batching_interval
-      ~batch_size_limit:spec.batch_size_limit ~digest:scheme.Scheme.digest
-      ~pair_delay_estimate:spec.pair_delay_estimate
-      ~heartbeat_interval:spec.heartbeat_interval
-      ~dumb_optimization:spec.dumb_optimization
-      ~checkpoint_interval:spec.checkpoint_interval ~timing:spec.timing ~f:spec.f ()
   in
   let t =
     {
@@ -624,7 +601,7 @@ let build spec =
     (fun (p, s) ->
       Network.set_link net ~src:p ~dst:s spec.pair_link;
       Network.set_link net ~src:s ~dst:p spec.pair_link)
-    (Replica.pairs config);
+    (P.Config.pairs config);
   for i = 0 to n - 1 do
     t.nodes.(i).node_proc <- Some (make_proc t i)
   done;
@@ -633,7 +610,7 @@ let build spec =
     set_transport_handler t i (fun ~src payload ->
         let node = t.nodes.(i) in
         let cost =
-          Cost_model.recv_cost spec.cost
+          Cost_model.recv_cost Cost_model.default
             ~backlog:(Cpu.queue_delay node.node_cpu)
             ~size:(String.length payload)
         in
@@ -655,7 +632,7 @@ let inject_request t req =
   Array.iteri
     (fun i node ->
       let cost =
-        Cost_model.recv_cost t.spec.cost
+        Cost_model.recv_cost Cost_model.default
           ~backlog:(Cpu.queue_delay node.node_cpu)
           ~size:payload_size
       in

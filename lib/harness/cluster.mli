@@ -1,12 +1,13 @@
 (** Cluster construction: a whole protocol deployment under the simulator.
 
-    [build] wires n protocol processes to a simulated LAN, one single-server
-    CPU per node, a trusted-dealer keyring, and (optionally) a replicated
-    state machine per node.  All virtual CPU charging happens here: message
-    receipt, sends, signatures, verifications and digests, per the cost
-    model and the scheme's cost table. *)
+    [build] wires n protocol processes to a simulated LAN
+    ({!Sof_net.Delay_model.lan_default}), one single-server CPU per node, a
+    trusted-dealer keyring, and a replicated state machine per node.  All
+    virtual CPU charging happens here, per {!Cost_model.default} and the
+    scheme's cost table: message receipt, sends, signatures, verifications
+    and digests. *)
 
-type kind = Sof_protocol.Replica.kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
+type kind = Sof_protocol.Config.kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
 
 type spec = {
   kind : kind;
@@ -29,15 +30,12 @@ type spec = {
   batch_size_limit : int;
   pair_delay_estimate : Sof_sim.Simtime.t;
   heartbeat_interval : Sof_sim.Simtime.t;
-  cost : Cost_model.t;
-  lan : Sof_net.Delay_model.t;
   pair_link : Sof_net.Delay_model.t;
   seed : int64;
   faults : (int * Sof_protocol.Fault.t) list;  (** (process id, fault). *)
-  attach_machines : bool;
-      (** Give each node a state machine fed by delivered batches. *)
   machine_factory : unit -> Sof_smr.State_machine.t;
-      (** Which service each node replicates (default: the KV store). *)
+      (** Which service each node replicates, fed by delivered batches
+          (default: the KV store). *)
   dumb_optimization : bool;  (** SC's Section-4.3 first optimisation. *)
   real_crypto : bool;
       (** Sign with the scheme's real RSA/DSA instead of HMAC stand-ins.
@@ -47,9 +45,8 @@ type spec = {
   use_channel : bool;
       (** Route all protocol traffic through a {!Sof_net.Channel} so the
           protocols keep their reliable-channel assumption even when the
-          substrate drops, duplicates, reorders or partitions. *)
-  channel_config : Sof_net.Channel.config;
-      (** Retransmission tuning when [use_channel] is set. *)
+          substrate drops, duplicates, reorders or partitions
+          ({!Sof_net.Channel.default_config}). *)
   checkpoint_interval : int;
       (** Checkpoint every this-many delivered sequence numbers; 0 (the
           default) disables checkpointing, log truncation and state
@@ -77,7 +74,7 @@ type spec = {
 
 val default_spec : kind:kind -> f:int -> spec
 (** Mock scheme, 100 ms batching, 1 KB batches, 100 ms pair delay estimate,
-    LAN defaults, no faults, machines attached. *)
+    no faults, the KV store. *)
 
 type proc = Sof_protocol.Replica.t =
   | Sc of Sof_protocol.Sc.t
@@ -89,6 +86,9 @@ type t
 
 val build : spec -> t
 (** Constructs and starts every process.  Deterministic in [spec.seed]. *)
+
+val config : t -> Sof_protocol.Config.t
+(** The protocol configuration every process was built from. *)
 
 val process_count : t -> int
 val engine : t -> Sof_sim.Engine.t
@@ -106,8 +106,7 @@ val spec : t -> spec
 (** The spec the cluster was built from (fault assignments and all). *)
 
 val proc : t -> int -> proc
-val cpu : t -> int -> Sof_sim.Cpu.t
-val machine : t -> int -> Sof_smr.State_machine.t option
+val machine : t -> int -> Sof_smr.State_machine.t
 
 val inject_request : t -> Sof_smr.Request.t -> unit
 (** Deliver a client request to every process (clients broadcast), charging
@@ -123,16 +122,13 @@ val restart : t -> int -> unit
     fresh protocol process (same configuration, empty volatile state) and a
     fresh state machine, emit {!Sof_protocol.Context.Node_restarted}, and
     recover.  Under [durable], recovery is local-first: the write-ahead log
-    is re-attached and replayed through the protocol's [recover_local]
-    (emitting {!Sof_protocol.Context.Wal_replayed}), and peer state transfer
-    is requested only when the log was damaged or replay did not advance
+    is re-attached and replayed through
+    {!Sof_protocol.Replica.recover_local} (emitting
+    {!Sof_protocol.Context.Wal_replayed}), and peer state transfer is
+    requested only when the log was damaged or replay did not advance
     delivery.  Without a disk the node goes straight to
-    {!request_recovery}.  Timers armed by the pre-crash process are
+    {!Sof_protocol.Replica.request_recovery}.  Timers armed by the pre-crash process are
     silenced.  No-op unless the node is currently crashed. *)
-
-val request_recovery : t -> int -> unit
-(** Ask process [i] to start a state transfer (see the protocol modules'
-    [request_recovery]); no-op on an unbuilt node. *)
 
 val log_length : t -> int -> int
 (** Retained order-log length at process [i] — what checkpoint-driven
@@ -173,7 +169,7 @@ val run : t -> until:Sof_sim.Simtime.t -> unit
 
 val replies_for : t -> Sof_smr.Request.key -> (int * string) list
 (** Replies each node's state machine produced for the request, as
-    [(process, reply bytes)]; requires [attach_machines]. *)
+    [(process, reply bytes)]. *)
 
 val reply_certificate : t -> Sof_smr.Request.key -> string option
 (** The reply a correct client would accept: vouched for by at least f+1

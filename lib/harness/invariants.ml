@@ -221,7 +221,7 @@ let validity cluster ~honest ~injected =
 (* Soundness half of fail-signal accountability, over a bare event list: an
    honest member's fail-signal must be attributable — a Byzantine or crashed
    counterpart, or the counterpart's own signal (the join rule). *)
-let fs_soundness_violation ~events ~kind ~f ~byz ~crashed =
+let fs_soundness_violation ~events ~config ~byz ~crashed =
   let emitted_by who pair =
     List.exists
       (fun (_, w, ev) ->
@@ -237,7 +237,7 @@ let fs_soundness_violation ~events ~kind ~f ~byz ~crashed =
       | P.Context.Fail_signal_emitted { pair; value_domain }
         when not (List.mem who byz) -> begin
         match
-          (P.Replica.pair_rank kind ~f who, P.Replica.counterpart kind ~f who)
+          (P.Config.pair_rank_of config who, P.Config.counterpart config who)
         with
         | Some own, Some cp when own = pair ->
           if List.mem cp byz then None
@@ -265,11 +265,11 @@ let fs_soundness_violation ~events ~kind ~f ~byz ~crashed =
       | _ -> None)
     events
 
-let fail_signal_soundness_of ~events ~kind ~f ~byz ~crashed =
+let fail_signal_soundness_of ~events ~config ~byz ~crashed =
   let name = "fs-soundness" in
-  if P.Replica.pair_count kind ~f = 0 then ok name
+  if P.Config.pair_count config = 0 then ok name
   else
-    match fs_soundness_violation ~events ~kind ~f ~byz ~crashed with
+    match fs_soundness_violation ~events ~config ~byz ~crashed with
     | None -> ok name
     | Some d -> fail name d
 
@@ -281,8 +281,8 @@ let byz_of_spec spec =
 let fail_signal_accountability cluster ~crashed ~by =
   let name = "fs-accountability" in
   let spec = Cluster.spec cluster in
-  let kind = spec.Cluster.kind and f = spec.Cluster.f in
-  if P.Replica.pair_count kind ~f = 0 then ok name
+  let config = Cluster.config cluster in
+  if P.Config.pair_count config = 0 then ok name
   else begin
     let events = Cluster.events cluster in
     let byz = byz_of_spec spec in
@@ -298,7 +298,7 @@ let fail_signal_accountability cluster ~crashed ~by =
     (* Soundness (mutual time-domain accusations under surge are accepted by
        the join rule, as assumption 3(a)'s estimates are deliberately broken
        then), shared with the model checker's incremental check. *)
-    let soundness = fs_soundness_violation ~events ~kind ~f ~byz ~crashed in
+    let soundness = fs_soundness_violation ~events ~config ~byz ~crashed in
     (* Detection: a fault that demonstrably fired against an honest
        counterpart must end in the pair being signalled.  Muteness is
        always detectable (heartbeats); a corrupt or equivocated order is
@@ -320,7 +320,7 @@ let fail_signal_accountability cluster ~crashed ~by =
       List.find_map
         (fun (who, fault) ->
           match
-            (P.Replica.pair_rank kind ~f who, P.Replica.counterpart kind ~f who)
+            (P.Config.pair_rank_of config who, P.Config.counterpart config who)
           with
           | Some rank, Some cp
             when fired_detectably who fault
@@ -344,8 +344,8 @@ let fail_signal_accountability cluster ~crashed ~by =
 let coordinator_succession cluster ~crashed ~by =
   let name = "coord-succession" in
   let spec = Cluster.spec cluster in
-  let kind = spec.Cluster.kind and f = spec.Cluster.f in
-  match kind with
+  let config = Cluster.config cluster in
+  match spec.Cluster.kind with
   | Cluster.Bft_protocol | Cluster.Ct_protocol -> ok name
   | Cluster.Sc_protocol | Cluster.Scr_protocol ->
     let byz = byz_of_spec spec in
@@ -354,7 +354,7 @@ let coordinator_succession cluster ~crashed ~by =
         (fun p -> (not (List.mem p byz)) && not (List.mem p crashed))
         (List.init (Cluster.process_count cluster) Fun.id)
     in
-    let candidate_count = f + 1 in
+    let candidate_count = P.Config.candidate_count config in
     let candidate_of_view v =
       let m = v mod candidate_count in
       if m = 0 then candidate_count else m
@@ -539,15 +539,11 @@ let durability cluster ~live ~injected =
 let repair_correctness cluster ~live =
   let name = "repair-correctness" in
   let states =
-    List.filter_map
+    List.map
       (fun i ->
-        match Cluster.machine cluster i with
-        | Some m ->
-          Some
-            ( i,
-              Cluster.delivered_seq cluster i,
-              Sof_smr.State_machine.state_digest m )
-        | None -> None)
+        ( i,
+          Cluster.delivered_seq cluster i,
+          Sof_smr.State_machine.state_digest (Cluster.machine cluster i) ))
       live
   in
   let by_seq : (int, int * string) Hashtbl.t = Hashtbl.create 8 in

@@ -84,8 +84,7 @@ val checkpoint_agreement_of : events:events -> honest:int list -> result
 
 val fail_signal_soundness_of :
   events:events ->
-  kind:Cluster.kind ->
-  f:int ->
+  config:Sof_protocol.Config.t ->
   byz:int list ->
   crashed:int list ->
   result
@@ -153,8 +152,7 @@ val durability :
 val repair_correctness : Cluster.t -> live:int list -> result
 (** Live processes with equal delivered sequence numbers must hold equal
     state digests: recovery — local replay or state transfer — must land a
-    repaired replica exactly on the agreed state.  Requires
-    [attach_machines]; processes without machines are skipped. *)
+    repaired replica exactly on the agreed state. *)
 
 (** {2 Gray-failure checks}
 

@@ -14,11 +14,7 @@ type point = {
 
 (* The highest-numbered replica: in SC/SCR layouts the last unpaired
    replica, in BFT a backup, in CT a non-coordinator. *)
-let reference_process cluster =
-  let spec = Cluster.spec cluster in
-  match spec.Cluster.kind with
-  | Cluster.Sc_protocol | Cluster.Scr_protocol -> 2 * spec.Cluster.f (* id 2f *)
-  | Cluster.Bft_protocol | Cluster.Ct_protocol -> Cluster.process_count cluster - 1
+let reference_process cluster = P.Config.replica_count (Cluster.config cluster) - 1
 
 let analyze cluster ~warmup ~window =
   let events = Cluster.events cluster in
@@ -55,16 +51,13 @@ let analyze cluster ~warmup ~window =
         ())
     events;
   let latencies = Statistics.create () in
-  let requests_counted = ref 0 in
   Hashtbl.iter
     (fun seq batched_at ->
-      if in_window batched_at then begin
+      if in_window batched_at then
         match Hashtbl.find_opt first_commit seq with
         | Some committed_at when Simtime.compare committed_at batched_at >= 0 ->
           Statistics.add latencies (Simtime.to_ms (Simtime.diff committed_at batched_at))
-        | Some _ | None -> ()
-      end;
-      ignore !requests_counted)
+        | Some _ | None -> ())
     batch_time;
   let stats = Sof_net.Network.stats (Cluster.network cluster) in
   let failover_ms =

@@ -95,22 +95,21 @@ let rejection ?(auth = Sof_crypto.Keyring.Sign) layers =
 (* Partition units: pair members must stay on the same side, otherwise a
    partition reads as a pair failure — permanent under SC's assumptions and
    outside what the campaign means to test. *)
-let partition_units ~kind ~f =
-  let n = P.Replica.process_count kind ~f in
+let partition_units config =
   List.filter_map
     (fun i ->
-      match P.Replica.counterpart kind ~f i with
+      match P.Config.counterpart config i with
       | Some cp when cp > i -> Some [ i; cp ]
       | Some _ -> None
       | None -> Some [ i ])
-    (List.init n Fun.id)
+    (P.Config.all_processes config)
 
 (* A process whose crash the protocol absorbs without exhausting the fault
    budget: a non-candidate replica for SC/SCR, the last process otherwise. *)
-let crash_target ~rng ~kind ~f =
-  match kind with
-  | Cluster.Sc_protocol | Cluster.Scr_protocol -> f + 1 + Rng.int rng f
-  | Cluster.Bft_protocol | Cluster.Ct_protocol -> P.Replica.process_count kind ~f - 1
+let crash_target ~rng (config : P.Config.t) =
+  match config.kind with
+  | Cluster.Sc_protocol | Cluster.Scr_protocol -> config.f + 1 + Rng.int rng config.f
+  | Cluster.Bft_protocol | Cluster.Ct_protocol -> P.Config.process_count config - 1
 
 (* One Byzantine fault, aimed at pair 1 — the initial coordinator, so the
    fault's decision point is actually reached early in the run.  The whole
@@ -120,14 +119,12 @@ let crash_target ~rng ~kind ~f =
    backup: its simplified view change has no prepared certificates, so an
    equivocating primary may legally stall a sequence number — agreement
    holds but the liveness invariant would cry wolf. *)
-let byz_fault ~rng ~kind ~f ~duration =
+let byz_fault ~rng (config : P.Config.t) ~duration =
   let frac x = Simtime.scale duration x in
-  let primary = 0 and shadow = (2 * f) + 1 in
-  let member () = if Rng.bool rng then primary else shadow in
-  match kind with
+  match config.kind with
   | Cluster.Ct_protocol -> []
   | Cluster.Bft_protocol ->
-    let backup = (3 * f) in
+    let backup = P.Config.process_count config - 1 in
     let fault =
       match Rng.int rng 3 with
       | 0 -> P.Fault.Mute_at (frac (0.3 +. Rng.float rng 0.3))
@@ -136,7 +133,10 @@ let byz_fault ~rng ~kind ~f ~duration =
     in
     [ (backup, fault) ]
   | Cluster.Sc_protocol | Cluster.Scr_protocol ->
-    let menu = match kind with Cluster.Scr_protocol -> 8 | _ -> 7 in
+    let primary = P.Config.primary_of_pair config 1 in
+    let shadow = P.Config.shadow_of_pair config 1 in
+    let member () = if Rng.bool rng then primary else shadow in
+    let menu = match config.kind with Cluster.Scr_protocol -> 8 | _ -> 7 in
     (match Rng.int rng menu with
     | 0 -> [ (primary, P.Fault.Equivocate_at (2 + Rng.int rng 6)) ]
     | 1 -> [ (primary, P.Fault.Corrupt_digest_at (2 + Rng.int rng 6)) ]
@@ -150,13 +150,18 @@ let byz_fault ~rng ~kind ~f ~duration =
       (* SCR: the next candidate pair's member refuses every candidacy.
          Harmless unless pair 1 also fails — which the budget forbids — so
          this campaign checks precisely that the spam alone does no harm. *)
-      [ ((if Rng.bool rng then 1 else (2 * f) + 2), P.Fault.Unwilling_spam) ])
+      [
+        ( (if Rng.bool rng then P.Config.primary_of_pair config 2
+           else P.Config.shadow_of_pair config 2),
+          P.Fault.Unwilling_spam );
+      ])
 
 (* The {!Lossy} campaign.  The draws come in a fixed order — substrate,
    then the restart time, then the blackout, then the Byzantine fault — and
    each layer's draws happen only under it, so a plan without a layer
    replays byte-for-byte the draws of the plan beneath it. *)
 let random_plan ~byz ~restart ~disk ~rng ~kind ~f ~duration =
+  let config = P.Config.make ~kind ~f () in
   let frac x = Simtime.scale duration x in
   let link_fault =
     Link_fault.make
@@ -168,7 +173,7 @@ let random_plan ~byz ~restart ~disk ~rng ~kind ~f ~duration =
   in
   (* Two nonempty sides out of the partition units, pairs intact. *)
   let split_groups () =
-    let units = Array.of_list (partition_units ~kind ~f) in
+    let units = Array.of_list (partition_units config) in
     let k = Array.length units in
     (* Fisher–Yates on the unit order, then cut at a random point. *)
     for i = k - 1 downto 1 do
@@ -195,7 +200,7 @@ let random_plan ~byz ~restart ~disk ~rng ~kind ~f ~duration =
       { at = surge_end; action = Clear_surge };
       { at = part_at; action = Partition (split_groups ()) };
       { at = part_end; action = Heal };
-      { at = crash_at; action = Crash (crash_target ~rng ~kind ~f) };
+      { at = crash_at; action = Crash (crash_target ~rng config) };
     ]
     @ (if second_partition then
          [
@@ -262,7 +267,7 @@ let random_plan ~byz ~restart ~disk ~rng ~kind ~f ~duration =
     let steps =
       List.filter (fun s -> match s.action with Crash _ -> false | _ -> true) steps
     in
-    { steps; byz_faults = byz_fault ~rng ~kind ~f ~duration; link_fault }
+    { steps; byz_faults = byz_fault ~rng config ~duration; link_fault }
   end
 
 (* ----------------------------------------------------------- gray plans *)
@@ -274,11 +279,10 @@ let random_plan ~byz ~restart ~disk ~rng ~kind ~f ~duration =
    last backup — a gray follower the quorum does not need, so neither
    timing mode has grounds to change views over it (the static/adaptive
    contrast the campaign demonstrates is SC's pair detector). *)
-let gray_target ~kind ~f =
-  match kind with
-  | Cluster.Sc_protocol | Cluster.Scr_protocol -> (2 * f) + 1
-  | Cluster.Bft_protocol -> 3 * f
-  | Cluster.Ct_protocol -> 2 * f
+let gray_target (config : P.Config.t) =
+  match config.kind with
+  | Cluster.Sc_protocol | Cluster.Scr_protocol -> P.Config.shadow_of_pair config 1
+  | Cluster.Bft_protocol | Cluster.Ct_protocol -> P.Config.process_count config - 1
 
 (* Two processes that are neither the straggler nor pair-1 members, for
    the one-way slow-link and degrading-link components. *)
@@ -294,7 +298,7 @@ let gray_bystanders ~kind ~f =
    link that degrades in stages. *)
 let gray_plan ~rng ~kind ~f ~duration =
   let frac x = Simtime.scale duration x in
-  let target = gray_target ~kind ~f in
+  let target = gray_target (P.Config.make ~kind ~f ()) in
   let a, b = gray_bystanders ~kind ~f in
   (* Straggler ramp: geometric, gentle (x1.25 per step) so an adaptive
      estimator fed by 50 ms probes can track each increment inside its
@@ -375,18 +379,17 @@ let gray_plan ~rng ~kind ~f ~duration =
    pair link inside a pair, the LAN model everywhere else.  Gray actions
    scale {e relative to} this baseline, so clearing one is just
    re-installing it. *)
-let baseline_delay spec ~src ~dst =
-  if P.Replica.counterpart spec.Cluster.kind ~f:spec.Cluster.f src = Some dst
-  then spec.Cluster.pair_link
-  else spec.Cluster.lan
+let baseline_delay cluster ~src ~dst =
+  if P.Config.counterpart (Cluster.config cluster) src = Some dst
+  then (Cluster.spec cluster).Cluster.pair_link
+  else Delay_model.lan_default
 
 let apply_action cluster action =
   let net = Cluster.network cluster in
-  let spec = Cluster.spec cluster in
   let n = Cluster.process_count cluster in
   let scale_link ~src ~dst factor =
     Network.set_link net ~src ~dst
-      (Delay_model.scale (baseline_delay spec ~src ~dst) factor)
+      (Delay_model.scale (baseline_delay cluster ~src ~dst) factor)
   in
   let scale_all_links who factor =
     for j = 0 to n - 1 do

@@ -46,11 +46,10 @@ type t = {
   n : int;
   base_port : int;
   nodes : node array;
-  config : Replica.config;
+  config : P.Config.t;
   keyring : Keyring.t;
   start_time : float;
   mutable stopping : bool;
-  mutable threads : Thread.t list;
   mutable killed : int list;
   mutable peer_downs : (int * int * string) list;
   peer_down_mutex : Mutex.t;
@@ -171,10 +170,11 @@ let make_context t node =
       | None -> ()
   in
   let multicast ~dsts env =
-    let payload = "\x00" ^ P.Message.encode env in
+    let encoded = P.Message.encode env in
+    let payload = "\x00" ^ encoded in
     List.iter
       (fun dst ->
-        if dst = node.id then enqueue node (Job_message (node.id, P.Message.encode env))
+        if dst = node.id then enqueue node (Job_message (node.id, encoded))
         else
           match node.out.(dst) with
           | Some (fd, mutex) -> write_frame fd mutex payload
@@ -316,7 +316,7 @@ let accept_thread t node listen_fd =
       match read_exactly conn 1 with
       | `Ok hello ->
         let src = Char.code (Bytes.get hello 0) in
-        t.threads <- Thread.create (fun () -> reader_thread t node src conn) () :: t.threads
+        ignore (Thread.create (fun () -> reader_thread t node src conn) ())
       | `Eof | `Error _ -> ( try Unix.close conn with Unix.Unix_error _ -> ())
     end
   done
@@ -351,12 +351,12 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
     | `Ct -> Replica.Ct_protocol
   in
   let config =
-    Replica.make_config ~kind
+    P.Config.make ~kind
       ~batching_interval:(Simtime.ms batching_interval_ms)
       ~pair_delay_estimate:(Simtime.ms 500) ~heartbeat_interval:(Simtime.ms 100)
       ~checkpoint_interval ~timing ~f ()
   in
-  let n = Replica.process_count kind ~f in
+  let n = P.Config.process_count config in
   let rng = Sof_util.Rng.create 2006L in
   let keyring = Keyring.create ~scheme:(Replica.scheme kind scheme) ~rng ~node_count:n () in
   (match data_dir with
@@ -409,7 +409,6 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
       keyring;
       start_time = Unix.gettimeofday ();
       stopping = false;
-      threads = [];
       killed = [];
       peer_downs = [];
       peer_down_mutex = Mutex.create ();
@@ -430,7 +429,7 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
   in
   Array.iteri
     (fun i listen_fd ->
-      t.threads <- Thread.create (fun () -> accept_thread t nodes.(i) listen_fd) () :: t.threads)
+      ignore (Thread.create (fun () -> accept_thread t nodes.(i) listen_fd) ()))
     listeners;
   (* Full mesh of outbound connections. *)
   Array.iter
@@ -449,8 +448,8 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
   Array.iter (fun node -> Option.iter Replica.start node.proc) nodes;
   Array.iter
     (fun node ->
-      t.threads <- Thread.create (fun () -> worker_thread node) () :: t.threads;
-      t.threads <- Thread.create (fun () -> timer_thread t node) () :: t.threads)
+      ignore (Thread.create (fun () -> worker_thread node) ());
+      ignore (Thread.create (fun () -> timer_thread t node) ()))
     nodes;
   (* Client connections. *)
   t.client_socks <-
@@ -565,7 +564,7 @@ let restart t who =
     if not recovered then Replica.request_recovery proc;
     (* The worker starts last: frames from the re-dialed peers and the
        client, and the timers armed above, have only queued so far. *)
-    t.threads <- Thread.create (fun () -> worker_thread node) () :: t.threads
+    ignore (Thread.create (fun () -> worker_thread node) ())
   end
 
 let peer_downs t =

@@ -10,8 +10,30 @@ module Request = Sof_smr.Request
 
 (* --------------------------------------------------------------- Config *)
 
+(* The paper's four layouts for f = 1..4: n and the number of pairs, with
+   pair r = (primary r-1, shadow 2f+r) where there are pairs. *)
+let check_layout kind ~n ~pairs =
+  List.iter
+    (fun f ->
+      let c = Config.make ~kind ~f () in
+      let name what = Printf.sprintf "%s f=%d %s" (P.Replica.name kind) f what in
+      Alcotest.(check int) (name "processes") (n f) (Config.process_count c);
+      Alcotest.(check int) (name "pairs") (pairs f) (Config.pair_count c);
+      List.iter
+        (fun id ->
+          let rank, cp =
+            if id < pairs f then (Some (id + 1), Some ((2 * f) + id + 1))
+            else if id > 2 * f && id <= (2 * f) + pairs f then
+              (Some (id - (2 * f)), Some (id - (2 * f) - 1))
+            else (None, None)
+          in
+          Alcotest.(check (option int)) (name "pair rank") rank (Config.pair_rank_of c id);
+          Alcotest.(check (option int)) (name "counterpart") cp (Config.counterpart c id))
+        (Config.all_processes c))
+    [ 1; 2; 3; 4 ]
+
 let test_config_sc_layout () =
-  let c = Config.make ~f:2 () in
+  let c = Config.make ~kind:Config.Sc_protocol ~f:2 () in
   Alcotest.(check int) "replicas" 5 (Config.replica_count c);
   Alcotest.(check int) "pairs" 2 (Config.pair_count c);
   Alcotest.(check int) "processes" 7 (Config.process_count c);
@@ -20,17 +42,25 @@ let test_config_sc_layout () =
   Alcotest.(check int) "p'1" 5 (Config.shadow_of_pair c 1);
   Alcotest.(check int) "p'2" 6 (Config.shadow_of_pair c 2);
   Alcotest.(check (list int)) "candidate 3 is unpaired p3" [ 2 ] (Config.candidate_members c 3);
-  Alcotest.(check bool) "candidate 3 not a pair" false (Config.candidate_is_pair c 3)
+  Alcotest.(check bool) "candidate 3 not a pair" false (Config.candidate_is_pair c 3);
+  check_layout Config.Sc_protocol ~n:(fun f -> (3 * f) + 1) ~pairs:Fun.id
 
 let test_config_scr_layout () =
-  let c = Config.make ~variant:Config.SCR ~f:2 () in
+  let c = Config.make ~kind:Config.Scr_protocol ~f:2 () in
   Alcotest.(check int) "processes" 8 (Config.process_count c);
   Alcotest.(check int) "pairs" 3 (Config.pair_count c);
   Alcotest.(check bool) "candidate 3 is a pair" true (Config.candidate_is_pair c 3);
-  Alcotest.(check (list int)) "pair 3 members" [ 2; 7 ] (Config.candidate_members c 3)
+  Alcotest.(check (list int)) "pair 3 members" [ 2; 7 ] (Config.candidate_members c 3);
+  check_layout Config.Scr_protocol ~n:(fun f -> (3 * f) + 2) ~pairs:(fun f -> f + 1)
+
+let test_config_bft_layout () =
+  check_layout Config.Bft_protocol ~n:(fun f -> (3 * f) + 1) ~pairs:(fun _ -> 0)
+
+let test_config_ct_layout () =
+  check_layout Config.Ct_protocol ~n:(fun f -> (2 * f) + 1) ~pairs:(fun _ -> 0)
 
 let test_config_counterpart_involution () =
-  let c = Config.make ~f:3 () in
+  let c = Config.make ~kind:Config.Sc_protocol ~f:3 () in
   List.iter
     (fun id ->
       match Config.counterpart c id with
@@ -41,37 +71,51 @@ let test_config_counterpart_involution () =
     (Config.all_processes c)
 
 let test_config_rejects_bad_inputs () =
-  Alcotest.check_raises "f=0" (Config.Invalid_config "Config.make: f must be at least 1")
-    (fun () -> ignore (Config.make ~f:0 ()));
+  List.iter
+    (fun kind ->
+      Alcotest.check_raises
+        (P.Replica.name kind ^ " f=0")
+        (Config.Invalid_config "Config.make: f must be at least 1")
+        (fun () -> ignore (Config.make ~kind ~f:0 ())))
+    P.Replica.kinds;
+  let make = Config.make ~kind:Config.Sc_protocol in
   (* One check per timing field: zero and negative durations would arm
      timers that fire immediately (or never), so [make] must refuse them
      rather than let a cluster limp into spurious accusations. *)
   Alcotest.check_raises "zero batching interval"
     (Config.Invalid_config "Config.make: batching_interval must be positive")
-    (fun () -> ignore (Config.make ~batching_interval:Simtime.zero ~f:1 ()));
+    (fun () -> ignore (make ~batching_interval:Simtime.zero ~f:1 ()));
   Alcotest.check_raises "zero pair delay estimate"
     (Config.Invalid_config "Config.make: pair_delay_estimate must be positive")
     (fun () ->
-      ignore (Config.make ~pair_delay_estimate:Simtime.zero ~f:1 ()));
+      ignore (make ~pair_delay_estimate:Simtime.zero ~f:1 ()));
   Alcotest.check_raises "zero heartbeat interval"
     (Config.Invalid_config "Config.make: heartbeat_interval must be positive")
-    (fun () -> ignore (Config.make ~heartbeat_interval:Simtime.zero ~f:1 ()));
+    (fun () -> ignore (make ~heartbeat_interval:Simtime.zero ~f:1 ()));
   Alcotest.check_raises "negative checkpoint interval"
     (Config.Invalid_config "Config.make: checkpoint_interval must be non-negative")
-    (fun () -> ignore (Config.make ~checkpoint_interval:(-1) ~f:1 ()));
-  let c = Config.make ~f:1 () in
+    (fun () -> ignore (make ~checkpoint_interval:(-1) ~f:1 ()));
+  let c = make ~f:1 () in
   Alcotest.check_raises "rank 0" (Config.Invalid_config "Config: candidate rank 0 out of range")
     (fun () -> ignore (Config.primary_of_pair c 0));
   Alcotest.check_raises "unpaired shadow"
     (Config.Invalid_config "Config.shadow_of_pair: candidate is unpaired") (fun () ->
-      ignore (Config.shadow_of_pair c 2))
+      ignore (Config.shadow_of_pair c 2));
+  (* CT signs nothing and keeps MD5 whatever it is handed: Scheme.null
+     digests with SHA-256, and the simulator passes the scheme's digest. *)
+  let digest kind =
+    (Config.make ~kind ~digest:Sof_crypto.Digest_alg.SHA256 ~f:1 ()).Config.digest
+  in
+  Alcotest.(check bool) "ct keeps MD5" true (digest Config.Ct_protocol = Sof_crypto.Digest_alg.MD5);
+  Alcotest.(check bool) "bft takes SHA-256" true
+    (digest Config.Bft_protocol = Sof_crypto.Digest_alg.SHA256)
 
 let prop_config_layout_consistent =
   QCheck.Test.make ~name:"layout partitions processes for any f" ~count:50
     QCheck.(int_range 1 10)
     (fun f ->
-      let check variant =
-        let c = Config.make ~variant ~f () in
+      let check kind =
+        let c = Config.make ~kind ~f () in
         let shadows =
           List.filter (fun id -> Config.is_shadow c id) (Config.all_processes c)
         in
@@ -84,7 +128,7 @@ let prop_config_layout_consistent =
                | None -> not (Config.is_shadow c id))
              (Config.all_processes c)
       in
-      check Config.SC && check Config.SCR)
+      List.for_all check P.Replica.kinds)
 
 (* ---------------------------------------------------------------- Batch *)
 
@@ -316,6 +360,8 @@ let suite =
       [
         Alcotest.test_case "sc layout" `Quick test_config_sc_layout;
         Alcotest.test_case "scr layout" `Quick test_config_scr_layout;
+        Alcotest.test_case "bft layout" `Quick test_config_bft_layout;
+        Alcotest.test_case "ct layout" `Quick test_config_ct_layout;
         Alcotest.test_case "counterpart involution" `Quick test_config_counterpart_involution;
         Alcotest.test_case "bad inputs" `Quick test_config_rejects_bad_inputs;
         QCheck_alcotest.to_alcotest prop_config_layout_consistent;

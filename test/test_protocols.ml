@@ -84,28 +84,26 @@ let test_sc_failfree_state_machines_agree () =
   let digests =
     List.filter_map
       (fun i ->
-        match Cluster.machine cluster i with
-        | Some m when Sof_smr.State_machine.ops_applied m > 0 ->
+        let m = Cluster.machine cluster i in
+        if Sof_smr.State_machine.ops_applied m > 0 then
           Some (Sof_smr.State_machine.state_digest m)
-        | _ -> None)
+        else None)
       (List.init (Cluster.process_count cluster) Fun.id)
   in
   (* All processes that kept up fully agree bit-for-bit... processes may lag,
      so compare only those with the max op count. *)
   let max_ops =
     List.fold_left max 0
-      (List.filter_map
-         (fun i ->
-           Option.map Sof_smr.State_machine.ops_applied (Cluster.machine cluster i))
-         (List.init (Cluster.process_count cluster) Fun.id))
+      (List.init (Cluster.process_count cluster) (fun i ->
+           Sof_smr.State_machine.ops_applied (Cluster.machine cluster i)))
   in
   let full =
     List.filter_map
       (fun i ->
-        match Cluster.machine cluster i with
-        | Some m when Sof_smr.State_machine.ops_applied m = max_ops ->
+        let m = Cluster.machine cluster i in
+        if Sof_smr.State_machine.ops_applied m = max_ops then
           Some (Sof_smr.State_machine.state_digest m)
-        | _ -> None)
+        else None)
       (List.init (Cluster.process_count cluster) Fun.id)
   in
   Alcotest.(check bool) "several caught-up replicas" true (List.length full >= 2);
@@ -268,7 +266,7 @@ let test_sc_noncoordinator_pair_failure_skipped () =
   Alcotest.(check bool) "kept delivering" true (min_delivered seqs [ 2; 3; 4 ] > 20)
 
 let test_sc_create_validation () =
-  let config = P.Config.make ~f:1 () in
+  let config = P.Config.make ~kind:P.Config.Sc_protocol ~f:1 () in
   let ctx =
     {
       P.Context.id = 0;

@@ -25,10 +25,7 @@ let sc_proc cluster i =
   | Cluster.Sc p -> p
   | _ -> Alcotest.fail "expected SC process"
 
-let committed_at cluster i =
-  match Cluster.proc cluster i with
-  | Cluster.Sc p -> P.Sc.max_committed p
-  | _ -> 0
+let committed_at cluster i = P.Replica.max_committed (Cluster.proc cluster i)
 
 let test_forged_order_rejected () =
   let cluster = build_sc () in

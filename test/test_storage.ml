@@ -287,7 +287,7 @@ let bare_replica ~kind ~config =
     Keyring.create
       ~scheme:(Replica.scheme kind Sof_crypto.Scheme.mock)
       ~rng:(Sof_util.Rng.create 7L)
-      ~node_count:(Replica.process_count kind ~f:1) ()
+      ~node_count:(P.Config.process_count config) ()
   in
   let machine = Kv.machine () in
   let events = ref [] in
@@ -342,7 +342,7 @@ let replay_into ~kind ~config ~written n =
 let test_log_replay_every_kind () =
   List.iter
     (fun kind ->
-      let config = Replica.make_config ~kind ~f:1 () in
+      let config = P.Config.make ~kind ~f:1 () in
       let recovered, delivered, transfers = replay_into ~kind ~config ~written:config 6 in
       let name = Replica.name kind in
       Alcotest.(check bool) (name ^ ": log recovers locally") true recovered;
@@ -350,14 +350,36 @@ let test_log_replay_every_kind () =
       Alcotest.(check int) (name ^ ": no state transfer") 0 transfers)
     [ Cluster.Sc_protocol; Cluster.Scr_protocol; Cluster.Bft_protocol; Cluster.Ct_protocol ]
 
+(* The kernel accessors read through one unboxed handle, so a driver
+   polling them per event allocates nothing. *)
+let test_kernel_accessors_allocate_nothing () =
+  List.iter
+    (fun kind ->
+      let config = P.Config.make ~kind ~f:1 () in
+      let p, _ = bare_replica ~kind ~config in
+      let poll () =
+        Replica.log_length p + Replica.stable_checkpoint_seq p + Replica.delivered_seq p
+        + Replica.max_committed p
+      in
+      ignore (poll ());
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (poll ()))
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 1000 polls allocate nothing (%.0f words)" (Replica.name kind) words)
+        true (words < 100.0))
+    Replica.kinds
+
 (* Entries digested under another algorithm than the protocol checks fail
    verification: the process installs nothing and falls back to its peers. *)
 let test_log_replay_digest_mismatch () =
   let kind = Cluster.Sc_protocol in
   let written =
-    Replica.make_config ~kind ~digest:Sof_crypto.Digest_alg.SHA256 ~f:1 ()
+    P.Config.make ~kind ~digest:Sof_crypto.Digest_alg.SHA256 ~f:1 ()
   in
-  let config = Replica.make_config ~kind ~f:1 () in
+  let config = P.Config.make ~kind ~f:1 () in
   let recovered, delivered, transfers = replay_into ~kind ~config ~written 6 in
   Alcotest.(check bool) "not recovered locally" false recovered;
   Alcotest.(check int) "nothing delivered" 0 delivered;
@@ -556,6 +578,8 @@ let suite =
           test_log_replay_every_kind;
         Alcotest.test_case "entries under a foreign digest fall back to transfer"
           `Quick test_log_replay_digest_mismatch;
+        Alcotest.test_case "kernel accessors allocate nothing" `Quick
+          test_kernel_accessors_allocate_nothing;
         Alcotest.test_case "log payload decoders reject truncation and trailing bytes"
           `Quick test_payload_decoders;
       ] );
