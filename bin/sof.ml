@@ -12,16 +12,20 @@ open Cmdliner
 (* Counts, rates and durations must be positive: zero or less is a usage
    error (exit 124) reported before anything runs, not an exception from
    deep inside a run. *)
-let positive conv zero =
+let checked conv ok ~failure =
   let parse s =
     match Arg.conv_parser conv s with
-    | Ok v when compare v zero > 0 -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not positive" s))
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is %s" s failure))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer conv)
 
+let positive conv zero = checked conv (fun v -> compare v zero > 0) ~failure:"not positive"
 let positive_int = positive Arg.int 0
+
+(* Offsets from time zero may be zero but not negative. *)
+let non_negative_int = checked Arg.int (fun v -> v >= 0) ~failure:"negative"
 
 let scheme_arg =
   let parse s =
@@ -895,7 +899,7 @@ let check_cmd =
   let equivocate =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "equivocate" ] ~docv:"SEQ"
           ~doc:"Process 0 (the initial coordinator/primary) equivocates when \
                 minting this sequence number.")
@@ -903,7 +907,7 @@ let check_cmd =
   let spurious =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative_int) None
       & info [ "spurious" ] ~docv:"MS"
           ~doc:"Process 0 raises a baseless fail-signal at this simulated \
                 millisecond (sc/scr only).")
@@ -924,7 +928,7 @@ let check_cmd =
                 unbounded for bft/ct, so expect depth-capping).")
   in
   let depth =
-    Arg.(value & opt int 40 & info [ "depth" ] ~docv:"D" ~doc:"Maximum schedule length to explore.")
+    Arg.(value & opt positive_int 40 & info [ "depth" ] ~docv:"D" ~doc:"Maximum schedule length to explore.")
   in
   let seed =
     Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"Key-derivation seed (replays must match).")

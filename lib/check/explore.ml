@@ -61,8 +61,10 @@ let stats_of c =
     replays = c.c_replays;
   }
 
-let replay spec sched =
-  let w = World.build spec in
+(* The checker's worlds of one model all share a {!World.base}: [run]
+   derives it once, and every replay below starts from it. *)
+let replay_base base sched =
+  let w = World.of_base base in
   let rec go i = function
     | [] -> Ok w
     | a :: rest -> (
@@ -72,10 +74,13 @@ let replay spec sched =
   in
   go 0 sched
 
-let replay_violation spec sched =
-  match replay spec sched with
+let violation_base base sched =
+  match replay_base base sched with
   | Ok w -> World.violation w
   | Error _ -> None
+
+let replay spec sched = replay_base (World.base spec) sched
+let replay_violation spec sched = violation_base (World.base spec) sched
 
 (* A move is an action plus the process it touches, captured when it was
    enumerated (targets are stable along a subtree: the id-to-destination
@@ -92,22 +97,35 @@ let independent a b =
 
 exception Found of Schedule.t * Invariants.result
 
+(* What the ample reduction made of a node's world [w]: the node's single
+   successor, which is [w] stepped in place, or a full expansion, handed
+   [w] untouched when no candidate was tried and nothing when a rejected
+   validation has already stepped it. *)
+type expansion = Single of move * World.t * int | Full of World.t option
+
 (* Stateless depth-first search: protocol state cannot be snapshotted, so
-   each child is materialised by replaying its whole schedule prefix from a
-   fresh world.  Cost is sum-over-nodes of depth — fine at tiny-model
-   scale, and what makes every explored state exactly reproducible. *)
-let search spec ~use_sleep ~use_ample ~limit c =
-  let visited : (int64, int) Hashtbl.t = Hashtbl.create 4096 in
+   a node's world is handed down to its first child and stepped in place,
+   and every later child is materialised by replaying its whole schedule
+   prefix from a fresh world.  Each explored state is still exactly
+   reproducible from its schedule; [replays] counts the fresh worlds. *)
+let search base ~use_sleep ~use_ample ~limit c =
+  (* Sized for the smallest models and grown with the table: a search of
+     the ct model sees 27 states, and every deepening iteration makes a
+     fresh table. *)
+  let visited : (int64, int) Hashtbl.t = Hashtbl.create 256 in
   let capped = ref false in
   let child prefix_rev =
     c.c_replays <- c.c_replays + 1;
-    let w = World.build spec in
+    let w = World.of_base base in
     let rec go = function
       | [] -> Some w
       | a :: rest -> (
         match World.apply w a with Ok () -> go rest | Error _ -> None)
     in
     go (List.rev prefix_rev)
+  in
+  let step w act =
+    match World.apply w act with Ok () -> Some w | Error _ -> None
   in
   (* Single-successor ("ample") reduction: when a delivery's destination
      has all of its dependences in plain sight (World.ample_candidate),
@@ -122,8 +140,8 @@ let search spec ~use_sleep ~use_ample ~limit c =
      the pure sleep-set search whose independence relation is exact. *)
   let ample_child prefix_rev w moves sleep =
     match World.ample_candidate w with
-    | None -> None
-    | Some act ->
+    | None -> Full (Some w)
+    | Some act -> (
       let m = { act; target = World.action_target w act } in
       let others =
         List.filter (fun o -> not (Schedule.equal_action o.act act)) moves
@@ -131,10 +149,10 @@ let search spec ~use_sleep ~use_ample ~limit c =
       if
         others = []
         || List.exists (fun s -> Schedule.equal_action s.act act) sleep
-      then None
-      else (
-        match child (act :: prefix_rev) with
-        | None -> None
+      then Full (Some w)
+      else
+        match step w act with
+        | None -> Full None
         | Some w1 ->
           let enabled1 = World.enabled w1 in
           let ok o =
@@ -149,12 +167,14 @@ let search spec ~use_sleep ~use_ample ~limit c =
                  Int64.equal (World.fingerprint wa) (World.fingerprint wb)
                | _ -> false)
           in
-          if List.for_all ok others then Some (m, w1, List.length others)
-          else None)
+          if List.for_all ok others then Single (m, w1, List.length others)
+          else Full None)
   in
   (* [prefix_rev] is the schedule to here, newest first; [sleep] the classic
      sleep set: actions whose exploration here would only commute into a
-     subtree an earlier sibling already covered. *)
+     subtree an earlier sibling already covered.  Every move's target is
+     read before [w] is handed down, since a delivered message leaves the
+     pending pool, and no frame holds [w] once it has been. *)
   let rec dfs prefix_rev w depth sleep =
     c.c_states <- c.c_states + 1;
     if depth > c.c_max_depth then c.c_max_depth <- depth;
@@ -178,13 +198,14 @@ let search spec ~use_sleep ~use_ample ~limit c =
       end
       else begin
         match
-          if use_ample then ample_child prefix_rev w moves sleep else None
+          if use_ample then ample_child prefix_rev w moves sleep
+          else Full (Some w)
         with
-        | Some (m, w1, skipped) ->
+        | Single (m, w1, skipped) ->
           c.c_pruned_ample <- c.c_pruned_ample + skipped;
           c.c_transitions <- c.c_transitions + 1;
           dfs (m.act :: prefix_rev) w1 (depth + 1) []
-        | None ->
+        | Full handed ->
         let considered =
           if use_sleep then
             List.filter
@@ -198,7 +219,8 @@ let search spec ~use_sleep ~use_ample ~limit c =
         in
         c.c_pruned_sleep <-
           c.c_pruned_sleep + (List.length moves - List.length considered);
-        let rec loop explored = function
+        (* [handed] goes to the first considered move only. *)
+        let rec loop handed explored = function
           | [] -> ()
           | m :: rest ->
             c.c_transitions <- c.c_transitions + 1;
@@ -207,24 +229,29 @@ let search spec ~use_sleep ~use_ample ~limit c =
                 List.filter (fun s -> independent s m) (sleep @ explored)
               else []
             in
-            (match child (m.act :: prefix_rev) with
+            let w' =
+              match handed with
+              | Some w -> step w m.act
+              | None -> child (m.act :: prefix_rev)
+            in
+            (match w' with
             | Some w' -> dfs (m.act :: prefix_rev) w' (depth + 1) child_sleep
             | None -> ());
-            loop (m :: explored) rest
+            loop None (m :: explored) rest
         in
-        loop [] considered
+        loop handed [] considered
       end
   in
-  dfs [] (World.build spec) 0 [];
+  dfs [] (World.of_base base) 0 [];
   !capped
 
 (* Greedy schedule shrinking: drop any single action whose removal leaves
    the schedule feasible and still violating the same invariant; iterate
    to a fixpoint.  Safety predicates are monotone in the event log, so a
    violation observed at the end of a replay is the violation. *)
-let shrink spec sched (result : Invariants.result) =
+let shrink base sched (result : Invariants.result) =
   let violates s =
-    match replay_violation spec s with
+    match violation_base base s with
     | Some r -> String.equal r.Invariants.name result.Invariants.name
     | None -> false
   in
@@ -240,8 +267,8 @@ let shrink spec sched (result : Invariants.result) =
   in
   if violates sched then pass sched else sched
 
-let trace_of spec sched =
-  let w = World.build spec in
+let trace_base base sched =
+  let w = World.of_base base in
   List.map
     (fun a ->
       let d = World.describe_action w a in
@@ -250,21 +277,26 @@ let trace_of spec sched =
       | Error e -> d ^ " [infeasible: " ^ e ^ "]")
     sched
 
+let trace_of spec sched = trace_base (World.base spec) sched
+
 let run ?(use_sleep = true) ?(use_ample = true) ?(start_depth = 6) spec ~depth =
+  let base = World.base spec in
   let c = fresh_counters () in
   let finish outcome depth_limit =
     { spec; outcome; stats = stats_of c; depth_limit }
   in
   let rec iterate limit =
-    match search spec ~use_sleep ~use_ample ~limit c with
+    match search base ~use_sleep ~use_ample ~limit c with
     | exception Found (sched, result) ->
-      let schedule = shrink spec sched result in
+      let schedule = shrink base sched result in
       let result =
-        match replay_violation spec schedule with
+        match violation_base base schedule with
         | Some r -> r
         | None -> result
       in
-      finish (Violation { schedule; result; trace = trace_of spec schedule }) limit
+      finish
+        (Violation { schedule; result; trace = trace_base base schedule })
+        limit
     | false -> finish Exhausted limit
     | true ->
       if limit >= depth then finish Depth_capped limit

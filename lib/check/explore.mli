@@ -2,10 +2,12 @@
     with sleep-set pruning, a fingerprint visited set and iterative
     deepening.
 
-    The search is {e stateless}: a world cannot be snapshotted, so each
-    child state is materialised by replaying its schedule prefix from a
-    fresh {!World.build}.  What comes back is therefore always replayable —
-    a violation is reported as the exact schedule that reaches it.
+    The search is {e stateless}: a world cannot be snapshotted, so a
+    node's world is handed to its first child and stepped in place, and
+    every other child is materialised by replaying its schedule prefix on
+    a fresh world of the model's shared {!World.base}.  What comes back is
+    therefore always replayable — a violation is reported as the exact
+    schedule that reaches it.
 
     Soundness notes (also DESIGN.md §12): sleep sets prune interleavings
     that provably commute into already-explored subtrees; the visited set
@@ -33,7 +35,9 @@ type stats = {
   pruned_ample : int;  (** Actions skipped at single-successor states. *)
   cap_hits : int;  (** States whose successors were cut by the depth cap. *)
   max_depth : int;
-  replays : int;  (** Fresh worlds built (the stateless-search cost). *)
+  replays : int;
+      (** Fresh worlds built by replaying a prefix (the stateless-search
+          cost); a world handed down to a first child is not one. *)
 }
 
 type violation = {

@@ -3,35 +3,59 @@ module P = Sof_protocol
 (* FNV-1a, 64-bit: the same cheap stable hash Rng uses for substream
    labels.  Collisions fold distinct states together and can only cause
    missed exploration, never false violations; at tiny-model state counts
-   (≤ ~10^6) a 64-bit space keeps the collision odds negligible. *)
-let offset_basis = 0xCBF29CE484222325L
-let prime = 0x100000001B3L
+   (≤ ~10^6) a 64-bit space keeps the collision odds negligible.
 
-type acc = { buf : Buffer.t }
+   The hash is fed byte by byte as fields are added, with no intermediate
+   buffer.  The 64-bit state lives in two 32-bit halves held in native
+   ints, so the per-byte multiply allocates nothing: with
+   prime = 2^40 + 0x1B3, h * prime = h * 0x1B3 + (lo << 40) mod 2^64, and
+   every partial product fits in 63 bits. *)
+let basis_hi = 0xCBF29CE4
+let basis_lo = 0x84222325
+let prime_lo = 0x1B3
+let mask32 = 0xFFFF_FFFF
 
-let create () = { buf = Buffer.create 256 }
+type acc = { mutable hi : int; mutable lo : int }
+
+let create () = { hi = basis_hi; lo = basis_lo }
+
+let add_byte t c =
+  let lo = t.lo lxor c in
+  let p = lo * prime_lo in
+  t.lo <- p land mask32;
+  t.hi <- ((t.hi * prime_lo) + (p lsr 32) + (lo lsl 8)) land mask32
+
+let add_char t c = add_byte t (Char.code c)
+
+(* The decimal digits of [n <= 0] without its sign, most significant
+   first — [string_of_int]'s digits, min_int included. *)
+let rec add_digits t n =
+  if n <= -10 then add_digits t (n / 10);
+  add_byte t (Char.code '0' - (n mod 10))
+
+let add_decimal t n =
+  if n < 0 then begin
+    add_char t '-';
+    add_digits t n
+  end
+  else add_digits t (-n)
 
 let add_string t s =
   (* Length-prefixed so field boundaries cannot alias across fields. *)
-  Buffer.add_string t.buf (string_of_int (String.length s));
-  Buffer.add_char t.buf ':';
-  Buffer.add_string t.buf s
+  add_decimal t (String.length s);
+  add_char t ':';
+  for i = 0 to String.length s - 1 do
+    add_byte t (Char.code (String.unsafe_get s i))
+  done
 
 let add_int t n =
-  Buffer.add_string t.buf (string_of_int n);
-  Buffer.add_char t.buf ';'
+  add_decimal t n;
+  add_char t ';'
 
 let add_bool t b = add_int t (if b then 1 else 0)
 
 let digest t =
-  let s = Buffer.contents t.buf in
-  let h = ref offset_basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
+  Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo)
 
 (* Canonical event encoding.  [Context.pp_event] is for humans and omits
    digests; the fingerprint needs every value-bearing field, and needs the

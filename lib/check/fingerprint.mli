@@ -1,7 +1,9 @@
 (** Canonical state hashing for the visited set.
 
-    A fingerprint accumulator collects length-prefixed fields into a buffer
-    and digests them with 64-bit FNV-1a.  {!World.fingerprint} decides
+    A fingerprint accumulator feeds length-prefixed fields straight into a
+    64-bit FNV-1a hash as they are added: nothing is buffered and no byte
+    allocates.  A field is its decimal text: an int is ["<n>;"], a bool
+    the int 0 or 1, a string ["<length>:<bytes>"].  {!World.fingerprint} decides
     {e what} goes in (and, as importantly, what stays out: the virtual
     clock, message and timer identifiers, event timestamps); this module
     only supplies the injective encoding and the hash. *)

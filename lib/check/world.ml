@@ -20,11 +20,23 @@ type timer_rec = {
   mutable cancelled : bool;
 }
 
-type t = {
+(* The immutable half of a world, shared by every world of one model.
+   The checker signs with mock HMAC (CT with nothing), so no signature
+   draws from the keyring's RNG, and the keyring's lazily keyed HMAC states
+   are immutable values: a shared ring signs exactly as a fresh one. *)
+type base = {
   spec : Model.spec;
   config : P.Config.t;
   n : int;
   keyring : Keyring.t;
+  requests : Request.t list;
+  injected : Request.Key_set.t;
+  byz : int list;
+  honest : int list;
+}
+
+type t = {
+  base : base;
   machines : State_machine.t array;
   mutable procs : Replica.t array;
   mutable clock : Simtime.t;
@@ -42,15 +54,14 @@ type t = {
          function of its inputs, and the near-commutative handlers (votes
          record first-wins per sender) make input *order* immaterial at
          fingerprint granularity. *)
-  injected : Request.Key_set.t;
 }
 
-let spec w = w.spec
-let process_count w = w.n
+let spec w = w.base.spec
+let process_count w = w.base.n
 let clock w = w.clock
 let events w = List.rev w.events_rev
 let crashed_list w =
-  List.filter (fun i -> w.crashed.(i)) (List.init w.n (fun i -> i))
+  List.filter (fun i -> w.crashed.(i)) (List.init w.base.n (fun i -> i))
 
 (* The checker's network holds at most one in-flight copy of any identical
    (src, dst, payload) triple.  The protocols treat duplicate payloads
@@ -73,7 +84,7 @@ let hand_over w ~src ~dst payload =
    actions per vote round without removing any cross-process
    interleaving. *)
 let enqueue w ~src ~dst payload =
-  if dst >= 0 && dst < w.n then
+  if dst >= 0 && dst < w.base.n then
     if Int.equal src dst && Array.length w.procs > dst then
       hand_over w ~src ~dst payload
     else
@@ -119,16 +130,16 @@ let make_context w i =
   {
     P.Context.id = i;
     now = (fun () -> w.clock);
-    sign = (fun payload -> Keyring.sign w.keyring ~signer:i payload);
+    sign = (fun payload -> Keyring.sign w.base.keyring ~signer:i payload);
     verify =
       (fun ~signer ~msg ~signature ->
-        Keyring.verify w.keyring ~signer ~msg ~signature);
+        Keyring.verify w.base.keyring ~signer ~msg ~signature);
     (* The checker explores with one mechanism for all bodies: accountable
        and wire signing coincide. *)
-    sign_acc = (fun payload -> Keyring.sign w.keyring ~signer:i payload);
+    sign_acc = (fun payload -> Keyring.sign w.base.keyring ~signer:i payload);
     verify_acc =
       (fun ~signer ~msg ~signature ->
-        Keyring.verify w.keyring ~signer ~msg ~signature);
+        Keyring.verify w.base.keyring ~signer ~msg ~signature);
     digest_charge = ignore;
     send;
     multicast;
@@ -150,7 +161,7 @@ let request_for_batch b =
       (Kv_store.encode_op
          (Kv_store.Put ("k" ^ string_of_int b, "v" ^ string_of_int b)))
 
-let build spec =
+let base spec =
   let config = Model.config spec in
   let n = P.Config.process_count config in
   let scheme = Replica.scheme config.P.Config.kind Scheme.mock in
@@ -162,12 +173,17 @@ let build spec =
       (fun acc (r : Request.t) -> Request.Key_set.add r.Request.key acc)
       Request.Key_set.empty requests
   in
+  let byz = Model.byzantine spec in
+  let honest =
+    List.filter (fun i -> not (List.mem i byz)) (List.init n (fun i -> i))
+  in
+  { spec; config; n; keyring; requests; injected; byz; honest }
+
+let of_base base =
+  let n = base.n in
   let w =
     {
-      spec;
-      config;
-      n;
-      keyring;
+      base;
       machines = Array.init n (fun _ -> Kv_store.machine ());
       procs = [||];
       clock = Simtime.zero;
@@ -179,17 +195,21 @@ let build spec =
       crashes_used = 0;
       events_rev = [];
       delivered_log = Array.make n [];
-      injected;
     }
   in
   w.procs <-
     Array.init n (fun i ->
         let ctx = make_context w i in
-        Replica.create ~ctx ~config ~keyring ~fault:(fault_for spec i) ());
+        Replica.create ~ctx ~config:base.config ~keyring:base.keyring
+          ~fault:(fault_for base.spec i) ());
   Array.iter Replica.start w.procs;
   (* Clients broadcast: every process sees every request at time zero. *)
-  List.iter (fun r -> Array.iter (fun p -> Replica.on_request p r) w.procs) requests;
+  List.iter
+    (fun r -> Array.iter (fun p -> Replica.on_request p r) w.procs)
+    base.requests;
   w
+
+let build spec = of_base (base spec)
 
 (* Timer scheduling: only the globally earliest-due eligible timer may
    fire (deterministic tie-break on allocation id), and firing advances the
@@ -203,7 +223,7 @@ let timer_eligible w r =
   &&
   match r.kind with
   | P.Context.Tick -> true
-  | P.Context.Watchdog -> w.spec.Model.explore_watchdogs
+  | P.Context.Watchdog -> w.base.spec.Model.explore_watchdogs
 
 let eligible_earliest w =
   List.fold_left
@@ -243,8 +263,8 @@ let enabled w =
     | None -> []
   in
   let crashes =
-    if w.crashes_used < w.spec.Model.crash_budget then
-      List.init w.n (fun p -> p)
+    if w.crashes_used < w.base.spec.Model.crash_budget then
+      List.init w.base.n (fun p -> p)
       |> List.filter (fun p -> not w.crashed.(p))
       |> List.map (fun p -> Schedule.Crash p)
     else []
@@ -358,9 +378,9 @@ let apply w (a : Schedule.action) =
            tid r.tid)
     | None -> Error (Printf.sprintf "timer %d: no timer is eligible" tid))
   | Schedule.Crash p ->
-    if p < 0 || p >= w.n then Error (Printf.sprintf "no process %d" p)
+    if p < 0 || p >= w.base.n then Error (Printf.sprintf "no process %d" p)
     else if w.crashed.(p) then Error (Printf.sprintf "process %d already crashed" p)
-    else if w.crashes_used >= w.spec.Model.crash_budget then
+    else if w.crashes_used >= w.base.spec.Model.crash_budget then
       Error "crash budget exhausted"
     else begin
       w.crashed.(p) <- true;
@@ -457,7 +477,7 @@ let fingerprint w =
     w.procs;
   (* Per-process event sequences, oldest first, timestamps dropped. *)
   let events = List.rev w.events_rev in
-  for i = 0 to w.n - 1 do
+  for i = 0 to w.base.n - 1 do
     Fingerprint.add_int acc i;
     List.iter
       (fun (_, who, ev) ->
@@ -494,26 +514,23 @@ let fingerprint w =
       Fingerprint.add_int acc kind;
       Fingerprint.add_int acc rel_ns)
     live_timers;
-  Fingerprint.add_int acc (w.spec.Model.crash_budget - w.crashes_used);
+  Fingerprint.add_int acc (w.base.spec.Model.crash_budget - w.crashes_used);
   Fingerprint.digest acc
 
 (* Safety referee: the same event-core predicates Nemesis uses, restricted
    to the processes the model declares honest.  Crash-faulty processes stay
    in the honest set — their pre-crash deliveries still bind them. *)
 let violation w =
-  let byz = Model.byzantine w.spec in
-  let honest =
-    List.filter (fun i -> not (List.mem i byz)) (List.init w.n (fun i -> i))
-  in
+  let { byz; honest; _ } = w.base in
   let events = List.rev w.events_rev in
   let checks =
     [
       Invariants.agreement_of ~events ~honest;
       Invariants.commit_coherence_of ~events ~honest;
       Invariants.prefix_consistency_of ~events ~honest;
-      Invariants.validity_of ~events ~honest ~injected:w.injected;
+      Invariants.validity_of ~events ~honest ~injected:w.base.injected;
       Invariants.checkpoint_agreement_of ~events ~honest;
-      Invariants.fail_signal_soundness_of ~events ~config:w.config ~byz
+      Invariants.fail_signal_soundness_of ~events ~config:w.base.config ~byz
         ~crashed:(crashed_list w);
     ]
   in

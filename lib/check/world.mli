@@ -10,16 +10,30 @@
     reproduces the same run, bit for bit.
 
     Worlds cannot be snapshotted (protocol state is opaque and mutable);
-    the explorer re-executes from {!build} to revisit a prefix. *)
+    the explorer advances a world in place along one branch and
+    re-executes from {!of_base} to revisit a prefix. *)
 
 type t
 
+type base
+(** The immutable half of a model's worlds: its configuration, process
+    count, keyring, client requests and their keys.  Every world built
+    from one [base] shares it; sharing is exact, because the checker's
+    signing mechanisms (mock HMAC, or none for CT) never draw from the
+    keyring's RNG. *)
+
+val base : Model.spec -> base
+(** Derive the configuration, keys (from [spec.seed] via
+    {!Sof_util.Rng.substream}) and requests of a model. *)
+
+val of_base : base -> t
+(** Construct processes, state machines and the presigned fail-signals of
+    paired protocols; start every process and broadcast the model's client
+    requests.  Initial sends and timers from [start] and [on_request] are
+    parked, not executed. *)
+
 val build : Model.spec -> t
-(** Construct processes, keys (derived from [spec.seed] via
-    {!Sof_util.Rng.substream}), state machines and the presigned
-    fail-signals of paired protocols; start every process and broadcast
-    the model's client requests.  Initial sends and timers from [start]
-    and [on_request] are parked, not executed. *)
+(** [of_base (base spec)]: a world with nothing shared. *)
 
 val spec : t -> Model.spec
 val process_count : t -> int
