@@ -25,11 +25,6 @@ type order_state = {
   mutable sent_prepare : bool;
   mutable sent_commit : bool;
   mutable committed : bool;
-  (* trace spans currently open at this process for this order *)
-  mutable sp_batch : bool;
-  mutable sp_preprep : bool;
-  mutable sp_prepare : bool;
-  mutable sp_commit : bool;
 }
 
 type t = {
@@ -46,7 +41,6 @@ type t = {
   mutable last_progress : Simtime.t;
   mutable view_changes : (int, Int_set.t ref * Message.order_info list ref) Hashtbl.t;
   mutable changing_view : bool;
-  mutable vc_span : int option;  (* open view-change trace span *)
   mutable vc_backoff : int;  (* doublings applied to consecutive suspicions *)
 }
 
@@ -104,10 +98,6 @@ let get_order t o =
         sent_prepare = false;
         sent_commit = false;
         committed = false;
-        sp_batch = false;
-        sp_preprep = false;
-        sp_prepare = false;
-        sp_commit = false;
       }
     in
     Hashtbl.replace t.log.orders o st;
@@ -126,13 +116,6 @@ let votes_for ?(blind = false) votes ~digest =
   Int_map.fold
     (fun _ d acc -> if blind || String.equal d digest then acc + 1 else acc)
     votes 0
-
-(* Trace spans: [Context.emit] costs no simulated CPU, each sp_* flag means
-   "open at this process", and closes only fire when the flag is set, so
-   spans balance whenever the order commits locally. *)
-
-let span_open t phase seq = t.ctx.Context.emit (Context.Span_open { phase; seq })
-let span_close t phase seq = t.ctx.Context.emit (Context.Span_close { phase; seq })
 
 (* ------------------------------------------------ checkpointing (BFT) *)
 (* PBFT-style stable checkpoints: every process signs and multicasts its
@@ -161,22 +144,7 @@ let try_commit_point t st =
          ~digest:st.digest
        >= (2 * t.config.f) + 1
   then begin
-    if st.sp_preprep then begin
-      st.sp_preprep <- false;
-      span_close t Context.Pre_prepare_phase st.o
-    end;
-    if st.sp_prepare then begin
-      st.sp_prepare <- false;
-      span_close t Context.Prepare_phase st.o
-    end;
-    if st.sp_commit then begin
-      st.sp_commit <- false;
-      span_close t Context.Commit_phase st.o
-    end;
-    if st.sp_batch then begin
-      st.sp_batch <- false;
-      span_close t Context.Batch_phase st.o
-    end;
+    Recovery.close_batch_spans t.log st.o;
     st.committed <- true;
     t.last_progress <- t.ctx.Context.now ();
     if st.o > t.log.max_committed then t.log.max_committed <- st.o;
@@ -193,14 +161,8 @@ let try_prepared_point t st =
        >= 2 * t.config.f
   then begin
     st.sent_commit <- true;
-    if st.sp_prepare then begin
-      st.sp_prepare <- false;
-      span_close t Context.Prepare_phase st.o
-    end;
-    if st.sp_batch && not st.sp_commit then begin
-      st.sp_commit <- true;
-      span_open t Context.Commit_phase st.o
-    end;
+    Recovery.span_close t.log Context.Prepare_phase st.o;
+    Recovery.span_open t.log Context.Commit_phase st.o;
     let body = Message.Commit { v = st.view_of; o = st.o; digest = st.digest } in
     let env = Context.make_signed t.ctx body in
     multicast t ~dsts:t.all_ids env
@@ -209,14 +171,8 @@ let try_prepared_point t st =
 let send_prepare t st =
   if not st.sent_prepare then begin
     st.sent_prepare <- true;
-    if st.sp_preprep then begin
-      st.sp_preprep <- false;
-      span_close t Context.Pre_prepare_phase st.o
-    end;
-    if st.sp_batch && not st.sp_prepare then begin
-      st.sp_prepare <- true;
-      span_open t Context.Prepare_phase st.o
-    end;
+    Recovery.span_close t.log Context.Pre_prepare_phase st.o;
+    Recovery.span_open t.log Context.Prepare_phase st.o;
     let body = Message.Prepare { v = st.view_of; o = st.o; digest = st.digest } in
     let env = Context.make_signed t.ctx body in
     multicast t ~dsts:t.all_ids env
@@ -226,14 +182,8 @@ let accept_pre_prepare t ~(info : Message.order_info) ~v =
   let st = get_order t info.Message.o in
   if st.pre_prepared && (st.view_of > v || not (String.equal st.digest info.Message.digest)) then ()
   else begin
-    if (not st.sp_batch) && not st.committed then begin
-      st.sp_batch <- true;
-      span_open t Context.Batch_phase st.o
-    end;
-    if st.sp_batch && (not st.sp_preprep) && not st.sent_prepare then begin
-      st.sp_preprep <- true;
-      span_open t Context.Pre_prepare_phase st.o
-    end;
+    if not st.committed then Recovery.span_open t.log Context.Batch_phase st.o;
+    if not st.sent_prepare then Recovery.span_open t.log Context.Pre_prepare_phase st.o;
     st.pre_prepared <- true;
     st.view_of <- v;
     st.digest <- info.Message.digest;
@@ -343,11 +293,8 @@ and vc_tick t =
 and start_view_change t v =
   if v > t.view then begin
     t.vc_backoff <- t.vc_backoff + 1;
-    (match t.vc_span with
-    | Some old -> span_close t Context.View_change_phase old
-    | None -> ());
-    t.vc_span <- Some v;
-    span_open t Context.View_change_phase v;
+    Recovery.close_span t.log Context.View_change_phase;
+    Recovery.open_span t.log Context.View_change_phase v;
     t.changing_view <- true;
     (match t.batch_timer with Some h -> h.Context.cancel () | None -> ());
     t.batch_timer <- None;
@@ -399,11 +346,7 @@ and enter_view t v pre_prepares =
   t.view <- v;
   t.changing_view <- false;
   t.vc_backoff <- 0;
-  (match t.vc_span with
-  | Some old ->
-    t.vc_span <- None;
-    span_close t Context.View_change_phase old
-  | None -> ());
+  Recovery.close_span t.log Context.View_change_phase;
   t.ctx.Context.emit (Context.View_installed { v });
   let top =
     List.fold_left
@@ -551,7 +494,6 @@ let create ~ctx ~(config : Config.t) ?(fault = Fault.Honest) () =
       last_progress = Simtime.zero;
       view_changes = Hashtbl.create 4;
       changing_view = false;
-      vc_span = None;
       vc_backoff = 0;
     }
   in

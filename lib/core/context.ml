@@ -37,6 +37,13 @@ let all_phases =
     Prepare_phase; Commit_phase; View_change_phase; Install_phase; Failover_phase;
     Checkpoint_phase; Recovery_phase ]
 
+let batch_scoped = function
+  | Endorse_phase | Order_phase | Ack_phase | Pre_prepare_phase | Prepare_phase | Commit_phase ->
+    true
+  | Batch_phase | View_change_phase | Install_phase | Failover_phase | Checkpoint_phase
+  | Recovery_phase ->
+    false
+
 type event =
   | Batched of { seq : int; requests : int; bytes : int }
   | Committed of { seq : int; digest : string; keys : Sof_smr.Request.key list }

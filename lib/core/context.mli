@@ -54,6 +54,12 @@ type phase =
 val phase_name : phase -> string
 val all_phases : phase list
 
+val batch_scoped : phase -> bool
+(** The per-batch protocol phases (endorse, order, ack, pre-prepare,
+    prepare, commit): each lies inside the batch span of the same process
+    and sequence number.  The batch span itself, the one-at-a-time
+    fail-over phases and the checkpoint and recovery spans are not. *)
+
 type event =
   | Batched of { seq : int; requests : int; bytes : int }
       (** The coordinator formed a batch — the latency clock starts here

@@ -25,10 +25,6 @@ type order_state = {
   candidates : (string, candidate) Hashtbl.t;
   mutable voted : bool;  (* this process already acked some digest for [o] *)
   mutable winner : string option;  (* committed digest *)
-  (* trace spans currently open at this process for this order *)
-  mutable sp_batch : bool;
-  mutable sp_order : bool;
-  mutable sp_ack : bool;
 }
 
 type t = {
@@ -122,20 +118,10 @@ let get_order t o =
         candidates = Hashtbl.create 2;
         voted = false;
         winner = None;
-        sp_batch = false;
-        sp_order = false;
-        sp_ack = false;
       }
     in
     Hashtbl.replace t.log.orders o st;
     st
-
-(* Trace spans: [Context.emit] costs no simulated CPU, each sp_* flag means
-   "open at this process", and closes only fire when the flag is set, so
-   spans balance whenever the order commits locally. *)
-
-let span_open t phase seq = t.ctx.Context.emit (Context.Span_open { phase; seq })
-let span_close t phase seq = t.ctx.Context.emit (Context.Span_close { phase; seq })
 
 let get_candidate st digest =
   match Hashtbl.find_opt st.candidates digest with
@@ -170,18 +156,7 @@ let try_commit t st =
           && Int_set.cardinal cand.c_votes >= quorum t
         then begin
           st.winner <- Some digest;
-          if st.sp_order then begin
-            st.sp_order <- false;
-            span_close t Context.Order_phase st.o
-          end;
-          if st.sp_ack then begin
-            st.sp_ack <- false;
-            span_close t Context.Ack_phase st.o
-          end;
-          if st.sp_batch then begin
-            st.sp_batch <- false;
-            span_close t Context.Batch_phase st.o
-          end;
+          Recovery.close_batch_spans t.log st.o;
           t.last_progress <- t.ctx.Context.now ();
           t.suspect_backoff <- 0;
           if st.o > t.log.max_committed then t.log.max_committed <- st.o;
@@ -196,14 +171,8 @@ let try_commit t st =
 let vote t st digest cand =
   if not st.voted then begin
     st.voted <- true;
-    if st.sp_order then begin
-      st.sp_order <- false;
-      span_close t Context.Order_phase st.o
-    end;
-    if st.sp_batch && not st.sp_ack then begin
-      st.sp_ack <- true;
-      span_open t Context.Ack_phase st.o
-    end;
+    Recovery.span_close t.log Context.Order_phase st.o;
+    Recovery.span_open t.log Context.Ack_phase st.o;
     cand.c_votes <- Int_set.add (id t) cand.c_votes;
     let body = Message.Ack { c = t.epoch; o = st.o; digest } in
     t.ctx.Context.multicast ~dsts:t.all_ids (unsigned t body)
@@ -216,14 +185,8 @@ let learn_candidate t (info : Message.order_info) =
   let st = get_order t info.Message.o in
   let cand = get_candidate st info.Message.digest in
   if st.winner = None then begin
-    if not st.sp_batch then begin
-      st.sp_batch <- true;
-      span_open t Context.Batch_phase st.o
-    end;
-    if (not st.sp_order) && not st.voted then begin
-      st.sp_order <- true;
-      span_open t Context.Order_phase st.o
-    end
+    Recovery.span_open t.log Context.Batch_phase st.o;
+    if not st.voted then Recovery.span_open t.log Context.Order_phase st.o
   end;
   if cand.c_keys = None then cand.c_keys <- Some info.Message.keys;
   if not st.voted then

@@ -23,10 +23,6 @@ type slot = {
   mutable committed : bool;
   mutable null : bool;
   votes_by_digest : (string, votes) Hashtbl.t;
-  mutable sp_batch : bool;
-  mutable sp_endorse : bool;
-  mutable sp_order : bool;
-  mutable sp_ack : bool;
 }
 
 type 'x hooks = {
@@ -178,10 +174,6 @@ let get_order t o =
         committed = false;
         null = false;
         votes_by_digest = Hashtbl.create 4;
-        sp_batch = false;
-        sp_endorse = false;
-        sp_order = false;
-        sp_ack = false;
       }
     in
     Hashtbl.replace t.log.Recovery.orders o st;
@@ -210,62 +202,10 @@ let add_signatories st ~digest (env : Message.envelope) =
   | None -> ()
 
 (* ---------------------------------------------------------- trace spans *)
-(* [Context.emit] costs no simulated CPU, so span instrumentation cannot
-   perturb seeded trajectories.  Each sp_* flag means "open at this
-   process"; a close is only ever emitted when the flag is set, so spans
-   balance whenever the order commits locally. *)
-
-let span_open t phase seq = t.ctx.Context.emit (Context.Span_open { phase; seq })
-let span_close t phase seq = t.ctx.Context.emit (Context.Span_close { phase; seq })
+(* The log holds which spans are open; a committed order opens no batch. *)
 
 let open_batch_span t st =
-  if (not st.sp_batch) && not st.committed then begin
-    st.sp_batch <- true;
-    span_open t Context.Batch_phase st.o
-  end
-
-let open_endorse_span t st =
-  if st.sp_batch && not st.sp_endorse then begin
-    st.sp_endorse <- true;
-    span_open t Context.Endorse_phase st.o
-  end
-
-let close_endorse_span t st =
-  if st.sp_endorse then begin
-    st.sp_endorse <- false;
-    span_close t Context.Endorse_phase st.o
-  end
-
-let open_order_span t st =
-  if st.sp_batch && not st.sp_order then begin
-    st.sp_order <- true;
-    span_open t Context.Order_phase st.o
-  end
-
-let ack_span_transition t st =
-  if st.sp_order then begin
-    st.sp_order <- false;
-    span_close t Context.Order_phase st.o
-  end;
-  if st.sp_batch && not st.sp_ack then begin
-    st.sp_ack <- true;
-    span_open t Context.Ack_phase st.o
-  end
-
-let close_batch_spans t st =
-  close_endorse_span t st;
-  if st.sp_order then begin
-    st.sp_order <- false;
-    span_close t Context.Order_phase st.o
-  end;
-  if st.sp_ack then begin
-    st.sp_ack <- false;
-    span_close t Context.Ack_phase st.o
-  end;
-  if st.sp_batch then begin
-    st.sp_batch <- false;
-    span_close t Context.Batch_phase st.o
-  end
+  if not st.committed then Recovery.span_open t.log Context.Batch_phase st.o
 
 (* ------------------------------------------------------- checkpointing *)
 (* Pair-endorsed stable checkpoints: the coordinator primary signs its state
@@ -373,7 +313,7 @@ let checkpoint_boundary t o =
 
 let record_commit t st =
   if not st.committed then begin
-    close_batch_spans t st;
+    Recovery.close_batch_spans t.log st.o;
     st.committed <- true;
     if st.o > t.log.Recovery.max_committed then begin
       t.log.Recovery.max_committed <- st.o;
@@ -415,7 +355,8 @@ let try_commit t st =
 let send_ack t st =
   if st.have_order && not st.acked then begin
     st.acked <- true;
-    ack_span_transition t st;
+    Recovery.span_close t.log Context.Order_phase st.o;
+    Recovery.span_open t.log Context.Ack_phase st.o;
     let body = Message.Ack { c = st.era; o = st.o; digest = st.digest } in
     multicast t ~dsts:t.all_ids (Context.make_signed t.ctx body)
   end
@@ -440,8 +381,8 @@ let accept_order t (env : Message.envelope) ~era ~(info : Message.order_info) =
     st.keys <- info.Message.keys;
     st.era <- era;
     open_batch_span t st;
-    close_endorse_span t st;
-    open_order_span t st;
+    Recovery.span_close t.log Context.Endorse_phase st.o;
+    Recovery.span_open t.log Context.Order_phase st.o;
     if info.Message.keys = [] then st.null <- true;
     List.iter (Recovery.note_ordered t.log) info.Message.keys;
     add_signatories st ~digest:st.digest env;
@@ -536,7 +477,7 @@ and issue_batch t pool =
       multicast t ~dsts:(List.filter (fun p -> not (Int.equal p shadow)) (others t)) env
     | _ ->
       (* Phase 1: 1-to-1 to the shadow for endorsement. *)
-      open_endorse_span t (get_order t o);
+      Recovery.span_open t.log Context.Endorse_phase o;
       send t ~dst:shadow env;
       arm_endorsement_watch t o ~level:0
   end
@@ -611,7 +552,7 @@ and shadow_handle_order t (env : Message.envelope) ~(info : Message.order_info) 
     | `Defer ->
       let st = get_order t info.Message.o in
       open_batch_span t st;
-      open_endorse_span t st;
+      Recovery.span_open t.log Context.Endorse_phase st.o;
       t.stashed_endorsements <- (t.ctx.Context.now (), env, info) :: t.stashed_endorsements;
       retry_stashed_later t
     | `Invalid -> begin
@@ -622,7 +563,7 @@ and shadow_handle_order t (env : Message.envelope) ~(info : Message.order_info) 
     | `Valid ->
       let st = get_order t info.Message.o in
       open_batch_span t st;
-      open_endorse_span t st;
+      Recovery.span_open t.log Context.Endorse_phase st.o;
       shadow_endorse t env ~info
   end
 

@@ -14,8 +14,8 @@
     state ['x] and reaches the core only through a {!hooks} record of plain
     functions: the era (SC's rank, SCR's view), the pair-is-up predicate,
     the coordinator roles, and the reaction to a fail-signal.  Everything
-    that is not pair machinery — delivery, truncation, state transfer —
-    lives in {!Recovery}. *)
+    that is not pair machinery — delivery, truncation, state transfer,
+    trace spans — lives in {!Recovery}. *)
 
 type votes = {
   mutable sources : Set.Make(Int).t;
@@ -34,10 +34,6 @@ type slot = {
   mutable committed : bool;
   mutable null : bool;  (** Gap filler or install placeholder: delivers nothing. *)
   votes_by_digest : (string, votes) Hashtbl.t;
-  mutable sp_batch : bool;  (** Trace spans currently open for this order. *)
-  mutable sp_endorse : bool;
-  mutable sp_order : bool;
-  mutable sp_ack : bool;
 }
 
 type 'x hooks = {
@@ -144,8 +140,6 @@ val pair_estimate : 'x t -> Sof_sim.Simtime.t
 
 (** {1 The order log} *)
 
-val span_open : 'x t -> Context.phase -> int -> unit
-val span_close : 'x t -> Context.phase -> int -> unit
 val send_ack : 'x t -> slot -> unit
 val try_commit : 'x t -> slot -> unit
 

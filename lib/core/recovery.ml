@@ -255,6 +255,7 @@ type 'slot log = {
   mutable recent_delivered : (int * Request.t list) list;
   mutable fetch_timer : Context.timer option;
   mutable fetch_backoff : int;
+  spans : (int, int) Hashtbl.t;
 }
 
 let create_log ~ctx ~f ~digest ~interval =
@@ -275,6 +276,7 @@ let create_log ~ctx ~f ~digest ~interval =
     recent_delivered = [];
     fetch_timer = None;
     fetch_backoff = 0;
+    spans = Hashtbl.create 8;
   }
 
 (* A key's marks: ordered and delivered bits, set independently; a key with
@@ -314,14 +316,81 @@ type 'slot hooks = {
 
 type kernel = Kernel : 'slot hooks -> kernel [@@unboxed]
 
-let span_open log phase seq = log.ctx.Context.emit (Context.Span_open { phase; seq })
-let span_close log phase seq = log.ctx.Context.emit (Context.Span_close { phase; seq })
+(* ---------------------------------------------------------- trace spans *)
+(* [log.spans] maps a key (sequence number, view or rank) to the bit set of
+   phases open under it.  Opens and closes are emitted only on a change of
+   that set, so spans cannot double-open or close unopened.  [Context.emit]
+   costs no simulated CPU, so spans never perturb seeded trajectories. *)
+
+let bit : Context.phase -> int = function
+  | Batch_phase -> 1 | Endorse_phase -> 2 | Order_phase -> 4 | Ack_phase -> 8
+  | Pre_prepare_phase -> 16 | Prepare_phase -> 32 | Commit_phase -> 64
+  | View_change_phase -> 128 | Install_phase -> 256 | Failover_phase -> 512
+  | Checkpoint_phase -> 1024 | Recovery_phase -> 2048
+
+let open_set log key = Option.value (Hashtbl.find_opt log.spans key) ~default:0
+
+let set_open_set log key set =
+  if Int.equal set 0 then Hashtbl.remove log.spans key else Hashtbl.replace log.spans key set
+
+let span_open log phase seq =
+  let set = open_set log seq in
+  if
+    set land bit phase = 0
+    && ((not (Context.batch_scoped phase)) || set land bit Context.Batch_phase <> 0)
+  then begin
+    set_open_set log seq (set lor bit phase);
+    log.ctx.Context.emit (Context.Span_open { phase; seq })
+  end
+
+let span_close log phase seq =
+  let set = open_set log seq in
+  if set land bit phase <> 0 then begin
+    set_open_set log seq (set land lnot (bit phase));
+    log.ctx.Context.emit (Context.Span_close { phase; seq })
+  end
+
+(* What a local commit closes, in the order it closes them: the
+   batch-scoped phases in [Context.all_phases] order, then the batch. *)
+let batch_close_order =
+  List.filter Context.batch_scoped Context.all_phases @ [ Context.Batch_phase ]
+
+let batch_phases = List.fold_left (fun set phase -> set lor bit phase) 0 batch_close_order
+
+let close_batch_spans log seq =
+  let set = open_set log seq in
+  List.iter
+    (fun phase ->
+      if set land bit phase <> 0 then log.ctx.Context.emit (Context.Span_close { phase; seq }))
+    batch_close_order;
+  set_open_set log seq (set land lnot batch_phases)
+
+(* The key a one-at-a-time phase is open under, if any. *)
+let open_key log phase =
+  Hashtbl.fold
+    (fun key set acc -> if set land bit phase <> 0 then Some key else acc)
+    log.spans None
+
+let open_span log phase key = if open_key log phase = None then span_open log phase key
+
+let close_span log phase =
+  match open_key log phase with Some key -> span_close log phase key | None -> ()
+
+(* Spans a truncation forgets at or below the cut: a dropped slot's batch
+   phases, and a checkpoint that is stable or superseded, which can no
+   longer close. *)
+let truncated_phases = batch_phases lor bit Context.Checkpoint_phase
 
 let truncate log upto =
   let stale =
     Hashtbl.fold (fun o _ acc -> if o <= upto then o :: acc else acc) log.orders []
   in
   List.iter (Hashtbl.remove log.orders) stale;
+  Hashtbl.filter_map_inplace
+    (fun key set ->
+      let set = if key <= upto then set land lnot truncated_phases else set in
+      if Int.equal set 0 then None else Some set)
+    log.spans;
   (* Keep one extra interval of delivered keys so a coordinator installed
      late that re-orders a just-delivered request is still deduplicated. *)
   let keep_above = upto - log.interval in

@@ -184,6 +184,10 @@ type 'slot log = {
           maintained when checkpointing is on. *)
   mutable fetch_timer : Context.timer option;
   mutable fetch_backoff : int;  (** Doublings applied to fetch retries. *)
+  spans : (int, int) Hashtbl.t;
+      (** This process's open trace spans: the set of phases open under each
+          sequence number, view or rank, as a bit set.  Read and written
+          only through {!span_open} and its siblings, and {!truncate}. *)
 }
 
 val create_log :
@@ -201,7 +205,34 @@ val key_delivered : 'slot log -> Sof_smr.Request.key -> bool
 val truncate : 'slot log -> int -> unit
 (** Drop the order slots at or below [upto] and, one checkpoint interval
     further behind, the delivered batches' key marks and executed bodies;
-    emits [Log_truncated]. *)
+    emits [Log_truncated].  Forgets, without emitting, the open batch and
+    checkpoint spans at or below [upto]; spans keyed by a view or rank
+    stay open. *)
+
+(** {2 Trace spans}
+
+    The one place [Span_open]/[Span_close] events are made, so a span never
+    opens twice or closes unopened.  The cores only say when a phase starts
+    or ends; guards that are protocol facts (an order already committed, a
+    vote already cast) stay with them. *)
+
+val span_open : 'slot log -> Context.phase -> int -> unit
+(** Open the span at [seq] unless it is open.  A {!Context.batch_scoped}
+    phase opens only inside the open batch span at the same [seq]. *)
+
+val span_close : 'slot log -> Context.phase -> int -> unit
+(** Close the span at [seq] if it is open. *)
+
+val close_batch_spans : 'slot log -> int -> unit
+(** At local commit: close each open batch-scoped phase at [seq] in
+    {!Context.all_phases} order, then the batch span. *)
+
+val open_span : 'slot log -> Context.phase -> int -> unit
+(** For the one-at-a-time phases (view change, install, fail-over): open
+    the phase under [key] unless it is already open under any key. *)
+
+val close_span : 'slot log -> Context.phase -> unit
+(** Close the one-at-a-time phase under whatever key it is open. *)
 
 type 'slot hooks = {
   log : 'slot log;

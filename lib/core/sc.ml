@@ -25,9 +25,6 @@ type install = {
   mutable have_tuples : bool;
   mutable sent_tuples : bool;
   mutable start_sent : bool;
-  (* trace spans open at this process for fail-over accounting *)
-  mutable failover_span : int option;
-  mutable install_span : int option;
 }
 
 type t = install Pair.t
@@ -81,10 +78,7 @@ let rec note_pair_failed (t : t) rank =
       Pair.emit_fail_signal t ~value_domain:false
     | Some _ | None -> ());
     if Int.equal rank t.x.coord then begin
-      if t.x.failover_span = None then begin
-        t.x.failover_span <- Some rank;
-        Pair.span_open t Context.Failover_phase rank
-      end;
+      Recovery.open_span t.log Context.Failover_phase rank;
       begin_install t
     end
   end
@@ -99,11 +93,8 @@ and begin_install (t : t) =
   in
   let failed = t.x.coord in
   t.x.coord <- next_candidate (t.x.coord + 1);
-  (match t.x.install_span with
-  | Some r -> Pair.span_close t Context.Install_phase r
-  | None -> ());
-  t.x.install_span <- Some t.x.coord;
-  Pair.span_open t Context.Install_phase t.x.coord;
+  Recovery.close_span t.log Context.Install_phase;
+  Recovery.open_span t.log Context.Install_phase t.x.coord;
   t.x.installing <- true;
   t.x.start_env <- None;
   t.x.start_acks <- [];
@@ -316,16 +307,8 @@ and finish_install (t : t) start_env ~c ~start_o ~anchor ~new_back_log =
         (Config.candidate_is_pair t.config t.x.coord
         && Int.equal (id t) (Config.shadow_of_pair t.config t.x.coord))
   in
-  (match t.x.install_span with
-  | Some r ->
-    t.x.install_span <- None;
-    Pair.span_close t Context.Install_phase r
-  | None -> ());
-  (match t.x.failover_span with
-  | Some r ->
-    t.x.failover_span <- None;
-    Pair.span_close t Context.Failover_phase r
-  | None -> ());
+  Recovery.close_span t.log Context.Install_phase;
+  Recovery.close_span t.log Context.Failover_phase;
   t.ctx.Context.emit (Context.Coordinator_installed { rank = t.x.coord });
   (* An anchor beyond our delivery point proves the cluster committed
      sequences we will never see retransmitted (the rememberers may have
@@ -508,6 +491,4 @@ let create ~ctx ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
       have_tuples = false;
       sent_tuples = false;
       start_sent = false;
-      failover_span = None;
-      install_span = None;
     }

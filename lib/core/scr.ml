@@ -19,9 +19,6 @@ type views = {
   mutable nv_watch : Context.timer option;
   echoed_fail_signals : (int * int * int, unit) Hashtbl.t;
       (* (pair, first signatory, view): echo and react once per view *)
-  (* trace spans open at this process for fail-over accounting *)
-  mutable failover_span : int option;
-  mutable vc_span : int option;
 }
 
 type t = views Pair.t
@@ -63,10 +60,7 @@ let kernel (t : t) = Recovery.Kernel t.recovery
 let rec note_pair_failed (t : t) rank =
   t.ctx.Context.emit (Context.Fail_signal_observed { pair = rank });
   if Int.equal rank (coordinator_rank t) && not t.x.changing_view then begin
-    if t.x.failover_span = None then begin
-      t.x.failover_span <- Some rank;
-      Pair.span_open t Context.Failover_phase rank
-    end;
+    Recovery.open_span t.log Context.Failover_phase rank;
     propose_view_change t (t.x.view + 1)
   end
 
@@ -74,11 +68,8 @@ and propose_view_change (t : t) v =
   if v > t.x.view && ((not t.x.changing_view) || v > t.x.target_view) then begin
     (* On escalation (Unwilling, competing proposals) the old target's span
        closes and the new one opens, keeping opens and closes balanced. *)
-    (match t.x.vc_span with
-    | Some old -> Pair.span_close t Context.View_change_phase old
-    | None -> ());
-    t.x.vc_span <- Some v;
-    Pair.span_open t Context.View_change_phase v;
+    Recovery.close_span t.log Context.View_change_phase;
+    Recovery.open_span t.log Context.View_change_phase v;
     t.x.changing_view <- true;
     t.x.target_view <- v;
     t.x.new_view_sent <- false;
@@ -214,16 +205,8 @@ and install_view (t : t) (env : Message.envelope) ~v ~start_o ~anchor ~new_back_
         ~primary:(Int.equal (id t) (Config.primary_of_pair t.config rank) && t.x.status = Up)
         ~shadow:(Int.equal (id t) (Config.shadow_of_pair t.config rank))
     in
-    (match t.x.vc_span with
-    | Some old ->
-      t.x.vc_span <- None;
-      Pair.span_close t Context.View_change_phase old
-    | None -> ());
-    (match t.x.failover_span with
-    | Some r ->
-      t.x.failover_span <- None;
-      Pair.span_close t Context.Failover_phase r
-    | None -> ());
+    Recovery.close_span t.log Context.View_change_phase;
+    Recovery.close_span t.log Context.Failover_phase;
     t.ctx.Context.emit (Context.View_installed { v });
     Pair.send_ack t st;
     Pair.try_commit t st;
@@ -376,6 +359,4 @@ let create ~ctx ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
       new_view_sent = false;
       nv_watch = None;
       echoed_fail_signals = Hashtbl.create 8;
-      failover_span = None;
-      vc_span = None;
     }

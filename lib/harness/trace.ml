@@ -76,9 +76,9 @@ let merge_msg_counts lists =
 (* ------------------------------------------------------------------ *)
 
 (* Instrumentation keeps at most one span open per (process, phase, seq):
-   the sp_* flags in the protocol order states guarantee it.  The scan
-   still counts violations rather than assuming them away, so the property
-   suite can assert balance instead of inheriting it by construction. *)
+   [Recovery.log] guarantees it.  The scan still counts violations rather
+   than assuming them away, so the property suite can assert balance
+   instead of inheriting it by construction. *)
 type scan = {
   matched : span list;  (* in close order *)
   dangling_opens : int;  (* opened, never closed *)
@@ -136,19 +136,6 @@ let monotone rows =
       ok)
     rows
 
-let batch_scoped_phase (phase : P.Context.phase) =
-  match phase with
-  | P.Context.Endorse_phase | P.Context.Order_phase | P.Context.Ack_phase
-  | P.Context.Pre_prepare_phase | P.Context.Prepare_phase
-  | P.Context.Commit_phase ->
-    true
-  | P.Context.Batch_phase | P.Context.View_change_phase
-  | P.Context.Install_phase | P.Context.Failover_phase
-  (* Checkpoint/recovery spans are keyed by checkpoint sequence number, not
-     by a batch this process opened a batch span for. *)
-  | P.Context.Checkpoint_phase | P.Context.Recovery_phase ->
-    false
-
 (* Every per-batch protocol phase span lies inside the batch span of the
    same process and sequence number. *)
 let nested rows =
@@ -162,7 +149,7 @@ let nested rows =
     all;
   List.for_all
     (fun s ->
-      if not (batch_scoped_phase s.phase) then true
+      if not (P.Context.batch_scoped s.phase) then true
       else
         match Hashtbl.find_opt batch (s.proc, s.seq) with
         | None -> false

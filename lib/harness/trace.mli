@@ -51,15 +51,6 @@ val merge_msg_counts : msg_count list list -> msg_count list
 
 (** {2 Span matching} *)
 
-type scan = {
-  matched : span list;  (** open/close pairs, in close order *)
-  dangling_opens : int;  (** opened, never closed *)
-  orphan_closes : int;  (** closed without a prior open *)
-  double_opens : int;  (** opened while already open *)
-}
-
-val scan_rows : row list -> scan
-
 val spans : row list -> span list
 (** The matched spans only. *)
 
@@ -71,12 +62,9 @@ val monotone : row list -> bool
 (** Per-process event timestamps never decrease. *)
 
 val nested : row list -> bool
-(** Every per-batch phase span (endorse, order, ack, pre-prepare,
-    prepare, commit) lies within the batch span of the same process
-    and sequence.  Fail-over spans are exempt: they outlive batches by
-    design. *)
-
-val batch_scoped_phase : Sof_protocol.Context.phase -> bool
+(** Every {!Sof_protocol.Context.batch_scoped} phase span lies within the
+    batch span of the same process and sequence.  Fail-over spans are
+    exempt: they outlive batches by design. *)
 
 (** {2 Cluster-wide phase intervals} *)
 

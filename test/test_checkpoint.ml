@@ -368,7 +368,7 @@ let test_truncation_bounds_log () =
 
 (* A log whose slots are just the key lists they order, delivered through
    the shared [Recovery.advance]. *)
-let key_log ~interval =
+let key_log ?(emit = ignore) ~interval () =
   let delivered = ref [] in
   let ctx =
     {
@@ -383,7 +383,7 @@ let key_log ~interval =
       multicast = (fun ~dsts:_ _ -> ());
       set_timer = (fun ?kind:_ ~delay:_ _ -> P.Context.null_timer);
       deliver = (fun ~seq batch -> delivered := (seq, P.Batch.keys batch) :: !delivered);
-      emit = ignore;
+      emit;
       snapshot = (fun () -> "");
       restore = ignore;
     }
@@ -425,7 +425,7 @@ let order_and_deliver (h : Request.key list Recovery.hooks) ~o keys =
   Recovery.advance h
 
 let test_key_marks_truncate () =
-  let h, delivered = key_log ~interval:2 in
+  let h, delivered = key_log ~interval:2 () in
   let log = h.Recovery.log in
   for o = 1 to 6 do
     order_and_deliver h ~o [ key o ]
@@ -466,6 +466,75 @@ let test_key_marks_truncate () =
       (List.exists (fun k -> Request.compare_key k (key 8) = 0) keys)
   | _ -> Alcotest.fail "sequence 7 not delivered"
 
+(* ---------------------------------------------------------- trace spans *)
+
+(* A log whose context records what it emits; [take] returns the events
+   since the last call, printed. *)
+let span_log () =
+  let emitted = ref [] in
+  let h, _ = key_log ~emit:(fun e -> emitted := e :: !emitted) ~interval:2 () in
+  let take () =
+    let events = List.rev !emitted in
+    emitted := [];
+    List.map (Format.asprintf "%a" P.Context.pp_event) events
+  in
+  (h.Recovery.log, take)
+
+let expect take what expected = Alcotest.(check (list string)) what expected (take ())
+
+let test_span_open_close_once () =
+  let log, take = span_log () in
+  Recovery.span_open log P.Context.Order_phase 3;
+  expect take "batch-scoped open with no batch span" [];
+  Recovery.span_open log P.Context.Batch_phase 3;
+  Recovery.span_open log P.Context.Batch_phase 3;
+  Recovery.span_open log P.Context.Order_phase 3;
+  Recovery.span_open log P.Context.Order_phase 3;
+  expect take "repeated opens" [ "span_open(batch, 3)"; "span_open(order, 3)" ];
+  Recovery.span_close log P.Context.Order_phase 3;
+  Recovery.span_close log P.Context.Order_phase 3;
+  Recovery.span_close log P.Context.Ack_phase 3;
+  expect take "closing a closed span" [ "span_close(order, 3)" ];
+  Recovery.open_span log P.Context.Failover_phase 1;
+  Recovery.open_span log P.Context.Failover_phase 2;
+  Recovery.close_span log P.Context.Failover_phase;
+  Recovery.close_span log P.Context.Failover_phase;
+  expect take "one-at-a-time phase keeps its first key"
+    [ "span_open(failover, 1)"; "span_close(failover, 1)" ]
+
+let test_span_commit_order () =
+  let log, take = span_log () in
+  Recovery.span_open log P.Context.Batch_phase 5;
+  List.iter
+    (fun phase -> Recovery.span_open log phase 5)
+    [ P.Context.Commit_phase; P.Context.Ack_phase; P.Context.Endorse_phase ];
+  ignore (take ());
+  Recovery.close_batch_spans log 5;
+  expect take "all_phases order, then the batch"
+    [ "span_close(endorse, 5)"; "span_close(ack, 5)"; "span_close(commit, 5)";
+      "span_close(batch, 5)" ];
+  Recovery.close_batch_spans log 5;
+  expect take "nothing left open" []
+
+let test_span_truncate () =
+  let log, take = span_log () in
+  Recovery.span_open log P.Context.Batch_phase 2;
+  Recovery.span_open log P.Context.Prepare_phase 2;
+  Recovery.span_open log P.Context.Batch_phase 8;
+  Recovery.span_open log P.Context.Batch_phase 9;
+  Recovery.open_span log P.Context.View_change_phase 2;
+  ignore (take ());
+  Recovery.truncate log 8;
+  expect take "truncation emits no span event" [ "log_truncated(upto=8, retained=0)" ];
+  Recovery.span_close log P.Context.Prepare_phase 2;
+  Recovery.span_close log P.Context.Batch_phase 2;
+  Recovery.span_close log P.Context.Batch_phase 8;
+  expect take "batch spans at or below the cut forgotten" [];
+  Recovery.close_span log P.Context.View_change_phase;
+  Recovery.span_close log P.Context.Batch_phase 9;
+  expect take "view-change span at v=2 and the batch above the cut kept"
+    [ "span_close(view_change, 2)"; "span_close(batch, 9)" ]
+
 let suite =
   [
     ( "checkpoint",
@@ -488,5 +557,8 @@ let suite =
           test_stale_checkpoint_tolerated;
         Alcotest.test_case "truncation bounds the log" `Slow test_truncation_bounds_log;
         Alcotest.test_case "truncation drops both key marks" `Quick test_key_marks_truncate;
+        Alcotest.test_case "spans open and close once" `Quick test_span_open_close_once;
+        Alcotest.test_case "commit closes spans in phase order" `Quick test_span_commit_order;
+        Alcotest.test_case "truncation forgets batch spans only" `Quick test_span_truncate;
       ] );
   ]

@@ -186,8 +186,35 @@ let test_census_bft_has_three_phases () =
 
 (* Fail-free runs across all four protocols: the span stream the tracing
    layer extracts must be structurally sound for any seed.  The workload
-   ends two seconds before the run so every batch commits and closes its
-   spans. *)
+   ends at 2 s and the run at 4 s, but a slow batching interval can still
+   have the last batch in flight then: BFT batches 13 requests a KB, so its
+   300 requests take 27 batches, and at 148 ms the 27th forms at 3,996 ms.
+   An uncommitted batch leaves its spans open, so the run goes on in short
+   steps until every process has delivered the highest batched sequence
+   number, for at most 10 s more. *)
+let drain cluster ~from =
+  let highest_batched () =
+    List.fold_left
+      (fun acc (_, _, event) ->
+        match event with P.Context.Batched { seq; _ } -> max acc seq | _ -> acc)
+      0 (Cluster.events cluster)
+  in
+  let caught_up () =
+    let target = highest_batched () in
+    List.for_all
+      (fun p -> Cluster.delivered_seq cluster p >= target)
+      (List.init (Cluster.process_count cluster) Fun.id)
+  in
+  let cap = Simtime.add from (sec 10) in
+  let rec go at =
+    if Simtime.compare at cap < 0 && not (caught_up ()) then begin
+      let at = Simtime.add at (ms 50) in
+      Cluster.run cluster ~until:at;
+      go at
+    end
+  in
+  go from
+
 let failfree_cluster kind ~config_f ~seed ~interval_ms =
   let spec =
     {
@@ -201,6 +228,7 @@ let failfree_cluster kind ~config_f ~seed ~interval_ms =
   let cluster = Cluster.build spec in
   H.Workload.install cluster (H.Workload.make ~rate_per_sec:150.0 ()) ~duration:(sec 2);
   Cluster.run cluster ~until:(sec 4);
+  drain cluster ~from:(sec 4);
   cluster
 
 let kind_of_int = List.nth Sof_protocol.Replica.kinds
@@ -217,24 +245,32 @@ let print_trace_case (k, config_f, seed, interval) =
     (Sof_protocol.Replica.name (kind_of_int k))
     config_f seed interval
 
+let trace_spans_well_formed (k, config_f, seed, interval) =
+  let cluster = failfree_cluster (kind_of_int k) ~config_f ~seed ~interval_ms:interval in
+  let rows = Cluster.events cluster in
+  let spans = H.Trace.spans rows in
+  H.Trace.balanced rows && H.Trace.monotone rows && H.Trace.nested rows
+  && spans <> []
+  (* every span closes no earlier than it opens *)
+  && List.for_all
+       (fun (s : H.Trace.span) ->
+         Simtime.compare s.H.Trace.opened_at s.H.Trace.closed_at <= 0)
+       spans
+
 let prop_trace_spans_well_formed =
   QCheck.Test.make
     ~name:"Trace: spans balance, stay monotone and nest, any protocol/seed"
     ~count:12
     (QCheck.make ~print:print_trace_case gen_trace_case)
-    (fun (k, config_f, seed, interval) ->
-      let cluster =
-        failfree_cluster (kind_of_int k) ~config_f ~seed ~interval_ms:interval
-      in
-      let rows = Cluster.events cluster in
-      let spans = H.Trace.spans rows in
-      H.Trace.balanced rows && H.Trace.monotone rows && H.Trace.nested rows
-      && spans <> []
-      (* every span closes no earlier than it opens *)
-      && List.for_all
-           (fun (s : H.Trace.span) ->
-             Simtime.compare s.H.Trace.opened_at s.H.Trace.closed_at <= 0)
-           spans)
+    trace_spans_well_formed
+
+(* The case that once failed the property above: BFT's 27th and last batch
+   forms at 3,996 ms, so it needs the drain to commit. *)
+let test_trace_spans_last_batch_drained () =
+  let case = (2, 2, 3216L, 148) in
+  Alcotest.(check string) "the case" "{kind=bft; f=2; seed=3216; interval=148ms}"
+    (print_trace_case case);
+  Alcotest.(check bool) "spans well formed" true (trace_spans_well_formed case)
 
 let prop_trace_crypto_accounting =
   QCheck.Test.make
@@ -266,6 +302,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_sc_interval_insensitive_safety;
         QCheck_alcotest.to_alcotest prop_trace_spans_well_formed;
         QCheck_alcotest.to_alcotest prop_trace_crypto_accounting;
+        Alcotest.test_case "trace spans: last batch drained (bft f=2 seed 3216)" `Quick
+          test_trace_spans_last_batch_drained;
       ] );
     ( "harness.census",
       [

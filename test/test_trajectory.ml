@@ -10,11 +10,15 @@
    every pin unchanged; a deliberate behaviour change re-records them and
    says why.
 
-   The plain and durable runs crash the highest-numbered process (SC's
-   first shadow, so the SC pins also cover the fail-over install).  The
-   Byzantine-responder runs make process 1 serve stale checkpoints,
-   corrupt checkpoint images or a corrupt log suffix to the restarted
-   process. *)
+   The plain and durable runs crash the highest-numbered process, SC's
+   first shadow.  The SC plain pin covers the fail-over install (the
+   fail-signal comes at 2.1 s); the SC durable adaptive pin does not.
+   After the crash p0-p2 deliver nothing past 1,964 ms, and the first
+   fail-signal comes only at 10.4 s: 6.4 s after p3's restart, the
+   64 x 100 ms adaptive backoff cap, and after the run ends at 8 s.  That
+   pin records the stall (ROADMAP item 1).  The Byzantine-responder runs
+   make process 1 serve stale checkpoints, corrupt checkpoint images or a
+   corrupt log suffix to the restarted process. *)
 
 module Simtime = Sof_sim.Simtime
 module P = Sof_protocol
