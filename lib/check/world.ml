@@ -148,6 +148,8 @@ let make_context w i =
     emit = (fun ev -> w.events_rev <- (w.clock, i, ev) :: w.events_rev);
     snapshot = (fun () -> State_machine.snapshot w.machines.(i));
     restore = (fun image -> State_machine.restore w.machines.(i) image);
+    (* The checker's worlds have no disks: a restart asks the peers. *)
+    store = None;
   }
 
 let fault_for spec i =

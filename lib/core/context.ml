@@ -64,6 +64,8 @@ type event =
   | Node_restarted
   | Wal_replayed of { seq : int; entries : int; damaged : bool }
 
+type store = { wal : Sof_storage.Wal.t; charge_io : int -> unit }
+
 type t = {
   id : int;
   now : unit -> Sof_sim.Simtime.t;
@@ -79,6 +81,7 @@ type t = {
   emit : event -> unit;
   snapshot : unit -> string;
   restore : string -> unit;
+  store : store option;
 }
 
 let null_timer = { cancel = (fun () -> ()) }

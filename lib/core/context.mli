@@ -96,11 +96,22 @@ type event =
           from a crash with empty volatile state.  Invariants use it to
           partition a process's deliveries into incarnations. *)
   | Wal_replayed of { seq : int; entries : int; damaged : bool }
-      (** Emitted by the harness under durable storage: after a restart the
-          local write-ahead log yielded a checkpoint image at [seq] plus
-          [entries] logged batches above it.  [damaged] records that the
-          log's suffix was torn or corrupt, so recovery must finish via
-          peer repair rather than local replay alone. *)
+      (** Emitted by the replica kernel when it restarts over a durable
+          {!store}: the local write-ahead log yielded a checkpoint image at
+          [seq] plus [entries] logged batches above it.  [damaged] records
+          that the log's suffix was torn or corrupt, so recovery must finish
+          via peer repair rather than local replay alone. *)
+
+(** A process's durable storage: the write-ahead log on its mounted disk.
+    Only the replica kernel ({!Recovery}) reads or writes it — drivers mount
+    the disk and hand it over. *)
+type store = {
+  wal : Sof_storage.Wal.t;
+  charge_io : int -> unit;
+      (** Account for writing (or reading back) [n] payload bytes and
+          syncing; the simulator charges its disk cost model, other drivers
+          pass [ignore]. *)
+}
 
 type t = {
   id : int;  (** This process's id (network endpoint). *)
@@ -141,6 +152,10 @@ type t = {
   restore : string -> unit;
       (** Replace the service state with a previously [snapshot]-ted image
           (the state-transfer install path). *)
+  store : store option;
+      (** Durable storage, if any: commit then implies sync, a stable
+          checkpoint heads a fresh log epoch, and a restart replays the log
+          before asking peers. *)
 }
 
 val null_timer : timer

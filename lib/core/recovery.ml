@@ -2,6 +2,8 @@ module Simtime = Sof_sim.Simtime
 module Request = Sof_smr.Request
 module Key_map = Request.Key_map
 module Key_tbl = Request.Key_tbl
+module Codec = Sof_util.Codec
+module Wal = Sof_storage.Wal
 
 type scheme =
   | Quorum_signed of { quorum : int; member_ok : int -> bool }
@@ -407,6 +409,74 @@ let truncate log upto =
   log.ctx.Context.emit
     (Context.Log_truncated { upto; retained = Hashtbl.length log.orders })
 
+(* ------------------------------------------------------ write-ahead log *)
+(* The only code that reads or writes a replica's durable log.  A payload
+   decoder treats its bytes as hostile: a frame that slipped past the log's
+   checksum but does not decode comes back as [None]. *)
+
+let encode_checkpoint_payload cert image =
+  let w = Codec.Writer.create () in
+  Checkpoint.write_cert w cert;
+  Codec.Writer.string w image;
+  Codec.Writer.contents w
+
+let decode_checkpoint_payload s =
+  match
+    let r = Codec.Reader.of_string s in
+    let cert = Checkpoint.read_cert r in
+    let image = Codec.Reader.string r in
+    Codec.Reader.expect_end r;
+    (cert, image)
+  with
+  | v -> Some v
+  | exception Codec.Reader.Truncated -> None
+
+let encode_entry_payload e =
+  let w = Codec.Writer.create () in
+  Checkpoint.write_entry w e;
+  Codec.Writer.contents w
+
+let decode_entry_payload s =
+  match
+    let r = Codec.Reader.of_string s in
+    let e = Checkpoint.read_entry r in
+    Codec.Reader.expect_end r;
+    e
+  with
+  | e -> Some e
+  | exception Codec.Reader.Truncated -> None
+
+(* Commit implies sync: the entry is durable before the service acts on the
+   batch, so every reply is backed by a frame the replica can replay.  The
+   entry is digested under [log.digest], the digest replay checks it under.
+   Charged after the append: CPU extensions at one instant add up in any
+   order. *)
+let log_delivery log ~seq (batch : Batch.t) =
+  match log.ctx.Context.store with
+  | None -> ()
+  | Some store ->
+    let payload =
+      encode_entry_payload
+        {
+          Checkpoint.e_o = seq;
+          e_digest = Batch.digest log.digest batch;
+          e_requests = batch.Batch.requests;
+        }
+    in
+    Wal.append store.Context.wal payload;
+    Wal.sync store.Context.wal;
+    log.ctx.Context.digest_charge (String.length payload);
+    store.Context.charge_io (String.length payload)
+
+(* Durable log truncation: a stable checkpoint heads a fresh log epoch. *)
+let persist_checkpoint log cert ~image =
+  match log.ctx.Context.store with
+  | None -> ()
+  | Some store ->
+    let payload = encode_checkpoint_payload cert image in
+    Wal.write_checkpoint store.Context.wal payload;
+    store.Context.charge_io (String.length payload)
+
 let boundary_image log o =
   let image =
     Checkpoint.wrap_image ~state:(log.ctx.Context.snapshot ()) ~marks:(marks log.rcv)
@@ -422,6 +492,7 @@ let adopt log (cert : Checkpoint.cert) ~image =
     log.ctx.Context.emit
       (Context.Checkpoint_stable
          { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
+    persist_checkpoint log cert ~image;
     span_close log Context.Checkpoint_phase cert.Checkpoint.cp_seq;
     truncate log cert.Checkpoint.cp_seq
   end
@@ -478,6 +549,7 @@ let rec advance h =
           log.arrival <- Key_map.remove k log.arrival)
         (if h.settle_fresh_only then fresh else keys);
       let batch = Batch.make requests in
+      log_delivery log ~seq:o batch;
       log.ctx.Context.deliver ~seq:o batch;
       log.ctx.Context.emit (Context.Delivered { seq = o; batch });
       if log.interval > 0 then begin
@@ -605,10 +677,12 @@ let install_from_offers ?(announce = true) h ~entry_quorum =
         if log.max_committed < cert.Checkpoint.cp_seq then
           log.max_committed <- cert.Checkpoint.cp_seq;
         note_image log.rcv ~seq:cert.Checkpoint.cp_seq ~image;
-        if note_stable log.rcv ~cert ~image then
+        if note_stable log.rcv ~cert ~image then begin
           log.ctx.Context.emit
             (Context.Checkpoint_stable
                { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
+          persist_checkpoint log cert ~image
+        end;
         truncate log cert.Checkpoint.cp_seq;
         true
     end
@@ -663,8 +737,8 @@ let recover_local h ~cert ~image ~entries =
     clear_offers log.rcv;
     add_offer log.rcv
       { st_from = log.ctx.Context.id; st_cert = cert; st_image = image; st_entries = entries };
-    (* The synthetic self-offer is a local replay, not a peer transfer: the
-       harness announces it as [Wal_replayed], so the install stays silent
+    (* The synthetic self-offer is a local replay, not a peer transfer:
+       [recover] announces it as [Wal_replayed], so the install stays silent
        to keep transfer accounting honest. *)
     install_from_offers ~announce:false h ~entry_quorum:1;
     clear_offers log.rcv;
@@ -734,3 +808,39 @@ let handle_state_response h ~src ~cert ~image ~entries =
       maybe_end_fetch log
     end
   end
+
+(* Local-first recovery after a restart: re-mount the log, decode what the
+   disk preserved and turn its epoch over (to the recovered checkpoint, or
+   empty) so re-deliveries during replay are logged afresh rather than
+   behind the frames being replayed.  Reading the log back is charged before
+   the replay installs anything; peers are asked only when the suffix was
+   damaged or replay left delivery where it started. *)
+let recover h =
+  let log = h.log in
+  match log.ctx.Context.store with
+  | None -> request_recovery h
+  | Some store ->
+    let wal = store.Context.wal in
+    Wal.remount wal;
+    let rp = Wal.replay wal in
+    let cert_image = Option.bind rp.Wal.rp_checkpoint decode_checkpoint_payload in
+    let entries = List.filter_map decode_entry_payload rp.Wal.rp_entries in
+    (match (rp.Wal.rp_checkpoint, cert_image) with
+    | Some payload, Some _ -> Wal.write_checkpoint wal payload
+    | _ -> Wal.reset wal);
+    store.Context.charge_io
+      (String.length (Option.value rp.Wal.rp_checkpoint ~default:"")
+      + List.fold_left (fun a s -> a + String.length s) 0 rp.Wal.rp_entries);
+    let damaged =
+      rp.Wal.rp_damaged
+      || (Option.is_some rp.Wal.rp_checkpoint && Option.is_none cert_image)
+      || List.compare_length_with entries (List.length rp.Wal.rp_entries) < 0
+    in
+    let cert, image =
+      match cert_image with Some (c, img) -> (Some c, img) | None -> (None, "")
+    in
+    let advanced = recover_local h ~cert ~image ~entries in
+    let seq = match cert with Some c -> c.Checkpoint.cp_seq | None -> 0 in
+    log.ctx.Context.emit
+      (Context.Wal_replayed { seq; entries = List.length entries; damaged });
+    if damaged || not advanced then request_recovery h

@@ -154,8 +154,8 @@ val end_fetch : state -> unit
     delivery point and fetch timer.  What the four trust models disagree on
     comes from a {!hooks} record each core builds once in its [create];
     everything else — delivery in sequence, truncation, serving and
-    installing state transfer, local WAL replay, the fetch retry loop — is
-    written once here. *)
+    installing state transfer, the write-ahead log, local replay, the fetch
+    retry loop — is written once here. *)
 
 type 'slot log = {
   ctx : Context.t;
@@ -274,8 +274,9 @@ val boundary_image : 'slot log -> int -> string
 
 val adopt : 'slot log -> Checkpoint.cert -> image:string -> unit
 (** Make a verified certificate over our own matching image stable: emit
-    [Checkpoint_stable], close the checkpoint span, truncate.  No-op unless
-    it is newer than the current stable checkpoint. *)
+    [Checkpoint_stable], persist it as the head of a fresh log epoch (under
+    a durable store), close the checkpoint span, truncate.  No-op unless it
+    is newer than the current stable checkpoint. *)
 
 val stabilize : 'slot log -> quorum:int -> seq:int -> digest:string -> unit
 (** Quorum-tallied schemes (BFT, CT): once [quorum] votes match our own
@@ -283,7 +284,9 @@ val stabilize : 'slot log -> quorum:int -> seq:int -> digest:string -> unit
 
 val advance : 'slot hooks -> unit
 (** Deliver committed slots in strict sequence order, at most once per
-    request, while their request bodies are all pooled. *)
+    request, while their request bodies are all pooled.  Under a durable
+    store each batch's entry is appended and synced, digest and disk
+    charged, before [ctx.deliver] sees it: commit implies sync. *)
 
 val flip_first_byte : string -> string
 (** The tampering every Byzantine fault injector applies to a digest or
@@ -311,6 +314,25 @@ val request_recovery : 'slot hooks -> unit
 (** Begin a fetch (idempotent while one is in flight): multicast a
     [State_request] and retry on the backed-off retry delay until offers
     from f+1 responders have been caught up to. *)
+
+val recover : 'slot hooks -> unit
+(** Recover a restarted process.  Under a durable store: re-mount the log,
+    decode it, turn its epoch over, charge the read-back, install it through
+    {!recover_local}, emit [Wal_replayed], and fall back to
+    {!request_recovery} when the log was damaged or delivery did not
+    advance.  Without one, just {!request_recovery}. *)
+
+(** {2 Write-ahead log payloads}
+
+    The frames the kernel logs: a stable checkpoint (certificate and image)
+    and one entry per delivered batch.  Decoders treat their bytes as
+    hostile: a torn or corrupt frame that slipped past the log's checksum
+    comes back as [None]. *)
+
+val encode_checkpoint_payload : Checkpoint.cert -> string -> string
+val decode_checkpoint_payload : string -> (Checkpoint.cert * string) option
+val encode_entry_payload : Checkpoint.entry -> string
+val decode_entry_payload : string -> Checkpoint.entry option
 
 val handle_state_response :
   'slot hooks -> src:int -> cert:Checkpoint.cert option -> image:string ->

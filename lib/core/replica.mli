@@ -4,11 +4,10 @@
     The simulator ([Sof_harness.Cluster]), the model checker's world and
     the TCP runtime each build one {!Config.t} and a {!Context.t} for every
     process, and then hand both here.  [Replica] makes the trusted dealer's
-    pre-signed fail-signal, dispatches the driver calls, reads every core's
-    delivery log and recovery state through one {!Recovery.kernel} handle,
-    and owns the durable-log path the two real drivers share: the
-    write-ahead-log payloads, logging a delivery, persisting a stable
-    checkpoint and reading a log back for local-first recovery. *)
+    pre-signed fail-signal, dispatches the driver calls, and reads every
+    core's delivery log and recovery state through one {!Recovery.kernel}
+    handle.  The kernel owns the write-ahead log on the context's
+    {!Context.store}: a driver mounts a disk and never writes to it. *)
 
 type kind = Config.kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
 
@@ -51,25 +50,11 @@ val on_message : t -> src:int -> Message.envelope -> unit
 
 val kernel : t -> Recovery.kernel
 
-val request_recovery : t -> unit
-(** Start state transfer: ask every process for everything above this
-    process's delivery point and install what comes back, each certificate,
-    image and entry checked under the protocol's trust model.  Called by
-    the drivers right after a crash-restart; the cores also call it when
-    checkpoint traffic shows them a full interval behind.  Idempotent while
-    a fetch is in flight. *)
-
-val recover_local :
-  t -> cert:Checkpoint.cert option -> image:string -> entries:Checkpoint.entry list -> bool
-(** Install locally persisted state (WAL replay) as a synthetic self-offer,
-    verified exactly like a peer's state-transfer response, so damaged or
-    tampered suffixes are excluded rather than installed.  Returns whether
-    delivery advanced; callers escalate to {!request_recovery} when the
-    local log was damaged or insufficient. *)
-
-val latest_stable : t -> (Checkpoint.cert * string) option
-(** Latest stable checkpoint certificate with its image bytes — what a
-    durable driver persists alongside the write-ahead log. *)
+val recover : t -> unit
+(** Bring a process back right after a crash-restart and {!start}: replay
+    its own write-ahead log when the context has a durable store, verified
+    exactly like a peer's state-transfer offer, and ask the cluster for
+    whatever the log did not hold (see {!Recovery.recover}). *)
 
 val log_length : t -> int
 (** Retained order-log length — what truncation keeps bounded. *)
@@ -85,39 +70,3 @@ val max_committed : t -> int
 
 val client_marks : t -> (int * int) list
 (** Per-client delivery high-water marks, sorted by client. *)
-
-(** {1 Durable log}
-
-    Decoders treat their bytes as hostile: a torn or corrupt frame that
-    slipped past the log's checksum comes back as [None]. *)
-
-val encode_checkpoint_payload : Checkpoint.cert -> string -> string
-val decode_checkpoint_payload : string -> (Checkpoint.cert * string) option
-val encode_entry_payload : Checkpoint.entry -> string
-val decode_entry_payload : string -> Checkpoint.entry option
-
-val log_delivery : Config.t -> Sof_storage.Wal.t -> seq:int -> Batch.t -> int
-(** Append and sync the entry for a delivered batch, digested under the
-    configuration's digest (the one the protocol checks replayed entries
-    under).  Returns the payload size. *)
-
-val persist_checkpoint : t -> Sof_storage.Wal.t -> int option
-(** Start a fresh log epoch headed by the latest stable checkpoint, if
-    any.  Returns the payload size. *)
-
-type replayed = {
-  cert : Checkpoint.cert option;
-  image : string;
-  entries : Checkpoint.entry list;
-  damaged : bool;  (** the log ended in damage or a frame did not decode *)
-  bytes : int;  (** payload bytes read back *)
-}
-
-val read_log : Sof_storage.Wal.t -> replayed
-(** Decode what the log held at attach time, then turn its epoch over (to
-    the recovered checkpoint, or empty) so re-deliveries during replay are
-    logged afresh rather than behind the frames being replayed. *)
-
-val recover_from_log : t -> replayed -> bool
-(** {!recover_local} over a read log.  [false] when the log was damaged or
-    delivery did not advance: the caller then calls {!request_recovery}. *)

@@ -115,8 +115,9 @@ type node = {
   node_sends : (string, int ref * int ref) Hashtbl.t;  (* tag -> msgs, bytes *)
   node_disk : Sim_disk.t option;
       (* the platter: survives crash/restart, unlike everything above *)
-  mutable node_wal : Wal.t option;
-      (* re-attached from [node_disk] on every restart *)
+  node_wal : Wal.t option;
+      (* mounted on [node_disk] once; the replica kernel re-mounts it on
+         every restart *)
   mutable node_slow_prior : int;
       (* slow-sector ops already converted into CPU stall; the delta
          against the disk's counter is charged at each disk interaction *)
@@ -135,9 +136,6 @@ type t = {
   nodes : node array;
   mutable event_log : (Simtime.t * int * P.Context.event) list;
   replies : (Request.key, (int * string) list ref) Hashtbl.t;
-  mutable wal_prior : Wal.stats;
-      (* stats absorbed from write-ahead logs superseded by restarts *)
-  mutable wal_replayed : int;  (* entries recovered by local replay *)
 }
 
 let config t = t.config
@@ -249,28 +247,6 @@ let charge_disk_write t i ~size =
   Cpu.extend node.node_cpu (Cost_model.disk_append_cost Cost_model.default ~size);
   Cpu.extend node.node_cpu (Cost_model.disk_sync_cost Cost_model.default);
   charge_disk_slowness t i
-
-(* Durable log truncation: when a checkpoint goes stable, persist its
-   certificate and image as the head of a fresh write-ahead-log epoch. *)
-let persist_checkpoint t i =
-  let node = t.nodes.(i) in
-  match (node.node_wal, node.node_proc) with
-  | Some wal, Some p -> begin
-    match Replica.persist_checkpoint p wal with
-    | Some size -> charge_disk_write t i ~size
-    | None -> ()
-  end
-  | _ -> ()
-
-let absorb_wal_stats t wal =
-  let s = Wal.stats wal and p = t.wal_prior in
-  t.wal_prior <-
-    {
-      Wal.w_appends = p.Wal.w_appends + s.Wal.w_appends;
-      w_syncs = p.Wal.w_syncs + s.Wal.w_syncs;
-      w_checkpoints = p.Wal.w_checkpoints + s.Wal.w_checkpoints;
-      w_dropped = p.Wal.w_dropped + s.Wal.w_dropped;
-    }
 
 (* Context with all CPU charging for node [i]. *)
 let make_context t i =
@@ -392,18 +368,10 @@ let make_context t i =
     in
     { P.Context.cancel = (fun () -> Engine.cancel h) }
   in
-  let deliver ~seq batch =
-    (* Commit implies sync: under [durable] the batch is framed, appended
-       and flushed before the reply is recorded, so every reply the harness
-       counts is backed by a sector the replica can replay after a crash. *)
-    (match node.node_wal with
-    | None -> ()
-    | Some wal ->
-      (* Charged after the append: CPU extensions at one instant add up in
-         any order. *)
-      let size = Replica.log_delivery t.config wal ~seq batch in
-      digest_charge size;
-      charge_disk_write t i ~size);
+  (* Under [durable] the kernel has synced the batch's log entry before
+     [deliver] records a reply, so every reply the harness counts is backed
+     by a sector the replica can replay after a crash. *)
+  let deliver ~seq:_ batch =
     List.iter
       (fun r ->
         let reply = Sof_smr.State_machine.apply node.node_machine r.Request.op in
@@ -418,12 +386,7 @@ let make_context t i =
         cell := (i, reply) :: !cell)
       batch.P.Batch.requests
   in
-  let emit ev =
-    t.event_log <- (Engine.now t.engine, i, ev) :: t.event_log;
-    match ev with
-    | P.Context.Checkpoint_stable _ -> persist_checkpoint t i
-    | _ -> ()
-  in
+  let emit ev = t.event_log <- (Engine.now t.engine, i, ev) :: t.event_log in
   (* [node.node_machine] is read at call time, so a restart's fresh
      machine is picked up without rebuilding the context. *)
   let snapshot () = Sof_smr.State_machine.snapshot node.node_machine in
@@ -443,6 +406,10 @@ let make_context t i =
     emit;
     snapshot;
     restore;
+    store =
+      Option.map
+        (fun wal -> { P.Context.wal; charge_io = (fun size -> charge_disk_write t i ~size) })
+        node.node_wal;
   }
 
 let fault_for spec i =
@@ -456,7 +423,8 @@ let make_proc t i =
    fresh (empty) state machine — everything volatile is lost.  The
    generation bump silences the superseded process's pending timers; the
    transport handler and request injection read [node_proc] at event time,
-   so all new traffic reaches the replacement. *)
+   so all new traffic reaches the replacement, which recovers from its own
+   log first when it has one. *)
 let restart t i =
   if Network.is_crashed t.net i then begin
     let node = t.nodes.(i) in
@@ -467,31 +435,7 @@ let restart t i =
     node.node_proc <- Some p;
     t.event_log <- (Engine.now t.engine, i, P.Context.Node_restarted) :: t.event_log;
     Replica.start p;
-    (* Local-first recovery: re-attach the log, replay what the disk
-       preserved, and only escalate to peer state transfer when the suffix
-       was damaged or replay left delivery where it started.  Reading the
-       log back is charged before the replay installs anything. *)
-    let recovered =
-      match (node.node_disk, node.node_wal) with
-      | Some sd, Some old_wal ->
-        absorb_wal_stats t old_wal;
-        let wal = Wal.attach (Sim_disk.disk sd) in
-        node.node_wal <- Some wal;
-        let log = Replica.read_log wal in
-        charge_disk_write t i ~size:log.Replica.bytes;
-        let recovered = Replica.recover_from_log p log in
-        let entries = List.length log.Replica.entries in
-        t.wal_replayed <- t.wal_replayed + entries;
-        let seq = match log.Replica.cert with Some c -> c.P.Checkpoint.cp_seq | None -> 0 in
-        t.event_log <-
-          ( Engine.now t.engine,
-            i,
-            P.Context.Wal_replayed { seq; entries; damaged = log.Replica.damaged } )
-          :: t.event_log;
-        recovered
-      | _ -> false
-    in
-    if not recovered then Replica.request_recovery p
+    Replica.recover p
   end
 
 let build spec =
@@ -592,8 +536,6 @@ let build spec =
       nodes;
       event_log = [];
       replies = Hashtbl.create 256;
-      wal_prior = { Wal.w_appends = 0; w_syncs = 0; w_checkpoints = 0; w_dropped = 0 };
-      wal_replayed = 0;
     }
   in
   (* Fast links inside each pair, both directions. *)
@@ -675,10 +617,7 @@ type storage_totals = {
 let storage_totals t =
   if not t.spec.durable then None
   else begin
-    let appends = ref t.wal_prior.Wal.w_appends in
-    let syncs = ref t.wal_prior.Wal.w_syncs in
-    let checkpoints = ref t.wal_prior.Wal.w_checkpoints in
-    let dropped = ref t.wal_prior.Wal.w_dropped in
+    let appends = ref 0 and syncs = ref 0 and checkpoints = ref 0 and dropped = ref 0 in
     let lost = ref 0 and misdirected = ref 0 and torn = ref 0 in
     let corrupt = ref 0 and slow = ref 0 in
     Array.iter
@@ -707,7 +646,11 @@ let storage_totals t =
         sg_syncs = !syncs;
         sg_checkpoint_writes = !checkpoints;
         sg_dropped = !dropped;
-        sg_replayed_entries = t.wal_replayed;
+        sg_replayed_entries =
+          List.fold_left
+            (fun acc (_, _, ev) ->
+              match ev with P.Context.Wal_replayed { entries; _ } -> acc + entries | _ -> acc)
+            0 t.event_log;
         sg_lost_writes = !lost;
         sg_misdirected = !misdirected;
         sg_torn = !torn;

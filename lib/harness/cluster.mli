@@ -120,15 +120,14 @@ val crash : t -> int -> unit
 val restart : t -> int -> unit
 (** Bring a crashed node back: reconnect it at the network level, give it a
     fresh protocol process (same configuration, empty volatile state) and a
-    fresh state machine, emit {!Sof_protocol.Context.Node_restarted}, and
-    recover.  Under [durable], recovery is local-first: the write-ahead log
-    is re-attached and replayed through
-    {!Sof_protocol.Replica.recover_local} (emitting
-    {!Sof_protocol.Context.Wal_replayed}), and peer state transfer is
-    requested only when the log was damaged or replay did not advance
-    delivery.  Without a disk the node goes straight to
-    {!Sof_protocol.Replica.request_recovery}.  Timers armed by the pre-crash process are
-    silenced.  No-op unless the node is currently crashed. *)
+    fresh state machine, emit {!Sof_protocol.Context.Node_restarted}, start
+    it and {!Sof_protocol.Replica.recover} it.  Under [durable], recovery is
+    local-first: the replica re-mounts its write-ahead log and replays it
+    (emitting {!Sof_protocol.Context.Wal_replayed}), and requests peer
+    state transfer only when the log was damaged or replay did not advance
+    delivery.  Without a disk the node goes straight to state transfer.
+    Timers armed by the pre-crash process are silenced.  No-op unless the
+    node is currently crashed. *)
 
 val log_length : t -> int -> int
 (** Retained order-log length at process [i] — what checkpoint-driven
@@ -193,5 +192,7 @@ type storage_totals = {
 }
 
 val storage_totals : t -> storage_totals option
-(** Storage activity summed over all nodes, including logs superseded by
-    restarts; [None] unless the spec was durable. *)
+(** Storage activity summed over all nodes, each of which keeps one log
+    across its restarts; replayed entries are summed from the
+    {!Sof_protocol.Context.Wal_replayed} events.  [None] unless the spec was
+    durable. *)

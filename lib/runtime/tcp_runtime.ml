@@ -39,7 +39,7 @@ type node = {
   out : (Unix.file_descr * Mutex.t) option array;
   (* durable storage: the file is the platter — it survives kill/restart *)
   disk : File_disk.t option;
-  mutable wal : Wal.t option;
+  wal : Wal.t option;  (* mounted once at start; the replica kernel owns it *)
 }
 
 type t = {
@@ -195,12 +195,9 @@ let make_context t node =
     Mutex.unlock node.timer_mutex;
     { P.Context.cancel = (fun () -> entry.cancelled <- true) }
   in
-  let deliver ~seq (batch : P.Batch.t) =
-    (* Commit implies sync before the service acts: the entry is durable
-       on disk (fsync) before the state machine applies it. *)
-    (match node.wal with
-    | Some wal -> ignore (Replica.log_delivery t.config wal ~seq batch)
-    | None -> ());
+  (* Under a [data_dir] the kernel has synced the batch's log entry (fsync)
+     before the state machine applies it. *)
+  let deliver ~seq:_ (batch : P.Batch.t) =
     node.delivered_batches <- node.delivered_batches + 1;
     let now = Unix.gettimeofday () in
     Mutex.lock t.latency_mutex;
@@ -226,16 +223,12 @@ let make_context t node =
     multicast;
     set_timer;
     deliver;
-    emit =
-      (fun ev ->
-        match (ev, node.wal, node.proc) with
-        | P.Context.Checkpoint_stable _, Some wal, Some p ->
-          ignore (Replica.persist_checkpoint p wal)
-        | _ -> ());
+    emit = ignore;
     (* [node.machine] is read at call time, so a restart's fresh machine is
        picked up without rebuilding the context. *)
     snapshot = (fun () -> Sof_smr.State_machine.snapshot node.machine);
     restore = (fun image -> Sof_smr.State_machine.restore node.machine image);
+    store = Option.map (fun wal -> { P.Context.wal; charge_io = ignore }) node.wal;
   }
 
 (* Protocol process construction, shared by [start] and [restart]. *)
@@ -550,18 +543,7 @@ let restart t who =
     let proc = make_proc t node in
     node.proc <- Some proc;
     Replica.start proc;
-    (* Local-first recovery: re-mount the on-disk log the previous
-       incarnation wrote and install what survives verification; only a
-       damaged or insufficient log escalates to peer state transfer. *)
-    let recovered =
-      match node.disk with
-      | None -> false
-      | Some fd ->
-        let wal = Wal.attach (File_disk.disk fd) in
-        node.wal <- Some wal;
-        Replica.recover_from_log proc (Replica.read_log wal)
-    in
-    if not recovered then Replica.request_recovery proc;
+    Replica.recover proc;
     (* The worker starts last: frames from the re-dialed peers and the
        client, and the timers armed above, have only queued so far. *)
     ignore (Thread.create (fun () -> worker_thread node) ())

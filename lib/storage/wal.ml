@@ -66,6 +66,10 @@ let crc s =
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
+let clear_dirty t =
+  t.dirty_lo <- max_int;
+  t.dirty_hi <- -1
+
 let region_bytes t = t.region_sectors * t.disk.Disk.sector_size
 let region_base t = 2 + (t.epoch land 1 * t.region_sectors)
 
@@ -183,6 +187,21 @@ let parse_region t =
     valid_len,
     bytes )
 
+(* Mount the log as the disk holds it: whatever this handle had staged but
+   not synced is dropped, and the counters carry over. *)
+let remount t =
+  clear_dirty t;
+  t.epoch <-
+    (match (read_superblock t 0, read_superblock t 1) with
+    | Some a, Some b -> max a b
+    | Some e, None | None, Some e -> e
+    | None, None -> 0);
+  let replay, valid_len, bytes = parse_region t in
+  t.last_replay <- replay;
+  Buffer.clear t.mem;
+  Buffer.add_string t.mem (String.sub bytes 0 valid_len);
+  t.flushed <- valid_len
+
 let attach disk =
   let region_sectors = (disk.Disk.sector_count - 2) / 2 in
   let t =
@@ -201,15 +220,7 @@ let attach disk =
       dropped = 0;
     }
   in
-  (match (read_superblock t 0, read_superblock t 1) with
-  | Some a, Some b -> t.epoch <- max a b
-  | Some a, None -> t.epoch <- a
-  | None, Some b -> t.epoch <- b
-  | None, None -> t.epoch <- 0);
-  let replay, valid_len, bytes = parse_region t in
-  t.last_replay <- replay;
-  Buffer.add_string t.mem (String.sub bytes 0 valid_len);
-  t.flushed <- valid_len;
+  remount t;
   t
 
 let replay t = t.last_replay
@@ -238,10 +249,6 @@ let append t payload =
    attempts we leave them to the crc, which is the detectable-damage
    path up the repair ladder. *)
 let heal_attempts = 3
-
-let clear_dirty t =
-  t.dirty_lo <- max_int;
-  t.dirty_hi <- -1
 
 let staged_sector t content len s =
   let ss = t.disk.Disk.sector_size in

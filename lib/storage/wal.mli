@@ -34,8 +34,14 @@ val attach : Disk.t -> t
     region's frames, and position appends after the valid prefix.  A
     blank disk attaches as an empty epoch-0 log. *)
 
+val remount : t -> unit
+(** Mount the log again, as after a crash: drop the in-memory head and any
+    frames staged since the last {!sync}, then re-read the disk exactly as
+    {!attach} does.  The {!stats} counters carry over, so one handle can
+    serve a node for a whole run. *)
+
 val replay : t -> replay
-(** What {!attach} recovered from the disk. *)
+(** What the last {!attach} or {!remount} recovered from the disk. *)
 
 val append : t -> string -> unit
 (** Stage an entry frame (durable only after {!sync}).  Dropped, with the

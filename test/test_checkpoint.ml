@@ -386,6 +386,7 @@ let key_log ?(emit = ignore) ~interval () =
       emit;
       snapshot = (fun () -> "");
       restore = ignore;
+      store = None;
     }
   in
   let log = Recovery.create_log ~ctx ~f:1 ~digest:Sof_crypto.Digest_alg.MD5 ~interval in

@@ -283,6 +283,7 @@ let test_sc_create_validation () =
       emit = ignore;
       snapshot = (fun () -> "");
       restore = ignore;
+      store = None;
     }
   in
   Alcotest.check_raises "paired process needs fail-signal"

@@ -127,6 +127,40 @@ let test_wal_crash_loses_unsynced () =
   Alcotest.(check bool) "losing staged writes is clean, not damage" false
     rp.Wal.rp_damaged
 
+(* One handle across a crash: [remount] forgets what was only staged,
+   reads back exactly what a fresh [attach] of the disk would, keeps its
+   counters, and appends after the valid prefix. *)
+let test_wal_remount () =
+  let sim = fresh_disk () in
+  let disk = Sim_disk.disk sim in
+  let t = Wal.attach disk in
+  Wal.append t "first";
+  Wal.sync t;
+  Wal.append t "durable";
+  Wal.sync t;
+  Wal.append t "volatile";
+  let stats = Wal.stats t in
+  Sim_disk.crash sim;
+  Wal.remount t;
+  let rp = Wal.replay t in
+  Alcotest.(check (list string))
+    "the unsynced append is gone" [ "first"; "durable" ] rp.Wal.rp_entries;
+  let fresh = Wal.attach disk in
+  let rp' = Wal.replay fresh in
+  Alcotest.(check (option string))
+    "checkpoint as a fresh attach reads it" rp'.Wal.rp_checkpoint rp.Wal.rp_checkpoint;
+  Alcotest.(check (list string))
+    "entries as a fresh attach reads them" rp'.Wal.rp_entries rp.Wal.rp_entries;
+  Alcotest.(check bool) "damage as a fresh attach reads it" rp'.Wal.rp_damaged
+    rp.Wal.rp_damaged;
+  Alcotest.(check int) "epoch as a fresh attach reads it" (Wal.epoch fresh) (Wal.epoch t);
+  Alcotest.(check bool) "counters carry over" true (Wal.stats t = stats);
+  Wal.append t "after-remount";
+  Wal.sync t;
+  Alcotest.(check (list string))
+    "the append lands after the valid prefix" [ "first"; "durable"; "after-remount" ]
+    (Wal.replay (Wal.attach disk)).Wal.rp_entries
+
 (* A torn tail: scribble a prefix-plus-zeros over the last data sector,
    exactly what a torn sector write leaves.  Replay must flag damage and
    keep the valid prefix; a subsequent append must overwrite the damaged
@@ -280,9 +314,9 @@ let put_request seq =
   Sof_smr.Request.make ~client:1 ~client_seq:seq
     ~op:(Kv.encode_op (Kv.Put (Printf.sprintf "k%d" seq, "v")))
 
-(* Process 1 of an f = 1 deployment, wired to nothing: sends and timers go
-   nowhere, events are recorded newest first. *)
-let bare_replica ~kind ~config =
+(* Process 1 of an f = 1 deployment, wired to nothing but [store]: sends
+   and timers go nowhere, events are recorded newest first. *)
+let bare_replica ?store ~kind ~config () =
   let keyring =
     Keyring.create
       ~scheme:(Replica.scheme kind Sof_crypto.Scheme.mock)
@@ -312,40 +346,54 @@ let bare_replica ~kind ~config =
       emit = (fun ev -> events := ev :: !events);
       snapshot = (fun () -> Sof_smr.State_machine.snapshot machine);
       restore = Sof_smr.State_machine.restore machine;
+      store;
     }
   in
   (Replica.create ~ctx ~config ~keyring ~fault:P.Fault.Honest (), events)
 
-(* Log [n] deliveries under [written], re-attach the disk as a restart
-   would, and recover a fresh process under [config] the way both real
-   drivers do: escalate to state transfer when the log does not suffice. *)
+(* A replica under [written] delivers [n] batches, which its kernel logs;
+   the disk crashes, and a fresh replica under [config] restarts over the
+   same log handle the way both real drivers do ([start], then [recover]).
+   Returns the restarted replica's delivery point, its state-transfer
+   requests and its [Wal_replayed] events. *)
 let replay_into ~kind ~config ~written n =
   let sd = Sim_disk.create ~sector_size:256 ~sector_count:256 () in
-  let wal = Wal.attach (Sim_disk.disk sd) in
-  for seq = 1 to n do
-    ignore (Replica.log_delivery written wal ~seq (P.Batch.make [ put_request seq ]))
-  done;
-  Sim_disk.crash sd;
-  let log = Replica.read_log (Wal.attach (Sim_disk.disk sd)) in
-  let p, events = bare_replica ~kind ~config in
-  Replica.start p;
-  let recovered = Replica.recover_from_log p log in
-  if not recovered then Replica.request_recovery p;
-  let transfers =
-    List.length
-      (List.filter
-         (function P.Context.State_transfer_started _ -> true | _ -> false)
-         !events)
+  let store = { P.Context.wal = Wal.attach (Sim_disk.disk sd); charge_io = ignore } in
+  let writer, _ = bare_replica ~store ~kind ~config:written () in
+  Replica.start writer;
+  let entries =
+    List.init n (fun i ->
+        let requests = [ put_request (i + 1) ] in
+        {
+          Checkpoint.e_o = i + 1;
+          e_digest = P.Batch.digest written.P.Config.digest (P.Batch.make requests);
+          e_requests = requests;
+        })
   in
-  (recovered, Replica.delivered_seq p, transfers)
+  (match Replica.kernel writer with
+  | Recovery.Kernel h -> ignore (Recovery.recover_local h ~cert:None ~image:"" ~entries));
+  Alcotest.(check int) "the writer delivered every batch" n (Replica.delivered_seq writer);
+  Alcotest.(check int) "one synced append per delivery" n
+    (Wal.stats store.P.Context.wal).Wal.w_syncs;
+  Sim_disk.crash sd;
+  let p, events = bare_replica ~store ~kind ~config () in
+  Replica.start p;
+  Replica.recover p;
+  let count pred = List.length (List.filter pred !events) in
+  ( Replica.delivered_seq p,
+    count (function P.Context.State_transfer_started _ -> true | _ -> false),
+    List.filter_map
+      (function P.Context.Wal_replayed { entries; damaged; _ } -> Some (entries, damaged) | _ -> None)
+      !events )
 
 let test_log_replay_every_kind () =
   List.iter
     (fun kind ->
       let config = P.Config.make ~kind ~f:1 () in
-      let recovered, delivered, transfers = replay_into ~kind ~config ~written:config 6 in
+      let delivered, transfers, replayed = replay_into ~kind ~config ~written:config 6 in
       let name = Replica.name kind in
-      Alcotest.(check bool) (name ^ ": log recovers locally") true recovered;
+      Alcotest.(check (list (pair int bool)))
+        (name ^ ": the whole log replays, undamaged") [ (6, false) ] replayed;
       Alcotest.(check int) (name ^ ": every logged entry delivered") 6 delivered;
       Alcotest.(check int) (name ^ ": no state transfer") 0 transfers)
     [ Cluster.Sc_protocol; Cluster.Scr_protocol; Cluster.Bft_protocol; Cluster.Ct_protocol ]
@@ -356,7 +404,7 @@ let test_kernel_accessors_allocate_nothing () =
   List.iter
     (fun kind ->
       let config = P.Config.make ~kind ~f:1 () in
-      let p, _ = bare_replica ~kind ~config in
+      let p, _ = bare_replica ~kind ~config () in
       let poll () =
         Replica.log_length p + Replica.stable_checkpoint_seq p + Replica.delivered_seq p
         + Replica.max_committed p
@@ -373,15 +421,17 @@ let test_kernel_accessors_allocate_nothing () =
     Replica.kinds
 
 (* Entries digested under another algorithm than the protocol checks fail
-   verification: the process installs nothing and falls back to its peers. *)
+   verification: a SHA-256 replica writes the log, an MD5 replica replays
+   it, installs nothing and falls back to its peers. *)
 let test_log_replay_digest_mismatch () =
   let kind = Cluster.Sc_protocol in
   let written =
     P.Config.make ~kind ~digest:Sof_crypto.Digest_alg.SHA256 ~f:1 ()
   in
-  let config = P.Config.make ~kind ~f:1 () in
-  let recovered, delivered, transfers = replay_into ~kind ~config ~written 6 in
-  Alcotest.(check bool) "not recovered locally" false recovered;
+  let config = P.Config.make ~kind ~digest:Sof_crypto.Digest_alg.MD5 ~f:1 () in
+  let delivered, transfers, replayed = replay_into ~kind ~config ~written 6 in
+  Alcotest.(check (list (pair int bool)))
+    "the log decodes, undamaged" [ (6, false) ] replayed;
   Alcotest.(check int) "nothing delivered" 0 delivered;
   Alcotest.(check int) "state transfer requested" 1 transfers
 
@@ -405,20 +455,20 @@ let test_payload_decoders () =
     if Option.is_some (decode (payload ^ "\000")) then
       Alcotest.failf "%s payload with a trailing byte decoded" name
   in
-  let ckpt = Replica.encode_checkpoint_payload cert "image" in
-  (match Replica.decode_checkpoint_payload ckpt with
+  let ckpt = Recovery.encode_checkpoint_payload cert "image" in
+  (match Recovery.decode_checkpoint_payload ckpt with
   | Some (c, image) ->
     Alcotest.(check bool) "checkpoint roundtrips" true
       (Checkpoint.equal_cert c cert && String.equal image "image")
   | None -> Alcotest.fail "checkpoint payload did not decode");
-  hostile "checkpoint" Replica.decode_checkpoint_payload ckpt;
-  let e = Replica.encode_entry_payload entry in
-  (match Replica.decode_entry_payload e with
+  hostile "checkpoint" Recovery.decode_checkpoint_payload ckpt;
+  let e = Recovery.encode_entry_payload entry in
+  (match Recovery.decode_entry_payload e with
   | Some e' ->
     Alcotest.(check int) "entry roundtrips" 5 e'.Checkpoint.e_o;
     Alcotest.(check string) "entry digest roundtrips" "entry-digest" e'.Checkpoint.e_digest
   | None -> Alcotest.fail "entry payload did not decode");
-  hostile "entry" Replica.decode_entry_payload e
+  hostile "entry" Recovery.decode_entry_payload e
 
 (* ----------------------------------------------------------- file disk *)
 
@@ -480,13 +530,73 @@ let test_durability_campaigns () =
     [ Cluster.Ct_protocol; Cluster.Sc_protocol; Cluster.Scr_protocol;
       Cluster.Bft_protocol ]
 
+(* Commit implies sync, counted: on a durable cluster every delivery is one
+   append and one sync, every replayed entry is announced by [Wal_replayed],
+   and every checkpoint write is a stable checkpoint or the epoch a replay
+   turns over to its recovered checkpoint — through a follower's
+   crash-restart and a whole-cluster blackout, for every protocol. *)
+let test_commit_implies_sync () =
+  List.iter
+    (fun kind ->
+      let name = Replica.name kind in
+      let spec =
+        { (Cluster.default_spec ~kind ~f:1) with Cluster.durable = true; checkpoint_interval = 8 }
+      in
+      let cluster = Cluster.build spec in
+      let n = Cluster.process_count cluster in
+      H.Workload.install cluster (H.Workload.make ~rate_per_sec:150.0 ()) ~duration:(sec 7);
+      Cluster.run cluster ~until:(sec 2);
+      Cluster.crash cluster (n - 1);
+      Cluster.run cluster ~until:(sec 3);
+      Cluster.restart cluster (n - 1);
+      Cluster.run cluster ~until:(sec 5);
+      for i = 0 to n - 1 do
+        Cluster.crash cluster i
+      done;
+      Cluster.run cluster ~until:(Simtime.ms 5500);
+      for i = 0 to n - 1 do
+        Cluster.restart cluster i
+      done;
+      Cluster.run cluster ~until:(sec 9);
+      let events = List.map (fun (_, _, ev) -> ev) (Cluster.events cluster) in
+      let count pred = List.length (List.filter pred events) in
+      let delivered = count (function P.Context.Delivered _ -> true | _ -> false) in
+      let stable = count (function P.Context.Checkpoint_stable _ -> true | _ -> false) in
+      let replays = count (function P.Context.Wal_replayed _ -> true | _ -> false) in
+      let replays_at_checkpoint =
+        count (function P.Context.Wal_replayed { seq; _ } -> seq > 0 | _ -> false)
+      in
+      let replayed_entries =
+        List.fold_left
+          (fun acc -> function P.Context.Wal_replayed { entries; _ } -> acc + entries | _ -> acc)
+          0 events
+      in
+      let sg =
+        match Cluster.storage_totals cluster with
+        | Some sg -> sg
+        | None -> Alcotest.failf "%s: a durable cluster reports storage totals" name
+      in
+      Alcotest.(check bool) (name ^ ": delivered, checkpointed and replayed") true
+        (delivered > 0 && stable > 0 && replays_at_checkpoint > 0);
+      Alcotest.(check int) (name ^ ": one replay per restart") (n + 1) replays;
+      Alcotest.(check int) (name ^ ": one append per delivery") delivered sg.Cluster.sg_appends;
+      Alcotest.(check int) (name ^ ": one sync per append") sg.Cluster.sg_appends
+        sg.Cluster.sg_syncs;
+      Alcotest.(check int) (name ^ ": replayed entries are announced") replayed_entries
+        sg.Cluster.sg_replayed_entries;
+      Alcotest.(check int)
+        (name ^ ": checkpoint writes are stable checkpoints and replay turn-overs")
+        (stable + replays_at_checkpoint) sg.Cluster.sg_checkpoint_writes)
+    Replica.kinds
+
 (* Durable TCP deployment: kill a replica, let checkpoints truncate the
    history behind it, restart — with a data_dir the comeback re-mounts its
-   own file-backed log and recovers locally first. *)
-let test_tcp_durable_restart () =
+   own file-backed log and recovers locally first.  Each protocol listens
+   on its own ports. *)
+let tcp_durable_restart ~kind ~base_port () =
   let data_dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sof-durable-%d" (Unix.getpid ()))
+      (Printf.sprintf "sof-durable-%d-%d" (Unix.getpid ()) base_port)
   in
   let cleanup () =
     (try
@@ -500,7 +610,7 @@ let test_tcp_durable_restart () =
       let module Runtime = Sof_runtime.Tcp_runtime in
       let victim = 2 in
       let t =
-        Runtime.start ~base_port:8211 ~kind:`Scr ~f:1 ~batching_interval_ms:15
+        Runtime.start ~base_port ~kind ~f:1 ~batching_interval_ms:15
           ~checkpoint_interval:4 ~data_dir ()
       in
       for i = 1 to 6 do
@@ -554,6 +664,8 @@ let suite =
           test_wal_region_alternation;
         Alcotest.test_case "crash loses only unsynced appends" `Quick
           test_wal_crash_loses_unsynced;
+        Alcotest.test_case "remount drops staged frames and keeps the counters" `Quick
+          test_wal_remount;
         Alcotest.test_case "torn tail detected, prefix kept, append repairs"
           `Quick test_wal_torn_tail_detected;
         Alcotest.test_case "corrupt payload byte detected by checksum" `Quick
@@ -590,10 +702,18 @@ let suite =
       ] );
     ( "storage.durability",
       [
+        Alcotest.test_case "commit implies sync, counted (4 protocols)" `Quick
+          test_commit_implies_sync;
         Alcotest.test_case
           "blackout + disk faults recover locally (3 seeds x 4 protocols)"
           `Slow test_durability_campaigns;
         Alcotest.test_case "tcp restart recovers from its data_dir" `Slow
-          test_tcp_durable_restart;
+          (tcp_durable_restart ~kind:`Scr ~base_port:8211);
+        Alcotest.test_case "tcp restart recovers from its data_dir (sc)" `Slow
+          (tcp_durable_restart ~kind:`Sc ~base_port:8111);
+        Alcotest.test_case "tcp restart recovers from its data_dir (bft)" `Slow
+          (tcp_durable_restart ~kind:`Bft ~base_port:8811);
+        Alcotest.test_case "tcp restart recovers from its data_dir (ct)" `Slow
+          (tcp_durable_restart ~kind:`Ct ~base_port:8911);
       ] );
   ]
