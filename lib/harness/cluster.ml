@@ -6,6 +6,7 @@ module Channel = Sof_net.Channel
 module Delay_model = Sof_net.Delay_model
 module Scheme = Sof_crypto.Scheme
 module Keyring = Sof_crypto.Keyring
+module Issued = Sof_crypto.Issued
 module Request = Sof_smr.Request
 module P = Sof_protocol
 module Sim_disk = Sof_storage.Sim_disk
@@ -130,6 +131,9 @@ type t = {
   chan : Channel.t option;
   adversary : Adversary.t option;
   keyring : Keyring.t;
+  issued : Issued.t;
+      (* every signature [sign_acc] made, so the n - 1 receivers of one
+         multicast recognise it instead of each recomputing it *)
   config : P.Config.t;
       (* shared by every process; [restart] rebuilds a crashed node's
          process from it with empty volatile state *)
@@ -263,13 +267,20 @@ let make_context t i =
     ctr.c_signs <- ctr.c_signs + 1;
     ctr.c_sign_ns <- ctr.c_sign_ns + (acc_tags * costs.Scheme.sign_ns);
     Cpu.extend node.node_cpu (Simtime.ns (acc_tags * costs.Scheme.sign_ns));
-    Keyring.sign t.keyring ~signer:i payload
+    Issued.sign t.issued ~signer:i payload
+  in
+  (* The charge is the cost table's either way; the memo only saves the
+     host recomputing the stand-in.  [real_crypto] runs the genuine
+     mechanism on every message. *)
+  let check_scheme =
+    if t.spec.real_crypto then Keyring.verify ~verifier:i t.keyring
+    else Issued.verify ~verifier:i t.issued
   in
   let verify_scheme ~signer ~msg ~signature =
     ctr.c_verifies <- ctr.c_verifies + 1;
     ctr.c_verify_ns <- ctr.c_verify_ns + costs.Scheme.verify_ns;
     Cpu.extend node.node_cpu (Simtime.ns costs.Scheme.verify_ns);
-    Keyring.verify ~verifier:i t.keyring ~signer ~msg ~signature
+    check_scheme ~signer ~msg ~signature
   in
   (* Amortized verification: quorum protocols re-check the same signed
      payload when it is echoed (an endorsed order repeats the order's base
@@ -279,17 +290,15 @@ let make_context t i =
   let verify_acc =
     if not t.spec.amortize_verify then verify_scheme
     else begin
-      let cache : (int * string * string, bool) Hashtbl.t = Hashtbl.create 64 in
+      let cache = Issued.Table.create () in
       fun ~signer ~msg ~signature ->
-        let key = (signer, msg, signature) in
-        match Hashtbl.find_opt cache key with
+        match Issued.Table.find_opt cache ~signer ~msg ~signature with
         | Some ok ->
           ctr.c_verify_cached <- ctr.c_verify_cached + 1;
           ok
         | None ->
           let ok = verify_scheme ~signer ~msg ~signature in
-          if Hashtbl.length cache >= 8192 then Hashtbl.reset cache;
-          Hashtbl.replace cache key ok;
+          Issued.Table.add cache ~signer ~msg ~signature ok;
           ok
     end
   in
@@ -532,6 +541,7 @@ let build spec =
       chan;
       adversary;
       keyring;
+      issued = Issued.create keyring;
       config;
       nodes;
       event_log = [];

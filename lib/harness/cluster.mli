@@ -38,7 +38,10 @@ type spec = {
           (default: the KV store). *)
   dumb_optimization : bool;  (** SC's Section-4.3 first optimisation. *)
   real_crypto : bool;
-      (** Sign with the scheme's real RSA/DSA instead of HMAC stand-ins.
+      (** Sign with the scheme's real RSA/DSA instead of HMAC stand-ins,
+          and verify every message with it.  Without it a stand-in
+          signature the cluster issued is recognised by equality
+          ({!Sof_crypto.Issued}), and only other triples are recomputed.
           Timing is unaffected either way (the cost model rules); real
           crypto makes runs much slower and is meant for end-to-end
           authenticity demos. *)

@@ -55,6 +55,8 @@ type t = {
   peer_down_mutex : Mutex.t;
   (* client side *)
   mutable client_socks : (Unix.file_descr * Mutex.t) array;
+  listeners : Unix.file_descr array;
+  mutable acceptors : Thread.t array;  (* one per listener, joined by [stop] *)
   latency_mutex : Mutex.t;
   inject_times : (Request.key, float) Hashtbl.t;
   first_delivery : (Request.key, float) Hashtbl.t;
@@ -304,7 +306,7 @@ let reader_thread t node src fd =
 let accept_thread t node listen_fd =
   while not t.stopping do
     match Unix.accept listen_fd with
-    | exception Unix.Unix_error _ -> Thread.delay 0.01
+    | exception Unix.Unix_error _ -> if not t.stopping then Thread.delay 0.01
     | conn, _ -> begin
       match read_exactly conn 1 with
       | `Ok hello ->
@@ -393,6 +395,14 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
           wal;
         })
   in
+  let listeners =
+    Array.init n (fun i ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + i));
+        Unix.listen fd 32;
+        fd)
+  in
   let t =
     {
       n;
@@ -406,24 +416,17 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
       peer_downs = [];
       peer_down_mutex = Mutex.create ();
       client_socks = [||];
+      listeners;
+      acceptors = [||];
       latency_mutex = Mutex.create ();
       inject_times = Hashtbl.create 256;
       first_delivery = Hashtbl.create 256;
     }
   in
-  (* Listeners first. *)
-  let listeners =
-    Array.init n (fun i ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + i));
-        Unix.listen fd 32;
-        fd)
-  in
-  Array.iteri
-    (fun i listen_fd ->
-      ignore (Thread.create (fun () -> accept_thread t nodes.(i) listen_fd) ()))
-    listeners;
+  t.acceptors <-
+    Array.mapi
+      (fun i listen_fd -> Thread.create (fun () -> accept_thread t nodes.(i) listen_fd) ())
+      listeners;
   (* Full mesh of outbound connections. *)
   Array.iter
     (fun node ->
@@ -557,6 +560,13 @@ let peer_downs t =
 
 let stop t =
   t.stopping <- true;
+  (* A shut-down listener fails the [accept] its thread is blocked in;
+     joining before [close] keeps a recycled descriptor out of that call. *)
+  Array.iter
+    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+    t.listeners;
+  Array.iter Thread.join t.acceptors;
+  Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
   Array.iter (fun node -> enqueue node Job_stop) t.nodes;
   Array.iter
     (fun node ->

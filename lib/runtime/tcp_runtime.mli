@@ -92,4 +92,7 @@ val peer_downs : t -> (int * int * string) list
     connection, oldest first. *)
 
 val stop : t -> stats
-(** Shut down sockets and threads and return what happened. *)
+(** Shut down sockets and threads and return what happened.  The listening
+    sockets are closed and their accept threads joined before it returns,
+    so the ports are free for a new {!start} and nothing keeps the stopped
+    runtime reachable. *)

@@ -288,6 +288,109 @@ let prop_keyed_matches_reference =
       && Hmac.check k ~msg ~tag:("xx" ^ expect) ~pos:2
       && not (Hmac.check k ~msg ~tag:expect ~pos:1))
 
+(* --------------------------------------------------------------- Issued *)
+
+(* One keyring and memo per mechanism the simulator signs with: the HMAC
+   stand-in, the same padded to RSA-1024's wire size, authenticator vectors
+   and the unsigned scheme. *)
+let memos =
+  lazy
+    (List.map
+       (fun scheme ->
+         let kr =
+           Keyring.create ~scheme ~rng:(Sof_util.Rng.create 9L) ~node_count:4 ()
+         in
+         (kr, Issued.create kr))
+       [
+         Scheme.mock;
+         { Scheme.md5_rsa1024 with Scheme.mechanism = Scheme.Mock_hmac };
+         Scheme.mac_vector;
+         Scheme.null;
+       ])
+
+let flip_bit s bit =
+  if String.length s = 0 then s
+  else begin
+    let b = Bytes.of_string s in
+    let i = bit / 8 mod Bytes.length b in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+    Bytes.to_string b
+  end
+
+let prop_issued_matches_keyring =
+  QCheck.Test.make ~name:"issued verify equals keyring verify" ~count:300
+    QCheck.(quad (int_bound 3) (int_bound 3) string (int_bound 4095))
+    (fun (which, signer, msg, bit) ->
+      let kr, memo = List.nth (Lazy.force memos) which in
+      let signature = Issued.sign memo ~signer msg in
+      let other = (signer + 1 + (bit mod 3)) mod 4 in
+      List.for_all
+        (fun (signer, msg, signature) ->
+          List.for_all
+            (fun verifier ->
+              Bool.equal
+                (Issued.verify ?verifier memo ~signer ~msg ~signature)
+                (Keyring.verify ?verifier kr ~signer ~msg ~signature))
+            [ None; Some 0; Some signer; Some 4 ])
+        [
+          (signer, msg, signature);
+          (signer, flip_bit msg bit, signature);
+          (signer, msg, flip_bit signature bit);
+          (other, msg, signature);
+        ])
+
+let mock_memo () =
+  Issued.create
+    (Keyring.create ~scheme:Scheme.mock ~rng:(Sof_util.Rng.create 3L) ~node_count:4 ())
+
+let test_issued_verifies () =
+  let memo = mock_memo () in
+  let signature = Issued.sign memo ~signer:1 "order 7" in
+  Alcotest.(check bool) "recorded" true (Issued.mem memo ~signer:1 ~msg:"order 7" ~signature);
+  Alcotest.(check bool) "verifies" true
+    (Issued.verify ~verifier:2 memo ~signer:1 ~msg:"order 7" ~signature);
+  Alcotest.(check bool) "other signer" false
+    (Issued.verify memo ~signer:2 ~msg:"order 7" ~signature);
+  Alcotest.(check int) "one entry" 1 (Issued.length memo)
+
+let test_issued_bounded () =
+  let memo = mock_memo () in
+  let first = Issued.sign memo ~signer:0 "m0" in
+  for i = 1 to Issued.capacity + 10 do
+    ignore (Issued.sign memo ~signer:(i mod 4) (Printf.sprintf "m%d" i))
+  done;
+  Alcotest.(check bool) "bounded" true (Issued.length memo <= Issued.capacity);
+  Alcotest.(check bool) "first evicted" false
+    (Issued.mem memo ~signer:0 ~msg:"m0" ~signature:first);
+  Alcotest.(check bool) "evicted still verifies" true
+    (Issued.verify memo ~signer:0 ~msg:"m0" ~signature:first);
+  Alcotest.(check bool) "evicted forgery still fails" false
+    (Issued.verify memo ~signer:0 ~msg:"m1" ~signature:first)
+
+let test_issued_skips_empty () =
+  let memo =
+    Issued.create
+      (Keyring.create ~scheme:Scheme.null ~rng:(Sof_util.Rng.create 3L) ~node_count:3 ())
+  in
+  Alcotest.(check string) "empty" "" (Issued.sign memo ~signer:0 "m");
+  Alcotest.(check int) "not recorded" 0 (Issued.length memo);
+  Alcotest.(check bool) "verifies" true (Issued.verify memo ~signer:0 ~msg:"m" ~signature:"");
+  Alcotest.(check bool) "non-empty rejected" false
+    (Issued.verify memo ~signer:0 ~msg:"m" ~signature:"x")
+
+let test_table_capacity () =
+  let t = Issued.Table.create () in
+  for i = 0 to Issued.capacity - 1 do
+    Issued.Table.add t ~signer:0 ~msg:(string_of_int i) ~signature:"s" i
+  done;
+  Alcotest.(check int) "full" Issued.capacity (Issued.Table.length t);
+  Issued.Table.add t ~signer:0 ~msg:"0" ~signature:"s" 42;
+  Alcotest.(check int) "reset, then added" 1 (Issued.Table.length t);
+  Alcotest.(check (option int)) "new binding" (Some 42)
+    (Issued.Table.find_opt t ~signer:0 ~msg:"0" ~signature:"s");
+  Alcotest.(check (option int)) "other signer" None
+    (Issued.Table.find_opt t ~signer:1 ~msg:"0" ~signature:"s")
+
 let suite =
   [
     ( "crypto.md5",
@@ -325,5 +428,13 @@ let suite =
         QCheck_alcotest.to_alcotest prop_digest_deterministic;
         QCheck_alcotest.to_alcotest prop_hmac_roundtrip;
         QCheck_alcotest.to_alcotest prop_keyed_matches_reference;
+      ] );
+    ( "crypto.issued",
+      [
+        Alcotest.test_case "issued triple verifies" `Quick test_issued_verifies;
+        Alcotest.test_case "bounded, evicted still verify" `Quick test_issued_bounded;
+        Alcotest.test_case "empty signatures not recorded" `Quick test_issued_skips_empty;
+        Alcotest.test_case "table resets at capacity" `Quick test_table_capacity;
+        QCheck_alcotest.to_alcotest prop_issued_matches_keyring;
       ] );
   ]

@@ -37,6 +37,14 @@ let test_tcp_bft () = check_stats (run_cluster ~kind:`Bft ~base_port:8311)
 
 let test_tcp_ct () = check_stats (run_cluster ~kind:`Ct ~base_port:8411)
 
+(* A stopped runtime releases its listening ports: a second runtime starts
+   on the same ports at once, and its cluster orders requests (no accept
+   thread of the first one is left to take its connections). *)
+let test_tcp_stop_releases_ports () =
+  let first = Runtime.start ~base_port:9011 ~kind:`Sc ~f:1 ~batching_interval_ms:15 () in
+  ignore (Runtime.stop first);
+  check_stats (run_cluster ~kind:`Sc ~base_port:9011)
+
 (* Abrupt crash mid-run: kill the unpaired (non-candidate) replica of an SCR
    cluster with a socket reset.  Every peer's reader must survive the broken
    connection (logged peer-down, not a crash), and the survivors must keep
@@ -141,6 +149,8 @@ let suite =
         Alcotest.test_case "bft over loopback" `Slow test_tcp_bft;
         Alcotest.test_case "ct over loopback" `Slow test_tcp_ct;
         Alcotest.test_case "scr survives an abrupt peer kill" `Slow test_tcp_kill;
+        Alcotest.test_case "stop releases the listening ports" `Slow
+          test_tcp_stop_releases_ports;
         Alcotest.test_case "scr crash-restart rejoins via state transfer" `Slow
           (tcp_restart ~kind:`Scr ~base_port:8011);
         Alcotest.test_case "sc crash-restart rejoins via state transfer" `Slow
