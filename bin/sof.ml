@@ -275,16 +275,16 @@ let bench_cmd =
     H.Report.print_recovery_costs recovery;
     Format.printf "storage (durable campaign, disk-fault atlas):@.";
     List.iter
-      (fun (label, (rc : H.Metrics.recovery), (st : H.Metrics.storage)) ->
+      (fun (label, (rc : H.Metrics.recovery), (st : H.Cluster.storage_totals)) ->
         Format.printf
           "  %-4s %d local replays (%d clean), %d transfers; %d appends, %d \
            syncs, %d checkpoint writes; atlas: %d lost, %d misdirected, %d \
            torn, %d corrupt reads@."
           label rc.H.Metrics.rc_local_replays rc.H.Metrics.rc_local_recoveries
-          rc.H.Metrics.rc_transfers_installed st.H.Metrics.st_appends
-          st.H.Metrics.st_syncs st.H.Metrics.st_checkpoint_writes
-          st.H.Metrics.st_lost_writes st.H.Metrics.st_misdirected
-          st.H.Metrics.st_torn st.H.Metrics.st_corrupt_reads)
+          rc.H.Metrics.rc_transfers_installed st.H.Cluster.sg_appends
+          st.H.Cluster.sg_syncs st.H.Cluster.sg_checkpoint_writes
+          st.H.Cluster.sg_lost_writes st.H.Cluster.sg_misdirected
+          st.H.Cluster.sg_torn st.H.Cluster.sg_corrupt_reads)
       storage;
     Format.printf "modexp micro-bench (host wall clock):@.";
     List.iter
@@ -397,9 +397,11 @@ let trace_cmd =
   let corrupt_at =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "corrupt-at" ] ~docv:"SEQ"
-          ~doc:"Inject a value-domain fault at this sequence number.")
+          ~doc:
+            "Inject a value-domain fault at this sequence number (sequence numbers start \
+             at 1).")
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Print the full protocol event timeline of a short run.")

@@ -61,27 +61,6 @@ let can_transmit t = not (Fault.is_mute t.fault ~now:(t.ctx.Context.now ()))
 
 let multicast t ~dsts env = if can_transmit t then t.ctx.Context.multicast ~dsts env
 
-(* ------------------------------------------------------ adaptive timing *)
-
-module Estimator = Sof_net.Delay_estimator
-
-(* The stall budget a replica grants the current primary before suspecting
-   it: static mode keeps the fixed view-change timeout; adaptive mode
-   tracks the measured round-trip to the primary and doubles per
-   consecutive suspicion, capped. *)
-let suspicion_delay t =
-  match t.config.timing with
-  | Config.Static -> view_change_timeout
-  | Config.Adaptive ->
-    Timing.backed_off t.timing
-      (Estimator.timeout (Timing.est_for t.timing (primary t)))
-      ~level:t.vc_backoff
-
-let send_probe t dst =
-  let at = Simtime.to_ns (t.ctx.Context.now ()) in
-  multicast t ~dsts:[ dst ]
-    (Context.make_signed t.ctx (Message.Probe { nonce = Timing.next_probe t.timing; at }))
-
 let get_order t o =
   match Hashtbl.find_opt t.log.orders o with
   | Some st -> st
@@ -121,21 +100,11 @@ let votes_for ?(blind = false) votes ~digest =
 (* PBFT-style stable checkpoints: every process signs and multicasts its
    state digest at each boundary; 2f+1 matching signatures certify it. *)
 
-let send_one t ~dst env = if can_transmit t then t.ctx.Context.send ~dst env
-
 let ckpt_quorum (config : Config.t) = (2 * config.f) + 1
 
 let ckpt_scheme config =
   Recovery.Quorum_signed
     { quorum = ckpt_quorum config; member_ok = (fun p -> p >= 0 && p < Config.process_count config) }
-
-let checkpoint_boundary t o =
-  let digest = Recovery.boundary_image t.log o in
-  let env = Context.make_signed t.ctx (Message.Checkpoint { seq = o; digest }) in
-  Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq:o ~digest ~signer:(id t)
-    ~signature:env.Message.signature;
-  multicast t ~dsts:(others t) env;
-  Recovery.stabilize t.log ~quorum:(ckpt_quorum t.config) ~seq:o ~digest
 
 let try_commit_point t st =
   if
@@ -203,9 +172,7 @@ let issue_pre_prepare t info =
        pre-prepare digests.  Neither half can assemble 2f matching prepares
        beyond the quorum-intersection bound, so agreement holds; progress at
        this sequence number waits for the view change. *)
-    let b = Bytes.of_string info.Message.digest in
-    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-    let alt = { info with Message.digest = Bytes.to_string b } in
+    let alt = { info with Message.digest = Recovery.flip_first_byte info.Message.digest } in
     List.iteri
       (fun i dst ->
         let chosen = if i mod 2 = 0 then info else alt in
@@ -227,29 +194,11 @@ let rec arm_batch_timer t =
 
 and batch_tick t =
   if i_am_primary t && not t.changing_view then begin
-    let pool = Key_map.filter (fun k _ -> not (Recovery.key_ordered t.log k)) t.log.pending in
-    if not (Key_map.is_empty pool) then begin
-      let requests = Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool in
-      let batch = Batch.make requests in
-      let o = t.log.next_seq in
-      t.log.next_seq <- o + 1;
-      t.ctx.Context.digest_charge (Batch.encoded_size batch);
-      let digest = Batch.digest t.config.digest batch in
-      let digest =
-        match t.fault with
-        | Fault.Corrupt_digest_at at when Int.equal at o ->
-          let b = Bytes.of_string digest in
-          Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-          Bytes.to_string b
-        | _ -> digest
-      in
-      let info = { Message.o; digest; keys = Batch.keys batch } in
-      t.ctx.Context.emit
-        (Context.Batched
-           { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-      List.iter (Recovery.note_ordered t.log) info.Message.keys;
-      issue_pre_prepare t info
-    end;
+    let pool = Recovery.unordered t.log in
+    if not (Key_map.is_empty pool) then
+      issue_pre_prepare t
+        (Recovery.mint t.hooks
+           (Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool));
     arm_batch_timer t
   end
 
@@ -276,18 +225,18 @@ let rec arm_vc_timer t =
   t.vc_timer <- Some h
 
 and vc_tick t =
-  if Timing.adaptive t.timing && not (i_am_primary t) then send_probe t (primary t);
-  let budget = Simtime.add t.config.batching_interval (suspicion_delay t) in
-  let now = t.ctx.Context.now () in
-  let stalled =
-    Simtime.compare (Simtime.add t.last_progress budget) now <= 0
-    && Key_map.exists
-         (fun k since ->
-           (not (Recovery.key_ordered t.log k))
-           && Simtime.compare (Simtime.add since budget) now <= 0)
-         t.log.arrival
+  if Timing.adaptive t.timing && not (i_am_primary t) then Recovery.send_probe t.hooks (primary t);
+  (* The stall budget a replica grants the current primary before
+     suspecting it: static mode keeps the fixed view-change timeout;
+     adaptive mode tracks the measured round-trip to the primary and
+     doubles per consecutive suspicion, capped. *)
+  let budget =
+    Simtime.add t.config.batching_interval
+      (Timing.suspicion_delay t.timing ~static:view_change_timeout ~leader:(primary t)
+         ~level:t.vc_backoff)
   in
-  if stalled && not t.changing_view then start_view_change t (t.view + 1);
+  if Recovery.stalled t.log ~since:t.last_progress ~budget && not t.changing_view then
+    start_view_change t (t.view + 1);
   arm_vc_timer t
 
 and start_view_change t v =
@@ -368,14 +317,7 @@ let handle_new_view t ~v ~pre_prepares (env : Message.envelope) =
 
 (* -------------------------------------------------------------- inbound *)
 
-let on_request t (req : Request.t) =
-  let key = req.Request.key in
-  if not (Key_map.mem key t.log.pending) then begin
-    t.log.pending <- Key_map.add key req t.log.pending;
-    if not (Recovery.key_ordered t.log key) then
-      t.log.arrival <- Key_map.add key (t.ctx.Context.now ()) t.log.arrival;
-    Recovery.advance t.hooks
-  end
+let on_request t req = Recovery.on_request t.hooks req
 
 let on_message t ~src (env : Message.envelope) =
   ignore src;
@@ -409,26 +351,15 @@ let on_message t ~src (env : Message.envelope) =
       t.config.checkpoint_interval > 0
       && seq > Recovery.stable_seq t.log.rcv
       && authentic t env
-    then begin
-      Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq ~digest ~signer:env.Message.sender
-        ~signature:env.Message.signature;
-      Recovery.stabilize t.log ~quorum:(ckpt_quorum t.config) ~seq ~digest;
-      (* A checkpoint a full interval ahead of our delivery point means we
-         are lagging badly — likely freshly restarted; catch up by state
-         transfer rather than waiting for retransmissions. *)
-      if seq > t.log.delivered + t.config.checkpoint_interval then Recovery.request_recovery t.hooks
-    end
+    then
+      Recovery.checkpoint_vote t.hooks ~quorum:(ckpt_quorum t.config) ~seq ~digest
+        ~signer:env.Message.sender ~signature:env.Message.signature
   | Message.State_request { have } ->
     if authentic t env then Recovery.serve_state_request t.hooks ~src ~have
   | Message.State_response { cert; image; entries } ->
     if authentic t env then Recovery.handle_state_response t.hooks ~src ~cert ~image ~entries
-  | Message.Probe { nonce; at } ->
-    (* Echo the sender's timestamp back; replies are liveness-only input so
-       they need no verification beyond the estimator's nonce filter. *)
-    if Timing.adaptive t.timing then
-      multicast t ~dsts:[ src ] (Context.make_signed t.ctx (Message.Probe_reply { nonce; at }))
-  | Message.Probe_reply { nonce; at } ->
-    Timing.note_probe_reply t.timing ~now:(t.ctx.Context.now ()) ~src ~nonce ~at
+  | Message.Probe { nonce; at } -> Recovery.answer_probe t.hooks ~src ~nonce ~at
+  | Message.Probe_reply { nonce; at } -> Recovery.note_probe_reply t.hooks ~src ~nonce ~at
   | Message.Order _ | Message.Ack _ | Message.Fail_signal _ | Message.Back_log _
   | Message.Start _ | Message.Start_ack _ | Message.Start_tuples _
   | Message.View_change _ | Message.New_view _ | Message.Unwilling _
@@ -470,7 +401,7 @@ let create ~ctx ~(config : Config.t) ?(fault = Fault.Honest) () =
           committed_keys = (fun st -> if st.committed then Some st.keys else None);
           keep_executed = false;
           settle_fresh_only = false;
-          boundary = (fun o -> checkpoint_boundary t o);
+          boundary = (fun o -> Recovery.quorum_boundary t.hooks ~quorum:(ckpt_quorum config) o);
           tail_entry =
             (fun o st -> if st.committed then Recovery.batch_entry log ~o st.keys else None);
           admit =
@@ -486,7 +417,7 @@ let create ~ctx ~(config : Config.t) ?(fault = Fault.Honest) () =
                    true
                  end);
           sign = Context.make_signed ctx;
-          send = (fun ~dst env -> send_one t ~dst env);
+          send = (fun ~dst env -> if can_transmit t then ctx.Context.send ~dst env);
           multicast = (fun env -> multicast t ~dsts:(others t) env);
         };
       batch_timer = None;

@@ -74,16 +74,6 @@ let suspect_estimate t =
   | Config.Static -> suspect_timeout
   | Config.Adaptive -> Estimator.timeout (Timing.est_for t.timing (coordinator t))
 
-let suspicion_delay t =
-  match t.config.timing with
-  | Config.Static -> suspect_timeout
-  | Config.Adaptive -> Timing.backed_off t.timing (suspect_estimate t) ~level:t.suspect_backoff
-
-let send_rtt_probe t dst =
-  let at = Simtime.to_ns (t.ctx.Context.now ()) in
-  t.ctx.Context.multicast ~dsts:[ dst ]
-    (unsigned t (Message.Probe { nonce = Timing.next_probe t.timing; at }))
-
 (* A coordinator may mint new sequence numbers only while it has recent
    evidence that a quorum is reachable: an isolated coordinator that mints
    blindly casts votes for batches no quorum can ever confirm, and once every
@@ -139,12 +129,6 @@ let get_candidate st digest =
 let ckpt_scheme (config : Config.t) =
   Recovery.Quorum_counted
     { quorum = config.f + 1; member_ok = (fun p -> p >= 0 && p < Config.process_count config) }
-
-let checkpoint_boundary t o =
-  let digest = Recovery.boundary_image t.log o in
-  Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq:o ~digest ~signer:(id t) ~signature:"";
-  t.ctx.Context.multicast ~dsts:(others t) (unsigned t (Message.Checkpoint { seq = o; digest }));
-  Recovery.stabilize t.log ~quorum:(quorum t) ~seq:o ~digest
 
 let try_commit t st =
   if st.winner = None then begin
@@ -218,7 +202,7 @@ let rec arm_batch_timer t =
 
 and batch_tick t =
   if i_am_coordinator t then begin
-    let pool = Key_map.filter (fun k _ -> not (Recovery.key_ordered t.log k)) t.log.pending in
+    let pool = Recovery.unordered t.log in
     if not (Key_map.is_empty pool) then
       if t.sync_pending || not (quorum_contact t) then begin
         (* Probe instead of minting; peers answer with their candidate
@@ -244,20 +228,10 @@ and batch_tick t =
         while Hashtbl.mem t.log.orders t.log.next_seq do
           t.log.next_seq <- t.log.next_seq + 1
         done;
-        let requests = Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool in
-        let batch = Batch.make requests in
-        let o = t.log.next_seq in
-        t.log.next_seq <- o + 1;
-        t.ctx.Context.digest_charge (Batch.encoded_size batch);
         let info =
-          { Message.o; digest = Batch.digest t.config.digest batch; keys = Batch.keys batch }
+          Recovery.mint t.hooks (Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool)
         in
-        t.ctx.Context.emit
-          (Context.Batched
-             { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-        List.iter (Recovery.note_ordered t.log) info.Message.keys;
-        let body = Message.Order { c = t.epoch; info } in
-        t.ctx.Context.multicast ~dsts:(others t) (unsigned t body);
+        t.ctx.Context.multicast ~dsts:(others t) (unsigned t (Message.Order { c = t.epoch; info }));
         accept_order t ~sender:(id t) ~info
       end;
     arm_batch_timer t
@@ -271,20 +245,17 @@ let rec arm_suspect_timer t =
   t.suspect_timer <- Some h
 
 and suspect_tick t =
-  if Timing.adaptive t.timing && not (i_am_coordinator t) then send_rtt_probe t (coordinator t);
+  if Timing.adaptive t.timing && not (i_am_coordinator t) then
+    Recovery.send_probe t.hooks (coordinator t);
   (* Crash fail-over: rotate the coordinator when a request has been waiting
      longer than the batching interval plus the suspicion timeout. *)
-  let budget = Simtime.add t.config.batching_interval (suspicion_delay t) in
-  let now = t.ctx.Context.now () in
-  let stalled =
-    Simtime.compare (Simtime.add t.last_progress budget) now <= 0
-    && Key_map.exists
-         (fun k since ->
-           (not (Recovery.key_ordered t.log k))
-           && Simtime.compare (Simtime.add since budget) now <= 0)
-         t.log.arrival
+  let budget =
+    Simtime.add t.config.batching_interval
+      (Timing.suspicion_delay t.timing ~static:suspect_timeout ~leader:(coordinator t)
+         ~level:t.suspect_backoff)
   in
-  if stalled then begin
+  if Recovery.stalled t.log ~since:t.last_progress ~budget then begin
+    let now = t.ctx.Context.now () in
     t.last_progress <- now;
     t.suspect_backoff <- t.suspect_backoff + 1;
     t.epoch <- t.epoch + 1;
@@ -301,14 +272,7 @@ and suspect_tick t =
   end;
   arm_suspect_timer t
 
-let on_request t (req : Request.t) =
-  let key = req.Request.key in
-  if not (Key_map.mem key t.log.pending) then begin
-    t.log.pending <- Key_map.add key req t.log.pending;
-    if not (Recovery.key_ordered t.log key) then
-      t.log.arrival <- Key_map.add key (t.ctx.Context.now ()) t.log.arrival;
-    Recovery.advance t.hooks
-  end
+let on_request t req = Recovery.on_request t.hooks req
 
 let on_message t ~src (env : Message.envelope) =
   if src >= 0 && src < Array.length t.last_heard then
@@ -392,25 +356,14 @@ let on_message t ~src (env : Message.envelope) =
       && env.Message.sender >= 0
       && env.Message.sender < Config.process_count t.config
       && seq > Recovery.stable_seq t.log.rcv
-    then begin
-      Recovery.Tally.add (Recovery.tally t.log.rcv) ~seq ~digest ~signer:env.Message.sender
-        ~signature:"";
-      Recovery.stabilize t.log ~quorum:(quorum t) ~seq ~digest;
-      (* A checkpoint a full interval ahead of our delivery point means we
-         are lagging badly — likely freshly restarted; catch up by state
-         transfer rather than waiting for retransmissions. *)
-      if seq > t.log.delivered + t.config.checkpoint_interval then Recovery.request_recovery t.hooks
-    end
+    then
+      Recovery.checkpoint_vote t.hooks ~quorum:(quorum t) ~seq ~digest ~signer:env.Message.sender
+        ~signature:""
   | Message.State_request { have } -> Recovery.serve_state_request t.hooks ~src ~have
   | Message.State_response { cert; image; entries } ->
     Recovery.handle_state_response t.hooks ~src ~cert ~image ~entries
-  | Message.Probe { nonce; at } ->
-    (* Echo the sender's timestamp back (unsigned, like all CT traffic);
-       replies are liveness-only input. *)
-    if Timing.adaptive t.timing then
-      t.ctx.Context.multicast ~dsts:[ src ] (unsigned t (Message.Probe_reply { nonce; at }))
-  | Message.Probe_reply { nonce; at } ->
-    Timing.note_probe_reply t.timing ~now:(t.ctx.Context.now ()) ~src ~nonce ~at
+  | Message.Probe { nonce; at } -> Recovery.answer_probe t.hooks ~src ~nonce ~at
+  | Message.Probe_reply { nonce; at } -> Recovery.note_probe_reply t.hooks ~src ~nonce ~at
   | Message.Fail_signal _ | Message.Back_log _
   | Message.Start _ | Message.Start_ack _ | Message.Start_tuples _
   | Message.New_view _ | Message.Unwilling _
@@ -460,7 +413,7 @@ let create ~ctx ~(config : Config.t) =
               | None -> None);
           keep_executed = false;
           settle_fresh_only = true;
-          boundary = (fun o -> checkpoint_boundary t o);
+          boundary = (fun o -> Recovery.quorum_boundary t.hooks ~quorum:(config.f + 1) o);
           tail_entry =
             (fun o st ->
               (* Served with the committed digest as is: under crash faults

@@ -153,10 +153,6 @@ let budget_at t ~level = Timing.backed_off t.timing (pair_estimate t) ~level
 
 let can_back_off t ~level = Timing.can_back_off t.timing (pair_estimate t) ~level
 
-let send_probe t dst =
-  let at = Simtime.to_ns (t.ctx.Context.now ()) in
-  send t ~dst (Context.make_signed t.ctx (Message.Probe { nonce = Timing.next_probe t.timing; at }))
-
 (* ----------------------------------------------------------- order log *)
 
 let get_order t o =
@@ -427,38 +423,18 @@ and batch_tick t =
   (* The unpaired candidate has no pair to lose; pairs batch only while the
      collaboration is alive. *)
   if t.hooks.am_primary t && (Option.is_none t.pair_rank || t.hooks.up t) then begin
-    let pool =
-      Key_map.filter
-        (fun k _ -> not (Recovery.key_ordered t.log k))
-        t.log.Recovery.pending
-    in
+    let pool = Recovery.unordered t.log in
     if not (Key_map.is_empty pool) then issue_batch t pool;
     arm_batch_timer t
   end
 
 and issue_batch t pool =
-  let log = t.log in
-  let requests =
-    Batch.take_oldest ~limit:t.config.Config.batch_size_limit ~pool ~arrival:log.Recovery.arrival
+  let info =
+    Recovery.mint t.recovery
+      (Batch.take_oldest ~limit:t.config.Config.batch_size_limit ~pool
+         ~arrival:t.log.Recovery.arrival)
   in
-  let batch = Batch.make requests in
-  let o = log.Recovery.next_seq in
-  log.Recovery.next_seq <- o + 1;
-  t.ctx.Context.digest_charge (Batch.encoded_size batch);
-  let digest = Batch.digest t.config.Config.digest batch in
-  let digest =
-    match t.fault with
-    | Fault.Corrupt_digest_at at when Int.equal at o ->
-      (* Value-domain fault: lie about the batch's contents. *)
-      Recovery.flip_first_byte digest
-    | _ -> digest
-  in
-  let keys = Batch.keys batch in
-  List.iter (Recovery.note_ordered log) keys;
-  let info = { Message.o; digest; keys } in
-  t.ctx.Context.emit
-    (Context.Batched
-       { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
+  let o = info.Message.o in
   open_batch_span t (get_order t o);
   let era = t.hooks.era t in
   let env = Context.make_signed t.ctx (Message.Order { c = era; info }) in
@@ -472,7 +448,9 @@ and issue_batch t pool =
          cohort receives the honest digest without the pair's double
          signature, which they reject as unendorsed.  Either way no honest
          receiver can assemble a doubly-signed order for this [o]. *)
-      let conflicting = { info with Message.digest = Recovery.flip_first_byte digest } in
+      let conflicting =
+        { info with Message.digest = Recovery.flip_first_byte info.Message.digest }
+      in
       send t ~dst:shadow (Context.make_signed t.ctx (Message.Order { c = era; info = conflicting }));
       multicast t ~dsts:(List.filter (fun p -> not (Int.equal p shadow)) (others t)) env
     | _ ->
@@ -668,16 +646,7 @@ and shadow_watch_fired t =
     let budget =
       Simtime.add t.config.Config.batching_interval (budget_at t ~level:t.shadow_watch_level)
     in
-    let now = t.ctx.Context.now () in
-    let stalled =
-      Simtime.compare (Simtime.add t.last_progress budget) now <= 0
-      && Key_map.exists
-           (fun k since ->
-             (not (Recovery.key_ordered t.log k))
-             && Simtime.compare (Simtime.add since budget) now <= 0)
-           t.log.Recovery.arrival
-    in
-    if not stalled then rearm_shadow_watch t
+    if not (Recovery.stalled t.log ~since:t.last_progress ~budget) then rearm_shadow_watch t
     else if can_back_off t ~level:t.shadow_watch_level then begin
       t.shadow_watch_level <- t.shadow_watch_level + 1;
       rearm_shadow_watch t
@@ -699,7 +668,7 @@ let arm_heartbeat t tick =
 let beat t ~rank ~cp =
   t.beat <- t.beat + 1;
   send t ~dst:cp (Context.make_signed t.ctx (Message.Heartbeat { pair = rank; beat = t.beat }));
-  if Timing.adaptive t.timing then send_probe t cp;
+  if Timing.adaptive t.timing then Recovery.send_probe t.recovery cp;
   let silence = Simtime.diff (t.ctx.Context.now ()) t.last_heard in
   let hb = t.config.Config.heartbeat_interval in
   Simtime.compare silence (Simtime.add (Simtime.add hb hb) (budget_at t ~level:t.hb_level)) <= 0
@@ -947,24 +916,14 @@ let on_message t ~src (env : Message.envelope) =
       | Some (who, _) ->
         if ckpt_pair_ok t.config ~primary:env.Message.sender ~endorser:(Some who) then
           ckpt_adopt_cert t (cert_of_ckpt_env env ~seq ~digest));
-      (* A checkpoint a full interval ahead of our delivery point means we
-         missed traffic that has since been truncated at our peers: catch up
-         through state transfer rather than waiting for retransmissions that
-         will never come. *)
-      if seq > log.Recovery.delivered + log.Recovery.interval then
-        Recovery.request_recovery t.recovery
+      Recovery.catch_up t.recovery ~seq
     end
   | Message.State_request { have } ->
     if Context.authentic t.ctx env then Recovery.serve_state_request t.recovery ~src ~have
   | Message.State_response { cert; image; entries } ->
     if Context.authentic t.ctx env then Recovery.handle_state_response t.recovery ~src ~cert ~image ~entries
-  | Message.Probe { nonce; at } ->
-    (* Echo the sender's timestamp back; replies are liveness-only input so
-       they need no verification beyond the estimator's nonce filter. *)
-    if Timing.adaptive t.timing then
-      send t ~dst:src (Context.make_signed t.ctx (Message.Probe_reply { nonce; at }))
-  | Message.Probe_reply { nonce; at } ->
-    Timing.note_probe_reply t.timing ~now:(t.ctx.Context.now ()) ~src ~nonce ~at
+  | Message.Probe { nonce; at } -> Recovery.answer_probe t.recovery ~src ~nonce ~at
+  | Message.Probe_reply { nonce; at } -> Recovery.note_probe_reply t.recovery ~src ~nonce ~at
   | Message.Fail_signal _ | Message.Back_log _ | Message.Start _ | Message.Start_ack _
   | Message.Start_tuples _ | Message.View_change _ | Message.New_view _
   | Message.Unwilling _ | Message.Pre_prepare _ | Message.Prepare _ | Message.Commit _
@@ -976,21 +935,22 @@ let note_heard t ~src =
   | Some cp when Int.equal cp src -> t.last_heard <- t.ctx.Context.now ()
   | Some _ | None -> ()
 
+(* Pool every body on its first arrival, ordered or not: a batch committed
+   before its body arrived delivers only now. *)
 let on_request t (req : Request.t) =
   let log = t.log in
   let key = req.Request.key in
-  (not (Recovery.key_ordered log key))
-  && (not (Key_map.mem key log.Recovery.pending))
-  && begin
-       log.Recovery.pending <- Key_map.add key req log.Recovery.pending;
-       log.Recovery.arrival <- Key_map.add key (t.ctx.Context.now ()) log.Recovery.arrival;
-       (* A newly known request lets stashed endorsements re-validate and
-          (re)arms the shadow's timeliness watch. *)
-       if t.stashed_endorsements <> [] then retry_stashed t;
-       if t.hooks.am_shadow t && t.watch_timer = None then rearm_shadow_watch t;
-       Recovery.advance t.recovery;
-       true
-     end
+  if not (Key_map.mem key log.Recovery.pending) then begin
+    log.Recovery.pending <- Key_map.add key req log.Recovery.pending;
+    if not (Recovery.key_ordered log key) then begin
+      log.Recovery.arrival <- Key_map.add key (t.ctx.Context.now ()) log.Recovery.arrival;
+      (* A newly known request lets stashed endorsements re-validate and
+         (re)arms the shadow's timeliness watch. *)
+      if t.stashed_endorsements <> [] then retry_stashed t;
+      if t.hooks.am_shadow t && t.watch_timer = None then rearm_shadow_watch t
+    end;
+    Recovery.advance t.recovery
+  end
 
 let start t ~arm_heartbeat =
   if Option.is_some t.pair_rank then arm_heartbeat ();

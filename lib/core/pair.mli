@@ -210,10 +210,10 @@ val on_message : 'x t -> src:int -> Message.envelope -> unit
 (** Orders, acks, checkpoints, state transfer and probes — the traffic SC
     and SCR handle alike.  Every other body is ignored. *)
 
-val on_request : 'x t -> Sof_smr.Request.t -> bool
-(** Pool a client request on its first arrival (re-checking stashed
-    endorsements and arming the shadow's watch) and return [true]; [false]
-    when the key was already pooled or ordered. *)
+val on_request : 'x t -> Sof_smr.Request.t -> unit
+(** Pool a client request on its first arrival and retry delivery.  A key
+    no order names yet also starts its arrival clock, re-checks stashed
+    endorsements and arms the shadow's watch. *)
 
 val start : 'x t -> arm_heartbeat:(unit -> unit) -> unit
 (** Start heartbeats and batching, and schedule a

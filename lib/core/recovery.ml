@@ -83,6 +83,9 @@ module Tally = struct
     List.iter (Hashtbl.remove t.votes) stale
 end
 
+(* One [State_response], recorded after the receiving protocol verified its
+   certificate and image digest (offers failing those checks never get
+   here).  [st_from] is the transport source, not the envelope creator. *)
 type offer = {
   st_from : int;
   st_cert : Checkpoint.cert option;
@@ -115,8 +118,6 @@ let create () =
     st_marks = Hashtbl.create 16;
   }
 
-let tally state = state.st_tally
-
 let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
@@ -132,6 +133,9 @@ let image_at state ~seq =
 let stable_seq state =
   match state.stables with [] -> 0 | (c, _) :: _ -> c.Checkpoint.cp_seq
 
+(* Only a checkpoint newer than the current stable one is recorded.  The
+   previous one is retained: it is what a [Stale_checkpoint] responder
+   serves. *)
 let note_stable state ~cert ~image =
   if cert.Checkpoint.cp_seq <= stable_seq state then false
   else begin
@@ -146,6 +150,7 @@ let latest_stable state =
 let previous_stable state =
   match state.stables with _ :: p :: _ -> Some p | [] | [ _ ] -> None
 
+(* A responder's later offer replaces its earlier one. *)
 let add_offer state offer =
   state.st_offers <-
     offer :: List.filter (fun o -> not (Int.equal o.st_from offer.st_from)) state.st_offers
@@ -166,6 +171,10 @@ let best_image state ~above =
       | Some _ | None -> best)
     None state.st_offers
 
+(* The longest contiguous suffix from [base + 1] whose every entry is
+   claimed by [quorum] distinct responders and passes [entry_ok] (digest
+   recomputation).  With [quorum] covering one correct responder, no
+   fabricated entry survives. *)
 let select_entries ~quorum ~base ~entry_ok state =
   let claims_at o =
     List.filter_map
@@ -844,3 +853,80 @@ let recover h =
     log.ctx.Context.emit
       (Context.Wal_replayed { seq; entries = List.length entries; damaged });
     if damaged || not advanced then request_recovery h
+
+(* ---------------------------------------------------------- kernel jobs *)
+(* The replica jobs every core runs alike: minting a batch, taking in a
+   request, RTT probes, the stall check and quorum-tallied checkpoints. *)
+
+let unordered log = Key_map.filter (fun k _ -> not (key_ordered log k)) log.pending
+
+let mint h requests =
+  let log = h.log in
+  let batch = Batch.make requests in
+  let o = log.next_seq in
+  log.next_seq <- o + 1;
+  log.ctx.Context.digest_charge (Batch.encoded_size batch);
+  let digest = Batch.digest log.digest batch in
+  let digest =
+    match h.fault with
+    | Fault.Corrupt_digest_at at when Int.equal at o ->
+      (* Value-domain fault: lie about the batch's contents. *)
+      flip_first_byte digest
+    | _ -> digest
+  in
+  let keys = Batch.keys batch in
+  List.iter (note_ordered log) keys;
+  log.ctx.Context.emit
+    (Context.Batched
+       { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
+  { Message.o; digest; keys }
+
+let on_request h (req : Request.t) =
+  let log = h.log in
+  let key = req.Request.key in
+  if not (Key_map.mem key log.pending) then begin
+    log.pending <- Key_map.add key req log.pending;
+    if not (key_ordered log key) then
+      log.arrival <- Key_map.add key (log.ctx.Context.now ()) log.arrival;
+    advance h
+  end
+
+let send_probe h dst =
+  let at = Simtime.to_ns (h.log.ctx.Context.now ()) in
+  h.send ~dst (h.sign (Message.Probe { nonce = Timing.next_probe h.timing; at }))
+
+(* Echo the sender's timestamp back; replies are liveness-only input so
+   they need no verification beyond the estimator's nonce filter. *)
+let answer_probe h ~src ~nonce ~at =
+  if Timing.adaptive h.timing then h.send ~dst:src (h.sign (Message.Probe_reply { nonce; at }))
+
+let note_probe_reply h ~src ~nonce ~at =
+  Timing.note_probe_reply h.timing ~now:(h.log.ctx.Context.now ()) ~src ~nonce ~at
+
+let stalled log ~since ~budget =
+  let now = log.ctx.Context.now () in
+  Simtime.compare (Simtime.add since budget) now <= 0
+  && Key_map.exists
+       (fun k arrived ->
+         (not (key_ordered log k)) && Simtime.compare (Simtime.add arrived budget) now <= 0)
+       log.arrival
+
+(* A checkpoint a full interval ahead of our delivery point means we missed
+   traffic that has since been truncated at our peers (likely we were just
+   restarted): catch up through state transfer rather than waiting for
+   retransmissions that will never come. *)
+let catch_up h ~seq = if seq > h.log.delivered + h.log.interval then request_recovery h
+
+let quorum_boundary h ~quorum o =
+  let log = h.log in
+  let digest = boundary_image log o in
+  let env = h.sign (Message.Checkpoint { seq = o; digest }) in
+  Tally.add log.rcv.st_tally ~seq:o ~digest ~signer:log.ctx.Context.id
+    ~signature:env.Message.signature;
+  h.multicast env;
+  stabilize log ~quorum ~seq:o ~digest
+
+let checkpoint_vote h ~quorum ~seq ~digest ~signer ~signature =
+  Tally.add h.log.rcv.st_tally ~seq ~digest ~signer ~signature;
+  stabilize h.log ~quorum ~seq ~digest;
+  catch_up h ~seq

@@ -63,90 +63,32 @@ module Tally : sig
   (** Drop votes at or below [upto] (sequence numbers already stable). *)
 end
 
-type offer = {
-  st_from : int;  (** Responder (transport source, not envelope creator). *)
-  st_cert : Checkpoint.cert option;
-  st_image : string;
-  st_entries : Checkpoint.entry list;
-}
-(** One [State_response], as recorded after the receiving protocol verified
-    the certificate and image digest (offers failing those checks are
-    rejected before they get here). *)
-
 (** Per-process checkpoint/recovery bookkeeping, embedded in each protocol
-    state record. *)
+    state record: this process's recent boundary images, its checkpoint
+    vote tally, the last two stable checkpoints, the offers of a fetch in
+    flight and the per-client delivery marks. *)
 type state
 
-val create : unit -> state
-
-val tally : state -> Tally.t
-
-val note_image : state -> seq:int -> image:string -> unit
-(** Remember this process's own state image at a boundary (a small recent
-    window is kept — enough to serve and endorse while the next checkpoint
-    certifies). *)
-
 val image_at : state -> seq:int -> string option
-
-val note_stable : state -> cert:Checkpoint.cert -> image:string -> bool
-(** Record a stable checkpoint with the image it certifies.  Returns [false]
-    (and changes nothing) unless it is newer than the current stable one.
-    The previous stable checkpoint is retained — it is what a
-    [Stale_checkpoint] adversary serves. *)
+(** This process's own state image at a boundary, while it is still in the
+    small recent window kept to serve and endorse checkpoints in flight. *)
 
 val latest_stable : state -> (Checkpoint.cert * string) option
-val previous_stable : state -> (Checkpoint.cert * string) option
 
 val stable_seq : state -> int
 (** Sequence number of the latest stable checkpoint, 0 when none. *)
 
-val add_offer : state -> offer -> unit
-(** Record a state-transfer offer, replacing any earlier offer from the same
-    responder. *)
-
-val clear_offers : state -> unit
-val offers : state -> offer list
-
-val best_image : state -> above:int -> (Checkpoint.cert * string * int) option
-(** Among collected offers, the certified image with the highest checkpoint
-    sequence number strictly above [above]: (certificate, image, responder). *)
-
-val select_entries :
-  quorum:int -> base:int -> entry_ok:(Checkpoint.entry -> bool) -> state -> Checkpoint.entry list
-(** The longest contiguous log suffix starting at [base + 1] such that each
-    entry's (sequence, digest) is claimed by at least [quorum] distinct
-    responders and the chosen entry body passes [entry_ok] (digest
-    recomputation).  With [quorum] covering at least one correct responder,
-    no fabricated entry survives. *)
-
-(** {2 Per-client delivery marks}
-
-    The deterministic at-most-once filter that travels inside checkpoint
-    images ({!Checkpoint.wrap_image}).  Raw delivered-key sets are pruned
-    at each process's own truncation pace, so they can be neither compared
-    nor transferred; the high-water marks depend only on the delivered
-    order prefix, which agreement makes common to all correct processes.
-    Assumes clients issue [client_seq] in increasing order (the paper's
-    broadcast-client model): a request at or below its client's mark is a
-    duplicate or superseded straggler either way. *)
-
-val fresh_key : state -> Sof_smr.Request.key -> bool
-(** Whether the key is above its client's mark (deliverable). *)
-
-val mark_delivered : state -> Sof_smr.Request.key -> unit
-(** Raise the key's client mark to its [client_seq] (never lowers). *)
-
 val marks : state -> (int * int) list
 (** All [(client, mark)] pairs, sorted by client — the canonical form
-    {!Checkpoint.wrap_image} requires. *)
-
-val merge_marks : state -> (int * int) list -> unit
-(** Max-merge marks from an installed checkpoint image into local state. *)
-
-val fetching : state -> bool
-val fetch_anchor : state -> int
-val begin_fetch : state -> have:int -> unit
-val end_fetch : state -> unit
+    {!Checkpoint.wrap_image} requires.  A client's mark is the highest
+    [client_seq] delivered for it: the deterministic at-most-once filter
+    that travels inside checkpoint images.  Raw delivered-key sets are
+    pruned at each process's own truncation pace, so they can be neither
+    compared nor transferred; the high-water marks depend only on the
+    delivered order prefix, which agreement makes common to all correct
+    processes.  Assumes clients issue [client_seq] in increasing order
+    (the paper's broadcast-client model): a request at or below its
+    client's mark is a duplicate or superseded straggler either way. *)
 
 (** {1 The shared delivery log and state-transfer driver}
 
@@ -278,10 +220,6 @@ val adopt : 'slot log -> Checkpoint.cert -> image:string -> unit
     a durable store), close the checkpoint span, truncate.  No-op unless it
     is newer than the current stable checkpoint. *)
 
-val stabilize : 'slot log -> quorum:int -> seq:int -> digest:string -> unit
-(** Quorum-tallied schemes (BFT, CT): once [quorum] votes match our own
-    boundary image, adopt the tally as the certificate. *)
-
 val advance : 'slot hooks -> unit
 (** Deliver committed slots in strict sequence order, at most once per
     request, while their request bodies are all pooled.  Under a durable
@@ -339,3 +277,57 @@ val handle_state_response :
   entries:Checkpoint.entry list -> unit
 (** Verify an offer during a fetch, install what the collected offers
     certify, and end the fetch once caught up. *)
+
+(** {2 Kernel jobs}
+
+    The rest of the replica loop that all four cores run alike, each on its
+    own {!hooks}: minting a batch, taking in a client request, round-trip
+    probes, the stall check behind coordinator suspicion, and BFT's and
+    CT's quorum-tallied checkpoints.  Every send goes through [hooks.sign]
+    and [hooks.send] or [hooks.multicast], so a core's signing (or CT's
+    unsigned envelopes) and its mute or dumb silence apply unchanged. *)
+
+val unordered : 'slot log -> Sof_smr.Request.t Sof_smr.Request.Key_map.t
+(** The pooled requests no accepted order names yet: what a coordinator may
+    batch. *)
+
+val mint : 'slot hooks -> Sof_smr.Request.t list -> Message.order_info
+(** Order these requests (the caller picks them) under the next sequence
+    number: charge and compute the batch digest, flip it under a
+    [Corrupt_digest_at] fault for that number, mark the keys ordered and
+    emit [Batched]. *)
+
+val on_request : 'slot hooks -> Sof_smr.Request.t -> unit
+(** Pool a client request on its first arrival, start its arrival clock
+    unless some order already names it, and retry delivery (BFT, CT). *)
+
+val send_probe : 'slot hooks -> int -> unit
+(** Send a round-trip probe to a peer, stamped with a fresh nonce and the
+    current time. *)
+
+val answer_probe : 'slot hooks -> src:int -> nonce:int -> at:int -> unit
+(** Echo a probe back to [src] under adaptive timing; ignore it under
+    static timing. *)
+
+val note_probe_reply : 'slot hooks -> src:int -> nonce:int -> at:int -> unit
+(** Feed a probe echo into [src]'s round-trip estimator. *)
+
+val stalled : 'slot log -> since:Sof_sim.Simtime.t -> budget:Sof_sim.Simtime.t -> bool
+(** Whether the coordinator is overdue: [budget] has passed both since
+    [since] (its last progress) and since the arrival of some request that
+    no order names yet. *)
+
+val catch_up : 'slot hooks -> seq:int -> unit
+(** Begin a fetch when a checkpoint at [seq] is more than a full interval
+    ahead of delivery: the traffic in between is truncated at the peers
+    and will never be retransmitted. *)
+
+val quorum_boundary : 'slot hooks -> quorum:int -> int -> unit
+(** BFT's and CT's [boundary] hook: take the boundary image, multicast this
+    process's checkpoint vote for it, tally it, and adopt the checkpoint
+    once [quorum] votes match. *)
+
+val checkpoint_vote :
+  'slot hooks -> quorum:int -> seq:int -> digest:string -> signer:int -> signature:string -> unit
+(** Tally a peer's checkpoint vote the core has already accepted, adopt the
+    checkpoint once [quorum] votes match our own image, and {!catch_up}. *)

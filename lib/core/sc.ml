@@ -450,11 +450,7 @@ and validate_backlog (t : t) rec_ =
 
 (* ------------------------------------------------------------- requests *)
 
-let on_request (t : t) (req : Request.t) =
-  let key = req.Request.key in
-  if (not (Pair.on_request t req)) && not (Key_map.mem key t.log.pending) then
-    (* Already ordered; keep the body so delivery can complete. *)
-    t.log.pending <- Key_map.add key req t.log.pending
+let on_request = Pair.on_request
 
 let start t = Pair.start t ~arm_heartbeat:(fun () -> arm_heartbeat t)
 

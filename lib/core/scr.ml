@@ -1,6 +1,3 @@
-module Request = Sof_smr.Request
-module Key_map = Request.Key_map
-
 type status = Up | Down | Permanently_down
 
 type vc_rec = {
@@ -320,12 +317,7 @@ and on_message (t : t) ~src (env : Message.envelope) =
 
 (* ------------------------------------------------------------- requests *)
 
-let on_request (t : t) (req : Request.t) =
-  let key = req.Request.key in
-  if (not (Pair.on_request t req)) && not (Key_map.mem key t.log.pending) then begin
-    t.log.pending <- Key_map.add key req t.log.pending;
-    Recovery.advance t.recovery
-  end
+let on_request = Pair.on_request
 
 let start t = Pair.start t ~arm_heartbeat:(fun () -> arm_heartbeat t)
 

@@ -35,6 +35,11 @@ let backed_off t base ~level = Estimator.backed_off base ~level ~cap:(timer_cap 
 let can_back_off t base ~level =
   adaptive t && Simtime.compare (backed_off t base ~level) (timer_cap t) < 0
 
+let suspicion_delay t ~static ~leader ~level =
+  match t.mode with
+  | Config.Static -> static
+  | Config.Adaptive -> backed_off t (Estimator.timeout (est_for t leader)) ~level
+
 let retry_delay t base ~level = if adaptive t then backed_off t base ~level else base
 
 let next_probe t =

@@ -33,6 +33,13 @@ val can_back_off : t -> Sof_sim.Simtime.t -> level:int -> bool
 (** Whether a watch whose budget is [backed_off base ~level] may still
     double and re-wait: only in adaptive mode, and only below the cap. *)
 
+val suspicion_delay :
+  t -> static:Sof_sim.Simtime.t -> leader:int -> level:int -> Sof_sim.Simtime.t
+(** The stall budget a process grants the current coordinator or primary
+    [leader] before suspecting it: [static] under static timing; under
+    adaptive timing the deadline of the measured round trip to [leader],
+    doubled per consecutive suspicion ([level]) and capped. *)
+
 val retry_delay : t -> Sof_sim.Simtime.t -> level:int -> Sof_sim.Simtime.t
 (** A retry timer's delay: [backed_off base ~level] in adaptive mode,
     [base] unchanged in static mode. *)

@@ -121,8 +121,7 @@ let json_of_recovery (label, (r : Metrics.recovery)) =
 (* One row per protocol from a durable fault-atlas campaign: how much the
    durable write path cost, how recovery split between local replay and
    state transfer, and what the atlas actually hit. *)
-let json_of_storage_row (label, (r : Metrics.recovery), (st : Metrics.storage))
-    =
+let json_of_storage_row (label, (r : Metrics.recovery), (st : Cluster.storage_totals)) =
   Json.Obj
     [
       ("protocol", Json.Str label);
@@ -133,16 +132,16 @@ let json_of_storage_row (label, (r : Metrics.recovery), (st : Metrics.storage))
         match r.Metrics.rc_mean_recovery_ms with
         | Some v -> Json.Num v
         | None -> Json.Null );
-      ("wal_appends", Json.num_of_int st.Metrics.st_appends);
-      ("wal_syncs", Json.num_of_int st.Metrics.st_syncs);
-      ("checkpoint_writes", Json.num_of_int st.Metrics.st_checkpoint_writes);
-      ("frames_dropped", Json.num_of_int st.Metrics.st_dropped);
-      ("replayed_entries", Json.num_of_int st.Metrics.st_replayed_entries);
-      ("damaged_replays", Json.num_of_int st.Metrics.st_damaged_replays);
-      ("lost_writes", Json.num_of_int st.Metrics.st_lost_writes);
-      ("misdirected_writes", Json.num_of_int st.Metrics.st_misdirected);
-      ("torn_sectors", Json.num_of_int st.Metrics.st_torn);
-      ("corrupt_reads", Json.num_of_int st.Metrics.st_corrupt_reads);
+      ("wal_appends", Json.num_of_int st.Cluster.sg_appends);
+      ("wal_syncs", Json.num_of_int st.Cluster.sg_syncs);
+      ("checkpoint_writes", Json.num_of_int st.Cluster.sg_checkpoint_writes);
+      ("frames_dropped", Json.num_of_int st.Cluster.sg_dropped);
+      ("replayed_entries", Json.num_of_int st.Cluster.sg_replayed_entries);
+      ("damaged_replays", Json.num_of_int st.Cluster.sg_damaged_replays);
+      ("lost_writes", Json.num_of_int st.Cluster.sg_lost_writes);
+      ("misdirected_writes", Json.num_of_int st.Cluster.sg_misdirected);
+      ("torn_sectors", Json.num_of_int st.Cluster.sg_torn);
+      ("corrupt_reads", Json.num_of_int st.Cluster.sg_corrupt_reads);
     ]
 
 (* The critical-path claims the phase breakdown decides mechanically: the

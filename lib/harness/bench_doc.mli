@@ -55,7 +55,7 @@ val json_of_recovery : string * Metrics.recovery -> Sof_util.Json.t
     peak retained log. *)
 
 val json_of_storage_row :
-  string * Metrics.recovery * Metrics.storage -> Sof_util.Json.t
+  string * Metrics.recovery * Cluster.storage_totals -> Sof_util.Json.t
 (** One protocol's durable-campaign accounting as a "storage" row: how
     recovery split between local replay and state transfer, the durable
     write path's volume (appends, syncs, checkpoint writes, drops), the
@@ -118,7 +118,7 @@ val make :
   ?fig6:Experiments.failover_series list ->
   ?message_counts:(string * int * int) list ->
   ?recovery:(string * Metrics.recovery) list ->
-  ?storage:(string * Metrics.recovery * Metrics.storage) list ->
+  ?storage:(string * Metrics.recovery * Cluster.storage_totals) list ->
   ?modexp:Experiments.modexp_point list ->
   ?timing:Experiments.timeout_point list ->
   ?dumb_process:Experiments.dumb_point list ->

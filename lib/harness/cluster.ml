@@ -616,7 +616,9 @@ type storage_totals = {
   sg_syncs : int;
   sg_checkpoint_writes : int;
   sg_dropped : int;
+  sg_replays : int;
   sg_replayed_entries : int;
+  sg_damaged_replays : int;
   sg_lost_writes : int;
   sg_misdirected : int;
   sg_torn : int;
@@ -650,17 +652,24 @@ let storage_totals t =
           slow := !slow + s.Sim_disk.sd_slow_ops
         | None -> ())
       t.nodes;
+    let replays, entries, damaged =
+      List.fold_left
+        (fun ((r, e, d) as acc) (_, _, ev) ->
+          match ev with
+          | P.Context.Wal_replayed { entries; damaged; _ } ->
+            (r + 1, e + entries, if damaged then d + 1 else d)
+          | _ -> acc)
+        (0, 0, 0) t.event_log
+    in
     Some
       {
         sg_appends = !appends;
         sg_syncs = !syncs;
         sg_checkpoint_writes = !checkpoints;
         sg_dropped = !dropped;
-        sg_replayed_entries =
-          List.fold_left
-            (fun acc (_, _, ev) ->
-              match ev with P.Context.Wal_replayed { entries; _ } -> acc + entries | _ -> acc)
-            0 t.event_log;
+        sg_replays = replays;
+        sg_replayed_entries = entries;
+        sg_damaged_replays = damaged;
         sg_lost_writes = !lost;
         sg_misdirected = !misdirected;
         sg_torn = !torn;

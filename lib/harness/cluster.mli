@@ -184,7 +184,9 @@ type storage_totals = {
   sg_syncs : int;  (** disk flushes the logs requested *)
   sg_checkpoint_writes : int;  (** durable checkpoints (epoch turn-overs) *)
   sg_dropped : int;  (** frames dropped on region overflow *)
-  sg_replayed_entries : int;  (** entries recovered by local replay *)
+  sg_replays : int;  (** restart-time log replays *)
+  sg_replayed_entries : int;  (** entries those replays recovered *)
+  sg_damaged_replays : int;  (** replays ending in a torn/corrupt suffix *)
   sg_lost_writes : int;  (** atlas: writes silently dropped *)
   sg_misdirected : int;  (** atlas: writes sent to the wrong sector *)
   sg_torn : int;  (** atlas: sectors torn at crash *)
@@ -196,6 +198,6 @@ type storage_totals = {
 
 val storage_totals : t -> storage_totals option
 (** Storage activity summed over all nodes, each of which keeps one log
-    across its restarts; replayed entries are summed from the
-    {!Sof_protocol.Context.Wal_replayed} events.  [None] unless the spec was
+    across its restarts; replays, their entries and the damaged ones are
+    counted from the {!Sof_protocol.Context.Wal_replayed} events.  [None] unless the spec was
     durable. *)

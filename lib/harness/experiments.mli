@@ -177,7 +177,7 @@ val durable_recovery_costs :
   ?seed:int64 ->
   ?duration:Sof_sim.Simtime.t ->
   unit ->
-  (string * Metrics.recovery * Metrics.storage) list
+  (string * Metrics.recovery * Cluster.storage_totals) list
 (** The durable counterpart of {!recovery_costs}: the same campaign shape
     on a cluster with simulated disks and the default fault atlas armed
     ([disk_faults]), so the mid-run restart recovers from its local

@@ -163,52 +163,6 @@ let recovery_stats cluster =
     rc_max_log_length = !max_log;
   }
 
-(* ------------------------------------------------ storage accounting *)
-
-type storage = {
-  st_appends : int;
-  st_syncs : int;
-  st_checkpoint_writes : int;
-  st_dropped : int;
-  st_replays : int;
-  st_replayed_entries : int;
-  st_damaged_replays : int;
-  st_lost_writes : int;
-  st_misdirected : int;
-  st_torn : int;
-  st_corrupt_reads : int;
-  st_slow_ops : int;
-}
-
-let storage_stats cluster =
-  match Cluster.storage_totals cluster with
-  | None -> None
-  | Some sg ->
-    let replays = ref 0 and damaged = ref 0 in
-    List.iter
-      (fun (_, _, event) ->
-        match event with
-        | P.Context.Wal_replayed { damaged = d; _ } ->
-          incr replays;
-          if d then incr damaged
-        | _ -> ())
-      (Cluster.events cluster);
-    Some
-      {
-        st_appends = sg.Cluster.sg_appends;
-        st_syncs = sg.Cluster.sg_syncs;
-        st_checkpoint_writes = sg.Cluster.sg_checkpoint_writes;
-        st_dropped = sg.Cluster.sg_dropped;
-        st_replays = !replays;
-        st_replayed_entries = sg.Cluster.sg_replayed_entries;
-        st_damaged_replays = !damaged;
-        st_lost_writes = sg.Cluster.sg_lost_writes;
-        st_misdirected = sg.Cluster.sg_misdirected;
-        st_torn = sg.Cluster.sg_torn;
-        st_corrupt_reads = sg.Cluster.sg_corrupt_reads;
-        st_slow_ops = sg.Cluster.sg_slow_ops;
-      }
-
 (* ------------------------------------------------ fail-signal accounting *)
 
 type signal_accounting = {

@@ -60,29 +60,6 @@ type recovery = {
 
 val recovery_stats : Cluster.t -> recovery
 
-(** {2 Storage accounting}
-
-    Reduction of {!Cluster.storage_totals} and the [Wal_replayed] events
-    into the durable write path's cost and the fault atlas's hit counts. *)
-
-type storage = {
-  st_appends : int;  (** write-ahead-log entry frames appended *)
-  st_syncs : int;  (** disk flushes (one per commit under durability) *)
-  st_checkpoint_writes : int;  (** durable checkpoints — epoch turn-overs *)
-  st_dropped : int;  (** frames dropped on region overflow *)
-  st_replays : int;  (** restart-time log replays *)
-  st_replayed_entries : int;  (** entries those replays recovered *)
-  st_damaged_replays : int;  (** replays ending in a torn/corrupt suffix *)
-  st_lost_writes : int;
-  st_misdirected : int;
-  st_torn : int;
-  st_corrupt_reads : int;
-  st_slow_ops : int;  (** slow-sector (gray) operations charged as stalls *)
-}
-
-val storage_stats : Cluster.t -> storage option
-(** [None] unless the cluster was built durable. *)
-
 (** {2 Fail-signal accounting}
 
     Who blamed whom, and in which domain.  Under a gray-failure campaign

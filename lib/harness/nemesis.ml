@@ -57,7 +57,7 @@ type report = {
   churn : int * int * int;
   signals : Metrics.signal_accounting;
   recovery : Metrics.recovery option;
-  storage : Metrics.storage option;
+  storage : Cluster.storage_totals option;
   passed : bool;
 }
 
@@ -629,7 +629,7 @@ let run ?(auth = Sof_crypto.Keyring.Sign) ?(pair_estimate = Simtime.ms 400)
     recovery =
       (if checkpoint_interval > 0 then Some (Metrics.recovery_stats cluster)
        else None);
-    storage = Metrics.storage_stats cluster;
+    storage = Cluster.storage_totals cluster;
     passed = Invariants.all_pass invariants;
   }
 
@@ -737,12 +737,12 @@ let pp_report fmt r =
       "storage: %d appends, %d syncs, %d checkpoint writes; %d replays (%d \
        entries, %d damaged); atlas hits: %d lost, %d misdirected, %d torn, %d \
        corrupt reads%s@."
-      st.Metrics.st_appends st.Metrics.st_syncs st.Metrics.st_checkpoint_writes
-      st.Metrics.st_replays st.Metrics.st_replayed_entries
-      st.Metrics.st_damaged_replays st.Metrics.st_lost_writes
-      st.Metrics.st_misdirected st.Metrics.st_torn st.Metrics.st_corrupt_reads
-      (if st.Metrics.st_slow_ops > 0 then
-         Printf.sprintf ", %d slow-sector stalls" st.Metrics.st_slow_ops
+      st.Cluster.sg_appends st.Cluster.sg_syncs st.Cluster.sg_checkpoint_writes
+      st.Cluster.sg_replays st.Cluster.sg_replayed_entries
+      st.Cluster.sg_damaged_replays st.Cluster.sg_lost_writes
+      st.Cluster.sg_misdirected st.Cluster.sg_torn st.Cluster.sg_corrupt_reads
+      (if st.Cluster.sg_slow_ops > 0 then
+         Printf.sprintf ", %d slow-sector stalls" st.Cluster.sg_slow_ops
        else ""));
   Format.fprintf fmt "verdict: %s (seed %Ld replays this campaign)@."
     (if r.passed then "PASS" else "FAIL")

@@ -130,7 +130,7 @@ type report = {
   recovery : Metrics.recovery option;
       (** Checkpoint/state-transfer accounting; [Some] iff checkpointing
           was on for the run. *)
-  storage : Metrics.storage option;
+  storage : Cluster.storage_totals option;
       (** Durable write-path and fault-atlas accounting; [Some] iff
           {!Durable}. *)
   passed : bool;

@@ -268,7 +268,7 @@ let test_slow_disks () =
   (match r.H.Nemesis.storage with
   | Some st ->
     Alcotest.(check bool) "slow-sector stalls actually happened" true
-      (st.H.Metrics.st_slow_ops > 0)
+      (st.H.Cluster.sg_slow_ops > 0)
   | None -> Alcotest.fail "durable gray run lost its storage accounting");
   Alcotest.(check bool) "durable gray campaign passes" true r.H.Nemesis.passed
 

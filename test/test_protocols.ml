@@ -551,6 +551,27 @@ let test_wire_frames_bft () =
     (fun tag -> Alcotest.(check bool) (tag ^ " seen") true (List.mem tag tags))
     [ "pre_prepare"; "prepare"; "commit"; "bft_view_change"; "bft_new_view" ]
 
+(* ------------------------------------------------------- late bodies *)
+
+(* A replica that commits a batch before the request's body reaches it
+   must deliver the moment the body arrives.  Every process but replica 2
+   gets the request; once the others have delivered it, replica 2 gets
+   the body and delivers seq 1 without the engine running further. *)
+let late_body kind () =
+  let c = Cluster.build (Cluster.default_spec ~kind ~f:1) in
+  let req = Workload.make_request (Sof_util.Rng.create 1L) ~client:0 ~client_seq:1 ~op_bytes:80 in
+  let late = 2 in
+  let others = List.filter (fun i -> i <> late) (List.init (Cluster.process_count c) Fun.id) in
+  List.iter (fun i -> P.Replica.on_request (Cluster.proc c i) req) others;
+  Cluster.run c ~until:(sec 2);
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "process %d delivered" i) 1 (Cluster.delivered_seq c i))
+    others;
+  Alcotest.(check int) "late replica waits for the body" 0 (Cluster.delivered_seq c late);
+  P.Replica.on_request (Cluster.proc c late) req;
+  Alcotest.(check int) "late replica delivers on arrival" 1 (Cluster.delivered_seq c late)
+
 let suite =
   [
     ( "protocol.sc",
@@ -597,6 +618,11 @@ let suite =
         Alcotest.test_case "scr soak (seed 42)" `Slow (soak Cluster.Scr_protocol 42L);
         Alcotest.test_case "seeded campaign is deterministic" `Slow test_soak_determinism;
       ] );
+    ( "protocol.late_body",
+      List.map
+        (fun kind ->
+          Alcotest.test_case (P.Replica.name kind) `Quick (late_body kind))
+        Cluster.[ Sc_protocol; Scr_protocol; Bft_protocol; Ct_protocol ] );
     ( "protocol.wire",
       [
         Alcotest.test_case "sc frames canonical" `Quick test_wire_frames_sc;
