@@ -244,10 +244,7 @@ let ckpt_adopt_cert t (cert : Checkpoint.cert) =
   let rcv = t.log.Recovery.rcv in
   if cert.Checkpoint.cp_seq > Recovery.stable_seq rcv then begin
     match Recovery.image_at rcv ~seq:cert.Checkpoint.cp_seq with
-    | Some image
-      when String.equal
-             (Checkpoint.image_digest t.config.Config.digest image)
-             cert.Checkpoint.cp_digest ->
+    | Some (image, digest) when String.equal digest cert.Checkpoint.cp_digest ->
       Recovery.adopt t.log cert ~image
     | Some _ ->
       (* A certified digest that disagrees with our own image: not a state we
@@ -265,8 +262,8 @@ let ckpt_adopt_cert t (cert : Checkpoint.cert) =
    liveness aid, and refusing keeps a diverged digest from being certified. *)
 let shadow_handle_checkpoint t (env : Message.envelope) ~seq ~digest =
   match Recovery.image_at t.log.Recovery.rcv ~seq with
-  | Some image ->
-    if String.equal (Checkpoint.image_digest t.config.Config.digest image) digest then begin
+  | Some (_, kept) ->
+    if String.equal kept digest then begin
       let endorsed = Context.endorse t.ctx env in
       multicast t ~dsts:(others t) endorsed;
       ckpt_adopt_cert t (cert_of_ckpt_env endorsed ~seq ~digest)

@@ -98,7 +98,8 @@ type offer = {
 let image_window = 4
 
 type state = {
-  mutable images : (int * string) list;  (* newest first *)
+  mutable images : (int * string * string) list;
+      (* (seq, image, digest), newest first: each image is digested once *)
   st_tally : Tally.t;
   mutable stables : (Checkpoint.cert * string) list;  (* newest first, at most 2 *)
   mutable st_offers : offer list;
@@ -123,12 +124,14 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let note_image state ~seq ~image =
-  if not (List.exists (fun (s, _) -> Int.equal s seq) state.images) then
-    state.images <- take image_window ((seq, image) :: state.images)
+let note_image state ~seq ~image ~digest =
+  if not (List.exists (fun (s, _, _) -> Int.equal s seq) state.images) then
+    state.images <- take image_window ((seq, image, digest) :: state.images)
 
 let image_at state ~seq =
-  Option.map snd (List.find_opt (fun (s, _) -> Int.equal s seq) state.images)
+  List.find_map
+    (fun (s, image, digest) -> if Int.equal s seq then Some (image, digest) else None)
+    state.images
 
 let stable_seq state =
   match state.stables with [] -> 0 | (c, _) :: _ -> c.Checkpoint.cp_seq
@@ -492,7 +495,7 @@ let boundary_image log o =
   in
   log.ctx.Context.digest_charge (String.length image);
   let digest = Checkpoint.image_digest log.digest image in
-  note_image log.rcv ~seq:o ~image;
+  note_image log.rcv ~seq:o ~image ~digest;
   span_open log Context.Checkpoint_phase o;
   digest
 
@@ -509,7 +512,7 @@ let adopt log (cert : Checkpoint.cert) ~image =
 let stabilize log ~quorum ~seq ~digest =
   if seq > stable_seq log.rcv && Tally.count log.rcv.st_tally ~seq ~digest >= quorum then
     match image_at log.rcv ~seq with
-    | Some image when String.equal (Checkpoint.image_digest log.digest image) digest ->
+    | Some (image, kept) when String.equal kept digest ->
       adopt log
         {
           Checkpoint.cp_seq = seq;
@@ -685,7 +688,9 @@ let install_from_offers ?(announce = true) h ~entry_quorum =
         log.delivered <- cert.Checkpoint.cp_seq;
         if log.max_committed < cert.Checkpoint.cp_seq then
           log.max_committed <- cert.Checkpoint.cp_seq;
-        note_image log.rcv ~seq:cert.Checkpoint.cp_seq ~image;
+        (* Every recorded offer passed [offer_ok], which checked this
+           digest against the image. *)
+        note_image log.rcv ~seq:cert.Checkpoint.cp_seq ~image ~digest:cert.Checkpoint.cp_digest;
         if note_stable log.rcv ~cert ~image then begin
           log.ctx.Context.emit
             (Context.Checkpoint_stable

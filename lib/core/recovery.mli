@@ -69,9 +69,12 @@ end
     flight and the per-client delivery marks. *)
 type state
 
-val image_at : state -> seq:int -> string option
-(** This process's own state image at a boundary, while it is still in the
-    small recent window kept to serve and endorse checkpoints in flight. *)
+val image_at : state -> seq:int -> (string * string) option
+(** This process's own state image at a boundary and the image's digest,
+    while it is still in the small recent window kept to serve and endorse
+    checkpoints in flight.  The digest is computed once, when the boundary
+    image is taken, or is the verified certificate's when the image was
+    installed by state transfer. *)
 
 val latest_stable : state -> (Checkpoint.cert * string) option
 

@@ -16,10 +16,10 @@ let really_read fd buf off len =
   in
   go off len
 
-let really_write fd buf off len =
+let really_write fd data off len =
   let rec go off remaining =
     if remaining > 0 then
-      match Unix.write fd buf off remaining with
+      match Unix.write_substring fd data off remaining with
       | k -> go (off + k) (remaining - k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off remaining
   in
@@ -50,7 +50,7 @@ let open_file ~path ?(sector_size = 256) ?(sector_count = 8192) () =
           (fun sector data ->
             with_lock lock (fun () ->
                 ignore (Unix.lseek fd (sector * sector_size) Unix.SEEK_SET);
-                really_write fd (Bytes.of_string data) 0 sector_size));
+                really_write fd data 0 sector_size));
         sync = (fun () -> Unix.fsync fd);
       };
   }

@@ -22,6 +22,7 @@ type t = {
   atlas : Fault_atlas.t option;
   stable : (int, string) Hashtbl.t;
   volatile : (int, string) Hashtbl.t;
+  zeros : string;  (* every unwritten sector reads as this one string *)
   mutable last_flushed : (int * string) option;
   mutable writes : int;
   mutable reads : int;
@@ -42,6 +43,7 @@ let create ?atlas ~sector_size ~sector_count () =
     atlas;
     stable = Hashtbl.create 64;
     volatile = Hashtbl.create 16;
+    zeros = String.make sector_size '\000';
     last_flushed = None;
     writes = 0;
     reads = 0;
@@ -79,7 +81,7 @@ let do_read t sector =
     let data =
       match Hashtbl.find_opt t.stable sector with
       | Some data -> data
-      | None -> String.make t.sector_size '\000'
+      | None -> t.zeros
     in
     match t.atlas with
     | Some atlas when Fault_atlas.corrupt_sector atlas ~sector ->

@@ -58,9 +58,9 @@ let magic = "SOFW"
    adversarial case is covered by signatures above this layer). *)
 let crc s =
   let h = ref 0x811C9DC5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xFFFFFFFF
+  done;
   !h
 
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
@@ -80,7 +80,17 @@ let make_frame ~kind ~epoch payload =
   put_u32 b 5 (String.length payload);
   put_u32 b 9 (crc payload);
   Bytes.blit_string payload 0 b header_len (String.length payload);
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
+
+(* Sector [s] of [mem] as the disk should hold it, zero-padded past the
+   end of the log: one sector's copy, never the whole log's. *)
+let staged_sector t s =
+  let ss = t.disk.Disk.sector_size in
+  let off = s * ss in
+  let sect = Bytes.make ss '\000' in
+  let chunk = max 0 (min ss (Buffer.length t.mem - off)) in
+  if chunk > 0 then Buffer.blit t.mem off sect 0 chunk;
+  Bytes.unsafe_to_string sect
 
 (* Stage every sector from the one containing [flushed] through the end
    of [mem], zero-padding the tail.  If the log ends exactly on a sector
@@ -92,15 +102,10 @@ let flush t =
   let len = Buffer.length t.mem in
   if len > t.flushed || Int.equal t.flushed 0 then begin
     let base = region_base t in
-    let content = Buffer.contents t.mem in
     let first = t.flushed / ss in
     let last = if Int.equal len 0 then 0 else (len - 1) / ss in
     for s = first to last do
-      let off = s * ss in
-      let chunk = max 0 (min ss (len - off)) in
-      let sect = Bytes.make ss '\000' in
-      if chunk > 0 then Bytes.blit_string content off sect 0 chunk;
-      Disk.write t.disk ~sector:(base + s) (Bytes.to_string sect)
+      Disk.write t.disk ~sector:(base + s) (staged_sector t s)
     done;
     let hi =
       if Int.equal (len mod ss) 0 && len > 0 && last + 1 < t.region_sectors
@@ -139,11 +144,12 @@ let read_superblock t slot =
 let parse_region t =
   let base = region_base t in
   let cap = region_bytes t in
-  let buf = Buffer.create cap in
+  let ss = t.disk.Disk.sector_size in
+  let region = Bytes.create cap in
   for s = 0 to t.region_sectors - 1 do
-    Buffer.add_string buf (Disk.read t.disk ~sector:(base + s))
+    Bytes.blit_string (Disk.read t.disk ~sector:(base + s)) 0 region (s * ss) ss
   done;
-  let bytes = Buffer.contents buf in
+  let bytes = Bytes.unsafe_to_string region in
   let checkpoint = ref None in
   let entries = ref [] in
   let damaged = ref false in
@@ -199,7 +205,7 @@ let remount t =
   let replay, valid_len, bytes = parse_region t in
   t.last_replay <- replay;
   Buffer.clear t.mem;
-  Buffer.add_string t.mem (String.sub bytes 0 valid_len);
+  Buffer.add_substring t.mem bytes 0 valid_len;
   t.flushed <- valid_len
 
 let attach disk =
@@ -250,22 +256,11 @@ let append t payload =
    path up the repair ladder. *)
 let heal_attempts = 3
 
-let staged_sector t content len s =
-  let ss = t.disk.Disk.sector_size in
-  let off = s * ss in
-  let sect = Bytes.make ss '\000' in
-  let chunk = max 0 (min ss (len - off)) in
-  if chunk > 0 then Bytes.blit_string content off sect 0 chunk;
-  Bytes.to_string sect
-
 let each_dirty t f =
   let base = region_base t in
-  let content = Buffer.contents t.mem in
-  let len = String.length content in
   let ok = ref true in
   for s = t.dirty_lo to t.dirty_hi do
-    if not (f ~sector:(base + s) (staged_sector t content len s)) then
-      ok := false
+    if not (f ~sector:(base + s) (staged_sector t s)) then ok := false
   done;
   !ok
 

@@ -8,7 +8,8 @@
    operations and digested bytes.  The three auth variants are the plain
    signed wire, signed with [amortize_verify], and MAC authenticator
    vectors.  A second table, the recovery rows below, pins the traffic
-   of probes, checkpoints and state transfer and the write-ahead log.  A
+   of probes, checkpoints and state transfer and the write-ahead log; a
+   third, the wal rows, pins every disk call the log itself makes.  A
    change that moves a count re-records cost.golden and says why; a
    host-side speedup must leave it byte-identical. *)
 
@@ -72,7 +73,7 @@ let actual () =
 
 let recovery_tags = [ "probe"; "probe_reply"; "checkpoint"; "state_request"; "state_response" ]
 
-let recovery_row kind =
+let recovery_cluster kind =
   let c =
     Cluster.build
       {
@@ -91,6 +92,10 @@ let recovery_row kind =
   at 1 (fun () -> Cluster.crash c last);
   at 2 (fun () -> Cluster.restart c last);
   at 3 (fun () -> Cluster.crash c 0);
+  c
+
+let recovery_row kind =
+  let c = recovery_cluster kind in
   Cluster.run c ~until:(Simtime.sec 6);
   let batches =
     List.length
@@ -119,10 +124,126 @@ let recovery_header =
        (List.map (fun t -> Printf.sprintf " %13s" t) recovery_tags))
     "appends" "syncs"
 
+(* The wal rows: the write-ahead log's disk traffic, call for call.  One
+   scripted session runs through a recording {!Sof_storage.Disk.t} over the
+   cluster's disk geometry: attach; 40 appends of 50-900 B, each synced,
+   with a 20 KB checkpoint after every 10th; a crash and a remount; 10 more
+   appends, unsynced; a reset.  Each row is one disk under the script:
+   clean, and the seed-1 replica-1 atlases of the chaos mix and of slow
+   sectors.  It records the disk's counters and a 32-bit FNV-1a over every
+   call's op, sector and bytes, so a change to how the log stages, verifies
+   or reads sectors that moves any disk operation moves the row. *)
+
+module Disk = Sof_storage.Disk
+module Sim_disk = Sof_storage.Sim_disk
+module Wal = Sof_storage.Wal
+module Fault_atlas = Sof_storage.Fault_atlas
+
+let fnv h s =
+  let h = ref h in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
+  !h
+
+let recording (d : Disk.t) =
+  let h = ref 0x811C9DC5 in
+  let note op sector data =
+    h := fnv (fnv !h (Printf.sprintf "%c%d:" op sector)) data
+  in
+  ( {
+      d with
+      Disk.read =
+        (fun sector ->
+          let data = d.Disk.read sector in
+          note 'r' sector data;
+          data);
+      write =
+        (fun sector data ->
+          note 'w' sector data;
+          d.Disk.write sector data);
+      sync =
+        (fun () ->
+          note 's' 0 "";
+          d.Disk.sync ());
+    },
+    h )
+
+let wal_payload i len = String.init len (fun j -> Char.chr (((i * 131) + (j * 7)) land 0xff))
+let wal_entry i = wal_payload i (50 + (i * 337 mod 851))
+
+let wal_row (name, profile) =
+  let atlas = Option.map (Fault_atlas.make ~seed:1 ~replica:1) profile in
+  let sim = Sim_disk.create ?atlas ~sector_size:256 ~sector_count:8192 () in
+  let disk, hash = recording (Sim_disk.disk sim) in
+  let t = Wal.attach disk in
+  for i = 1 to 40 do
+    Wal.append t (wal_entry i);
+    Wal.sync t;
+    if Int.equal (i mod 10) 0 then Wal.write_checkpoint t (wal_payload i 20_000)
+  done;
+  Sim_disk.crash sim;
+  Wal.remount t;
+  for i = 41 to 50 do
+    Wal.append t (wal_entry i)
+  done;
+  Wal.reset t;
+  let s = Sim_disk.stats sim in
+  Printf.sprintf "%-4s %-9s %7d %7d %7d %7d %7d %7d %7d %7d %08x" "wal" name s.Sim_disk.sd_reads
+    s.Sim_disk.sd_writes s.Sim_disk.sd_syncs s.Sim_disk.sd_lost s.Sim_disk.sd_misdirected
+    s.Sim_disk.sd_torn s.Sim_disk.sd_corrupt_reads s.Sim_disk.sd_slow_ops !hash
+
+let wal_header =
+  Printf.sprintf "%-4s %-9s %7s %7s %7s %7s %7s %7s %7s %7s %8s" "#" "disk" "reads" "writes"
+    "syncs" "lost" "misdir" "torn" "corrupt" "slow" "fnv"
+
 let actual () =
   actual ()
   @ recovery_header
     :: List.map recovery_row Cluster.[ Sc_protocol; Scr_protocol; Bft_protocol; Ct_protocol ]
+  @ wal_header
+    :: List.map wal_row
+         [
+           ("clean", None);
+           ("atlas", Some Fault_atlas.default);
+           ("slow", Some Fault_atlas.slow_sectors);
+         ]
+
+(* Each boundary image's digest is computed once and kept beside it (or is
+   the verified certificate's, for an image installed by state transfer);
+   endorsing and stabilising compare the kept digest.  On the recovery
+   slice, which restarts a replica through state transfer, every live
+   replica's kept digest must be the digest of its kept image, midway and
+   at the end. *)
+module Recovery = Sof_protocol.Recovery
+
+let test_kept_digests () =
+  List.iter
+    (fun kind ->
+      let c = recovery_cluster kind in
+      let alg = (Cluster.config c).Sof_protocol.Config.digest in
+      let checked = ref 0 in
+      let check_live () =
+        for i = 0 to Cluster.process_count c - 1 do
+          if not (Sof_net.Network.is_crashed (Cluster.network c) i) then begin
+            let (Recovery.Kernel h) = Sof_protocol.Replica.kernel (Cluster.proc c i) in
+            for seq = 1 to Cluster.delivered_seq c i do
+              match Recovery.image_at h.Recovery.log.Recovery.rcv ~seq with
+              | None -> ()
+              | Some (image, digest) ->
+                incr checked;
+                if not (String.equal digest (Sof_protocol.Checkpoint.image_digest alg image)) then
+                  Alcotest.failf "%s p%d: kept digest of the image at %d is not its digest"
+                    (Sof_protocol.Replica.name kind) i seq
+            done
+          end
+        done
+      in
+      Cluster.run c ~until:(Simtime.sec 3);
+      check_live ();
+      Cluster.run c ~until:(Simtime.sec 6);
+      check_live ();
+      if Int.equal !checked 0 then
+        Alcotest.failf "%s: no kept image to check" (Sof_protocol.Replica.name kind))
+    Cluster.[ Sc_protocol; Scr_protocol; Bft_protocol; Ct_protocol ]
 
 let test_matches_golden () =
   let actual = actual () in
@@ -138,4 +259,11 @@ let test_matches_golden () =
     golden actual
 
 let suite =
-  [ ("cost.golden", [ Alcotest.test_case "crypto rows" `Slow test_matches_golden ]) ]
+  [
+    ( "cost.golden",
+      [
+        Alcotest.test_case "crypto rows" `Slow test_matches_golden;
+        Alcotest.test_case "kept image digests are the images' digests" `Slow
+          test_kept_digests;
+      ] );
+  ]

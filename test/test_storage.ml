@@ -214,6 +214,27 @@ let test_wal_corrupt_payload_detected () =
   Alcotest.(check (list string))
     "first entry survives" [ String.make 100 'x' ] rp.Wal.rp_entries
 
+(* Staging and verifying a synced append touch only its dirty sectors: on
+   top of a 64 KB checkpoint, an append and its sync must not copy the
+   log.  [Gc.allocated_bytes] counts direct major-heap allocations too,
+   which is where a whole-log copy of this size would land. *)
+let test_wal_append_costs_a_sector () =
+  let sim = Sim_disk.create ~sector_size:256 ~sector_count:8192 () in
+  let t = Wal.attach (Sim_disk.disk sim) in
+  Wal.write_checkpoint t (String.make 65_536 'c');
+  let payload = String.make 200 'e' in
+  let n = 100 in
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to n do
+    Wal.append t payload;
+    Wal.sync t
+  done;
+  let per_append = (Gc.allocated_bytes () -. before) /. float_of_int n in
+  if per_append >= 4096.0 then
+    Alcotest.failf "a synced 200 B append allocated %.0f bytes on average" per_append;
+  Alcotest.(check int) "every entry replays" n
+    (List.length (Wal.replay (Wal.attach (Sim_disk.disk sim))).Wal.rp_entries)
+
 (* --------------------------------------------------------------- atlas *)
 
 let test_atlas_torn_crash () =
@@ -670,6 +691,8 @@ let suite =
           `Quick test_wal_torn_tail_detected;
         Alcotest.test_case "corrupt payload byte detected by checksum" `Quick
           test_wal_corrupt_payload_detected;
+        Alcotest.test_case "a synced append costs a sector, not the log" `Quick
+          test_wal_append_costs_a_sector;
       ] );
     ( "storage.atlas",
       [
