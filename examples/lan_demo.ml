@@ -2,7 +2,7 @@
 
    Everything else in this repository measures the protocols under the
    calibrated simulator; this demo runs the very same protocol code over
-   real sockets, OS threads and wall-clock timers — a miniature version of
+   real sockets, an event loop and wall-clock timers — a miniature version of
    the paper's LAN deployment.  Signatures are genuine (HMAC keyring).
 
    Run with: dune exec examples/lan_demo.exe *)

@@ -5,45 +5,72 @@ module Keyring = Sof_crypto.Keyring
 module Scheme = Sof_crypto.Scheme
 module Wal = Sof_storage.Wal
 module Replica = P.Replica
+module Heap = Sof_util.Heap
 
 let client_id = 250
 
-type job =
-  | Job_message of int * string  (* transport source, encoded envelope *)
-  | Job_request of string  (* encoded request *)
-  | Job_timer of (unit -> unit)
-  | Job_stop
+(* A frame whose length field says more than this ends its connection. *)
+let max_frame = 16 * 1024 * 1024
 
-type timer_entry = {
-  deadline : float;
-  thunk : unit -> unit;
-  mutable cancelled : bool;
-}
+(* Bytes [off, off + len) of [b] are queued: a connection's partial frame,
+   or what a link's socket has not taken yet. *)
+type byte_queue = { mutable b : Bytes.t; mutable off : int; mutable len : int }
+
+let byte_queue () = { b = Bytes.empty; off = 0; len = 0 }
+
+let push q src soff n =
+  if q.off + q.len + n > Bytes.length q.b then begin
+    let b = Bytes.create (max (q.len + n) (2 * Bytes.length q.b)) in
+    Bytes.blit q.b q.off b 0 q.len;
+    q.b <- b;
+    q.off <- 0
+  end;
+  Bytes.blit src soff q.b (q.off + q.len) n;
+  q.len <- q.len + n
+
+(* An emptied queue lets go of its buffer if a state transfer grew it. *)
+let drop q n =
+  q.off <- q.off + n;
+  q.len <- q.len - n;
+  if q.len = 0 then begin
+    q.off <- 0;
+    if Bytes.length q.b > 65536 then q.b <- Bytes.empty
+  end
+
+(* An outbound connection to a peer. *)
+type link = { fd : Unix.file_descr; unsent : byte_queue }
+
+type timer = { deadline : float; owner : int; mutable thunk : unit -> unit }
+
+(* What a fired or cancelled timer holds until its deadline pops it. *)
+let spent () = ()
 
 type node = {
   id : int;
-  queue : job Queue.t;
-  queue_mutex : Mutex.t;
-  queue_cond : Condition.t;
   mutable proc : Replica.t option;
   mutable machine : Sof_smr.State_machine.t;  (* replaced fresh on restart *)
   mutable delivered_batches : int;
-  (* Bumped on kill: timer thunks capture the generation they were armed in
-     and fire only if it is still current, so a restarted process never runs
-     its dead predecessor's heartbeats. *)
+  (* Bumped on kill: timer thunks and self-sends carry the generation they
+     were made in and run only if it is still current, so a restarted
+     process never runs its dead predecessor's heartbeats. *)
   mutable gen : int;
-  (* timers *)
-  timers : timer_entry list ref;
-  timer_mutex : Mutex.t;
-  (* outbound sockets, one per peer, guarded per-socket *)
-  out : (Unix.file_descr * Mutex.t) option array;
+  out : link option array;
+  (* Client requests that arrived while the process was killed: a
+     retransmitting client would bring them to its restart. *)
+  held : string Queue.t;
   (* durable storage: the file is the platter — it survives kill/restart *)
   disk : File_disk.t option;
   wal : Wal.t option;  (* mounted once at start; the replica kernel owns it *)
 }
 
+(* An accepted connection into [dst]: [src] is its hello byte (-1 until it
+   arrives) and [partial] the start of a frame not yet whole. *)
+type conn = { cfd : Unix.file_descr; dst : node; mutable src : int; partial : byte_queue }
+
+(* When a request was injected and first delivered (nan until then). *)
+type latency = { mutable injected : float; mutable delivered : float }
+
 type t = {
-  n : int;
   base_port : int;
   nodes : node array;
   config : P.Config.t;
@@ -51,15 +78,25 @@ type t = {
   start_time : float;
   mutable stopping : bool;
   mutable killed : int list;
-  mutable peer_downs : (int * int * string) list;
-  peer_down_mutex : Mutex.t;
-  (* client side *)
-  mutable client_socks : (Unix.file_descr * Mutex.t) array;
+  (* owned by the loop thread *)
+  timers : timer Heap.t;
+  self_sends : (node * int * string) Queue.t;  (* node, generation, encoded envelope *)
+  mutable conns : conn list;
   listeners : Unix.file_descr array;
-  mutable acceptors : Thread.t array;  (* one per listener, joined by [stop] *)
-  latency_mutex : Mutex.t;
-  inject_times : (Request.key, float) Hashtbl.t;
-  first_delivery : (Request.key, float) Hashtbl.t;
+  scratch : Bytes.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  mutable loop : Thread.t option;
+  (* posted by caller threads, run by the loop *)
+  commands : (unit -> unit) Queue.t;
+  command_mutex : Mutex.t;
+  command_done : Condition.t;
+  (* what caller threads read: peer downs, faults and latencies *)
+  report_mutex : Mutex.t;
+  mutable peer_downs : (int * int * string) list;
+  mutable faults : (int * string) list;
+  latencies : latency Request.Key_tbl.t;
+  mutable client_socks : (Unix.file_descr * Mutex.t) array;  (* blocking; [inject]'s *)
 }
 
 type stats = {
@@ -68,91 +105,83 @@ type stats = {
   commit_latencies_ms : float list;
 }
 
-(* ------------------------------------------------------------- framing *)
+let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let write_frame fd mutex payload =
-  let len = String.length payload in
-  let buf = Bytes.create (4 + len) in
-  Bytes.set buf 0 (Char.chr (len land 0xff));
-  Bytes.set buf 1 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set buf 2 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set buf 3 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.blit_string payload 0 buf 4 len;
+let locked mutex f =
   Mutex.lock mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock mutex)
-    (fun () ->
-      let rec write_all off =
-        if off < Bytes.length buf then begin
-          let written = Unix.write fd buf off (Bytes.length buf - off) in
-          write_all (off + written)
-        end
-      in
-      try write_all 0 with Unix.Unix_error _ -> ())
+  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-(* A read ends in a frame, a clean shutdown ([`Eof]), or an abrupt failure
-   ([`Error]) — a peer that crashed or was killed typically surfaces as
-   ECONNRESET or EPIPE rather than end-of-file. *)
-let read_exactly fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then `Ok buf
-    else begin
-      match Unix.read fd buf off (n - off) with
-      | 0 -> `Eof
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (e, _, _) -> `Error (Unix.error_message e)
-    end
+(* A frame is a 4-byte little-endian length, then a kind byte ('\x00' an
+   envelope, anything else a client request) and the body. *)
+let frame ~kind body =
+  let n = String.length body in
+  let buf = Bytes.create (5 + n) in
+  Bytes.set_int32_le buf 0 (Int32.of_int (n + 1));
+  Bytes.set buf 4 kind;
+  Bytes.blit_string body 0 buf 5 n;
+  buf
+
+(* The loop never blocks on a write: what the socket does not take waits
+   in [unsent] until select reports the socket writable.  A write to a
+   broken connection is dropped, as a lost frame. *)
+let transmit link buf =
+  let len = Bytes.length buf in
+  if link.unsent.len > 0 then push link.unsent buf 0 len
+  else
+    let k =
+      match Unix.write link.fd buf 0 len with
+      | k -> k
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> 0
+      | exception Unix.Unix_error _ -> len
+    in
+    if k < len then push link.unsent buf k (len - k)
+
+let flush link =
+  let q = link.unsent in
+  match Unix.write link.fd q.b q.off q.len with
+  | k -> drop q k
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> drop q q.len
+
+(* A handler or timer raised: log and record it, and carry on with the
+   other processes. *)
+let guard t id f =
+  try f ()
+  with exn ->
+    let text = Printexc.to_string exn in
+    locked t.report_mutex (fun () -> t.faults <- (id, text) :: t.faults);
+    Printf.eprintf "[tcp_runtime] node %d: handler raised %s\n%!" id text
+
+(* A peer vanished under a connection.  Record it, stop writing into the
+   dead peer, and leave recovery to the protocol's own machinery (fail
+   signals, view changes) — an abrupt disconnect must never take the whole
+   node down. *)
+let peer_down t node ~src ~reason =
+  locked t.report_mutex (fun () -> t.peer_downs <- (node.id, src, reason) :: t.peer_downs);
+  Printf.eprintf "[tcp_runtime] node %d: peer %d down (%s); connection closed\n%!" node.id src
+    reason;
+  if src >= 0 && src < Array.length node.out then begin
+    Option.iter (fun l -> close l.fd) node.out.(src);
+    node.out.(src) <- None
+  end
+
+(* A frame off the wire is attacker-controlled bytes; a decode failure means
+   a malformed or hostile frame.  Log and drop. *)
+let handle t node ~src ~kind body =
+  let malformed exn =
+    Printf.eprintf "[tcp_runtime] node %d: malformed frame from %d dropped (%s)\n%!" node.id src
+      (Printexc.to_string exn)
   in
-  go 0
-
-let read_frame fd =
-  match read_exactly fd 4 with
-  | (`Eof | `Error _) as e -> e
-  | `Ok header ->
-    let b i = Char.code (Bytes.get header i) in
-    let len = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-    if len > 16 * 1024 * 1024 then `Error "oversized frame"
-    else begin
-      match read_exactly fd len with
-      | (`Eof | `Error _) as e -> e
-      | `Ok payload -> `Frame (Bytes.unsafe_to_string payload)
-    end
-
-(* -------------------------------------------------------------- queues *)
-
-let enqueue node job =
-  Mutex.lock node.queue_mutex;
-  Queue.push job node.queue;
-  Condition.signal node.queue_cond;
-  Mutex.unlock node.queue_mutex
-
-let dequeue node =
-  Mutex.lock node.queue_mutex;
-  while Queue.is_empty node.queue do
-    Condition.wait node.queue_cond node.queue_mutex
-  done;
-  let job = Queue.pop node.queue in
-  Mutex.unlock node.queue_mutex;
-  job
-
-(* -------------------------------------------------------------- timers *)
-
-(* Condition.wait has no timeout in the stdlib, so the thread polls at 1 ms
-   and hands due timers to the worker's queue. *)
-let timer_thread t node =
-  while not t.stopping do
-    Mutex.lock node.timer_mutex;
-    let now = Unix.gettimeofday () in
-    let live = List.filter (fun e -> not e.cancelled) !(node.timers) in
-    let due, later = List.partition (fun e -> e.deadline <= now) live in
-    node.timers := later;
-    Mutex.unlock node.timer_mutex;
-    match due with
-    | [] -> Thread.delay 0.001
-    | _ -> List.iter (fun e -> enqueue node (Job_timer e.thunk)) due
-  done
+  match node.proc with
+  | None -> if not (Char.equal kind '\x00') then Queue.push body node.held
+  | Some p when Char.equal kind '\x00' -> (
+    match P.Message.decode body with
+    | env -> guard t node.id (fun () -> Replica.on_message p ~src env)
+    | exception exn -> malformed exn)
+  | Some p -> (
+    match Request.decode body with
+    | req -> guard t node.id (fun () -> Replica.on_request p req)
+    | exception exn -> malformed exn)
 
 (* ------------------------------------------------------------- context *)
 
@@ -160,56 +189,50 @@ let make_context t node =
   let sign payload = Keyring.sign t.keyring ~signer:node.id payload in
   let verify ~signer ~msg ~signature = Keyring.verify t.keyring ~signer ~msg ~signature in
   (* A message addressed to the sender itself never crosses a socket: it
-     loops back through the node's own queue, exactly as the simulated
-     network delivers self-sends.  Dropping it instead would lose the
-     process's own quorum vote — fatal when the cluster is down to exactly
-     n - f live replicas. *)
+     loops back through the loop's FIFO, handled before the next select and
+     never inside the sender's handler, exactly as the simulated network
+     delivers self-sends.  Dropping it instead would lose the process's own
+     quorum vote — fatal when the cluster is down to exactly n - f live
+     replicas. *)
+  let to_self encoded = Queue.push (node, node.gen, encoded) t.self_sends in
   let send ~dst env =
-    if dst = node.id then enqueue node (Job_message (node.id, P.Message.encode env))
+    if dst = node.id then to_self (P.Message.encode env)
     else
       match node.out.(dst) with
-      | Some (fd, mutex) -> write_frame fd mutex ("\x00" ^ P.Message.encode env)
+      | Some link -> transmit link (frame ~kind:'\x00' (P.Message.encode env))
       | None -> ()
   in
   let multicast ~dsts env =
     let encoded = P.Message.encode env in
-    let payload = "\x00" ^ encoded in
+    let buf = frame ~kind:'\x00' encoded in
     List.iter
       (fun dst ->
-        if dst = node.id then enqueue node (Job_message (node.id, encoded))
-        else
-          match node.out.(dst) with
-          | Some (fd, mutex) -> write_frame fd mutex payload
-          | None -> ())
+        if dst = node.id then to_self encoded
+        else match node.out.(dst) with Some link -> transmit link buf | None -> ())
       dsts
   in
   let set_timer ?kind:_ ~delay thunk =
     let gen = node.gen in
-    let entry =
-      {
-        deadline = Unix.gettimeofday () +. Simtime.to_sec delay;
-        thunk = (fun () -> if node.gen = gen then thunk ());
-        cancelled = false;
-      }
-    in
-    Mutex.lock node.timer_mutex;
-    node.timers := entry :: !(node.timers);
-    Mutex.unlock node.timer_mutex;
-    { P.Context.cancel = (fun () -> entry.cancelled <- true) }
+    let deadline = Unix.gettimeofday () +. Simtime.to_sec delay in
+    let thunk () = if node.gen = gen then thunk () in
+    let timer = { deadline; owner = node.id; thunk } in
+    Heap.push t.timers timer;
+    { P.Context.cancel = (fun () -> timer.thunk <- spent) }
   in
   (* Under a [data_dir] the kernel has synced the batch's log entry (fsync)
      before the state machine applies it. *)
   let deliver ~seq:_ (batch : P.Batch.t) =
     node.delivered_batches <- node.delivered_batches + 1;
     let now = Unix.gettimeofday () in
-    Mutex.lock t.latency_mutex;
-    List.iter
-      (fun r ->
-        ignore (Sof_smr.State_machine.apply node.machine r.Request.op);
-        if not (Hashtbl.mem t.first_delivery r.Request.key) then
-          Hashtbl.replace t.first_delivery r.Request.key now)
-      batch.P.Batch.requests;
-    Mutex.unlock t.latency_mutex
+    let requests = batch.P.Batch.requests in
+    List.iter (fun r -> ignore (Sof_smr.State_machine.apply node.machine r.Request.op)) requests;
+    locked t.report_mutex (fun () ->
+        List.iter
+          (fun r ->
+            match Request.Key_tbl.find_opt t.latencies r.Request.key with
+            | Some l when Float.is_nan l.delivered -> l.delivered <- now
+            | Some _ | None -> ())
+          requests)
   in
   {
     P.Context.id = node.id;
@@ -238,88 +261,132 @@ let make_proc t node =
   let ctx = make_context t node in
   Replica.create ~ctx ~config:t.config ~keyring:t.keyring ()
 
-(* -------------------------------------------------------------- worker *)
+(* ---------------------------------------------------------- event loop *)
 
-let worker_thread node =
-  let continue = ref true in
-  while !continue do
-    match dequeue node with
-    | Job_stop -> continue := false
-    | Job_timer thunk -> ( try thunk () with _ -> ())
-    | Job_request payload -> begin
-      (* A frame off the wire is attacker-controlled bytes; any decode
-         failure means a malformed or hostile frame, never a reason to kill
-         the worker.  Log and drop. *)
-      match (node.proc, Request.decode payload) with
-      | Some p, req -> Replica.on_request p req
-      | None, _ -> ()
-      | exception exn ->
-        Printf.eprintf "[tcp_runtime] node %d: malformed request frame dropped (%s)\n%!"
-          node.id (Printexc.to_string exn)
-    end
-    | Job_message (src, payload) -> begin
-      match (node.proc, P.Message.decode payload) with
-      | Some p, env -> Replica.on_message p ~src env
-      | None, _ -> ()
-      | exception exn ->
-        Printf.eprintf
-          "[tcp_runtime] node %d: malformed frame from peer %d dropped (%s)\n%!"
-          node.id src (Printexc.to_string exn)
-    end
-  done
+let close_conn t c ~reason =
+  t.conns <- List.filter (fun c' -> c' != c) t.conns;
+  close c.cfd;
+  if c.src >= 0 && not t.stopping then peer_down t c.dst ~src:c.src ~reason
 
-(* A peer vanished under this reader.  Record it, stop writing into the dead
-   socket, and leave recovery to the protocol's own machinery (fail signals,
-   view changes) — an abrupt disconnect must never take the whole node down. *)
-let peer_down t node ~src ~reason =
-  Mutex.lock t.peer_down_mutex;
-  t.peer_downs <- (node.id, src, reason) :: t.peer_downs;
-  Mutex.unlock t.peer_down_mutex;
-  Printf.eprintf "[tcp_runtime] node %d: peer %d down (%s); reader stopped\n%!"
-    node.id src reason;
-  if src >= 0 && src < Array.length node.out then begin
-    (match node.out.(src) with
-    | Some (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    node.out.(src) <- None
+(* Handle every whole frame in [b.[off, off + len)]; [`Rest off] is where
+   the first incomplete one starts.  The first byte is the hello. *)
+let rec parse t c b off len =
+  if len = 0 then `Rest off
+  else if c.src < 0 then begin
+    c.src <- Char.code (Bytes.get b off);
+    parse t c b (off + 1) (len - 1)
   end
-
-let reader_thread t node src fd =
-  let continue = ref true in
-  while !continue && not t.stopping do
-    match read_frame fd with
-    | `Frame frame when String.length frame >= 1 ->
-      let body = String.sub frame 1 (String.length frame - 1) in
-      if frame.[0] = '\x00' then enqueue node (Job_message (src, body))
-      else enqueue node (Job_request body)
-    | `Frame _ -> ()
-    | (`Eof | `Error _) as ending ->
-      continue := false;
-      if not t.stopping then
-        let reason =
-          match ending with `Eof -> "connection closed" | `Error msg -> msg
-        in
-        peer_down t node ~src ~reason
-  done;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_thread t node listen_fd =
-  while not t.stopping do
-    match Unix.accept listen_fd with
-    | exception Unix.Unix_error _ -> if not t.stopping then Thread.delay 0.01
-    | conn, _ -> begin
-      match read_exactly conn 1 with
-      | `Ok hello ->
-        let src = Char.code (Bytes.get hello 0) in
-        ignore (Thread.create (fun () -> reader_thread t node src conn) ())
-      | `Eof | `Error _ -> ( try Unix.close conn with Unix.Unix_error _ -> ())
+  else if len < 4 then `Rest off
+  else
+    let size = Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff in
+    if size > max_frame then `Oversized
+    else if len < 4 + size then `Rest off
+    else begin
+      if size >= 1 then
+        handle t c.dst ~src:c.src ~kind:(Bytes.get b (off + 4))
+          (Bytes.sub_string b (off + 5) (size - 1));
+      parse t c b (off + 4 + size) (len - 4 - size)
     end
+
+(* One read per readable connection per round. *)
+let receive t c =
+  let q = c.partial in
+  match Unix.read c.cfd t.scratch 0 (Bytes.length t.scratch) with
+  | 0 -> close_conn t c ~reason:"connection closed"
+  | k -> (
+    let whole = q.len = 0 in
+    if not whole then push q t.scratch 0 k;
+    match if whole then parse t c t.scratch 0 k else parse t c q.b q.off q.len with
+    | `Oversized -> close_conn t c ~reason:"oversized frame"
+    | `Rest rest -> if whole then push q t.scratch rest (k - rest) else drop q (rest - q.off))
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) -> close_conn t c ~reason:(Unix.error_message e)
+
+let rec accept_all t node listener =
+  match Unix.accept ~cloexec:true listener with
+  | fd, _ ->
+    Unix.set_nonblock fd;
+    t.conns <- { cfd = fd; dst = node; src = -1; partial = byte_queue () } :: t.conns;
+    accept_all t node listener
+  | exception Unix.Unix_error _ -> ()
+
+let run_commands t =
+  locked t.command_mutex (fun () ->
+      if not (Queue.is_empty t.commands) then begin
+        Queue.iter (fun run -> run ()) t.commands;
+        Queue.clear t.commands;
+        Condition.broadcast t.command_done
+      end)
+
+let rec fire_timers t now =
+  match Heap.peek t.timers with
+  | Some timer when timer.deadline <= now ->
+    ignore (Heap.pop_exn t.timers);
+    let thunk = timer.thunk in
+    timer.thunk <- spent;
+    guard t timer.owner thunk;
+    fire_timers t now
+  | Some _ | None -> ()
+
+(* Seconds to the earliest live deadline, -1 (no timeout) if none. *)
+let rec next_timeout t =
+  match Heap.peek t.timers with
+  | None -> -1.0
+  | Some timer when timer.thunk == spent ->
+    ignore (Heap.pop_exn t.timers);
+    next_timeout t
+  | Some timer -> Float.max 0.0 (timer.deadline -. Unix.gettimeofday ())
+
+(* The one thread of a runtime.  Each round runs the posted commands, the
+   due timers and the self-sends, then selects over the listeners, every
+   connection, the wake pipe and the earliest deadline.  Every handler runs
+   here, so each process's state is touched by one thread, like the
+   simulator's single-server CPU. *)
+let event_loop t =
+  while not t.stopping do
+    run_commands t;
+    fire_timers t (Unix.gettimeofday ());
+    while not (Queue.is_empty t.self_sends) do
+      let node, gen, encoded = Queue.pop t.self_sends in
+      if node.gen = gen then handle t node ~src:node.id ~kind:'\x00' encoded
+    done;
+    let pending acc = function Some l when l.unsent.len > 0 -> l :: acc | Some _ | None -> acc in
+    let links = Array.fold_left (fun acc node -> Array.fold_left pending acc node.out) [] t.nodes in
+    let conns = t.conns in
+    let reads = t.wake_r :: (Array.to_list t.listeners @ List.map (fun c -> c.cfd) conns) in
+    match Unix.select reads (List.map (fun l -> l.fd) links) [] (next_timeout t) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | readable, writable, _ ->
+      List.iter (fun l -> if List.mem l.fd writable then flush l) links;
+      List.iter (fun c -> if List.mem c.cfd readable then receive t c) conns;
+      Array.iteri (fun i l -> if List.mem l readable then accept_all t t.nodes.(i) l) t.listeners;
+      if List.mem t.wake_r readable then
+        (try ignore (Unix.read t.wake_r t.scratch 0 (Bytes.length t.scratch))
+         with Unix.Unix_error _ -> ());
+      (* Lets a caller thread (the injecting client) take the runtime lock. *)
+      Thread.yield ()
   done
+
+let wake t = try ignore (Unix.write_substring t.wake_w "!" 0 1) with Unix.Unix_error _ -> ()
+
+(* Run [f] on the loop thread and wait until it has. *)
+let on_loop t f =
+  if not t.stopping then begin
+    let outcome = ref None in
+    let run () = outcome := Some (match f () with () -> Ok () | exception e -> Error e) in
+    locked t.command_mutex (fun () ->
+        Queue.push run t.commands;
+        wake t;
+        while Option.is_none !outcome do
+          Condition.wait t.command_done t.command_mutex
+        done);
+    match !outcome with Some (Error e) -> raise e | Some (Ok ()) | None -> ()
+  end
 
 (* --------------------------------------------------------------- start *)
 
 let connect_with_hello ~port ~hello =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   let rec attempt tries =
     match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
     | () -> ()
@@ -332,6 +399,13 @@ let connect_with_hello ~port ~hello =
   let b = Bytes.make 1 (Char.chr hello) in
   ignore (Unix.write fd b 0 1);
   fd
+
+(* Peer links are non-blocking; a connect lands in the listener's backlog
+   until the loop accepts it. *)
+let dial t ~dst ~hello =
+  let fd = connect_with_hello ~port:(t.base_port + dst) ~hello in
+  Unix.set_nonblock fd;
+  Some { fd; unsent = byte_queue () }
 
 let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 30)
     ?(checkpoint_interval = 0) ?(timing = P.Config.Static) ?data_dir ~kind ~f () =
@@ -354,58 +428,39 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
   let n = P.Config.process_count config in
   let rng = Sof_util.Rng.create 2006L in
   let keyring = Keyring.create ~scheme:(Replica.scheme kind scheme) ~rng ~node_count:n () in
-  (match data_dir with
-  | Some dir -> (
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  | None -> ());
+  Option.iter
+    (fun dir -> try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+    data_dir;
   let nodes =
     Array.init n (fun id ->
-        let disk =
-          Option.map
-            (fun dir ->
-              File_disk.open_file
-                ~path:(Filename.concat dir (Printf.sprintf "replica-%d.disk" id))
-                ())
-            data_dir
-        in
+        let path dir = Filename.concat dir (Printf.sprintf "replica-%d.disk" id) in
+        let disk = Option.map (fun dir -> File_disk.open_file ~path:(path dir) ()) data_dir in
         (* Each [start] begins a fresh log (new empty epoch): the runtime's
            protocols start at sequence 1, so a previous run's log must not
            replay under them.  Recovery is within a run, via kill/restart. *)
-        let wal =
-          Option.map
-            (fun fd ->
-              let wal = Wal.attach (File_disk.disk fd) in
-              Wal.reset wal;
-              wal)
-            disk
+        let mount fd =
+          let wal = Wal.attach (File_disk.disk fd) in
+          Wal.reset wal;
+          wal
         in
-        {
-          id;
-          queue = Queue.create ();
-          queue_mutex = Mutex.create ();
-          queue_cond = Condition.create ();
-          proc = None;
-          machine = Sof_smr.Kv_store.machine ();
-          delivered_batches = 0;
-          gen = 0;
-          timers = ref [];
-          timer_mutex = Mutex.create ();
-          out = Array.make n None;
-          disk;
-          wal;
-        })
+        let machine = Sof_smr.Kv_store.machine () and wal = Option.map mount disk in
+        let out = Array.make n None and held = Queue.create () in
+        { id; proc = None; machine; delivered_batches = 0; gen = 0; out; held; disk; wal })
   in
   let listeners =
     Array.init n (fun i ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + i));
         Unix.listen fd 32;
+        Unix.set_nonblock fd;
         fd)
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let t =
     {
-      n;
       base_port;
       nodes;
       config;
@@ -413,191 +468,136 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
       start_time = Unix.gettimeofday ();
       stopping = false;
       killed = [];
-      peer_downs = [];
-      peer_down_mutex = Mutex.create ();
-      client_socks = [||];
+      timers = Heap.create ~cmp:(fun a b -> Float.compare a.deadline b.deadline);
+      self_sends = Queue.create ();
+      conns = [];
       listeners;
-      acceptors = [||];
-      latency_mutex = Mutex.create ();
-      inject_times = Hashtbl.create 256;
-      first_delivery = Hashtbl.create 256;
+      scratch = Bytes.create 65536;
+      wake_r;
+      wake_w;
+      loop = None;
+      commands = Queue.create ();
+      command_mutex = Mutex.create ();
+      command_done = Condition.create ();
+      report_mutex = Mutex.create ();
+      peer_downs = [];
+      faults = [];
+      latencies = Request.Key_tbl.create 256;
+      client_socks = [||];
     }
   in
-  t.acceptors <-
-    Array.mapi
-      (fun i listen_fd -> Thread.create (fun () -> accept_thread t nodes.(i) listen_fd) ())
-      listeners;
   (* Full mesh of outbound connections. *)
   Array.iter
     (fun node ->
       for dst = 0 to n - 1 do
-        if dst <> node.id then begin
-          let fd = connect_with_hello ~port:(base_port + dst) ~hello:node.id in
-          node.out.(dst) <- Some (fd, Mutex.create ())
-        end
+        if dst <> node.id then node.out.(dst) <- dial t ~dst ~hello:node.id
       done)
     nodes;
-  (* Protocol processes, started from this thread before any worker
-     exists: until its worker runs, a process's frames and timers only
-     queue, so its state is only ever touched by one thread at a time. *)
+  (* Protocol processes, started from this thread before the loop exists:
+     until it runs, their frames, timers and self-sends only wait. *)
   Array.iter (fun node -> node.proc <- Some (make_proc t node)) nodes;
   Array.iter (fun node -> Option.iter Replica.start node.proc) nodes;
-  Array.iter
-    (fun node ->
-      ignore (Thread.create (fun () -> worker_thread node) ());
-      ignore (Thread.create (fun () -> timer_thread t node) ()))
-    nodes;
-  (* Client connections. *)
+  t.loop <- Some (Thread.create event_loop t);
   t.client_socks <-
     Array.init n (fun dst ->
         (connect_with_hello ~port:(base_port + dst) ~hello:client_id, Mutex.create ()));
   t
 
 let inject t req =
-  Mutex.lock t.latency_mutex;
-  if not (Hashtbl.mem t.inject_times req.Request.key) then
-    Hashtbl.replace t.inject_times req.Request.key (Unix.gettimeofday ());
-  Mutex.unlock t.latency_mutex;
-  let payload = "\x01" ^ Request.encode req in
-  Array.iter (fun (fd, mutex) -> write_frame fd mutex payload) t.client_socks
+  locked t.report_mutex (fun () ->
+      if not (Request.Key_tbl.mem t.latencies req.Request.key) then
+        Request.Key_tbl.replace t.latencies req.Request.key
+          { injected = Unix.gettimeofday (); delivered = Float.nan });
+  let buf = frame ~kind:'\x01' (Request.encode req) in
+  let len = Bytes.length buf in
+  let rec write_all fd off =
+    if off < len then write_all fd (off + Unix.write fd buf off (len - off))
+  in
+  Array.iter
+    (fun (fd, mutex) ->
+      locked mutex (fun () -> try write_all fd 0 with Unix.Unix_error _ -> ()))
+    t.client_socks
 
 let await_delivery t ~count ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
+  let reached node = List.mem node.id t.killed || node.delivered_batches >= count in
   let rec poll () =
-    if
-      Array.for_all
-        (fun node -> List.mem node.id t.killed || node.delivered_batches >= count)
-        t.nodes
-    then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.delay 0.02;
-      poll ()
-    end
+    Array.for_all reached t.nodes
+    || Unix.gettimeofday () <= deadline
+       && begin
+         Thread.delay 0.02;
+         poll ()
+       end
   in
   poll ()
 
-(* Abruptly take one node down mid-run: stop its protocol and worker, then
-   reset-close every socket it owns (SO_LINGER 0 sends RST, not FIN), so its
-   peers exercise the abrupt-disconnect path of [reader_thread]. *)
+(* Abruptly take one node down mid-run: stop its protocol, then reset-close
+   every socket it owns (SO_LINGER 0 sends RST, not FIN), so its peers
+   exercise the abrupt-disconnect path of [receive]. *)
 let kill t who =
-  let node = t.nodes.(who) in
-  t.killed <- who :: t.killed;
-  node.proc <- None;
-  node.gen <- node.gen + 1;
-  enqueue node Job_stop;
-  Array.iteri
-    (fun dst entry ->
-      match entry with
-      | Some (fd, _) ->
-        (try Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0)
+  on_loop t (fun () ->
+      let node = t.nodes.(who) in
+      t.killed <- who :: t.killed;
+      node.proc <- None;
+      node.gen <- node.gen + 1;
+      let reset l =
+        (try Unix.setsockopt_optint l.fd Unix.SO_LINGER (Some 0)
          with Unix.Unix_error _ | Invalid_argument _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        node.out.(dst) <- None
-      | None -> ())
-    node.out
+        close l.fd
+      in
+      Array.iter (Option.iter reset) node.out;
+      Array.fill node.out 0 (Array.length node.out) None)
 
 (* Bring a killed process back with empty volatile state: a fresh protocol
    instance over a fresh state machine, the full mesh re-dialed both ways,
-   recovery from its own log when it has one and from its peers otherwise,
-   and only then a worker thread. *)
+   and recovery from its own log when it has one and from its peers
+   otherwise — all on the loop, before the process handles any frame. *)
 let restart t who =
-  if List.mem who t.killed then begin
-    let node = t.nodes.(who) in
-    t.killed <- List.filter (fun k -> k <> who) t.killed;
-    (* The kill's Job_stop must have been consumed before a second worker
-       thread starts, or two threads would drain one protocol's queue. *)
-    let rec wait_worker_exit () =
-      Mutex.lock node.queue_mutex;
-      let stop_pending =
-        Queue.fold
-          (fun acc job -> acc || match job with Job_stop -> true | _ -> false)
-          false node.queue
-      in
-      Mutex.unlock node.queue_mutex;
-      if stop_pending then begin
-        Thread.delay 0.005;
-        wait_worker_exit ()
-      end
-    in
-    wait_worker_exit ();
-    Mutex.lock node.timer_mutex;
-    node.timers := [];
-    Mutex.unlock node.timer_mutex;
-    node.machine <- Sof_smr.Kv_store.machine ();
-    (* Re-dial the mesh: this node out to every live peer, and every live
-       peer back to this node (their old sockets died with the kill's RST). *)
-    for dst = 0 to t.n - 1 do
-      if dst <> who && not (List.mem dst t.killed) then
-        node.out.(dst) <-
-          Some (connect_with_hello ~port:(t.base_port + dst) ~hello:who, Mutex.create ())
-    done;
-    Array.iter
-      (fun peer ->
-        if peer.id <> who && not (List.mem peer.id t.killed) then begin
-          (match peer.out.(who) with
-          | Some (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ());
-          peer.out.(who) <-
-            Some
-              (connect_with_hello ~port:(t.base_port + who) ~hello:peer.id, Mutex.create ())
-        end)
-      t.nodes;
-    let proc = make_proc t node in
-    node.proc <- Some proc;
-    Replica.start proc;
-    Replica.recover proc;
-    (* The worker starts last: frames from the re-dialed peers and the
-       client, and the timers armed above, have only queued so far. *)
-    ignore (Thread.create (fun () -> worker_thread node) ())
-  end
+  on_loop t (fun () ->
+      if List.mem who t.killed then begin
+        let node = t.nodes.(who) in
+        t.killed <- List.filter (fun k -> k <> who) t.killed;
+        node.machine <- Sof_smr.Kv_store.machine ();
+        (* Re-dial the mesh: this node out to every live peer, and every live
+           peer back to this node (their old sockets died with the kill's RST). *)
+        Array.iter
+          (fun peer ->
+            if peer.id <> who && not (List.mem peer.id t.killed) then begin
+              node.out.(peer.id) <- dial t ~dst:peer.id ~hello:who;
+              Option.iter (fun l -> close l.fd) peer.out.(who);
+              peer.out.(who) <- dial t ~dst:who ~hello:peer.id
+            end)
+          t.nodes;
+        let proc = make_proc t node in
+        node.proc <- Some proc;
+        Replica.start proc;
+        Replica.recover proc;
+        Queue.iter (handle t node ~src:client_id ~kind:'\x01') node.held;
+        Queue.clear node.held
+      end)
 
-let peer_downs t =
-  Mutex.lock t.peer_down_mutex;
-  let events = t.peer_downs in
-  Mutex.unlock t.peer_down_mutex;
-  List.rev events
+let peer_downs t = List.rev (locked t.report_mutex (fun () -> t.peer_downs))
+let faults t = List.rev (locked t.report_mutex (fun () -> t.faults))
 
+(* The loop is joined before any descriptor closes: after [stop] returns,
+   no code of this runtime runs. *)
 let stop t =
   t.stopping <- true;
-  (* A shut-down listener fails the [accept] its thread is blocked in;
-     joining before [close] keeps a recycled descriptor out of that call. *)
-  Array.iter
-    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    t.listeners;
-  Array.iter Thread.join t.acceptors;
-  Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
-  Array.iter (fun node -> enqueue node Job_stop) t.nodes;
-  Array.iter
-    (fun node ->
-      Array.iter
-        (function
-          | Some (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ())
-        node.out)
-    t.nodes;
-  Array.iter
-    (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.client_socks;
-  Array.iter
-    (fun node ->
-      match node.disk with Some fd -> File_disk.close fd | None -> ())
-    t.nodes;
-  Thread.delay 0.05;
-  let latencies =
-    Hashtbl.fold
-      (fun key injected acc ->
-        match Hashtbl.find_opt t.first_delivery key with
-        | Some delivered_at -> ((delivered_at -. injected) *. 1000.0) :: acc
-        | None -> acc)
-      t.inject_times []
+  wake t;
+  Option.iter Thread.join t.loop;
+  Array.iter close t.listeners;
+  Array.iter (fun node -> Array.iter (Option.iter (fun l -> close l.fd)) node.out) t.nodes;
+  List.iter (fun c -> close c.cfd) t.conns;
+  Array.iter (fun (fd, _) -> close fd) t.client_socks;
+  close t.wake_r;
+  close t.wake_w;
+  Array.iter (fun node -> Option.iter File_disk.close node.disk) t.nodes;
+  let latency _ (l : latency) acc =
+    if Float.is_nan l.delivered then acc else ((l.delivered -. l.injected) *. 1000.0) :: acc
   in
+  let per_node f = Array.to_list (Array.map (fun node -> (node.id, f node)) t.nodes) in
   {
-    delivered = Array.to_list (Array.map (fun node -> (node.id, node.delivered_batches)) t.nodes);
-    state_digests =
-      Array.to_list
-        (Array.map
-           (fun node -> (node.id, Sof_smr.State_machine.state_digest node.machine))
-           t.nodes);
-    commit_latencies_ms = latencies;
+    delivered = per_node (fun node -> node.delivered_batches);
+    state_digests = per_node (fun node -> Sof_smr.State_machine.state_digest node.machine);
+    commit_latencies_ms = Request.Key_tbl.fold latency t.latencies [];
   }

@@ -3,7 +3,7 @@
     The protocol modules are written against {!Sof_protocol.Context} and do
     not know whether time is simulated.  This runtime supplies the
     capabilities from the real world — loopback TCP sockets in a full mesh,
-    OS threads, wall-clock timers, and genuine signatures from a
+    an event loop, wall-clock timers, and genuine signatures from a
     {!Sof_crypto.Keyring} — turning the repository into the same kind of
     LAN deployment the paper measured (one host here, 15 hosts there).
 
@@ -12,13 +12,21 @@
     signal-on-fail protocols, 3f+1 and 3f+2 processes), [`Bft] (PBFT, 3f+1)
     and [`Ct] (crash-tolerant, 2f+1, unsigned whatever the [scheme]).
 
-    Threading model: per node, every peer connection has a reader thread
-    that enqueues frames; one worker thread drains the queue and runs the
-    protocol handlers, so each process's state is touched by exactly one
-    thread, like the simulator's single-server CPU.  Timers fire through the
-    same queue.  {!start} and {!restart} make their direct calls into a
-    process (start, local recovery, the state-transfer request) before its
-    worker exists; until then its frames and timers only queue.
+    Threading model: a runtime has one thread of its own, an event loop
+    that [Unix.select]s over the listeners, every connection, a wake pipe
+    and the earliest timer deadline, and runs every protocol handler, timer
+    and self-send inline, so each process's state is touched by exactly one
+    thread, like the simulator's single-server CPU.  Writes never block the
+    loop: what a socket does not take waits in a per-link buffer until the
+    socket drains.  {!start} starts every process before the loop exists;
+    {!kill} and {!restart} post a command to the loop and wait until it has
+    run.  Only {!inject} (blocking writes to the client sockets) and
+    {!await_delivery} run on the caller's thread.
+
+    [select] only takes descriptors below 1024 (FD_SETSIZE).  A runtime of
+    n processes holds 2n{^2} + n + 2 of them (38 at n = 4): n listeners,
+    n(n-1) outbound and n(n-1) accepted peer connections, n client
+    connections at each end, and the wake pipe.
 
     Intended for demos and end-to-end tests; the measured reproduction of
     the paper's figures uses the calibrated simulator (see DESIGN.md). *)
@@ -70,9 +78,10 @@ val await_delivery : t -> count:int -> timeout_s:float -> bool
 
 val kill : t -> int -> unit
 (** Abruptly crash one process mid-run: its protocol stops and all its
-    sockets are reset-closed (RST), so every peer's reader thread exercises
-    the abrupt-disconnect path — logged, recorded in {!peer_downs}, never
-    fatal to the peer. *)
+    outbound sockets are reset-closed (RST), so every peer's connection
+    from it takes the abrupt-disconnect path — logged, recorded in
+    {!peer_downs}, never fatal to the peer.  Client requests that reach it
+    while it is down wait for {!restart}. *)
 
 val restart : t -> int -> unit
 (** Bring a process taken down by {!kill} back with empty volatile state: a
@@ -85,14 +94,21 @@ val restart : t -> int -> unit
     goes straight to state transfer.  No-op unless the process is
     currently killed.  The process's delivered-batch counter is cumulative
     across incarnations (recovery installs the checkpointed prefix without
-    re-delivering it). *)
+    re-delivering it).  The client requests that reached the killed process
+    are handed to the new one after recovery, as a retransmitting client
+    would bring them. *)
 
 val peer_downs : t -> (int * int * string) list
-(** [(observer, peer, reason)] for every reader that ended on a broken
-    connection, oldest first. *)
+(** [(observer, peer, reason)] for every accepted connection that ended on
+    a broken or closed socket or an oversized frame (over 16 MB), oldest
+    first; [peer] is the connection's hello byte. *)
+
+val faults : t -> (int * string) list
+(** [(process, exception)] for every protocol handler or timer that raised,
+    oldest first.  The loop logs each one to stderr and carries on with the
+    other processes. *)
 
 val stop : t -> stats
-(** Shut down sockets and threads and return what happened.  The listening
-    sockets are closed and their accept threads joined before it returns,
-    so the ports are free for a new {!start} and nothing keeps the stopped
-    runtime reachable. *)
+(** Stop the event loop, join it, and only then close every descriptor;
+    return what happened.  After [stop] returns no code of this runtime
+    runs, and the ports are free for a new {!start}. *)

@@ -661,6 +661,8 @@ let tcp_durable_restart ~kind ~base_port () =
       Alcotest.(check bool) "restarted process delivers after rejoining" true
         (Runtime.await_delivery t ~count:6 ~timeout_s:20.0);
       Thread.delay 1.0;
+      Alcotest.(check (list (pair int string))) "no handler or timer faults" []
+        (Runtime.faults t);
       let stats = Runtime.stop t in
       Alcotest.(check bool) "per-replica disk files exist" true
         (Sys.file_exists (Filename.concat data_dir "replica-1.disk"));
