@@ -97,6 +97,33 @@ let independent a b =
 
 exception Found of Schedule.t * Invariants.result
 
+(* Tables keyed by the low 63 bits of a 64-bit hash: a native int, where an
+   [Int64] key would be a boxed one per entry. *)
+module Keys = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* A schedule's key; any fixed order of its actions will do. *)
+let key_of_schedule sched_rev =
+  let acc = Fingerprint.create () in
+  List.iter
+    (fun a ->
+      match (a : Schedule.action) with
+      | Schedule.Deliver id ->
+        Fingerprint.add_int acc 0;
+        Fingerprint.add_int acc id
+      | Schedule.Fire tid ->
+        Fingerprint.add_int acc 1;
+        Fingerprint.add_int acc tid
+      | Schedule.Crash p ->
+        Fingerprint.add_int acc 2;
+        Fingerprint.add_int acc p)
+    sched_rev;
+  Int64.to_int (Fingerprint.digest acc)
+
 (* What the ample reduction made of a node's world [w]: the node's single
    successor, which is [w] stepped in place, or a full expansion, handed
    [w] untouched when no candidate was tried and nothing when a rejected
@@ -108,11 +135,11 @@ type expansion = Single of move * World.t * int | Full of World.t option
    and every later child is materialised by replaying its whole schedule
    prefix from a fresh world.  Each explored state is still exactly
    reproducible from its schedule; [replays] counts the fresh worlds. *)
-let search base ~use_sleep ~use_ample ~limit c =
+let search base ~verdicts ~use_sleep ~use_ample ~limit c =
   (* Sized for the smallest models and grown with the table: a search of
      the ct model sees 27 states, and every deepening iteration makes a
      fresh table. *)
-  let visited : (int64, int) Hashtbl.t = Hashtbl.create 256 in
+  let visited : int Keys.t = Keys.create 256 in
   let capped = ref false in
   let child prefix_rev =
     c.c_replays <- c.c_replays + 1;
@@ -137,7 +164,12 @@ let search base ~use_sleep ~use_ample ~limit c =
      back to full exploration.  This is as sound as the fingerprint abstraction the
      visited set already relies on, but it checks commutation one step deep
      only; DESIGN.md §12 spells out the residual gap, and --no-ample gives
-     the pure sleep-set search whose independence relation is exact. *)
+     the pure sleep-set search whose independence relation is exact.
+
+     A world is a function of its schedule, so the validation's verdict is
+     one of the schedule [act :: prefix_rev]: [verdicts] keeps it across
+     deepening rounds, which revisit every shallow state.  A verdict known
+     to fail leaves [w] untouched for the full expansion. *)
   let ample_child prefix_rev w moves sleep =
     match World.ample_candidate w with
     | None -> Full (Some w)
@@ -151,24 +183,35 @@ let search base ~use_sleep ~use_ample ~limit c =
         || List.exists (fun s -> Schedule.equal_action s.act act) sleep
       then Full (Some w)
       else
-        match step w act with
-        | None -> Full None
-        | Some w1 ->
-          let enabled1 = World.enabled w1 in
-          let ok o =
-            List.exists (Schedule.equal_action o.act) enabled1
-            && (independent o m
-               ||
-               match
-                 ( child (o.act :: act :: prefix_rev),
-                   child (act :: o.act :: prefix_rev) )
-               with
-               | Some wa, Some wb ->
-                 Int64.equal (World.fingerprint wa) (World.fingerprint wb)
-               | _ -> false)
-          in
-          if List.for_all ok others then Single (m, w1, List.length others)
-          else Full None)
+        let key = key_of_schedule (act :: prefix_rev) in
+        match Keys.find_opt verdicts key with
+        | Some false -> Full (Some w)
+        | known -> (
+          match step w act with
+          | None -> Full None
+          | Some w1 ->
+            let valid =
+              match known with
+              | Some v -> v
+              | None ->
+                let enabled1 = World.enabled w1 in
+                let ok o =
+                  List.exists (Schedule.equal_action o.act) enabled1
+                  && (independent o m
+                     ||
+                     match
+                       ( child (o.act :: act :: prefix_rev),
+                         child (act :: o.act :: prefix_rev) )
+                     with
+                     | Some wa, Some wb ->
+                       Int64.equal (World.fingerprint wa) (World.fingerprint wb)
+                     | _ -> false)
+                in
+                let v = List.for_all ok others in
+                Keys.replace verdicts key v;
+                v
+            in
+            if valid then Single (m, w1, List.length others) else Full None))
   in
   (* [prefix_rev] is the schedule to here, newest first; [sleep] the classic
      sleep set: actions whose exploration here would only commute into a
@@ -181,11 +224,11 @@ let search base ~use_sleep ~use_ample ~limit c =
     (match World.violation w with
     | Some r -> raise (Found (List.rev prefix_rev, r))
     | None -> ());
-    let fp = World.fingerprint w in
-    match Hashtbl.find_opt visited fp with
+    let fp = Int64.to_int (World.fingerprint w) in
+    match Keys.find_opt visited fp with
     | Some d when d <= depth -> c.c_pruned_visited <- c.c_pruned_visited + 1
     | _ ->
-      Hashtbl.replace visited fp depth;
+      Keys.replace visited fp depth;
       let moves =
         List.map
           (fun a -> { act = a; target = World.action_target w a })
@@ -282,11 +325,13 @@ let trace_of spec sched = trace_base (World.base spec) sched
 let run ?(use_sleep = true) ?(use_ample = true) ?(start_depth = 6) spec ~depth =
   let base = World.base spec in
   let c = fresh_counters () in
+  (* Ample verdicts by schedule, for every deepening round. *)
+  let verdicts : bool Keys.t = Keys.create 256 in
   let finish outcome depth_limit =
     { spec; outcome; stats = stats_of c; depth_limit }
   in
   let rec iterate limit =
-    match search base ~use_sleep ~use_ample ~limit c with
+    match search base ~verdicts ~use_sleep ~use_ample ~limit c with
     | exception Found (sched, result) ->
       let schedule = shrink base sched result in
       let result =

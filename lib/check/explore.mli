@@ -7,7 +7,10 @@
     every other child is materialised by replaying its schedule prefix on
     a fresh world of the model's shared {!World.base}.  What comes back is
     therefore always replayable — a violation is reported as the exact
-    schedule that reaches it.
+    schedule that reaches it.  Replays are cheap where they repeat work:
+    the base memoises the signatures its keyring issued, and the ample
+    validation's verdict, a function of the schedule, is kept across
+    deepening rounds, so a revisited ample state runs no diamond probes.
 
     Soundness notes (also DESIGN.md §12): sleep sets prune interleavings
     that provably commute into already-explored subtrees; the visited set
@@ -37,7 +40,9 @@ type stats = {
   max_depth : int;
   replays : int;
       (** Fresh worlds built by replaying a prefix (the stateless-search
-          cost); a world handed down to a first child is not one. *)
+          cost): later siblings and diamond probes.  A world handed down
+          to a first child is not one, and neither is a probe whose
+          verdict an earlier deepening round already settled. *)
 }
 
 type violation = {

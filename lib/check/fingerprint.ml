@@ -2,8 +2,10 @@ module P = Sof_protocol
 
 (* FNV-1a, 64-bit: the same cheap stable hash Rng uses for substream
    labels.  Collisions fold distinct states together and can only cause
-   missed exploration, never false violations; at tiny-model state counts
-   (≤ ~10^6) a 64-bit space keeps the collision odds negligible.
+   missed exploration, never false violations.  The explorer keys its
+   tables by the low 63 bits (a native int, not a boxed [Int64]); at
+   tiny-model state counts (≤ ~10^6) a 63-bit space keeps the collision
+   odds negligible.
 
    The hash is fed byte by byte as fields are added, with no intermediate
    buffer.  The 64-bit state lives in two 32-bit halves held in native
@@ -56,6 +58,10 @@ let add_bool t b = add_int t (if b then 1 else 0)
 
 let digest t =
   Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo)
+
+let add_acc t other =
+  add_int t other.hi;
+  add_int t other.lo
 
 (* Canonical event encoding.  [Context.pp_event] is for humans and omits
    digests; the fingerprint needs every value-bearing field, and needs the

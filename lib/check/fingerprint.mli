@@ -16,6 +16,11 @@ val add_int : acc -> int -> unit
 val add_bool : acc -> bool -> unit
 val digest : acc -> int64
 
+val add_acc : acc -> acc -> unit
+(** [add_acc t other] adds [other]'s current 64-bit hash to [t] as two
+    int fields; [other] is unchanged.  A sequence hashed as it grows can
+    so enter a fingerprint without being walked again. *)
+
 val encode_event : Sof_protocol.Context.event -> string
 (** Injective-per-constructor encoding of an event, including the digest
     fields {!Sof_protocol.Context.pp_event} elides.  Timestamps are not an

@@ -20,15 +20,25 @@ type timer_rec = {
   mutable cancelled : bool;
 }
 
-(* The immutable half of a world, shared by every world of one model.
-   The checker signs with mock HMAC (CT with nothing), so no signature
-   draws from the keyring's RNG, and the keyring's lazily keyed HMAC states
-   are immutable values: a shared ring signs exactly as a fresh one. *)
+(* Signatures by signer and signed bytes. *)
+module Sigs = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal (a, m) (b, n) = Int.equal a b && String.equal m n
+  let hash = Hashtbl.hash
+end)
+
+(* The half of a world shared by every world of one model.  The checker
+   signs with mock HMAC (CT with nothing), so no signature draws from the
+   keyring's RNG, and the keyring's lazily keyed HMAC states are immutable
+   values: a shared ring signs exactly as a fresh one.  [sigs], the one
+   mutable part, memoises what the ring signs (see [sign]). *)
 type base = {
   spec : Model.spec;
   config : P.Config.t;
   n : int;
   keyring : Keyring.t;
+  sigs : string Sigs.t;
   requests : Request.t list;
   injected : Request.Key_set.t;
   byz : int list;
@@ -47,6 +57,9 @@ type t = {
   crashed : bool array;
   mutable crashes_used : int;
   mutable events_rev : (Simtime.t * int * P.Context.event) list;
+  event_fps : Fingerprint.acc array;
+      (* per process, the hash of its events so far, each encoded once as
+         it is emitted *)
   delivered_log : (int * string) list array;
       (* per destination, every (src, payload) handed to its handler —
          newest first.  As a sorted multiset this pins down the hidden
@@ -60,6 +73,7 @@ let spec w = w.base.spec
 let process_count w = w.base.n
 let clock w = w.clock
 let events w = List.rev w.events_rev
+let pending w = List.rev_map (fun m -> (m.src, m.dst, m.payload)) w.pending
 let crashed_list w =
   List.filter (fun i -> w.crashed.(i)) (List.init w.base.n (fun i -> i))
 
@@ -100,6 +114,37 @@ let enqueue w ~src ~dst payload =
         w.next_msg <- w.next_msg + 1
       end
 
+(* Every world of a model replays the same steps, so it signs the same
+   bytes again and again.  Mock HMAC is deterministic: the signature
+   recorded for (signer, bytes) is the one [Keyring.sign] would compute
+   again, and a triple whose signature is byte-equal to the recorded one
+   is one [Keyring.verify] accepts.  Any other triple (forged, tampered or
+   re-attributed) goes to the keyring.  Empty signatures (CT's) cost
+   nothing and are not kept.  The memo is emptied when it reaches
+   [sig_capacity] entries, as {!Sof_crypto.Issued} is: a dropped entry
+   only costs one more [Keyring.sign].  The signed bytes grow with a
+   model's batches, not with the schedules explored: two-batch bft at
+   depth 12, the largest model measured, holds 13. *)
+let sig_capacity = 8192
+
+let sign base ~signer payload =
+  let k = (signer, payload) in
+  match Sigs.find_opt base.sigs k with
+  | Some signature -> signature
+  | None ->
+    let signature = Keyring.sign base.keyring ~signer payload in
+    if String.length signature > 0 then begin
+      if Sigs.length base.sigs >= sig_capacity then Sigs.reset base.sigs;
+      Sigs.replace base.sigs k signature
+    end;
+    signature
+
+let verify base ~signer ~msg ~signature =
+  (match Sigs.find_opt base.sigs (signer, msg) with
+  | Some recorded -> String.equal recorded signature
+  | None -> false)
+  || Keyring.verify base.keyring ~signer ~msg ~signature
+
 let make_context w i =
   let send ~dst env = enqueue w ~src:i ~dst (P.Message.encode env) in
   let multicast ~dsts env =
@@ -130,22 +175,21 @@ let make_context w i =
   {
     P.Context.id = i;
     now = (fun () -> w.clock);
-    sign = (fun payload -> Keyring.sign w.base.keyring ~signer:i payload);
-    verify =
-      (fun ~signer ~msg ~signature ->
-        Keyring.verify w.base.keyring ~signer ~msg ~signature);
+    sign = (fun payload -> sign w.base ~signer:i payload);
+    verify = (fun ~signer ~msg ~signature -> verify w.base ~signer ~msg ~signature);
     (* The checker explores with one mechanism for all bodies: accountable
        and wire signing coincide. *)
-    sign_acc = (fun payload -> Keyring.sign w.base.keyring ~signer:i payload);
-    verify_acc =
-      (fun ~signer ~msg ~signature ->
-        Keyring.verify w.base.keyring ~signer ~msg ~signature);
+    sign_acc = (fun payload -> sign w.base ~signer:i payload);
+    verify_acc = (fun ~signer ~msg ~signature -> verify w.base ~signer ~msg ~signature);
     digest_charge = ignore;
     send;
     multicast;
     set_timer;
     deliver;
-    emit = (fun ev -> w.events_rev <- (w.clock, i, ev) :: w.events_rev);
+    emit =
+      (fun ev ->
+        w.events_rev <- (w.clock, i, ev) :: w.events_rev;
+        Fingerprint.add_string w.event_fps.(i) (Fingerprint.encode_event ev));
     snapshot = (fun () -> State_machine.snapshot w.machines.(i));
     restore = (fun image -> State_machine.restore w.machines.(i) image);
     (* The checker's worlds have no disks: a restart asks the peers. *)
@@ -179,7 +223,7 @@ let base spec =
   let honest =
     List.filter (fun i -> not (List.mem i byz)) (List.init n (fun i -> i))
   in
-  { spec; config; n; keyring; requests; injected; byz; honest }
+  { spec; config; n; keyring; sigs = Sigs.create 256; requests; injected; byz; honest }
 
 let of_base base =
   let n = base.n in
@@ -196,6 +240,7 @@ let of_base base =
       crashed = Array.make n false;
       crashes_used = 0;
       events_rev = [];
+      event_fps = Array.init n (fun _ -> Fingerprint.create ());
       delivered_log = Array.make n [];
     }
   in
@@ -477,16 +522,13 @@ let fingerprint w =
           Fingerprint.add_string acc payload)
         (List.sort compare w.delivered_log.(i)))
     w.procs;
-  (* Per-process event sequences, oldest first, timestamps dropped. *)
-  let events = List.rev w.events_rev in
-  for i = 0 to w.base.n - 1 do
-    Fingerprint.add_int acc i;
-    List.iter
-      (fun (_, who, ev) ->
-        if Int.equal who i then
-          Fingerprint.add_string acc (Fingerprint.encode_event ev))
-      events
-  done;
+  (* Per-process event sequences, oldest first, timestamps dropped: each
+     is hashed as it grows ([make_context]'s [emit]). *)
+  Array.iteri
+    (fun i events ->
+      Fingerprint.add_int acc i;
+      Fingerprint.add_acc acc events)
+    w.event_fps;
   (* Pending pool as a sorted multiset of (src, dst, payload); messages to
      crashed destinations can never be delivered (no restart in the
      checker), so they are invisible to the future and stay out. *)

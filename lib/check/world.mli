@@ -16,10 +16,11 @@
 type t
 
 type base
-(** The immutable half of a model's worlds: its configuration, process
-    count, keyring, client requests and their keys.  Every world built
-    from one [base] shares it; sharing is exact, because the checker's
-    signing mechanisms (mock HMAC, or none for CT) never draw from the
+(** The shared half of a model's worlds: its configuration, process
+    count, keyring, client requests and their keys, and a memo of the
+    signatures the keyring issued.  Every world built from one [base]
+    shares it; sharing is exact, because the checker's signing mechanisms
+    (mock HMAC, or none for CT) are deterministic and never draw from the
     keyring's RNG. *)
 
 val base : Model.spec -> base
@@ -35,11 +36,27 @@ val of_base : base -> t
 val build : Model.spec -> t
 (** [of_base (base spec)]: a world with nothing shared. *)
 
+val sign : base -> signer:int -> string -> string
+(** How every world of [base] signs: {!Sof_crypto.Keyring.sign} on the
+    base's keyring, computed once per (signer, bytes) and then looked up.
+    Non-empty signatures are recorded; the memo is emptied when it holds
+    8,192, so a long search computes some again. *)
+
+val verify : base -> signer:int -> msg:string -> signature:string -> bool
+(** How every world of [base] verifies, equal to
+    {!Sof_crypto.Keyring.verify} on the base's keyring: [true] at once when
+    [signature] is byte-equal to the one recorded for [(signer, msg)],
+    otherwise the keyring's answer, so a forged, tampered or re-attributed
+    triple is still rejected. *)
+
 val spec : t -> Model.spec
 val process_count : t -> int
 val clock : t -> Sof_sim.Simtime.t
 val events : t -> Sof_harness.Invariants.events
 val crashed_list : t -> int list
+
+val pending : t -> (int * int * string) list
+(** Every in-flight message as [(src, dst, payload)], oldest first. *)
 
 val enabled : t -> Schedule.action list
 (** Every action applicable now, in canonical order: deliveries of pending

@@ -191,7 +191,10 @@ let prefix_consistency cluster ~honest =
    the old life already handled. *)
 let validity_of ~events ~honest ~injected =
   let name = "validity" in
-  let seen : (int * int * Request.key, unit) Hashtbl.t = Hashtbl.create 1024 in
+  (* Small and grown as needed: the model checker calls this at every
+     state, on a few deliveries, and a table of 1,024 buckets is allocated
+     straight on the major heap. *)
+  let seen : (int * int * Request.key, unit) Hashtbl.t = Hashtbl.create 64 in
   let violation = ref None in
   List.iter
     (fun (_, (who, inc, _), _, batch) ->

@@ -5,6 +5,7 @@ type t = {
   mutable snapshot_now : unit -> string;
   mutable restore_image : string -> unit;
   mutable ops : int;
+  mutable digest : string option;  (* of the current state, once asked *)
 }
 
 let create ~name ~init ~apply ~digest ?snapshot ?restore () =
@@ -17,6 +18,7 @@ let create ~name ~init ~apply ~digest ?snapshot ?restore () =
       snapshot_now = (fun () -> "");
       restore_image = (fun _ -> ());
       ops = 0;
+      digest = None;
     }
   in
   t.apply_op <-
@@ -39,12 +41,21 @@ let name t = t.name
 
 let apply t op =
   t.ops <- t.ops + 1;
+  t.digest <- None;
   t.apply_op op
 
-let state_digest t = t.digest_now ()
+let state_digest t =
+  match t.digest with
+  | Some d -> d
+  | None ->
+    let d = t.digest_now () in
+    t.digest <- Some d;
+    d
 
 let snapshot t = t.snapshot_now ()
 
-let restore t image = t.restore_image image
+let restore t image =
+  t.digest <- None;
+  t.restore_image image
 
 let ops_applied t = t.ops

@@ -31,7 +31,8 @@ val apply : t -> string -> string
 
 val state_digest : t -> string
 (** Fingerprint of the current state; equal across replicas that applied the
-    same op sequence. *)
+    same op sequence.  Computed once and kept until the next {!apply} or
+    {!restore}. *)
 
 val snapshot : t -> string
 (** Serialised state image ([""] if the machine has no snapshot support). *)

@@ -250,6 +250,108 @@ let test_stepped_equals_replayed () =
       done)
     walk_models
 
+(* The explorer's memos are exact.  A model's worlds share one base, whose
+   signature memo answers for the keyring; and each process's events are
+   hashed as they are emitted, not walked again by each fingerprint.  Per
+   model, one base is warmed by 50 seeded random walks; the same walks
+   then step a world of the warmed base and a world of a fresh base side
+   by side, and every state must agree on its fingerprint, enabled
+   actions, verdict and every pending payload (the payloads carry the
+   signatures). *)
+let memo_walks = 50
+
+let walk ~seed worlds ~at =
+  let rng = Sof_util.Rng.create (Int64.of_int seed) in
+  let rec go step =
+    at step;
+    match C.World.enabled (List.hd worlds) with
+    | en when en <> [] && step < 30 ->
+      let a = List.nth en (Sof_util.Rng.int rng (List.length en)) in
+      List.iter
+        (fun w ->
+          match C.World.apply w a with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "walk %d step %d: enabled action infeasible: %s" seed step e)
+        worlds;
+      go (step + 1)
+    | _ -> ()
+  in
+  go 0
+
+let test_memos_exact () =
+  let verdict w =
+    Option.map (fun r -> (r.I.name, r.I.detail)) (C.World.violation w)
+  in
+  List.iter
+    (fun (name, spec) ->
+      let warm = C.World.base spec in
+      for seed = 1 to memo_walks do
+        walk ~seed [ C.World.of_base warm ] ~at:ignore
+      done;
+      for seed = 1 to memo_walks do
+        let w = C.World.of_base warm and r = C.World.of_base (C.World.base spec) in
+        walk ~seed [ w; r ] ~at:(fun step ->
+            let at = Printf.sprintf "%s walk %d step %d" name seed step in
+            Alcotest.(check int64) (at ^ ": fingerprint") (C.World.fingerprint r)
+              (C.World.fingerprint w);
+            Alcotest.(check string) (at ^ ": enabled")
+              (C.Schedule.encode (C.World.enabled r))
+              (C.Schedule.encode (C.World.enabled w));
+            Alcotest.(check (option (pair string string))) (at ^ ": violation")
+              (verdict r) (verdict w);
+            Alcotest.(check (list (triple int int string))) (at ^ ": pending")
+              (C.World.pending r) (C.World.pending w))
+      done)
+    walk_models
+
+(* A recorded signature binds its signer, payload and bytes: given to any
+   other signer, with one byte of its payload changed or with one byte of
+   its own changed, it is rejected.  CT signs nothing. *)
+let test_recorded_signatures_bind () =
+  let flip s i =
+    String.mapi (fun j c -> if Int.equal i j then Char.chr (Char.code c lxor 0x01) else c) s
+  in
+  List.iter
+    (fun p ->
+      let spec = tiny p in
+      let base = C.World.base spec in
+      let n = C.World.process_count (C.World.of_base base) in
+      let msg = "order seq=1 digest=" ^ String.make 16 'd' in
+      let sigs = Array.init n (fun signer -> C.World.sign base ~signer msg) in
+      let fresh = C.World.base spec in
+      Array.iteri
+        (fun signer signature ->
+          let name = Printf.sprintf "%s p%d" (C.Model.protocol_name p) signer in
+          let verify ?(signer = signer) ?(msg = msg) signature =
+            C.World.verify base ~signer ~msg ~signature
+          in
+          Alcotest.(check string) (name ^ ": the memo signs as the keyring")
+            (C.World.sign fresh ~signer msg) signature;
+          Alcotest.(check string) (name ^ ": signed again from the memo") signature
+            (C.World.sign base ~signer msg);
+          Alcotest.(check bool) (name ^ ": verifies") true (verify signature);
+          for other = 0 to n - 1 do
+            if not (Int.equal other signer) then
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: rejected as p%d's" name other)
+                false (verify ~signer:other signature)
+          done;
+          List.iter
+            (fun i ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: payload byte %d changed" name i)
+                false
+                (verify ~msg:(flip msg i) signature))
+            [ 0; String.length msg / 2; String.length msg - 1 ];
+          for i = 0 to String.length signature - 1 do
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: signature byte %d changed" name i)
+              false
+              (verify (flip signature i))
+          done)
+        sigs)
+    C.Model.[ Sc; Scr; Bft ]
+
 let suite =
   [
     ( "check.explore",
@@ -307,5 +409,9 @@ let suite =
           test_fingerprint_reference;
         Alcotest.test_case "a world stepped in place equals its replay" `Slow
           test_stepped_equals_replayed;
+        Alcotest.test_case "worlds of a warmed base equal a fresh base's" `Slow
+          test_memos_exact;
+        Alcotest.test_case "recorded signatures bind signer, payload and bytes" `Quick
+          test_recorded_signatures_bind;
       ] );
   ]

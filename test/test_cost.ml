@@ -9,9 +9,11 @@
    signed wire, signed with [amortize_verify], and MAC authenticator
    vectors.  A second table, the recovery rows below, pins the traffic
    of probes, checkpoints and state transfer and the write-ahead log; a
-   third, the wal rows, pins every disk call the log itself makes.  A
-   change that moves a count re-records cost.golden and says why; a
-   host-side speedup must leave it byte-identical. *)
+   third, the wal rows, pins every disk call the log itself makes; a
+   fourth, the check rows, pins every counter of the model checker's
+   searches.  A change that moves a count re-records cost.golden and says
+   why; a host-side speedup must leave it byte-identical, except for the
+   checker's [replays]. *)
 
 module Simtime = Sof_sim.Simtime
 module H = Sof_harness
@@ -206,6 +208,47 @@ let actual () =
            ("atlas", Some Fault_atlas.default);
            ("slow", Some Fault_atlas.slow_sectors);
          ]
+
+(* The check rows: every {!Sof_check.Explore.stats} counter of a full
+   search of each CI check-smoke model (the tiny sc, scr, bft and ct
+   models, ct with one crash, the digest-blind bft mutant) and of the
+   two-batch sc model at depth 12, the check workload's deep model.  Every
+   column but [replays] is what the search explores and must not move
+   without a change to a protocol core or to the reductions; [replays]
+   (fresh worlds) is what it costs, and moves with a change to how the
+   explorer materialises states. *)
+
+let check_models =
+  let module M = Sof_check.Model in
+  [
+    ("sc", M.default M.Sc, 40);
+    ("scr", M.default M.Scr, 40);
+    ("bft", M.default M.Bft, 40);
+    ("ct", M.default M.Ct, 40);
+    ("ct_crash1", { (M.default M.Ct) with M.crash_budget = 1 }, 40);
+    ("bft_mutant", Test_check.mutant_spec, 40);
+    ("sc_b2", { (M.default M.Sc) with M.batches = 2 }, 12);
+  ]
+
+let check_row (name, spec, depth) =
+  let module E = Sof_check.Explore in
+  let r = E.run spec ~depth in
+  let s = r.E.stats in
+  let outcome =
+    match r.E.outcome with
+    | E.Exhausted -> "exhausted"
+    | E.Depth_capped -> "capped"
+    | E.Violation _ -> "violation"
+  in
+  Printf.sprintf "%-5s %-10s %-9s %6d %6d %6d %6d %6d %6d %6d %7d" "check" name outcome
+    s.E.states s.E.transitions s.E.pruned_visited s.E.pruned_sleep s.E.pruned_ample
+    s.E.cap_hits s.E.max_depth s.E.replays
+
+let check_header =
+  Printf.sprintf "%-5s %-10s %-9s %6s %6s %6s %6s %6s %6s %6s %7s" "#" "model" "outcome"
+    "states" "trans" "visitd" "sleep" "ample" "caps" "depth" "replays"
+
+let actual () = actual () @ (check_header :: List.map check_row check_models)
 
 (* Each boundary image's digest is computed once and kept beside it (or is
    the verified certificate's, for an image installed by state transfer);
