@@ -31,14 +31,17 @@ end)
 (* The half of a world shared by every world of one model.  The checker
    signs with mock HMAC (CT with nothing), so no signature draws from the
    keyring's RNG, and the keyring's lazily keyed HMAC states are immutable
-   values: a shared ring signs exactly as a fresh one.  [sigs], the one
-   mutable part, memoises what the ring signs (see [sign]). *)
+   values: a shared ring signs exactly as a fresh one.  [sigs] and [images],
+   the mutable parts, memoise what the ring signs (see [sign]) and the
+   checkpoint images the processes digest; both answer exactly, so sharing
+   them changes no world. *)
 type base = {
   spec : Model.spec;
   config : P.Config.t;
   n : int;
   keyring : Keyring.t;
   sigs : string Sigs.t;
+  images : P.Checkpoint.Images.t;
   requests : Request.t list;
   injected : Request.Key_set.t;
   byz : int list;
@@ -182,6 +185,7 @@ let make_context w i =
     sign_acc = (fun payload -> sign w.base ~signer:i payload);
     verify_acc = (fun ~signer ~msg ~signature -> verify w.base ~signer ~msg ~signature);
     digest_charge = ignore;
+    images = w.base.images;
     send;
     multicast;
     set_timer;
@@ -223,7 +227,18 @@ let base spec =
   let honest =
     List.filter (fun i -> not (List.mem i byz)) (List.init n (fun i -> i))
   in
-  { spec; config; n; keyring; sigs = Sigs.create 256; requests; injected; byz; honest }
+  {
+    spec;
+    config;
+    n;
+    keyring;
+    sigs = Sigs.create 256;
+    images = P.Checkpoint.Images.create ();
+    requests;
+    injected;
+    byz;
+    honest;
+  }
 
 let of_base base =
   let n = base.n in

@@ -17,11 +17,13 @@ type t
 
 type base
 (** The shared half of a model's worlds: its configuration, process
-    count, keyring, client requests and their keys, and a memo of the
-    signatures the keyring issued.  Every world built from one [base]
-    shares it; sharing is exact, because the checker's signing mechanisms
-    (mock HMAC, or none for CT) are deterministic and never draw from the
-    keyring's RNG. *)
+    count, keyring, client requests and their keys, a memo of the
+    signatures the keyring issued and one of the checkpoint images the
+    processes digest.  Every world built from one [base] shares it;
+    sharing is exact, because the checker's signing mechanisms (mock
+    HMAC, or none for CT) are deterministic and never draw from the
+    keyring's RNG, and the image memo's answers do not depend on what it
+    holds. *)
 
 val base : Model.spec -> base
 (** Derive the configuration, keys (from [spec.seed] via

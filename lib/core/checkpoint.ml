@@ -18,6 +18,48 @@ let is_boundary ~interval seq = interval > 0 && seq > 0 && Int.equal (seq mod in
 
 let image_digest alg image = Sof_crypto.Digest_alg.digest alg image
 
+let image_window = 4
+
+(* Correct replicas wrap byte-identical images at a boundary, so a driver
+   that asks once per replica mostly asks about bytes it has just digested.
+   A hit hands back the string already held, so the replicas of a driver
+   keep one copy of each image between them. *)
+module Images = struct
+  type entry = { alg : Sof_crypto.Digest_alg.t; image : string; digest : string }
+
+  type t = {
+    recent : entry option array;  (* ring of the latest distinct images *)
+    mutable next : int;  (* the slot the next miss overwrites *)
+    mutable asked : int;
+    mutable computed : int;
+  }
+
+  let create () = { recent = Array.make image_window None; next = 0; asked = 0; computed = 0 }
+
+  let find t alg image =
+    Array.find_map
+      (function
+        | Some e when Sof_crypto.Digest_alg.equal e.alg alg && String.equal e.image image ->
+          Some e
+        | Some _ | None -> None)
+      t.recent
+
+  let digest t alg image =
+    t.asked <- t.asked + 1;
+    match find t alg image with
+    | Some e -> (e.image, e.digest)
+    | None ->
+      let digest = image_digest alg image in
+      t.computed <- t.computed + 1;
+      t.recent.(t.next) <- Some { alg; image; digest };
+      t.next <- (t.next + 1) mod image_window;
+      (image, digest)
+
+  let asked t = t.asked
+  let computed t = t.computed
+  let length t = Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 t.recent
+end
+
 (* A checkpoint image carries the per-client delivery high-water marks
    alongside the service snapshot: the at-most-once filter is replicated
    state too.  A recovered process that lost it would re-deliver a request

@@ -42,6 +42,46 @@ val is_boundary : interval:int -> int -> bool
 val image_digest : Sof_crypto.Digest_alg.t -> string -> string
 (** The digest a checkpoint certifies: over the raw state image bytes. *)
 
+val image_window : int
+(** How many boundary images a replica keeps, and how many distinct images
+    an {!Images} memo holds: 4. *)
+
+(** A driver's memo of the checkpoint images its replicas digest.
+
+    Correct replicas wrap byte-identical images at a boundary, and a state
+    transfer ships one of them again, so the n replicas of one driver would
+    each hash the same bytes.  A memo keeps the last {!image_window}
+    distinct images with their digests.  The replica kernel asks it for
+    every image digest, and a driver (a simulated cluster, a model-checker
+    model, a TCP runtime) holds one memo for all its replicas.  The virtual
+    price of a digest is charged by the caller either way.
+
+    The answer is exact, not a cache of guesses: an image is a hit only if
+    its algorithm and its bytes equal a held image's ([String.equal]), and
+    then the digest returned is the one {!image_digest} computed over those
+    bytes.  A memo is not thread-safe; its driver calls it from one
+    thread. *)
+module Images : sig
+  type t
+
+  val create : unit -> t
+
+  val digest : t -> Sof_crypto.Digest_alg.t -> string -> string * string
+  (** [digest t alg image] is [(image', image_digest alg image)], where
+      [image'] is [String.equal] to [image]: on a hit the string the memo
+      already holds, so the callers share one copy, and otherwise [image]
+      itself, which the memo then holds in place of its oldest image. *)
+
+  val asked : t -> int
+  (** Calls to {!digest} so far. *)
+
+  val computed : t -> int
+  (** Calls to {!digest} that hashed, i.e. missed. *)
+
+  val length : t -> int
+  (** Images held now; never more than {!image_window}. *)
+end
+
 val wrap_image : state:string -> marks:(int * int) list -> string
 (** Pack a service snapshot and the per-client delivery high-water marks
     ([(client, highest delivered client_seq)]) into one image.  The

@@ -136,6 +136,12 @@ type t = {
   digest_charge : int -> unit;
       (** Account for hashing [n] bytes (digesting is done with real digest
           functions; this only charges the virtual CPU). *)
+  images : Checkpoint.Images.t;
+      (** The driver's memo of checkpoint images, one for all its
+          processes: the kernel digests every boundary image and every
+          offered image through it (after charging [digest_charge]), so
+          byte-identical images are hashed once per driver and its
+          processes keep one shared copy.  Only one thread may use it. *)
   send : dst:int -> Message.envelope -> unit;
   multicast : dsts:int list -> Message.envelope -> unit;
       (** One underlying send per destination; the envelope is signed once. *)

@@ -93,13 +93,10 @@ type offer = {
   st_entries : Checkpoint.entry list;
 }
 
-(* How many boundary images to keep around: the latest plus enough history
-   to endorse and serve checkpoints still in flight. *)
-let image_window = 4
-
 type state = {
   mutable images : (int * string * string) list;
-      (* (seq, image, digest), newest first: each image is digested once *)
+      (* (seq, image, digest), newest first: each image is digested once, and
+         the string is the one the driver's other processes keep *)
   st_tally : Tally.t;
   mutable stables : (Checkpoint.cert * string) list;  (* newest first, at most 2 *)
   mutable st_offers : offer list;
@@ -126,7 +123,9 @@ let rec take n = function
 
 let note_image state ~seq ~image ~digest =
   if not (List.exists (fun (s, _, _) -> Int.equal s seq) state.images) then
-    state.images <- take image_window ((seq, image, digest) :: state.images)
+    (* The latest plus enough history to endorse and serve checkpoints
+       still in flight. *)
+    state.images <- take Checkpoint.image_window ((seq, image, digest) :: state.images)
 
 let image_at state ~seq =
   List.find_map
@@ -494,7 +493,7 @@ let boundary_image log o =
     Checkpoint.wrap_image ~state:(log.ctx.Context.snapshot ()) ~marks:(marks log.rcv)
   in
   log.ctx.Context.digest_charge (String.length image);
-  let digest = Checkpoint.image_digest log.digest image in
+  let image, digest = Checkpoint.Images.digest log.ctx.Context.images log.digest image in
   note_image log.rcv ~seq:o ~image ~digest;
   span_open log Context.Checkpoint_phase o;
   digest
@@ -726,28 +725,33 @@ let install_from_offers ?(announce = true) h ~entry_quorum =
   advance h
 
 (* The certificate under the protocol's trust model, and the image bytes
-   against the certified digest.  An offer without a certificate carries
+   against the certified digest; [Some image] (the memo's copy when it
+   holds these bytes) if both pass.  An offer without a certificate carries
    only log entries, each checked against its recomputed batch digest at
    install time. *)
 let offer_ok h ~cert ~image =
   match cert with
-  | None -> true
+  | None -> Some image
   | Some c ->
     let log = h.log in
     log.ctx.Context.digest_charge (String.length image);
-    verify_cert
-      ~verify:(fun ~signer ~msg ~signature -> log.ctx.Context.verify_acc ~signer ~msg ~signature)
-      ~scheme:h.scheme c
-    && String.equal (Checkpoint.image_digest log.digest image) c.Checkpoint.cp_digest
+    if
+      verify_cert
+        ~verify:(fun ~signer ~msg ~signature -> log.ctx.Context.verify_acc ~signer ~msg ~signature)
+        ~scheme:h.scheme c
+    then
+      let image, digest = Checkpoint.Images.digest log.ctx.Context.images log.digest image in
+      if String.equal digest c.Checkpoint.cp_digest then Some image else None
+    else None
 
 let recover_local h ~cert ~image ~entries =
   let log = h.log in
   let before = log.delivered in
-  if not (offer_ok h ~cert ~image) then begin
+  match offer_ok h ~cert ~image with
+  | None ->
     log.ctx.Context.emit (Context.State_transfer_rejected { from = log.ctx.Context.id });
     false
-  end
-  else begin
+  | Some image ->
     clear_offers log.rcv;
     add_offer log.rcv
       { st_from = log.ctx.Context.id; st_cert = cert; st_image = image; st_entries = entries };
@@ -762,7 +766,6 @@ let recover_local h ~cert ~image ~entries =
        absorbed entry. *)
     if log.next_seq <= log.max_committed then log.next_seq <- log.max_committed + 1;
     log.delivered > before
-  end
 
 (* The highest sequence number any collected offer can take us to. *)
 let fetch_target log =
@@ -814,13 +817,12 @@ let request_recovery h =
 let handle_state_response h ~src ~cert ~image ~entries =
   let log = h.log in
   if fetching log.rcv then begin
-    if not (offer_ok h ~cert ~image) then
-      log.ctx.Context.emit (Context.State_transfer_rejected { from = src })
-    else begin
+    match offer_ok h ~cert ~image with
+    | None -> log.ctx.Context.emit (Context.State_transfer_rejected { from = src })
+    | Some image ->
       add_offer log.rcv { st_from = src; st_cert = cert; st_image = image; st_entries = entries };
       install_from_offers h ~entry_quorum:h.entry_quorum;
       maybe_end_fetch log
-    end
   end
 
 (* Local-first recovery after a restart: re-mount the log, decode what the

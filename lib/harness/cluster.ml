@@ -114,6 +114,8 @@ type node = {
          heartbeating or batching from beyond the grave *)
   node_crypto : crypto_ctr;
   node_sends : (string, int ref * int ref) Hashtbl.t;  (* tag -> msgs, bytes *)
+  mutable node_encodes : int;  (* envelopes encoded: one per send or multicast *)
+  mutable node_decodes : int;  (* payloads handed to the decoder *)
   node_disk : Sim_disk.t option;
       (* the platter: survives crash/restart, unlike everything above *)
   node_wal : Wal.t option;
@@ -134,6 +136,9 @@ type t = {
   issued : Issued.t;
       (* every signature [sign_acc] made, so the n - 1 receivers of one
          multicast recognise it instead of each recomputing it *)
+  images : P.Checkpoint.Images.t;
+      (* the latest checkpoint images, so the n replicas that wrap one
+         image hash it once and keep one copy *)
   config : P.Config.t;
       (* shared by every process; [restart] rebuilds a crashed node's
          process from it with empty volatile state *)
@@ -209,6 +214,13 @@ let total_send_counts t =
 
 let total_crypto_counts t =
   Trace.total_crypto (List.init (process_count t) (fun i -> crypto_counts t i))
+
+let codec_counts t =
+  Array.fold_left
+    (fun (e, d) node -> (e + node.node_encodes, d + node.node_decodes))
+    (0, 0) t.nodes
+
+let images t = t.images
 
 let run t ~until = Engine.run ~until t.engine
 
@@ -352,12 +364,14 @@ let make_context t i =
   in
   let send ~dst env =
     let payload = P.Message.encode env in
+    node.node_encodes <- node.node_encodes + 1;
     count_send env ~copies:1 ~size:(String.length payload);
     let cost = Cost_model.send_cost Cost_model.default ~size:(String.length payload) in
     Cpu.submit node.node_cpu ~cost (fun () -> transport_send t ~src:i ~dst payload)
   in
   let multicast ~dsts env =
     let payload = P.Message.encode env in
+    node.node_encodes <- node.node_encodes + 1;
     count_send env ~copies:(List.length dsts) ~size:(String.length payload);
     let cost = Cost_model.send_cost Cost_model.default ~size:(String.length payload) in
     List.iter
@@ -408,6 +422,7 @@ let make_context t i =
     sign_acc;
     verify_acc;
     digest_charge;
+    images = t.images;
     send;
     multicast;
     set_timer;
@@ -528,6 +543,8 @@ let build spec =
               c_digest_ns = 0;
             };
           node_sends = Hashtbl.create 16;
+          node_encodes = 0;
+          node_decodes = 0;
           node_disk;
           node_wal = Option.map (fun sd -> Wal.attach (Sim_disk.disk sd)) node_disk;
           node_slow_prior = 0;
@@ -542,6 +559,7 @@ let build spec =
       adversary;
       keyring;
       issued = Issued.create keyring;
+      images = P.Checkpoint.Images.create ();
       config;
       nodes;
       event_log = [];
@@ -567,6 +585,7 @@ let build spec =
             ~size:(String.length payload)
         in
         Cpu.submit node.node_cpu ~cost (fun () ->
+            node.node_decodes <- node.node_decodes + 1;
             match P.Message.decode payload with
             | env -> begin
               match node.node_proc with

@@ -166,6 +166,18 @@ val total_send_counts : t -> Trace.msg_count list
 val total_crypto_counts : t -> Trace.crypto
 (** {!crypto_counts} summed over all processes. *)
 
+val images : t -> Sof_protocol.Checkpoint.Images.t
+(** The cluster's one memo of checkpoint images, shared by every process
+    and every restart: {!Sof_protocol.Checkpoint.Images.asked} counts the
+    image digests the replicas asked for (each one charged), summed over
+    replicas, and {!Sof_protocol.Checkpoint.Images.computed} the hash
+    passes they cost. *)
+
+val codec_counts : t -> int * int
+(** [(encodes, decodes)] so far, over all processes: envelopes encoded (one
+    per send or multicast, however many copies it makes) and received
+    payloads handed to the decoder. *)
+
 val run : t -> until:Sof_sim.Simtime.t -> unit
 (** Advance the simulation to the given virtual instant. *)
 

@@ -81,6 +81,7 @@ type t = {
   (* owned by the loop thread *)
   timers : timer Heap.t;
   self_sends : (node * int * string) Queue.t;  (* node, generation, encoded envelope *)
+  images : P.Checkpoint.Images.t;  (* every process's checkpoint images *)
   mutable conns : conn list;
   listeners : Unix.file_descr array;
   scratch : Bytes.t;
@@ -244,6 +245,7 @@ let make_context t node =
     sign_acc = sign;
     verify_acc = verify;
     digest_charge = (fun _ -> ());
+    images = t.images;
     send;
     multicast;
     set_timer;
@@ -470,6 +472,7 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
       killed = [];
       timers = Heap.create ~cmp:(fun a b -> Float.compare a.deadline b.deadline);
       self_sends = Queue.create ();
+      images = P.Checkpoint.Images.create ();
       conns = [];
       listeners;
       scratch = Bytes.create 65536;

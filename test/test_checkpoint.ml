@@ -379,6 +379,7 @@ let key_log ?(emit = ignore) ~interval () =
       sign_acc = (fun _ -> "");
       verify_acc = (fun ~signer:_ ~msg:_ ~signature:_ -> true);
       digest_charge = ignore;
+      images = P.Checkpoint.Images.create ();
       send = (fun ~dst:_ _ -> ());
       multicast = (fun ~dsts:_ _ -> ());
       set_timer = (fun ?kind:_ ~delay:_ _ -> P.Context.null_timer);
@@ -536,6 +537,110 @@ let test_span_truncate () =
   expect take "view-change span at v=2 and the batch above the cut kept"
     [ "span_close(view_change, 2)"; "span_close(batch, 9)" ]
 
+(* ---------------------------------------------------------- image memo *)
+
+module Images = Checkpoint.Images
+module Digest_alg = Sof_crypto.Digest_alg
+
+let algs = Digest_alg.[ MD5; SHA1; SHA256 ]
+
+let image_of n len = String.init len (fun i -> Char.chr (((n * 31) + (i * 7)) land 0xff))
+
+(* Every answer is the image's own digest, and the image handed back equals
+   the one asked about. *)
+let check_answer m alg image =
+  let image', digest = Images.digest m alg image in
+  Alcotest.(check string) "image bytes kept" image image';
+  Alcotest.(check string)
+    (Printf.sprintf "%s digest of a %d B image" (Digest_alg.name alg) (String.length image))
+    (Checkpoint.image_digest alg image) digest;
+  image'
+
+let test_memo_repeated () =
+  List.iter
+    (fun alg ->
+      let m = Images.create () in
+      let first = check_answer m alg (image_of 1 4096) in
+      (* A fresh string with the same bytes, as the next replica wraps it. *)
+      let again = check_answer m alg (image_of 1 4096) in
+      Alcotest.(check bool) "a repeated image is the held string" true (first == again);
+      Alcotest.(check int) "a repeated image is hashed once" 1 (Images.computed m);
+      Alcotest.(check int) "both asks counted" 2 (Images.asked m))
+    algs
+
+let test_memo_one_byte_apart () =
+  List.iter
+    (fun alg ->
+      let m = Images.create () in
+      let a = image_of 2 1000 in
+      let b = Bytes.of_string a in
+      Bytes.set b 999 (Char.chr (Char.code a.[999] lxor 1));
+      let b = Bytes.to_string b in
+      ignore (check_answer m alg a);
+      ignore (check_answer m alg b);
+      ignore (check_answer m alg (Recovery.flip_first_byte a));
+      ignore (check_answer m alg a);
+      Alcotest.(check int) "three distinct images, three hashes" 3 (Images.computed m))
+    algs
+
+(* One image under every algorithm: the algorithm is part of the key. *)
+let test_memo_per_algorithm () =
+  let m = Images.create () in
+  let image = image_of 3 512 in
+  List.iter (fun alg -> ignore (check_answer m alg image)) algs;
+  List.iter (fun alg -> ignore (check_answer m alg image)) algs;
+  Alcotest.(check int) "one hash per algorithm" (List.length algs) (Images.computed m)
+
+let test_memo_bound () =
+  let m = Images.create () in
+  for n = 1 to 3 * Checkpoint.image_window do
+    ignore (check_answer m Digest_alg.SHA256 (image_of n 256));
+    if Images.length m > Checkpoint.image_window then
+      Alcotest.failf "the memo holds %d images (bound %d)" (Images.length m)
+        Checkpoint.image_window
+  done;
+  Alcotest.(check int) "full" Checkpoint.image_window (Images.length m);
+  let computed = Images.computed m in
+  ignore (check_answer m Digest_alg.SHA256 (image_of (3 * Checkpoint.image_window) 256));
+  Alcotest.(check int) "the latest image is held" computed (Images.computed m);
+  ignore (check_answer m Digest_alg.SHA256 (image_of 1 256));
+  Alcotest.(check int) "the oldest was let go" (computed + 1) (Images.computed m)
+
+(* A corrupt offer while the memo holds the genuine image: the offered bytes
+   miss, are hashed, fail the certified digest and are rejected; the
+   genuine offer then installs the memo's own copy. *)
+let test_memo_corrupt_offer_rejected () =
+  let events = ref [] in
+  let h, _ = key_log ~emit:(fun e -> events := e :: !events) ~interval:4 () in
+  let log = h.Recovery.log in
+  let m = log.Recovery.ctx.P.Context.images in
+  let genuine = Checkpoint.wrap_image ~state:"service state" ~marks:[ (0, 3) ] in
+  let held, digest = Images.digest m log.Recovery.digest genuine in
+  let cert =
+    { Checkpoint.cp_seq = 4; cp_digest = digest; cp_proof = [ (1, "") ]; cp_endorsement = None }
+  in
+  let rejected () =
+    List.length
+      (List.filter
+         (function P.Context.State_transfer_rejected { from } -> from = 1 | _ -> false)
+         !events)
+  in
+  Recovery.request_recovery h;
+  Recovery.handle_state_response h ~src:1 ~cert:(Some cert)
+    ~image:(Recovery.flip_first_byte genuine) ~entries:[];
+  Alcotest.(check int) "corrupt offer rejected" 1 (rejected ());
+  Alcotest.(check int) "nothing installed" 0 log.Recovery.delivered;
+  Recovery.handle_state_response h ~src:1 ~cert:(Some cert)
+    ~image:(Checkpoint.wrap_image ~state:"service state" ~marks:[ (0, 3) ])
+    ~entries:[];
+  Alcotest.(check int) "genuine offer accepted" 1 (rejected ());
+  Alcotest.(check int) "installed at the certified boundary" 4 log.Recovery.delivered;
+  match Recovery.image_at log.Recovery.rcv ~seq:4 with
+  | Some (image, kept) ->
+    Alcotest.(check bool) "the installed image is the memo's copy" true (image == held);
+    Alcotest.(check string) "kept digest" digest kept
+  | None -> Alcotest.fail "no image kept at the installed boundary"
+
 let suite =
   [
     ( "checkpoint",
@@ -561,5 +666,11 @@ let suite =
         Alcotest.test_case "spans open and close once" `Quick test_span_open_close_once;
         Alcotest.test_case "commit closes spans in phase order" `Quick test_span_commit_order;
         Alcotest.test_case "truncation forgets batch spans only" `Quick test_span_truncate;
+        Alcotest.test_case "image memo: repeated images" `Quick test_memo_repeated;
+        Alcotest.test_case "image memo: images one byte apart" `Quick test_memo_one_byte_apart;
+        Alcotest.test_case "image memo: per digest algorithm" `Quick test_memo_per_algorithm;
+        Alcotest.test_case "image memo: bounded" `Quick test_memo_bound;
+        Alcotest.test_case "image memo: corrupt offer still rejected" `Quick
+          test_memo_corrupt_offer_rejected;
       ] );
   ]

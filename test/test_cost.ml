@@ -8,16 +8,19 @@
    operations and digested bytes.  The three auth variants are the plain
    signed wire, signed with [amortize_verify], and MAC authenticator
    vectors.  A second table, the recovery rows below, pins the traffic
-   of probes, checkpoints and state transfer and the write-ahead log; a
-   third, the wal rows, pins every disk call the log itself makes; a
+   of probes, checkpoints and state transfer, the write-ahead log and the
+   checkpoint image digests, and its traffic rows the same run's messages,
+   codec calls and engine events; a third, the wal rows, pins every disk
+   call the log itself makes; a
    fourth, the check rows, pins every counter of the model checker's
    searches.  A change that moves a count re-records cost.golden and says
    why; a host-side speedup must leave it byte-identical, except for the
-   checker's [replays]. *)
+   checker's [replays] and the recovery rows' image hash passes. *)
 
 module Simtime = Sof_sim.Simtime
 module H = Sof_harness
 module Cluster = H.Cluster
+module Images = Sof_protocol.Checkpoint.Images
 
 type variant = Signed | Amortized | Mac
 
@@ -71,7 +74,12 @@ let actual () =
    replica crashes at 1 s and restarts at 2 s; process 0, the first
    coordinator, crashes at 3 s; the run ends at 6 s.  Each row records the
    batches minted, messages and bytes of the probe, checkpoint and
-   state-transfer tags, and the write-ahead log's appends and syncs. *)
+   state-transfer tags, the write-ahead log's appends and syncs, the image
+   digests the replicas charged (summed over replicas) and the hash passes
+   the cluster's image memo made for them.  A second row per protocol, the
+   traffic row, records messages and bytes per request, envelope encodes and
+   decodes per message, and engine events per request; a request is a
+   client request some process delivered. *)
 
 let recovery_tags = [ "probe"; "probe_reply"; "checkpoint"; "state_request"; "state_response" ]
 
@@ -96,9 +104,14 @@ let recovery_cluster kind =
   at 3 (fun () -> Cluster.crash c 0);
   c
 
-let recovery_row kind =
+let recovery_run kind =
   let c = recovery_cluster kind in
   Cluster.run c ~until:(Simtime.sec 6);
+  c
+
+let slice_name c = Sof_protocol.Replica.name (Cluster.spec c).Cluster.kind
+
+let recovery_row c =
   let batches =
     List.length
       (List.filter
@@ -116,15 +129,40 @@ let recovery_row kind =
     | Some sg -> (sg.Cluster.sg_appends, sg.Cluster.sg_syncs)
     | None -> (0, 0)
   in
-  Printf.sprintf "%-4s %-9s %7d%s %7d %7d" (Sof_protocol.Replica.name kind) "recovery" batches
+  let images = Cluster.images c in
+  Printf.sprintf "%-4s %-9s %7d%s %7d %7d %8d %8d" (slice_name c) "recovery" batches
     (String.concat "" (List.map tag recovery_tags))
-    appends syncs
+    appends syncs (Images.asked images) (Images.computed images)
 
 let recovery_header =
-  Printf.sprintf "%-4s %-9s %7s%s %7s %7s" "#" "slice" "batches"
+  Printf.sprintf "%-4s %-9s %7s%s %7s %7s %8s %8s" "#" "slice" "batches"
     (String.concat ""
        (List.map (fun t -> Printf.sprintf " %13s" t) recovery_tags))
-    "appends" "syncs"
+    "appends" "syncs" "img_chg" "img_hash"
+
+let traffic_row c =
+  let delivered = Hashtbl.create 1024 in
+  List.iter
+    (function
+      | _, _, Sof_protocol.Context.Delivered { batch; _ } ->
+        List.iter (fun k -> Hashtbl.replace delivered k ()) (Sof_protocol.Batch.keys batch)
+      | _ -> ())
+    (Cluster.events c);
+  let msgs, bytes =
+    List.fold_left
+      (fun (m, b) (s : H.Trace.msg_count) -> (m + s.H.Trace.msgs, b + s.H.Trace.bytes))
+      (0, 0) (Cluster.total_send_counts c)
+  in
+  let encodes, decodes = Cluster.codec_counts c in
+  let per n d = float_of_int n /. float_of_int (max 1 d) in
+  let requests = Hashtbl.length delivered in
+  Printf.sprintf "%-4s %-9s %8d %9.3f %10.3f %8.4f %8.4f %10.3f" (slice_name c) "traffic"
+    requests (per msgs requests) (per bytes requests) (per encodes msgs) (per decodes msgs)
+    (per (Sof_sim.Engine.events_fired (Cluster.engine c)) requests)
+
+let traffic_header =
+  Printf.sprintf "%-4s %-9s %8s %9s %10s %8s %8s %10s" "#" "slice" "requests" "msgs/req"
+    "bytes/req" "enc/msg" "dec/msg" "events/req"
 
 (* The wal rows: the write-ahead log's disk traffic, call for call.  One
    scripted session runs through a recording {!Sof_storage.Disk.t} over the
@@ -198,9 +236,12 @@ let wal_header =
     "syncs" "lost" "misdir" "torn" "corrupt" "slow" "fnv"
 
 let actual () =
+  let runs =
+    List.map recovery_run Cluster.[ Sc_protocol; Scr_protocol; Bft_protocol; Ct_protocol ]
+  in
   actual ()
-  @ recovery_header
-    :: List.map recovery_row Cluster.[ Sc_protocol; Scr_protocol; Bft_protocol; Ct_protocol ]
+  @ (recovery_header :: List.map recovery_row runs)
+  @ (traffic_header :: List.map traffic_row runs)
   @ wal_header
     :: List.map wal_row
          [
@@ -250,21 +291,30 @@ let check_header =
 
 let actual () = actual () @ (check_header :: List.map check_row check_models)
 
-(* Each boundary image's digest is computed once and kept beside it (or is
-   the verified certificate's, for an image installed by state transfer);
-   endorsing and stabilising compare the kept digest.  On the recovery
-   slice, which restarts a replica through state transfer, every live
-   replica's kept digest must be the digest of its kept image, midway and
-   at the end. *)
+(* Each boundary image's digest is computed once per cluster and kept
+   beside it (or is the verified certificate's, for an image installed by
+   state transfer); endorsing and stabilising compare the kept digest.  On
+   the recovery slice, which restarts a replica through state transfer,
+   every live replica's kept digest must be the digest of its kept image,
+   midway and at the end; replicas that keep the same image at one
+   boundary keep one string (the cluster's image memo hands it out); and
+   every image kept midway must still digest to its kept digest at the end,
+   so no shared string is written in place. *)
 module Recovery = Sof_protocol.Recovery
 
 let test_kept_digests () =
   List.iter
     (fun kind ->
+      let name = Sof_protocol.Replica.name kind in
       let c = recovery_cluster kind in
       let alg = (Cluster.config c).Sof_protocol.Config.digest in
-      let checked = ref 0 in
+      let digest_ok (image, digest) =
+        String.equal digest (Sof_protocol.Checkpoint.image_digest alg image)
+      in
+      let kept = ref [] in
+      let shared = ref 0 in
       let check_live () =
+        let at_seq = Hashtbl.create 16 in
         for i = 0 to Cluster.process_count c - 1 do
           if not (Sof_net.Network.is_crashed (Cluster.network c) i) then begin
             let (Recovery.Kernel h) = Sof_protocol.Replica.kernel (Cluster.proc c i) in
@@ -272,10 +322,17 @@ let test_kept_digests () =
               match Recovery.image_at h.Recovery.log.Recovery.rcv ~seq with
               | None -> ()
               | Some (image, digest) ->
-                incr checked;
-                if not (String.equal digest (Sof_protocol.Checkpoint.image_digest alg image)) then
-                  Alcotest.failf "%s p%d: kept digest of the image at %d is not its digest"
-                    (Sof_protocol.Replica.name kind) i seq
+                kept := (image, digest) :: !kept;
+                if not (digest_ok (image, digest)) then
+                  Alcotest.failf "%s p%d: kept digest of the image at %d is not its digest" name
+                    i seq;
+                (match Hashtbl.find_opt at_seq seq with
+                | Some (j, other) when String.equal other image ->
+                  if other != image then
+                    Alcotest.failf "%s p%d and p%d keep two copies of the image at %d" name j i
+                      seq;
+                  incr shared
+                | Some _ | None -> Hashtbl.replace at_seq seq (i, image))
             done
           end
         done
@@ -284,8 +341,11 @@ let test_kept_digests () =
       check_live ();
       Cluster.run c ~until:(Simtime.sec 6);
       check_live ();
-      if Int.equal !checked 0 then
-        Alcotest.failf "%s: no kept image to check" (Sof_protocol.Replica.name kind))
+      if !kept = [] then Alcotest.failf "%s: no kept image to check" name;
+      if Int.equal !shared 0 then Alcotest.failf "%s: no image kept by two replicas" name;
+      List.iter
+        (fun k -> if not (digest_ok k) then Alcotest.failf "%s: a kept image changed" name)
+        !kept)
     Cluster.[ Sc_protocol; Scr_protocol; Bft_protocol; Ct_protocol ]
 
 let test_matches_golden () =

@@ -276,6 +276,7 @@ let test_sc_create_validation () =
       sign_acc = (fun _ -> "");
       verify_acc = (fun ~signer:_ ~msg:_ ~signature:_ -> true);
       digest_charge = ignore;
+      images = P.Checkpoint.Images.create ();
       send = (fun ~dst:_ _ -> ());
       multicast = (fun ~dsts:_ _ -> ());
       set_timer = (fun ?kind:_ ~delay:_ _ -> P.Context.null_timer);
