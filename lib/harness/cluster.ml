@@ -144,7 +144,7 @@ type t = {
          process from it with empty volatile state *)
   nodes : node array;
   mutable event_log : (Simtime.t * int * P.Context.event) list;
-  replies : (Request.key, (int * string) list ref) Hashtbl.t;
+  replies : (int * string) list ref Request.Key_tbl.t;
 }
 
 let config t = t.config
@@ -399,11 +399,11 @@ let make_context t i =
       (fun r ->
         let reply = Sof_smr.State_machine.apply node.node_machine r.Request.op in
         let cell =
-          match Hashtbl.find_opt t.replies r.Request.key with
+          match Request.Key_tbl.find_opt t.replies r.Request.key with
           | Some cell -> cell
           | None ->
             let cell = ref [] in
-            Hashtbl.replace t.replies r.Request.key cell;
+            Request.Key_tbl.replace t.replies r.Request.key cell;
             cell
         in
         cell := (i, reply) :: !cell)
@@ -563,7 +563,7 @@ let build spec =
       config;
       nodes;
       event_log = [];
-      replies = Hashtbl.create 256;
+      replies = Request.Key_tbl.create 256;
     }
   in
   (* Fast links inside each pair, both directions. *)
@@ -614,7 +614,7 @@ let inject_request t req =
     t.nodes
 
 let replies_for t key =
-  match Hashtbl.find_opt t.replies key with Some cell -> !cell | None -> []
+  match Request.Key_tbl.find_opt t.replies key with Some cell -> !cell | None -> []
 
 let reply_certificate t key =
   (* The state-machine-replication acceptance rule: a client trusts a reply

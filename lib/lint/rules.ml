@@ -10,6 +10,7 @@ type scope = {
   core : bool;  (* lib/core: protocol decision logic *)
   crypto : bool;  (* lib/crypto: signatures and digests *)
   net : bool;  (* lib/net: channel and network substrate *)
+  sim : bool;  (* lib/sim: the event engine and virtual time every run rides on *)
   in_lib : bool;  (* anywhere under lib/ (or a fixture standing in for it) *)
   report_sink : bool;  (* harness/report.ml: the one sanctioned printer *)
 }
@@ -25,6 +26,7 @@ let scope_of_path path =
     core = in_lib && has "core";
     crypto = in_lib && has "crypto";
     net = in_lib && has "net";
+    sim = in_lib && has "sim";
     in_lib;
     report_sink =
       in_lib && has "harness" && Filename.basename path = "report.ml";
@@ -148,6 +150,7 @@ let defines_own_compare ast =
 
 let lint_ast ~scope ~file ast =
   let own_compare = defines_own_compare ast in
+  let r1 = scope.core || scope.crypto || scope.sim in
   let diags = ref [] in
   let add rule (loc : Location.t) message =
     let p = loc.loc_start in
@@ -170,7 +173,7 @@ let lint_ast ~scope ~file ast =
     && not (own_compare && (match lid with Longident.Lident _ -> true | _ -> false))
   in
   let check_bare_ident lid (loc : Location.t) =
-    if (scope.core || scope.crypto) && is_stdlib_compare lid then
+    if r1 && is_stdlib_compare lid then
       add Diagnostic.R1 loc
         "polymorphic compare; use the type's own compare/equal";
     let name = stdlib_name lid in
@@ -211,7 +214,7 @@ let lint_ast ~scope ~file ast =
     | Pexp_apply (({ pexp_desc = Pexp_ident lid; _ } as fn), args)
       when is_poly_cmp_op lid.txt ->
       Hashtbl.replace seen_fn_idents fn.pexp_loc ();
-      if scope.core || scope.crypto then begin
+      if r1 then begin
         let name = stdlib_name lid.txt in
         if name = "compare" then begin
           if is_stdlib_compare lid.txt then
@@ -228,7 +231,7 @@ let lint_ast ~scope ~file ast =
       (* A bare [=] / [<>] passed as a function value is as polymorphic as
          an applied one. *)
       (match stdlib_name lid.txt with
-      | ("=" | "<>") when scope.core || scope.crypto ->
+      | ("=" | "<>") when r1 ->
         add Diagnostic.R1 e.pexp_loc
           "polymorphic equality passed as a function; use a typed equal"
       | _ -> ());

@@ -8,6 +8,7 @@ type scope = {
   core : bool;
   crypto : bool;
   net : bool;
+  sim : bool;
   in_lib : bool;
   report_sink : bool;
 }

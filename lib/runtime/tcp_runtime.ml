@@ -40,7 +40,10 @@ let drop q n =
 (* An outbound connection to a peer. *)
 type link = { fd : Unix.file_descr; unsent : byte_queue }
 
-type timer = { deadline : float; owner : int; mutable thunk : unit -> unit }
+(* [deadline] is wall-clock microseconds, the key of the runtime's timer heap. *)
+type timer = { deadline : int; owner : int; mutable thunk : unit -> unit }
+
+let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 (* What a fired or cancelled timer holds until its deadline pops it. *)
 let spent () = ()
@@ -214,10 +217,10 @@ let make_context t node =
   in
   let set_timer ?kind:_ ~delay thunk =
     let gen = node.gen in
-    let deadline = Unix.gettimeofday () +. Simtime.to_sec delay in
+    let deadline = now_us () + ((Simtime.to_ns delay + 999) / 1000) in
     let thunk () = if node.gen = gen then thunk () in
     let timer = { deadline; owner = node.id; thunk } in
-    Heap.push t.timers timer;
+    Heap.push t.timers ~key:deadline timer;
     { P.Context.cancel = (fun () -> timer.thunk <- spent) }
   in
   (* Under a [data_dir] the kernel has synced the batch's log entry (fsync)
@@ -321,23 +324,24 @@ let run_commands t =
       end)
 
 let rec fire_timers t now =
-  match Heap.peek t.timers with
-  | Some timer when timer.deadline <= now ->
-    ignore (Heap.pop_exn t.timers);
+  if (not (Heap.is_empty t.timers)) && (Heap.top t.timers).deadline <= now then begin
+    let timer = Heap.pop_exn t.timers in
     let thunk = timer.thunk in
     timer.thunk <- spent;
     guard t timer.owner thunk;
     fire_timers t now
-  | Some _ | None -> ()
+  end
 
 (* Seconds to the earliest live deadline, -1 (no timeout) if none. *)
 let rec next_timeout t =
-  match Heap.peek t.timers with
-  | None -> -1.0
-  | Some timer when timer.thunk == spent ->
-    ignore (Heap.pop_exn t.timers);
-    next_timeout t
-  | Some timer -> Float.max 0.0 (timer.deadline -. Unix.gettimeofday ())
+  if Heap.is_empty t.timers then -1.0
+  else
+    let timer = Heap.top t.timers in
+    if timer.thunk == spent then begin
+      ignore (Heap.pop_exn t.timers);
+      next_timeout t
+    end
+    else Float.max 0.0 (float_of_int (timer.deadline - now_us ()) /. 1e6)
 
 (* The one thread of a runtime.  Each round runs the posted commands, the
    due timers and the self-sends, then selects over the listeners, every
@@ -347,7 +351,7 @@ let rec next_timeout t =
 let event_loop t =
   while not t.stopping do
     run_commands t;
-    fire_timers t (Unix.gettimeofday ());
+    fire_timers t (now_us ());
     while not (Queue.is_empty t.self_sends) do
       let node, gen, encoded = Queue.pop t.self_sends in
       if node.gen = gen then handle t node ~src:node.id ~kind:'\x00' encoded
@@ -470,7 +474,7 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
       start_time = Unix.gettimeofday ();
       stopping = false;
       killed = [];
-      timers = Heap.create ~cmp:(fun a b -> Float.compare a.deadline b.deadline);
+      timers = Heap.create ();
       self_sends = Queue.create ();
       images = P.Checkpoint.Images.create ();
       conns = [];

@@ -1,23 +1,32 @@
+module Heap = Sof_util.Heap
+
+type state = Pending | Cancelled | Fired
+
 type handle = {
   at : Simtime.t;
-  mutable cancelled : bool;
   thunk : unit -> unit;
+  mutable state : state;
+  engine : t;
 }
 
-type t = {
-  queue : handle Sof_util.Heap.t;
+and t = {
+  queue : handle Heap.t;  (* keyed on [at] in ns; ties pop in scheduling order *)
   mutable clock : Simtime.t;
   root_rng : Sof_util.Rng.t;
-  mutable cancelled_count : int;
+  mutable cancelled : int;  (* cancelled handles still in [queue] *)
   mutable fired : int;
 }
 
+(* [cancel] drops the cancelled entries from the queue once there are more
+   than this many and they fill over half of it. *)
+let compaction_floor = 64
+
 let create ?(seed = 1L) () =
   {
-    queue = Sof_util.Heap.create ~cmp:(fun a b -> Simtime.compare a.at b.at);
+    queue = Heap.create ();
     clock = Simtime.zero;
     root_rng = Sof_util.Rng.create seed;
-    cancelled_count = 0;
+    cancelled = 0;
     fired = 0;
   }
 
@@ -30,30 +39,51 @@ let fork_rng t = Sof_util.Rng.split t.root_rng
 let schedule_at t ~at thunk =
   if Simtime.compare at t.clock < 0 then
     invalid_arg "Engine.schedule_at: instant in the past";
-  let h = { at; cancelled = false; thunk } in
-  Sof_util.Heap.push t.queue h;
+  let h = { at; thunk; state = Pending; engine = t } in
+  Heap.push t.queue ~key:(Simtime.to_ns at) h;
   h
 
 let schedule t ~delay thunk = schedule_at t ~at:(Simtime.add t.clock delay) thunk
 
+let is_pending h = match h.state with Pending -> true | Cancelled | Fired -> false
+
+(* Dropping cancelled entries cannot reorder the live ones: the queue orders
+   every entry strictly by (instant, scheduling order). *)
 let cancel h =
-  h.cancelled <- true
+  if is_pending h then begin
+    h.state <- Cancelled;
+    let t = h.engine in
+    t.cancelled <- t.cancelled + 1;
+    if t.cancelled > compaction_floor && 2 * t.cancelled > Heap.length t.queue then begin
+      Heap.retain t.queue is_pending;
+      t.cancelled <- 0
+    end
+  end
 
-let is_cancelled h = h.cancelled
+let is_cancelled h = match h.state with Cancelled -> true | Pending | Fired -> false
 
-let pending t =
-  (* Cancelled events stay in the heap until popped; count live ones. *)
-  List.length (List.filter (fun h -> not h.cancelled) (Sof_util.Heap.to_list t.queue))
+let pending t = Heap.length t.queue - t.cancelled
 
-let rec step t =
-  match Sof_util.Heap.pop t.queue with
-  | None -> false
-  | Some h when h.cancelled -> step t
-  | Some h ->
+(* Pop cancelled entries off the front; [false] when nothing live is left. *)
+let rec live_head t =
+  if Heap.is_empty t.queue then false
+  else if is_pending (Heap.top t.queue) then true
+  else begin
+    ignore (Heap.pop_exn t.queue);
+    t.cancelled <- t.cancelled - 1;
+    live_head t
+  end
+
+let step t =
+  if not (live_head t) then false
+  else begin
+    let h = Heap.pop_exn t.queue in
+    h.state <- Fired;
     t.clock <- h.at;
     t.fired <- t.fired + 1;
     h.thunk ();
     true
+  end
 
 let run ?until ?max_events t =
   let fired_at_start = t.fired in
@@ -62,26 +92,14 @@ let run ?until ?max_events t =
     | None -> true
     | Some m -> t.fired - fired_at_start < m
   in
+  (* Peek past cancelled events without firing anything late. *)
   let horizon_ok () =
     match until with
     | None -> true
-    | Some u -> begin
-      (* Peek past cancelled events without firing anything late. *)
-      let rec live_head () =
-        match Sof_util.Heap.peek t.queue with
-        | Some h when h.cancelled ->
-          ignore (Sof_util.Heap.pop t.queue);
-          live_head ()
-        | other -> other
-      in
-      match live_head () with
-      | None -> false
-      | Some h -> Simtime.compare h.at u <= 0
-    end
+    | Some u -> live_head t && Simtime.compare (Heap.top t.queue).at u <= 0
   in
-  let continue = ref true in
-  while !continue && budget_ok () && horizon_ok () do
-    continue := step t
+  while budget_ok () && horizon_ok () && step t do
+    ()
   done;
   (* When stopped by the horizon, advance the clock to it so that subsequent
      scheduling is relative to the requested instant. *)

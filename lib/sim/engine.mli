@@ -29,12 +29,15 @@ val schedule_at : t -> at:Simtime.t -> (unit -> unit) -> handle
 (** @raise Invalid_argument when [at] is in the past. *)
 
 val cancel : handle -> unit
-(** Idempotent; no effect once the event has fired. *)
+(** Idempotent; no effect once the event has fired.  A cancelled event
+    stays queued until it reaches the front or until cancelled events are
+    over half of a queue of more than 64, when they are all dropped. *)
 
 val is_cancelled : handle -> bool
+(** [true] once {!cancel} has caught the event before it fired. *)
 
 val pending : t -> int
-(** Number of scheduled, uncancelled events. *)
+(** Number of scheduled events neither cancelled nor fired.  O(1). *)
 
 val step : t -> bool
 (** Fire the next event; [false] when none remain. *)

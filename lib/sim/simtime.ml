@@ -22,9 +22,9 @@ let diff a b =
   if a < b then invalid_arg "Simtime.diff: negative result" else a - b
 
 let scale a f = check (int_of_float (Float.round (float_of_int a *. f)))
-let max = Stdlib.max
-let min = Stdlib.min
-let compare = Stdlib.compare
+let max (a : t) b = if a >= b then a else b
+let min (a : t) b = if a <= b then a else b
+let compare (a : t) b = Int.compare a b
 let ( + ) = add
 
 let pp fmt v =

@@ -73,23 +73,54 @@ let decode_reply s =
 
 module Store = Map.Make (String)
 
-let apply store op_bytes =
-  match decode_op op_bytes with
-  | exception Codec.Reader.Truncated -> (store, encode_reply Cas_failed)
-  | Get k -> begin
-    match Store.find_opt k store with
-    | Some v -> (store, encode_reply (Value v))
-    | None -> (store, encode_reply Not_found)
-  end
-  | Put (k, v) -> (Store.add k v store, encode_reply Ok)
-  | Delete k -> (Store.remove k store, encode_reply Ok)
-  | Cas { key; expected; replacement } -> begin
-    match Store.find_opt key store with
-    | Some v when v = expected -> (Store.add key replacement store, encode_reply Ok)
-    | Some _ | None -> (store, encode_reply Cas_failed)
+(* [map] is the store as of the last [settle]; [writes] holds every write
+   since, [None] for a delete.  A put then costs a table write, not a copied
+   path of the map. *)
+type store = { mutable map : string Store.t; writes : (string, string option) Hashtbl.t }
+
+(* The fewest buckets [Hashtbl] allows: the model checker builds n fresh
+   machines per replayed world, and most of them see few writes. *)
+let fresh map = { map; writes = Hashtbl.create 1 }
+
+let settle s =
+  if Hashtbl.length s.writes > 0 then begin
+    s.map <-
+      Hashtbl.fold
+        (fun k w map -> match w with Some v -> Store.add k v map | None -> Store.remove k map)
+        s.writes s.map;
+    Hashtbl.clear s.writes
   end
 
-let digest_of store =
+let find s k =
+  match Hashtbl.find_opt s.writes k with Some w -> w | None -> Store.find_opt k s.map
+
+let ok_reply = encode_reply Ok
+let not_found_reply = encode_reply Not_found
+let cas_failed_reply = encode_reply Cas_failed
+
+let apply s op_bytes =
+  match decode_op op_bytes with
+  | exception Codec.Reader.Truncated -> (s, cas_failed_reply)
+  | Get k -> begin
+    match find s k with
+    | Some v -> (s, encode_reply (Value v))
+    | None -> (s, not_found_reply)
+  end
+  | Put (k, v) ->
+    Hashtbl.replace s.writes k (Some v);
+    (s, ok_reply)
+  | Delete k ->
+    Hashtbl.replace s.writes k None;
+    (s, ok_reply)
+  | Cas { key; expected; replacement } -> begin
+    match find s key with
+    | Some v when String.equal v expected ->
+      Hashtbl.replace s.writes key (Some replacement);
+      (s, ok_reply)
+    | Some _ | None -> (s, cas_failed_reply)
+  end
+
+let digest_of map =
   let ctx = Sof_crypto.(Merkle_damgard.init Sha256.md) in
   Store.iter
     (fun k v ->
@@ -97,45 +128,48 @@ let digest_of store =
       Sof_crypto.Merkle_damgard.feed ctx "\x00";
       Sof_crypto.Merkle_damgard.feed ctx v;
       Sof_crypto.Merkle_damgard.feed ctx "\x01")
-    store;
+    map;
   Sof_crypto.Merkle_damgard.finalize ctx
 
 (* Most stores a model checker fingerprints are still empty. *)
 let empty_digest = digest_of Store.empty
 
-let digest store = if Store.is_empty store then empty_digest else digest_of store
+let digest s =
+  settle s;
+  if Store.is_empty s.map then empty_digest else digest_of s.map
 
-let snapshot store =
+let snapshot s =
+  settle s;
   let w = Codec.Writer.create () in
-  Codec.Writer.varint w (Store.cardinal store);
+  Codec.Writer.varint w (Store.cardinal s.map);
   Store.iter
     (fun k v ->
       Codec.Writer.string w k;
       Codec.Writer.string w v)
-    store;
+    s.map;
   Codec.Writer.contents w
 
 let restore image =
   match
     let r = Codec.Reader.of_string image in
     let n = Codec.Reader.varint r in
-    let rec go store i =
-      if i >= n then store
+    let rec go map i =
+      if i >= n then map
       else begin
         let k = Codec.Reader.string r in
         let v = Codec.Reader.string r in
-        go (Store.add k v store) (i + 1)
+        go (Store.add k v map) (i + 1)
       end
     in
-    let store = go Store.empty 0 in
+    let map = go Store.empty 0 in
     Codec.Reader.expect_end r;
-    store
+    map
   with
-  | store -> Some store
+  | map -> Some (fresh map)
   | exception Codec.Reader.Truncated -> None
 
 let machine () =
-  State_machine.create ~name:"kv" ~init:Store.empty ~apply ~digest ~snapshot ~restore ()
+  State_machine.create ~name:"kv" ~init:(fresh Store.empty) ~apply ~digest ~snapshot ~restore ()
 
 let pp_op fmt = function
   | Get k -> Format.fprintf fmt "get(%s)" k

@@ -28,7 +28,13 @@ val decode_reply : string -> reply
 val machine : unit -> State_machine.t
 (** A fresh, empty store.  Malformed operation bytes yield a deterministic
     error reply rather than an exception (a Byzantine client must not crash
-    replicas). *)
+    replicas).
+
+    The store keeps a sorted map as of its last snapshot or digest, and a
+    hash-table overlay of the writes since.  Reads look in the overlay
+    first; {!State_machine.snapshot} and {!State_machine.state_digest} fold
+    it into the map before walking the map in key order, so images and
+    digests are those of the sorted map alone. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp_reply : Format.formatter -> reply -> unit

@@ -174,6 +174,89 @@ let prop_engine_fires_all =
       Engine.run e;
       !count = List.length delays)
 
+(* The engine against a model: the live events as a list, fired in (instant,
+   scheduling order).  Scripts schedule, cancel, step and run to a horizon.
+   Two schedules in five are 30 s watches, as SC arms per batch.  A cancel
+   picks one of the last 8 handles issued, mostly still pending, or any
+   handle ever issued, so double cancels and cancels after firing both
+   occur, and cancelled watches pile up until the queue sheds them. *)
+type model_op = Schedule of int | Cancel of int | Cancel_recent of int | Step | Run_until of int
+
+let gen_model_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> Schedule d) (int_bound 2_000));
+        (2, return (Schedule 30_000_000));
+        (4, map (fun i -> Cancel_recent i) (int_bound 7));
+        (1, map (fun i -> Cancel i) (int_bound 1_000));
+        (1, return Step);
+        (1, map (fun d -> Run_until d) (int_bound 100));
+      ])
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine fires and counts like a sorted list of live events"
+    ~count:100
+    QCheck.(make Gen.(list_size (400 -- 1_200) gen_model_op))
+    (fun script ->
+      let e = Engine.create () in
+      let handles = Hashtbl.create 1024 and issued = ref 0 in
+      let fired = ref [] and expected = ref [] in
+      (* Live events as (instant ns, id), ids in scheduling order. *)
+      let live = ref [] and cancelled = Hashtbl.create 64 in
+      let clock = ref 0 in
+      let fire_model () =
+        match List.sort compare !live with
+        | (at, id) :: rest ->
+          live := rest;
+          clock := at;
+          expected := id :: !expected;
+          true
+        | [] -> false
+      in
+      let cancel id =
+        Engine.cancel (Hashtbl.find handles id);
+        if List.exists (fun (_, j) -> j = id) !live then begin
+          live := List.filter (fun (_, j) -> j <> id) !live;
+          Hashtbl.replace cancelled id ()
+        end
+      in
+      let ok = ref true in
+      let check cond = if not cond then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+          | Schedule d ->
+            let id = !issued in
+            incr issued;
+            let h = Engine.schedule e ~delay:(Simtime.us d) (fun () -> fired := id :: !fired) in
+            Hashtbl.replace handles id h;
+            live := (!clock + (d * 1_000), id) :: !live
+          | Cancel i when !issued > 0 -> cancel (i mod !issued)
+          | Cancel_recent i when !issued > 0 -> cancel (max 0 (!issued - 1 - i))
+          | Cancel _ | Cancel_recent _ -> ()
+          | Step -> check (Engine.step e = fire_model ())
+          | Run_until d ->
+            let u = !clock + (d * 1_000) in
+            Engine.run ~until:(Simtime.ns u) e;
+            let rec go () =
+              match List.sort compare !live with
+              | (at, _) :: _ when at <= u -> if fire_model () then go ()
+              | _ -> ()
+            in
+            go ();
+            clock := max !clock u);
+          check (Engine.pending e = List.length !live);
+          check (Simtime.to_ns (Engine.now e) = !clock))
+        script;
+      Hashtbl.iter
+        (fun id h -> check (Engine.is_cancelled h = Hashtbl.mem cancelled id))
+        handles;
+      Engine.run e;
+      while fire_model () do () done;
+      check (Engine.pending e = 0);
+      !ok && !fired = !expected)
+
 let suite =
   [
     ( "sim.simtime",
@@ -195,6 +278,7 @@ let suite =
         Alcotest.test_case "pending" `Quick test_engine_pending;
         Alcotest.test_case "determinism" `Quick test_engine_determinism;
         QCheck_alcotest.to_alcotest prop_engine_fires_all;
+        QCheck_alcotest.to_alcotest prop_engine_matches_model;
       ] );
     ( "sim.cpu",
       [

@@ -126,6 +126,121 @@ let prop_kv_replicas_agree =
       in
       run () = run ())
 
+(* The store as a plain persistent map, with no write overlay: the machine
+   must answer, snapshot and digest exactly like it. *)
+module Reference_kv = struct
+  module Store = Map.Make (String)
+
+  let apply store op_bytes =
+    match Kv.decode_op op_bytes with
+    | exception Sof_util.Codec.Reader.Truncated -> (store, Kv.encode_reply Kv.Cas_failed)
+    | Kv.Get k -> begin
+      match Store.find_opt k store with
+      | Some v -> (store, Kv.encode_reply (Kv.Value v))
+      | None -> (store, Kv.encode_reply Kv.Not_found)
+    end
+    | Kv.Put (k, v) -> (Store.add k v store, Kv.encode_reply Kv.Ok)
+    | Kv.Delete k -> (Store.remove k store, Kv.encode_reply Kv.Ok)
+    | Kv.Cas { key; expected; replacement } -> begin
+      match Store.find_opt key store with
+      | Some v when v = expected -> (Store.add key replacement store, Kv.encode_reply Kv.Ok)
+      | Some _ | None -> (store, Kv.encode_reply Kv.Cas_failed)
+    end
+
+  let digest store =
+    let ctx = Sof_crypto.(Merkle_damgard.init Sha256.md) in
+    Store.iter
+      (fun k v -> List.iter (Sof_crypto.Merkle_damgard.feed ctx) [ k; "\x00"; v; "\x01" ])
+      store;
+    Sof_crypto.Merkle_damgard.finalize ctx
+
+  let snapshot store =
+    let w = Sof_util.Codec.Writer.create () in
+    Sof_util.Codec.Writer.varint w (Store.cardinal store);
+    Store.iter
+      (fun k v ->
+        Sof_util.Codec.Writer.string w k;
+        Sof_util.Codec.Writer.string w v)
+      store;
+    Sof_util.Codec.Writer.contents w
+
+  let restore image =
+    let module R = Sof_util.Codec.Reader in
+    match
+      let r = R.of_string image in
+      let n = R.varint r in
+      let rec go store i =
+        if i >= n then store
+        else
+          let k = R.string r in
+          let v = R.string r in
+          go (Store.add k v store) (i + 1)
+      in
+      let store = go Store.empty 0 in
+      R.expect_end r;
+      store
+    with
+    | store -> Some store
+    | exception R.Truncated -> None
+end
+
+type kv_step =
+  | Op of string
+  | Snapshot
+  | Digest
+  | Restore of int  (* the i-th image taken so far, or garbage when none *)
+
+let gen_kv_step =
+  let open QCheck.Gen in
+  let key = map (fun i -> String.make 1 (Char.chr (97 + i))) (int_bound 5) in
+  let value = string_size ~gen:(char_range 'x' 'z') (0 -- 2) in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> Kv.Get k) key);
+        (4, map2 (fun k v -> Kv.Put (k, v)) key value);
+        (2, map (fun k -> Kv.Delete k) key);
+        ( 2,
+          map3
+            (fun key expected replacement -> Kv.Cas { key; expected; replacement })
+            key value value );
+      ]
+  in
+  frequency
+    [
+      (10, map (fun o -> Op (Kv.encode_op o)) op);
+      (1, map (fun b -> Op b) (string_size (0 -- 6)));
+      (2, return Snapshot);
+      (2, return Digest);
+      (1, map (fun i -> Restore i) (int_bound 8));
+    ]
+
+let prop_kv_matches_reference =
+  QCheck.Test.make ~name:"kv store answers, snapshots and digests like a plain map"
+    ~count:300
+    QCheck.(make Gen.(list_size (0 -- 80) gen_kv_step))
+    (fun script ->
+      let m = Kv.machine () and reference = ref Reference_kv.Store.empty in
+      let images = ref [] in
+      List.for_all
+        (function
+          | Op bytes ->
+            let store, reply = Reference_kv.apply !reference bytes in
+            reference := store;
+            String.equal (State_machine.apply m bytes) reply
+          | Snapshot ->
+            let image = State_machine.snapshot m in
+            images := !images @ [ image ];
+            String.equal image (Reference_kv.snapshot !reference)
+          | Digest ->
+            String.equal (State_machine.state_digest m) (Reference_kv.digest !reference)
+          | Restore i ->
+            let image = match List.nth_opt !images i with Some im -> im | None -> "\x05a" in
+            State_machine.restore m image;
+            Option.iter (fun store -> reference := store) (Reference_kv.restore image);
+            String.equal (State_machine.state_digest m) (Reference_kv.digest !reference))
+        script)
+
 (* --------------------------------------------------------- Lock_service *)
 
 let lock_apply m op = Lock.decode_reply (State_machine.apply m (Lock.encode_op op))
@@ -262,6 +377,7 @@ let suite =
         Alcotest.test_case "op roundtrip" `Quick test_kv_op_roundtrip;
         Alcotest.test_case "reply roundtrip" `Quick test_kv_reply_roundtrip;
         QCheck_alcotest.to_alcotest prop_kv_replicas_agree;
+        QCheck_alcotest.to_alcotest prop_kv_matches_reference;
       ] );
     ( "smr.lock_service",
       [

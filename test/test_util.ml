@@ -114,52 +114,79 @@ let test_rng_bytes_length () =
 
 (* ----------------------------------------------------------------- Heap *)
 
+let drain h = List.init (Heap.length h) (fun _ -> Heap.pop_exn h)
+
+let push_all h keys = List.iter (fun k -> Heap.push h ~key:k k) keys
+
 let test_heap_ordering () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let drained = List.init (Heap.length h) (fun _ -> Heap.pop_exn h) in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] drained
+  let h = Heap.create () in
+  push_all h [ 5; 1; 4; 1; 3; 9; 0; -7; max_int; min_int ];
+  Alcotest.(check (list int)) "sorted" [ min_int; -7; 0; 1; 1; 3; 4; 5; 9; max_int ] (drain h)
 
 let test_heap_fifo_ties () =
   (* Entries with equal keys must pop in insertion order. *)
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  List.iter (Heap.push h) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  let tags = List.init 4 (fun _ -> snd (Heap.pop_exn h)) in
-  Alcotest.(check (list string)) "fifo ties" [ "z"; "a"; "b"; "c" ] tags
+  let h = Heap.create () in
+  List.iter (fun (k, tag) -> Heap.push h ~key:k tag) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
+  Alcotest.(check (list string)) "fifo ties" [ "z"; "a"; "b"; "c" ] (drain h)
 
 let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
+  let h : int Heap.t = Heap.create () in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek" None (Heap.peek h)
+  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
+      ignore (Heap.pop_exn h));
+  Alcotest.check_raises "top" (Invalid_argument "Heap.top: empty heap") (fun () ->
+      ignore (Heap.top h))
 
-let test_heap_peek_does_not_remove () =
-  let h = Heap.create ~cmp:compare in
-  Heap.push h 42;
-  Alcotest.(check (option int)) "peek" (Some 42) (Heap.peek h);
-  check_int "length intact" 1 (Heap.length h)
+let test_heap_top_does_not_remove () =
+  let h = Heap.create () in
+  push_all h [ 42; 7 ];
+  check_int "top" 7 (Heap.top h);
+  check_int "length intact" 2 (Heap.length h);
+  check_int "pop agrees" 7 (Heap.pop_exn h)
 
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
-  Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Heap.is_empty h)
+let test_heap_retain () =
+  let h = Heap.create () in
+  List.iteri (fun i k -> Heap.push h ~key:k (k, i)) [ 3; 1; 2; 1; 3; 0; 2 ];
+  Heap.retain h (fun (k, _) -> k <> 2);
+  check_int "length" 5 (Heap.length h);
+  Alcotest.(check (list (pair int int)))
+    "kept entries pop in key, then push order"
+    [ (0, 5); (1, 1); (1, 3); (3, 0); (3, 4) ]
+    (drain h);
+  Heap.push h ~key:4 (4, 7);
+  Heap.push h ~key:2 (2, 8);
+  Heap.retain h (fun _ -> false);
+  Alcotest.(check bool) "retain nothing empties" true (Heap.is_empty h);
+  Heap.push h ~key:6 (6, 0);
+  Alcotest.(check (list (pair int int))) "usable after" [ (6, 0) ] (drain h)
 
-let test_heap_to_list_preserves () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Alcotest.(check (list int)) "to_list sorted" [ 1; 2; 3 ] (Heap.to_list h);
-  check_int "heap untouched" 3 (Heap.length h);
-  check_int "pop still works" 1 (Heap.pop_exn h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let drained = List.init (List.length xs) (fun _ -> Heap.pop_exn h) in
-      drained = List.sort compare xs)
+(* Interleaved pushes, pops and retains drain like a stable sort by key. *)
+let prop_heap_matches_stable_sort =
+  QCheck.Test.make ~name:"heap pops by key, then push order, across retains" ~count:300
+    QCheck.(list (pair (int_bound 3) (int_bound 20)))
+    (fun script ->
+      let h = Heap.create () in
+      let model = ref [] and popped = ref [] and expected = ref [] and n = ref 0 in
+      let by_key (k, i) (k', i') = if k <> k' then compare k k' else compare i i' in
+      List.iter
+        (fun (action, key) ->
+          match action with
+          | 0 when not (Heap.is_empty h) ->
+            popped := Heap.pop_exn h :: !popped;
+            (match List.sort by_key !model with
+            | m :: rest ->
+              expected := m :: !expected;
+              model := rest
+            | [] -> ())
+          | 1 ->
+            Heap.retain h (fun (k, _) -> k mod 3 <> 0);
+            model := List.filter (fun (k, _) -> k mod 3 <> 0) !model
+          | _ ->
+            Heap.push h ~key (key, !n);
+            model := (key, !n) :: !model;
+            incr n)
+        script;
+      !popped = !expected && drain h = List.sort by_key !model)
 
 (* ------------------------------------------------------------------ Hex *)
 
@@ -460,10 +487,9 @@ let suite =
         Alcotest.test_case "ordering" `Quick test_heap_ordering;
         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
         Alcotest.test_case "empty" `Quick test_heap_empty;
-        Alcotest.test_case "peek" `Quick test_heap_peek_does_not_remove;
-        Alcotest.test_case "clear" `Quick test_heap_clear;
-        Alcotest.test_case "to_list" `Quick test_heap_to_list_preserves;
-        QCheck_alcotest.to_alcotest prop_heap_sorts;
+        Alcotest.test_case "top" `Quick test_heap_top_does_not_remove;
+        Alcotest.test_case "retain" `Quick test_heap_retain;
+        QCheck_alcotest.to_alcotest prop_heap_matches_stable_sort;
       ] );
     ( "util.hex",
       [
