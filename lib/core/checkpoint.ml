@@ -70,20 +70,26 @@ end
    order, so at the same boundary they hold the same marks and wrap
    byte-identical images. *)
 
-let write_mark w (client, last) =
-  Codec.Writer.varint w client;
-  Codec.Writer.varint w last
-
 let read_mark r =
   let client = Codec.Reader.varint r in
   let last = Codec.Reader.varint r in
   (client, last)
 
+(* Sized first and filled once, like the snapshot it wraps: the state as a
+   length-prefixed string, then the count of marks and each mark's two
+   varints, the layout [unwrap_image] reads. *)
+let mark_size size (client, last) = size + Codec.varint_size client + Codec.varint_size last
+let put_mark b pos (client, last) = Codec.put_varint b (Codec.put_varint b pos client) last
+
 let wrap_image ~state ~marks =
-  let w = Codec.Writer.create () in
-  Codec.Writer.string w state;
-  Codec.Writer.list w write_mark marks;
-  Codec.Writer.contents w
+  let count = List.length marks in
+  let size =
+    Codec.varint_size (String.length state) + String.length state + Codec.varint_size count
+  in
+  let b = Bytes.create (List.fold_left mark_size size marks) in
+  let pos = Codec.put_varint b (Codec.put_string b 0 state) count in
+  ignore (List.fold_left (put_mark b) pos marks : int);
+  Bytes.unsafe_to_string b
 
 let unwrap_image image =
   match

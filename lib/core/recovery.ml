@@ -425,11 +425,11 @@ let truncate log upto =
    decoder treats its bytes as hostile: a frame that slipped past the log's
    checksum but does not decode comes back as [None]. *)
 
-let encode_checkpoint_payload cert image =
+let checkpoint_pieces cert image =
   let w = Codec.Writer.create () in
   Checkpoint.write_cert w cert;
-  Codec.Writer.string w image;
-  Codec.Writer.contents w
+  Codec.Writer.varint w (String.length image);
+  [ Codec.Writer.contents w; image ]
 
 let decode_checkpoint_payload s =
   match
@@ -484,9 +484,9 @@ let persist_checkpoint log cert ~image =
   match log.ctx.Context.store with
   | None -> ()
   | Some store ->
-    let payload = encode_checkpoint_payload cert image in
-    Wal.write_checkpoint store.Context.wal payload;
-    store.Context.charge_io (String.length payload)
+    let pieces = checkpoint_pieces cert image in
+    Wal.write_checkpoint store.Context.wal pieces;
+    store.Context.charge_io (List.fold_left (fun n p -> n + String.length p) 0 pieces)
 
 let boundary_image log o =
   let image =
@@ -842,7 +842,7 @@ let recover h =
     let cert_image = Option.bind rp.Wal.rp_checkpoint decode_checkpoint_payload in
     let entries = List.filter_map decode_entry_payload rp.Wal.rp_entries in
     (match (rp.Wal.rp_checkpoint, cert_image) with
-    | Some payload, Some _ -> Wal.write_checkpoint wal payload
+    | Some payload, Some _ -> Wal.write_checkpoint wal [ payload ]
     | _ -> Wal.reset wal);
     store.Context.charge_io
       (String.length (Option.value rp.Wal.rp_checkpoint ~default:"")

@@ -270,7 +270,13 @@ val recover : 'slot hooks -> unit
     hostile: a torn or corrupt frame that slipped past the log's checksum
     comes back as [None]. *)
 
-val encode_checkpoint_payload : Checkpoint.cert -> string -> string
+val checkpoint_pieces : Checkpoint.cert -> string -> string list
+(** A checkpoint frame's payload as {!Sof_storage.Wal.write_checkpoint}
+    takes it: the encoded certificate with the image's length prefix, then
+    the image itself, so the log stages the image from the string the
+    kernel already holds.  Their concatenation is what
+    {!decode_checkpoint_payload} reads. *)
+
 val decode_checkpoint_payload : string -> (Checkpoint.cert * string) option
 val encode_entry_payload : Checkpoint.entry -> string
 val decode_entry_payload : string -> Checkpoint.entry option

@@ -261,7 +261,7 @@ let scribbled_wal rng =
     Wal.append wal (random_string rng (Rng.int rng 100))
   done;
   Wal.sync wal;
-  if Rng.bool rng then Wal.write_checkpoint wal (random_string rng (Rng.int rng 150));
+  if Rng.bool rng then Wal.write_checkpoint wal [ random_string rng (Rng.int rng 150) ];
   for _ = 1 to 1 + Rng.int rng 10 do
     Disk.write disk ~sector:(Rng.int rng 32) (random_string rng 64)
   done;

@@ -28,7 +28,7 @@ let rule_of_id s =
 
 let rule_doc = function
   | R0 -> "file does not parse"
-  | R1 -> "polymorphic =/<>/compare in lib/core, lib/crypto or lib/sim"
+  | R1 -> "polymorphic =/<>/compare in lib/core, lib/crypto, lib/sim or lib/storage"
   | R2 -> "catch-all case in a message-dispatch match in lib/core"
   | R3 -> "partial stdlib function in lib/core or lib/net"
   | R4 -> "failwith/invalid_arg/assert-false in protocol code in lib/core"

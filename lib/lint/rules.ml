@@ -11,6 +11,7 @@ type scope = {
   crypto : bool;  (* lib/crypto: signatures and digests *)
   net : bool;  (* lib/net: channel and network substrate *)
   sim : bool;  (* lib/sim: the event engine and virtual time every run rides on *)
+  storage : bool;  (* lib/storage: the disks and the write-ahead log *)
   in_lib : bool;  (* anywhere under lib/ (or a fixture standing in for it) *)
   report_sink : bool;  (* harness/report.ml: the one sanctioned printer *)
 }
@@ -27,6 +28,7 @@ let scope_of_path path =
     crypto = in_lib && has "crypto";
     net = in_lib && has "net";
     sim = in_lib && has "sim";
+    storage = in_lib && has "storage";
     in_lib;
     report_sink =
       in_lib && has "harness" && Filename.basename path = "report.ml";
@@ -150,7 +152,7 @@ let defines_own_compare ast =
 
 let lint_ast ~scope ~file ast =
   let own_compare = defines_own_compare ast in
-  let r1 = scope.core || scope.crypto || scope.sim in
+  let r1 = scope.core || scope.crypto || scope.sim || scope.storage in
   let diags = ref [] in
   let add rule (loc : Location.t) message =
     let p = loc.loc_start in

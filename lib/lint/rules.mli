@@ -9,6 +9,7 @@ type scope = {
   crypto : bool;
   net : bool;
   sim : bool;
+  storage : bool;
   in_lib : bool;
   report_sink : bool;
 }

@@ -1,6 +1,7 @@
 module Engine = Sof_sim.Engine
 module Simtime = Sof_sim.Simtime
 module Codec = Sof_util.Codec
+module Fnv = Sof_util.Fnv
 
 type config = {
   rto : Simtime.t;
@@ -75,6 +76,11 @@ type t = {
 let tag_data = 0
 let tag_ack = 1
 
+(* A sequence number's bytes, low first: at least one. *)
+let rec mix_seq h s =
+  let h = Fnv.feed_byte h (s land 0xff) in
+  if s > 0xff then mix_seq h (s lsr 8) else h
+
 (* FNV-1a over the frame's semantic content (tag, sequence, payload).  A
    frame corrupted on a hostile wire must fail this check and die un-acked so
    the retransmission machinery recovers the clean copy; without it, a
@@ -82,16 +88,8 @@ let tag_ack = 1
    sequence number and mark it delivered, silently breaking the exactly-once
    contract (and a bit-flipped ack would cancel the wrong in-flight entry). *)
 let checksum ~tag ~seq payload =
-  let h = ref 0x811c9dc5 in
-  let mix byte = h := (!h lxor byte) * 0x01000193 land 0xffffffff in
-  mix tag;
-  let rec mix_seq s =
-    mix (s land 0xff);
-    if s > 0xff then mix_seq (s lsr 8)
-  in
-  mix_seq seq;
-  String.iter (fun c -> mix (Char.code c)) payload;
-  !h
+  let h = mix_seq (Fnv.feed_byte Fnv.basis tag) seq in
+  Fnv.feed h payload ~pos:0 ~len:(String.length payload)
 
 let encode_data ~seq payload =
   let w = Codec.Writer.create () in

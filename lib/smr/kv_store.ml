@@ -138,16 +138,19 @@ let digest s =
   settle s;
   if Store.is_empty s.map then empty_digest else digest_of s.map
 
+(* A snapshot is sized first and filled once: the image of a checkpoint
+   boundary is tens of KB, and a growing buffer would copy it several
+   times over and once more into the result. *)
+let string_size s = Codec.varint_size (String.length s) + String.length s
+let entry_size k v size = size + string_size k + string_size v
+
 let snapshot s =
   settle s;
-  let w = Codec.Writer.create () in
-  Codec.Writer.varint w (Store.cardinal s.map);
-  Store.iter
-    (fun k v ->
-      Codec.Writer.string w k;
-      Codec.Writer.string w v)
-    s.map;
-  Codec.Writer.contents w
+  let n = Store.cardinal s.map in
+  let b = Bytes.create (Store.fold entry_size s.map (Codec.varint_size n)) in
+  let put k v pos = Codec.put_string b (Codec.put_string b pos k) v in
+  ignore (Store.fold put s.map (Codec.put_varint b 0 n) : int);
+  Bytes.unsafe_to_string b
 
 let restore image =
   match

@@ -1,6 +1,6 @@
 (* The storage seam: a sector-addressed block device as a record of
    closures, mirroring Context's role for protocol processes.  The
-   simulator backs it with a hashtable (Sim_disk); the TCP runtime backs
+   simulator backs it with memory (Sim_disk); the TCP runtime backs
    it with a real file.  Everything above (Wal) is written against this
    record only, so the persistence format and the recovery ladder are
    byte-identical under simulation and on a live deployment. *)

@@ -20,9 +20,8 @@ type t = {
   sector_size : int;
   sector_count : int;
   atlas : Fault_atlas.t option;
-  stable : (int, string) Hashtbl.t;
+  stable : string array;  (* unwritten sectors all hold one zero string *)
   volatile : (int, string) Hashtbl.t;
-  zeros : string;  (* every unwritten sector reads as this one string *)
   mutable last_flushed : (int * string) option;
   mutable writes : int;
   mutable reads : int;
@@ -41,9 +40,8 @@ let create ?atlas ~sector_size ~sector_count () =
     sector_size;
     sector_count;
     atlas;
-    stable = Hashtbl.create 64;
+    stable = Array.make sector_count (String.make sector_size '\000');
     volatile = Hashtbl.create 16;
-    zeros = String.make sector_size '\000';
     last_flushed = None;
     writes = 0;
     reads = 0;
@@ -74,15 +72,14 @@ let corrupted t sector data =
 
 let do_read t sector =
   t.reads <- t.reads + 1;
-  match Hashtbl.find_opt t.volatile sector with
+  (* Reads mostly come right after a sync, when nothing is staged. *)
+  match
+    if Hashtbl.length t.volatile > 0 then Hashtbl.find_opt t.volatile sector else None
+  with
   | Some data -> data
   | None -> (
     note_slow t sector;
-    let data =
-      match Hashtbl.find_opt t.stable sector with
-      | Some data -> data
-      | None -> t.zeros
-    in
+    let data = t.stable.(sector) in
     match t.atlas with
     | Some atlas when Fault_atlas.corrupt_sector atlas ~sector ->
       corrupted t sector data
@@ -101,18 +98,22 @@ let do_write t sector data =
         Hashtbl.replace t.volatile wrong data
       | None -> Hashtbl.replace t.volatile sector data)
 
+(* The last flushed sector, the one a crash may tear, is the highest one
+   this sync makes durable. *)
 let do_sync t =
   t.syncs <- t.syncs + 1;
-  let staged =
-    Hashtbl.fold (fun sector data acc -> (sector, data) :: acc) t.volatile []
-  in
-  let staged = List.sort (fun (a, _) (b, _) -> Int.compare a b) staged in
-  List.iter
-    (fun (sector, data) ->
+  let last = ref (-1) in
+  let last_data = ref "" in
+  Hashtbl.iter
+    (fun sector data ->
       note_slow t sector;
-      Hashtbl.replace t.stable sector data;
-      t.last_flushed <- Some (sector, data))
-    staged;
+      t.stable.(sector) <- data;
+      if sector > !last then begin
+        last := sector;
+        last_data := data
+      end)
+    t.volatile;
+  if !last >= 0 then t.last_flushed <- Some (!last, !last_data);
   Hashtbl.reset t.volatile
 
 let disk t =
@@ -133,7 +134,7 @@ let crash t =
       t.torn <- t.torn + 1;
       let b = Bytes.make t.sector_size '\000' in
       Bytes.blit_string data 0 b 0 keep;
-      Hashtbl.replace t.stable sector (Bytes.to_string b)
+      t.stable.(sector) <- Bytes.to_string b
     | None -> ())
   | _ -> ());
   t.last_flushed <- None

@@ -21,7 +21,17 @@
    *before* the superblock flips, so a crash mid-checkpoint recovers the
    previous epoch intact.  Replay walks frames until a clean end (kind 0
    or epoch mismatch) or damage (bad crc / kind / length) — the damaged
-   flag is what sends recovery up the ladder to peer repair. *)
+   flag is what sends recovery up the ladder to peer repair.
+
+   The handle holds no copy of the log.  A frame, given as pieces (a
+   header and the payload, or a checkpoint's certificate and image), is
+   cut straight into the sectors it touches; the only log bytes kept are
+   the partial last sector ([tail]), which the next frame's first sector
+   starts from, and the sector strings written since the last verified
+   sync, which that sync reads back against.  A mount walks frames over
+   the sector strings it reads. *)
+
+module Fnv = Sof_util.Fnv
 
 type replay = {
   rp_checkpoint : string option;
@@ -39,9 +49,14 @@ type stats = {
 type t = {
   disk : Disk.t;
   region_sectors : int;
+  zeros : string;  (* one all-zero sector *)
   mutable epoch : int;
-  mutable mem : Buffer.t;  (* current epoch's valid log bytes *)
-  mutable flushed : int;  (* prefix of [mem] already staged on disk *)
+  mutable len : int;  (* bytes of the current epoch's log *)
+  tail : Bytes.t;  (* the sector holding byte [len]: its first
+                      [len mod sector_size] bytes, zeros after *)
+  staged : string array;  (* by region sector: the string it was last
+                             written with, kept from [dirty_lo] to
+                             [dirty_hi] *)
   mutable dirty_lo : int;  (* region-relative sector range staged since *)
   mutable dirty_hi : int;  (* the last verified sync; lo > hi when none *)
   mutable last_replay : replay;
@@ -54,70 +69,74 @@ type t = {
 let header_len = 13
 let magic = "SOFW"
 
-(* FNV-1a, 32-bit: tiny and entirely adequate for fault *detection* (the
-   adversarial case is covered by signatures above this layer). *)
-let crc s =
-  let h = ref 0x811C9DC5 in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xFFFFFFFF
-  done;
-  !h
-
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
 let clear_dirty t =
+  if t.dirty_hi >= t.dirty_lo then
+    Array.fill t.staged t.dirty_lo (t.dirty_hi - t.dirty_lo + 1) "";
   t.dirty_lo <- max_int;
   t.dirty_hi <- -1
 
 let region_bytes t = t.region_sectors * t.disk.Disk.sector_size
 let region_base t = 2 + (t.epoch land 1 * t.region_sectors)
 
-let make_frame ~kind ~epoch payload =
-  let b = Bytes.create (header_len + String.length payload) in
+let header ~kind ~epoch ~len ~crc =
+  let b = Bytes.create header_len in
   Bytes.set b 0 kind;
   put_u32 b 1 epoch;
-  put_u32 b 5 (String.length payload);
-  put_u32 b 9 (crc payload);
-  Bytes.blit_string payload 0 b header_len (String.length payload);
+  put_u32 b 5 len;
+  put_u32 b 9 crc;
   Bytes.unsafe_to_string b
 
-(* Sector [s] of [mem] as the disk should hold it, zero-padded past the
-   end of the log: one sector's copy, never the whole log's. *)
-let staged_sector t s =
-  let ss = t.disk.Disk.sector_size in
-  let off = s * ss in
-  let sect = Bytes.make ss '\000' in
-  let chunk = max 0 (min ss (Buffer.length t.mem - off)) in
-  if chunk > 0 then Buffer.blit t.mem off sect 0 chunk;
-  Bytes.unsafe_to_string sect
+let total_length pieces = List.fold_left (fun n p -> n + String.length p) 0 pieces
+let feed_piece h p = Fnv.feed h p ~pos:0 ~len:(String.length p)
 
-(* Stage every sector from the one containing [flushed] through the end
-   of [mem], zero-padding the tail.  If the log ends exactly on a sector
-   boundary, stage one extra zero sector as a terminator so stale frames
+(* Write region sector [s] and keep the string for the read-back. *)
+let put t s data =
+  Disk.write t.disk ~sector:(region_base t + s) data;
+  t.staged.(s) <- data;
+  if s < t.dirty_lo then t.dirty_lo <- s;
+  if s > t.dirty_hi then t.dirty_hi <- s
+
+(* Append [pieces] to the log and write every sector they touch, from the
+   one holding the old end of log (its prefix comes from [tail]) through
+   the new end, zero-padded.  If the log now ends exactly on a sector
+   boundary, write one extra zero sector as a terminator so stale frames
    from a previous occupancy of this region can never line up flush with
-   our last frame. *)
-let flush t =
+   our last frame.  An empty log writes its zero sector 0. *)
+let stage t pieces =
   let ss = t.disk.Disk.sector_size in
-  let len = Buffer.length t.mem in
-  if len > t.flushed || Int.equal t.flushed 0 then begin
-    let base = region_base t in
-    let first = t.flushed / ss in
-    let last = if Int.equal len 0 then 0 else (len - 1) / ss in
-    for s = first to last do
-      Disk.write t.disk ~sector:(base + s) (staged_sector t s)
-    done;
-    let hi =
-      if Int.equal (len mod ss) 0 && len > 0 && last + 1 < t.region_sectors
-      then begin
-        Disk.write t.disk ~sector:(base + last + 1) (Disk.zeros t.disk);
-        last + 1
-      end
-      else last
-    in
-    if first < t.dirty_lo then t.dirty_lo <- first;
-    if hi > t.dirty_hi then t.dirty_hi <- hi;
-    t.flushed <- len
+  let s = ref (t.len / ss) in
+  let fill = ref (t.len mod ss) in
+  let sect = ref (Bytes.copy t.tail) in
+  let emit () =
+    put t !s (Bytes.unsafe_to_string !sect);
+    incr s
+  in
+  List.iter
+    (fun piece ->
+      let off = ref 0 in
+      while !off < String.length piece do
+        let n = min (ss - !fill) (String.length piece - !off) in
+        Bytes.blit_string piece !off !sect !fill n;
+        fill := !fill + n;
+        off := !off + n;
+        if Int.equal !fill ss then begin
+          emit ();
+          sect := Bytes.make ss '\000';
+          fill := 0
+        end
+      done)
+    pieces;
+  t.len <- t.len + total_length pieces;
+  if !fill > 0 || Int.equal t.len 0 then begin
+    Bytes.blit !sect 0 t.tail 0 ss;
+    emit ()
+  end
+  else begin
+    Bytes.fill t.tail 0 ss '\000';
+    if !s < t.region_sectors then put t !s t.zeros
   end
 
 let write_superblock_at t ~slot epoch =
@@ -125,8 +144,8 @@ let write_superblock_at t ~slot epoch =
   let b = Bytes.make ss '\000' in
   Bytes.blit_string magic 0 b 0 4;
   put_u32 b 4 epoch;
-  put_u32 b 8 (crc (Bytes.sub_string b 0 8));
-  Disk.write t.disk ~sector:slot (Bytes.to_string b)
+  put_u32 b 8 (Fnv.string (Bytes.sub_string b 0 8));
+  Disk.write t.disk ~sector:slot (Bytes.unsafe_to_string b)
 
 let write_superblock t epoch = write_superblock_at t ~slot:(epoch land 1) epoch
 
@@ -134,44 +153,58 @@ let read_superblock t slot =
   let s = Disk.read t.disk ~sector:slot in
   if String.length s >= 12
      && String.equal (String.sub s 0 4) magic
-     && Int.equal (get_u32 s 8) (crc (String.sub s 0 8))
+     && Int.equal (get_u32 s 8) (Fnv.feed Fnv.basis s ~pos:0 ~len:8)
   then Some (get_u32 s 4)
   else None
 
-(* Walk the active region's frames.  Returns the replay record plus the
-   byte length of the valid prefix, which seeds [mem] so later appends
-   overwrite any damaged suffix in place. *)
+(* Read the active region's sectors, all of them and in order, and walk
+   its frames across them.  Sets the replay record, the length of the
+   valid prefix and the tail sector, so later appends overwrite any
+   damaged suffix in place. *)
 let parse_region t =
   let base = region_base t in
   let cap = region_bytes t in
   let ss = t.disk.Disk.sector_size in
-  let region = Bytes.create cap in
-  for s = 0 to t.region_sectors - 1 do
-    Bytes.blit_string (Disk.read t.disk ~sector:(base + s)) 0 region (s * ss) ss
-  done;
-  let bytes = Bytes.unsafe_to_string region in
+  let sectors = Array.init t.region_sectors (fun s -> Disk.read t.disk ~sector:(base + s)) in
+  let byte pos = Char.code sectors.(pos / ss).[pos mod ss] in
+  let u32 pos =
+    byte pos lor (byte (pos + 1) lsl 8) lor (byte (pos + 2) lsl 16) lor (byte (pos + 3) lsl 24)
+  in
+  let sub pos len =
+    let b = Bytes.create len in
+    let rec copy off =
+      if off < len then begin
+        let at = pos + off in
+        let n = min (ss - (at mod ss)) (len - off) in
+        Bytes.blit_string sectors.(at / ss) (at mod ss) b off n;
+        copy (off + n)
+      end
+    in
+    copy 0;
+    Bytes.unsafe_to_string b
+  in
   let checkpoint = ref None in
   let entries = ref [] in
   let damaged = ref false in
   let rec go pos =
     if pos + header_len > cap then pos
     else
-      let kind = bytes.[pos] in
+      let kind = Char.chr (byte pos) in
       if Char.equal kind '\000' then pos
-      else if not (Int.equal (get_u32 bytes (pos + 1)) t.epoch) then pos
+      else if not (Int.equal (u32 (pos + 1)) t.epoch) then pos
       else if not (Char.equal kind 'C' || Char.equal kind 'E') then begin
         damaged := true;
         pos
       end
       else
-        let len = get_u32 bytes (pos + 5) in
+        let len = u32 (pos + 5) in
         if pos + header_len + len > cap then begin
           damaged := true;
           pos
         end
         else
-          let payload = String.sub bytes (pos + header_len) len in
-          if not (Int.equal (get_u32 bytes (pos + 9)) (crc payload)) then begin
+          let payload = sub (pos + header_len) len in
+          if not (Int.equal (u32 (pos + 9)) (Fnv.string payload)) then begin
             damaged := true;
             pos
           end
@@ -185,13 +218,12 @@ let parse_region t =
           end
   in
   let valid_len = go 0 in
-  ( {
-      rp_checkpoint = !checkpoint;
-      rp_entries = List.rev !entries;
-      rp_damaged = !damaged;
-    },
-    valid_len,
-    bytes )
+  t.last_replay <-
+    { rp_checkpoint = !checkpoint; rp_entries = List.rev !entries; rp_damaged = !damaged };
+  t.len <- valid_len;
+  Bytes.fill t.tail 0 ss '\000';
+  if valid_len / ss < t.region_sectors then
+    Bytes.blit_string sectors.(valid_len / ss) 0 t.tail 0 (valid_len mod ss)
 
 (* Mount the log as the disk holds it: whatever this handle had staged but
    not synced is dropped, and the counters carry over. *)
@@ -202,11 +234,7 @@ let remount t =
     | Some a, Some b -> max a b
     | Some e, None | None, Some e -> e
     | None, None -> 0);
-  let replay, valid_len, bytes = parse_region t in
-  t.last_replay <- replay;
-  Buffer.clear t.mem;
-  Buffer.add_substring t.mem bytes 0 valid_len;
-  t.flushed <- valid_len
+  parse_region t
 
 let attach disk =
   let region_sectors = (disk.Disk.sector_count - 2) / 2 in
@@ -214,9 +242,11 @@ let attach disk =
     {
       disk;
       region_sectors;
+      zeros = Disk.zeros disk;
       epoch = 0;
-      mem = Buffer.create 1024;
-      flushed = 0;
+      len = 0;
+      tail = Bytes.make disk.Disk.sector_size '\000';
+      staged = Array.make region_sectors "";
       dirty_lo = max_int;
       dirty_hi = -1;
       last_replay = { rp_checkpoint = None; rp_entries = []; rp_damaged = false };
@@ -233,13 +263,11 @@ let replay t = t.last_replay
 let epoch t = t.epoch
 
 let append t payload =
-  let frame = make_frame ~kind:'E' ~epoch:t.epoch payload in
-  if Buffer.length t.mem + String.length frame > region_bytes t then
-    t.dropped <- t.dropped + 1
+  let len = String.length payload in
+  if t.len + header_len + len > region_bytes t then t.dropped <- t.dropped + 1
   else begin
     t.appends <- t.appends + 1;
-    Buffer.add_string t.mem frame;
-    flush t
+    stage t [ header ~kind:'E' ~epoch:t.epoch ~len ~crc:(Fnv.string payload); payload ]
   end
 
 (* Read-back verification.  The per-frame crc catches bytes that rot on
@@ -250,7 +278,7 @@ let append t payload =
    just before the append, so nothing escalates to peer repair.  Worse,
    a lost superblock flip silently regresses the whole epoch.  So a sync
    is not believed until the staged sectors read back byte-for-byte;
-   while [mem] still holds the truth, a mismatch is simply restaged.
+   while [staged] still holds the truth, a mismatch is simply rewritten.
    Sectors with stable read corruption can never verify — after a few
    attempts we leave them to the crc, which is the detectable-damage
    path up the repair ladder. *)
@@ -260,7 +288,7 @@ let each_dirty t f =
   let base = region_base t in
   let ok = ref true in
   for s = t.dirty_lo to t.dirty_hi do
-    if not (f ~sector:(base + s) (staged_sector t s)) then ok := false
+    if not (f ~sector:(base + s) t.staged.(s)) then ok := false
   done;
   !ok
 
@@ -299,36 +327,36 @@ let sync_superblock t =
     ignore (sync_superblock_at t (1 - (t.epoch land 1)) heal_attempts)
 
 let sync t =
-  flush t;
+  if Int.equal t.len 0 then stage t [];
   sync_data t heal_attempts;
   sync_superblock t;
   t.syncs <- t.syncs + 1
 
-(* Begin epoch+1 in the other region with [first] as its opening content;
+(* Begin epoch+1 in the other region with [pieces] as its opening content;
    data is durable (and read-back verified) before the superblock flips,
    so a crash in between recovers the previous epoch intact. *)
-let turn_over t first =
+let turn_over t pieces =
   let e = t.epoch + 1 in
   t.epoch <- e;
-  t.mem <- Buffer.create 1024;
-  (match first with Some frame -> Buffer.add_string t.mem frame | None -> ());
-  t.flushed <- 0;
+  t.len <- 0;
+  Bytes.fill t.tail 0 (Bytes.length t.tail) '\000';
   clear_dirty t;
-  flush t;
+  stage t pieces;
   sync_data t heal_attempts;
   write_superblock t e;
   Disk.sync t.disk;
   sync_superblock t
 
-let write_checkpoint t payload =
-  let frame = make_frame ~kind:'C' ~epoch:(t.epoch + 1) payload in
-  if String.length frame > region_bytes t then t.dropped <- t.dropped + 1
+let write_checkpoint t pieces =
+  let len = total_length pieces in
+  if header_len + len > region_bytes t then t.dropped <- t.dropped + 1
   else begin
     t.checkpoints <- t.checkpoints + 1;
-    turn_over t (Some frame)
+    let crc = List.fold_left feed_piece Fnv.basis pieces in
+    turn_over t (header ~kind:'C' ~epoch:(t.epoch + 1) ~len ~crc :: pieces)
   end
 
-let reset t = turn_over t None
+let reset t = turn_over t []
 
 let stats t =
   {

@@ -11,7 +11,11 @@
     Crash safety: a checkpoint's data is written and synced before the
     superblock flips to the new epoch, so a crash mid-checkpoint recovers
     the previous epoch intact.  Appends overwrite any damaged suffix
-    found at attach time. *)
+    found at attach time.
+
+    Memory: a handle keeps no copy of the log, only the partial last
+    sector and the sectors written since the last {!sync}, which that
+    sync reads back against. *)
 
 type t
 
@@ -56,9 +60,13 @@ val sync : t -> unit
     until it verifies.  Stable read corruption cannot verify and is left
     to the per-frame crc, the detectable-damage path to peer repair. *)
 
-val write_checkpoint : t -> string -> unit
-(** Start a new epoch whose log is just this checkpoint image — the
-    durable form of log truncation. *)
+val write_checkpoint : t -> string list -> unit
+(** [write_checkpoint t pieces] starts a new epoch whose log is just one
+    checkpoint frame, whose payload is the concatenation of [pieces] — the
+    durable form of log truncation.  The sectors are cut straight from the
+    pieces, so a caller holding an image and a small header passes
+    [[header; image]] and the image is never joined into a second string.
+    Dropped, with [w_dropped] bumped, if the frame exceeds a region. *)
 
 val reset : t -> unit
 (** Start a new, empty epoch: discards all logged state.  Used when

@@ -10,6 +10,26 @@ let rec emit_varint b v =
     emit_varint b (v lsr 7)
   end
 
+let rec set_varint b pos v =
+  if v < 0x80 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    set_varint b (pos + 1) (v lsr 7)
+  end
+
+let put_varint b pos v =
+  if v < 0 then invalid_arg "Codec.put_varint: negative";
+  if pos < 0 || pos > Bytes.length b - varint_size v then invalid_arg "Codec.put_varint: no room";
+  set_varint b pos v
+
+let put_string b pos s =
+  let pos = put_varint b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
 module Writer = struct
   type t = Buffer.t
 

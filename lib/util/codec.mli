@@ -13,6 +13,16 @@
 val varint_size : int -> int
 (** Bytes the unsigned LEB128 encoding of a non-negative int occupies. *)
 
+val put_varint : Bytes.t -> int -> int -> int
+(** [put_varint b pos v] writes the LEB128 encoding of [v] at [pos] and
+    returns the position after it: the bytes {!Writer.varint} appends, for
+    a caller that sized its output with {!varint_size} and fills it once.
+    @raise Invalid_argument when [v] is negative or does not fit. *)
+
+val put_string : Bytes.t -> int -> string -> int
+(** {!put_varint} of the length, then the raw bytes: {!Writer.string} in
+    place.  @raise Invalid_argument when it does not fit. *)
+
 module Writer : sig
   type t
 

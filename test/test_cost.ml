@@ -218,7 +218,12 @@ let wal_row (name, profile) =
   for i = 1 to 40 do
     Wal.append t (wal_entry i);
     Wal.sync t;
-    if Int.equal (i mod 10) 0 then Wal.write_checkpoint t (wal_payload i 20_000)
+    if Int.equal (i mod 10) 0 then begin
+      (* In two pieces, cut mid-sector: the frame must stage as the joined
+         payload would. *)
+      let image = wal_payload i 20_000 in
+      Wal.write_checkpoint t [ String.sub image 0 37; String.sub image 37 (20_000 - 37) ]
+    end
   done;
   Sim_disk.crash sim;
   Wal.remount t;

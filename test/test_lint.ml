@@ -26,6 +26,8 @@ let seeded name ~rule ~seg ~file ~line () =
 let test_r1 = seeded "r1" ~rule:L.Diagnostic.R1 ~seg:"core" ~file:"r1_poly_eq.ml" ~line:4
 let test_r1_sim =
   seeded "r1 sim" ~rule:L.Diagnostic.R1 ~seg:"sim" ~file:"r1_poly_compare.ml" ~line:5
+let test_r1_storage =
+  seeded "r1 storage" ~rule:L.Diagnostic.R1 ~seg:"storage" ~file:"r1_poly_sector.ml" ~line:5
 let test_r2 = seeded "r2" ~rule:L.Diagnostic.R2 ~seg:"core" ~file:"r2_catch_all.ml" ~line:7
 let test_r3 = seeded "r3" ~rule:L.Diagnostic.R3 ~seg:"net" ~file:"r3_partial.ml" ~line:3
 let test_r4 = seeded "r4" ~rule:L.Diagnostic.R4 ~seg:"core" ~file:"r4_failwith.ml" ~line:4
@@ -41,6 +43,8 @@ let test_scope () =
   Alcotest.(check bool) "core file is core-scoped" true scope.L.Rules.core;
   Alcotest.(check bool) "engine is sim-scoped" true
     (L.Rules.scope_of_path "lib/sim/engine.ml").L.Rules.sim;
+  Alcotest.(check bool) "wal is storage-scoped" true
+    (L.Rules.scope_of_path "lib/storage/wal.ml").L.Rules.storage;
   let outside = L.Rules.scope_of_path "bin/sof.ml" in
   Alcotest.(check bool) "bin is not lib" false outside.L.Rules.in_lib
 
@@ -125,6 +129,8 @@ let suite =
       [
         Alcotest.test_case "fixture r1: polymorphic equality" `Quick test_r1;
         Alcotest.test_case "fixture r1: polymorphic compare in lib/sim" `Quick test_r1_sim;
+        Alcotest.test_case "fixture r1: polymorphic equality in lib/storage" `Quick
+          test_r1_storage;
         Alcotest.test_case "fixture r2: dispatch catch-all" `Quick test_r2;
         Alcotest.test_case "fixture r3: partial stdlib" `Quick test_r3;
         Alcotest.test_case "fixture r4: failwith in protocol" `Quick test_r4;

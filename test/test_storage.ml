@@ -76,7 +76,7 @@ let test_wal_checkpoint_truncation () =
   Wal.append t "pre-1";
   Wal.append t "pre-2";
   Wal.sync t;
-  Wal.write_checkpoint t "image-bytes";
+  Wal.write_checkpoint t [ "image-bytes" ];
   Alcotest.(check int) "checkpoint starts a new epoch" 1 (Wal.epoch t);
   Wal.append t "post-1";
   Wal.append t "post-2";
@@ -99,7 +99,7 @@ let test_wal_region_alternation () =
   List.iteri
     (fun i image ->
       let t = Wal.attach disk in
-      Wal.write_checkpoint t image;
+      Wal.write_checkpoint t [ image ];
       Wal.append t (Printf.sprintf "after-%s" image);
       Wal.sync t;
       let t' = Wal.attach disk in
@@ -225,7 +225,7 @@ let test_wal_corrupt_payload_detected () =
 let test_wal_append_costs_a_sector () =
   let sim = Sim_disk.create ~sector_size:256 ~sector_count:8192 () in
   let t = Wal.attach (Sim_disk.disk sim) in
-  Wal.write_checkpoint t (String.make 65_536 'c');
+  Wal.write_checkpoint t [ String.make 65_536 'c' ];
   let payload = String.make 200 'e' in
   let n = 100 in
   Gc.minor ();
@@ -240,6 +240,141 @@ let test_wal_append_costs_a_sector () =
     Alcotest.failf "a synced 200 B append allocated %.0f bytes on average" per_append;
   Alcotest.(check int) "every entry replays" n
     (List.length (Wal.replay (Wal.attach (Sim_disk.disk sim))).Wal.rp_entries)
+
+(* A checkpoint is cut into sectors straight from its pieces: no joined
+   frame, no in-memory copy of the log, no second staging for the sync's
+   read-back.  So writing a 64 KB image allocates the sectors the disk
+   keeps (1.03x the image), the simulated disk's own table cells, and
+   little else; a whole-frame copy would add another 1x.  One checkpoint
+   into each region first grows the disk's tables and the handle's staged
+   array to size.  Minor collections bracket the window, as in the append
+   test above. *)
+let test_wal_checkpoint_costs_its_image () =
+  let sim = Sim_disk.create ~sector_size:256 ~sector_count:8192 () in
+  let t = Wal.attach (Sim_disk.disk sim) in
+  let image = String.make 65_536 'c' in
+  let head = "certificate-and-length" in
+  Wal.write_checkpoint t [ head; image ];
+  Wal.write_checkpoint t [ head; image ];
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  Wal.write_checkpoint t [ head; image ];
+  Gc.minor ();
+  let ratio = (Gc.allocated_bytes () -. before) /. float_of_int (String.length image) in
+  if ratio >= 1.5 then
+    Alcotest.failf "a 64 KB write_checkpoint allocated %.2fx its payload" ratio;
+  Alcotest.(check (option string))
+    "the image replays" (Some (head ^ image))
+    (Wal.replay (Wal.attach (Sim_disk.disk sim))).Wal.rp_checkpoint
+
+(* Region B (odd epochs) starts at this sector of [fresh_disk]. *)
+let region_b = 2 + ((64 - 2) / 2)
+
+(* A checkpoint frame that ends exactly on a sector boundary is followed by
+   a zero terminator sector, so a stale frame that still sits in the next
+   sector of the region cannot line up with it: here one that would even
+   pass as a live frame of the new epoch. *)
+let test_wal_frame_ends_on_a_sector () =
+  let sim = fresh_disk () in
+  let disk = Sim_disk.disk sim in
+  let stale = Bytes.make 64 '\000' in
+  Bytes.set stale 0 'E';
+  Bytes.set_int32_le stale 1 1l;
+  Bytes.set_int32_le stale 5 5l;
+  Bytes.set_int32_le stale 9 (Int32.of_int (Sof_util.Fnv.string "stale"));
+  Bytes.blit_string "stale" 0 stale 13 5;
+  Disk.write disk ~sector:(region_b + 2) (Bytes.to_string stale);
+  Disk.sync disk;
+  let t = Wal.attach disk in
+  (* 13 header bytes + 115 payload bytes: exactly two 64 B sectors. *)
+  let image = String.make 115 'i' in
+  Wal.write_checkpoint t [ String.sub image 0 50; String.sub image 50 65 ];
+  Alcotest.(check string) "the terminator sector is zeros" (Disk.zeros disk)
+    (Disk.read disk ~sector:(region_b + 2));
+  let rp = Wal.replay (Wal.attach disk) in
+  Alcotest.(check (option string)) "checkpoint" (Some image) rp.Wal.rp_checkpoint;
+  Alcotest.(check (list string)) "no stale entry" [] rp.Wal.rp_entries;
+  Alcotest.(check bool) "clean" false rp.Wal.rp_damaged
+
+(* The handle keeps only the partial last sector.  After a remount whose
+   valid prefix ends mid-sector, that sector comes from the disk, and an
+   append must carry its first bytes over unchanged. *)
+let test_wal_append_after_mid_sector_remount () =
+  let sim = fresh_disk () in
+  let disk = Sim_disk.disk sim in
+  let t = Wal.attach disk in
+  (* A 103 B checkpoint frame and a 15 B entry: the log ends at byte 118,
+     54 bytes into its second sector. *)
+  let image = String.make 90 'i' in
+  Wal.write_checkpoint t [ image ];
+  Wal.append t "e1";
+  Wal.sync t;
+  Wal.append t "lost";
+  Sim_disk.crash sim;
+  Wal.remount t;
+  Alcotest.(check (list string)) "the valid prefix" [ "e1" ] (Wal.replay t).Wal.rp_entries;
+  Wal.append t "e2";
+  Wal.sync t;
+  Wal.append t (String.make 90 'x');
+  Wal.sync t;
+  Sim_disk.crash sim;
+  let rp = Wal.replay (Wal.attach disk) in
+  Alcotest.(check (option string)) "checkpoint" (Some image) rp.Wal.rp_checkpoint;
+  Alcotest.(check (list string))
+    "every synced entry" [ "e1"; "e2"; String.make 90 'x' ] rp.Wal.rp_entries;
+  Alcotest.(check bool) "clean" false rp.Wal.rp_damaged
+
+(* A lost write of a checkpoint's data sector is caught by the sync's
+   read-back and rewritten from the sector string staged for it. *)
+let test_wal_lost_checkpoint_write_healed () =
+  let profile = { Fault_atlas.clean with Fault_atlas.p_lost_write = 0.2 } in
+  let atlas = Fault_atlas.make ~seed:5 ~replica:1 profile in
+  let sim = fresh_disk ~atlas () in
+  let inner = Sim_disk.disk sim in
+  let lost_data = ref [] in
+  let disk =
+    {
+      inner with
+      Disk.write =
+        (fun sector data ->
+          let before = (Sim_disk.stats sim).Sim_disk.sd_lost in
+          inner.Disk.write sector data;
+          if sector >= 2 && (Sim_disk.stats sim).Sim_disk.sd_lost > before then
+            lost_data := sector :: !lost_data);
+    }
+  in
+  let t = Wal.attach disk in
+  let image = String.init 1_000 (fun i -> Char.chr (i land 0xff)) in
+  Wal.write_checkpoint t [ String.sub image 0 300; String.sub image 300 700 ];
+  Alcotest.(check bool) "a checkpoint data sector write was lost" true
+    (List.exists (fun s -> s >= region_b) !lost_data);
+  let rp = Wal.replay (Wal.attach inner) in
+  Alcotest.(check (option string)) "the image is on the platter" (Some image)
+    rp.Wal.rp_checkpoint;
+  Alcotest.(check bool) "clean" false rp.Wal.rp_damaged
+
+(* The region-full check is against the absolute log length, which the
+   handle no longer holds as bytes: a log that fills the region exactly is
+   kept whole, and the next frame is dropped, across a remount too. *)
+let test_wal_full_region_drops () =
+  let sim = fresh_disk () in
+  let disk = Sim_disk.disk sim in
+  let t = Wal.attach disk in
+  (* Region of 31 64 B sectors: 1,984 B = a 515 B checkpoint frame plus
+     thirteen 113 B entry frames. *)
+  Wal.write_checkpoint t [ String.make 502 'c' ];
+  let entries = List.init 13 (fun i -> String.make 100 (Char.chr (97 + i))) in
+  List.iter (Wal.append t) entries;
+  Wal.append t "";
+  Wal.sync t;
+  Alcotest.(check int) "the frame past the end is dropped" 1 (Wal.stats t).Wal.w_dropped;
+  Alcotest.(check int) "every frame that fits is appended" 13 (Wal.stats t).Wal.w_appends;
+  Wal.remount t;
+  Wal.append t "";
+  Alcotest.(check int) "still full after a remount" 2 (Wal.stats t).Wal.w_dropped;
+  let rp = Wal.replay (Wal.attach disk) in
+  Alcotest.(check (list string)) "the full log replays" entries rp.Wal.rp_entries;
+  Alcotest.(check bool) "clean" false rp.Wal.rp_damaged
 
 (* --------------------------------------------------------------- atlas *)
 
@@ -487,7 +622,7 @@ let test_payload_decoders () =
     if Option.is_some (decode (payload ^ "\000")) then
       Alcotest.failf "%s payload with a trailing byte decoded" name
   in
-  let ckpt = Recovery.encode_checkpoint_payload cert "image" in
+  let ckpt = String.concat "" (Recovery.checkpoint_pieces cert "image") in
   (match Recovery.decode_checkpoint_payload ckpt with
   | Some (c, image) ->
     Alcotest.(check bool) "checkpoint roundtrips" true
@@ -516,7 +651,7 @@ let test_file_disk_persistence () =
       let t = Wal.attach disk in
       Wal.append t "file-backed-entry";
       Wal.sync t;
-      Wal.write_checkpoint t "file-backed-image";
+      Wal.write_checkpoint t [ "file-backed-image" ];
       Wal.append t "after-checkpoint";
       Wal.sync t;
       File_disk.close fd;
@@ -706,6 +841,16 @@ let suite =
           test_wal_corrupt_payload_detected;
         Alcotest.test_case "a synced append costs a sector, not the log" `Quick
           test_wal_append_costs_a_sector;
+        Alcotest.test_case "a checkpoint allocates its image once" `Quick
+          test_wal_checkpoint_costs_its_image;
+        Alcotest.test_case "a frame ending on a sector writes the terminator" `Quick
+          test_wal_frame_ends_on_a_sector;
+        Alcotest.test_case "append after a mid-sector remount keeps the prefix" `Quick
+          test_wal_append_after_mid_sector_remount;
+        Alcotest.test_case "a lost checkpoint sector write is healed" `Quick
+          test_wal_lost_checkpoint_write_healed;
+        Alcotest.test_case "a full region drops by absolute length" `Quick
+          test_wal_full_region_drops;
       ] );
     ( "storage.atlas",
       [

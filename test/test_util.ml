@@ -288,6 +288,54 @@ let prop_codec_string_roundtrip =
       let r = Codec.Reader.of_string (Codec.Writer.contents w) in
       Codec.Reader.string r = s && Codec.Reader.at_end r)
 
+(* [put_string] fills a sized buffer with exactly the bytes the writer
+   would append, and refuses to run past its end. *)
+let prop_codec_put_string =
+  QCheck.Test.make ~name:"put_string writes what Writer.string appends" ~count:200
+    QCheck.(pair string (int_bound 3))
+    (fun (s, slack) ->
+      let w = Codec.Writer.create () in
+      Codec.Writer.string w s;
+      let b = Bytes.make (Codec.Writer.length w + slack) '?' in
+      let pos = Codec.put_string b slack s in
+      pos = Bytes.length b
+      && String.equal (Bytes.sub_string b slack (pos - slack)) (Codec.Writer.contents w))
+
+let test_codec_put_bounds () =
+  Alcotest.check_raises "negative" (Invalid_argument "Codec.put_varint: negative") (fun () ->
+      ignore (Codec.put_varint (Bytes.create 4) 0 (-1)));
+  Alcotest.check_raises "no room" (Invalid_argument "Codec.put_varint: no room") (fun () ->
+      ignore (Codec.put_varint (Bytes.create 2) 1 300))
+
+(* ------------------------------------------------------------------ Fnv *)
+
+(* The plain masked byte loop: the reference the kernel must match. *)
+let fnv_reference s =
+  let h = ref 0x811c9dc5 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff) s;
+  !h
+
+let test_fnv_vectors () =
+  List.iter
+    (fun (input, expected) -> check_int (Printf.sprintf "fnv1a32 %S" input) expected (Fnv.string input))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ];
+  check_int "basis is the empty hash" (Fnv.string "") Fnv.basis;
+  check_int "one byte" (Fnv.string "a") (Fnv.feed_byte Fnv.basis (Char.code 'a'));
+  Alcotest.check_raises "range outside the string" (Invalid_argument "Fnv.feed") (fun () ->
+      ignore (Fnv.feed Fnv.basis "abc" ~pos:2 ~len:2))
+
+(* Random strings against the reference loop, whole and fed in two pieces
+   at a random cut, the way a checkpoint frame's payload is fed. *)
+let prop_fnv_matches_reference =
+  QCheck.Test.make ~name:"fnv matches the byte loop, whole and in pieces" ~count:300
+    QCheck.(pair string small_nat)
+    (fun (s, cut) ->
+      let cut = if String.length s = 0 then 0 else cut mod (String.length s + 1) in
+      let pieces =
+        Fnv.feed (Fnv.feed Fnv.basis s ~pos:0 ~len:cut) s ~pos:cut ~len:(String.length s - cut)
+      in
+      Fnv.string s = fnv_reference s && pieces = fnv_reference s)
+
 (* ----------------------------------------------------------- Statistics *)
 
 let test_stats_basic () =
@@ -507,6 +555,13 @@ let suite =
         QCheck_alcotest.to_alcotest prop_codec_string_roundtrip;
         Alcotest.test_case "varint canonical" `Quick test_codec_varint_canonical;
         QCheck_alcotest.to_alcotest prop_codec_varint_size;
+        QCheck_alcotest.to_alcotest prop_codec_put_string;
+        Alcotest.test_case "put bounds" `Quick test_codec_put_bounds;
+      ] );
+    ( "util.fnv",
+      [
+        Alcotest.test_case "standard vectors" `Quick test_fnv_vectors;
+        QCheck_alcotest.to_alcotest prop_fnv_matches_reference;
       ] );
     ( "util.statistics",
       [
