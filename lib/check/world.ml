@@ -50,14 +50,12 @@ type base = {
 
 type t = {
   base : base;
-  machines : State_machine.t array;
   mutable procs : Replica.t array;
   mutable clock : Simtime.t;
   mutable pending : message list;  (* newest first; ids allocate in order *)
   mutable timers : timer_rec list;  (* newest first; fired records removed *)
   mutable next_msg : int;
   mutable next_tid : int;
-  crashed : bool array;
   mutable crashes_used : int;
   mutable events_rev : (Simtime.t * int * P.Context.event) list;
   event_fps : Fingerprint.acc array;
@@ -77,8 +75,8 @@ let process_count w = w.base.n
 let clock w = w.clock
 let events w = List.rev w.events_rev
 let pending w = List.rev_map (fun m -> (m.src, m.dst, m.payload)) w.pending
-let crashed_list w =
-  List.filter (fun i -> w.crashed.(i)) (List.init w.base.n (fun i -> i))
+let crashed w i = Replica.crashed w.procs.(i)
+let crashed_list w = List.filter (crashed w) (List.init w.base.n (fun i -> i))
 
 (* The checker's network holds at most one in-flight copy of any identical
    (src, dst, payload) triple.  The protocols treat duplicate payloads
@@ -169,12 +167,6 @@ let make_context w i =
     w.timers <- r :: w.timers;
     { P.Context.cancel = (fun () -> r.cancelled <- true) }
   in
-  let deliver ~seq:_ (batch : P.Batch.t) =
-    List.iter
-      (fun (r : Request.t) ->
-        ignore (State_machine.apply w.machines.(i) r.Request.op))
-      batch.P.Batch.requests
-  in
   {
     P.Context.id = i;
     now = (fun () -> w.clock);
@@ -189,13 +181,10 @@ let make_context w i =
     send;
     multicast;
     set_timer;
-    deliver;
     emit =
       (fun ev ->
         w.events_rev <- (w.clock, i, ev) :: w.events_rev;
         Fingerprint.add_string w.event_fps.(i) (Fingerprint.encode_event ev));
-    snapshot = (fun () -> State_machine.snapshot w.machines.(i));
-    restore = (fun image -> State_machine.restore w.machines.(i) image);
     (* The checker's worlds have no disks: a restart asks the peers. *)
     store = None;
   }
@@ -245,14 +234,12 @@ let of_base base =
   let w =
     {
       base;
-      machines = Array.init n (fun _ -> Kv_store.machine ());
       procs = [||];
       clock = Simtime.zero;
       pending = [];
       timers = [];
       next_msg = 0;
       next_tid = 0;
-      crashed = Array.make n false;
       crashes_used = 0;
       events_rev = [];
       event_fps = Array.init n (fun _ -> Fingerprint.create ());
@@ -260,10 +247,8 @@ let of_base base =
     }
   in
   w.procs <-
-    Array.init n (fun i ->
-        let ctx = make_context w i in
-        Replica.create ~ctx ~config:base.config ~keyring:base.keyring
-          ~fault:(fault_for base.spec i) ());
+    Replica.spawn ~config:base.config ~keyring:base.keyring ~fault:(fault_for base.spec)
+      ~machine:Kv_store.machine (make_context w);
   Array.iter Replica.start w.procs;
   (* Clients broadcast: every process sees every request at time zero. *)
   List.iter
@@ -281,7 +266,7 @@ let build spec = of_base (base spec)
    physically impossible clock reversals. *)
 let timer_eligible w r =
   (not r.cancelled)
-  && (not w.crashed.(r.owner))
+  && (not (crashed w r.owner))
   &&
   match r.kind with
   | P.Context.Tick -> true
@@ -314,7 +299,7 @@ let channel_head w m =
 
 let enabled w =
   let delivers =
-    List.filter (fun m -> (not w.crashed.(m.dst)) && channel_head w m) w.pending
+    List.filter (fun m -> (not (crashed w m.dst)) && channel_head w m) w.pending
     |> List.map (fun m -> (m.msg_id, Schedule.Deliver m.msg_id))
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map snd
@@ -327,7 +312,7 @@ let enabled w =
   let crashes =
     if w.crashes_used < w.base.spec.Model.crash_budget then
       List.init w.base.n (fun p -> p)
-      |> List.filter (fun p -> not w.crashed.(p))
+      |> List.filter (fun p -> not (crashed w p))
       |> List.map (fun p -> Schedule.Crash p)
     else []
   in
@@ -415,7 +400,7 @@ let apply w (a : Schedule.action) =
     match List.find_opt (fun m -> Int.equal m.msg_id id) w.pending with
     | None -> Error (Printf.sprintf "message %d is not pending" id)
     | Some m ->
-      if w.crashed.(m.dst) then
+      if crashed w m.dst then
         Error (Printf.sprintf "message %d's destination %d is crashed" id m.dst)
       else if not (channel_head w m) then
         Error
@@ -441,11 +426,11 @@ let apply w (a : Schedule.action) =
     | None -> Error (Printf.sprintf "timer %d: no timer is eligible" tid))
   | Schedule.Crash p ->
     if p < 0 || p >= w.base.n then Error (Printf.sprintf "no process %d" p)
-    else if w.crashed.(p) then Error (Printf.sprintf "process %d already crashed" p)
+    else if crashed w p then Error (Printf.sprintf "process %d already crashed" p)
     else if w.crashes_used >= w.base.spec.Model.crash_budget then
       Error "crash budget exhausted"
     else begin
-      w.crashed.(p) <- true;
+      Replica.crash w.procs.(p);
       w.crashes_used <- w.crashes_used + 1;
       Ok ()
     end
@@ -485,8 +470,8 @@ let fingerprint w =
   let acc = Fingerprint.create () in
   Array.iteri
     (fun i proc ->
-      Fingerprint.add_bool acc w.crashed.(i);
-      (match proc with
+      Fingerprint.add_bool acc (Replica.crashed proc);
+      (match Replica.core proc with
       | Replica.Sc p ->
         Fingerprint.add_int acc 1;
         Fingerprint.add_int acc (P.Sc.coordinator_rank p);
@@ -525,7 +510,7 @@ let fingerprint w =
           Fingerprint.add_int acc c;
           Fingerprint.add_int acc s)
         (Replica.client_marks proc);
-      Fingerprint.add_string acc (State_machine.state_digest w.machines.(i));
+      Fingerprint.add_string acc (State_machine.state_digest (Replica.machine proc));
       (* The process's full input multiset, sorted: together with the
          introspection fields this pins the hidden protocol state —
          deterministic processes are functions of their inputs, and the
@@ -548,7 +533,7 @@ let fingerprint w =
      crashed destinations can never be delivered (no restart in the
      checker), so they are invisible to the future and stay out. *)
   let live_pending =
-    List.filter (fun m -> not w.crashed.(m.dst)) w.pending
+    List.filter (fun m -> not (crashed w m.dst)) w.pending
     |> List.map (fun m -> (m.src, m.dst, m.payload))
     |> List.sort compare
   in

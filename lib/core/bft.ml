@@ -372,13 +372,13 @@ let start t =
 
 let kernel t = Recovery.Kernel t.hooks
 
-let create ~ctx ~(config : Config.t) ?(fault = Fault.Honest) () =
+let create ~ctx ~service ~(config : Config.t) ?(fault = Fault.Honest) () =
   let timing =
     Timing.create ~mode:config.timing ~initial:view_change_timeout
       ~peers:(Config.process_count config)
   in
   let log =
-    Recovery.create_log ~ctx ~f:config.f ~digest:config.digest
+    Recovery.create_log ~ctx ~service ~f:config.f ~digest:config.digest
       ~interval:config.checkpoint_interval
   in
   let rec t =

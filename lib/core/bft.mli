@@ -17,7 +17,8 @@
 
 type t
 
-val create : ctx:Context.t -> config:Config.t -> ?fault:Fault.t -> unit -> t
+val create :
+  ctx:Context.t -> service:Recovery.service -> config:Config.t -> ?fault:Fault.t -> unit -> t
 (** A backup suspects a primary that stalls a request for 2 s (static
     timing), or for the backed-off round-trip estimate to it (adaptive,
     capped at 64 x 2 s).  [config.unsafe_digest_blind_votes] turns on the

@@ -78,10 +78,7 @@ type t = {
   send : dst:int -> Message.envelope -> unit;
   multicast : dsts:int list -> Message.envelope -> unit;
   set_timer : ?kind:timer_kind -> delay:Sof_sim.Simtime.t -> (unit -> unit) -> timer;
-  deliver : seq:int -> Batch.t -> unit;
   emit : event -> unit;
-  snapshot : unit -> string;
-  restore : string -> unit;
   store : store option;
 }
 

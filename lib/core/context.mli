@@ -1,9 +1,10 @@
-(** Runtime context for a protocol process.
+(** Runtime context for a protocol process: what a driver supplies.
 
     Protocol modules are written against this record of capabilities, so the
     same code runs under the discrete-event harness (which charges CPU time
-    for [sign]/[verify] and routes [send] through the simulated network) and
-    under plain in-memory drivers in unit tests. *)
+    for [sign]/[verify] and routes [send] through the simulated network), the
+    model checker and the TCP runtime.  Each driver hands it to the process
+    shell ({!Replica.spawn}), which owns the state machine. *)
 
 type timer = { cancel : unit -> unit }
 
@@ -92,9 +93,10 @@ type event =
       (** A state-transfer offer from [from] failed verification (bad
           certificate, or image not matching the certified digest). *)
   | Node_restarted
-      (** Emitted by the harness, not the protocol: this process came back
-          from a crash with empty volatile state.  Invariants use it to
-          partition a process's deliveries into incarnations. *)
+      (** Emitted by the process shell ({!Replica.restart}), not the
+          protocol: this process came back from a crash with empty volatile
+          state.  Invariants use it to partition a process's deliveries into
+          incarnations. *)
   | Wal_replayed of { seq : int; entries : int; damaged : bool }
       (** Emitted by the replica kernel when it restarts over a durable
           {!store}: the local write-ahead log yielded a checkpoint image at
@@ -148,16 +150,7 @@ type t = {
   set_timer : ?kind:timer_kind -> delay:Sof_sim.Simtime.t -> (unit -> unit) -> timer;
       (** Arm a one-shot timer.  [kind] defaults to [Tick]; implementations
           that do not distinguish kinds may ignore it. *)
-  deliver : seq:int -> Batch.t -> unit;
-      (** Committed batch, called in strict sequence order. *)
   emit : event -> unit;  (** Observation hook for tests and experiments. *)
-  snapshot : unit -> string;
-      (** Serialise the service state the process has delivered so far; the
-          bytes are what checkpoint digests certify and what state transfer
-          ships.  Digesting them is charged separately via [digest_charge]. *)
-  restore : string -> unit;
-      (** Replace the service state with a previously [snapshot]-ted image
-          (the state-transfer install path). *)
   store : store option;
       (** Durable storage, if any: commit then implies sync, a stable
           checkpoint heads a fresh log epoch, and a restart replays the log

@@ -377,11 +377,11 @@ let start t =
 
 let kernel t = Recovery.Kernel t.hooks
 
-let create ~ctx ~(config : Config.t) =
+let create ~ctx ~service ~(config : Config.t) =
   let n = Config.process_count config in
   let timing = Timing.create ~mode:config.timing ~initial:suspect_timeout ~peers:n in
   let log =
-    Recovery.create_log ~ctx ~f:config.f ~digest:config.digest
+    Recovery.create_log ~ctx ~service ~f:config.f ~digest:config.digest
       ~interval:config.checkpoint_interval
   in
   let rec t =

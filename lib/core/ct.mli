@@ -13,7 +13,7 @@
 
 type t
 
-val create : ctx:Context.t -> config:Config.t -> t
+val create : ctx:Context.t -> service:Recovery.service -> config:Config.t -> t
 (** A process suspects a coordinator that leaves a request unordered for
     500 ms (static timing), or for the backed-off round-trip estimate to it
     (adaptive, capped at 64 x 500 ms).  CT reads [f], the batching fields,

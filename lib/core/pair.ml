@@ -960,7 +960,7 @@ let start t ~arm_heartbeat =
     ignore (t.ctx.Context.set_timer ~delay:at (fun () -> emit_fail_signal t ~value_domain:false))
   | _ -> ()
 
-let create ~name ~ctx ~config ~fault ~counterpart_fail_signal ~hooks x =
+let create ~name ~ctx ~service ~config ~fault ~counterpart_fail_signal ~hooks x =
   let pid = ctx.Context.id in
   let pair_rank = Config.pair_rank_of config pid in
   (match (pair_rank, counterpart_fail_signal) with
@@ -974,7 +974,7 @@ let create ~name ~ctx ~config ~fault ~counterpart_fail_signal ~hooks x =
       ~peers:(Config.process_count config)
   in
   let log =
-    Recovery.create_log ~ctx ~f:config.Config.f ~digest:config.Config.digest
+    Recovery.create_log ~ctx ~service ~f:config.Config.f ~digest:config.Config.digest
       ~interval:config.Config.checkpoint_interval
   in
   let rec t =

@@ -108,6 +108,7 @@ and 'x t = {
 val create :
   name:string ->
   ctx:Context.t ->
+  service:Recovery.service ->
   config:Config.t ->
   fault:Fault.t ->
   counterpart_fail_signal:string option ->

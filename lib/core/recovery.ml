@@ -1,5 +1,6 @@
 module Simtime = Sof_sim.Simtime
 module Request = Sof_smr.Request
+module State_machine = Sof_smr.State_machine
 module Key_map = Request.Key_map
 module Key_tbl = Request.Key_tbl
 module Codec = Sof_util.Codec
@@ -251,8 +252,11 @@ let end_fetch state = state.st_fetching <- false
 
 (* ------------------------------------------------------ delivery log *)
 
+type service = { machine : Sof_smr.State_machine.t; on_reply : Request.t -> string -> unit }
+
 type 'slot log = {
   ctx : Context.t;
+  service : service;
   rcv : state;
   f : int;
   digest : Sof_crypto.Digest_alg.t;
@@ -271,9 +275,10 @@ type 'slot log = {
   spans : (int, int) Hashtbl.t;
 }
 
-let create_log ~ctx ~f ~digest ~interval =
+let create_log ~ctx ~service ~f ~digest ~interval =
   {
     ctx;
+    service;
     rcv = create ();
     f;
     digest;
@@ -490,7 +495,7 @@ let persist_checkpoint log cert ~image =
 
 let boundary_image log o =
   let image =
-    Checkpoint.wrap_image ~state:(log.ctx.Context.snapshot ()) ~marks:(marks log.rcv)
+    Checkpoint.wrap_image ~state:(State_machine.snapshot log.service.machine) ~marks:(marks log.rcv)
   in
   log.ctx.Context.digest_charge (String.length image);
   let image, digest = Checkpoint.Images.digest log.ctx.Context.images log.digest image in
@@ -561,7 +566,10 @@ let rec advance h =
         (if h.settle_fresh_only then fresh else keys);
       let batch = Batch.make requests in
       log_delivery log ~seq:o batch;
-      log.ctx.Context.deliver ~seq:o batch;
+      List.iter
+        (fun (r : Request.t) ->
+          log.service.on_reply r (State_machine.apply log.service.machine r.Request.op))
+        requests;
       log.ctx.Context.emit (Context.Delivered { seq = o; batch });
       if log.interval > 0 then begin
         log.recent_delivered <- (o, requests) :: log.recent_delivered;
@@ -682,7 +690,7 @@ let install_from_offers ?(announce = true) h ~entry_quorum =
       match Checkpoint.unwrap_image image with
       | None -> false (* digest-verified yet malformed: refuse quietly *)
       | Some (snap, marks) ->
-        log.ctx.Context.restore snap;
+        State_machine.restore log.service.machine snap;
         merge_marks log.rcv marks;
         log.delivered <- cert.Checkpoint.cp_seq;
         if log.max_committed < cert.Checkpoint.cp_seq then

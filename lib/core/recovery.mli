@@ -102,8 +102,14 @@ val marks : state -> (int * int) list
     installing state transfer, the write-ahead log, local replay, the fetch
     retry loop — is written once here. *)
 
+(** What the process shell ({!Replica}) gives each incarnation: a fresh
+    machine, which delivery applies, checkpoints snapshot and state transfer
+    restores, and the driver's hook for each delivered request's reply. *)
+type service = { machine : Sof_smr.State_machine.t; on_reply : Sof_smr.Request.t -> string -> unit }
+
 type 'slot log = {
   ctx : Context.t;
+  service : service;
   rcv : state;
   f : int;
   digest : Sof_crypto.Digest_alg.t;
@@ -136,7 +142,8 @@ type 'slot log = {
 }
 
 val create_log :
-  ctx:Context.t -> f:int -> digest:Sof_crypto.Digest_alg.t -> interval:int -> 'slot log
+  ctx:Context.t -> service:service -> f:int -> digest:Sof_crypto.Digest_alg.t -> interval:int ->
+  'slot log
 
 val note_ordered : 'slot log -> Sof_smr.Request.key -> unit
 (** Mark a key as named by an order this process accepted, so batch
@@ -227,7 +234,7 @@ val advance : 'slot hooks -> unit
 (** Deliver committed slots in strict sequence order, at most once per
     request, while their request bodies are all pooled.  Under a durable
     store each batch's entry is appended and synced, digest and disk
-    charged, before [ctx.deliver] sees it: commit implies sync. *)
+    charged, before the service applies it: commit implies sync. *)
 
 val flip_first_byte : string -> string
 (** The tampering every Byzantine fault injector applies to a digest or

@@ -473,8 +473,8 @@ let hooks =
     pair_failed = note_pair_failed;
   }
 
-let create ~ctx ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
-  Pair.create ~name:"Sc" ~ctx ~config ~fault ~counterpart_fail_signal ~hooks
+let create ~ctx ~service ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
+  Pair.create ~name:"Sc" ~ctx ~service ~config ~fault ~counterpart_fail_signal ~hooks
     {
       coord = 1;
       failed_pairs = Int_set.empty;

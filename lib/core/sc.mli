@@ -23,13 +23,14 @@
     optimisation.
 
     A process is driven by {!on_request}, {!on_message} and its own timers;
-    committed batches flow out through the context's [deliver] callback in
-    strict sequence order. *)
+    committed batches are applied to its service and emitted as [Delivered]
+    in strict sequence order. *)
 
 type t
 
 val create :
   ctx:Context.t ->
+  service:Recovery.service ->
   config:Config.t ->
   ?fault:Fault.t ->
   ?counterpart_fail_signal:string ->

@@ -338,10 +338,10 @@ let hooks =
     pair_failed = note_pair_failed;
   }
 
-let create ~ctx ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
+let create ~ctx ~service ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
   if config.Config.kind <> Config.Scr_protocol then
     raise (Config.Invalid_config "Scr.create: config must be of kind Scr_protocol");
-  Pair.create ~name:"Scr" ~ctx ~config ~fault ~counterpart_fail_signal ~hooks
+  Pair.create ~name:"Scr" ~ctx ~service ~config ~fault ~counterpart_fail_signal ~hooks
     {
       view = 1;
       changing_view = false;

@@ -26,6 +26,7 @@ type t
 
 val create :
   ctx:Context.t ->
+  service:Recovery.service ->
   config:Config.t ->
   ?fault:Fault.t ->
   ?counterpart_fail_signal:string ->

@@ -84,8 +84,6 @@ let default_spec ~kind ~f =
 let disk_sector_size = 256
 let disk_sector_count = 8192
 
-type proc = Replica.t = Sc of P.Sc.t | Scr of P.Scr.t | Bft of P.Bft.t | Ct of P.Ct.t
-
 (* Per-node accounting for the tracing layer: crypto operations charged
    through the context, and sends grouped by wire tag.  Mutated from the
    context wrappers; snapshots leave through [crypto_counts]/[send_counts]
@@ -104,14 +102,6 @@ type crypto_ctr = {
 
 type node = {
   node_cpu : Cpu.t;
-  mutable node_proc : proc option;
-  mutable node_machine : Sof_smr.State_machine.t;
-      (* replaced with a fresh machine on restart: a crash loses all volatile
-         state, and the replacement catches up through state transfer *)
-  mutable node_gen : int;
-      (* bumped on restart; timer callbacks from a superseded process
-         generation are dropped, so the pre-crash process cannot keep
-         heartbeating or batching from beyond the grave *)
   node_crypto : crypto_ctr;
   node_sends : (string, int ref * int ref) Hashtbl.t;  (* tag -> msgs, bytes *)
   mutable node_encodes : int;  (* envelopes encoded: one per send or multicast *)
@@ -140,9 +130,8 @@ type t = {
       (* the latest checkpoint images, so the n replicas that wrap one
          image hash it once and keep one copy *)
   config : P.Config.t;
-      (* shared by every process; [restart] rebuilds a crashed node's
-         process from it with empty volatile state *)
   nodes : node array;
+  mutable procs : Replica.t array;  (* one process shell per node *)
   mutable event_log : (Simtime.t * int * P.Context.event) list;
   replies : (int * string) list ref Request.Key_tbl.t;
 }
@@ -178,12 +167,8 @@ let set_transport_handler t who handler =
   | Some chan -> Channel.set_handler chan who handler
   | None -> Network.set_handler t.net who handler
 
-let proc t i =
-  match t.nodes.(i).node_proc with
-  | Some p -> p
-  | None -> invalid_arg "Cluster.proc: node not initialised"
-
-let machine t i = t.nodes.(i).node_machine
+let proc t i = t.procs.(i)
+let machine t i = Replica.machine t.procs.(i)
 
 let events t = List.rev t.event_log
 
@@ -224,23 +209,30 @@ let images t = t.images
 
 let run t ~until = Engine.run ~until t.engine
 
-(* Crashing a durable node also crashes its disk: unsynced writes are lost
-   and, under a torn-write atlas, the last flushed sector is torn. *)
+(* The process stops, the network cuts the node off, and a durable node's
+   disk crashes too: unsynced writes are lost and, under a torn-write
+   atlas, the last flushed sector is torn. *)
 let crash t i =
-  let was_crashed = Network.is_crashed t.net i in
-  Network.crash t.net i;
-  if not was_crashed then
-    match t.nodes.(i).node_disk with
-    | Some sd -> Sim_disk.crash sd
-    | None -> ()
+  if not (Replica.crashed t.procs.(i)) then begin
+    Replica.crash t.procs.(i);
+    Network.crash t.net i;
+    Option.iter Sim_disk.crash t.nodes.(i).node_disk
+  end
 
-let with_proc t i ~none f =
-  match t.nodes.(i).node_proc with Some p -> f p | None -> none
+(* The node rejoins the network and its shell restarts the process with
+   empty volatile state; the transport handler and request injection go
+   through the shell, so all new traffic reaches the new incarnation,
+   which recovers from its own log first when it has one. *)
+let restart t i =
+  if Replica.crashed t.procs.(i) then begin
+    Network.restart t.net i;
+    Replica.restart t.procs.(i)
+  end
 
-let log_length t i = with_proc t i ~none:0 Replica.log_length
-let stable_checkpoint_seq t i = with_proc t i ~none:0 Replica.stable_checkpoint_seq
-let delivered_seq t i = with_proc t i ~none:0 Replica.delivered_seq
-let client_marks t i = with_proc t i ~none:[] Replica.client_marks
+let log_length t i = Replica.log_length t.procs.(i)
+let stable_checkpoint_seq t i = Replica.stable_checkpoint_seq t.procs.(i)
+let delivered_seq t i = Replica.delivered_seq t.procs.(i)
+let client_marks t i = Replica.client_marks t.procs.(i)
 
 (* Gray storage failure: every slow-sector operation the disk noted since
    the last interaction becomes a CPU stall — the write completed, the
@@ -264,7 +256,7 @@ let charge_disk_write t i ~size =
   Cpu.extend node.node_cpu (Cost_model.disk_sync_cost Cost_model.default);
   charge_disk_slowness t i
 
-(* Context with all CPU charging for node [i]. *)
+(* What node [i]'s process is given, with all CPU charging. *)
 let make_context t i =
   let node = t.nodes.(i) in
   let costs = t.spec.scheme.Scheme.costs in
@@ -380,40 +372,11 @@ let make_context t i =
             transport_send t ~src:i ~dst payload))
       dsts
   in
-  (* Timers are generation-gated: after a restart the superseded process
-     value still holds re-arming timers (heartbeats, batch ticks) whose
-     callbacks would otherwise keep sending from this endpoint. *)
-  let gen = node.node_gen in
   let set_timer ?kind:_ ~delay k =
-    let h =
-      Engine.schedule t.engine ~delay (fun () ->
-          if Int.equal node.node_gen gen then k ())
-    in
+    let h = Engine.schedule t.engine ~delay k in
     { P.Context.cancel = (fun () -> Engine.cancel h) }
   in
-  (* Under [durable] the kernel has synced the batch's log entry before
-     [deliver] records a reply, so every reply the harness counts is backed
-     by a sector the replica can replay after a crash. *)
-  let deliver ~seq:_ batch =
-    List.iter
-      (fun r ->
-        let reply = Sof_smr.State_machine.apply node.node_machine r.Request.op in
-        let cell =
-          match Request.Key_tbl.find_opt t.replies r.Request.key with
-          | Some cell -> cell
-          | None ->
-            let cell = ref [] in
-            Request.Key_tbl.replace t.replies r.Request.key cell;
-            cell
-        in
-        cell := (i, reply) :: !cell)
-      batch.P.Batch.requests
-  in
   let emit ev = t.event_log <- (Engine.now t.engine, i, ev) :: t.event_log in
-  (* [node.node_machine] is read at call time, so a restart's fresh
-     machine is picked up without rebuilding the context. *)
-  let snapshot () = Sof_smr.State_machine.snapshot node.node_machine in
-  let restore image = Sof_smr.State_machine.restore node.node_machine image in
   {
     P.Context.id = i;
     now = (fun () -> Engine.now t.engine);
@@ -426,10 +389,7 @@ let make_context t i =
     send;
     multicast;
     set_timer;
-    deliver;
     emit;
-    snapshot;
-    restore;
     store =
       Option.map
         (fun wal -> { P.Context.wal; charge_io = (fun size -> charge_disk_write t i ~size) })
@@ -439,28 +399,13 @@ let make_context t i =
 let fault_for spec i =
   match List.assoc_opt i spec.faults with Some f -> f | None -> P.Fault.Honest
 
-let make_proc t i =
-  let ctx = make_context t i in
-  Replica.create ~ctx ~config:t.config ~keyring:t.keyring ~fault:(fault_for t.spec i) ()
-
-(* Crash-restart: the node comes back with a fresh protocol process and a
-   fresh (empty) state machine — everything volatile is lost.  The
-   generation bump silences the superseded process's pending timers; the
-   transport handler and request injection read [node_proc] at event time,
-   so all new traffic reaches the replacement, which recovers from its own
-   log first when it has one. *)
-let restart t i =
-  if Network.is_crashed t.net i then begin
-    let node = t.nodes.(i) in
-    node.node_gen <- node.node_gen + 1;
-    node.node_machine <- t.spec.machine_factory ();
-    Network.restart t.net i;
-    let p = make_proc t i in
-    node.node_proc <- Some p;
-    t.event_log <- (Engine.now t.engine, i, P.Context.Node_restarted) :: t.event_log;
-    Replica.start p;
-    Replica.recover p
-  end
+(* Under [durable] the kernel has synced the batch's log entry before the
+   reply is recorded, so every reply the harness counts is backed by a
+   sector the replica can replay after a crash. *)
+let record_reply t i (r : Request.t) reply =
+  match Request.Key_tbl.find_opt t.replies r.Request.key with
+  | Some cell -> cell := (i, reply) :: !cell
+  | None -> Request.Key_tbl.replace t.replies r.Request.key (ref [ (i, reply) ])
 
 let build spec =
   let scheme = Replica.scheme spec.kind spec.scheme in
@@ -527,9 +472,6 @@ let build spec =
         in
         {
           node_cpu = Cpu.create engine;
-          node_proc = None;
-          node_machine = spec.machine_factory ();
-          node_gen = 0;
           node_crypto =
             {
               c_signs = 0;
@@ -562,6 +504,7 @@ let build spec =
       images = P.Checkpoint.Images.create ();
       config;
       nodes;
+      procs = [||];
       event_log = [];
       replies = Request.Key_tbl.create 256;
     }
@@ -572,13 +515,13 @@ let build spec =
       Network.set_link net ~src:p ~dst:s spec.pair_link;
       Network.set_link net ~src:s ~dst:p spec.pair_link)
     (P.Config.pairs config);
-  for i = 0 to n - 1 do
-    t.nodes.(i).node_proc <- Some (make_proc t i)
-  done;
+  t.procs <-
+    Replica.spawn ~config ~keyring ~fault:(fault_for spec) ~machine:spec.machine_factory
+      ~on_reply:(record_reply t) (make_context t);
   (* Inbound path: network -> CPU (receive cost) -> decode -> protocol. *)
   for i = 0 to n - 1 do
+    let node = t.nodes.(i) and p = t.procs.(i) in
     set_transport_handler t i (fun ~src payload ->
-        let node = t.nodes.(i) in
         let cost =
           Cost_model.recv_cost Cost_model.default
             ~backlog:(Cpu.queue_delay node.node_cpu)
@@ -587,15 +530,10 @@ let build spec =
         Cpu.submit node.node_cpu ~cost (fun () ->
             node.node_decodes <- node.node_decodes + 1;
             match P.Message.decode payload with
-            | env -> begin
-              match node.node_proc with
-              | Some p -> Replica.on_message p ~src env
-              | None -> ()
-            end
+            | env -> Replica.on_message p ~src env
             | exception Sof_util.Codec.Reader.Truncated -> ()))
   done;
-  (* Start timers. *)
-  Array.iter (fun node -> Option.iter Replica.start node.node_proc) t.nodes;
+  Array.iter Replica.start t.procs;
   t
 
 let inject_request t req =
@@ -607,10 +545,7 @@ let inject_request t req =
           ~backlog:(Cpu.queue_delay node.node_cpu)
           ~size:payload_size
       in
-      Cpu.submit node.node_cpu ~cost (fun () ->
-          match t.nodes.(i).node_proc with
-          | Some p -> Replica.on_request p req
-          | None -> ()))
+      Cpu.submit node.node_cpu ~cost (fun () -> Replica.on_request t.procs.(i) req))
     t.nodes
 
 let replies_for t key =

@@ -1,8 +1,8 @@
 (** Cluster construction: a whole protocol deployment under the simulator.
 
-    [build] wires n protocol processes to a simulated LAN
-    ({!Sof_net.Delay_model.lan_default}), one single-server CPU per node, a
-    trusted-dealer keyring, and a replicated state machine per node.  All
+    [build] wires n process shells ({!Sof_protocol.Replica}) to a simulated
+    LAN ({!Sof_net.Delay_model.lan_default}), one single-server CPU per
+    node and a trusted-dealer keyring.  All
     virtual CPU charging happens here, per {!Cost_model.default} and the
     scheme's cost table: message receipt, sends, signatures, verifications
     and digests. *)
@@ -79,12 +79,6 @@ val default_spec : kind:kind -> f:int -> spec
 (** Mock scheme, 100 ms batching, 1 KB batches, 100 ms pair delay estimate,
     no faults, the KV store. *)
 
-type proc = Sof_protocol.Replica.t =
-  | Sc of Sof_protocol.Sc.t
-  | Scr of Sof_protocol.Scr.t
-  | Bft of Sof_protocol.Bft.t
-  | Ct of Sof_protocol.Ct.t
-
 type t
 
 val build : spec -> t
@@ -108,29 +102,33 @@ val adversary : t -> Adversary.t option
 val spec : t -> spec
 (** The spec the cluster was built from (fault assignments and all). *)
 
-val proc : t -> int -> proc
+val proc : t -> int -> Sof_protocol.Replica.t
+(** Node [i]'s process shell. *)
+
 val machine : t -> int -> Sof_smr.State_machine.t
+(** Node [i]'s current incarnation's service state. *)
 
 val inject_request : t -> Sof_smr.Request.t -> unit
 (** Deliver a client request to every process (clients broadcast), charging
     each CPU the receive cost. *)
 
 val crash : t -> int -> unit
-(** Hard-crash a node at the network level (silent, loses in-flight).
-    Under [durable] the node's disk crashes too: unsynced writes are lost
-    and a torn-write atlas may tear the last flushed sector. *)
+(** Hard-crash a node: its process stops at once
+    ({!Sof_protocol.Replica.crash}: no handler, timer or event until the
+    restart) and the network cuts it off (silent, loses in-flight).  Under
+    [durable] the node's disk crashes too: unsynced writes are lost and a
+    torn-write atlas may tear the last flushed sector.  No-op when the node
+    is already crashed. *)
 
 val restart : t -> int -> unit
-(** Bring a crashed node back: reconnect it at the network level, give it a
-    fresh protocol process (same configuration, empty volatile state) and a
-    fresh state machine, emit {!Sof_protocol.Context.Node_restarted}, start
-    it and {!Sof_protocol.Replica.recover} it.  Under [durable], recovery is
+(** Bring a crashed node back: reconnect it at the network level and
+    {!Sof_protocol.Replica.restart} its process (same configuration, empty
+    volatile state, a fresh state machine).  Under [durable], recovery is
     local-first: the replica re-mounts its write-ahead log and replays it
     (emitting {!Sof_protocol.Context.Wal_replayed}), and requests peer
     state transfer only when the log was damaged or replay did not advance
     delivery.  Without a disk the node goes straight to state transfer.
-    Timers armed by the pre-crash process are silenced.  No-op unless the
-    node is currently crashed. *)
+    No-op unless the node is currently crashed. *)
 
 val log_length : t -> int -> int
 (** Retained order-log length at process [i] — what checkpoint-driven

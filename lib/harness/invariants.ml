@@ -21,7 +21,7 @@ let pp_result fmt r =
 let all_pass = List.for_all (fun r -> r.pass)
 
 (* Delivered events of honest processes, in emission order (which is
-   per-process sequence order — Context.deliver is called in strict sequence
+   per-process sequence order — the kernel delivers in strict sequence
    order).  Each delivery is tagged with the process's incarnation (bumped
    at Node_restarted: a restarted process lost its delivered-set and may
    legitimately re-deliver what its previous life already delivered) and
@@ -584,9 +584,9 @@ let suspicion_churn cluster =
     (Cluster.events cluster);
   let rotations = ref 0 in
   for i = 0 to Cluster.process_count cluster - 1 do
-    match Cluster.proc cluster i with
-    | Cluster.Ct ct -> rotations := max !rotations (P.Ct.epoch ct)
-    | Cluster.Sc _ | Cluster.Scr _ | Cluster.Bft _ -> ()
+    match P.Replica.core (Cluster.proc cluster i) with
+    | P.Replica.Ct ct -> rotations := max !rotations (P.Ct.epoch ct)
+    | P.Replica.Sc _ | P.Replica.Scr _ | P.Replica.Bft _ -> ()
   done;
   (!signals, !views, !rotations)
 

@@ -50,13 +50,7 @@ let spent () = ()
 
 type node = {
   id : int;
-  mutable proc : Replica.t option;
-  mutable machine : Sof_smr.State_machine.t;  (* replaced fresh on restart *)
   mutable delivered_batches : int;
-  (* Bumped on kill: timer thunks and self-sends carry the generation they
-     were made in and run only if it is still current, so a restarted
-     process never runs its dead predecessor's heartbeats. *)
-  mutable gen : int;
   out : link option array;
   (* Client requests that arrived while the process was killed: a
      retransmitting client would bring them to its restart. *)
@@ -80,10 +74,10 @@ type t = {
   keyring : Keyring.t;
   start_time : float;
   mutable stopping : bool;
-  mutable killed : int list;
+  mutable procs : Replica.t array;  (* one process shell per node, from [start] on *)
   (* owned by the loop thread *)
   timers : timer Heap.t;
-  self_sends : (node * int * string) Queue.t;  (* node, generation, encoded envelope *)
+  self_sends : (node * string) Queue.t;  (* node, encoded envelope *)
   images : P.Checkpoint.Images.t;  (* every process's checkpoint images *)
   mutable conns : conn list;
   listeners : Unix.file_descr array;
@@ -176,19 +170,20 @@ let handle t node ~src ~kind body =
     Printf.eprintf "[tcp_runtime] node %d: malformed frame from %d dropped (%s)\n%!" node.id src
       (Printexc.to_string exn)
   in
-  match node.proc with
-  | None -> if not (Char.equal kind '\x00') then Queue.push body node.held
-  | Some p when Char.equal kind '\x00' -> (
+  let p = t.procs.(node.id) in
+  if Char.equal kind '\x00' then
     match P.Message.decode body with
     | env -> guard t node.id (fun () -> Replica.on_message p ~src env)
-    | exception exn -> malformed exn)
-  | Some p -> (
+    | exception exn -> malformed exn
+  else if Replica.crashed p then Queue.push body node.held
+  else
     match Request.decode body with
     | req -> guard t node.id (fun () -> Replica.on_request p req)
-    | exception exn -> malformed exn)
+    | exception exn -> malformed exn
 
 (* ------------------------------------------------------------- context *)
 
+(* What [node]'s process is given. *)
 let make_context t node =
   let sign payload = Keyring.sign t.keyring ~signer:node.id payload in
   let verify ~signer ~msg ~signature = Keyring.verify t.keyring ~signer ~msg ~signature in
@@ -198,7 +193,7 @@ let make_context t node =
      delivers self-sends.  Dropping it instead would lose the process's own
      quorum vote — fatal when the cluster is down to exactly n - f live
      replicas. *)
-  let to_self encoded = Queue.push (node, node.gen, encoded) t.self_sends in
+  let to_self encoded = Queue.push (node, encoded) t.self_sends in
   let send ~dst env =
     if dst = node.id then to_self (P.Message.encode env)
     else
@@ -216,27 +211,27 @@ let make_context t node =
       dsts
   in
   let set_timer ?kind:_ ~delay thunk =
-    let gen = node.gen in
     let deadline = now_us () + ((Simtime.to_ns delay + 999) / 1000) in
-    let thunk () = if node.gen = gen then thunk () in
     let timer = { deadline; owner = node.id; thunk } in
     Heap.push t.timers ~key:deadline timer;
     { P.Context.cancel = (fun () -> timer.thunk <- spent) }
   in
-  (* Under a [data_dir] the kernel has synced the batch's log entry (fsync)
-     before the state machine applies it. *)
-  let deliver ~seq:_ (batch : P.Batch.t) =
-    node.delivered_batches <- node.delivered_batches + 1;
-    let now = Unix.gettimeofday () in
-    let requests = batch.P.Batch.requests in
-    List.iter (fun r -> ignore (Sof_smr.State_machine.apply node.machine r.Request.op)) requests;
-    locked t.report_mutex (fun () ->
-        List.iter
-          (fun r ->
-            match Request.Key_tbl.find_opt t.latencies r.Request.key with
-            | Some l when Float.is_nan l.delivered -> l.delivered <- now
-            | Some _ | None -> ())
-          requests)
+  (* The runtime keeps no event stream: it only counts deliveries and
+     stamps each request's first one.  Under a [data_dir] the kernel has
+     synced the batch's log entry (fsync) before the state machine applied
+     it. *)
+  let emit = function
+    | P.Context.Delivered { batch; _ } ->
+      node.delivered_batches <- node.delivered_batches + 1;
+      let now = Unix.gettimeofday () in
+      locked t.report_mutex (fun () ->
+          List.iter
+            (fun r ->
+              match Request.Key_tbl.find_opt t.latencies r.Request.key with
+              | Some l when Float.is_nan l.delivered -> l.delivered <- now
+              | Some _ | None -> ())
+            batch.P.Batch.requests)
+    | _ -> ()
   in
   {
     P.Context.id = node.id;
@@ -252,19 +247,9 @@ let make_context t node =
     send;
     multicast;
     set_timer;
-    deliver;
-    emit = ignore;
-    (* [node.machine] is read at call time, so a restart's fresh machine is
-       picked up without rebuilding the context. *)
-    snapshot = (fun () -> Sof_smr.State_machine.snapshot node.machine);
-    restore = (fun image -> Sof_smr.State_machine.restore node.machine image);
+    emit;
     store = Option.map (fun wal -> { P.Context.wal; charge_io = ignore }) node.wal;
   }
-
-(* Protocol process construction, shared by [start] and [restart]. *)
-let make_proc t node =
-  let ctx = make_context t node in
-  Replica.create ~ctx ~config:t.config ~keyring:t.keyring ()
 
 (* ---------------------------------------------------------- event loop *)
 
@@ -353,8 +338,8 @@ let event_loop t =
     run_commands t;
     fire_timers t (now_us ());
     while not (Queue.is_empty t.self_sends) do
-      let node, gen, encoded = Queue.pop t.self_sends in
-      if node.gen = gen then handle t node ~src:node.id ~kind:'\x00' encoded
+      let node, encoded = Queue.pop t.self_sends in
+      handle t node ~src:node.id ~kind:'\x00' encoded
     done;
     let pending acc = function Some l when l.unsent.len > 0 -> l :: acc | Some _ | None -> acc in
     let links = Array.fold_left (fun acc node -> Array.fold_left pending acc node.out) [] t.nodes in
@@ -449,9 +434,8 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
           Wal.reset wal;
           wal
         in
-        let machine = Sof_smr.Kv_store.machine () and wal = Option.map mount disk in
         let out = Array.make n None and held = Queue.create () in
-        { id; proc = None; machine; delivered_batches = 0; gen = 0; out; held; disk; wal })
+        { id; delivered_batches = 0; out; held; disk; wal = Option.map mount disk })
   in
   let listeners =
     Array.init n (fun i ->
@@ -473,7 +457,7 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
       keyring;
       start_time = Unix.gettimeofday ();
       stopping = false;
-      killed = [];
+      procs = [||];
       timers = Heap.create ();
       self_sends = Queue.create ();
       images = P.Checkpoint.Images.create ();
@@ -502,8 +486,10 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
     nodes;
   (* Protocol processes, started from this thread before the loop exists:
      until it runs, their frames, timers and self-sends only wait. *)
-  Array.iter (fun node -> node.proc <- Some (make_proc t node)) nodes;
-  Array.iter (fun node -> Option.iter Replica.start node.proc) nodes;
+  t.procs <-
+    Replica.spawn ~config ~keyring ~machine:Sof_smr.Kv_store.machine (fun i ->
+        make_context t nodes.(i));
+  Array.iter Replica.start t.procs;
   t.loop <- Some (Thread.create event_loop t);
   t.client_socks <-
     Array.init n (fun dst ->
@@ -527,7 +513,7 @@ let inject t req =
 
 let await_delivery t ~count ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
-  let reached node = List.mem node.id t.killed || node.delivered_batches >= count in
+  let reached node = Replica.crashed t.procs.(node.id) || node.delivered_batches >= count in
   let rec poll () =
     Array.for_all reached t.nodes
     || Unix.gettimeofday () <= deadline
@@ -538,15 +524,13 @@ let await_delivery t ~count ~timeout_s =
   in
   poll ()
 
-(* Abruptly take one node down mid-run: stop its protocol, then reset-close
+(* Abruptly take one node down mid-run: stop its process, then reset-close
    every socket it owns (SO_LINGER 0 sends RST, not FIN), so its peers
    exercise the abrupt-disconnect path of [receive]. *)
 let kill t who =
   on_loop t (fun () ->
       let node = t.nodes.(who) in
-      t.killed <- who :: t.killed;
-      node.proc <- None;
-      node.gen <- node.gen + 1;
+      Replica.crash t.procs.(who);
       let reset l =
         (try Unix.setsockopt_optint l.fd Unix.SO_LINGER (Some 0)
          with Unix.Unix_error _ | Invalid_argument _ -> ());
@@ -555,30 +539,26 @@ let kill t who =
       Array.iter (Option.iter reset) node.out;
       Array.fill node.out 0 (Array.length node.out) None)
 
-(* Bring a killed process back with empty volatile state: a fresh protocol
-   instance over a fresh state machine, the full mesh re-dialed both ways,
-   and recovery from its own log when it has one and from its peers
-   otherwise — all on the loop, before the process handles any frame. *)
+(* Bring a killed process back with empty volatile state: the full mesh
+   re-dialed both ways, then the shell's restart — a fresh incarnation over
+   a fresh state machine, recovered from its own log when it has one and
+   from its peers otherwise — all on the loop, before the process handles
+   any frame. *)
 let restart t who =
   on_loop t (fun () ->
-      if List.mem who t.killed then begin
+      if Replica.crashed t.procs.(who) then begin
         let node = t.nodes.(who) in
-        t.killed <- List.filter (fun k -> k <> who) t.killed;
-        node.machine <- Sof_smr.Kv_store.machine ();
         (* Re-dial the mesh: this node out to every live peer, and every live
            peer back to this node (their old sockets died with the kill's RST). *)
         Array.iter
           (fun peer ->
-            if peer.id <> who && not (List.mem peer.id t.killed) then begin
+            if peer.id <> who && not (Replica.crashed t.procs.(peer.id)) then begin
               node.out.(peer.id) <- dial t ~dst:peer.id ~hello:who;
               Option.iter (fun l -> close l.fd) peer.out.(who);
               peer.out.(who) <- dial t ~dst:who ~hello:peer.id
             end)
           t.nodes;
-        let proc = make_proc t node in
-        node.proc <- Some proc;
-        Replica.start proc;
-        Replica.recover proc;
+        Replica.restart t.procs.(who);
         Queue.iter (handle t node ~src:client_id ~kind:'\x01') node.held;
         Queue.clear node.held
       end)
@@ -605,6 +585,7 @@ let stop t =
   let per_node f = Array.to_list (Array.map (fun node -> (node.id, f node)) t.nodes) in
   {
     delivered = per_node (fun node -> node.delivered_batches);
-    state_digests = per_node (fun node -> Sof_smr.State_machine.state_digest node.machine);
+    state_digests =
+      per_node (fun node -> Sof_smr.State_machine.state_digest (Replica.machine t.procs.(node.id)));
     commit_latencies_ms = Request.Key_tbl.fold latency t.latencies [];
   }

@@ -367,30 +367,21 @@ let test_truncation_bounds_log () =
 (* ------------------------------------------------------------ key marks *)
 
 (* A log whose slots are just the key lists they order, delivered through
-   the shared [Recovery.advance]. *)
+   the shared [Recovery.advance]; [delivered] collects the [Delivered]
+   events, newest first. *)
 let key_log ?(emit = ignore) ~interval () =
   let delivered = ref [] in
-  let ctx =
-    {
-      P.Context.id = 0;
-      now = (fun () -> Simtime.zero);
-      sign = (fun _ -> "");
-      verify = (fun ~signer:_ ~msg:_ ~signature:_ -> true);
-      sign_acc = (fun _ -> "");
-      verify_acc = (fun ~signer:_ ~msg:_ ~signature:_ -> true);
-      digest_charge = ignore;
-      images = P.Checkpoint.Images.create ();
-      send = (fun ~dst:_ _ -> ());
-      multicast = (fun ~dsts:_ _ -> ());
-      set_timer = (fun ?kind:_ ~delay:_ _ -> P.Context.null_timer);
-      deliver = (fun ~seq batch -> delivered := (seq, P.Batch.keys batch) :: !delivered);
-      emit;
-      snapshot = (fun () -> "");
-      restore = ignore;
-      store = None;
-    }
+  let emit ev =
+    (match ev with
+    | P.Context.Delivered { seq; batch } -> delivered := (seq, P.Batch.keys batch) :: !delivered
+    | _ -> ());
+    emit ev
   in
-  let log = Recovery.create_log ~ctx ~f:1 ~digest:Sof_crypto.Digest_alg.MD5 ~interval in
+  let ctx = Bare.context ~emit ~id:0 () in
+  let log =
+    Recovery.create_log ~ctx ~service:(Bare.service ()) ~f:1 ~digest:Sof_crypto.Digest_alg.MD5
+      ~interval
+  in
   let hooks =
     {
       Recovery.log;

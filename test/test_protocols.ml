@@ -267,33 +267,16 @@ let test_sc_noncoordinator_pair_failure_skipped () =
 
 let test_sc_create_validation () =
   let config = P.Config.make ~kind:P.Config.Sc_protocol ~f:1 () in
-  let ctx =
-    {
-      P.Context.id = 0;
-      now = (fun () -> Simtime.zero);
-      sign = (fun _ -> "");
-      verify = (fun ~signer:_ ~msg:_ ~signature:_ -> true);
-      sign_acc = (fun _ -> "");
-      verify_acc = (fun ~signer:_ ~msg:_ ~signature:_ -> true);
-      digest_charge = ignore;
-      images = P.Checkpoint.Images.create ();
-      send = (fun ~dst:_ _ -> ());
-      multicast = (fun ~dsts:_ _ -> ());
-      set_timer = (fun ?kind:_ ~delay:_ _ -> P.Context.null_timer);
-      deliver = (fun ~seq:_ _ -> ());
-      emit = ignore;
-      snapshot = (fun () -> "");
-      restore = ignore;
-      store = None;
-    }
-  in
+  let service = Bare.service () in
   Alcotest.check_raises "paired process needs fail-signal"
     (P.Config.Invalid_config "Sc.create: paired process needs counterpart_fail_signal")
-    (fun () -> ignore (P.Sc.create ~ctx ~config ()));
-  let ctx2 = { ctx with P.Context.id = 1 } in
+    (fun () -> ignore (P.Sc.create ~ctx:(Bare.context ~id:0 ()) ~service ~config ()));
   Alcotest.check_raises "unpaired process cannot hold one"
     (P.Config.Invalid_config "Sc.create: unpaired process cannot hold a fail-signal")
-    (fun () -> ignore (P.Sc.create ~ctx:ctx2 ~config ~counterpart_fail_signal:"x" ()))
+    (fun () ->
+      ignore
+        (P.Sc.create ~ctx:(Bare.context ~id:1 ()) ~service ~config ~counterpart_fail_signal:"x"
+           ()))
 
 (* --------------------------------------------------------------- SCR *)
 

@@ -21,8 +21,8 @@ let build_sc () =
   Cluster.build spec
 
 let sc_proc cluster i =
-  match Cluster.proc cluster i with
-  | Cluster.Sc p -> p
+  match P.Replica.core (Cluster.proc cluster i) with
+  | P.Replica.Sc p -> p
   | _ -> Alcotest.fail "expected SC process"
 
 let committed_at cluster i = P.Replica.max_committed (Cluster.proc cluster i)

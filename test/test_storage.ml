@@ -485,38 +485,16 @@ let bare_replica ?store ~kind ~config () =
       ~rng:(Sof_util.Rng.create 7L)
       ~node_count:(P.Config.process_count config) ()
   in
-  let machine = Kv.machine () in
   let events = ref [] in
-  let ctx =
-    {
-      P.Context.id = 1;
-      now = (fun () -> Simtime.zero);
-      sign = (fun m -> Keyring.sign keyring ~signer:1 m);
-      verify = (fun ~signer ~msg ~signature -> Keyring.verify keyring ~signer ~msg ~signature);
-      sign_acc = (fun m -> Keyring.sign keyring ~signer:1 m);
-      verify_acc =
-        (fun ~signer ~msg ~signature -> Keyring.verify keyring ~signer ~msg ~signature);
-      digest_charge = ignore;
-      images = P.Checkpoint.Images.create ();
-      send = (fun ~dst:_ _ -> ());
-      multicast = (fun ~dsts:_ _ -> ());
-      set_timer = (fun ?kind:_ ~delay:_ _ -> { P.Context.cancel = ignore });
-      deliver =
-        (fun ~seq:_ batch ->
-          List.iter
-            (fun r -> ignore (Sof_smr.State_machine.apply machine r.Sof_smr.Request.op))
-            batch.P.Batch.requests);
-      emit = (fun ev -> events := ev :: !events);
-      snapshot = (fun () -> Sof_smr.State_machine.snapshot machine);
-      restore = Sof_smr.State_machine.restore machine;
-      store;
-    }
+  let context id =
+    if id = 1 then Bare.context ~keyring ~emit:(fun ev -> events := ev :: !events) ?store ~id ()
+    else Bare.context ~keyring ~id ()
   in
-  (Replica.create ~ctx ~config ~keyring ~fault:P.Fault.Honest (), events)
+  ((Replica.spawn ~config ~keyring ~machine:Kv.machine context).(1), events)
 
 (* A replica under [written] delivers [n] batches, which its kernel logs;
-   the disk crashes, and a fresh replica under [config] restarts over the
-   same log handle the way both real drivers do ([start], then [recover]).
+   the disk crashes, and a fresh replica under [config] over the same log
+   handle crashes and restarts the way every driver's does.
    Returns the restarted replica's delivery point, its state-transfer
    requests and its [Wal_replayed] events. *)
 let replay_into ~kind ~config ~written n =
@@ -540,8 +518,8 @@ let replay_into ~kind ~config ~written n =
     (Wal.stats store.P.Context.wal).Wal.w_syncs;
   Sim_disk.crash sd;
   let p, events = bare_replica ~store ~kind ~config () in
-  Replica.start p;
-  Replica.recover p;
+  Replica.crash p;
+  Replica.restart p;
   let count pred = List.length (List.filter pred !events) in
   ( Replica.delivered_seq p,
     count (function P.Context.State_transfer_started _ -> true | _ -> false),

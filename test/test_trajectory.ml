@@ -78,26 +78,28 @@ let variant_name = function
   | Byzantine f -> Format.asprintf "%a" P.Fault.pp f
 
 (* (protocol, run, event-stream digest, event count), recorded before the
-   shared replica-kernel refactor. *)
+   shared replica-kernel refactor; the plain and durable adaptive pins
+   re-recorded when a crashed process stopped emitting and handling until
+   its restart. *)
 let pins =
   [
-    (Cluster.Sc_protocol, Plain, "a713f1a158eb9dee", 4806);
-    (Cluster.Sc_protocol, Durable, "688bbd7cd057bfa7", 2064);
+    (Cluster.Sc_protocol, Plain, "cf4cba96b8761aad", 4802);
+    (Cluster.Sc_protocol, Durable, "2384babe2d4b8a73", 2064);
     (Cluster.Sc_protocol, Byzantine P.Fault.Stale_checkpoint, "cf25aa3d26bbf8be", 5723);
     (Cluster.Sc_protocol, Byzantine P.Fault.Corrupt_checkpoint_image, "59236e6f60ab9b58", 5722);
     (Cluster.Sc_protocol, Byzantine P.Fault.Corrupt_wal_suffix, "7a5223d02673e906", 5720);
-    (Cluster.Scr_protocol, Plain, "a318039b22115206", 6831);
-    (Cluster.Scr_protocol, Durable, "1bcb90b4b2aff1e1", 6884);
+    (Cluster.Scr_protocol, Plain, "b4f4ced1e3044ee5", 6829);
+    (Cluster.Scr_protocol, Durable, "f45bfbb04a1a910f", 7025);
     (Cluster.Scr_protocol, Byzantine P.Fault.Stale_checkpoint, "8727a4ed5786be3c", 6781);
     (Cluster.Scr_protocol, Byzantine P.Fault.Corrupt_checkpoint_image, "b5a26cc6056f94dd", 6782);
     (Cluster.Scr_protocol, Byzantine P.Fault.Corrupt_wal_suffix, "b888f192141bbfd3", 6795);
     (Cluster.Bft_protocol, Plain, "eaa80518b15cd473", 6142);
-    (Cluster.Bft_protocol, Durable, "579eb5d7f74c4591", 6186);
+    (Cluster.Bft_protocol, Durable, "5d607bcb444b5a13", 6186);
     (Cluster.Bft_protocol, Byzantine P.Fault.Stale_checkpoint, "ea45e0e5495c2d62", 6149);
     (Cluster.Bft_protocol, Byzantine P.Fault.Corrupt_checkpoint_image, "ddb59c2f3ad47ddd", 6142);
     (Cluster.Bft_protocol, Byzantine P.Fault.Corrupt_wal_suffix, "a1916ef65f87d62e", 6185);
-    (Cluster.Ct_protocol, Plain, "165ab7e22424acdb", 3510);
-    (Cluster.Ct_protocol, Durable, "d8a2a959b8e9a64d", 3520);
+    (Cluster.Ct_protocol, Plain, "19c19ddcf31c022e", 3755);
+    (Cluster.Ct_protocol, Durable, "1a289bc3aa79e3e8", 3779);
   ]
 
 let pin (kind, variant, digest, length) =
