@@ -31,10 +31,10 @@ end)
 (* The half of a world shared by every world of one model.  The checker
    signs with mock HMAC (CT with nothing), so no signature draws from the
    keyring's RNG, and the keyring's lazily keyed HMAC states are immutable
-   values: a shared ring signs exactly as a fresh one.  [sigs] and [images],
-   the mutable parts, memoise what the ring signs (see [sign]) and the
-   checkpoint images the processes digest; both answer exactly, so sharing
-   them changes no world. *)
+   values: a shared ring signs exactly as a fresh one.  [sigs], [images]
+   and [batches], the mutable parts, memoise what the ring signs (see
+   [sign]) and the checkpoint images and batches the processes digest; all
+   answer exactly, so sharing them changes no world. *)
 type base = {
   spec : Model.spec;
   config : P.Config.t;
@@ -42,6 +42,7 @@ type base = {
   keyring : Keyring.t;
   sigs : string Sigs.t;
   images : P.Checkpoint.Images.t;
+  batches : P.Checkpoint.Images.t;
   requests : Request.t list;
   injected : Request.Key_set.t;
   byz : int list;
@@ -178,6 +179,7 @@ let make_context w i =
     verify_acc = (fun ~signer ~msg ~signature -> verify w.base ~signer ~msg ~signature);
     digest_charge = ignore;
     images = w.base.images;
+    batches = w.base.batches;
     send;
     multicast;
     set_timer;
@@ -223,6 +225,7 @@ let base spec =
     keyring;
     sigs = Sigs.create 256;
     images = P.Checkpoint.Images.create ();
+    batches = P.Checkpoint.Images.create ~window:P.Checkpoint.batch_window ();
     requests;
     injected;
     byz;

@@ -6,13 +6,15 @@ let make requests = { requests }
 
 let keys t = List.map (fun r -> r.Request.key) t.requests
 
-let digest alg t =
-  let buf = Buffer.create 256 in
-  List.iter (fun r -> Buffer.add_string buf (Request.encode r)) t.requests;
-  Sof_crypto.Digest_alg.digest alg (Buffer.contents buf)
-
 let encoded_size t =
   List.fold_left (fun acc r -> acc + Request.encoded_size r) 0 t.requests
+
+let encode t =
+  let b = Bytes.create (encoded_size t) in
+  ignore (List.fold_left (fun pos r -> Request.put b pos r) 0 t.requests : int);
+  Bytes.unsafe_to_string b
+
+let digest alg t = Sof_crypto.Digest_alg.digest alg (encode t)
 
 let request_count t = List.length t.requests
 

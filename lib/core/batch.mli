@@ -11,9 +11,12 @@ val make : Sof_smr.Request.t list -> t
 
 val keys : t -> Sof_smr.Request.key list
 
+val encode : t -> string
+(** The concatenated encoded requests. *)
+
 val digest : Sof_crypto.Digest_alg.t -> t -> string
-(** Digest of the concatenated encoded requests — recomputable by any
-    process holding the same requests. *)
+(** Digest of {!encode} — recomputable by any process holding the same
+    requests. *)
 
 val encoded_size : t -> int
 (** Total encoded request bytes (what the 1 KB cap limits). *)

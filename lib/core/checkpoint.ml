@@ -19,42 +19,53 @@ let is_boundary ~interval seq = interval > 0 && seq > 0 && Int.equal (seq mod in
 let image_digest alg image = Sof_crypto.Digest_alg.digest alg image
 
 let image_window = 4
+let batch_window = 16
 
-(* Correct replicas wrap byte-identical images at a boundary, so a driver
-   that asks once per replica mostly asks about bytes it has just digested.
-   A hit hands back the string already held, so the replicas of a driver
-   keep one copy of each image between them. *)
+(* Correct replicas wrap byte-identical images at a boundary and hash the
+   batches they deliver alike, so a driver that asks once per replica
+   mostly asks about bytes it has just digested.  A hit hands back the
+   string already held, so the replicas of a driver keep one copy of each
+   image between them.  The lookups are top-level loops over the window:
+   they allocate nothing. *)
 module Images = struct
-  type entry = { alg : Sof_crypto.Digest_alg.t; image : string; digest : string }
+  type entry = { alg : Sof_crypto.Digest_alg.t; bytes : string; digest : string }
 
   type t = {
-    recent : entry option array;  (* ring of the latest distinct images *)
+    recent : entry option array;  (* ring of the latest distinct byte strings *)
     mutable next : int;  (* the slot the next miss overwrites *)
     mutable asked : int;
     mutable computed : int;
   }
 
-  let create () = { recent = Array.make image_window None; next = 0; asked = 0; computed = 0 }
+  let create ?(window = image_window) () =
+    { recent = Array.make window None; next = 0; asked = 0; computed = 0 }
 
-  let find t alg image =
-    Array.find_map
-      (function
-        | Some e when Sof_crypto.Digest_alg.equal e.alg alg && String.equal e.image image ->
-          Some e
-        | Some _ | None -> None)
-      t.recent
+  (* The held [Some e] itself, so a hit allocates nothing. *)
+  let rec find t alg bytes i =
+    if i >= Array.length t.recent then None
+    else
+      match t.recent.(i) with
+      | Some e as held
+        when Sof_crypto.Digest_alg.equal e.alg alg && String.equal e.bytes bytes ->
+        held
+      | Some _ | None -> find t alg bytes (i + 1)
 
-  let digest t alg image =
+  let remember t alg bytes =
     t.asked <- t.asked + 1;
-    match find t alg image with
-    | Some e -> (e.image, e.digest)
+    match find t alg bytes 0 with
+    | Some e -> e
     | None ->
-      let digest = image_digest alg image in
+      let e = { alg; bytes; digest = Sof_crypto.Digest_alg.digest alg bytes } in
       t.computed <- t.computed + 1;
-      t.recent.(t.next) <- Some { alg; image; digest };
-      t.next <- (t.next + 1) mod image_window;
-      (image, digest)
+      t.recent.(t.next) <- Some e;
+      t.next <- (t.next + 1) mod Array.length t.recent;
+      e
 
+  let digest t alg bytes =
+    let e = remember t alg bytes in
+    (e.bytes, e.digest)
+
+  let hash t alg bytes = (remember t alg bytes).digest
   let asked t = t.asked
   let computed t = t.computed
   let length t = Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 t.recent

@@ -44,42 +44,56 @@ val image_digest : Sof_crypto.Digest_alg.t -> string -> string
 
 val image_window : int
 (** How many boundary images a replica keeps, and how many distinct images
-    an {!Images} memo holds: 4. *)
+    an {!Images} memo holds by default: 4. *)
 
-(** A driver's memo of the checkpoint images its replicas digest.
+val batch_window : int
+(** How many distinct batch encodings a driver's batch-digest memo holds:
+    16, enough for every replica to deliver a batch before its digest is
+    let go. *)
+
+(** A driver's memo of the digests its replicas compute over the same bytes.
 
     Correct replicas wrap byte-identical images at a boundary, and a state
-    transfer ships one of them again, so the n replicas of one driver would
-    each hash the same bytes.  A memo keeps the last {!image_window}
-    distinct images with their digests.  The replica kernel asks it for
-    every image digest, and a driver (a simulated cluster, a model-checker
-    model, a TCP runtime) holds one memo for all its replicas.  The virtual
-    price of a digest is charged by the caller either way.
+    transfer ships one of them again; they also digest each batch they
+    mint, validate, deliver, serve or replay, and their peers digest the
+    same batches.  So the n replicas of one driver would each hash the same
+    bytes.  A memo keeps the last [window] distinct byte strings with their
+    digests.  A driver (a simulated cluster, a model-checker model, a TCP
+    runtime) holds one memo for all its replicas' checkpoint images and one
+    for their batches, and the replica kernel asks them for every image and
+    batch digest.  The virtual price of a digest is charged by the caller
+    either way.
 
-    The answer is exact, not a cache of guesses: an image is a hit only if
-    its algorithm and its bytes equal a held image's ([String.equal]), and
-    then the digest returned is the one {!image_digest} computed over those
-    bytes.  A memo is not thread-safe; its driver calls it from one
-    thread. *)
+    The answer is exact, not a cache of guesses: bytes are a hit only if
+    their algorithm and the bytes themselves equal a held entry's
+    ([String.equal]), and then the digest returned is the one
+    {!Sof_crypto.Digest_alg.digest} computed over those bytes.  A lookup
+    allocates nothing.  A memo is not thread-safe; its driver calls it from
+    one thread. *)
 module Images : sig
   type t
 
-  val create : unit -> t
+  val create : ?window:int -> unit -> t
+  (** A memo of the last [window] (default {!image_window}) distinct byte
+      strings. *)
 
   val digest : t -> Sof_crypto.Digest_alg.t -> string -> string * string
   (** [digest t alg image] is [(image', image_digest alg image)], where
       [image'] is [String.equal] to [image]: on a hit the string the memo
       already holds, so the callers share one copy, and otherwise [image]
-      itself, which the memo then holds in place of its oldest image. *)
+      itself, which the memo then holds in place of its oldest entry. *)
+
+  val hash : t -> Sof_crypto.Digest_alg.t -> string -> string
+  (** The digest alone: [snd (digest t alg bytes)]. *)
 
   val asked : t -> int
-  (** Calls to {!digest} so far. *)
+  (** Calls to {!digest} and {!hash} so far. *)
 
   val computed : t -> int
-  (** Calls to {!digest} that hashed, i.e. missed. *)
+  (** Calls that hashed, i.e. missed. *)
 
   val length : t -> int
-  (** Images held now; never more than {!image_window}. *)
+  (** Entries held now; never more than the window. *)
 end
 
 val wrap_image : state:string -> marks:(int * int) list -> string

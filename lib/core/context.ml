@@ -75,6 +75,7 @@ type t = {
   verify_acc : signer:int -> msg:string -> signature:string -> bool;
   digest_charge : int -> unit;
   images : Checkpoint.Images.t;
+  batches : Checkpoint.Images.t;
   send : dst:int -> Message.envelope -> unit;
   multicast : dsts:int list -> Message.envelope -> unit;
   set_timer : ?kind:timer_kind -> delay:Sof_sim.Simtime.t -> (unit -> unit) -> timer;

@@ -144,6 +144,13 @@ type t = {
           offered image through it (after charging [digest_charge]), so
           byte-identical images are hashed once per driver and its
           processes keep one shared copy.  Only one thread may use it. *)
+  batches : Checkpoint.Images.t;
+      (** The driver's memo of batch digests, one for all its processes
+          ({!Checkpoint.batch_window} wide): the kernel digests every batch
+          it mints, validates, delivers, serves or checks through it (after
+          charging [digest_charge]), so the batch a whole deployment
+          delivers is hashed once per driver.  Only one thread may use
+          it. *)
   send : dst:int -> Message.envelope -> unit;
   multicast : dsts:int list -> Message.envelope -> unit;
       (** One underlying send per destination; the envelope is signed once. *)

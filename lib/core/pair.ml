@@ -82,7 +82,7 @@ let id t = t.ctx.Context.id
 let rank t = t.hooks.rank_of t (t.hooks.era t)
 let coordinator_is_pair t = Config.candidate_is_pair t.config (rank t)
 let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
-let null_digest t = Batch.digest t.config.Config.digest (Batch.make [])
+let null_digest t = Recovery.batch_digest t.log (Batch.make [])
 let cancel = function Some h -> h.Context.cancel () | None -> ()
 
 (* --------------------------------------------------------- transmission *)
@@ -506,14 +506,14 @@ and shadow_validate_order t ~(info : Message.order_info) =
     let lookup k =
       match Key_map.find_opt k t.log.Recovery.pending with
       | Some r -> Some r
-      | None -> Key_map.find_opt k t.log.Recovery.executed
+      | None -> Request.Key_tbl.find_opt t.log.Recovery.executed k
     in
     let requests = List.filter_map lookup info.Message.keys in
     if not (Int.equal (List.length requests) (List.length info.Message.keys)) then `Defer
     else begin
       let batch = Batch.make requests in
       t.ctx.Context.digest_charge (Batch.encoded_size batch);
-      if String.equal (Batch.digest t.config.Config.digest batch) info.Message.digest then `Valid
+      if String.equal (Recovery.batch_digest t.log batch) info.Message.digest then `Valid
       else `Invalid
     end
   end

@@ -268,7 +268,7 @@ type 'slot log = {
   mutable pending : Request.t Key_map.t;
   mutable arrival : Simtime.t Key_map.t;
   key_marks : int Key_tbl.t;
-  mutable executed : Request.t Key_map.t;
+  executed : Request.t Key_tbl.t;
   mutable recent_delivered : (int * Request.t list) list;
   mutable fetch_timer : Context.timer option;
   mutable fetch_backoff : int;
@@ -290,7 +290,7 @@ let create_log ~ctx ~service ~f ~digest ~interval =
     pending = Key_map.empty;
     arrival = Key_map.empty;
     key_marks = Key_tbl.create 16;
-    executed = Key_map.empty;
+    executed = Key_tbl.create 16;
     recent_delivered = [];
     fetch_timer = None;
     fetch_backoff = 0;
@@ -418,12 +418,17 @@ let truncate log upto =
       List.iter
         (fun (req : Request.t) ->
           Key_tbl.remove log.key_marks req.Request.key;
-          log.executed <- Key_map.remove req.Request.key log.executed)
+          Key_tbl.remove log.executed req.Request.key)
         requests)
     dropped;
   log.recent_delivered <- kept;
   log.ctx.Context.emit
     (Context.Log_truncated { upto; retained = Hashtbl.length log.orders })
+
+(* A batch's digest under [log.digest], asked of the driver's batch memo;
+   the caller charges it. *)
+let batch_digest log batch =
+  Checkpoint.Images.hash log.ctx.Context.batches log.digest (Batch.encode batch)
 
 (* ------------------------------------------------------ write-ahead log *)
 (* The only code that reads or writes a replica's durable log.  A payload
@@ -475,7 +480,7 @@ let log_delivery log ~seq (batch : Batch.t) =
       encode_entry_payload
         {
           Checkpoint.e_o = seq;
-          e_digest = Batch.digest log.digest batch;
+          e_digest = batch_digest log batch;
           e_requests = batch.Batch.requests;
         }
     in
@@ -559,7 +564,7 @@ let rec advance h =
           if log.interval > 0 then mark_delivered log.rcv k;
           (if h.keep_executed then
              match Key_map.find_opt k log.pending with
-             | Some r -> log.executed <- Key_map.add k r log.executed
+             | Some r -> Key_tbl.replace log.executed k r
              | None -> ());
           log.pending <- Key_map.remove k log.pending;
           log.arrival <- Key_map.remove k log.arrival)
@@ -593,7 +598,7 @@ let batch_entry log ~o keys =
     Some
       {
         Checkpoint.e_o = o;
-        e_digest = Batch.digest log.digest batch;
+        e_digest = batch_digest log batch;
         e_requests = requests;
       }
   end
@@ -642,7 +647,7 @@ let serve_state_request h ~src ~have =
               Some
                 {
                   Checkpoint.e_o = o;
-                  e_digest = Batch.digest log.digest batch;
+                  e_digest = batch_digest log batch;
                   e_requests = requests;
                 }
             end
@@ -676,7 +681,7 @@ let serve_state_request h ~src ~have =
 let entry_ok log (e : Checkpoint.entry) =
   let batch = Batch.make e.Checkpoint.e_requests in
   log.ctx.Context.digest_charge (Batch.encoded_size batch);
-  String.equal (Batch.digest log.digest batch) e.Checkpoint.e_digest
+  String.equal (batch_digest log batch) e.Checkpoint.e_digest
 
 (* Install the best certified image above our delivery point, then the
    contiguous entry suffix with [entry_quorum] matching claims per entry.
@@ -881,7 +886,7 @@ let mint h requests =
   let o = log.next_seq in
   log.next_seq <- o + 1;
   log.ctx.Context.digest_charge (Batch.encoded_size batch);
-  let digest = Batch.digest log.digest batch in
+  let digest = batch_digest log batch in
   let digest =
     match h.fault with
     | Fault.Corrupt_digest_at at when Int.equal at o ->

@@ -126,7 +126,7 @@ type 'slot log = {
           delivered; read and written through {!note_ordered},
           {!key_ordered} and {!key_delivered}.  Truncation drops both marks
           of a key at once. *)
-  mutable executed : Sof_smr.Request.t Sof_smr.Request.Key_map.t;
+  executed : Sof_smr.Request.t Sof_smr.Request.Key_tbl.t;
       (** Delivered request bodies, kept (SC/SCR only) so a pair's shadow can
           still verify a digest over re-proposed requests. *)
   mutable recent_delivered : (int * Sof_smr.Request.t list) list;
@@ -144,6 +144,11 @@ type 'slot log = {
 val create_log :
   ctx:Context.t -> service:service -> f:int -> digest:Sof_crypto.Digest_alg.t -> interval:int ->
   'slot log
+
+val batch_digest : 'slot log -> Batch.t -> string
+(** The batch's digest under the log's digest algorithm, asked of the
+    driver's batch memo ({!Context.t.batches}); the caller charges
+    [digest_charge] for it. *)
 
 val note_ordered : 'slot log -> Sof_smr.Request.key -> unit
 (** Mark a key as named by an order this process accepted, so batch

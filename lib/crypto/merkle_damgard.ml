@@ -34,30 +34,33 @@ let init md =
 
 let compress ctx src off = ctx.md.compress ctx.h ctx.w src off
 
-let feed ctx s =
-  let n = String.length s in
+let feed_sub ctx s off n =
+  if off < 0 || n < 0 || off > String.length s - n then invalid_arg "Merkle_damgard.feed_sub";
   let src = Bytes.unsafe_of_string s in
+  let stop = off + n in
   ctx.len <- ctx.len + n;
-  let pos = ref 0 in
+  let pos = ref off in
   if ctx.fill > 0 then begin
     let take = min (block_size - ctx.fill) n in
-    Bytes.blit src 0 ctx.block ctx.fill take;
+    Bytes.blit src off ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;
-    pos := take;
+    pos := off + take;
     if Int.equal ctx.fill block_size then begin
       compress ctx ctx.block 0;
       ctx.fill <- 0
     end
   end;
   (* Whole blocks are compressed straight from the input. *)
-  while n - !pos >= block_size do
+  while stop - !pos >= block_size do
     compress ctx src !pos;
     pos := !pos + block_size
   done;
-  if !pos < n then begin
-    Bytes.blit src !pos ctx.block 0 (n - !pos);
-    ctx.fill <- n - !pos
+  if !pos < stop then begin
+    Bytes.blit src !pos ctx.block 0 (stop - !pos);
+    ctx.fill <- stop - !pos
   end
+
+let feed ctx s = feed_sub ctx s 0 (String.length s)
 
 let finalize ctx =
   let b = ctx.block and fill = ctx.fill in

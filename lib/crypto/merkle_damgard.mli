@@ -20,6 +20,11 @@ type ctx
 val init : t -> ctx
 val feed : ctx -> string -> unit
 
+val feed_sub : ctx -> string -> int -> int -> unit
+(** [feed_sub ctx s off len] feeds the [len] bytes of [s] from [off], as
+    [feed ctx (String.sub s off len)] would, without copying them out.
+    @raise Invalid_argument when the range is not within [s]. *)
+
 val finalize : ctx -> string
 (** The context may be reused only after {!resume}. *)
 

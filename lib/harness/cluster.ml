@@ -129,6 +129,7 @@ type t = {
   images : P.Checkpoint.Images.t;
       (* the latest checkpoint images, so the n replicas that wrap one
          image hash it once and keep one copy *)
+  batches : P.Checkpoint.Images.t;  (* the latest batches, hashed once for all replicas *)
   config : P.Config.t;
   nodes : node array;
   mutable procs : Replica.t array;  (* one process shell per node *)
@@ -206,6 +207,7 @@ let codec_counts t =
     (0, 0) t.nodes
 
 let images t = t.images
+let batches t = t.batches
 
 let run t ~until = Engine.run ~until t.engine
 
@@ -386,6 +388,7 @@ let make_context t i =
     verify_acc;
     digest_charge;
     images = t.images;
+    batches = t.batches;
     send;
     multicast;
     set_timer;
@@ -502,6 +505,7 @@ let build spec =
       keyring;
       issued = Issued.create keyring;
       images = P.Checkpoint.Images.create ();
+      batches = P.Checkpoint.Images.create ~window:P.Checkpoint.batch_window ();
       config;
       nodes;
       procs = [||];

@@ -171,6 +171,9 @@ val images : t -> Sof_protocol.Checkpoint.Images.t
     replicas, and {!Sof_protocol.Checkpoint.Images.computed} the hash
     passes they cost. *)
 
+val batches : t -> Sof_protocol.Checkpoint.Images.t
+(** The cluster's one memo of batch digests, counted the same way. *)
+
 val codec_counts : t -> int * int
 (** [(encodes, decodes)] so far, over all processes: envelopes encoded (one
     per send or multicast, however many copies it makes) and received

@@ -79,6 +79,7 @@ type t = {
   timers : timer Heap.t;
   self_sends : (node * string) Queue.t;  (* node, encoded envelope *)
   images : P.Checkpoint.Images.t;  (* every process's checkpoint images *)
+  batches : P.Checkpoint.Images.t;  (* and every process's batch digests *)
   mutable conns : conn list;
   listeners : Unix.file_descr array;
   scratch : Bytes.t;
@@ -244,6 +245,7 @@ let make_context t node =
     verify_acc = verify;
     digest_charge = (fun _ -> ());
     images = t.images;
+    batches = t.batches;
     send;
     multicast;
     set_timer;
@@ -461,6 +463,7 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
       timers = Heap.create ();
       self_sends = Queue.create ();
       images = P.Checkpoint.Images.create ();
+      batches = P.Checkpoint.Images.create ~window:P.Checkpoint.batch_window ();
       conns = [];
       listeners;
       scratch = Bytes.create 65536;

@@ -47,16 +47,20 @@ let decode_op s =
   Codec.Reader.expect_end r;
   op
 
-let encode_reply reply =
-  let w = Codec.Writer.create () in
-  (match reply with
-  | Value v ->
-    Codec.Writer.u8 w 0;
-    Codec.Writer.string w v
-  | Not_found -> Codec.Writer.u8 w 1
-  | Ok -> Codec.Writer.u8 w 2
-  | Cas_failed -> Codec.Writer.u8 w 3);
-  Codec.Writer.contents w
+(* The reply [Value v] for the [len] bytes of [src] from [off]: tag 0, then
+   the value as a length-prefixed string.  The store answers a get with a
+   slice of its image, built without cutting the value out first. *)
+let value_reply src off len =
+  let b = Bytes.create (1 + Codec.varint_size len + len) in
+  Bytes.set b 0 '\000';
+  Bytes.blit_string src off b (Codec.put_varint b 1 len) len;
+  Bytes.unsafe_to_string b
+
+let encode_reply = function
+  | Value v -> value_reply v 0 (String.length v)
+  | Not_found -> "\001"
+  | Ok -> "\002"
+  | Cas_failed -> "\003"
 
 let decode_reply s =
   let r = Codec.Reader.of_string s in
@@ -71,108 +75,244 @@ let decode_reply s =
   Codec.Reader.expect_end r;
   reply
 
-module Store = Map.Make (String)
+(* The store is its canonical image, the bytes [snapshot] returns: a
+   varint count, then each entry's key and value as length-prefixed strings
+   in strictly increasing key order.  [offs.(i)] is where entry [i] starts
+   and [offs.(count)] is the image's length.  [writes] holds every write
+   since the image was made, [None] for a delete.  A put then costs a table
+   write, and a checkpoint a merge of the writes into the image: unchanged
+   runs of entries move as one block, and nothing is decoded or re-encoded
+   but the written entries.
 
-(* [map] is the store as of the last [settle]; [writes] holds every write
-   since, [None] for a delete.  A put then costs a table write, not a copied
-   path of the map. *)
-type store = { mutable map : string Store.t; writes : (string, string option) Hashtbl.t }
+   The image was made here or checked by [restore], so its varints are
+   canonical and each one's size is [Codec.varint_size] of its value.  The
+   loops over entries are top-level functions: a local closure would be
+   allocated per call. *)
+type store = {
+  mutable image : string;
+  mutable offs : int array;
+  writes : (string, string option) Hashtbl.t;
+}
+
+let count s = Array.length s.offs - 1
 
 (* The fewest buckets [Hashtbl] allows: the model checker builds n fresh
    machines per replayed world, and most of them see few writes. *)
-let fresh map = { map; writes = Hashtbl.create 1 }
+let adopt image offs = { image; offs; writes = Hashtbl.create 1 }
+let empty () = adopt "\000" [| 1 |]
 
-let settle s =
-  if Hashtbl.length s.writes > 0 then begin
-    s.map <-
-      Hashtbl.fold
-        (fun k w map -> match w with Some v -> Store.add k v map | None -> Store.remove k map)
-        s.writes s.map;
-    Hashtbl.clear s.writes
-  end
+let rec varint_at image pos shift acc =
+  let b = Char.code image.[pos] in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_at image (pos + 1) (shift + 7) acc
 
-let find s k =
-  match Hashtbl.find_opt s.writes k with Some w -> w | None -> Store.find_opt k s.map
+(* Entry [i]'s key is [key_len] bytes from [key_at]; its value, [value_len]
+   bytes from [value_at]. *)
+let key_len s i = varint_at s.image s.offs.(i) 0 0
+let key_at s i = s.offs.(i) + Codec.varint_size (key_len s i)
+let value_pos s i = key_at s i + key_len s i
+let value_len s i = varint_at s.image (value_pos s i) 0 0
+let value_at s i = value_pos s i + Codec.varint_size (value_len s i)
+
+(* [String.compare] of the [xlen] bytes of [x] from [xoff] against the
+   [ylen] bytes of [y] from [yoff], from their [i]th bytes on. *)
+let rec compare_from x xoff xlen y yoff ylen i =
+  if i >= xlen || i >= ylen then Int.compare xlen ylen
+  else
+    let c = Char.compare x.[xoff + i] y.[yoff + i] in
+    if c <> 0 then c else compare_from x xoff xlen y yoff ylen (i + 1)
+
+let compare_slice k image off len = compare_from k 0 (String.length k) image off len 0
+
+let slice_equal v image off len =
+  Int.equal (String.length v) len && Int.equal (compare_slice v image off len) 0
+
+(* The entry holding [k], or [-(i + 1)] when [k] is absent and would be
+   entry [i].  Keys of entries before [lo] are below [k], keys from [hi]
+   on are above it. *)
+let rec search s k lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let len = key_len s mid in
+    let c = compare_slice k s.image (s.offs.(mid) + Codec.varint_size len) len in
+    if c < 0 then search s k lo mid else if c > 0 then search s k (mid + 1) hi else mid
+
+let find_entry s k = search s k 0 (count s)
 
 let ok_reply = encode_reply Ok
 let not_found_reply = encode_reply Not_found
 let cas_failed_reply = encode_reply Cas_failed
 
+let get s k =
+  match Hashtbl.find_opt s.writes k with
+  | Some (Some v) -> encode_reply (Value v)
+  | Some None -> not_found_reply
+  | None ->
+    let i = find_entry s k in
+    if i < 0 then not_found_reply else value_reply s.image (value_at s i) (value_len s i)
+
+let holds s k expected =
+  match Hashtbl.find_opt s.writes k with
+  | Some (Some v) -> String.equal v expected
+  | Some None -> false
+  | None ->
+    let i = find_entry s k in
+    i >= 0 && slice_equal expected s.image (value_at s i) (value_len s i)
+
 let apply s op_bytes =
   match decode_op op_bytes with
   | exception Codec.Reader.Truncated -> (s, cas_failed_reply)
-  | Get k -> begin
-    match find s k with
-    | Some v -> (s, encode_reply (Value v))
-    | None -> (s, not_found_reply)
-  end
+  | Get k -> (s, get s k)
   | Put (k, v) ->
     Hashtbl.replace s.writes k (Some v);
     (s, ok_reply)
   | Delete k ->
     Hashtbl.replace s.writes k None;
     (s, ok_reply)
-  | Cas { key; expected; replacement } -> begin
-    match find s key with
-    | Some v when String.equal v expected ->
+  | Cas { key; expected; replacement } ->
+    if holds s key expected then begin
       Hashtbl.replace s.writes key (Some replacement);
       (s, ok_reply)
-    | Some _ | None -> (s, cas_failed_reply)
+    end
+    else (s, cas_failed_reply)
+
+(* ---------------------------------------------------------------- merge *)
+
+let string_size v = Codec.varint_size (String.length v) + String.length v
+let entry_size s i = s.offs.(i + 1) - s.offs.(i)
+let by_key ((a : string), _) ((b : string), _) = String.compare a b
+
+(* Entries [i, j) of [s] move to [b] at [pos] as one block and become
+   entries from [e] of [offs]; the position after them. *)
+let copy_run s b pos offs e i j =
+  let src = s.offs.(i) in
+  Bytes.blit_string s.image src b pos (s.offs.(j) - src);
+  for t = i to j - 1 do
+    offs.(e + t - i) <- s.offs.(t) - src + pos
+  done;
+  pos + s.offs.(j) - src
+
+(* Fold the writes into the image: each written key is found by binary
+   search, the image is sized once, and the runs between written keys are
+   copied whole. *)
+let settle s =
+  let w = Hashtbl.length s.writes in
+  if w > 0 then begin
+    let writes = Array.of_list (Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.writes []) in
+    (* Merge sort: fewer comparisons than [Array.sort]'s heap sort. *)
+    Array.stable_sort by_key writes;
+    let n = count s in
+    let at = Array.make w 0 in
+    let n' = ref n and body = ref (s.offs.(n) - s.offs.(0)) and lo = ref 0 in
+    for j = 0 to w - 1 do
+      let k, v = writes.(j) in
+      (* The keys are sorted: each one lies at or after the last. *)
+      let i = search s k !lo n in
+      at.(j) <- i;
+      lo := if i >= 0 then i + 1 else -i - 1;
+      if i >= 0 then begin
+        decr n';
+        body := !body - entry_size s i
+      end;
+      match v with
+      | Some v ->
+        incr n';
+        body := !body + string_size k + string_size v
+      | None -> ()
+    done;
+    let b = Bytes.create (Codec.varint_size !n' + !body) in
+    let offs = Array.make (!n' + 1) 0 in
+    let pos = ref (Codec.put_varint b 0 !n') and next = ref 0 and e = ref 0 in
+    for j = 0 to w - 1 do
+      let k, v = writes.(j) in
+      let i = if at.(j) >= 0 then at.(j) else -at.(j) - 1 in
+      pos := copy_run s b !pos offs !e !next i;
+      e := !e + i - !next;
+      next := if at.(j) >= 0 then i + 1 else i;
+      match v with
+      | Some v ->
+        offs.(!e) <- !pos;
+        pos := Codec.put_string b (Codec.put_string b !pos k) v;
+        incr e
+      | None -> ()
+    done;
+    offs.(!n') <- copy_run s b !pos offs !e !next n;
+    s.image <- Bytes.unsafe_to_string b;
+    s.offs <- offs;
+    Hashtbl.clear s.writes
   end
-
-let digest_of map =
-  let ctx = Sof_crypto.(Merkle_damgard.init Sha256.md) in
-  Store.iter
-    (fun k v ->
-      Sof_crypto.Merkle_damgard.feed ctx k;
-      Sof_crypto.Merkle_damgard.feed ctx "\x00";
-      Sof_crypto.Merkle_damgard.feed ctx v;
-      Sof_crypto.Merkle_damgard.feed ctx "\x01")
-    map;
-  Sof_crypto.Merkle_damgard.finalize ctx
-
-(* Most stores a model checker fingerprints are still empty. *)
-let empty_digest = digest_of Store.empty
-
-let digest s =
-  settle s;
-  if Store.is_empty s.map then empty_digest else digest_of s.map
-
-(* A snapshot is sized first and filled once: the image of a checkpoint
-   boundary is tens of KB, and a growing buffer would copy it several
-   times over and once more into the result. *)
-let string_size s = Codec.varint_size (String.length s) + String.length s
-let entry_size k v size = size + string_size k + string_size v
 
 let snapshot s =
   settle s;
-  let n = Store.cardinal s.map in
-  let b = Bytes.create (Store.fold entry_size s.map (Codec.varint_size n)) in
-  let put k v pos = Codec.put_string b (Codec.put_string b pos k) v in
-  ignore (Store.fold put s.map (Codec.put_varint b 0 n) : int);
-  Bytes.unsafe_to_string b
+  s.image
 
+let digest_of s =
+  let ctx = Sof_crypto.(Merkle_damgard.init Sha256.md) in
+  for i = 0 to count s - 1 do
+    Sof_crypto.Merkle_damgard.feed_sub ctx s.image (key_at s i) (key_len s i);
+    Sof_crypto.Merkle_damgard.feed ctx "\x00";
+    Sof_crypto.Merkle_damgard.feed_sub ctx s.image (value_at s i) (value_len s i);
+    Sof_crypto.Merkle_damgard.feed ctx "\x01"
+  done;
+  Sof_crypto.Merkle_damgard.finalize ctx
+
+(* Most stores a model checker fingerprints are still empty. *)
+let empty_digest = digest_of (empty ())
+
+let digest s =
+  settle s;
+  if Int.equal (count s) 0 then empty_digest else digest_of s
+
+(* -------------------------------------------------------------- restore *)
+
+(* Each entry's start; [Truncated] unless [image] is a count and that many
+   length-prefixed key and value pairs, and nothing after them.  Every
+   entry takes at least two bytes, so a larger count is garbage and is
+   refused before anything its size is allocated. *)
+let parse image =
+  let r = Codec.Reader.of_string image in
+  let n = Codec.Reader.varint r in
+  if n > Codec.Reader.remaining r / 2 then raise Codec.Reader.Truncated;
+  let offs = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    offs.(i) <- String.length image - Codec.Reader.remaining r;
+    Codec.Reader.skip r (Codec.Reader.varint r);
+    Codec.Reader.skip r (Codec.Reader.varint r)
+  done;
+  offs.(n) <- String.length image;
+  Codec.Reader.expect_end r;
+  offs
+
+let rec increasing s i =
+  i >= count s
+  || compare_from s.image (key_at s (i - 1)) (key_len s (i - 1)) s.image (key_at s i)
+       (key_len s i) 0
+     < 0
+     && increasing s (i + 1)
+
+(* An image whose keys strictly increase is canonical already and becomes
+   the store as it is.  Otherwise its entries are written in order into an
+   empty store, so the last write of a key wins, and merged. *)
 let restore image =
-  match
-    let r = Codec.Reader.of_string image in
-    let n = Codec.Reader.varint r in
-    let rec go map i =
-      if i >= n then map
-      else begin
-        let k = Codec.Reader.string r in
-        let v = Codec.Reader.string r in
-        go (Store.add k v map) (i + 1)
-      end
-    in
-    let map = go Store.empty 0 in
-    Codec.Reader.expect_end r;
-    map
-  with
-  | map -> Some (fresh map)
+  match parse image with
   | exception Codec.Reader.Truncated -> None
+  | offs ->
+    let s = adopt image offs in
+    if increasing s 1 then Some s
+    else begin
+      let canonical = empty () in
+      for i = 0 to count s - 1 do
+        Hashtbl.replace canonical.writes
+          (String.sub image (key_at s i) (key_len s i))
+          (Some (String.sub image (value_at s i) (value_len s i)))
+      done;
+      settle canonical;
+      Some canonical
+    end
 
 let machine () =
-  State_machine.create ~name:"kv" ~init:(fresh Store.empty) ~apply ~digest ~snapshot ~restore ()
+  State_machine.create ~name:"kv" ~init:(empty ()) ~apply ~digest ~snapshot ~restore ()
 
 let pp_op fmt = function
   | Get k -> Format.fprintf fmt "get(%s)" k

@@ -30,11 +30,18 @@ val machine : unit -> State_machine.t
     error reply rather than an exception (a Byzantine client must not crash
     replicas).
 
-    The store keeps a sorted map as of its last snapshot or digest, and a
-    hash-table overlay of the writes since.  Reads look in the overlay
-    first; {!State_machine.snapshot} and {!State_machine.state_digest} fold
-    it into the map before walking the map in key order, so images and
-    digests are those of the sorted map alone. *)
+    The store keeps its image as of its last snapshot or digest (the bytes
+    {!State_machine.snapshot} returns: a varint count, then each key and
+    value as a length-prefixed string, keys strictly increasing), the
+    offset of each entry in it, and a hash-table overlay of the writes
+    since.  Reads look in the overlay first, then binary-search the image.
+    {!State_machine.snapshot} and {!State_machine.state_digest} merge the
+    overlay into a new image, copying the runs between written keys whole,
+    so images and digests are those of the sorted store alone.
+    {!State_machine.restore} keeps an image whose keys strictly increase as
+    it is; one with keys out of order or repeated is rebuilt, the last
+    entry of a key winning; a truncated image, or one with bytes after its
+    last entry, is refused and the store keeps its state. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp_reply : Format.formatter -> reply -> unit

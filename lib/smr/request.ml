@@ -12,12 +12,13 @@ let encoded_size t =
   Codec.varint_size t.key.client + Codec.varint_size t.key.client_seq
   + Codec.varint_size n + n
 
+let put b pos t =
+  Codec.put_string b (Codec.put_varint b (Codec.put_varint b pos t.key.client) t.key.client_seq) t.op
+
 let encode t =
-  let w = Codec.Writer.create ~size:(encoded_size t) () in
-  Codec.Writer.varint w t.key.client;
-  Codec.Writer.varint w t.key.client_seq;
-  Codec.Writer.string w t.op;
-  Codec.Writer.contents w
+  let b = Bytes.create (encoded_size t) in
+  ignore (put b 0 t : int);
+  Bytes.unsafe_to_string b
 
 let decode s =
   let r = Codec.Reader.of_string s in

@@ -15,6 +15,11 @@ type t = {
 val make : client:int -> client_seq:int -> op:string -> t
 
 val encode : t -> string
+
+val put : Bytes.t -> int -> t -> int
+(** [put b pos t] writes [encode t] into [b] at [pos] and returns the
+    position after it.  @raise Invalid_argument when it does not fit. *)
+
 val decode : string -> t
 (** @raise Sof_util.Codec.Reader.Truncated on malformed input. *)
 

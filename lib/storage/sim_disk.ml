@@ -3,7 +3,12 @@
    what survives a crash.  The fault atlas intercepts writes (lost,
    misdirected), reads of stable data (corrupt sectors), and the crash
    itself (tearing the last flushed sector — the drive acknowledged the
-   flush but only a prefix reached the platter). *)
+   flush but only a prefix reached the platter).  A sync or crash empties
+   [volatile] but keeps its buckets: a checkpoint stages hundreds of
+   sectors, and a table shrunk after every sync would grow again five times
+   over for each one.  Nothing depends on the table's walk order: each
+   sector is staged once, and the atlas's slow-sector verdict is a stable
+   property of the sector, not a draw. *)
 
 type stats = {
   sd_writes : int;
@@ -114,7 +119,7 @@ let do_sync t =
       end)
     t.volatile;
   if !last >= 0 then t.last_flushed <- Some (!last, !last_data);
-  Hashtbl.reset t.volatile
+  Hashtbl.clear t.volatile
 
 let disk t =
   {
@@ -126,7 +131,7 @@ let disk t =
   }
 
 let crash t =
-  Hashtbl.reset t.volatile;
+  Hashtbl.clear t.volatile;
   (match (t.atlas, t.last_flushed) with
   | Some atlas, Some (sector, data) -> (
     match Fault_atlas.tear_length atlas ~sector_size:t.sector_size with

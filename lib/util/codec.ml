@@ -146,6 +146,10 @@ module Reader = struct
     let n = varint t in
     raw t n
 
+  let skip t n =
+    need t n;
+    t.pos <- t.pos + n
+
   let rec take_elements t f i acc =
     if i = 0 then List.rev acc else take_elements t f (i - 1) (f t :: acc)
 

@@ -82,6 +82,11 @@ module Reader : sig
   val bool : t -> bool
   val string : t -> string
   val raw : t -> int -> string
+
+  val skip : t -> int -> unit
+  (** Step over [n] bytes without copying them: {!raw} for a caller that
+      keeps only positions. *)
+
   val list : t -> (t -> 'a) -> 'a list
   val option : t -> (t -> 'a) -> 'a option
 

@@ -24,6 +24,7 @@ let context ?keyring ?(emit = ignore) ?store ~id () =
     verify_acc = verify;
     digest_charge = ignore;
     images = P.Checkpoint.Images.create ();
+    batches = P.Checkpoint.Images.create ~window:P.Checkpoint.batch_window ();
     send = (fun ~dst:_ _ -> ());
     multicast = (fun ~dsts:_ _ -> ());
     set_timer = (fun ?kind:_ ~delay:_ _ -> P.Context.null_timer);

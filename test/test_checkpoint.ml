@@ -632,6 +632,78 @@ let test_memo_corrupt_offer_rejected () =
     Alcotest.(check string) "kept digest" digest kept
   | None -> Alcotest.fail "no image kept at the installed boundary"
 
+(* ---------------------------------------------------------- batch memo *)
+
+let batch_of n = P.Batch.make [ Request.make ~client:n ~client_seq:1 ~op:(image_of n 64) ]
+
+(* The batch memo answers like [Batch.digest]; the same bytes under another
+   algorithm, and bytes one flip apart, are other entries. *)
+let test_batch_memo_exact () =
+  let m = Images.create ~window:Checkpoint.batch_window () in
+  let bytes = P.Batch.encode (batch_of 1) in
+  List.iter
+    (fun alg ->
+      Alcotest.(check string)
+        (Digest_alg.name alg ^ " digest of a batch")
+        (P.Batch.digest alg (batch_of 1)) (Images.hash m alg bytes))
+    algs;
+  Alcotest.(check int) "one hash per algorithm" (List.length algs) (Images.computed m);
+  let flipped = Recovery.flip_first_byte bytes in
+  Alcotest.(check string) "a flipped byte is hashed afresh"
+    (Digest_alg.digest Digest_alg.SHA256 flipped)
+    (Images.hash m Digest_alg.SHA256 flipped);
+  Alcotest.(check int) "the flip missed" (List.length algs + 1) (Images.computed m);
+  ignore (Images.hash m Digest_alg.SHA256 (P.Batch.encode (batch_of 1)));
+  Alcotest.(check int) "fresh bytes equal to a held entry hit" (List.length algs + 1)
+    (Images.computed m);
+  Alcotest.(check int) "every ask counted" (List.length algs + 2) (Images.asked m)
+
+let test_batch_memo_window () =
+  let window = Checkpoint.batch_window in
+  let m = Images.create ~window () in
+  let ask n = ignore (Images.hash m Digest_alg.SHA256 (P.Batch.encode (batch_of n))) in
+  for n = 1 to window + 1 do
+    ask n
+  done;
+  Alcotest.(check int) "held at most the window" window (Images.length m);
+  ask (window + 1);
+  ask 2;
+  Alcotest.(check int) "the window's batches hit" (window + 1) (Images.computed m);
+  ask 1;
+  Alcotest.(check int) "the oldest was let go" (window + 2) (Images.computed m)
+
+(* A fail-free durable SC f = 1 run with checkpoints: the coordinator mints,
+   its shadow validates and all four replicas log each batch, but the
+   cluster hashes each distinct delivered batch once. *)
+let test_batch_memo_cluster () =
+  let c =
+    Cluster.build
+      {
+        (Cluster.default_spec ~kind:Cluster.Sc_protocol ~f:1) with
+        Cluster.batching_interval = ms 20;
+        checkpoint_interval = 8;
+        durable = true;
+      }
+  in
+  Workload.install c (Workload.make ~rate_per_sec:300.0 ()) ~duration:(sec 2);
+  Cluster.run c ~until:(sec 3);
+  let distinct = Hashtbl.create 256 and deliveries = ref 0 in
+  List.iter
+    (function
+      | _, _, P.Context.Delivered { batch; _ } ->
+        incr deliveries;
+        Hashtbl.replace distinct (P.Batch.encode batch) ()
+      | _ -> ())
+    (Cluster.events c);
+  let m = Cluster.batches c in
+  Alcotest.(check bool) "batches were delivered" true (Hashtbl.length distinct > 20);
+  Alcotest.(check int) "each distinct batch hashed once" (Hashtbl.length distinct)
+    (Images.computed m);
+  Alcotest.(check bool)
+    (Printf.sprintf "every delivery asked (%d asks, %d deliveries)" (Images.asked m) !deliveries)
+    true
+    (Images.asked m >= !deliveries)
+
 let suite =
   [
     ( "checkpoint",
@@ -663,5 +735,9 @@ let suite =
         Alcotest.test_case "image memo: bounded" `Quick test_memo_bound;
         Alcotest.test_case "image memo: corrupt offer still rejected" `Quick
           test_memo_corrupt_offer_rejected;
+        Alcotest.test_case "batch memo: exact" `Quick test_batch_memo_exact;
+        Alcotest.test_case "batch memo: bounded by its window" `Quick test_batch_memo_window;
+        Alcotest.test_case "batch memo: one hash per delivered batch" `Slow
+          test_batch_memo_cluster;
       ] );
   ]

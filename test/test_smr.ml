@@ -126,44 +126,63 @@ let prop_kv_replicas_agree =
       in
       run () = run ())
 
-(* The store as a plain persistent map, with no write overlay: the machine
-   must answer, snapshot and digest exactly like it. *)
+(* The store as a sorted association list, each key once, with no write
+   overlay and no image: the machine must answer, snapshot, digest and
+   restore exactly like it. *)
 module Reference_kv = struct
-  module Store = Map.Make (String)
+  let empty : (string * string) list = []
+
+  let rec add k v = function
+    | [] -> [ (k, v) ]
+    | ((k', _) as e) :: rest ->
+      let c = String.compare k k' in
+      if c < 0 then (k, v) :: e :: rest
+      else if c = 0 then (k, v) :: rest
+      else e :: add k v rest
+
+  let remove k store = List.filter (fun (k', _) -> not (String.equal k k')) store
+  let find_opt k store = List.assoc_opt k store
 
   let apply store op_bytes =
     match Kv.decode_op op_bytes with
     | exception Sof_util.Codec.Reader.Truncated -> (store, Kv.encode_reply Kv.Cas_failed)
     | Kv.Get k -> begin
-      match Store.find_opt k store with
+      match find_opt k store with
       | Some v -> (store, Kv.encode_reply (Kv.Value v))
       | None -> (store, Kv.encode_reply Kv.Not_found)
     end
-    | Kv.Put (k, v) -> (Store.add k v store, Kv.encode_reply Kv.Ok)
-    | Kv.Delete k -> (Store.remove k store, Kv.encode_reply Kv.Ok)
+    | Kv.Put (k, v) -> (add k v store, Kv.encode_reply Kv.Ok)
+    | Kv.Delete k -> (remove k store, Kv.encode_reply Kv.Ok)
     | Kv.Cas { key; expected; replacement } -> begin
-      match Store.find_opt key store with
-      | Some v when v = expected -> (Store.add key replacement store, Kv.encode_reply Kv.Ok)
+      match find_opt key store with
+      | Some v when v = expected -> (add key replacement store, Kv.encode_reply Kv.Ok)
       | Some _ | None -> (store, Kv.encode_reply Kv.Cas_failed)
     end
 
   let digest store =
     let ctx = Sof_crypto.(Merkle_damgard.init Sha256.md) in
-    Store.iter
-      (fun k v -> List.iter (Sof_crypto.Merkle_damgard.feed ctx) [ k; "\x00"; v; "\x01" ])
+    List.iter
+      (fun (k, v) -> List.iter (Sof_crypto.Merkle_damgard.feed ctx) [ k; "\x00"; v; "\x01" ])
       store;
     Sof_crypto.Merkle_damgard.finalize ctx
 
-  let snapshot store =
+  (* An image of [entries] in the given order: sorted and unique for a
+     store, anything at all for a hostile image. *)
+  let image entries =
     let w = Sof_util.Codec.Writer.create () in
-    Sof_util.Codec.Writer.varint w (Store.cardinal store);
-    Store.iter
-      (fun k v ->
+    Sof_util.Codec.Writer.varint w (List.length entries);
+    List.iter
+      (fun (k, v) ->
         Sof_util.Codec.Writer.string w k;
         Sof_util.Codec.Writer.string w v)
-      store;
+      entries;
     Sof_util.Codec.Writer.contents w
 
+  let snapshot = image
+
+  (* Entries are added in image order, so the last write of a key wins;
+     a short image or stray bytes after the last entry refuse the whole
+     image, and the machine keeps its state. *)
   let restore image =
     let module R = Sof_util.Codec.Reader in
     match
@@ -174,9 +193,9 @@ module Reference_kv = struct
         else
           let k = R.string r in
           let v = R.string r in
-          go (Store.add k v store) (i + 1)
+          go (add k v store) (i + 1)
       in
-      let store = go Store.empty 0 in
+      let store = go empty 0 in
       R.expect_end r;
       store
     with
@@ -220,7 +239,7 @@ let prop_kv_matches_reference =
     ~count:300
     QCheck.(make Gen.(list_size (0 -- 80) gen_kv_step))
     (fun script ->
-      let m = Kv.machine () and reference = ref Reference_kv.Store.empty in
+      let m = Kv.machine () and reference = ref Reference_kv.empty in
       let images = ref [] in
       List.for_all
         (function
@@ -240,6 +259,86 @@ let prop_kv_matches_reference =
             Option.iter (fun store -> reference := store) (Reference_kv.restore image);
             String.equal (State_machine.state_digest m) (Reference_kv.digest !reference))
         script)
+
+(* Keys over a small alphabet and up to three bytes long, the empty key
+   and keys that prefix one another included, so merges and searches meet
+   every ordering case; values are as short. *)
+let gen_kv_key = QCheck.Gen.(string_size ~gen:(char_range 'a' 'c') (0 -- 3))
+let gen_kv_value = QCheck.Gen.(string_size ~gen:(char_range 'x' 'z') (0 -- 3))
+
+type kv_move =
+  | Do of Kv.op
+  | Snap
+  | Hash
+  | Back of int  (* restore the i-th snapshot taken so far *)
+  | Hostile of string  (* restore an image the machine never made *)
+
+(* Entries in any order with keys repeated, then maybe cut short or
+   followed by stray bytes. *)
+let gen_hostile_image =
+  let open QCheck.Gen in
+  map3
+    (fun entries cut stray ->
+      let image = Reference_kv.image entries in
+      match cut with
+      | Some at when at < String.length image -> String.sub image 0 at
+      | Some _ | None -> image ^ stray)
+    (list_size (0 -- 10) (pair gen_kv_key gen_kv_value))
+    (frequency [ (3, return None); (1, map Option.some (int_bound 40)) ])
+    (frequency [ (3, return ""); (1, string_size (1 -- 3)) ])
+
+let gen_kv_move =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> Kv.Get k) gen_kv_key);
+        (5, map2 (fun k v -> Kv.Put (k, v)) gen_kv_key gen_kv_value);
+        (2, map (fun k -> Kv.Delete k) gen_kv_key);
+        ( 2,
+          map3
+            (fun key expected replacement -> Kv.Cas { key; expected; replacement })
+            gen_kv_key gen_kv_value gen_kv_value );
+      ]
+  in
+  frequency
+    [
+      (12, map (fun o -> Do o) op);
+      (2, return Snap);
+      (2, return Hash);
+      (1, map (fun i -> Back i) (int_bound 6));
+      (2, map (fun image -> Hostile image) gen_hostile_image);
+    ]
+
+let prop_kv_matches_sorted_list =
+  QCheck.Test.make ~name:"kv store merges, searches and restores like a sorted list"
+    ~count:400
+    QCheck.(make Gen.(list_size (0 -- 120) gen_kv_move))
+    (fun moves ->
+      let m = Kv.machine () and reference = ref Reference_kv.empty in
+      let snapshots = ref [] in
+      let restore image =
+        State_machine.restore m image;
+        Option.iter (fun store -> reference := store) (Reference_kv.restore image);
+        String.equal (State_machine.snapshot m) (Reference_kv.snapshot !reference)
+        && String.equal (State_machine.state_digest m) (Reference_kv.digest !reference)
+      in
+      List.for_all
+        (function
+          | Do op ->
+            let bytes = Kv.encode_op op in
+            let store, reply = Reference_kv.apply !reference bytes in
+            reference := store;
+            String.equal (State_machine.apply m bytes) reply
+          | Snap ->
+            let image = State_machine.snapshot m in
+            snapshots := image :: !snapshots;
+            String.equal image (Reference_kv.snapshot !reference)
+          | Hash -> String.equal (State_machine.state_digest m) (Reference_kv.digest !reference)
+          | Back i -> (
+            match List.nth_opt !snapshots i with Some image -> restore image | None -> true)
+          | Hostile image -> restore image)
+        moves)
 
 (* --------------------------------------------------------- Lock_service *)
 
@@ -378,6 +477,7 @@ let suite =
         Alcotest.test_case "reply roundtrip" `Quick test_kv_reply_roundtrip;
         QCheck_alcotest.to_alcotest prop_kv_replicas_agree;
         QCheck_alcotest.to_alcotest prop_kv_matches_reference;
+        QCheck_alcotest.to_alcotest prop_kv_matches_sorted_list;
       ] );
     ( "smr.lock_service",
       [
