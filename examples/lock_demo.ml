@@ -16,7 +16,7 @@ let () =
     H.Cluster.build
       {
         (H.Cluster.default_spec ~kind:H.Cluster.Sc_protocol ~f:1) with
-        H.Cluster.machine_factory = Lock.machine;
+        H.Cluster.machine_factory = (fun () -> Lock.machine);
       }
   in
   let engine = H.Cluster.engine cluster in

@@ -31,10 +31,11 @@ end)
 (* The half of a world shared by every world of one model.  The checker
    signs with mock HMAC (CT with nothing), so no signature draws from the
    keyring's RNG, and the keyring's lazily keyed HMAC states are immutable
-   values: a shared ring signs exactly as a fresh one.  [sigs], [images]
-   and [batches], the mutable parts, memoise what the ring signs (see
-   [sign]) and the checkpoint images and batches the processes digest; all
-   answer exactly, so sharing them changes no world. *)
+   values: a shared ring signs exactly as a fresh one.  [sigs], [images],
+   [batches] and the stores [machine] makes, the mutable parts, memoise
+   what the ring signs (see [sign]), the checkpoint images and batches the
+   processes digest and the merges their stores make; all answer exactly,
+   so sharing them changes no world. *)
 type base = {
   spec : Model.spec;
   config : P.Config.t;
@@ -43,6 +44,7 @@ type base = {
   sigs : string Sigs.t;
   images : P.Checkpoint.Images.t;
   batches : P.Checkpoint.Images.t;
+  machine : unit -> State_machine.t;
   requests : Request.t list;
   injected : Request.Key_set.t;
   byz : int list;
@@ -226,6 +228,7 @@ let base spec =
     sigs = Sigs.create 256;
     images = P.Checkpoint.Images.create ();
     batches = P.Checkpoint.Images.create ~window:P.Checkpoint.batch_window ();
+    machine = Kv_store.machines ();
     requests;
     injected;
     byz;
@@ -251,7 +254,7 @@ let of_base base =
   in
   w.procs <-
     Replica.spawn ~config:base.config ~keyring:base.keyring ~fault:(fault_for base.spec)
-      ~machine:Kv_store.machine (make_context w);
+      ~machine:base.machine (make_context w);
   Array.iter Replica.start w.procs;
   (* Clients broadcast: every process sees every request at time zero. *)
   List.iter

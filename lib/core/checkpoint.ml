@@ -1,5 +1,7 @@
 module Codec = Sof_util.Codec
 module Request = Sof_smr.Request
+module Fnv = Sof_util.Fnv
+module Ring = Sof_util.Ring
 
 type cert = {
   cp_seq : int;
@@ -20,56 +22,6 @@ let image_digest alg image = Sof_crypto.Digest_alg.digest alg image
 
 let image_window = 4
 let batch_window = 16
-
-(* Correct replicas wrap byte-identical images at a boundary and hash the
-   batches they deliver alike, so a driver that asks once per replica
-   mostly asks about bytes it has just digested.  A hit hands back the
-   string already held, so the replicas of a driver keep one copy of each
-   image between them.  The lookups are top-level loops over the window:
-   they allocate nothing. *)
-module Images = struct
-  type entry = { alg : Sof_crypto.Digest_alg.t; bytes : string; digest : string }
-
-  type t = {
-    recent : entry option array;  (* ring of the latest distinct byte strings *)
-    mutable next : int;  (* the slot the next miss overwrites *)
-    mutable asked : int;
-    mutable computed : int;
-  }
-
-  let create ?(window = image_window) () =
-    { recent = Array.make window None; next = 0; asked = 0; computed = 0 }
-
-  (* The held [Some e] itself, so a hit allocates nothing. *)
-  let rec find t alg bytes i =
-    if i >= Array.length t.recent then None
-    else
-      match t.recent.(i) with
-      | Some e as held
-        when Sof_crypto.Digest_alg.equal e.alg alg && String.equal e.bytes bytes ->
-        held
-      | Some _ | None -> find t alg bytes (i + 1)
-
-  let remember t alg bytes =
-    t.asked <- t.asked + 1;
-    match find t alg bytes 0 with
-    | Some e -> e
-    | None ->
-      let e = { alg; bytes; digest = Sof_crypto.Digest_alg.digest alg bytes } in
-      t.computed <- t.computed + 1;
-      t.recent.(t.next) <- Some e;
-      t.next <- (t.next + 1) mod Array.length t.recent;
-      e
-
-  let digest t alg bytes =
-    let e = remember t alg bytes in
-    (e.bytes, e.digest)
-
-  let hash t alg bytes = (remember t alg bytes).digest
-  let asked t = t.asked
-  let computed t = t.computed
-  let length t = Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 t.recent
-end
 
 (* A checkpoint image carries the per-client delivery high-water marks
    alongside the service snapshot: the at-most-once filter is replicated
@@ -101,6 +53,92 @@ let wrap_image ~state ~marks =
   let pos = Codec.put_varint b (Codec.put_string b 0 state) count in
   ignore (List.fold_left (put_mark b) pos marks : int);
   Bytes.unsafe_to_string b
+
+(* A checkpoint's write-ahead-log payload is the image's length as a
+   varint, the image, then the certificate.  The image leads because every
+   replica persists the same image under its own certificate: the checksum
+   of the length and image is computed once per driver ([Images.checksum])
+   and each replica feeds on only its certificate. *)
+let length_prefix image =
+  let b = Bytes.create (Codec.varint_size (String.length image)) in
+  ignore (Codec.put_varint b 0 (String.length image) : int);
+  Bytes.unsafe_to_string b
+
+let payload_checksum image =
+  let head = length_prefix image in
+  Fnv.feed
+    (Fnv.feed Fnv.basis head ~pos:0 ~len:(String.length head))
+    image ~pos:0 ~len:(String.length image)
+
+(* Correct replicas wrap byte-identical images at a boundary and hash the
+   batches they deliver alike, so a driver that asks once per replica
+   mostly asks about bytes it has just digested.  A hit hands back the
+   string already held, so the replicas of a driver keep one copy of each
+   image between them.  The lookups scan a [Ring] with top-level
+   predicates: they allocate nothing.  [String.equal] answers at once for the same
+   string, which is what agreeing replicas hand in. *)
+module Images = struct
+  type entry = {
+    alg : Sof_crypto.Digest_alg.t;
+    bytes : string;
+    digest : string;
+    mutable checksum : int;  (* [payload_checksum bytes], or -1 until asked *)
+  }
+
+  type wrapped = { state : string; marks : (int * int) list; image : string }
+
+  type t = {
+    recent : entry Ring.t;  (* the latest distinct byte strings *)
+    wraps : wrapped Ring.t;  (* the latest wrapped images *)
+    mutable asked : int;
+    mutable computed : int;
+  }
+
+  let create ?(window = image_window) () =
+    { recent = Ring.create window; wraps = Ring.create image_window; asked = 0; computed = 0 }
+
+  let holds alg bytes e = Sof_crypto.Digest_alg.equal e.alg alg && String.equal e.bytes bytes
+
+  let remember t alg bytes =
+    t.asked <- t.asked + 1;
+    match Ring.find t.recent holds alg bytes with
+    | Some e -> e
+    | None ->
+      let e =
+        { alg; bytes; digest = Sof_crypto.Digest_alg.digest alg bytes; checksum = -1 }
+      in
+      t.computed <- t.computed + 1;
+      Ring.push t.recent e;
+      e
+
+  let digest t alg bytes =
+    let e = remember t alg bytes in
+    (e.bytes, e.digest)
+
+  let hash t alg bytes = (remember t alg bytes).digest
+
+  let equal_mark (c, l) (c', l') = Int.equal c c' && Int.equal l l'
+  let wrapped state marks w = String.equal w.state state && List.equal equal_mark w.marks marks
+
+  let wrap t ~state ~marks =
+    match Ring.find t.wraps wrapped state marks with
+    | Some w -> w.image
+    | None ->
+      let image = wrap_image ~state ~marks in
+      Ring.push t.wraps { state; marks; image };
+      image
+
+  let checksum t alg image =
+    match Ring.find t.recent holds alg image with
+    | None -> payload_checksum image
+    | Some e ->
+      if e.checksum < 0 then e.checksum <- payload_checksum image;
+      e.checksum
+
+  let asked t = t.asked
+  let computed t = t.computed
+  let length t = Ring.length t.recent
+end
 
 let unwrap_image image =
   match
@@ -157,6 +195,24 @@ let read_entry r =
   let e_digest = Codec.Reader.string r in
   let e_requests = Codec.Reader.list r read_request in
   { e_o; e_digest; e_requests }
+
+let log_payload images alg cert image =
+  let w = Codec.Writer.create () in
+  write_cert w cert;
+  let cert = Codec.Writer.contents w in
+  ( [ length_prefix image; image; cert ],
+    Fnv.feed (Images.checksum images alg image) cert ~pos:0 ~len:(String.length cert) )
+
+let decode_log_payload s =
+  match
+    let r = Codec.Reader.of_string s in
+    let image = Codec.Reader.string r in
+    let cert = read_cert r in
+    Codec.Reader.expect_end r;
+    (cert, image)
+  with
+  | v -> Some v
+  | exception Codec.Reader.Truncated -> None
 
 let pp_cert fmt c =
   Format.fprintf fmt "checkpoint<seq=%d, %d signer%s%s>" c.cp_seq

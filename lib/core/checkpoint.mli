@@ -62,12 +62,16 @@ val batch_window : int
     runtime) holds one memo for all its replicas' checkpoint images and one
     for their batches, and the replica kernel asks them for every image and
     batch digest.  The virtual price of a digest is charged by the caller
-    either way.
+    either way.  The image memo also wraps each boundary's state and marks
+    once ({!wrap}) and checksums each image's frame head once
+    (see {!log_payload}), work that is byte for byte the same at every
+    replica.
 
     The answer is exact, not a cache of guesses: bytes are a hit only if
     their algorithm and the bytes themselves equal a held entry's
     ([String.equal]), and then the digest returned is the one
-    {!Sof_crypto.Digest_alg.digest} computed over those bytes.  A lookup
+    {!Sof_crypto.Digest_alg.digest} computed over those bytes; a wrap is
+    a hit only if its state and marks equal a held pair's.  A lookup
     allocates nothing.  A memo is not thread-safe; its driver calls it from
     one thread. *)
 module Images : sig
@@ -75,7 +79,7 @@ module Images : sig
 
   val create : ?window:int -> unit -> t
   (** A memo of the last [window] (default {!image_window}) distinct byte
-      strings. *)
+      strings and the last {!image_window} wraps. *)
 
   val digest : t -> Sof_crypto.Digest_alg.t -> string -> string * string
   (** [digest t alg image] is [(image', image_digest alg image)], where
@@ -85,6 +89,13 @@ module Images : sig
 
   val hash : t -> Sof_crypto.Digest_alg.t -> string -> string
   (** The digest alone: [snd (digest t alg bytes)]. *)
+
+  val wrap : t -> state:string -> marks:(int * int) list -> string
+  (** [wrap t ~state ~marks] is [wrap_image ~state ~marks], made once for
+      the last {!image_window} distinct pairs: a pair whose state is
+      [String.equal] and whose marks are equal to a held pair's gets the
+      image already made, so the replicas that wrap one boundary share one
+      string.  Neither {!asked} nor {!computed} counts it. *)
 
   val asked : t -> int
   (** Calls to {!digest} and {!hash} so far. *)
@@ -119,5 +130,21 @@ val read_cert : Sof_util.Codec.Reader.t -> cert
 val write_entry : Sof_util.Codec.Writer.t -> entry -> unit
 val read_entry : Sof_util.Codec.Reader.t -> entry
 (** @raise Sof_util.Codec.Reader.Truncated on malformed input. *)
+
+val log_payload : Images.t -> Sof_crypto.Digest_alg.t -> cert -> string -> string list * int
+(** [log_payload images alg cert image] is a stable checkpoint's
+    write-ahead-log frame payload as {!Sof_storage.Wal.write_checkpoint}
+    takes it, with its FNV-1a checksum: the image's varint length, the
+    image itself and then the encoded certificate, so the log stages the
+    image from the string the kernel already holds.  The image leads
+    because every replica persists the same image under its own
+    certificate: [images] checksums the length and image once for each
+    image it holds digested under [alg] and keeps the result, and each
+    replica feeds on only its certificate.  The pieces' concatenation is what
+    {!decode_log_payload} reads. *)
+
+val decode_log_payload : string -> (cert * string) option
+(** The certificate and image of a {!log_payload}; [None] unless the bytes
+    are exactly one. *)
 
 val pp_cert : Format.formatter -> cert -> unit

@@ -208,7 +208,7 @@ let select_entries ~quorum ~base ~entry_ok state =
   go [] (base + 1)
 
 (* Per-client delivery high-water marks: the deterministic at-most-once
-   filter that travels inside checkpoint images (see Checkpoint.wrap_image).
+   filter that travels inside checkpoint images (see Checkpoint.Images.wrap).
    Raw delivered-key sets are pruned at each process's own truncation pace,
    so they cannot be compared or transferred; the marks only depend on the
    delivered order prefix, which agreement makes common. *)
@@ -435,23 +435,6 @@ let batch_digest log batch =
    decoder treats its bytes as hostile: a frame that slipped past the log's
    checksum but does not decode comes back as [None]. *)
 
-let checkpoint_pieces cert image =
-  let w = Codec.Writer.create () in
-  Checkpoint.write_cert w cert;
-  Codec.Writer.varint w (String.length image);
-  [ Codec.Writer.contents w; image ]
-
-let decode_checkpoint_payload s =
-  match
-    let r = Codec.Reader.of_string s in
-    let cert = Checkpoint.read_cert r in
-    let image = Codec.Reader.string r in
-    Codec.Reader.expect_end r;
-    (cert, image)
-  with
-  | v -> Some v
-  | exception Codec.Reader.Truncated -> None
-
 let encode_entry_payload e =
   let w = Codec.Writer.create () in
   Checkpoint.write_entry w e;
@@ -494,13 +477,15 @@ let persist_checkpoint log cert ~image =
   match log.ctx.Context.store with
   | None -> ()
   | Some store ->
-    let pieces = checkpoint_pieces cert image in
-    Wal.write_checkpoint store.Context.wal pieces;
+    let pieces, crc = Checkpoint.log_payload log.ctx.Context.images log.digest cert image in
+    Wal.write_checkpoint store.Context.wal ~crc pieces;
     store.Context.charge_io (List.fold_left (fun n p -> n + String.length p) 0 pieces)
 
 let boundary_image log o =
   let image =
-    Checkpoint.wrap_image ~state:(State_machine.snapshot log.service.machine) ~marks:(marks log.rcv)
+    Checkpoint.Images.wrap log.ctx.Context.images
+      ~state:(State_machine.snapshot log.service.machine)
+      ~marks:(marks log.rcv)
   in
   log.ctx.Context.digest_charge (String.length image);
   let image, digest = Checkpoint.Images.digest log.ctx.Context.images log.digest image in
@@ -852,7 +837,7 @@ let recover h =
     let wal = store.Context.wal in
     Wal.remount wal;
     let rp = Wal.replay wal in
-    let cert_image = Option.bind rp.Wal.rp_checkpoint decode_checkpoint_payload in
+    let cert_image = Option.bind rp.Wal.rp_checkpoint Checkpoint.decode_log_payload in
     let entries = List.filter_map decode_entry_payload rp.Wal.rp_entries in
     (match (rp.Wal.rp_checkpoint, cert_image) with
     | Some payload, Some _ -> Wal.write_checkpoint wal [ payload ]

@@ -35,7 +35,7 @@ type spec = {
   pair_link : Delay_model.t;
   seed : int64;
   faults : (int * P.Fault.t) list;
-  machine_factory : unit -> Sof_smr.State_machine.t;
+  machine_factory : unit -> unit -> Sof_smr.State_machine.t;
   dumb_optimization : bool;
   real_crypto : bool;
   use_channel : bool;
@@ -69,7 +69,7 @@ let default_spec ~kind ~f =
     pair_link = Delay_model.pair_link_default;
     seed = 1L;
     faults = [];
-    machine_factory = Sof_smr.Kv_store.machine;
+    machine_factory = Sof_smr.Kv_store.machines;
     dumb_optimization = true;
     real_crypto = false;
     use_channel = false;
@@ -520,7 +520,7 @@ let build spec =
       Network.set_link net ~src:s ~dst:p spec.pair_link)
     (P.Config.pairs config);
   t.procs <-
-    Replica.spawn ~config ~keyring ~fault:(fault_for spec) ~machine:spec.machine_factory
+    Replica.spawn ~config ~keyring ~fault:(fault_for spec) ~machine:(spec.machine_factory ())
       ~on_reply:(record_reply t) (make_context t);
   (* Inbound path: network -> CPU (receive cost) -> decode -> protocol. *)
   for i = 0 to n - 1 do

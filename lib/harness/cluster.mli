@@ -33,9 +33,11 @@ type spec = {
   pair_link : Sof_net.Delay_model.t;
   seed : int64;
   faults : (int * Sof_protocol.Fault.t) list;  (** (process id, fault). *)
-  machine_factory : unit -> Sof_smr.State_machine.t;
+  machine_factory : unit -> unit -> Sof_smr.State_machine.t;
       (** Which service each node replicates, fed by delivered batches
-          (default: the KV store). *)
+          (default: {!Sof_smr.Kv_store.machines}).  Called once per
+          {!build}; the maker it returns is called for every process and
+          every restart, so its machines may share work. *)
   dumb_optimization : bool;  (** SC's Section-4.3 first optimisation. *)
   real_crypto : bool;
       (** Sign with the scheme's real RSA/DSA instead of HMAC stand-ins,

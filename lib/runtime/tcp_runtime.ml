@@ -490,8 +490,8 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
   (* Protocol processes, started from this thread before the loop exists:
      until it runs, their frames, timers and self-sends only wait. *)
   t.procs <-
-    Replica.spawn ~config ~keyring ~machine:Sof_smr.Kv_store.machine (fun i ->
-        make_context t nodes.(i));
+    Replica.spawn ~config ~keyring ~machine:(Sof_smr.Kv_store.machines ())
+      (fun i -> make_context t nodes.(i));
   Array.iter Replica.start t.procs;
   t.loop <- Some (Thread.create event_loop t);
   t.client_socks <-

@@ -1,4 +1,5 @@
 module Codec = Sof_util.Codec
+module Ring = Sof_util.Ring
 
 type op =
   | Get of string
@@ -75,6 +76,60 @@ let decode_reply s =
   Codec.Reader.expect_end r;
   reply
 
+(* A deployment's replicas reach a checkpoint holding the same image and
+   the same writes since it, so each would merge the same bytes.  A merge
+   memo keeps the last few merges: the prior image, the sorted writes, and
+   the image and offsets they made.  A store whose image and writes equal
+   a held entry's adopts its result as it is, and the replicas share one
+   copy of each image.  The answer is exact: a merge is a function of the
+   prior image's bytes and the writes alone (the offsets are a function of
+   the image), and a hit needs both to be equal.  An image is compared
+   with [String.equal], which answers at once for the same string and
+   agreeing stores hold the same string; the writes are looked up in the
+   store's table, so a hit sorts nothing. *)
+module Merges = struct
+  type entry = {
+    prior : string;
+    sorted : (string * string option) array;
+    image : string;
+    offs : int array;  (* never written after the merge that made it *)
+  }
+
+  type t = { recent : entry Ring.t; mutable asked : int; mutable computed : int }
+
+  (* Agreeing stores merge one boundary at a time; four entries also keep
+     a boundary's merge while a few stores still lag one behind. *)
+  let create () = { recent = Ring.create 4; asked = 0; computed = 0 }
+
+  (* Whether [writes] binds each key of [sorted] from [i] on as [sorted]
+     does.  With as many bindings as [sorted], the two are the same writes,
+     and the table need not be sorted to find out. *)
+  let rec binds writes sorted i =
+    i >= Array.length sorted
+    ||
+    let k, v = sorted.(i) in
+    match Hashtbl.find writes k with
+    | v' -> Option.equal String.equal v v' && binds writes sorted (i + 1)
+    | exception Not_found -> false
+
+  let merged prior writes e =
+    String.equal e.prior prior
+    && Int.equal (Array.length e.sorted) (Hashtbl.length writes)
+    && binds writes e.sorted 0
+
+  let lookup t prior writes =
+    t.asked <- t.asked + 1;
+    Ring.find t.recent merged prior writes
+
+  let hold t ~prior ~sorted ~image ~offs =
+    t.computed <- t.computed + 1;
+    Ring.push t.recent { prior; sorted; image; offs }
+
+  let asked t = t.asked
+  let computed t = t.computed
+  let length t = Ring.length t.recent
+end
+
 (* The store is its canonical image, the bytes [snapshot] returns: a
    varint count, then each entry's key and value as length-prefixed strings
    in strictly increasing key order.  [offs.(i)] is where entry [i] starts
@@ -92,14 +147,15 @@ type store = {
   mutable image : string;
   mutable offs : int array;
   writes : (string, string option) Hashtbl.t;
+  merges : Merges.t;  (* the deployment's, shared by its stores *)
 }
 
 let count s = Array.length s.offs - 1
 
 (* The fewest buckets [Hashtbl] allows: the model checker builds n fresh
    machines per replayed world, and most of them see few writes. *)
-let adopt image offs = { image; offs; writes = Hashtbl.create 1 }
-let empty () = adopt "\000" [| 1 |]
+let adopt merges image offs = { image; offs; writes = Hashtbl.create 1; merges }
+let empty merges = adopt merges "\000" [| 1 |]
 
 let rec varint_at image pos shift acc =
   let b = Char.code image.[pos] in
@@ -193,52 +249,69 @@ let copy_run s b pos offs e i j =
   done;
   pos + s.offs.(j) - src
 
-(* Fold the writes into the image: each written key is found by binary
-   search, the image is sized once, and the runs between written keys are
-   copied whole. *)
+(* Fold the sorted writes into the image: each written key is found by
+   binary search, the image is sized once, and the runs between written
+   keys are copied whole. *)
+let merge s writes =
+  let w = Array.length writes in
+  let n = count s in
+  let at = Array.make w 0 in
+  let n' = ref n and body = ref (s.offs.(n) - s.offs.(0)) and lo = ref 0 in
+  for j = 0 to w - 1 do
+    let k, v = writes.(j) in
+    (* The keys are sorted: each one lies at or after the last. *)
+    let i = search s k !lo n in
+    at.(j) <- i;
+    lo := if i >= 0 then i + 1 else -i - 1;
+    if i >= 0 then begin
+      decr n';
+      body := !body - entry_size s i
+    end;
+    match v with
+    | Some v ->
+      incr n';
+      body := !body + string_size k + string_size v
+    | None -> ()
+  done;
+  let b = Bytes.create (Codec.varint_size !n' + !body) in
+  let offs = Array.make (!n' + 1) 0 in
+  let pos = ref (Codec.put_varint b 0 !n') and next = ref 0 and e = ref 0 in
+  for j = 0 to w - 1 do
+    let k, v = writes.(j) in
+    let i = if at.(j) >= 0 then at.(j) else -at.(j) - 1 in
+    pos := copy_run s b !pos offs !e !next i;
+    e := !e + i - !next;
+    next := if at.(j) >= 0 then i + 1 else i;
+    match v with
+    | Some v ->
+      offs.(!e) <- !pos;
+      pos := Codec.put_string b (Codec.put_string b !pos k) v;
+      incr e
+    | None -> ()
+  done;
+  offs.(!n') <- copy_run s b !pos offs !e !next n;
+  (Bytes.unsafe_to_string b, offs)
+
+let sorted_writes s =
+  let writes = Array.of_list (Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.writes []) in
+  (* Merge sort: fewer comparisons than [Array.sort]'s heap sort. *)
+  Array.stable_sort by_key writes;
+  writes
+
+(* The image with the writes folded in, merged here or adopted from the
+   deployment's memo. *)
 let settle s =
-  let w = Hashtbl.length s.writes in
-  if w > 0 then begin
-    let writes = Array.of_list (Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.writes []) in
-    (* Merge sort: fewer comparisons than [Array.sort]'s heap sort. *)
-    Array.stable_sort by_key writes;
-    let n = count s in
-    let at = Array.make w 0 in
-    let n' = ref n and body = ref (s.offs.(n) - s.offs.(0)) and lo = ref 0 in
-    for j = 0 to w - 1 do
-      let k, v = writes.(j) in
-      (* The keys are sorted: each one lies at or after the last. *)
-      let i = search s k !lo n in
-      at.(j) <- i;
-      lo := if i >= 0 then i + 1 else -i - 1;
-      if i >= 0 then begin
-        decr n';
-        body := !body - entry_size s i
-      end;
-      match v with
-      | Some v ->
-        incr n';
-        body := !body + string_size k + string_size v
-      | None -> ()
-    done;
-    let b = Bytes.create (Codec.varint_size !n' + !body) in
-    let offs = Array.make (!n' + 1) 0 in
-    let pos = ref (Codec.put_varint b 0 !n') and next = ref 0 and e = ref 0 in
-    for j = 0 to w - 1 do
-      let k, v = writes.(j) in
-      let i = if at.(j) >= 0 then at.(j) else -at.(j) - 1 in
-      pos := copy_run s b !pos offs !e !next i;
-      e := !e + i - !next;
-      next := if at.(j) >= 0 then i + 1 else i;
-      match v with
-      | Some v ->
-        offs.(!e) <- !pos;
-        pos := Codec.put_string b (Codec.put_string b !pos k) v;
-        incr e
-      | None -> ()
-    done;
-    offs.(!n') <- copy_run s b !pos offs !e !next n;
-    s.image <- Bytes.unsafe_to_string b;
+  if Hashtbl.length s.writes > 0 then begin
+    let image, offs =
+      match Merges.lookup s.merges s.image s.writes with
+      | Some e -> (e.Merges.image, e.Merges.offs)
+      | None ->
+        let sorted = sorted_writes s in
+        let image, offs = merge s sorted in
+        Merges.hold s.merges ~prior:s.image ~sorted ~image ~offs;
+        (image, offs)
+    in
+    s.image <- image;
     s.offs <- offs;
     Hashtbl.clear s.writes
   end
@@ -258,7 +331,7 @@ let digest_of s =
   Sof_crypto.Merkle_damgard.finalize ctx
 
 (* Most stores a model checker fingerprints are still empty. *)
-let empty_digest = digest_of (empty ())
+let empty_digest = digest_of (empty (Merges.create ()))
 
 let digest s =
   settle s;
@@ -294,14 +367,14 @@ let rec increasing s i =
 (* An image whose keys strictly increase is canonical already and becomes
    the store as it is.  Otherwise its entries are written in order into an
    empty store, so the last write of a key wins, and merged. *)
-let restore image =
+let restore merges image =
   match parse image with
   | exception Codec.Reader.Truncated -> None
   | offs ->
-    let s = adopt image offs in
+    let s = adopt merges image offs in
     if increasing s 1 then Some s
     else begin
-      let canonical = empty () in
+      let canonical = empty merges in
       for i = 0 to count s - 1 do
         Hashtbl.replace canonical.writes
           (String.sub image (key_at s i) (key_len s i))
@@ -311,8 +384,13 @@ let restore image =
       Some canonical
     end
 
-let machine () =
-  State_machine.create ~name:"kv" ~init:(empty ()) ~apply ~digest ~snapshot ~restore ()
+let machine ?(merges = Merges.create ()) () =
+  State_machine.create ~name:"kv" ~init:(empty merges) ~apply ~digest ~snapshot
+    ~restore:(restore merges) ()
+
+let machines () =
+  let merges = Merges.create () in
+  fun () -> machine ~merges ()
 
 let pp_op fmt = function
   | Get k -> Format.fprintf fmt "get(%s)" k

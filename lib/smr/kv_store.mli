@@ -25,10 +25,44 @@ val decode_op : string -> op
 val encode_reply : reply -> string
 val decode_reply : string -> reply
 
-val machine : unit -> State_machine.t
-(** A fresh, empty store.  Malformed operation bytes yield a deterministic
-    error reply rather than an exception (a Byzantine client must not crash
-    replicas).
+(** A deployment's memo of the merges its stores make.
+
+    Correct replicas reach a checkpoint holding the same image and the same
+    writes since it, so each of a deployment's n stores would merge the
+    same bytes into the same new image.  A memo holds the last 4
+    merges, each keyed by the prior image and the writes sorted by key, and
+    its value is the merged image and its entry offsets.  A store whose
+    prior image equals a held entry's ([String.equal], so the shared string
+    of agreeing stores compares at once) and whose writes are that entry's
+    (as many, each key written alike: found without sorting them) adopts
+    that image and those offsets as they are; otherwise it sorts its writes
+    and merges, and the memo holds the result in place of its oldest
+    entry.
+
+    The answer is exact: a merge is a function of the prior image's bytes
+    and the writes alone.  A memo is not thread-safe; its deployment
+    uses it from one thread. *)
+module Merges : sig
+  type t
+
+  val create : unit -> t
+  (** A memo of the last 4 merges. *)
+
+  val asked : t -> int
+  (** Merges the stores asked for: snapshots and digests with writes to
+      fold in. *)
+
+  val computed : t -> int
+  (** Of those, the merges that missed and were made. *)
+
+  val length : t -> int
+  (** Entries held now; never more than the window. *)
+end
+
+val machine : ?merges:Merges.t -> unit -> State_machine.t
+(** A fresh, empty store that merges through [merges] (default: a memo of
+    its own).  Malformed operation bytes yield a deterministic error reply
+    rather than an exception (a Byzantine client must not crash replicas).
 
     The store keeps its image as of its last snapshot or digest (the bytes
     {!State_machine.snapshot} returns: a varint count, then each key and
@@ -42,6 +76,11 @@ val machine : unit -> State_machine.t
     it is; one with keys out of order or repeated is rebuilt, the last
     entry of a key winning; a truncated image, or one with bytes after its
     last entry, is refused and the store keeps its state. *)
+
+val machines : unit -> unit -> State_machine.t
+(** [machines ()] is one deployment's maker of stores: every store it
+    makes, a first one or a restarted one, shares the same fresh merge
+    memo. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp_reply : Format.formatter -> reply -> unit

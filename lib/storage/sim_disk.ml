@@ -6,9 +6,11 @@
    flush but only a prefix reached the platter).  A sync or crash empties
    [volatile] but keeps its buckets: a checkpoint stages hundreds of
    sectors, and a table shrunk after every sync would grow again five times
-   over for each one.  Nothing depends on the table's walk order: each
-   sector is staged once, and the atlas's slow-sector verdict is a stable
-   property of the sector, not a draw. *)
+   over for each one.  So that a sync of one sector does not walk the
+   hundreds of buckets a checkpoint left, [dirty] lists the staged sectors,
+   each once, and a sync flushes and removes just those.  Nothing depends
+   on the flush order: each sector is staged once, and the atlas's
+   slow-sector verdict is a stable property of the sector, not a draw. *)
 
 type stats = {
   sd_writes : int;
@@ -27,6 +29,10 @@ type t = {
   atlas : Fault_atlas.t option;
   stable : string array;  (* unwritten sectors all hold one zero string *)
   volatile : (int, string) Hashtbl.t;
+  mutable dirty : int array;
+      (* the sectors staged since the last sync, [volatile]'s keys, in its
+         first [dirty_count] slots; grown, never shrunk *)
+  mutable dirty_count : int;
   mutable last_flushed : (int * string) option;
   mutable writes : int;
   mutable reads : int;
@@ -47,6 +53,8 @@ let create ?atlas ~sector_size ~sector_count () =
     atlas;
     stable = Array.make sector_count (String.make sector_size '\000');
     volatile = Hashtbl.create 16;
+    dirty = Array.make 16 0;
+    dirty_count = 0;
     last_flushed = None;
     writes = 0;
     reads = 0;
@@ -90,18 +98,33 @@ let do_read t sector =
       corrupted t sector data
     | Some _ | None -> data)
 
+(* A sector joins [dirty] when the table grew, i.e. the first time it is
+   staged since the last sync. *)
+let stage t sector data =
+  let held = Hashtbl.length t.volatile in
+  Hashtbl.replace t.volatile sector data;
+  if Hashtbl.length t.volatile > held then begin
+    if Int.equal t.dirty_count (Array.length t.dirty) then begin
+      let grown = Array.make (2 * t.dirty_count) 0 in
+      Array.blit t.dirty 0 grown 0 t.dirty_count;
+      t.dirty <- grown
+    end;
+    t.dirty.(t.dirty_count) <- sector;
+    t.dirty_count <- t.dirty_count + 1
+  end
+
 let do_write t sector data =
   t.writes <- t.writes + 1;
   match t.atlas with
-  | None -> Hashtbl.replace t.volatile sector data
+  | None -> stage t sector data
   | Some atlas ->
     if Fault_atlas.lose_write atlas then t.lost <- t.lost + 1
     else (
       match Fault_atlas.misdirect atlas ~sector_count:t.sector_count with
       | Some wrong ->
         t.misdirected <- t.misdirected + 1;
-        Hashtbl.replace t.volatile wrong data
-      | None -> Hashtbl.replace t.volatile sector data)
+        stage t wrong data
+      | None -> stage t sector data)
 
 (* The last flushed sector, the one a crash may tear, is the highest one
    this sync makes durable. *)
@@ -109,17 +132,20 @@ let do_sync t =
   t.syncs <- t.syncs + 1;
   let last = ref (-1) in
   let last_data = ref "" in
-  Hashtbl.iter
-    (fun sector data ->
-      note_slow t sector;
-      t.stable.(sector) <- data;
-      if sector > !last then begin
-        last := sector;
-        last_data := data
-      end)
-    t.volatile;
-  if !last >= 0 then t.last_flushed <- Some (!last, !last_data);
-  Hashtbl.clear t.volatile
+  for i = 0 to t.dirty_count - 1 do
+    let sector = t.dirty.(i) in
+    (* Listed once, when staged, and removed only here or by [crash]. *)
+    let data = Hashtbl.find t.volatile sector in
+    Hashtbl.remove t.volatile sector;
+    note_slow t sector;
+    t.stable.(sector) <- data;
+    if sector > !last then begin
+      last := sector;
+      last_data := data
+    end
+  done;
+  t.dirty_count <- 0;
+  if !last >= 0 then t.last_flushed <- Some (!last, !last_data)
 
 let disk t =
   {
@@ -132,6 +158,7 @@ let disk t =
 
 let crash t =
   Hashtbl.clear t.volatile;
+  t.dirty_count <- 0;
   (match (t.atlas, t.last_flushed) with
   | Some atlas, Some (sector, data) -> (
     match Fault_atlas.tear_length atlas ~sector_size:t.sector_size with

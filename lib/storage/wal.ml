@@ -23,8 +23,16 @@
    or epoch mismatch) or damage (bad crc / kind / length) — the damaged
    flag is what sends recovery up the ladder to peer repair.
 
+   A checkpoint payload (Checkpoint.log_payload) is the image's varint
+   length, the image, then the certificate.  The image leads because every
+   replica of a deployment persists the same image under its own
+   certificate: the checksum of the shared head is computed once per
+   deployment and passed in, and each replica feeds on only its short
+   certificate.  Replay still checks FNV-1a over the whole payload.
+
    The handle holds no copy of the log.  A frame, given as pieces (a
-   header and the payload, or a checkpoint's certificate and image), is
+   header and the payload, or a checkpoint's image length, image and
+   certificate), is
    cut straight into the sectors it touches; the only log bytes kept are
    the partial last sector ([tail]), which the next frame's first sector
    starts from, and the sector strings written since the last verified
@@ -347,12 +355,14 @@ let turn_over t pieces =
   Disk.sync t.disk;
   sync_superblock t
 
-let write_checkpoint t pieces =
+let write_checkpoint t ?crc pieces =
   let len = total_length pieces in
   if header_len + len > region_bytes t then t.dropped <- t.dropped + 1
   else begin
     t.checkpoints <- t.checkpoints + 1;
-    let crc = List.fold_left feed_piece Fnv.basis pieces in
+    let crc =
+      match crc with Some crc -> crc | None -> List.fold_left feed_piece Fnv.basis pieces
+    in
     turn_over t (header ~kind:'C' ~epoch:(t.epoch + 1) ~len ~crc :: pieces)
   end
 

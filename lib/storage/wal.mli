@@ -60,13 +60,17 @@ val sync : t -> unit
     until it verifies.  Stable read corruption cannot verify and is left
     to the per-frame crc, the detectable-damage path to peer repair. *)
 
-val write_checkpoint : t -> string list -> unit
+val write_checkpoint : t -> ?crc:int -> string list -> unit
 (** [write_checkpoint t pieces] starts a new epoch whose log is just one
     checkpoint frame, whose payload is the concatenation of [pieces] — the
     durable form of log truncation.  The sectors are cut straight from the
-    pieces, so a caller holding an image and a small header passes
-    [[header; image]] and the image is never joined into a second string.
-    Dropped, with [w_dropped] bumped, if the frame exceeds a region. *)
+    pieces, so a caller holding an image and small framing passes them as
+    pieces and the image is never joined into a second string.  [crc], if
+    given, must be {!Sof_util.Fnv} over the joined payload, and saves the
+    pass over it; a caller that already holds the checksum of a shared
+    leading part extends it over the rest.  A wrong [crc] makes the frame
+    read back as damage.  Dropped, with [w_dropped] bumped, if the frame
+    exceeds a region. *)
 
 val reset : t -> unit
 (** Start a new, empty epoch: discards all logged state.  Used when

@@ -597,6 +597,26 @@ let test_memo_bound () =
   ignore (check_answer m Digest_alg.SHA256 (image_of 1 256));
   Alcotest.(check int) "the oldest was let go" (computed + 1) (Images.computed m)
 
+(* A wrap is [wrap_image]'s bytes; the replicas of one boundary get one
+   string between them, and a state one byte apart or other marks miss.
+   A wrap is not a digest. *)
+let test_memo_wrap () =
+  let m = Images.create () in
+  let state = image_of 4 3000 in
+  let marks = [ (1, 7); (2, 3) ] in
+  let wrap state marks =
+    let image = Images.wrap m ~state ~marks in
+    Alcotest.(check string) "the wrapped bytes" (Checkpoint.wrap_image ~state ~marks) image;
+    image
+  in
+  let first = wrap state marks in
+  Alcotest.(check bool) "an equal state and marks share the string" true
+    (first == wrap (String.init 3000 (fun i -> state.[i])) [ (1, 7); (2, 3) ]);
+  Alcotest.(check bool) "other marks miss" false (first == wrap state [ (1, 7); (2, 4) ]);
+  Alcotest.(check bool) "a state one byte apart misses" false
+    (first == wrap (Recovery.flip_first_byte state) marks);
+  Alcotest.(check int) "no digest asked" 0 (Images.asked m)
+
 (* A corrupt offer while the memo holds the genuine image: the offered bytes
    miss, are hashed, fail the certified digest and are rejected; the
    genuine offer then installs the memo's own copy. *)
@@ -733,6 +753,7 @@ let suite =
         Alcotest.test_case "image memo: images one byte apart" `Quick test_memo_one_byte_apart;
         Alcotest.test_case "image memo: per digest algorithm" `Quick test_memo_per_algorithm;
         Alcotest.test_case "image memo: bounded" `Quick test_memo_bound;
+        Alcotest.test_case "image memo: one wrap per boundary" `Quick test_memo_wrap;
         Alcotest.test_case "image memo: corrupt offer still rejected" `Quick
           test_memo_corrupt_offer_rejected;
         Alcotest.test_case "batch memo: exact" `Quick test_batch_memo_exact;

@@ -8,19 +8,21 @@
    operations and digested bytes.  The three auth variants are the plain
    signed wire, signed with [amortize_verify], and MAC authenticator
    vectors.  A second table, the recovery rows below, pins the traffic
-   of probes, checkpoints and state transfer, the write-ahead log and the
-   checkpoint image digests, and its traffic rows the same run's messages,
+   of probes, checkpoints and state transfer, the write-ahead log, the
+   checkpoint image digests and the KV merges, and its traffic rows the same run's messages,
    codec calls and engine events; a third, the wal rows, pins every disk
    call the log itself makes; a
    fourth, the check rows, pins every counter of the model checker's
    searches.  A change that moves a count re-records cost.golden and says
    why; a host-side speedup must leave it byte-identical, except for the
-   checker's [replays] and the recovery rows' image hash passes. *)
+   checker's [replays] and the recovery rows' image hash passes and KV
+   merges made. *)
 
 module Simtime = Sof_sim.Simtime
 module H = Sof_harness
 module Cluster = H.Cluster
 module Images = Sof_protocol.Checkpoint.Images
+module Merges = Sof_smr.Kv_store.Merges
 
 type variant = Signed | Amortized | Mac
 
@@ -76,19 +78,24 @@ let actual () =
    batches minted, messages and bytes of the probe, checkpoint and
    state-transfer tags, the write-ahead log's appends and syncs, the image
    digests the replicas charged (summed over replicas) and the hash passes
-   the cluster's image memo made for them.  A second row per protocol, the
+   the cluster's image memo made for them, and the KV merges the replicas'
+   stores asked for (summed over replicas) and the merges their shared
+   merge memo made for them.  A second row per protocol, the
    traffic row, records messages and bytes per request, envelope encodes and
    decodes per message, and engine events per request; a request is a
    client request some process delivered. *)
 
 let recovery_tags = [ "probe"; "probe_reply"; "checkpoint"; "state_request"; "state_response" ]
 
+(* The cluster and the merge memo its stores share. *)
 let recovery_cluster kind =
+  let merges = Merges.create () in
   let c =
     Cluster.build
       {
         (Cluster.default_spec ~kind ~f:1) with
-        Cluster.batching_interval = Simtime.ms 50;
+        Cluster.machine_factory = (fun () () -> Sof_smr.Kv_store.machine ~merges ());
+        batching_interval = Simtime.ms 50;
         heartbeat_interval = Simtime.ms 50;
         pair_delay_estimate = Simtime.ms 400;
         checkpoint_interval = 8;
@@ -102,16 +109,16 @@ let recovery_cluster kind =
   at 1 (fun () -> Cluster.crash c last);
   at 2 (fun () -> Cluster.restart c last);
   at 3 (fun () -> Cluster.crash c 0);
-  c
+  (c, merges)
 
 let recovery_run kind =
-  let c = recovery_cluster kind in
+  let ((c, _) as run) = recovery_cluster kind in
   Cluster.run c ~until:(Simtime.sec 6);
-  c
+  run
 
 let slice_name c = Sof_protocol.Replica.name (Cluster.spec c).Cluster.kind
 
-let recovery_row c =
+let recovery_row (c, merges) =
   let batches =
     List.length
       (List.filter
@@ -130,15 +137,16 @@ let recovery_row c =
     | None -> (0, 0)
   in
   let images = Cluster.images c in
-  Printf.sprintf "%-4s %-9s %7d%s %7d %7d %8d %8d" (slice_name c) "recovery" batches
+  Printf.sprintf "%-4s %-9s %7d%s %7d %7d %8d %8d %8d %8d" (slice_name c) "recovery" batches
     (String.concat "" (List.map tag recovery_tags))
     appends syncs (Images.asked images) (Images.computed images)
+    (Merges.asked merges) (Merges.computed merges)
 
 let recovery_header =
-  Printf.sprintf "%-4s %-9s %7s%s %7s %7s %8s %8s" "#" "slice" "batches"
+  Printf.sprintf "%-4s %-9s %7s%s %7s %7s %8s %8s %8s %8s" "#" "slice" "batches"
     (String.concat ""
        (List.map (fun t -> Printf.sprintf " %13s" t) recovery_tags))
-    "appends" "syncs" "img_chg" "img_hash"
+    "appends" "syncs" "img_chg" "img_hash" "kv_ask" "kv_merge"
 
 let traffic_row c =
   let delivered = Hashtbl.create 1024 in
@@ -246,7 +254,7 @@ let actual () =
   in
   actual ()
   @ (recovery_header :: List.map recovery_row runs)
-  @ (traffic_header :: List.map traffic_row runs)
+  @ (traffic_header :: List.map (fun (c, _) -> traffic_row c) runs)
   @ wal_header
     :: List.map wal_row
          [
@@ -311,7 +319,7 @@ let test_kept_digests () =
   List.iter
     (fun kind ->
       let name = Sof_protocol.Replica.name kind in
-      let c = recovery_cluster kind in
+      let c, _ = recovery_cluster kind in
       let alg = (Cluster.config c).Sof_protocol.Config.digest in
       let digest_ok (image, digest) =
         String.equal digest (Sof_protocol.Checkpoint.image_digest alg image)

@@ -287,23 +287,24 @@ let gen_hostile_image =
     (frequency [ (3, return None); (1, map Option.some (int_bound 40)) ])
     (frequency [ (3, return ""); (1, string_size (1 -- 3)) ])
 
-let gen_kv_move =
+let gen_kv_op =
   let open QCheck.Gen in
-  let op =
-    frequency
-      [
-        (3, map (fun k -> Kv.Get k) gen_kv_key);
-        (5, map2 (fun k v -> Kv.Put (k, v)) gen_kv_key gen_kv_value);
-        (2, map (fun k -> Kv.Delete k) gen_kv_key);
-        ( 2,
-          map3
-            (fun key expected replacement -> Kv.Cas { key; expected; replacement })
-            gen_kv_key gen_kv_value gen_kv_value );
-      ]
-  in
   frequency
     [
-      (12, map (fun o -> Do o) op);
+      (3, map (fun k -> Kv.Get k) gen_kv_key);
+      (5, map2 (fun k v -> Kv.Put (k, v)) gen_kv_key gen_kv_value);
+      (2, map (fun k -> Kv.Delete k) gen_kv_key);
+      ( 2,
+        map3
+          (fun key expected replacement -> Kv.Cas { key; expected; replacement })
+          gen_kv_key gen_kv_value gen_kv_value );
+    ]
+
+let gen_kv_move =
+  let open QCheck.Gen in
+  frequency
+    [
+      (12, map (fun o -> Do o) gen_kv_op);
       (2, return Snap);
       (2, return Hash);
       (1, map (fun i -> Back i) (int_bound 6));
@@ -339,6 +340,75 @@ let prop_kv_matches_sorted_list =
             match List.nth_opt !snapshots i with Some image -> restore image | None -> true)
           | Hostile image -> restore image)
         moves)
+
+(* Three stores that share a merge memo and see one stream must merge each
+   boundary once between them, and a fourth store of the same family whose
+   stream differs in a single write must miss.  Every snapshot is the one
+   a stand-alone store fed the same stream takes.  The stream restores a
+   non-canonical image once, at [at], and the fourth store's write differs
+   at or after it; its key is outside the generated alphabet, so no other
+   store writes it. *)
+let prop_kv_merge_memo =
+  QCheck.Test.make ~name:"kv merge memo: agreeing stores merge once, a diverging one misses"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad (list_size (1 -- 80) gen_kv_op) (1 -- 8) (int_bound 1000) (int_bound 1000)))
+    (fun (ops, every, at, d) ->
+      let ops = Array.of_list ops in
+      let n = Array.length ops in
+      let at = at mod n in
+      let d = at + (d mod (n - at)) in
+      let merges = Kv.Merges.create () in
+      let agreeing = List.init 3 (fun _ -> Kv.machine ~merges ()) in
+      let diverging = Kv.machine ~merges () in
+      let alone = Kv.machine () and alone' = Kv.machine () in
+      let hostile = Reference_kv.image [ ("b", "1"); ("a", "2"); ("b", "3") ] in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      (* [f] on every agreeing store: the first may merge, the rest adopt. *)
+      let agree f =
+        match agreeing with
+        | [] -> ()
+        | first :: rest ->
+          f first;
+          let merged = Kv.Merges.computed merges in
+          List.iter
+            (fun m ->
+              f m;
+              check (Kv.Merges.computed merges = merged))
+            rest
+      in
+      let diverged = ref false in
+      for i = 0 to n - 1 do
+        if i = at then begin
+          let before = Kv.Merges.computed merges in
+          agree (fun m -> State_machine.restore m hostile);
+          check (Kv.Merges.computed merges = before + 1);
+          List.iter (fun m -> State_machine.restore m hostile) [ diverging; alone; alone' ];
+          check (Kv.Merges.computed merges = before + 1)
+        end;
+        let op = Kv.encode_op ops.(i) in
+        let op' = if i = d then Kv.encode_op (Kv.Put ("zz", "diverged")) else op in
+        let reply = State_machine.apply alone op in
+        List.iter (fun m -> check (String.equal (State_machine.apply m op) reply)) agreeing;
+        check
+          (String.equal (State_machine.apply diverging op') (State_machine.apply alone' op'));
+        if (i + 1) mod every = 0 || i = n - 1 then begin
+          let image = State_machine.snapshot alone in
+          agree (fun m -> check (String.equal (State_machine.snapshot m) image));
+          let before = Kv.Merges.computed merges in
+          check (String.equal (State_machine.snapshot diverging) (State_machine.snapshot alone'));
+          if i >= d && not !diverged then begin
+            diverged := true;
+            check (Kv.Merges.computed merges = before + 1)
+          end
+        end
+      done;
+      check !diverged;
+      check (Kv.Merges.length merges <= 4 && Kv.Merges.computed merges <= Kv.Merges.asked merges);
+      !ok)
 
 (* --------------------------------------------------------- Lock_service *)
 
@@ -478,6 +548,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_kv_replicas_agree;
         QCheck_alcotest.to_alcotest prop_kv_matches_reference;
         QCheck_alcotest.to_alcotest prop_kv_matches_sorted_list;
+        QCheck_alcotest.to_alcotest prop_kv_merge_memo;
       ] );
     ( "smr.lock_service",
       [

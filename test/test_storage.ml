@@ -600,13 +600,21 @@ let test_payload_decoders () =
     if Option.is_some (decode (payload ^ "\000")) then
       Alcotest.failf "%s payload with a trailing byte decoded" name
   in
-  let ckpt = String.concat "" (Recovery.checkpoint_pieces cert "image") in
-  (match Recovery.decode_checkpoint_payload ckpt with
+  let pieces, crc = Checkpoint.log_payload (Checkpoint.Images.create ()) Sof_crypto.Digest_alg.SHA256 cert "image"
+  in
+  (match pieces with
+  | [ head; image; _ ] ->
+    Alcotest.(check string) "the image's length leads" "\005" head;
+    Alcotest.(check string) "then the image" "image" image
+  | _ -> Alcotest.fail "a checkpoint payload is three pieces");
+  let ckpt = String.concat "" pieces in
+  Alcotest.(check int) "the frame checksum is the payload's" (Sof_util.Fnv.string ckpt) crc;
+  (match Checkpoint.decode_log_payload ckpt with
   | Some (c, image) ->
     Alcotest.(check bool) "checkpoint roundtrips" true
       (Checkpoint.equal_cert c cert && String.equal image "image")
   | None -> Alcotest.fail "checkpoint payload did not decode");
-  hostile "checkpoint" Recovery.decode_checkpoint_payload ckpt;
+  hostile "checkpoint" Checkpoint.decode_log_payload ckpt;
   let e = Recovery.encode_entry_payload entry in
   (match Recovery.decode_entry_payload e with
   | Some e' ->
@@ -614,6 +622,63 @@ let test_payload_decoders () =
     Alcotest.(check string) "entry digest roundtrips" "entry-digest" e'.Checkpoint.e_digest
   | None -> Alcotest.fail "entry payload did not decode");
   hostile "entry" Recovery.decode_entry_payload e
+
+(* A checkpoint frame checksums its image through the memo and its
+   certificate per replica; a byte flipped in either part is damage.  On
+   the 64-byte-sector test disk the checkpoint opens epoch 1 in region B,
+   and the frame's header is 13 bytes, so the payload starts at stream
+   byte 13. *)
+let test_checkpoint_frame_damage () =
+  let cert =
+    {
+      Checkpoint.cp_seq = 8;
+      cp_digest = "image-digest";
+      cp_proof = [ (0, "sig-0") ];
+      cp_endorsement = Some (1, "endorsement");
+    }
+  in
+  let image = String.init 300 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let images = Checkpoint.Images.create () in
+  let alg = Sof_crypto.Digest_alg.SHA256 in
+  ignore (Checkpoint.Images.digest images alg image);
+  let pieces, crc = Checkpoint.log_payload images alg cert image in
+  Alcotest.(check int) "the held image's checksum extends to the payload's"
+    (Sof_util.Fnv.string (String.concat "" pieces)) crc;
+  Alcotest.(check int) "and equals a fresh memo's" crc
+    (snd (Checkpoint.log_payload (Checkpoint.Images.create ()) alg cert image));
+  let image_at = 13 + Sof_util.Codec.varint_size (String.length image) in
+  let cert_at = image_at + String.length image in
+  let remount flip =
+    let disk = Sim_disk.disk (fresh_disk ()) in
+    let t = Wal.attach disk in
+    Wal.write_checkpoint t ~crc pieces;
+    Option.iter
+      (fun pos ->
+        let region_b = 2 + ((disk.Disk.sector_count - 2) / 2) in
+        let sector = region_b + (pos / disk.Disk.sector_size) in
+        let b = Bytes.of_string (Disk.read disk ~sector) in
+        let i = pos mod disk.Disk.sector_size in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+        Disk.write disk ~sector (Bytes.to_string b);
+        Disk.sync disk)
+      flip;
+    Wal.remount t;
+    Wal.replay t
+  in
+  let rp = remount None in
+  Alcotest.(check bool) "intact frame undamaged" false rp.Wal.rp_damaged;
+  (match Option.bind rp.Wal.rp_checkpoint Checkpoint.decode_log_payload with
+  | Some (c, im) ->
+    Alcotest.(check bool) "intact frame decodes" true
+      (Checkpoint.equal_cert c cert && String.equal im image)
+  | None -> Alcotest.fail "intact checkpoint frame lost");
+  List.iter
+    (fun (part, pos) ->
+      let rp = remount (Some pos) in
+      Alcotest.(check bool) (part ^ " byte flipped: damaged") true rp.Wal.rp_damaged;
+      Alcotest.(check bool) (part ^ " byte flipped: no checkpoint") true
+        (Option.is_none rp.Wal.rp_checkpoint))
+    [ ("image", image_at + 150); ("certificate", cert_at + 3) ]
 
 (* ----------------------------------------------------------- file disk *)
 
@@ -817,6 +882,8 @@ let suite =
           `Quick test_wal_torn_tail_detected;
         Alcotest.test_case "corrupt payload byte detected by checksum" `Quick
           test_wal_corrupt_payload_detected;
+        Alcotest.test_case "checkpoint frame: image or certificate flip is damage" `Quick
+          test_checkpoint_frame_damage;
         Alcotest.test_case "a synced append costs a sector, not the log" `Quick
           test_wal_append_costs_a_sector;
         Alcotest.test_case "a checkpoint allocates its image once" `Quick

@@ -188,6 +188,31 @@ let prop_heap_matches_stable_sort =
         script;
       !popped = !expected && drain h = List.sort by_key !model)
 
+(* ----------------------------------------------------------------- Ring *)
+
+(* A ring of three keeps the last three pushes: the fourth takes the
+   first's slot.  A hit is the held entry itself. *)
+let keyed k tag (k', tag', _) = Int.equal k k' && String.equal tag tag'
+
+let test_ring_window () =
+  let r = Ring.create 3 in
+  check_int "empty" 0 (Ring.length r);
+  List.iter (fun k -> Ring.push r (k, "a", ref k)) [ 1; 2; 3 ];
+  check_int "full" 3 (Ring.length r);
+  let held = Ring.find r keyed 2 "a" in
+  Alcotest.(check bool) "a held key is found" true (Option.is_some held);
+  Alcotest.(check bool) "a lookup hands back the slot's own option" true
+    (held == Ring.find r keyed 2 "a");
+  Alcotest.(check bool) "both keys must match" true (Option.is_none (Ring.find r keyed 2 "b"));
+  Ring.push r (4, "a", ref 4);
+  check_int "never more than its size" 3 (Ring.length r);
+  Alcotest.(check bool) "the oldest is gone" true (Option.is_none (Ring.find r keyed 1 "a"));
+  List.iter
+    (fun k -> Alcotest.(check bool) "the latest stay" true (Option.is_some (Ring.find r keyed k "a")))
+    [ 2; 3; 4 ];
+  Alcotest.check_raises "no empty ring" (Invalid_argument "Ring.create") (fun () ->
+      ignore (Ring.create 0 : int Ring.t))
+
 (* ------------------------------------------------------------------ Hex *)
 
 let test_hex_roundtrip () =
@@ -539,6 +564,7 @@ let suite =
         Alcotest.test_case "retain" `Quick test_heap_retain;
         QCheck_alcotest.to_alcotest prop_heap_matches_stable_sort;
       ] );
+    ("util.ring", [ Alcotest.test_case "window" `Quick test_ring_window ]);
     ( "util.hex",
       [
         Alcotest.test_case "roundtrip" `Quick test_hex_roundtrip;
