@@ -37,11 +37,9 @@ type t = {
   timing : Timing.t;
   hooks : order_state Recovery.hooks;
   mutable batch_timer : Context.timer option;
-  mutable vc_timer : Context.timer option;
   mutable last_progress : Simtime.t;
   mutable view_changes : (int, Int_set.t ref * Message.order_info list ref) Hashtbl.t;
   mutable changing_view : bool;
-  mutable vc_backoff : int;  (* doublings applied to consecutive suspicions *)
 }
 
 let id t = t.ctx.Context.id
@@ -217,31 +215,9 @@ let prepared_set t =
     t.log.orders []
   |> List.sort (fun a b -> Int.compare a.Message.o b.Message.o)
 
-let rec arm_vc_timer t =
-  let h =
-    t.ctx.Context.set_timer ~kind:Context.Watchdog ~delay:view_change_timeout
-      (fun () -> vc_tick t)
-  in
-  t.vc_timer <- Some h
-
-and vc_tick t =
-  if Timing.adaptive t.timing && not (i_am_primary t) then Recovery.send_probe t.hooks (primary t);
-  (* The stall budget a replica grants the current primary before
-     suspecting it: static mode keeps the fixed view-change timeout;
-     adaptive mode tracks the measured round-trip to the primary and
-     doubles per consecutive suspicion, capped. *)
-  let budget =
-    Simtime.add t.config.batching_interval
-      (Timing.suspicion_delay t.timing ~static:view_change_timeout ~leader:(primary t)
-         ~level:t.vc_backoff)
-  in
-  if Recovery.stalled t.log ~since:t.last_progress ~budget && not t.changing_view then
-    start_view_change t (t.view + 1);
-  arm_vc_timer t
-
-and start_view_change t v =
+let start_view_change t v =
   if v > t.view then begin
-    t.vc_backoff <- t.vc_backoff + 1;
+    Timing.suspected t.timing;
     Recovery.close_span t.log Context.View_change_phase;
     Recovery.open_span t.log Context.View_change_phase v;
     t.changing_view <- true;
@@ -294,7 +270,7 @@ let rec handle_view_change t ~src:_ ~v ~prepared (env : Message.envelope) =
 and enter_view t v pre_prepares =
   t.view <- v;
   t.changing_view <- false;
-  t.vc_backoff <- 0;
+  Timing.trusted t.timing;
   Recovery.close_span t.log Context.View_change_phase;
   t.ctx.Context.emit (Context.View_installed { v });
   let top =
@@ -368,7 +344,14 @@ let on_message t ~src (env : Message.envelope) =
 
 let start t =
   if i_am_primary t then arm_batch_timer t;
-  arm_vc_timer t
+  (* The stall budget a replica grants the current primary before
+     suspecting it: static mode keeps the fixed view-change timeout;
+     adaptive mode tracks the measured round-trip to the primary and
+     doubles per consecutive suspicion, capped. *)
+  Recovery.watch_leader t.hooks ~batching:t.config.batching_interval
+    ~leader:(fun () -> primary t)
+    ~since:(fun () -> t.last_progress)
+    ~accuse:(fun () -> if not t.changing_view then start_view_change t (t.view + 1))
 
 let kernel t = Recovery.Kernel t.hooks
 
@@ -421,11 +404,9 @@ let create ~ctx ~service ~(config : Config.t) ?(fault = Fault.Honest) () =
           multicast = (fun env -> multicast t ~dsts:(others t) env);
         };
       batch_timer = None;
-      vc_timer = None;
       last_progress = Simtime.zero;
       view_changes = Hashtbl.create 4;
       changing_view = false;
-      vc_backoff = 0;
     }
   in
   t

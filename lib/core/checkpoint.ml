@@ -213,9 +213,3 @@ let decode_log_payload s =
   with
   | v -> Some v
   | exception Codec.Reader.Truncated -> None
-
-let pp_cert fmt c =
-  Format.fprintf fmt "checkpoint<seq=%d, %d signer%s%s>" c.cp_seq
-    (List.length c.cp_proof)
-    (if Int.equal (List.length c.cp_proof) 1 then "" else "s")
-    (match c.cp_endorsement with Some (who, _) -> Printf.sprintf ", endorsed by %d" who | None -> "")

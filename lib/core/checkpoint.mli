@@ -146,5 +146,3 @@ val log_payload : Images.t -> Sof_crypto.Digest_alg.t -> cert -> string -> strin
 val decode_log_payload : string -> (cert * string) option
 (** The certificate and image of a {!log_payload}; [None] unless the bytes
     are exactly one. *)
-
-val pp_cert : Format.formatter -> cert -> unit

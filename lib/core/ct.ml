@@ -36,7 +36,6 @@ type t = {
   timing : Timing.t;
   hooks : order_state Recovery.hooks;
   mutable batch_timer : Context.timer option;
-  mutable suspect_timer : Context.timer option;
   mutable last_progress : Simtime.t;  (* last local commit *)
   last_heard : Simtime.t array;  (* per peer, last message of any kind *)
   mutable sync_pending : bool;
@@ -46,7 +45,6 @@ type t = {
          it has not yet seen. *)
   mutable sync_replies : Int_set.t;
   mutable last_probe : Simtime.t;
-  mutable suspect_backoff : int;  (* doublings per consecutive rotation *)
 }
 
 let id t = t.ctx.Context.id
@@ -60,32 +58,21 @@ let others t = List.filter (fun p -> not (Int.equal p (id t))) t.all_ids
    goes out unsigned. *)
 let unsigned t body = Message.sign ~sender:(id t) ~sign:(fun _ -> "") body
 
-(* ------------------------------------------------------ adaptive timing *)
-
-module Estimator = Sof_net.Delay_estimator
-
-(* The measured stand-in for the static suspicion timeout: the Jacobson
-   deadline of the round-trip to the current coordinator.  Widening guards
-   (the quorum-contact window) take the max with the fixed timeout so
-   adaptive mode never shrinks a window whose shrinking could stop the
-   coordinator from minting. *)
-let suspect_estimate t =
-  match t.config.timing with
-  | Config.Static -> suspect_timeout
-  | Config.Adaptive -> Estimator.timeout (Timing.est_for t.timing (coordinator t))
-
 (* A coordinator may mint new sequence numbers only while it has recent
    evidence that a quorum is reachable: an isolated coordinator that mints
    blindly casts votes for batches no quorum can ever confirm, and once every
    survivor has spent its one vote per sequence number on a different
    candidate, that sequence number is a permanent hole.  Epoch 0 is exempt
    (at most one process can ever mint blindly per partition side, and a
-   single candidate can still gather a quorum after the heal). *)
+   single candidate can still gather a quorum after the heal).  The window
+   is the estimate of the round trip to the coordinator, widened to at
+   least the fixed timeout so adaptive mode never shrinks a window whose
+   shrinking could stop the coordinator from minting. *)
 let quorum_contact t =
   t.epoch = 0
   ||
   let now = t.ctx.Context.now () in
-  let window = Simtime.max suspect_timeout (suspect_estimate t) in
+  let window = Simtime.max suspect_timeout (Timing.estimate t.timing (coordinator t)) in
   let me = id t in
   let heard = ref 1 (* self *) in
   Array.iteri
@@ -142,7 +129,7 @@ let try_commit t st =
           st.winner <- Some digest;
           Recovery.close_batch_spans t.log st.o;
           t.last_progress <- t.ctx.Context.now ();
-          t.suspect_backoff <- 0;
+          Timing.trusted t.timing;
           if st.o > t.log.max_committed then t.log.max_committed <- st.o;
           let keys = Option.value cand.c_keys ~default:[] in
           List.iter (Recovery.note_ordered t.log) keys;
@@ -237,40 +224,23 @@ and batch_tick t =
     arm_batch_timer t
   end
 
-let rec arm_suspect_timer t =
-  let h =
-    t.ctx.Context.set_timer ~kind:Context.Watchdog ~delay:suspect_timeout
-      (fun () -> suspect_tick t)
-  in
-  t.suspect_timer <- Some h
-
-and suspect_tick t =
-  if Timing.adaptive t.timing && not (i_am_coordinator t) then
-    Recovery.send_probe t.hooks (coordinator t);
-  (* Crash fail-over: rotate the coordinator when a request has been waiting
-     longer than the batching interval plus the suspicion timeout. *)
-  let budget =
-    Simtime.add t.config.batching_interval
-      (Timing.suspicion_delay t.timing ~static:suspect_timeout ~leader:(coordinator t)
-         ~level:t.suspect_backoff)
-  in
-  if Recovery.stalled t.log ~since:t.last_progress ~budget then begin
-    let now = t.ctx.Context.now () in
-    t.last_progress <- now;
-    t.suspect_backoff <- t.suspect_backoff + 1;
-    t.epoch <- t.epoch + 1;
-    (* Refresh arrivals so the next coordinator gets a full grace period. *)
-    t.log.arrival <- Key_map.map (fun _ -> now) t.log.arrival;
-    if i_am_coordinator t then begin
-      (* Sync with a quorum before minting anything; [next_seq] is
-         recomputed when the sync completes. *)
-      t.sync_pending <- true;
-      t.sync_replies <- Int_set.singleton (id t);
-      probe t;
-      arm_batch_timer t
-    end
-  end;
-  arm_suspect_timer t
+(* Crash fail-over: rotate the coordinator when a request has been waiting
+   longer than the batching interval plus the suspicion timeout. *)
+let rotate t =
+  let now = t.ctx.Context.now () in
+  t.last_progress <- now;
+  Timing.suspected t.timing;
+  t.epoch <- t.epoch + 1;
+  (* Refresh arrivals so the next coordinator gets a full grace period. *)
+  t.log.arrival <- Key_map.map (fun _ -> now) t.log.arrival;
+  if i_am_coordinator t then begin
+    (* Sync with a quorum before minting anything; [next_seq] is
+       recomputed when the sync completes. *)
+    t.sync_pending <- true;
+    t.sync_replies <- Int_set.singleton (id t);
+    probe t;
+    arm_batch_timer t
+  end
 
 let on_request t req = Recovery.on_request t.hooks req
 
@@ -373,7 +343,10 @@ let on_message t ~src (env : Message.envelope) =
 
 let start t =
   if i_am_coordinator t then arm_batch_timer t;
-  arm_suspect_timer t
+  Recovery.watch_leader t.hooks ~batching:t.config.batching_interval
+    ~leader:(fun () -> coordinator t)
+    ~since:(fun () -> t.last_progress)
+    ~accuse:(fun () -> rotate t)
 
 let kernel t = Recovery.Kernel t.hooks
 
@@ -445,13 +418,11 @@ let create ~ctx ~service ~(config : Config.t) =
           multicast = (fun env -> ctx.Context.multicast ~dsts:(others t) env);
         };
       batch_timer = None;
-      suspect_timer = None;
       last_progress = Simtime.zero;
       last_heard = Array.make n Simtime.zero;
       sync_pending = false;
       sync_replies = Int_set.empty;
       last_probe = Simtime.zero;
-      suspect_backoff = 0;
     }
   in
   t

@@ -345,18 +345,6 @@ let signature_count env = match env.endorsement with None -> 1 | Some _ -> 2
 
 (* ------------------------------------------------------------- equality *)
 
-let equal_key (a : Request.key) (b : Request.key) =
-  Int.equal (Request.compare_key a b) 0
-
-let equal_order_info a b =
-  Int.equal a.o b.o
-  && String.equal a.digest b.digest
-  && List.equal equal_key a.keys b.keys
-
-(* The codec is canonical — fixed field order, no padding — so two bodies
-   are equal exactly when their encodings are. *)
-let equal_body a b = String.equal (encode_body a) (encode_body b)
-
 let equal_endorsement (i, s) (j, u) = Int.equal i j && String.equal s u
 
 let equal a b =

@@ -151,16 +151,6 @@ val endorsement_payload : body -> string -> string
     signatory signs, for signatures detached from their envelope
     (checkpoint certificates). *)
 
-val equal_key : Sof_smr.Request.key -> Sof_smr.Request.key -> bool
-
-val equal_order_info : order_info -> order_info -> bool
-
-val equal_body : body -> body -> bool
-(** Structural equality via the canonical encoding: two bodies are equal
-    exactly when they encode to the same bytes. *)
-
-val equal_endorsement : int * string -> int * string -> bool
-
 val equal : envelope -> envelope -> bool
 (** Envelope equality: sender, body bytes, signature and endorsement all
     match.  The typed replacement for polymorphic [=] on messages (lint rule R1). *)

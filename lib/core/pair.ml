@@ -3,7 +3,6 @@ module Request = Sof_smr.Request
 module Key_map = Request.Key_map
 module Key_set = Request.Key_set
 module Int_set = Set.Make (Int)
-module Estimator = Sof_net.Delay_estimator
 
 (* Votes for one sequence number, keyed by digest: a vote is either being a
    signatory of the doubly-signed order or having sent a matching ack.  The
@@ -24,6 +23,8 @@ type slot = {
   mutable null : bool;
   votes_by_digest : (string, votes) Hashtbl.t;
 }
+
+type report = int * Message.order_info list
 
 type 'x hooks = {
   era : 'x t -> int;
@@ -74,6 +75,7 @@ and 'x t = {
   mutable hb_level : int;
   mutable ckpt_proposals : (Message.envelope * int * string) list;
   mutable ckpt_certs : Checkpoint.cert list;
+  reports : (int, (int * report) list ref) Hashtbl.t;
 }
 
 (* ------------------------------------------------------------ accessors *)
@@ -134,9 +136,9 @@ let fail_signal_authentic t ~pair (env : Message.envelope) =
    conservative — it can only delay a time-domain fail-signal, never forge
    evidence (timers gate accusations, not safety). *)
 let pair_estimate t =
-  match (t.config.Config.timing, t.counterpart) with
-  | Config.Static, _ | _, None -> t.config.Config.pair_delay_estimate
-  | Config.Adaptive, Some cp -> Estimator.timeout (Timing.est_for t.timing cp)
+  match t.counterpart with
+  | Some cp -> Timing.estimate t.timing cp
+  | None -> Timing.base t.timing
 
 (* Adaptive suspicion discipline.  An expired adaptive deadline is first
    evidence of a wrong estimate, not of a failed counterpart: the Jacobson
@@ -774,6 +776,46 @@ let plausible t ~start_o ~anchor ~new_back_log ~reports =
          List.length competing < t.config.Config.f + 1)
        new_back_log
 
+(* The report table: per era, the first report of each sender, newest
+   first. *)
+let add_report t ~era ~src report =
+  let cell =
+    match Hashtbl.find_opt t.reports era with
+    | Some cell -> cell
+    | None ->
+      let cell = ref [] in
+      Hashtbl.replace t.reports era cell;
+      cell
+  in
+  (not (List.mem_assoc src !cell))
+  && begin
+       cell := (src, report) :: !cell;
+       true
+     end
+
+let reports t ~era =
+  match Hashtbl.find_opt t.reports era with Some cell -> List.map snd !cell | None -> []
+
+let propose t ~era body =
+  let reports = reports t ~era in
+  if List.length reports >= t.hooks.quorum t then begin
+    let start_o, anchor, new_back_log = new_back_log t reports in
+    Some (Context.make_signed t.ctx (body ~start_o ~anchor ~new_back_log))
+  end
+  else None
+
+(* The new shadow checks its primary's proposal against the reports it
+   received itself (the paper's p'c verification), then endorses and
+   multicasts it. *)
+let judge_proposal t (env : Message.envelope) ~era ~start_o ~anchor ~new_back_log ~install =
+  let reports = List.map snd (reports t ~era) in
+  if plausible t ~start_o ~anchor ~new_back_log ~reports then begin
+    let endorsed = Context.endorse t.ctx env in
+    multicast t ~dsts:(others t) endorsed;
+    install endorsed
+  end
+  else emit_fail_signal t ~value_domain:true
+
 let install t (env : Message.envelope) ~era ~start_o ~anchor ~new_back_log ~primary ~shadow =
   t.start_covers <-
     List.filter (fun (i : Message.order_info) -> i.Message.o > t.log.Recovery.max_committed)
@@ -1045,6 +1087,7 @@ let create ~name ~ctx ~service ~config ~fault ~counterpart_fail_signal ~hooks x 
       hb_level = 0;
       ckpt_proposals = [];
       ckpt_certs = [];
+      reports = Hashtbl.create 4;
     }
   in
   t

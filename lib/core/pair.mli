@@ -36,6 +36,11 @@ type slot = {
   votes_by_digest : (string, votes) Hashtbl.t;
 }
 
+type report = int * Message.order_info list
+(** What a process reports when the coordinator is replaced (SC's BackLog,
+    SCR's ViewChange): its max committed sequence number and the orders it
+    holds above it. *)
+
 type 'x hooks = {
   era : 'x t -> int;  (** Current coordinator era: SC's rank [c], SCR's view [v]. *)
   rank_of : 'x t -> int -> int;  (** The candidate rank coordinating an era. *)
@@ -103,6 +108,8 @@ and 'x t = {
       (** Shadow: checkpoint proposals awaiting our own boundary image. *)
   mutable ckpt_certs : Checkpoint.cert list;
       (** Verified certificates awaiting our own boundary image. *)
+  reports : (int, (int * report) list ref) Hashtbl.t;
+      (** Per era, each sender's report; read through {!reports}. *)
 }
 
 val create :
@@ -166,23 +173,38 @@ val keep_beating : 'x t -> timely:bool -> bool
 
 (** {1 Replacing the coordinator} *)
 
-val new_back_log :
-  'x t -> (int * Message.order_info list) list -> int * int * Message.order_info list
-(** From a quorum of (max committed, uncommitted orders) reports: the
-    start sequence number, the anchor (highest proven commit) and the
-    back-log between them — the best-supported digest per sequence number,
-    holes filled with null orders. *)
+val add_report : 'x t -> era:int -> src:int -> report -> bool
+(** Record [src]'s report for [era]; [false], and nothing recorded, when
+    [src] already reported for it (first report wins). *)
 
-val plausible :
+val reports : 'x t -> era:int -> report list
+(** The reports recorded for [era], newest first. *)
+
+val propose :
   'x t ->
+  era:int ->
+  (start_o:int -> anchor:int -> new_back_log:Message.order_info list -> Message.body) ->
+  Message.envelope option
+(** The new primary's proposal, once a quorum has reported for [era]: the
+    body built around the new back-log, signed.  The back-log starts at
+    the anchor (highest proven commit), takes the best-supported digest
+    per sequence number above it and fills holes with null orders; it ends
+    below [start_o]. *)
+
+val judge_proposal :
+  'x t ->
+  Message.envelope ->
+  era:int ->
   start_o:int ->
   anchor:int ->
   new_back_log:Message.order_info list ->
-  reports:Message.order_info list list ->
-  bool
+  install:(Message.envelope -> unit) ->
+  unit
 (** The new shadow's check of its primary's proposal against the reports
-    it received itself: no known commit contradicted, no order with f+1
-    competing reports chosen. *)
+    it received itself for [era]: when no known commit is contradicted and
+    no order with f+1 competing reports was chosen, endorse, multicast and
+    [install] the endorsed proposal; otherwise emit a value-domain
+    fail-signal. *)
 
 val install :
   'x t ->

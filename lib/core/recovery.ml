@@ -916,6 +916,19 @@ let stalled log ~since ~budget =
          (not (key_ordered log k)) && Simtime.compare (Simtime.add arrived budget) now <= 0)
        log.arrival
 
+(* BFT's view change and CT's rotation start from this one watch.  Under
+   adaptive timing each tick also probes the leader, which keeps fresh the
+   round-trip estimate its budget rests on. *)
+let rec watch_leader h ~batching ~leader ~since ~accuse =
+  let ctx = h.log.ctx in
+  ignore
+    (ctx.Context.set_timer ~kind:Context.Watchdog ~delay:(Timing.base h.timing) (fun () ->
+         let l = leader () in
+         if Timing.adaptive h.timing && not (Int.equal l ctx.Context.id) then send_probe h l;
+         let budget = Simtime.add batching (Timing.suspicion_delay h.timing ~leader:l) in
+         if stalled h.log ~since:(since ()) ~budget then accuse ();
+         watch_leader h ~batching ~leader ~since ~accuse))
+
 (* A checkpoint a full interval ahead of our delivery point means we missed
    traffic that has since been truncated at our peers (likely we were just
    restarted): catch up through state transfer rather than waiting for

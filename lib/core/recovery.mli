@@ -295,7 +295,7 @@ val handle_state_response :
 
     The rest of the replica loop that all four cores run alike, each on its
     own {!hooks}: minting a batch, taking in a client request, round-trip
-    probes, the stall check behind coordinator suspicion, and BFT's and
+    probes, the leader watch and its stall check, and BFT's and
     CT's quorum-tallied checkpoints.  Every send goes through [hooks.sign]
     and [hooks.send] or [hooks.multicast], so a core's signing (or CT's
     unsigned envelopes) and its mute or dumb silence apply unchanged. *)
@@ -329,6 +329,18 @@ val stalled : 'slot log -> since:Sof_sim.Simtime.t -> budget:Sof_sim.Simtime.t -
 (** Whether the coordinator is overdue: [budget] has passed both since
     [since] (its last progress) and since the arrival of some request that
     no order names yet. *)
+
+val watch_leader :
+  'slot hooks ->
+  batching:Sof_sim.Simtime.t ->
+  leader:(unit -> int) ->
+  since:(unit -> Sof_sim.Simtime.t) ->
+  accuse:(unit -> unit) ->
+  unit
+(** BFT's and CT's leader watch: every {!Timing.base} period, probe the
+    current [leader ()] under adaptive timing (unless it is this process),
+    then call [accuse ()] when the log is {!stalled} since [since ()] with a
+    budget of [batching] plus {!Timing.suspicion_delay}, and re-arm. *)
 
 val catch_up : 'slot hooks -> seq:int -> unit
 (** Begin a fetch when a checkpoint at [seq] is more than a full interval

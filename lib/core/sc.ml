@@ -2,16 +2,6 @@ module Request = Sof_smr.Request
 module Key_map = Request.Key_map
 module Int_set = Set.Make (Int)
 
-type backlog_rec = {
-  bl_failed_pair : int;
-  bl_max_committed : int;
-  bl_committed_digest : string;
-  bl_proof_c : int;
-  bl_proof : (int * string) list;
-  bl_stable : Checkpoint.cert option;
-  bl_uncommitted : Message.order_info list;
-}
-
 (* SC's own state: the sequential install part's coordinator tracking. *)
 type install = {
   mutable coord : int;
@@ -19,7 +9,6 @@ type install = {
   mutable dumbed_pairs : Int_set.t;
   mutable installing : bool;
   mutable pair_active : bool;
-  backlogs_by_c : (int, (int * backlog_rec) list ref) Hashtbl.t;
   mutable start_env : Message.envelope option;
   mutable start_acks : (int * string) list;
   mutable have_tuples : bool;
@@ -143,31 +132,9 @@ and begin_install (t : t) =
       }
   in
   Pair.multicast t ~dsts:(Pair.others t) (Context.make_signed t.ctx body);
-  store_backlog t ~src:(id t)
-    {
-      bl_failed_pair = failed;
-      bl_max_committed = t.log.max_committed;
-      bl_committed_digest = t.committed_digest;
-      bl_proof_c = t.committed_era;
-      bl_proof = t.committed_proof;
-      bl_stable = stable;
-      bl_uncommitted = uncommitted;
-    };
+  if Pair.add_report t ~era:t.x.coord ~src:(id t) (t.log.max_committed, uncommitted) then
+    maybe_send_start t;
   List.iter (fun (src, env) -> on_message t ~src env) stash
-
-and store_backlog (t : t) ~src rec_ =
-  let cell =
-    match Hashtbl.find_opt t.x.backlogs_by_c t.x.coord with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.replace t.x.backlogs_by_c t.x.coord cell;
-      cell
-  in
-  if not (List.mem_assoc src !cell) then begin
-    cell := (src, rec_) :: !cell;
-    maybe_send_start t
-  end
 
 (* IN2 at the new coordinator primary: compute NewBackLog and Start. *)
 and maybe_send_start (t : t) =
@@ -175,42 +142,23 @@ and maybe_send_start (t : t) =
     t.x.installing && Int.equal (id t) (Config.primary_of_pair t.config t.x.coord)
   in
   if am_new_primary && not t.x.start_sent then begin
-    match Hashtbl.find_opt t.x.backlogs_by_c t.x.coord with
-    | Some cell when List.length !cell >= quorum t ->
+    let c = t.x.coord in
+    match
+      Pair.propose t ~era:c (fun ~start_o ~anchor ~new_back_log ->
+          Message.Start { c; start_o; anchor; new_back_log })
+    with
+    | Some env ->
       t.x.start_sent <- true;
-      let start_o, anchor, new_back_log =
-        Pair.new_back_log t
-          (List.map (fun (_, b) -> (b.bl_max_committed, b.bl_uncommitted)) !cell)
-      in
-      let body = Message.Start { c = t.x.coord; start_o; anchor; new_back_log } in
-      let env = Context.make_signed t.ctx body in
-      if Config.candidate_is_pair t.config t.x.coord then
+      if Config.candidate_is_pair t.config c then
         (* 1-signed to the shadow for endorsement. *)
-        Pair.send t ~dst:(Config.shadow_of_pair t.config t.x.coord) env
+        Pair.send t ~dst:(Config.shadow_of_pair t.config c) env
       else begin
         (* The unpaired last candidate multicasts directly. *)
         Pair.multicast t ~dsts:(Pair.others t) env;
-        handle_start t env ~c:t.x.coord
+        handle_start t env ~c
       end
-    | Some _ | None -> ()
+    | None -> ()
   end
-
-(* Shadow of the new coordinator: verify the primary's Start against the
-   backlogs received directly (the paper's p'c verification), endorse and
-   multicast. *)
-and handle_start_proposal (t : t) (env : Message.envelope) ~start_o ~anchor ~new_back_log =
-  let reports =
-    match Hashtbl.find_opt t.x.backlogs_by_c t.x.coord with
-    | Some cell -> List.map (fun (_, b) -> b.bl_uncommitted) !cell
-    | None -> []
-  in
-  if Pair.plausible t ~start_o ~anchor ~new_back_log ~reports then begin
-    let endorsed = Context.endorse t.ctx env in
-    Pair.multicast t ~dsts:(Pair.others t) endorsed;
-    (* Only reachable under the dispatch guard [c = t.x.coord]. *)
-    handle_start t endorsed ~c:t.x.coord
-  end
-  else Pair.emit_fail_signal t ~value_domain:true
 
 and handle_start (t : t) (env : Message.envelope) ~c =
   if Int.equal c t.x.coord && t.x.installing && Option.is_none t.x.start_env then begin
@@ -347,22 +295,15 @@ and on_message (t : t) ~src (env : Message.envelope) =
       note_pair_failed t pair
     end
   | Message.Back_log
-      { c; failed_pair; max_committed; committed_digest; proof_c; proof; stable; uncommitted }
+      { c; failed_pair = _; max_committed; committed_digest; proof_c; proof; stable; uncommitted }
     ->
     if Context.authentic t.ctx env then begin
       if Int.equal c t.x.coord && t.x.installing then begin
-        let rec_ =
-          {
-            bl_failed_pair = failed_pair;
-            bl_max_committed = max_committed;
-            bl_committed_digest = committed_digest;
-            bl_proof_c = proof_c;
-            bl_proof = proof;
-            bl_stable = stable;
-            bl_uncommitted = uncommitted;
-          }
+        let provable =
+          validate_backlog t ~max_committed ~committed_digest ~proof_c ~proof ~stable
         in
-        store_backlog t ~src:env.Message.sender (validate_backlog t rec_)
+        if Pair.add_report t ~era:c ~src:env.Message.sender (provable, uncommitted) then
+          maybe_send_start t
       end
       else if c > t.x.coord then t.stash_future <- (src, env) :: t.stash_future
     end
@@ -370,11 +311,14 @@ and on_message (t : t) ~src (env : Message.envelope) =
     if Context.authentic t.ctx env then begin
       if Int.equal c t.x.coord && t.x.installing then begin
         if env.Message.endorsement = None && Config.candidate_is_pair t.config c then begin
-          (* 1-signed proposal: only the shadow of the new pair endorses. *)
+          (* 1-signed proposal: only the shadow of the new pair endorses,
+             after checking it against the backlogs it received itself. *)
           if
             Int.equal (id t) (Config.shadow_of_pair t.config c)
             && Int.equal env.Message.sender (Config.primary_of_pair t.config c)
-          then handle_start_proposal t env ~start_o ~anchor ~new_back_log
+          then
+            Pair.judge_proposal t env ~era:c ~start_o ~anchor ~new_back_log
+              ~install:(fun endorsed -> handle_start t endorsed ~c)
         end
         else if Pair.valid_coordinator_message t ~rank:c env then begin
           (* The new primary also forwards the endorsed Start outward. *)
@@ -408,29 +352,28 @@ and on_message (t : t) ~src (env : Message.envelope) =
    least f+1 matching ack signatures — or, falling back, the sender's
    stable checkpoint certificate, which proves commitment through its
    sequence number even when the volatile ack proof died with a crash.
-   An unprovable remainder is clamped off the claim; without the durable
-   fallback a blackout restart would clamp every recovered claim to zero
-   and let the anchor regress below delivered history.  Only pair-c
-   members pay these verifications. *)
-and validate_backlog (t : t) rec_ =
+   The result is the claim's provable max committed: an unprovable
+   remainder is clamped off; without the durable fallback a blackout
+   restart would clamp every recovered claim to zero and let the anchor
+   regress below delivered history.  Only pair-c members pay these
+   verifications. *)
+and validate_backlog (t : t) ~max_committed ~committed_digest ~proof_c ~proof ~stable =
   let am_new_member = List.mem (id t) (Config.candidate_members t.config t.x.coord) in
-  if (not am_new_member) || rec_.bl_max_committed = 0 then rec_
+  if (not am_new_member) || max_committed = 0 then max_committed
   else begin
     let body_bytes =
-      Message.encode_body
-        (Message.Ack
-           { c = rec_.bl_proof_c; o = rec_.bl_max_committed; digest = rec_.bl_committed_digest })
+      Message.encode_body (Message.Ack { c = proof_c; o = max_committed; digest = committed_digest })
     in
     let valid =
       List.filter
         (fun (signer, signature) -> t.ctx.Context.verify ~signer ~msg:body_bytes ~signature)
-        rec_.bl_proof
+        proof
       |> List.map fst |> List.sort_uniq Int.compare
     in
-    if List.length valid >= t.config.Config.f + 1 then rec_
+    if List.length valid >= t.config.Config.f + 1 then max_committed
     else begin
       let cert_seq =
-        match rec_.bl_stable with
+        match stable with
         | Some c
           when Recovery.verify_cert
                  ~verify:(fun ~signer ~msg ~signature ->
@@ -439,12 +382,7 @@ and validate_backlog (t : t) rec_ =
           c.Checkpoint.cp_seq
         | Some _ | None -> 0
       in
-      {
-        rec_ with
-        bl_max_committed = min rec_.bl_max_committed cert_seq;
-        bl_committed_digest = "";
-        bl_proof = [];
-      }
+      min max_committed cert_seq
     end
   end
 
@@ -481,7 +419,6 @@ let create ~ctx ~service ~config ?(fault = Fault.Honest) ?counterpart_fail_signa
       dumbed_pairs = Int_set.empty;
       installing = false;
       pair_active = Option.is_some (Config.pair_rank_of config ctx.Context.id);
-      backlogs_by_c = Hashtbl.create 4;
       start_env = None;
       start_acks = [];
       have_tuples = false;

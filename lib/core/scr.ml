@@ -1,17 +1,11 @@
 type status = Up | Down | Permanently_down
 
-type vc_rec = {
-  vc_max_committed : int;
-  vc_uncommitted : Message.order_info list;
-}
-
 (* SCR's own state: the view, this pair's status, and the view change. *)
 type views = {
   mutable view : int;
   mutable changing_view : bool;
   mutable target_view : int;  (* the view we are trying to install *)
   mutable status : status;
-  view_changes : (int, (int * vc_rec) list ref) Hashtbl.t;
   mutable new_view_sent : bool;
   mutable nv_watch : Context.timer option;
   echoed_fail_signals : (int * int * int, unit) Hashtbl.t;
@@ -95,8 +89,7 @@ and propose_view_change (t : t) v =
         }
     in
     Pair.multicast t ~dsts:(Pair.others t) (Context.make_signed t.ctx body);
-    store_view_change t ~src:(id t) ~v
-      { vc_max_committed = t.log.max_committed; vc_uncommitted = uncommitted };
+    store_view_change t ~src:(id t) ~v (t.log.max_committed, uncommitted);
     (* The candidate pair for v declares unwillingness at once. *)
     maybe_unwilling t v
   end
@@ -112,17 +105,8 @@ and maybe_unwilling (t : t) v =
     Pair.multicast t ~dsts:(Pair.others t) (Context.make_signed t.ctx body)
   | Some _ | None -> ()
 
-and store_view_change (t : t) ~src ~v rec_ =
-  let cell =
-    match Hashtbl.find_opt t.x.view_changes v with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.replace t.x.view_changes v cell;
-      cell
-  in
-  if not (List.mem_assoc src !cell) then begin
-    cell := (src, rec_) :: !cell;
+and store_view_change (t : t) ~src ~v report =
+  if Pair.add_report t ~era:v ~src report then begin
     maybe_send_new_view t v;
     arm_nv_watch t v
   end
@@ -136,16 +120,14 @@ and maybe_send_new_view (t : t) v =
     && Int.equal (id t) (Config.primary_of_pair t.config rank)
     && not t.x.new_view_sent
   then begin
-    match Hashtbl.find_opt t.x.view_changes v with
-    | Some cell when List.length !cell >= quorum t ->
+    match
+      Pair.propose t ~era:v (fun ~start_o ~anchor ~new_back_log ->
+          Message.New_view { v; start_o; anchor; new_back_log })
+    with
+    | Some env ->
       t.x.new_view_sent <- true;
-      let start_o, anchor, new_back_log =
-        Pair.new_back_log t
-          (List.map (fun (_, r) -> (r.vc_max_committed, r.vc_uncommitted)) !cell)
-      in
-      let env = Context.make_signed t.ctx (Message.New_view { v; start_o; anchor; new_back_log }) in
       Pair.send t ~dst:(Config.shadow_of_pair t.config rank) env
-    | Some _ | None -> ()
+    | None -> ()
   end
 
 (* The shadow of the candidate pair watches its primary during a view
@@ -158,36 +140,17 @@ and arm_nv_watch (t : t) v =
     t.x.changing_view && Int.equal v t.x.target_view && t.x.status = Up
     && t.x.nv_watch = None
     && Int.equal (id t) (Config.shadow_of_pair t.config rank)
-  then begin
-    match Hashtbl.find_opt t.x.view_changes v with
-    | Some cell when List.length !cell >= quorum t ->
-      let h =
-        t.ctx.Context.set_timer ~kind:Context.Watchdog ~delay:(Pair.pair_estimate t)
-          (fun () ->
-            t.x.nv_watch <- None;
-            if t.x.changing_view && Int.equal v t.x.target_view && t.x.status = Up then begin
-              Pair.emit_fail_signal t ~value_domain:false;
-              maybe_unwilling t v
-            end)
-      in
-      t.x.nv_watch <- Some h
-    | Some _ | None -> ()
-  end
-
-(* Shadow-side plausibility check mirroring SC's Start verification. *)
-and handle_new_view_proposal (t : t) (env : Message.envelope) ~v ~start_o ~anchor
-    ~new_back_log =
-  let reports =
-    match Hashtbl.find_opt t.x.view_changes v with
-    | Some cell -> List.map (fun (_, r) -> r.vc_uncommitted) !cell
-    | None -> []
-  in
-  if Pair.plausible t ~start_o ~anchor ~new_back_log ~reports then begin
-    let endorsed = Context.endorse t.ctx env in
-    Pair.multicast t ~dsts:(Pair.others t) endorsed;
-    install_view t endorsed ~v ~start_o ~anchor ~new_back_log
-  end
-  else Pair.emit_fail_signal t ~value_domain:true
+    && List.length (Pair.reports t ~era:v) >= quorum t
+  then
+    t.x.nv_watch <-
+      Some
+        (t.ctx.Context.set_timer ~kind:Context.Watchdog ~delay:(Pair.pair_estimate t)
+           (fun () ->
+             t.x.nv_watch <- None;
+             if t.x.changing_view && Int.equal v t.x.target_view && t.x.status = Up then begin
+               Pair.emit_fail_signal t ~value_domain:false;
+               maybe_unwilling t v
+             end))
 
 and install_view (t : t) (env : Message.envelope) ~v ~start_o ~anchor ~new_back_log =
   if v >= t.x.target_view || v > t.x.view then begin
@@ -259,17 +222,13 @@ and on_message (t : t) ~src (env : Message.envelope) =
     end
   | Message.View_change { v; max_committed; uncommitted; _ } ->
     if v > t.x.view && Context.authentic t.ctx env then begin
-      store_view_change t ~src:env.Message.sender ~v
-        { vc_max_committed = max_committed; vc_uncommitted = uncommitted };
+      store_view_change t ~src:env.Message.sender ~v (max_committed, uncommitted);
       (* Seeing f+1 view changes means at least one correct process saw the
          coordinator's fail-signal: join. *)
-      match Hashtbl.find_opt t.x.view_changes v with
-      | Some cell ->
-        if
-          List.length !cell > t.config.Config.f
-          && (v > t.x.target_view || not t.x.changing_view)
-        then propose_view_change t v
-      | None -> ()
+      if
+        List.length (Pair.reports t ~era:v) > t.config.Config.f
+        && (v > t.x.target_view || not t.x.changing_view)
+      then propose_view_change t v
     end
   | Message.New_view { v; start_o; anchor; new_back_log } ->
     if
@@ -282,7 +241,9 @@ and on_message (t : t) ~src (env : Message.envelope) =
           Int.equal (id t) (Config.shadow_of_pair t.config rank)
           && Int.equal env.Message.sender (Config.primary_of_pair t.config rank)
           && t.x.status = Up
-        then handle_new_view_proposal t env ~v ~start_o ~anchor ~new_back_log
+        then
+          Pair.judge_proposal t env ~era:v ~start_o ~anchor ~new_back_log
+            ~install:(fun endorsed -> install_view t endorsed ~v ~start_o ~anchor ~new_back_log)
       end
       else if Pair.doubly_signed_by_pair t ~rank env then begin
         if
@@ -347,7 +308,6 @@ let create ~ctx ~service ~config ?(fault = Fault.Honest) ?counterpart_fail_signa
       changing_view = false;
       target_view = 1;
       status = Up;
-      view_changes = Hashtbl.create 4;
       new_view_sent = false;
       nv_watch = None;
       echoed_fail_signals = Hashtbl.create 8;

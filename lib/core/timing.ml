@@ -7,6 +7,7 @@ type t = {
   ests : Estimator.t option array;  (* per-peer RTT estimators, lazy *)
   probe_accepted : int array;  (* highest reply nonce accepted per peer *)
   mutable probe_nonce : int;
+  mutable suspicions : int;  (* consecutive suspicions of the leader *)
 }
 
 let create ~mode ~initial ~peers =
@@ -16,9 +17,12 @@ let create ~mode ~initial ~peers =
     ests = Array.make peers None;
     probe_accepted = Array.make peers 0;
     probe_nonce = 0;
+    suspicions = 0;
   }
 
 let adaptive t = match t.mode with Config.Adaptive -> true | Config.Static -> false
+
+let base t = t.initial
 
 let est_for t peer =
   match t.ests.(peer) with
@@ -35,12 +39,16 @@ let backed_off t base ~level = Estimator.backed_off base ~level ~cap:(timer_cap 
 let can_back_off t base ~level =
   adaptive t && Simtime.compare (backed_off t base ~level) (timer_cap t) < 0
 
-let suspicion_delay t ~static ~leader ~level =
-  match t.mode with
-  | Config.Static -> static
-  | Config.Adaptive -> backed_off t (Estimator.timeout (est_for t leader)) ~level
-
 let retry_delay t base ~level = if adaptive t then backed_off t base ~level else base
+
+let estimate t peer =
+  match t.mode with
+  | Config.Static -> t.initial
+  | Config.Adaptive -> Estimator.timeout (est_for t peer)
+
+let suspected t = t.suspicions <- t.suspicions + 1
+let trusted t = t.suspicions <- 0
+let suspicion_delay t ~leader = retry_delay t (estimate t leader) ~level:t.suspicions
 
 let next_probe t =
   t.probe_nonce <- t.probe_nonce + 1;

@@ -19,8 +19,14 @@ val create : mode:Config.timing -> initial:Sof_sim.Simtime.t -> peers:int -> t
 
 val adaptive : t -> bool
 
-val est_for : t -> int -> Sof_net.Delay_estimator.t
-(** The round-trip estimator for a peer, created on first use. *)
+val base : t -> Sof_sim.Simtime.t
+(** The configured base estimate ([initial]). *)
+
+val estimate : t -> int -> Sof_sim.Simtime.t
+(** The delay estimate for a peer: {!base} under static timing; under
+    adaptive timing the Jacobson deadline of the measured round trip to
+    [peer] ({!base} until its first probe reply).  The one estimate every
+    core's suspicion and pair watches start from. *)
 
 val timer_cap : t -> Sof_sim.Simtime.t
 (** 64 x the configured estimate: no backed-off timer waits longer, which
@@ -33,16 +39,23 @@ val can_back_off : t -> Sof_sim.Simtime.t -> level:int -> bool
 (** Whether a watch whose budget is [backed_off base ~level] may still
     double and re-wait: only in adaptive mode, and only below the cap. *)
 
-val suspicion_delay :
-  t -> static:Sof_sim.Simtime.t -> leader:int -> level:int -> Sof_sim.Simtime.t
-(** The stall budget a process grants the current coordinator or primary
-    [leader] before suspecting it: [static] under static timing; under
-    adaptive timing the deadline of the measured round trip to [leader],
-    doubled per consecutive suspicion ([level]) and capped. *)
-
 val retry_delay : t -> Sof_sim.Simtime.t -> level:int -> Sof_sim.Simtime.t
 (** A retry timer's delay: [backed_off base ~level] in adaptive mode,
     [base] unchanged in static mode. *)
+
+val suspected : t -> unit
+(** The leader was suspected once more in a row (BFT: a view change
+    started; CT: the coordinator rotated). *)
+
+val trusted : t -> unit
+(** The leader made progress: the consecutive-suspicion count drops to 0. *)
+
+val suspicion_delay : t -> leader:int -> Sof_sim.Simtime.t
+(** The stall budget a process grants the current coordinator or primary
+    [leader] before suspecting it: {!retry_delay} of [estimate t leader]
+    at the consecutive-suspicion count, so {!base} under static timing and
+    under adaptive timing the measured deadline doubled per consecutive
+    suspicion, capped. *)
 
 val next_probe : t -> int
 (** A fresh probe nonce. *)

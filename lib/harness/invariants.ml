@@ -109,9 +109,6 @@ let commit_coherence_of ~events ~honest =
     events;
   match !violation with None -> ok name | Some d -> fail name d
 
-let commit_coherence cluster ~honest =
-  commit_coherence_of ~events:(Cluster.events cluster) ~honest
-
 (* -------------------------------------------------- prefix consistency *)
 
 (* Anchored: a recovered process resumes {e above} a checkpoint anchor

@@ -104,8 +104,6 @@ val prefix_consistency : Cluster.t -> honest:int list -> result
 val validity :
   Cluster.t -> honest:int list -> injected:Sof_smr.Request.Key_set.t -> result
 
-val commit_coherence : Cluster.t -> honest:int list -> result
-
 val liveness_after_heal :
   Cluster.t -> honest:int list -> heal_time:Sof_sim.Simtime.t -> result
 (** [honest] here should already exclude crashed processes; a process that

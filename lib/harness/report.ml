@@ -221,5 +221,3 @@ let print_phase_breakdowns (breakdowns : Metrics.breakdown list) =
         bd.Metrics.bd_phases;
       pf "\n")
     breakdowns
-
-let print_json j = pf "%s\n" (Sof_util.Json.to_string j)

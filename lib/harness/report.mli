@@ -48,6 +48,3 @@ val print_shape_checks : Experiments.series list -> unit
 val print_phase_breakdowns : Metrics.breakdown list -> unit
 (** One block per protocol: batch-span width, wide-phase count, n-to-n
     share, per-batch crypto ops, then a per-phase table. *)
-
-val print_json : Sof_util.Json.t -> unit
-(** The JSON document, compact, on one line through the report sink. *)

@@ -26,17 +26,6 @@ let rule_of_id s =
   | "R8" -> Some R8
   | _ -> None
 
-let rule_doc = function
-  | R0 -> "file does not parse"
-  | R1 -> "polymorphic =/<>/compare in lib/core, lib/crypto, lib/sim or lib/storage"
-  | R2 -> "catch-all case in a message-dispatch match in lib/core"
-  | R3 -> "partial stdlib function in lib/core or lib/net"
-  | R4 -> "failwith/invalid_arg/assert-false in protocol code in lib/core"
-  | R5 -> "direct printing outside the report sink in lib/"
-  | R6 -> "lib module without an interface file"
-  | R7 -> "ambient nondeterminism (Random/Unix.time/Sys.time) in lib/core or lib/net"
-  | R8 -> "mutable module-level state in lib/core"
-
 type t = {
   rule : rule;
   file : string;

@@ -7,7 +7,6 @@ val all_rules : rule list
 
 val rule_id : rule -> string
 val rule_of_id : string -> rule option
-val rule_doc : rule -> string
 
 type t = {
   rule : rule;

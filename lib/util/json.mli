@@ -40,4 +40,3 @@ val to_int : t -> int option
 val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
-val to_obj : t -> (string * t) list option

@@ -66,8 +66,6 @@ let bytes t n =
   done;
   b
 
-let uniform_range t lo hi = lo +. float t (hi -. lo)
-
 let exponential t ~mean =
   let u = float t 1.0 in
   (* Guard against log 0. *)

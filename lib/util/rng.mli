@@ -48,9 +48,6 @@ val bool : t -> bool
 val bytes : t -> int -> bytes
 (** [bytes t n] is [n] uniform random bytes. *)
 
-val uniform_range : t -> float -> float -> float
-(** [uniform_range t lo hi] is uniform in [lo, hi). *)
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 

@@ -89,8 +89,3 @@ let summarize t =
     p95 = percentile t 95.0;
     p99 = percentile t 99.0;
   }
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f" s.n
-    s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max

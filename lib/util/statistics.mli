@@ -45,5 +45,3 @@ type summary = {
 
 val summarize : t -> summary
 (** @raise Invalid_argument when empty. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -354,6 +354,183 @@ let test_fault_mute () =
   Alcotest.(check bool) "honest never mute" false
     (P.Fault.is_mute P.Fault.Honest ~now:(Simtime.sec 100))
 
+(* ------------------------------------------------------------ Suspicion *)
+
+module Timing = P.Timing
+module Recovery = P.Recovery
+module Estimator = Sof_net.Delay_estimator
+
+let ms = Simtime.ms
+let time = Alcotest.testable Simtime.pp (fun a b -> Simtime.compare a b = 0)
+
+let test_timing_static_estimate () =
+  let t = Timing.create ~mode:P.Config.Static ~initial:(ms 500) ~peers:4 in
+  for level = 0 to 8 do
+    for peer = 0 to 3 do
+      Alcotest.(check time) "estimate is the base" (ms 500) (Timing.estimate t peer);
+      Alcotest.(check time) "delay is the base" (ms 500) (Timing.suspicion_delay t ~leader:peer)
+    done;
+    if level < 8 then Timing.suspected t
+  done;
+  (* Static timing measures nothing: a probe echo leaves the base alone. *)
+  Timing.note_probe_reply t ~now:(ms 30) ~src:2 ~nonce:1 ~at:0;
+  Alcotest.(check time) "static ignores probes" (ms 500) (Timing.estimate t 2)
+
+let test_timing_adaptive_estimate () =
+  let t = Timing.create ~mode:P.Config.Adaptive ~initial:(ms 500) ~peers:4 in
+  Alcotest.(check time) "base before any reply" (ms 500) (Timing.estimate t 2);
+  Alcotest.(check time) "delay at level 0" (ms 500) (Timing.suspicion_delay t ~leader:2);
+  Timing.note_probe_reply t ~now:(ms 30) ~src:2 ~nonce:1 ~at:0;
+  let e = Estimator.create ~initial:(ms 500) () in
+  Estimator.observe e (ms 30);
+  let deadline = Estimator.timeout e in
+  Alcotest.(check time) "the estimator's deadline" deadline (Timing.estimate t 2);
+  Alcotest.(check time) "other peers keep the base" (ms 500) (Timing.estimate t 1);
+  let cap = Simtime.ns (64 * Simtime.to_ns (ms 500)) in
+  for level = 0 to 12 do
+    let doubled = Simtime.ns (Simtime.to_ns deadline lsl level) in
+    Alcotest.(check time)
+      (Printf.sprintf "level %d doubles up to the cap" level)
+      (Simtime.min doubled cap)
+      (Timing.suspicion_delay t ~leader:2);
+    Timing.suspected t
+  done;
+  Alcotest.(check time) "capped" cap (Timing.suspicion_delay t ~leader:2);
+  Timing.trusted t;
+  Alcotest.(check time) "level 0 after trusted" deadline (Timing.suspicion_delay t ~leader:2)
+
+(* One kernel whose timers are recorded rather than run, on a clock the
+   test moves: [fire] runs the oldest armed timer. *)
+let watch_fixture ~mode ~id =
+  let now = ref Simtime.zero in
+  let timers = Queue.create () in
+  let probes = ref [] in
+  let ctx =
+    {
+      (Bare.context ~id ()) with
+      P.Context.now = (fun () -> !now);
+      set_timer =
+        (fun ?kind:_ ~delay f ->
+          Queue.push (delay, f) timers;
+          P.Context.null_timer);
+    }
+  in
+  let log =
+    Recovery.create_log ~ctx ~service:(Bare.service ()) ~f:1 ~digest:Sof_crypto.Digest_alg.MD5
+      ~interval:0
+  in
+  let hooks =
+    {
+      Recovery.log;
+      timing = Timing.create ~mode ~initial:(ms 500) ~peers:4;
+      scheme = Recovery.Quorum_counted { quorum = 1; member_ok = (fun _ -> true) };
+      entry_quorum = 1;
+      fault = P.Fault.Honest;
+      retry_base = (fun () -> ms 500);
+      committed_keys = (fun () -> None);
+      keep_executed = false;
+      settle_fresh_only = false;
+      boundary = ignore;
+      tail_entry = (fun _ () -> None);
+      admit = (fun _ -> false);
+      sign = P.Context.make_signed ctx;
+      send =
+        (fun ~dst (env : Message.envelope) ->
+          match env.Message.body with
+          | Message.Probe _ -> probes := dst :: !probes
+          | _ -> ());
+      multicast = ignore;
+    }
+  in
+  let fire () =
+    let delay, f = Queue.pop timers in
+    Alcotest.(check time) "armed for one base period" (ms 500) delay;
+    f ()
+  in
+  (hooks, now, timers, probes, fire)
+
+let test_leader_watch_accuses_when_stalled () =
+  let h, now, timers, probes, fire = watch_fixture ~mode:P.Config.Static ~id:0 in
+  let accused = ref 0 in
+  Recovery.watch_leader h ~batching:(ms 100)
+    ~leader:(fun () -> 2)
+    ~since:(fun () -> Simtime.zero)
+    ~accuse:(fun () -> incr accused);
+  Alcotest.(check int) "armed once" 1 (Queue.length timers);
+  now := ms 700;
+  fire ();
+  Alcotest.(check int) "nothing waits: no accusation" 0 !accused;
+  Alcotest.(check int) "re-armed" 1 (Queue.length timers);
+  let log = h.Recovery.log in
+  log.Recovery.arrival <-
+    Request.Key_map.add { Request.client = 1; client_seq = 1 } (ms 200) log.Recovery.arrival;
+  fire ();
+  Alcotest.(check int) "within batching + delay of the arrival: no accusation" 0 !accused;
+  now := ms 800;
+  fire ();
+  Alcotest.(check int) "stalled past batching + delay: accused" 1 !accused;
+  Alcotest.(check int) "re-armed after the accusation" 1 (Queue.length timers);
+  Alcotest.(check (list int)) "static timing never probes" [] !probes
+
+let test_leader_watch_probes () =
+  let h, _, _, probes, fire = watch_fixture ~mode:P.Config.Adaptive ~id:0 in
+  let leader = ref 2 in
+  Recovery.watch_leader h ~batching:(ms 100)
+    ~leader:(fun () -> !leader)
+    ~since:(fun () -> Simtime.zero)
+    ~accuse:ignore;
+  fire ();
+  Alcotest.(check (list int)) "adaptive timing probes the leader" [ 2 ] !probes;
+  leader := 0;
+  fire ();
+  Alcotest.(check (list int)) "never itself" [ 2 ] !probes;
+  leader := 3;
+  fire ();
+  Alcotest.(check (list int)) "the current leader" [ 3; 2 ] !probes
+
+(* An unpaired SC process: its pair machinery is idle, which is all the
+   report table needs. *)
+let test_pair_first_report_wins () =
+  let config = Config.make ~kind:Config.Sc_protocol ~f:1 () in
+  let hooks =
+    {
+      P.Pair.era = (fun _ -> 1);
+      rank_of = (fun _ c -> c);
+      settled = (fun _ -> false);
+      up = (fun _ -> false);
+      am_primary = (fun _ -> false);
+      am_shadow = (fun _ -> false);
+      transmit = (fun _ -> false);
+      quorum = (fun _ -> 2);
+      endorses_checkpoints = (fun _ -> false);
+      down = (fun _ ~value_domain:_ -> ());
+      pair_failed = (fun _ _ -> ());
+    }
+  in
+  let t =
+    P.Pair.create ~name:"test" ~ctx:(Bare.context ~id:1 ()) ~service:(Bare.service ()) ~config
+      ~fault:P.Fault.Honest ~counterpart_fail_signal:None ~hooks ()
+  in
+  let info o = { Message.o; digest = "d" ^ string_of_int o; keys = [] } in
+  let start ~start_o ~anchor ~new_back_log = Message.Start { c = 1; start_o; anchor; new_back_log } in
+  Alcotest.(check bool) "first report recorded" true (P.Pair.add_report t ~era:1 ~src:2 (5, []));
+  Alcotest.(check bool) "below quorum: no proposal" true
+    (Option.is_none (P.Pair.propose t ~era:1 start));
+  Alcotest.(check bool) "second report ignored" false
+    (P.Pair.add_report t ~era:1 ~src:2 (9, [ info 10 ]));
+  Alcotest.(check bool) "another era is another table" true
+    (P.Pair.add_report t ~era:2 ~src:2 (9, []));
+  Alcotest.(check bool) "another sender" true (P.Pair.add_report t ~era:1 ~src:3 (3, [ info 6 ]));
+  Alcotest.(check (list int)) "era 1 keeps the first report, newest first" [ 3; 5 ]
+    (List.map fst (P.Pair.reports t ~era:1));
+  match P.Pair.propose t ~era:1 start with
+  | Some { Message.body = Message.Start { start_o; anchor; new_back_log; _ }; _ } ->
+    Alcotest.(check int) "anchor from the first report" 5 anchor;
+    Alcotest.(check int) "start above the back-log" 7 start_o;
+    Alcotest.(check (list int)) "back-log" [ 6 ]
+      (List.map (fun (i : Message.order_info) -> i.Message.o) new_back_log)
+  | Some _ | None -> Alcotest.fail "a quorum of reports proposes a Start"
+
 let suite =
   [
     ( "protocol.config",
@@ -390,4 +567,13 @@ let suite =
       ] );
     ( "protocol.fault",
       [ Alcotest.test_case "mute" `Quick test_fault_mute ] );
+    ( "protocol.suspicion",
+      [
+        Alcotest.test_case "static estimate is the base" `Quick test_timing_static_estimate;
+        Alcotest.test_case "adaptive estimate backs off" `Quick test_timing_adaptive_estimate;
+        Alcotest.test_case "leader watch accuses when stalled" `Quick
+          test_leader_watch_accuses_when_stalled;
+        Alcotest.test_case "leader watch probes another leader" `Quick test_leader_watch_probes;
+        Alcotest.test_case "first report per sender wins" `Quick test_pair_first_report_wins;
+      ] );
   ]
