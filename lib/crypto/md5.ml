@@ -57,7 +57,6 @@ let compress h m src off =
 let md =
   {
     Merkle_damgard.iv = [| 0x67452301; 0xefcdab89; 0x98badcfe; 0x10325476 |];
-    scratch_words = 16;
     big_endian = false;
     compress;
   }

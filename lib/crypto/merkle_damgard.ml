@@ -6,7 +6,6 @@ let block_size = 64
 
 type t = {
   iv : int array;
-  scratch_words : int;
   big_endian : bool;
   compress : int array -> int array -> Bytes.t -> int -> unit;
 }
@@ -26,7 +25,7 @@ let init md =
   {
     md;
     h = Array.copy md.iv;
-    w = Array.make md.scratch_words 0;
+    w = Array.make 16 0;
     block = Bytes.create block_size;
     fill = 0;
     len = 0;

@@ -6,11 +6,11 @@ val block_size : int
 
 type t = {
   iv : int array;  (** Initial chaining words, each in [0, 2{^32}). *)
-  scratch_words : int;  (** Scratch words [compress] needs per context. *)
   big_endian : bool;  (** Byte order of the length and of the digest. *)
   compress : int array -> int array -> Bytes.t -> int -> unit;
       (** [compress h w src off] folds the block at [off] in [src] into the
-          chaining words [h], with [w] as scratch. *)
+          chaining words [h], with the 16 words of [w] as scratch: the
+          block's words, then the message schedule's last 16. *)
 }
 
 type ctx

@@ -22,19 +22,13 @@ let k_table =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
+(* The message schedule lives in a 16-word ring: from round 16 on, word i
+   is computed into the slot of word i - 16, the one word of the ring no
+   later round reads. *)
 let compress h w src off =
   for i = 0 to 15 do
     Array.unsafe_set w i
       (Int32.to_int (Bytes.get_int32_be src (off + (4 * i))) land mask)
-  done;
-  for i = 16 to 63 do
-    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
-    let x2 = x lor (x lsl 32) and y2 = y lor (y lsl 32) in
-    let s0 = (x2 lsr 7) lxor (x2 lsr 18) lxor (x lsr 3) in
-    let s1 = (y2 lsr 17) lxor (y2 lsr 19) lxor (y lsr 10) in
-    Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
-      land mask)
   done;
   let a = ref h.(0)
   and b = ref h.(1)
@@ -45,10 +39,26 @@ let compress h w src off =
   and g = ref h.(6)
   and hh = ref h.(7) in
   for i = 0 to 63 do
+    let wi =
+      if i < 16 then Array.unsafe_get w i
+      else begin
+        let x = Array.unsafe_get w ((i - 15) land 15)
+        and y = Array.unsafe_get w ((i - 2) land 15) in
+        let x2 = x lor (x lsl 32) and y2 = y lor (y lsl 32) in
+        let s0 = (x2 lsr 7) lxor (x2 lsr 18) lxor (x lsr 3) in
+        let s1 = (y2 lsr 17) lxor (y2 lsr 19) lxor (y lsr 10) in
+        let v =
+          (Array.unsafe_get w (i land 15) + s0 + Array.unsafe_get w ((i - 7) land 15) + s1)
+          land mask
+        in
+        Array.unsafe_set w (i land 15) v;
+        v
+      end
+    in
     let e2 = !e lor (!e lsl 32) and a2 = !a lor (!a lsl 32) in
     let s1 = (e2 lsr 6) lxor (e2 lsr 11) lxor (e2 lsr 25) in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = !hh + s1 + ch + Array.unsafe_get k_table i + Array.unsafe_get w i in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k_table i + wi in
     let s0 = (a2 lsr 2) lxor (a2 lsr 13) lxor (a2 lsr 22) in
     let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
@@ -76,7 +86,6 @@ let md =
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
         0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
-    scratch_words = 64;
     big_endian = true;
     compress;
   }

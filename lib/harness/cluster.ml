@@ -130,6 +130,7 @@ type t = {
       (* the latest checkpoint images, so the n replicas that wrap one
          image hash it once and keep one copy *)
   batches : P.Checkpoint.Images.t;  (* the latest batches, hashed once for all replicas *)
+  cuts : Wal.Cuts.t;  (* the latest images cut into sectors, once for all logs *)
   config : P.Config.t;
   nodes : node array;
   mutable procs : Replica.t array;  (* one process shell per node *)
@@ -208,6 +209,7 @@ let codec_counts t =
 
 let images t = t.images
 let batches t = t.batches
+let cuts t = t.cuts
 
 let run t ~until = Engine.run ~until t.engine
 
@@ -456,6 +458,7 @@ let build spec =
   let keyring =
     Keyring.create ~auth:spec.auth ~scheme:wire_scheme ~rng:key_rng ~node_count:n ()
   in
+  let cuts = Wal.Cuts.create () in
   let nodes =
     Array.init n (fun i ->
         let node_disk =
@@ -491,7 +494,7 @@ let build spec =
           node_encodes = 0;
           node_decodes = 0;
           node_disk;
-          node_wal = Option.map (fun sd -> Wal.attach (Sim_disk.disk sd)) node_disk;
+          node_wal = Option.map (fun sd -> Wal.attach ~cuts (Sim_disk.disk sd)) node_disk;
           node_slow_prior = 0;
         })
   in
@@ -506,6 +509,7 @@ let build spec =
       issued = Issued.create keyring;
       images = P.Checkpoint.Images.create ();
       batches = P.Checkpoint.Images.create ~window:P.Checkpoint.batch_window ();
+      cuts;
       config;
       nodes;
       procs = [||];

@@ -176,6 +176,12 @@ val images : t -> Sof_protocol.Checkpoint.Images.t
 val batches : t -> Sof_protocol.Checkpoint.Images.t
 (** The cluster's one memo of batch digests, counted the same way. *)
 
+val cuts : t -> Sof_storage.Wal.Cuts.t
+(** The cluster's one memo of checkpoint images cut into sectors, shared
+    by every durable node's log: {!Sof_storage.Wal.Cuts.asked} counts the
+    long pieces the logs staged, summed over logs, and
+    {!Sof_storage.Wal.Cuts.cut} the pieces cut for them. *)
+
 val codec_counts : t -> int * int
 (** [(encodes, decodes)] so far, over all processes: envelopes encoded (one
     per send or multicast, however many copies it makes) and received

@@ -424,6 +424,7 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
   Option.iter
     (fun dir -> try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
     data_dir;
+  let cuts = Wal.Cuts.create () in
   let nodes =
     Array.init n (fun id ->
         let path dir = Filename.concat dir (Printf.sprintf "replica-%d.disk" id) in
@@ -432,7 +433,7 @@ let start ?(base_port = 7465) ?(scheme = Scheme.mock) ?(batching_interval_ms = 3
            protocols start at sequence 1, so a previous run's log must not
            replay under them.  Recovery is within a run, via kill/restart. *)
         let mount fd =
-          let wal = Wal.attach (File_disk.disk fd) in
+          let wal = Wal.attach ~cuts (File_disk.disk fd) in
           Wal.reset wal;
           wal
         in

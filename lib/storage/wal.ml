@@ -37,7 +37,16 @@
    the partial last sector ([tail]), which the next frame's first sector
    starts from, and the sector strings written since the last verified
    sync, which that sync reads back against.  A mount walks frames over
-   the sector strings it reads. *)
+   the sector strings it reads.
+
+   The whole sectors inside a long piece are cut through a memo ([Cuts])
+   that a driver shares among its deployment's logs: each replica turns
+   over with the same image at the same in-sector phase, so the first one
+   cuts the image's interior sectors and the others write those very
+   strings.  Only the frame header, the image's first and last partial
+   sectors and the certificate are cut per replica, and the disks hold
+   one copy of each shared sector.  A full batch's entry is long too, and
+   replicas that log it at the same phase share its cut the same way. *)
 
 module Fnv = Sof_util.Fnv
 
@@ -54,8 +63,53 @@ type stats = {
   w_dropped : int;
 }
 
+(* The sector-cut memo.  A sector that lies wholly inside a piece holds
+   bytes of that piece alone, so where the piece starts within a sector
+   (its phase) and the sector size fix every such sector: the piece's
+   first [(size - phase) mod size] bytes finish the sector already open,
+   and each whole sector after them is a substring of the piece.  An entry
+   keys those interior sectors on the piece, its phase and the sector
+   size, and a hit hands out the held strings, which are never written
+   after the cut.  The answer is exact: a hit needs the piece's bytes equal
+   ([String.equal], which answers at once for the image string the
+   replicas share) and the same phase and size.  Agreeing replicas write
+   one boundary's image at a time; four entries keep it while a lagging
+   replica, a restart's own payload or a long batch entry takes a slot. *)
+module Cuts = struct
+  type entry = { piece : string; place : int; sectors : string array }
+  type t = { recent : entry Sof_util.Ring.t; mutable asked : int; mutable cut : int }
+
+  let create () = { recent = Sof_util.Ring.create 4; asked = 0; cut = 0 }
+
+  (* The phase and the sector size in one int (a phase is below its sector
+     size, and sizes are far below 2^30), so a lookup is the ring's
+     two-key scan with a top-level predicate and allocates nothing. *)
+  let place ~phase ~size = (size lsl 30) lor phase
+  let same piece place e = Int.equal e.place place && String.equal e.piece piece
+
+  let interior t piece ~phase ~size =
+    t.asked <- t.asked + 1;
+    let place = place ~phase ~size in
+    match Sof_util.Ring.find t.recent same piece place with
+    | Some e -> e.sectors
+    | None ->
+      t.cut <- t.cut + 1;
+      let head = (size - phase) mod size in
+      let sectors =
+        Array.init
+          ((String.length piece - head) / size)
+          (fun k -> String.sub piece (head + (k * size)) size)
+      in
+      Sof_util.Ring.push t.recent { piece; place; sectors };
+      sectors
+
+  let asked t = t.asked
+  let cut t = t.cut
+end
+
 type t = {
   disk : Disk.t;
+  cuts : Cuts.t;  (* the deployment's, shared by its logs *)
   region_sectors : int;
   zeros : string;  (* one all-zero sector *)
   mutable epoch : int;
@@ -107,9 +161,15 @@ let put t s data =
   if s < t.dirty_lo then t.dirty_lo <- s;
   if s > t.dirty_hi then t.dirty_hi <- s
 
+(* A piece at least this many sectors long is cut through the memo:
+   every checkpoint image but a tiny one, and a full batch's entry on
+   256 B sectors; headers and certificates are cut per log. *)
+let long_piece = 4
+
 (* Append [pieces] to the log and write every sector they touch, from the
    one holding the old end of log (its prefix comes from [tail]) through
-   the new end, zero-padded.  If the log now ends exactly on a sector
+   the new end, zero-padded.  The whole sectors inside each long piece
+   come from the memo.  If the log now ends exactly on a sector
    boundary, write one extra zero sector as a terminator so stale frames
    from a previous occupancy of this region can never line up flush with
    our last frame.  An empty log writes its zero sector 0. *)
@@ -118,29 +178,43 @@ let stage t pieces =
   let s = ref (t.len / ss) in
   let fill = ref (t.len mod ss) in
   let sect = ref (Bytes.copy t.tail) in
-  let emit () =
-    put t !s (Bytes.unsafe_to_string !sect);
+  let emit data =
+    put t !s data;
     incr s
+  in
+  (* [n] bytes of [piece] from [off] into the open sector, emitting each
+     sector they fill. *)
+  let copy piece off n =
+    let off = ref off and stop = off + n in
+    while !off < stop do
+      let k = min (ss - !fill) (stop - !off) in
+      Bytes.blit_string piece !off !sect !fill k;
+      fill := !fill + k;
+      off := !off + k;
+      if Int.equal !fill ss then begin
+        emit (Bytes.unsafe_to_string !sect);
+        sect := Bytes.make ss '\000';
+        fill := 0
+      end
+    done
   in
   List.iter
     (fun piece ->
-      let off = ref 0 in
-      while !off < String.length piece do
-        let n = min (ss - !fill) (String.length piece - !off) in
-        Bytes.blit_string piece !off !sect !fill n;
-        fill := !fill + n;
-        off := !off + n;
-        if Int.equal !fill ss then begin
-          emit ();
-          sect := Bytes.make ss '\000';
-          fill := 0
-        end
-      done)
+      let len = String.length piece in
+      if len >= long_piece * ss then begin
+        let head = (ss - !fill) mod ss in
+        let interior = Cuts.interior t.cuts piece ~phase:!fill ~size:ss in
+        copy piece 0 head;
+        Array.iter emit interior;
+        let off = head + (Array.length interior * ss) in
+        copy piece off (len - off)
+      end
+      else copy piece 0 len)
     pieces;
   t.len <- t.len + total_length pieces;
   if !fill > 0 || Int.equal t.len 0 then begin
     Bytes.blit !sect 0 t.tail 0 ss;
-    emit ()
+    emit (Bytes.unsafe_to_string !sect)
   end
   else begin
     Bytes.fill t.tail 0 ss '\000';
@@ -244,11 +318,12 @@ let remount t =
     | None, None -> 0);
   parse_region t
 
-let attach disk =
+let attach ?(cuts = Cuts.create ()) disk =
   let region_sectors = (disk.Disk.sector_count - 2) / 2 in
   let t =
     {
       disk;
+      cuts;
       region_sectors;
       zeros = Disk.zeros disk;
       epoch = 0;

@@ -15,7 +15,40 @@
 
     Memory: a handle keeps no copy of the log, only the partial last
     sector and the sectors written since the last {!sync}, which that
-    sync reads back against. *)
+    sync reads back against.  The whole sectors inside a long piece come
+    from a {!Cuts} memo that a deployment's logs share, so its
+    replicas' disks hold one copy of each sector of a shared image. *)
+
+(** The sector-cut memo of a deployment.
+
+    Every replica of a deployment turns its log over with the same image
+    at the same place in a sector, so each would cut the same sector
+    strings out of it.  A memo holds the last 4 cuts, each keyed by the
+    piece, the phase it starts at within a sector and the sector size, and
+    its value is the piece's whole interior sectors.  A log that stages a
+    piece of at least 4 sectors (a checkpoint's image, or a full batch's
+    entry on 256 B sectors) whose piece ([String.equal], so
+    the image string agreeing replicas share compares at once), phase and
+    size equal a held entry's writes that entry's strings; otherwise it
+    cuts them, and the memo holds the cut in place of its oldest entry.
+
+    The answer is exact: a sector wholly inside a piece holds only bytes
+    of that piece, at offsets the phase and size fix.  The memo keeps its
+    4 cuts alive: over {!Sim_disk} they are the platter's own sector
+    strings, over a file about 4 images more.  A memo is not thread-safe;
+    its deployment uses it from one thread. *)
+module Cuts : sig
+  type t
+
+  val create : unit -> t
+  (** A memo of the last 4 cuts. *)
+
+  val asked : t -> int
+  (** Long pieces the logs staged. *)
+
+  val cut : t -> int
+  (** Of those, the pieces that missed and were cut. *)
+end
 
 type t
 
@@ -33,10 +66,12 @@ type stats = {
   w_dropped : int;  (** appends/checkpoints dropped on region overflow *)
 }
 
-val attach : Disk.t -> t
+val attach : ?cuts:Cuts.t -> Disk.t -> t
 (** Mount the log: pick the newest valid superblock, walk the active
     region's frames, and position appends after the valid prefix.  A
-    blank disk attaches as an empty epoch-0 log. *)
+    blank disk attaches as an empty epoch-0 log.  The log cuts long
+    pieces through [cuts] (default: a memo of its own); a
+    driver hands one memo to every log of a deployment. *)
 
 val remount : t -> unit
 (** Mount the log again, as after a crash: drop the in-memory head and any
@@ -65,7 +100,9 @@ val write_checkpoint : t -> ?crc:int -> string list -> unit
     checkpoint frame, whose payload is the concatenation of [pieces] — the
     durable form of log truncation.  The sectors are cut straight from the
     pieces, so a caller holding an image and small framing passes them as
-    pieces and the image is never joined into a second string.  [crc], if
+    pieces and the image is never joined into a second string; the whole
+    sectors inside a piece of at least 4 sectors come from the log's
+    {!Cuts} memo, so a deployment's replicas cut a shared image once.  [crc], if
     given, must be {!Sof_util.Fnv} over the joined payload, and saves the
     pass over it; a caller that already holds the checksum of a shared
     leading part extends it over the rest.  A wrong [crc] makes the frame

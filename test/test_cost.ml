@@ -9,20 +9,21 @@
    signed wire, signed with [amortize_verify], and MAC authenticator
    vectors.  A second table, the recovery rows below, pins the traffic
    of probes, checkpoints and state transfer, the write-ahead log, the
-   checkpoint image digests and the KV merges, and its traffic rows the same run's messages,
+   checkpoint image digests, the KV merges and the image sector cuts, and its traffic rows the same run's messages,
    codec calls and engine events; a third, the wal rows, pins every disk
    call the log itself makes; a
    fourth, the check rows, pins every counter of the model checker's
    searches.  A change that moves a count re-records cost.golden and says
    why; a host-side speedup must leave it byte-identical, except for the
-   checker's [replays] and the recovery rows' image hash passes and KV
-   merges made. *)
+   checker's [replays] and the recovery rows' image hash passes, KV
+   merges and sector cuts made. *)
 
 module Simtime = Sof_sim.Simtime
 module H = Sof_harness
 module Cluster = H.Cluster
 module Images = Sof_protocol.Checkpoint.Images
 module Merges = Sof_smr.Kv_store.Merges
+module Wal = Sof_storage.Wal
 
 type variant = Signed | Amortized | Mac
 
@@ -80,7 +81,9 @@ let actual () =
    digests the replicas charged (summed over replicas) and the hash passes
    the cluster's image memo made for them, and the KV merges the replicas'
    stores asked for (summed over replicas) and the merges their shared
-   merge memo made for them.  A second row per protocol, the
+   merge memo made for them, and the long pieces (images and full
+   batches' entries) the logs staged (summed over logs) and the pieces the cluster's cut memo cut into
+   sectors for them.  A second row per protocol, the
    traffic row, records messages and bytes per request, envelope encodes and
    decodes per message, and engine events per request; a request is a
    client request some process delivered. *)
@@ -137,16 +140,18 @@ let recovery_row (c, merges) =
     | None -> (0, 0)
   in
   let images = Cluster.images c in
-  Printf.sprintf "%-4s %-9s %7d%s %7d %7d %8d %8d %8d %8d" (slice_name c) "recovery" batches
+  let cuts = Cluster.cuts c in
+  Printf.sprintf "%-4s %-9s %7d%s %7d %7d %8d %8d %8d %8d %8d %8d" (slice_name c) "recovery"
+    batches
     (String.concat "" (List.map tag recovery_tags))
     appends syncs (Images.asked images) (Images.computed images)
-    (Merges.asked merges) (Merges.computed merges)
+    (Merges.asked merges) (Merges.computed merges) (Wal.Cuts.asked cuts) (Wal.Cuts.cut cuts)
 
 let recovery_header =
-  Printf.sprintf "%-4s %-9s %7s%s %7s %7s %8s %8s %8s %8s" "#" "slice" "batches"
+  Printf.sprintf "%-4s %-9s %7s%s %7s %7s %8s %8s %8s %8s %8s %8s" "#" "slice" "batches"
     (String.concat ""
        (List.map (fun t -> Printf.sprintf " %13s" t) recovery_tags))
-    "appends" "syncs" "img_chg" "img_hash" "kv_ask" "kv_merge"
+    "appends" "syncs" "img_chg" "img_hash" "kv_ask" "kv_merge" "cut_ask" "cut_made"
 
 let traffic_row c =
   let delivered = Hashtbl.create 1024 in
@@ -184,7 +189,6 @@ let traffic_header =
 
 module Disk = Sof_storage.Disk
 module Sim_disk = Sof_storage.Sim_disk
-module Wal = Sof_storage.Wal
 module Fault_atlas = Sof_storage.Fault_atlas
 
 let fnv h s =

@@ -267,6 +267,136 @@ let test_wal_checkpoint_costs_its_image () =
     "the image replays" (Some (head ^ image))
     (Wal.replay (Wal.attach (Sim_disk.disk sim))).Wal.rp_checkpoint
 
+(* The sector-cut memo, against logs that cut alone.  Two sides of four
+   logs each, two on 64 B sectors and two on 256 B: one side shares one
+   memo, the other attaches each log with none (so each gets its own).
+   Both run the same random script of appends, syncs, checkpoints, resets,
+   remounts and disk crashes; a checkpoint hands every log the same image
+   under its own certificate.  The images cover 1-, 2- and 3-byte length
+   varints, come in equal-length pairs that differ in content, and follow
+   a lead piece of varying length, so one image is cut at several phases.
+   Appends of 256 B or more are long pieces on 64 B sectors, and each log
+   appends its own bytes.  After every step each pair of logs must have
+   made the same disk calls, hold the same sectors and replay the same
+   frames; the shared memo must make at most two cuts a step: an image
+   once per sector size, or the two 64 B logs' own appends. *)
+module Cuts = Wal.Cuts
+
+type wal_op = Append of int | Sync | Checkpoint of int * int | Reset | Remount | Crash
+
+let varint n =
+  let b = Bytes.create (Sof_util.Codec.varint_size n) in
+  ignore (Sof_util.Codec.put_varint b 0 n);
+  Bytes.unsafe_to_string b
+
+let cut_images =
+  List.concat_map
+    (fun len ->
+      List.map (fun salt -> String.init len (fun j -> Char.chr (((j * salt) + (j / 7)) land 0xff)))
+        [ 7; 13 ])
+    [ 100; 3_000; 17_000 ]
+  |> Array.of_list
+
+let gen_wal_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun n -> Append n) (0 -- 700));
+        (3, return Sync);
+        (4, map2 (fun i lead -> Checkpoint (i, lead)) (int_bound 5) (0 -- 5));
+        (1, return Reset);
+        (1, return Remount);
+        (1, return Crash);
+      ])
+
+let prop_wal_cut_memo =
+  QCheck.Test.make ~name:"wal cut memo: shared cuts write what lone cuts write" ~count:60
+    QCheck.(make Gen.(list_size (1 -- 30) gen_wal_op))
+    (fun ops ->
+      let geometry = [ (64, 1024); (64, 1024); (256, 256); (256, 256) ] in
+      let side cuts =
+        List.map
+          (fun (sector_size, sector_count) ->
+            let sim = Sim_disk.create ~sector_size ~sector_count () in
+            (sim, Wal.attach ?cuts (Sim_disk.disk sim)))
+          geometry
+      in
+      let memo = Cuts.create () in
+      let shared = side (Some memo) and alone = side None in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let sectors sim =
+        let d = Sim_disk.disk sim in
+        List.init d.Disk.sector_count (fun sector -> Disk.read d ~sector)
+      in
+      let step op =
+        let cut = Cuts.cut memo in
+        List.iter
+          (fun logs ->
+            List.iteri
+              (fun i (sim, t) ->
+                match op with
+                | Append n -> Wal.append t (String.init n (fun j -> Char.chr (((i * 31) + j) land 0xff)))
+                | Sync -> Wal.sync t
+                | Checkpoint (k, lead) ->
+                  let image = cut_images.(k) in
+                  Wal.write_checkpoint t
+                    [ varint (String.length image) ^ String.make lead 'l'; image;
+                      Printf.sprintf "certificate of %d" i ]
+                | Reset -> Wal.reset t
+                | Remount -> Wal.remount t
+                | Crash ->
+                  Sim_disk.crash sim;
+                  Wal.remount t)
+              logs)
+          [ shared; alone ];
+        check (Cuts.cut memo - cut <= 2);
+        List.iter2
+          (fun (sim, t) (sim', t') ->
+            check (Sim_disk.stats sim = Sim_disk.stats sim');
+            check (Wal.epoch t = Wal.epoch t' && Wal.replay t = Wal.replay t');
+            check (List.equal String.equal (sectors sim) (sectors sim')))
+          shared alone
+      in
+      List.iter step ops;
+      check (Cuts.cut memo <= Cuts.asked memo);
+      if List.exists (function Checkpoint (k, _) -> k >= 2 | _ -> false) ops then
+        check (Cuts.cut memo < Cuts.asked memo);
+      !ok)
+
+(* A deployment's second log writes the image the first one cut without
+   cutting it again: its checkpoint allocates the frame header, the
+   image's first and last partial sectors and the certificate's, not the
+   image's sectors.  Both logs have written one checkpoint into each
+   region first, which grows the disks' tables and the handles' staged
+   arrays to size.  Minor collections bracket the window, as above. *)
+let test_wal_shared_cut_allocates_little () =
+  let memo = Cuts.create () in
+  let log () =
+    Wal.attach ~cuts:memo (Sim_disk.disk (Sim_disk.create ~sector_size:256 ~sector_count:8192 ()))
+  in
+  let first = log () and second = log () in
+  let pieces image i = [ varint (String.length image); image; Printf.sprintf "certificate %d" i ] in
+  let warm = String.make 65_536 'w' in
+  List.iter (fun t -> for i = 1 to 2 do Wal.write_checkpoint t (pieces warm i) done) [ first; second ];
+  let image = String.init 65_536 (fun j -> Char.chr (j * 7 land 0xff)) in
+  Wal.write_checkpoint first (pieces image 1);
+  let asked = Cuts.asked memo and cut = Cuts.cut memo in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  Wal.write_checkpoint second (pieces image 2);
+  Gc.minor ();
+  let ratio = (Gc.allocated_bytes () -. before) /. float_of_int (String.length image) in
+  if ratio >= 0.1 then
+    Alcotest.failf "a second log's 64 KB write_checkpoint allocated %.3fx its payload" ratio;
+  Alcotest.(check (pair int int)) "asked once more, cut no more" (asked + 1, cut)
+    (Cuts.asked memo, Cuts.cut memo);
+  Wal.remount second;
+  Alcotest.(check (option string))
+    "the image replays"
+    (Some (String.concat "" (pieces image 2)))
+    (Wal.replay second).Wal.rp_checkpoint
+
 (* Region B (odd epochs) starts at this sector of [fresh_disk]. *)
 let region_b = 2 + ((64 - 2) / 2)
 
@@ -888,6 +1018,9 @@ let suite =
           test_wal_append_costs_a_sector;
         Alcotest.test_case "a checkpoint allocates its image once" `Quick
           test_wal_checkpoint_costs_its_image;
+        QCheck_alcotest.to_alcotest prop_wal_cut_memo;
+        Alcotest.test_case "a second log's checkpoint reuses the first one's cut" `Quick
+          test_wal_shared_cut_allocates_little;
         Alcotest.test_case "a frame ending on a sector writes the terminator" `Quick
           test_wal_frame_ends_on_a_sector;
         Alcotest.test_case "append after a mid-sector remount keeps the prefix" `Quick
