@@ -13,6 +13,7 @@ module Sim_disk = Sof_storage.Sim_disk
 module Wal = Sof_storage.Wal
 module Fault_atlas = Sof_storage.Fault_atlas
 module Replica = Sof_protocol.Replica
+module Ring = Sof_util.Ring
 
 type kind = Replica.kind = Sc_protocol | Scr_protocol | Bft_protocol | Ct_protocol
 
@@ -105,7 +106,7 @@ type node = {
   node_crypto : crypto_ctr;
   node_sends : (string, int ref * int ref) Hashtbl.t;  (* tag -> msgs, bytes *)
   mutable node_encodes : int;  (* envelopes encoded: one per send or multicast *)
-  mutable node_decodes : int;  (* payloads handed to the decoder *)
+  mutable node_decodes : int;  (* payloads received: handed to the envelope memo *)
   node_disk : Sim_disk.t option;
       (* the platter: survives crash/restart, unlike everything above *)
   node_wal : Wal.t option;
@@ -131,6 +132,10 @@ type t = {
          image hash it once and keep one copy *)
   batches : P.Checkpoint.Images.t;  (* the latest batches, hashed once for all replicas *)
   cuts : Wal.Cuts.t;  (* the latest images cut into sectors, once for all logs *)
+  envelopes : (string * P.Message.envelope) Ring.t;
+      (* the latest payloads received and their envelopes, so the n - 1
+         receivers of one multicast decode it once *)
+  mutable envelope_decodes : int;  (* payloads the memo missed and decoded *)
   config : P.Config.t;
   nodes : node array;
   mutable procs : Replica.t array;  (* one process shell per node *)
@@ -210,6 +215,23 @@ let codec_counts t =
 let images t = t.images
 let batches t = t.batches
 let cuts t = t.cuts
+let envelope_decodes t = t.envelope_decodes
+
+(* The envelope memo.  A multicast hands every receiver the one string it
+   encoded, so [String.equal] answers at once for them; a copy the
+   adversary tampered with is a fresh string and is decoded on its own.
+   The answer is exact: the codec is canonical and an envelope is
+   immutable.  A payload that does not decode is not held. *)
+let same_payload payload () (held, _) = String.equal held payload
+
+let envelope t payload =
+  match Ring.find t.envelopes same_payload payload () with
+  | Some (_, env) -> env
+  | None ->
+    t.envelope_decodes <- t.envelope_decodes + 1;
+    let env = P.Message.decode payload in
+    Ring.push t.envelopes (payload, env);
+    env
 
 let run t ~until = Engine.run ~until t.engine
 
@@ -510,6 +532,11 @@ let build spec =
       images = P.Checkpoint.Images.create ();
       batches = P.Checkpoint.Images.create ~window:P.Checkpoint.batch_window ();
       cuts;
+      (* A multicast's copies arrive within a few hundred microseconds of
+         one another; 16 entries span the copies of the few multicasts in
+         flight at once. *)
+      envelopes = Ring.create 16;
+      envelope_decodes = 0;
       config;
       nodes;
       procs = [||];
@@ -526,7 +553,8 @@ let build spec =
   t.procs <-
     Replica.spawn ~config ~keyring ~fault:(fault_for spec) ~machine:(spec.machine_factory ())
       ~on_reply:(record_reply t) (make_context t);
-  (* Inbound path: network -> CPU (receive cost) -> decode -> protocol. *)
+  (* Inbound path: network -> CPU (receive cost) -> decode, through the
+     envelope memo -> protocol. *)
   for i = 0 to n - 1 do
     let node = t.nodes.(i) and p = t.procs.(i) in
     set_transport_handler t i (fun ~src payload ->
@@ -537,7 +565,7 @@ let build spec =
         in
         Cpu.submit node.node_cpu ~cost (fun () ->
             node.node_decodes <- node.node_decodes + 1;
-            match P.Message.decode payload with
+            match envelope t payload with
             | env -> Replica.on_message p ~src env
             | exception Sof_util.Codec.Reader.Truncated -> ()))
   done;

@@ -184,8 +184,24 @@ val cuts : t -> Sof_storage.Wal.Cuts.t
 
 val codec_counts : t -> int * int
 (** [(encodes, decodes)] so far, over all processes: envelopes encoded (one
-    per send or multicast, however many copies it makes) and received
-    payloads handed to the decoder. *)
+    per send or multicast, however many copies it makes) and payloads
+    received, each handed to {!envelope}. *)
+
+val envelope : t -> string -> Sof_protocol.Message.envelope
+(** The envelope a received payload decodes to, as the inbound path hands
+    it to a process.  The cluster's one memo holds the last 16 payloads
+    decoded and their envelopes: a payload [String.equal] to a held one
+    gets the held envelope itself, so the receivers of one multicast share
+    one decoded envelope; any other is decoded with
+    {!Sof_protocol.Message.decode} and held in place of the oldest.  A
+    tampered copy differs from its original and is decoded on its own.
+    Exact, since the codec is canonical and an envelope is immutable.
+    @raise Sof_util.Codec.Reader.Truncated as [decode] does; a payload
+    that does not decode is not held. *)
+
+val envelope_decodes : t -> int
+(** Payloads {!envelope} actually decoded so far: those its memo missed,
+    including the ones that did not decode. *)
 
 val run : t -> until:Sof_sim.Simtime.t -> unit
 (** Advance the simulation to the given virtual instant. *)

@@ -77,29 +77,57 @@ let decode_reply s =
   reply
 
 (* A deployment's replicas reach a checkpoint holding the same image and
-   the same writes since it, so each would merge the same bytes.  A merge
-   memo keeps the last few merges: the prior image, the sorted writes, and
-   the image and offsets they made.  A store whose image and writes equal
-   a held entry's adopts its result as it is, and the replicas share one
-   copy of each image.  The answer is exact: a merge is a function of the
-   prior image's bytes and the writes alone (the offsets are a function of
-   the image), and a hit needs both to be equal.  An image is compared
-   with [String.equal], which answers at once for the same string and
-   agreeing stores hold the same string; the writes are looked up in the
-   store's table, so a hit sorts nothing. *)
-module Merges = struct
-  type entry = {
+   the same writes since it, so each would merge the same bytes; and each
+   applies the same operations, so each would decode the same bytes.  A
+   deployment memo keeps the last few of both.
+
+   A merge entry is the prior image, the sorted writes, and the image and
+   offsets they made.  A store whose image and writes equal a held entry's
+   adopts its result as it is, and the replicas share one copy of each
+   image.  The answer is exact: a merge is a function of the prior image's
+   bytes and the writes alone (the offsets are a function of the image),
+   and a hit needs both to be equal.  An image is compared with
+   [String.equal], which answers at once for the same string and agreeing
+   stores hold the same string; the writes are looked up in the store's
+   table, so a hit sorts nothing.
+
+   An operation entry is an operation's bytes and what they decode to.  A
+   store applying bytes equal to a held entry's takes its operation, so the
+   stores share its key and value strings.  The answer is exact: [decode_op]
+   is a function of the bytes alone, and its result is immutable.  Bytes
+   that do not decode are not held: each store that meets them decodes
+   them again and replies with the error. *)
+module Memo = struct
+  type merge = {
     prior : string;
     sorted : (string * string option) array;
     image : string;
     offs : int array;  (* never written after the merge that made it *)
   }
 
-  type t = { recent : entry Ring.t; mutable asked : int; mutable computed : int }
+  type t = {
+    merges : merge Ring.t;
+    mutable merges_asked : int;
+    mutable merged : int;
+    ops : (string * op) Ring.t;
+    mutable ops_asked : int;
+    mutable ops_decoded : int;
+  }
 
   (* Agreeing stores merge one boundary at a time; four entries also keep
-     a boundary's merge while a few stores still lag one behind. *)
-  let create () = { recent = Ring.create 4; asked = 0; computed = 0 }
+     a boundary's merge while a few stores still lag one behind.  They
+     apply a batch's operations one after another, so the operation window
+     spans a batch or two of the lag between the first store and the
+     last. *)
+  let create () =
+    {
+      merges = Ring.create 4;
+      merges_asked = 0;
+      merged = 0;
+      ops = Ring.create 32;
+      ops_asked = 0;
+      ops_decoded = 0;
+    }
 
   (* Whether [writes] binds each key of [sorted] from [i] on as [sorted]
      does.  With as many bindings as [sorted], the two are the same writes,
@@ -112,22 +140,37 @@ module Merges = struct
     | v' -> Option.equal String.equal v v' && binds writes sorted (i + 1)
     | exception Not_found -> false
 
-  let merged prior writes e =
+  let same_merge prior writes e =
     String.equal e.prior prior
     && Int.equal (Array.length e.sorted) (Hashtbl.length writes)
     && binds writes e.sorted 0
 
   let lookup t prior writes =
-    t.asked <- t.asked + 1;
-    Ring.find t.recent merged prior writes
+    t.merges_asked <- t.merges_asked + 1;
+    Ring.find t.merges same_merge prior writes
 
   let hold t ~prior ~sorted ~image ~offs =
-    t.computed <- t.computed + 1;
-    Ring.push t.recent { prior; sorted; image; offs }
+    t.merged <- t.merged + 1;
+    Ring.push t.merges { prior; sorted; image; offs }
 
-  let asked t = t.asked
-  let computed t = t.computed
-  let length t = Ring.length t.recent
+  let same_op bytes () (held, _) = String.equal held bytes
+
+  (* @raise Codec.Reader.Truncated as [decode_op] does. *)
+  let op t bytes =
+    t.ops_asked <- t.ops_asked + 1;
+    match Ring.find t.ops same_op bytes () with
+    | Some (_, op) -> op
+    | None ->
+      t.ops_decoded <- t.ops_decoded + 1;
+      let op = decode_op bytes in
+      Ring.push t.ops (bytes, op);
+      op
+
+  let merges_asked t = t.merges_asked
+  let merged t = t.merged
+  let merges_held t = Ring.length t.merges
+  let ops_asked t = t.ops_asked
+  let ops_decoded t = t.ops_decoded
 end
 
 (* The store is its canonical image, the bytes [snapshot] returns: a
@@ -147,15 +190,15 @@ type store = {
   mutable image : string;
   mutable offs : int array;
   writes : (string, string option) Hashtbl.t;
-  merges : Merges.t;  (* the deployment's, shared by its stores *)
+  memo : Memo.t;  (* the deployment's, shared by its stores *)
 }
 
 let count s = Array.length s.offs - 1
 
 (* The fewest buckets [Hashtbl] allows: the model checker builds n fresh
    machines per replayed world, and most of them see few writes. *)
-let adopt merges image offs = { image; offs; writes = Hashtbl.create 1; merges }
-let empty merges = adopt merges "\000" [| 1 |]
+let adopt memo image offs = { image; offs; writes = Hashtbl.create 1; memo }
+let empty memo = adopt memo "\000" [| 1 |]
 
 let rec varint_at image pos shift acc =
   let b = Char.code image.[pos] in
@@ -217,7 +260,7 @@ let holds s k expected =
     i >= 0 && slice_equal expected s.image (value_at s i) (value_len s i)
 
 let apply s op_bytes =
-  match decode_op op_bytes with
+  match Memo.op s.memo op_bytes with
   | exception Codec.Reader.Truncated -> (s, cas_failed_reply)
   | Get k -> (s, get s k)
   | Put (k, v) ->
@@ -303,12 +346,12 @@ let sorted_writes s =
 let settle s =
   if Hashtbl.length s.writes > 0 then begin
     let image, offs =
-      match Merges.lookup s.merges s.image s.writes with
-      | Some e -> (e.Merges.image, e.Merges.offs)
+      match Memo.lookup s.memo s.image s.writes with
+      | Some e -> (e.Memo.image, e.Memo.offs)
       | None ->
         let sorted = sorted_writes s in
         let image, offs = merge s sorted in
-        Merges.hold s.merges ~prior:s.image ~sorted ~image ~offs;
+        Memo.hold s.memo ~prior:s.image ~sorted ~image ~offs;
         (image, offs)
     in
     s.image <- image;
@@ -331,7 +374,7 @@ let digest_of s =
   Sof_crypto.Merkle_damgard.finalize ctx
 
 (* Most stores a model checker fingerprints are still empty. *)
-let empty_digest = digest_of (empty (Merges.create ()))
+let empty_digest = digest_of (empty (Memo.create ()))
 
 let digest s =
   settle s;
@@ -367,14 +410,14 @@ let rec increasing s i =
 (* An image whose keys strictly increase is canonical already and becomes
    the store as it is.  Otherwise its entries are written in order into an
    empty store, so the last write of a key wins, and merged. *)
-let restore merges image =
+let restore memo image =
   match parse image with
   | exception Codec.Reader.Truncated -> None
   | offs ->
-    let s = adopt merges image offs in
+    let s = adopt memo image offs in
     if increasing s 1 then Some s
     else begin
-      let canonical = empty merges in
+      let canonical = empty memo in
       for i = 0 to count s - 1 do
         Hashtbl.replace canonical.writes
           (String.sub image (key_at s i) (key_len s i))
@@ -384,13 +427,13 @@ let restore merges image =
       Some canonical
     end
 
-let machine ?(merges = Merges.create ()) () =
-  State_machine.create ~name:"kv" ~init:(empty merges) ~apply ~digest ~snapshot
-    ~restore:(restore merges) ()
+let machine ?(memo = Memo.create ()) () =
+  State_machine.create ~name:"kv" ~init:(empty memo) ~apply ~digest ~snapshot
+    ~restore:(restore memo) ()
 
 let machines () =
-  let merges = Merges.create () in
-  fun () -> machine ~merges ()
+  let memo = Memo.create () in
+  fun () -> machine ~memo ()
 
 let pp_op fmt = function
   | Get k -> Format.fprintf fmt "get(%s)" k

@@ -25,7 +25,8 @@ val decode_op : string -> op
 val encode_reply : reply -> string
 val decode_reply : string -> reply
 
-(** A deployment's memo of the merges its stores make.
+(** A deployment's memo of the merges its stores make and the operations
+    they decode.
 
     Correct replicas reach a checkpoint holding the same image and the same
     writes since it, so each of a deployment's n stores would merge the
@@ -39,30 +40,47 @@ val decode_reply : string -> reply
     and merges, and the memo holds the result in place of its oldest
     entry.
 
-    The answer is exact: a merge is a function of the prior image's bytes
-    and the writes alone.  A memo is not thread-safe; its deployment
-    uses it from one thread. *)
-module Merges : sig
+    The stores also apply the same operations, so the memo holds the last
+    32 operations decoded, each keyed by its bytes.  A store applying bytes
+    [String.equal] to a held entry's takes that entry's operation, and the
+    stores share its key and value strings; otherwise it runs
+    {!decode_op}, and the memo holds the result in place of its oldest
+    entry.  Bytes that do not decode are never held.  Keys are compared by
+    content, so stores that each received their own copy of a request (a
+    TCP deployment's) hit too.
+
+    The answers are exact: a merge is a function of the prior image's bytes
+    and the writes alone, and an operation of its bytes alone.  A memo is
+    not thread-safe; its deployment uses it from one thread. *)
+module Memo : sig
   type t
 
   val create : unit -> t
-  (** A memo of the last 4 merges. *)
+  (** A memo of the last 4 merges and the last 32 operations. *)
 
-  val asked : t -> int
+  val merges_asked : t -> int
   (** Merges the stores asked for: snapshots and digests with writes to
       fold in. *)
 
-  val computed : t -> int
+  val merged : t -> int
   (** Of those, the merges that missed and were made. *)
 
-  val length : t -> int
-  (** Entries held now; never more than the window. *)
+  val merges_held : t -> int
+  (** Merges held now; never more than 4. *)
+
+  val ops_asked : t -> int
+  (** Operations the stores applied. *)
+
+  val ops_decoded : t -> int
+  (** Of those, the operations that missed and were decoded, malformed
+      ones included. *)
 end
 
-val machine : ?merges:Merges.t -> unit -> State_machine.t
-(** A fresh, empty store that merges through [merges] (default: a memo of
-    its own).  Malformed operation bytes yield a deterministic error reply
-    rather than an exception (a Byzantine client must not crash replicas).
+val machine : ?memo:Memo.t -> unit -> State_machine.t
+(** A fresh, empty store that merges and decodes operations through [memo]
+    (default: a memo of its own).  Malformed operation bytes yield a
+    deterministic error reply rather than an exception (a Byzantine client
+    must not crash replicas).
 
     The store keeps its image as of its last snapshot or digest (the bytes
     {!State_machine.snapshot} returns: a varint count, then each key and
@@ -79,8 +97,7 @@ val machine : ?merges:Merges.t -> unit -> State_machine.t
 
 val machines : unit -> unit -> State_machine.t
 (** [machines ()] is one deployment's maker of stores: every store it
-    makes, a first one or a restarted one, shares the same fresh merge
-    memo. *)
+    makes, a first one or a restarted one, shares the same fresh memo. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp_reply : Format.formatter -> reply -> unit

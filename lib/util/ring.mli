@@ -1,9 +1,10 @@
 (** A bounded memo ring: the latest [n] entries, each new one taking the
     oldest's slot.
 
-    The checkpoint-image, batch-digest and KV-merge memos keep their
-    entries here.  A lookup is a scan with a two-key predicate, so a
-    top-level predicate and a hit allocate nothing. *)
+    The checkpoint-image, batch-digest, KV-merge, KV-operation and
+    received-envelope memos keep their entries here.  A lookup is a scan
+    with a two-key predicate, so a top-level predicate and a hit allocate
+    nothing. *)
 
 type 'e t
 

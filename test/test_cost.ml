@@ -9,20 +9,21 @@
    signed wire, signed with [amortize_verify], and MAC authenticator
    vectors.  A second table, the recovery rows below, pins the traffic
    of probes, checkpoints and state transfer, the write-ahead log, the
-   checkpoint image digests, the KV merges and the image sector cuts, and its traffic rows the same run's messages,
-   codec calls and engine events; a third, the wal rows, pins every disk
-   call the log itself makes; a
-   fourth, the check rows, pins every counter of the model checker's
-   searches.  A change that moves a count re-records cost.golden and says
-   why; a host-side speedup must leave it byte-identical, except for the
-   checker's [replays] and the recovery rows' image hash passes, KV
-   merges and sector cuts made. *)
+   checkpoint image digests, the KV merges and the image sector cuts, and
+   its traffic rows the same run's messages, codec calls, engine events,
+   envelope decodes and KV operation decodes; a third, the wal rows, pins
+   every disk call the log itself makes; a fourth, the check rows, pins
+   every counter of the model checker's searches.  A change that moves a
+   count re-records cost.golden and says why; a host-side speedup must
+   leave it byte-identical, except for the checker's [replays], the
+   recovery rows' image hash passes, KV merges and sector cuts made, and
+   the traffic rows' envelopes and operations decoded. *)
 
 module Simtime = Sof_sim.Simtime
 module H = Sof_harness
 module Cluster = H.Cluster
 module Images = Sof_protocol.Checkpoint.Images
-module Merges = Sof_smr.Kv_store.Merges
+module Memo = Sof_smr.Kv_store.Memo
 module Wal = Sof_storage.Wal
 
 type variant = Signed | Amortized | Mac
@@ -81,23 +82,26 @@ let actual () =
    digests the replicas charged (summed over replicas) and the hash passes
    the cluster's image memo made for them, and the KV merges the replicas'
    stores asked for (summed over replicas) and the merges their shared
-   merge memo made for them, and the long pieces (images and full
-   batches' entries) the logs staged (summed over logs) and the pieces the cluster's cut memo cut into
-   sectors for them.  A second row per protocol, the
-   traffic row, records messages and bytes per request, envelope encodes and
-   decodes per message, and engine events per request; a request is a
-   client request some process delivered. *)
+   memo made for them, and the long pieces (images and full batches'
+   entries) the logs staged (summed over logs) and the pieces the
+   cluster's cut memo cut into sectors for them.  A second row per
+   protocol, the traffic row, records messages and bytes per request,
+   envelope encodes and payloads received per message, engine events per
+   request, the envelopes the cluster's memo actually decoded per message,
+   and the operations the stores applied (summed over stores) and the ones
+   their shared memo decoded for them; a request is a client request some
+   process delivered. *)
 
 let recovery_tags = [ "probe"; "probe_reply"; "checkpoint"; "state_request"; "state_response" ]
 
-(* The cluster and the merge memo its stores share. *)
+(* The cluster and the memo its stores share. *)
 let recovery_cluster kind =
-  let merges = Merges.create () in
+  let memo = Memo.create () in
   let c =
     Cluster.build
       {
         (Cluster.default_spec ~kind ~f:1) with
-        Cluster.machine_factory = (fun () () -> Sof_smr.Kv_store.machine ~merges ());
+        Cluster.machine_factory = (fun () () -> Sof_smr.Kv_store.machine ~memo ());
         batching_interval = Simtime.ms 50;
         heartbeat_interval = Simtime.ms 50;
         pair_delay_estimate = Simtime.ms 400;
@@ -112,7 +116,7 @@ let recovery_cluster kind =
   at 1 (fun () -> Cluster.crash c last);
   at 2 (fun () -> Cluster.restart c last);
   at 3 (fun () -> Cluster.crash c 0);
-  (c, merges)
+  (c, memo)
 
 let recovery_run kind =
   let ((c, _) as run) = recovery_cluster kind in
@@ -121,7 +125,7 @@ let recovery_run kind =
 
 let slice_name c = Sof_protocol.Replica.name (Cluster.spec c).Cluster.kind
 
-let recovery_row (c, merges) =
+let recovery_row (c, memo) =
   let batches =
     List.length
       (List.filter
@@ -145,7 +149,7 @@ let recovery_row (c, merges) =
     batches
     (String.concat "" (List.map tag recovery_tags))
     appends syncs (Images.asked images) (Images.computed images)
-    (Merges.asked merges) (Merges.computed merges) (Wal.Cuts.asked cuts) (Wal.Cuts.cut cuts)
+    (Memo.merges_asked memo) (Memo.merged memo) (Wal.Cuts.asked cuts) (Wal.Cuts.cut cuts)
 
 let recovery_header =
   Printf.sprintf "%-4s %-9s %7s%s %7s %7s %8s %8s %8s %8s %8s %8s" "#" "slice" "batches"
@@ -153,7 +157,7 @@ let recovery_header =
        (List.map (fun t -> Printf.sprintf " %13s" t) recovery_tags))
     "appends" "syncs" "img_chg" "img_hash" "kv_ask" "kv_merge" "cut_ask" "cut_made"
 
-let traffic_row c =
+let traffic_row (c, memo) =
   let delivered = Hashtbl.create 1024 in
   List.iter
     (function
@@ -169,13 +173,16 @@ let traffic_row c =
   let encodes, decodes = Cluster.codec_counts c in
   let per n d = float_of_int n /. float_of_int (max 1 d) in
   let requests = Hashtbl.length delivered in
-  Printf.sprintf "%-4s %-9s %8d %9.3f %10.3f %8.4f %8.4f %10.3f" (slice_name c) "traffic"
-    requests (per msgs requests) (per bytes requests) (per encodes msgs) (per decodes msgs)
+  Printf.sprintf "%-4s %-9s %8d %9.3f %10.3f %8.4f %8.4f %10.3f %8.4f %8d %8d" (slice_name c)
+    "traffic" requests (per msgs requests) (per bytes requests) (per encodes msgs)
+    (per decodes msgs)
     (per (Sof_sim.Engine.events_fired (Cluster.engine c)) requests)
+    (per (Cluster.envelope_decodes c) msgs)
+    (Memo.ops_asked memo) (Memo.ops_decoded memo)
 
 let traffic_header =
-  Printf.sprintf "%-4s %-9s %8s %9s %10s %8s %8s %10s" "#" "slice" "requests" "msgs/req"
-    "bytes/req" "enc/msg" "dec/msg" "events/req"
+  Printf.sprintf "%-4s %-9s %8s %9s %10s %8s %8s %10s %8s %8s %8s" "#" "slice" "requests"
+    "msgs/req" "bytes/req" "enc/msg" "dec/msg" "events/req" "env/msg" "op_ask" "op_dec"
 
 (* The wal rows: the write-ahead log's disk traffic, call for call.  One
    scripted session runs through a recording {!Sof_storage.Disk.t} over the
@@ -258,7 +265,7 @@ let actual () =
   in
   actual ()
   @ (recovery_header :: List.map recovery_row runs)
-  @ (traffic_header :: List.map (fun (c, _) -> traffic_row c) runs)
+  @ (traffic_header :: List.map traffic_row runs)
   @ wal_header
     :: List.map wal_row
          [

@@ -194,6 +194,88 @@ let test_cluster_amortized_verify_cache () =
   Alcotest.(check bool) "verify cache hit at least once" true
     (totals.H.Trace.verify_cached > 0)
 
+(* One multicast to the n - 1 other processes is decoded once, and every
+   receiver's payload maps to the one envelope the memo holds.  A copy the
+   wire adversary corrupted is decoded on its own and does not verify; a
+   payload that does not decode is decoded afresh every time it arrives. *)
+let test_cluster_envelope_memo () =
+  let corrupter = 1 in
+  let cluster =
+    Cluster.build
+      {
+        (Cluster.default_spec ~kind:Cluster.Sc_protocol ~f:2) with
+        Cluster.heartbeat_interval = sec 3600;
+        faults = [ (corrupter, P.Fault.Corrupt_wire 1) ];
+      }
+  in
+  let n = Cluster.process_count cluster in
+  let net = Cluster.network cluster in
+  let received = ref [] in
+  Sof_net.Network.on_deliver net (fun ~src:_ ~dst ~payload ->
+      received := (dst, payload) :: !received);
+  let keyring =
+    Sof_crypto.Keyring.create ~scheme:Sof_crypto.Scheme.mock
+      ~rng:(Sof_util.Rng.create 5L) ~node_count:n ()
+  in
+  let verifies env = P.Message.verify ~verify:(Sof_crypto.Keyring.verify keyring) env in
+  let env =
+    P.Message.sign ~sender:0 ~sign:(Sof_crypto.Keyring.sign keyring ~signer:0)
+      (P.Message.Ack { c = 0; o = 1; digest = String.make 16 'd' })
+  in
+  let payload = P.Message.encode env in
+  let counts () = (snd (Cluster.codec_counts cluster), Cluster.envelope_decodes cluster) in
+  let deliver f =
+    received := [];
+    let at = Simtime.add (Sof_sim.Engine.now (Cluster.engine cluster)) (ms 100) in
+    let before = counts () in
+    f ();
+    Cluster.run cluster ~until:at;
+    let got, decoded = counts () in
+    (got - fst before, decoded - snd before, List.rev !received)
+  in
+  Cluster.run cluster ~until:(ms 10);
+  let got, decoded, copies =
+    deliver (fun () ->
+        Sof_net.Network.multicast net ~src:0 ~dsts:(List.init (n - 1) succ) payload)
+  in
+  Alcotest.(check int) "every other process received it" (n - 1) got;
+  Alcotest.(check int) "decoded once" 1 decoded;
+  Alcotest.(check int) "copies observed" (n - 1) (List.length copies);
+  let decodes = Cluster.envelope_decodes cluster in
+  let held = Cluster.envelope cluster payload in
+  Alcotest.(check bool) "held envelope verifies" true (verifies held);
+  List.iter
+    (fun (dst, p) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "receiver %d shares the envelope" dst)
+        true
+        (Cluster.envelope cluster p == held))
+    copies;
+  Alcotest.(check int) "lookups decode nothing" decodes (Cluster.envelope_decodes cluster);
+  (* The corrupter's copy is a fresh string of the same length. *)
+  let got, decoded, copies =
+    deliver (fun () -> Sof_net.Network.send net ~src:corrupter ~dst:2 payload)
+  in
+  Alcotest.(check int) "corrupted copy received" 1 got;
+  Alcotest.(check int) "corrupted copy decoded on its own" 1 decoded;
+  (match copies with
+  | [ (_, p) ] -> (
+    Alcotest.(check bool) "copy was corrupted" false (String.equal p payload);
+    match Cluster.envelope cluster p with
+    | env' ->
+      Alcotest.(check bool) "not the held envelope" true (env' != held);
+      Alcotest.(check bool) "corrupted copy rejected" false (verifies env')
+    | exception Sof_util.Codec.Reader.Truncated -> ())
+  | _ -> Alcotest.fail "expected one corrupted copy");
+  Alcotest.(check bool) "honest envelope still held" true (Cluster.envelope cluster payload == held);
+  (* A payload that does not decode is never held. *)
+  let cut = String.sub payload 0 (String.length payload - 1) in
+  List.iter
+    (fun label ->
+      let got, decoded, _ = deliver (fun () -> Sof_net.Network.send net ~src:0 ~dst:3 cut) in
+      Alcotest.(check (pair int int)) label (1, 1) (got, decoded))
+    [ "truncated payload decoded"; "truncated payload decoded again" ]
+
 (* -------------------------------------------------------------- Metrics *)
 
 let test_metrics_latency_positive_and_bounded () =
@@ -388,6 +470,7 @@ let suite =
         Alcotest.test_case "amortized verify cache" `Quick
           test_cluster_amortized_verify_cache;
         Alcotest.test_case "reply certificate" `Quick test_cluster_reply_certificate;
+        Alcotest.test_case "envelope memo" `Quick test_cluster_envelope_memo;
       ] );
     ( "harness.metrics",
       [

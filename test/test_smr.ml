@@ -360,9 +360,9 @@ let prop_kv_merge_memo =
       let n = Array.length ops in
       let at = at mod n in
       let d = at + (d mod (n - at)) in
-      let merges = Kv.Merges.create () in
-      let agreeing = List.init 3 (fun _ -> Kv.machine ~merges ()) in
-      let diverging = Kv.machine ~merges () in
+      let memo = Kv.Memo.create () in
+      let agreeing = List.init 3 (fun _ -> Kv.machine ~memo ()) in
+      let diverging = Kv.machine ~memo () in
       let alone = Kv.machine () and alone' = Kv.machine () in
       let hostile = Reference_kv.image [ ("b", "1"); ("a", "2"); ("b", "3") ] in
       let ok = ref true in
@@ -373,21 +373,21 @@ let prop_kv_merge_memo =
         | [] -> ()
         | first :: rest ->
           f first;
-          let merged = Kv.Merges.computed merges in
+          let merged = Kv.Memo.merged memo in
           List.iter
             (fun m ->
               f m;
-              check (Kv.Merges.computed merges = merged))
+              check (Kv.Memo.merged memo = merged))
             rest
       in
       let diverged = ref false in
       for i = 0 to n - 1 do
         if i = at then begin
-          let before = Kv.Merges.computed merges in
+          let before = Kv.Memo.merged memo in
           agree (fun m -> State_machine.restore m hostile);
-          check (Kv.Merges.computed merges = before + 1);
+          check (Kv.Memo.merged memo = before + 1);
           List.iter (fun m -> State_machine.restore m hostile) [ diverging; alone; alone' ];
-          check (Kv.Merges.computed merges = before + 1)
+          check (Kv.Memo.merged memo = before + 1)
         end;
         let op = Kv.encode_op ops.(i) in
         let op' = if i = d then Kv.encode_op (Kv.Put ("zz", "diverged")) else op in
@@ -398,16 +398,91 @@ let prop_kv_merge_memo =
         if (i + 1) mod every = 0 || i = n - 1 then begin
           let image = State_machine.snapshot alone in
           agree (fun m -> check (String.equal (State_machine.snapshot m) image));
-          let before = Kv.Merges.computed merges in
+          let before = Kv.Memo.merged memo in
           check (String.equal (State_machine.snapshot diverging) (State_machine.snapshot alone'));
           if i >= d && not !diverged then begin
             diverged := true;
-            check (Kv.Merges.computed merges = before + 1)
+            check (Kv.Memo.merged memo = before + 1)
           end
         end
       done;
       check !diverged;
-      check (Kv.Merges.length merges <= 4 && Kv.Merges.computed merges <= Kv.Merges.asked merges);
+      check (Kv.Memo.merges_held memo <= 4 && Kv.Memo.merged memo <= Kv.Memo.merges_asked memo);
+      !ok)
+
+(* An operation stream for the operation memo: well-formed operations over
+   the small alphabet (so distinct operations of one length abound),
+   malformed bytes (a well-formed operation cut short or with a stray byte,
+   or garbage), snapshots and digests. *)
+type memo_step = Apply of string | Image | Sum
+
+let gen_memo_step =
+  let open QCheck.Gen in
+  let op = map Kv.encode_op gen_kv_op in
+  frequency
+    [
+      (10, map (fun b -> Apply b) op);
+      ( 2,
+        map2
+          (fun b stray ->
+            Apply (if stray then b ^ "\000" else String.sub b 0 (String.length b - 1)))
+          op bool );
+      (1, map (fun b -> Apply b) (string_size (0 -- 6)));
+      (1, return Image);
+      (1, return Sum);
+    ]
+
+let fresh_copy s = Bytes.to_string (Bytes.of_string s)
+let malformed b =
+  match Kv.decode_op b with _ -> false | exception Sof_util.Codec.Reader.Truncated -> true
+
+(* Stores sharing one deployment memo answer exactly as stand-alone stores
+   do.  Store [a] runs the stream, [c] runs each step right after [a] with
+   its own copy of the bytes, and [b] runs it [lag] steps behind with
+   another copy, sometimes past the memo's window.  Every reply, snapshot
+   and digest is the one a stand-alone store gives at that step.  [c]
+   never decodes a well-formed operation [a] has just applied, and every
+   store decodes malformed bytes afresh: failed decodes are not held. *)
+let prop_kv_op_memo =
+  QCheck.Test.make ~name:"kv op memo: stores sharing one decode answer like stand-alone ones"
+    ~count:300
+    QCheck.(make Gen.(pair (list_size (1 -- 100) gen_memo_step) (0 -- 40)))
+    (fun (steps, lag) ->
+      let steps = Array.of_list steps in
+      let n = Array.length steps in
+      let alone = Kv.machine () in
+      let step m copy = function
+        | Apply b -> State_machine.apply m (copy b)
+        | Image -> State_machine.snapshot m
+        | Sum -> State_machine.state_digest m
+      in
+      let expected = Array.map (step alone Fun.id) steps in
+      let memo = Kv.Memo.create () in
+      let a = Kv.machine ~memo () and b = Kv.machine ~memo () and c = Kv.machine ~memo () in
+      let ok = ref true in
+      let check cond = if not cond then ok := false in
+      (* [m]'s step [i]; [decodes] is how many decodes it may cost. *)
+      let run m copy i decodes =
+        let before = Kv.Memo.ops_decoded memo in
+        check (String.equal (step m copy steps.(i)) expected.(i));
+        let spent = Kv.Memo.ops_decoded memo - before in
+        match steps.(i) with
+        | Apply bytes when malformed bytes -> check (spent = 1)
+        | Apply _ -> check (spent <= decodes)
+        | Image | Sum -> check (spent = 0)
+      in
+      for t = 0 to n - 1 + lag do
+        if t < n then begin
+          run a Fun.id t 1;
+          run c fresh_copy t 0
+        end;
+        if t >= lag then run b fresh_copy (t - lag) 1
+      done;
+      let applied =
+        Array.fold_left (fun k s -> match s with Apply _ -> k + 3 | Image | Sum -> k) 0 steps
+      in
+      check (Kv.Memo.ops_asked memo = applied);
+      check (Kv.Memo.ops_decoded memo <= applied);
       !ok)
 
 (* --------------------------------------------------------- Lock_service *)
@@ -549,6 +624,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_kv_matches_reference;
         QCheck_alcotest.to_alcotest prop_kv_matches_sorted_list;
         QCheck_alcotest.to_alcotest prop_kv_merge_memo;
+        QCheck_alcotest.to_alcotest prop_kv_op_memo;
       ] );
     ( "smr.lock_service",
       [
